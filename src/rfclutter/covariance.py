@@ -136,5 +136,7 @@ def read_covariance(path) -> np.ndarray:
         payload = f.read(nbytes)
         if len(payload) < nbytes:
             raise ConfigurationError(f"{path}: truncated covariance payload")
+        if f.read(1):
+            raise ConfigurationError(f"{path}: trailing bytes after covariance payload")
     flat = np.frombuffer(payload, dtype="<f8")
     return (flat[0::2] + 1j * flat[1::2]).reshape(n, n)

@@ -165,26 +165,39 @@ def receive_array(scn: Scenario) -> ArrayGeometry:
                              cosine_exponent=scn.cosine_exponent)
 
 
-def _visibility(dem: ElevationGrid, observer: np.ndarray,
-                centers: np.ndarray) -> np.ndarray:
-    """LOS mask from one observer to many points, with the standard
-    clearance.  Points outside the raster extent count as visible (the
+def _visibility(dem: ElevationGrid, tx_position: np.ndarray,
+                rx_position: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Both-path LOS mask from a transmitter and a receiver to many
+    points, with the standard clearance.  The receive ray is marched
+    only where the transmit ray is clear, and not at all when the two
+    coincide.  Points outside the raster extent count as visible (the
     terrain can't block what it doesn't cover)."""
-    out = np.ones(len(centers), dtype=bool)
-    for k, c in enumerate(centers):
-        if not bool(dem.within_extent(c[0], c[1])):
-            continue
-        out[k] = line_of_sight(dem, observer, c, clearance=LOS_CLEARANCE_M)
+    monostatic = bool(np.array_equal(tx_position, rx_position))
+    out = ~dem.within_extent(points[:, 0], points[:, 1])
+    for k in np.flatnonzero(~out):
+        clear = line_of_sight(dem, tx_position, points[k], clearance=LOS_CLEARANCE_M)
+        if clear and not monostatic:
+            clear = line_of_sight(dem, rx_position, points[k], clearance=LOS_CLEARANCE_M)
+        out[k] = clear
     return out
 
 
 @dataclass
 class PatchBudget:
-    """Per-scatterer link budget for one CPI (patches then discretes)."""
+    """Per-scatterer link budget for one CPI (patches then discretes).
+
+    Only scatterers that could contribute are LOS-tested: those with a
+    non-zero unshadowed gain and, when a timing is given, a tap inside
+    the receive window.  `visible` is True where that test found both
+    paths clear, so it marks exactly the scatterers with non-zero
+    `gains`; an untested scatterer reads False whatever the terrain.
+    `gain_map` completes the mask for its full-raster view.
+    """
 
     gains: np.ndarray           # (n,) two-way power scale G
     directions: np.ndarray      # (n, 3) unit rx -> scatterer
-    visible: np.ndarray         # (n,) bool, both paths clear
+    visible: np.ndarray         # (n,) bool, LOS-tested and both paths clear
+    los_tested: np.ndarray      # (n,) bool, the contribution candidates
     grazing: np.ndarray         # (n,) rad, tx side; discretes carry pi/2
     sigma0: np.ndarray          # (n,) m^2/m^2; discretes carry their RCS
 
@@ -194,8 +207,11 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
                  timing: RadarTiming | None = None) -> PatchBudget:
     """Range-equation gains for every clutter scatterer at one CPI.
 
-    With `timing` given, scatterers whose bistatic delay falls outside
-    the receive window are zeroed like shadowed ones; they could never
+    The cheap factors (reflectivity at the grazing angle, both antenna
+    gains, ranges) come first; the line-of-sight rays are marched only
+    for scatterers whose unshadowed gain is non-zero.  With `timing`
+    given, scatterers whose bistatic delay falls outside the receive
+    window are zeroed too and never marched; they could never
     contribute a tap.
     """
     arr = scene.arrays
@@ -217,15 +233,6 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     sigma0 = table.sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
     sigma0 = np.where(graz > 0.0, sigma0, 0.0)
 
-    monostatic = bool(np.array_equal(tx.position, rx.position))
-    vis_tx = _visibility(scene.dem, tx.position, centers)
-    vis_rx = vis_tx if monostatic else _visibility(scene.dem, rx.position, centers)
-    visible = vis_tx & vis_rx
-    if timing is not None:
-        tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
-                       * timing.sample_rate)
-        visible &= (tap >= 0) & (tap < timing.num_taps)
-
     # transmit: full array pattern with uniform weights; receive: the
     # shared element pattern only (array gain comes from beamforming)
     weights = np.ones(array.num_elements)
@@ -241,67 +248,98 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     else:
         areas = arr.areas
 
-    gains = patch_power_scales(sigma0, areas, tx_gain, rx_gain, scn.wavelength,
-                               r_tx, r_rx, shadowed=~visible)
+    unshadowed = patch_power_scales(sigma0, areas, tx_gain, rx_gain, scn.wavelength,
+                                    r_tx, r_rx)
+    in_window = np.ones(len(centers), dtype=bool)
+    if timing is not None:
+        tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
+                       * timing.sample_rate)
+        in_window = (tap >= 0) & (tap < timing.num_taps)
+    tested = in_window & (unshadowed != 0.0)
+    visible = np.zeros(len(centers), dtype=bool)
+    idx = np.flatnonzero(tested)
+    visible[idx] = _visibility(scene.dem, tx.position, rx.position, centers[idx])
+    gains = np.where(visible, unshadowed, 0.0)
+    logger.debug("link budget: %d patches, %d in window, %d LOS-tested, %d visible",
+                 len(centers), int(np.count_nonzero(in_window)), idx.size,
+                 int(np.count_nonzero(visible)))
     return PatchBudget(gains=gains, directions=dirs_rx, visible=visible,
-                       grazing=graz, sigma0=sigma0)
+                       los_tested=tested, grazing=graz, sigma0=sigma0)
 
 
 def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
-                       tx: PlatformState, rx: PlatformState,
-                       realization: int) -> list[PatchResponse]:
+                       live: np.ndarray, tx: PlatformState, rx: PlatformState,
+                       realization: int, seed: int) -> list[PatchResponse]:
+    """Responses of the scatterers at indices `live` (patches then
+    discretes).  Every draw is keyed by patch id, so skipping the
+    zero-gain scatterers leaves the others' draws unchanged."""
     all_patches = scene.patches + scene.discrete_patches
-    model = StochasticModel(seed=scn.seed,
+    chosen = [all_patches[k] for k in live.tolist()]
+    model = StochasticModel(seed=seed,
                             doppler_std_hz=scn.clutter_doppler_std_hz,
                             deterministic_phase=scn.deterministic_clutter_phase)
-    return patch_responses(all_patches, budget.gains, tx, rx, scn.wavelength,
+    return patch_responses(chosen, budget.gains[live], tx, rx, scn.wavelength,
                            model, realization=realization)
 
 
-def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int,
+def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarray,
                       ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-pulse sea-surface phase/amplitude for the water patches, or
-    None when the surface is static."""
+    """Per-pulse sea-surface phase/amplitude for the scatterers at
+    indices `live`, or None when no live scatterer is moving water.
+    Only the live water patches are drawn; each keys its own stream by
+    patch id, so the rows match a draw over every water patch."""
     if scn.wind_speed_mps <= 0.0:
         return None
-    water_idx = np.nonzero(scene.water)[0]
-    if water_idx.size == 0:
+    is_water = np.append(scene.water, np.zeros(len(scene.discrete_patches), dtype=bool))
+    rows = np.flatnonzero(is_water[live])
+    if rows.size == 0:
         return None
-    state = OceanState(patches=[scene.patches[int(k)] for k in water_idx],
+    state = OceanState(patches=[scene.patches[k] for k in live[rows].tolist()],
                        wind_speed=scn.wind_speed_mps,
                        wind_direction=scn.wind_direction_rad)
     seed = derive_seed(scn.seed, STREAM_OCEAN, cpi)
     phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz,
                                       scn.wavelength, seed)
-    n = scene.num_responses
-    phase = np.zeros((n, scn.num_pulses))
-    amp = np.ones((n, scn.num_pulses))
-    phase[water_idx] = phase_w
-    amp[water_idx] = amp_w
+    phase = np.zeros((live.size, scn.num_pulses))
+    amp = np.ones((live.size, scn.num_pulses))
+    phase[rows] = phase_w
+    amp[rows] = amp_w
     return phase, amp
 
 
 def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
                        timing: RadarTiming | None = None,
                        realization: int | None = None,
-                       budget: PatchBudget | None = None) -> ChannelImpulseResponse:
+                       budget: PatchBudget | None = None,
+                       tx: PlatformState | None = None,
+                       seed: int | None = None) -> ChannelImpulseResponse:
     """Clutter impulse response for one CPI (terrain + buildings +
     discretes, with sea-surface modulation when the wind blows).
 
     The link budget is pure geometry; callers drawing many realizations
-    of the same CPI can compute it once and pass it in.
+    of the same CPI can compute it once and pass it in.  Only the
+    scatterers with a non-zero gain are drawn and accumulated.
+
+    `tx` and `seed` default to the scenario's own transmitter and seed;
+    the MIMO path passes its extra transmitters and their clutter seeds.
+    The sea surface is one surface for every transmitter, so its
+    modulation always follows the scenario seed.
     """
-    tx, rx = platform_states(scn, cpi)
+    scn_tx, rx = platform_states(scn, cpi)
+    if tx is None:
+        tx = scn_tx
     array = receive_array(scn)
     if timing is None:
         timing = scn.timing()
     if budget is None:
         budget = patch_budget(scn, scene, tx, rx, array, timing)
-    responses = _clutter_responses(scn, scene, budget, tx, rx,
-                                   cpi if realization is None else realization)
-    mod = _ocean_modulation(scn, scene, cpi)
+    live = np.flatnonzero(budget.gains)
+    responses = _clutter_responses(scn, scene, budget, live, tx, rx,
+                                   cpi if realization is None else realization,
+                                   scn.seed if seed is None else seed)
+    mod = _ocean_modulation(scn, scene, cpi, live)
     phase, amp = mod if mod is not None else (None, None)
-    return synthesize_ir(responses, budget.directions, array, timing,
+    return synthesize_ir(responses, budget.directions[live], array, timing,
                          kind="clutter", pulse_phase=phase, pulse_amp=amp)
 
 
@@ -318,7 +356,6 @@ def _target_ir(scn: Scenario, scene: SceneModel | None, cpi: int,
     """Deterministic target channel for one (tx, rx) pair at one CPI."""
     weights = np.ones(array.num_elements)
     boresight = np.asarray(array.boresight, dtype=np.float64)
-    monostatic = bool(np.array_equal(tx.position, rx.position))
 
     responses = []
     directions = []
@@ -330,13 +367,8 @@ def _target_ir(scn: Scenario, scene: SceneModel | None, cpi: int,
         dir_tx = d_tx / r_tx
         dir_rx = d_rx / r_rx
 
-        visible = True
-        if scene is not None and bool(scene.dem.within_extent(pos[0], pos[1])):
-            visible = line_of_sight(scene.dem, tx.position, pos,
-                                    clearance=LOS_CLEARANCE_M)
-            if visible and not monostatic:
-                visible = line_of_sight(scene.dem, rx.position, pos,
-                                        clearance=LOS_CLEARANCE_M)
+        visible = scene is None or bool(
+            _visibility(scene.dem, tx.position, rx.position, pos[None, :])[0])
         tx_gain = pattern_gains(array, weights, dir_tx[None, :])[0]
         cos_rx = float(dir_rx @ boresight)
         rx_gain = max(0.0, cos_rx) ** array.cosine_exponent if cos_rx > 0 else 0.0
@@ -504,18 +536,10 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
     for t_idx, tx in enumerate(mimo_transmitters(scn, cpi)):
         ir = None
         if scene is not None:
-            budget = patch_budget(scn, scene, tx, rx, array, timing)
             # transmitter 0 is the scenario's own: same streams as the
             # single-transmitter pipeline; extras get derived seeds
             seed = scn.seed if t_idx == 0 else derive_seed(scn.seed, STREAM_MIMO_CODE, t_idx)
-            model = StochasticModel(seed=seed,
-                                    doppler_std_hz=scn.clutter_doppler_std_hz,
-                                    deterministic_phase=scn.deterministic_clutter_phase)
-            all_patches = scene.patches + scene.discrete_patches
-            responses = patch_responses(all_patches, budget.gains, tx, rx,
-                                        scn.wavelength, model, realization=cpi)
-            ir = synthesize_ir(responses, budget.directions, array, timing,
-                               kind="clutter")
+            ir = synthesize_clutter(scn, scene, cpi, timing, tx=tx, seed=seed)
         if scn.targets:
             tgt = _target_ir(scn, scene, cpi, tx, rx, array, timing)
             if ir is None:
@@ -554,10 +578,15 @@ def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     budget = patch_budget(scn, scene, tx, rx, array)
 
     n = scene.num_terrain_patches
+    # the budget marches only the candidates; the map shows every patch
+    visible = budget.visible[:n].copy()
+    rest = np.flatnonzero(~budget.los_tested[:n])
+    visible[rest] = _visibility(scene.dem, tx.position, rx.position,
+                                scene.arrays.centers[rest])
     n_x = terrain_patch_cols(scene, scn)
     n_y = n // n_x
     g = budget.gains[:n].reshape(n_y, n_x)[::-1]           # south-up -> north-up
-    vis = budget.visible[:n].reshape(n_y, n_x)[::-1]
+    vis = visible.reshape(n_y, n_x)[::-1]
     graz = budget.grazing[:n].reshape(n_y, n_x)[::-1]
     with np.errstate(divide="ignore"):
         gdb = 10.0 * np.log10(g)

@@ -330,6 +330,10 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     surface.  The ray is raised by `clearance` meters before the
     comparison.  The sample grid is symmetric in the two endpoints, so
     the result is direction-independent.
+
+    Either endpoint may lie outside the raster extent.  The sample grid
+    stays the same; samples off the raster see no terrain, so they
+    cannot occlude.
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pt = np.asarray(point, dtype=np.float64).reshape(3)
@@ -337,9 +341,6 @@ def line_of_sight(dem: ElevationGrid, observer, point,
         step = dem.cell_size / 2.0
     if step <= 0:
         raise ConfigurationError(f"line-of-sight step must be positive, got {step}")
-    for name, p in (("observer", obs), ("point", pt)):
-        if not bool(dem.within_extent(p[0], p[1])):
-            raise ValueError(f"{name} ground projection {p[:2]} lies outside the raster extent")
     dist = float(np.hypot(pt[0] - obs[0], pt[1] - obs[1]))
     n_interior = max(0, math.ceil(dist / step) - 1)
     if n_interior == 0:
@@ -348,8 +349,11 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     xs = obs[0] + t * (pt[0] - obs[0])
     ys = obs[1] + t * (pt[1] - obs[1])
     ray_z = obs[2] + t * (pt[2] - obs[2])
-    terrain_z = dem.heights_at(xs, ys)
-    return not bool(np.any(terrain_z > ray_z + clearance))
+    blocked = dem.heights_at(xs, ys) > ray_z + clearance
+    # between two on-raster endpoints every sample is on the raster
+    if not bool(np.all(dem.within_extent([obs[0], pt[0]], [obs[1], pt[1]]))):
+        blocked &= dem.within_extent(xs, ys)
+    return not bool(np.any(blocked))
 
 
 def los_mask(dem: ElevationGrid, observer, patches: list[ScenePatch],

@@ -96,3 +96,17 @@ def test_errors_exit_with_code_2(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["inspect", str(tmp_path / "nothing.rfcube")]) == 2
+
+
+def test_off_raster_platform_simulates(scenario_file, tmp_path, capsys):
+    # the 1.2 km raster spans x in [0, 1200]; put the radar west of it
+    text = scenario_file.read_text().replace(
+        "platform.tx_position = 100 600 300", "platform.tx_position = -300 600 300")
+    assert "-300 600 300" in text
+    off = tmp_path / "off_raster.txt"
+    off.write_text(text)
+    out = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(off), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "error:" not in err
+    assert read_challenge(out).num_cpis == 2

@@ -149,3 +149,13 @@ def test_covariance_file_corruption(tmp_path):
         read_covariance(tmp_path / "trunc.rfcov")
     with pytest.raises(ConfigurationError):
         write_covariance(good, steer[:2])   # non-square
+
+
+def test_covariance_reader_rejects_trailing_bytes(tmp_path):
+    gains, steer = random_patch_model(3, 3, seed=13)
+    good = tmp_path / "good.rfcov"
+    write_covariance(good, clutter_covariance(gains, steer))
+    padded = tmp_path / "padded.rfcov"
+    padded.write_bytes(good.read_bytes() + b"\x00")
+    with pytest.raises(ConfigurationError, match="trailing bytes"):
+        read_covariance(padded)

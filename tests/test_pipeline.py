@@ -1,17 +1,30 @@
 """Scenario pipeline: scene building, link budgets, end-to-end structure."""
 
+import collections
+import csv
+import dataclasses
+import io
+import logging
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from rfclutter import pipeline
-from rfclutter.channel import RadarTiming, bistatic_delay_doppler
+from rfclutter.antenna import pattern_gains
+from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
+                               bistatic_delay_doppler, patch_responses,
+                               synthesize_ir)
+from rfclutter.cli import main
 from rfclutter.dsp import doppler_bin_for, range_bin_for, range_doppler_map
 from rfclutter.errors import ConfigurationError
+from rfclutter.ocean import OceanState, pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 Scenario, TargetSpec, generate_scenario1,
                                 generate_scenario2)
-from rfclutter.scattering import URBAN, WATER
-from rfclutter.terrain import ClassGrid, ElevationGrid
+from rfclutter.scattering import URBAN, WATER, patch_power_scales
+from rfclutter.seeding import STREAM_OCEAN, derive_seed
+from rfclutter.terrain import ClassGrid, ElevationGrid, grazing_angles, line_of_sight
 
 
 def tiny_scenario(**overrides):
@@ -163,20 +176,32 @@ def test_channel_moments_shape_and_floor():
         pipeline.channel_moments(tiny_scenario())   # no targets
 
 
+def half_water_cover():
+    classes = np.full((40, 40), WATER, dtype=np.int64)
+    classes[:20, :] = URBAN            # northern half is land
+    return ClassGrid(classes=classes, cell_size=30.0)
+
+
 def test_mimo_first_transmitter_matches_single_pipeline():
-    scn = tiny_scenario(
-        targets=[TargetSpec(position=[900.0, 600.0, 0.0],
-                            velocity=[10.0, 0.0, 0.0], rcs=50.0)],
-        mimo_tx=[(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))],
-    )
-    scene = pipeline.build_scene(scn)
-    pairs = pipeline.mimo_pair_irs(scn, scene, cpi=0)
-    assert len(pairs) == 2 and len(pairs[0]) == 1
-    timing = scn.timing()
-    clutter = pipeline.synthesize_clutter(scn, scene, 0, timing)
-    target = pipeline.synthesize_targets(scn, scene, 0, timing)
-    np.testing.assert_array_equal(pairs[0][0].taps, clutter.taps + target.taps)
-    assert not np.array_equal(pairs[1][0].taps, pairs[0][0].taps)
+    for extra in ({}, dict(landcover=half_water_cover(), wind_speed_mps=12.0)):
+        scn = tiny_scenario(
+            targets=[TargetSpec(position=[900.0, 600.0, 0.0],
+                                velocity=[10.0, 0.0, 0.0], rcs=50.0)],
+            mimo_tx=[(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))],
+            **extra,
+        )
+        scene = pipeline.build_scene(scn)
+        pairs = pipeline.mimo_pair_irs(scn, scene, cpi=0)
+        assert len(pairs) == 2 and len(pairs[0]) == 1
+        timing = scn.timing()
+        clutter = pipeline.synthesize_clutter(scn, scene, 0, timing)
+        target = pipeline.synthesize_targets(scn, scene, 0, timing)
+        np.testing.assert_array_equal(pairs[0][0].taps, clutter.taps + target.taps)
+        assert not np.array_equal(pairs[1][0].taps, pairs[0][0].taps)
+    # the sea modulation really reaches the MIMO channel
+    calm = dataclasses.replace(scn, wind_speed_mps=0.0)
+    calm_pairs = pipeline.mimo_pair_irs(calm, pipeline.build_scene(calm), cpi=0)
+    assert not np.array_equal(calm_pairs[0][0].taps, pairs[0][0].taps)
 
 
 def test_threads_do_not_change_output_bytes():
@@ -193,6 +218,223 @@ def test_threads_do_not_change_output_bytes():
 def test_empty_scenario_rejected():
     with pytest.raises(ConfigurationError):
         pipeline.simulate_scenario(tiny_scenario(dem=None))
+
+
+# --- LOS gating against the all-patch budget ----------------------------------
+
+def all_patch_budget(scn, scene, tx, rx, array, timing):
+    """The link budget with every scatterer's rays marched and the
+    shadow and window masks applied last; the oracle for the gated
+    `patch_budget`."""
+    arr = scene.arrays
+    centers = np.array([p.center for p in scene.patches + scene.discrete_patches])
+    d_tx = centers - tx.position
+    d_rx = centers - rx.position
+    r_tx = np.linalg.norm(d_tx, axis=1)
+    r_rx = np.linalg.norm(d_rx, axis=1)
+    dirs_tx = d_tx / r_tx[:, None]
+    dirs_rx = d_rx / r_rx[:, None]
+
+    graz = grazing_angles(arr, tx.position)
+    sigma0 = scn.table().sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
+    sigma0 = np.where(graz > 0.0, sigma0, 0.0)
+
+    dem = scene.dem
+    on_raster = dem.within_extent(centers[:, 0], centers[:, 1])
+
+    def los_from(observer):
+        return np.array([not inside or line_of_sight(dem, observer, c,
+                                                     clearance=pipeline.LOS_CLEARANCE_M)
+                         for c, inside in zip(centers, on_raster)])
+
+    vis_tx = los_from(tx.position)
+    monostatic = np.array_equal(tx.position, rx.position)
+    both_clear = vis_tx & (vis_tx if monostatic else los_from(rx.position))
+    tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
+                   * timing.sample_rate)
+    in_window = (tap >= 0) & (tap < timing.num_taps)
+    visible = both_clear & in_window
+
+    tx_gain = pattern_gains(array, np.ones(array.num_elements), dirs_tx)
+    cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
+    rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
+    n_disc = len(scene.discrete_patches)
+    sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
+    areas = np.concatenate([arr.areas, np.ones(n_disc)])
+    args = (sigma0, areas, tx_gain, rx_gain, scn.wavelength, r_tx, r_rx)
+    return SimpleNamespace(gains=patch_power_scales(*args, shadowed=~visible),
+                           unshadowed=patch_power_scales(*args),
+                           directions=dirs_rx, in_window=in_window,
+                           on_raster=on_raster, vis_tx=vis_tx, both_clear=both_clear)
+
+
+def all_patch_clutter(scn, scene, cpi, timing, budget):
+    """Clutter IR drawn over every scatterer, zero gains included, with
+    the sea modulation drawn for every water patch."""
+    tx, rx = pipeline.platform_states(scn, cpi)
+    model = StochasticModel(seed=scn.seed, doppler_std_hz=scn.clutter_doppler_std_hz,
+                            deterministic_phase=scn.deterministic_clutter_phase)
+    responses = patch_responses(scene.patches + scene.discrete_patches, budget.gains,
+                                tx, rx, scn.wavelength, model, realization=cpi)
+    phase = amp = None
+    water = np.flatnonzero(scene.water)
+    if scn.wind_speed_mps > 0.0 and water.size:
+        state = OceanState(patches=[scene.patches[k] for k in water],
+                           wind_speed=scn.wind_speed_mps,
+                           wind_direction=scn.wind_direction_rad)
+        phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
+                                          derive_seed(scn.seed, STREAM_OCEAN, cpi))
+        phase = np.zeros((scene.num_responses, scn.num_pulses))
+        amp = np.ones((scene.num_responses, scn.num_pulses))
+        phase[water] = phase_w
+        amp[water] = amp_w
+    return synthesize_ir(responses, budget.directions, pipeline.receive_array(scn),
+                         timing, kind="clutter", pulse_phase=phase, pulse_amp=amp)
+
+
+def bistatic_walled_scenario():
+    heights = np.zeros((40, 40))
+    heights[:, 16:18] = 200.0          # north-south wall near x = 500
+    return tiny_scenario(
+        dem=ElevationGrid(heights=heights, cell_size=30.0),
+        landcover=half_water_cover(),
+        tx_position=np.array([100.0, 600.0, 150.0]),
+        rx_position=np.array([300.0, 200.0, 120.0]),
+        rx_velocity=np.array([5.0, 0.0, 0.0]),
+        clutter_doppler_std_hz=3.0,
+        discretes=[DiscreteSpec(position=[300.0, 900.0, 5.0], rcs=500.0),
+                   DiscreteSpec(position=[-150.0, 700.0, 5.0], rcs=500.0)],
+    )
+
+
+GATING_CASES = {
+    "scenario1-desk": lambda: generate_scenario1(scale=DESK_SCALE, seed=1),
+    "tiny-bistatic": bistatic_walled_scenario,
+    "scenario2-wind": lambda: dataclasses.replace(
+        generate_scenario2(scale=DESK_SCALE, seed=1), wind_speed_mps=12.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GATING_CASES))
+def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
+    scn = GATING_CASES[case]()
+    scene = pipeline.build_scene(scn)
+    timing = scn.timing()
+    tx, rx = pipeline.platform_states(scn, 0)
+    array = pipeline.receive_array(scn)
+    want = all_patch_budget(scn, scene, tx, rx, array, timing)
+    want_ir = all_patch_clutter(scn, scene, 0, timing, want)
+
+    rays = collections.Counter()
+    drawn = []
+    sea_rows = []
+
+    def counting_los(dem, observer, point, **kw):
+        rays["tx" if np.array_equal(observer, tx.position) else "rx"] += 1
+        return line_of_sight(dem, observer, point, **kw)
+
+    def counting_responses(patches, *args, **kw):
+        drawn.append(len(patches))
+        return patch_responses(patches, *args, **kw)
+
+    def counting_modulation(state, *args, **kw):
+        sea_rows.append(len(state.patches))
+        return pulse_modulation(state, *args, **kw)
+
+    monkeypatch.setattr(pipeline, "line_of_sight", counting_los)
+    monkeypatch.setattr(pipeline, "patch_responses", counting_responses)
+    monkeypatch.setattr(pipeline, "pulse_modulation", counting_modulation)
+    got = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
+    ir = pipeline.synthesize_clutter(scn, scene, 0, timing, budget=got)
+
+    assert got.gains.tobytes() == want.gains.tobytes()
+    assert ir.taps.tobytes() == want_ir.taps.tobytes()
+    np.testing.assert_array_equal(got.visible, got.gains != 0.0)
+
+    # rays are marched for exactly the in-window candidates with a
+    # non-zero unshadowed gain; the rx ray only where the tx ray is clear
+    candidates = want.in_window & (want.unshadowed != 0.0)
+    np.testing.assert_array_equal(got.los_tested, candidates)
+    marched = candidates & want.on_raster
+    assert rays["tx"] == np.count_nonzero(marched)
+    monostatic = np.array_equal(tx.position, rx.position)
+    assert rays["rx"] == (0 if monostatic else np.count_nonzero(marched & want.vis_tx))
+    assert rays["tx"] < len(want.gains)
+
+    live = np.count_nonzero(got.gains)
+    assert drawn == [live] and 0 < live < len(want.gains)
+    live_water = np.count_nonzero(got.gains[:len(scene.patches)][scene.water])
+    if scn.wind_speed_mps > 0.0:
+        assert sea_rows == [live_water] and live_water > 0
+    else:
+        assert sea_rows == []
+
+
+def test_patch_budget_logs_per_cpi_counts(caplog):
+    scn = bistatic_walled_scenario()
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 0)
+    arr = pipeline.receive_array(scn)
+    timing = scn.timing()
+    want = all_patch_budget(scn, scene, tx, rx, arr, timing)
+    with caplog.at_level(logging.DEBUG, logger="rfclutter.pipeline"):
+        got = pipeline.patch_budget(scn, scene, tx, rx, arr, timing=timing)
+    (msg,) = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+    n = len(got.gains)
+    in_window = np.count_nonzero(want.in_window)
+    tested = np.count_nonzero(got.los_tested)
+    visible = np.count_nonzero(got.visible)
+    assert n > in_window > tested > visible > 0
+    assert msg == (f"link budget: {n} patches, {in_window} in window, "
+                   f"{tested} LOS-tested, {visible} visible")
+
+
+def oracle_visibility(scn):
+    """The all-patch both-path visibility of the terrain patches at
+    CPI 0, as a north-up raster."""
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 0)
+    oracle = all_patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn),
+                              scn.timing())
+    n = scene.num_terrain_patches
+    n_x = pipeline.terrain_patch_cols(scene, scn)
+    return oracle.both_clear[:n].reshape(n // n_x, n_x)[::-1]
+
+
+def test_gain_map_keeps_full_visibility(tmp_path):
+    scn = generate_scenario1(scale=DESK_SCALE, seed=1)
+    gm = pipeline.gain_map(scn)
+    want = oracle_visibility(scn)
+    np.testing.assert_array_equal(gm.visible, want)
+    # the map reports shadow, and the visibility of zero-gain patches
+    # that the gated budget never marches
+    assert not want.all()
+    assert want[gm.gains_db <= gm.floor_db].any()
+
+    assert main(["los-map", "--preset", "scenario1", "--out", str(tmp_path)]) == 0
+    text = io.StringIO(newline="")
+    w = csv.writer(text)
+    w.writerow(["row", "col", "visible"])
+    for r in range(want.shape[0]):
+        for c in range(want.shape[1]):
+            w.writerow([r, c, int(want[r, c])])
+    assert (tmp_path / "los_map.csv").read_bytes() == text.getvalue().encode("utf-8")
+
+    bistatic = bistatic_walled_scenario()
+    np.testing.assert_array_equal(pipeline.gain_map(bistatic).visible,
+                                  oracle_visibility(bistatic))
+
+
+def test_off_raster_transmitter_simulates():
+    base = generate_scenario1(scale=DESK_SCALE, seed=1)
+    scn = dataclasses.replace(base, tx_position=np.array([3000.0, -2000.0, 3000.0]),
+                              num_cpis=1)
+    assert not scn.dem.within_extent(3000.0, -2000.0)
+    run = pipeline.simulate_scenario(scn)
+    (result,) = run.results
+    assert np.count_nonzero(result.clutter_ir.taps) > 0
+    assert np.count_nonzero(result.target_ir.taps) > 0
+    assert np.all(np.isfinite(result.cube.samples))
 
 
 # --- built-in scene structure (desk scale) ------------------------------------

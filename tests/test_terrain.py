@@ -224,9 +224,18 @@ def test_raising_terrain_never_reveals(iy, ix, bump):
         assert not after
 
 
-def test_los_endpoint_validation(flat_dem):
-    with pytest.raises(ValueError):
-        line_of_sight(flat_dem, (-50.0, 10.0, 5.0), (10.0, 10.0, 5.0))
+def test_los_off_raster_samples_do_not_occlude(ridge_dem):
+    with pytest.raises(ConfigurationError):
+        line_of_sight(ridge_dem, (10.0, 10.0, 5.0), (100.0, 100.0, 5.0), step=0.0)
+    # west of the raster the clamped border would repeat the ridge crest
+    # under this rising ray; only the on-raster samples may block it
+    obs = (-500.0, 320.0, 10.0)
+    crest = (5.0, 320.0, 85.0)
+    assert line_of_sight(ridge_dem, obs, crest)
+    assert line_of_sight(ridge_dem, crest, obs)
+    # terrain on the raster still blocks a ray from an off-raster observer
+    assert not line_of_sight(ridge_dem, (320.0, -400.0, 12.0), (320.0, 600.0, 2.0))
+    assert line_of_sight(ridge_dem, (320.0, -400.0, 400.0), (320.0, 600.0, 2.0))
 
 
 def test_los_mask_matches_scalar_calls(ridge_dem):
