@@ -1,0 +1,47 @@
+"""Reading the binary file formats.
+
+Every format (RFWAV001, RFGIR001, RFCUBE01, RFCOV001) is a fixed
+little-endian header that starts with an 8-byte magic, then one array
+payload whose size the header declares, then nothing.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import struct
+
+from .errors import ConfigurationError
+
+
+def read_framed(path, header: struct.Struct, magic: bytes, what: str,
+                shape, itemsize: int) -> tuple[tuple, bytes]:
+    """Read and check one header-then-payload file.
+
+    `shape(*fields)` gives the payload dimensions from the header fields
+    that follow the magic; the payload holds `itemsize` bytes per
+    element.  The declared size is compared with the file size before
+    any payload byte is read, so a header that lies about its
+    dimensions raises ConfigurationError instead of allocating.
+    Returns (fields, payload bytes).
+    """
+    with open(path, "rb") as f:
+        head = f.read(header.size)
+        if len(head) < header.size:
+            raise ConfigurationError(f"{path}: truncated {what} header")
+        found, *fields = header.unpack(head)
+        if found != magic:
+            raise ConfigurationError(f"{path}: expected magic {magic!r}, found {found!r}")
+        dims = shape(*fields)
+        if min(dims) < 1:
+            raise ConfigurationError(f"{path}: {what} header declares an empty array {dims}")
+        nbytes = itemsize * math.prod(dims)
+        available = os.fstat(f.fileno()).st_size - header.size
+        if nbytes > available:
+            raise ConfigurationError(f"{path}: truncated {what} payload")
+        if nbytes < available:
+            raise ConfigurationError(f"{path}: trailing bytes after {what} payload")
+        payload = f.read(nbytes)
+    if len(payload) < nbytes:
+        raise ConfigurationError(f"{path}: truncated {what} payload")
+    return tuple(fields), payload

@@ -37,8 +37,8 @@ import numpy as np
 from scipy.linalg import convolution_matrix
 
 from .antenna import ArrayGeometry, spatial_steering_many
+from .binfile import read_framed
 from .errors import ConfigurationError
-from .scattering import patch_power_scale
 from .seeding import STREAM_CLUTTER, derive_rng
 from .terrain import PlatformState, ScenePatch
 
@@ -143,18 +143,6 @@ class ChannelImpulseResponse:
     @property
     def num_taps(self) -> int:
         return self.taps.shape[2]
-
-
-@dataclass
-class TransferFunction:
-    """DFT of the impulse response along the delay axis."""
-
-    bins: np.ndarray             # (N, M, L) complex128
-    bin_spacing: float           # Hz
-
-    @property
-    def num_bins(self) -> int:
-        return self.bins.shape[2]
 
 
 def bistatic_delay_doppler(position, velocity, tx: PlatformState, rx: PlatformState,
@@ -302,40 +290,6 @@ def synthesize_ir(responses: list[PatchResponse], directions: np.ndarray,
                                   prf=timing.prf, delay_origin=origin, kind=kind)
 
 
-def synthesize_target_ir(position, velocity, rcs: float, tx: PlatformState,
-                         rx: PlatformState, array: ArrayGeometry,
-                         timing: RadarTiming, tx_gain: float = 1.0,
-                         rx_gain: float = 1.0) -> ChannelImpulseResponse:
-    """Deterministic single-point target channel.
-
-    The target amplitude follows the same range-equation budget as a
-    patch with sigma0 * area replaced by the RCS, and its phase comes
-    from the path length, so repeated runs are bit-identical.
-    """
-    if rcs < 0:
-        raise ValueError(f"rcs must be non-negative, got {rcs}")
-    position = np.asarray(position, dtype=np.float64).reshape(3)
-    velocity = np.asarray(velocity, dtype=np.float64).reshape(3)
-    wavelength = array.wavelength
-    delay, doppler = bistatic_delay_doppler(position, velocity, tx, rx, wavelength)
-    r_tx = float(np.linalg.norm(position - tx.position))
-    r_rx = float(np.linalg.norm(position - rx.position))
-    g = patch_power_scale(sigma0=rcs, area=1.0, tx_gain=tx_gain, rx_gain=rx_gain,
-                          wavelength=wavelength, r_tx=r_tx, r_rx=r_rx)
-    phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / wavelength
-    amplitude = math.sqrt(g) * complex(np.exp(1j * phase))
-    response = PatchResponse(delay=delay, doppler=doppler, amplitude=amplitude, patch_id=0)
-    d_rx = position - rx.position
-    direction = d_rx / np.linalg.norm(d_rx)
-    return synthesize_ir([response], direction[None, :], array, timing, kind="target")
-
-
-def to_transfer_function(ir: ChannelImpulseResponse) -> TransferFunction:
-    """Stochastic transfer function: DFT of the taps along delay."""
-    bins = np.fft.fft(ir.taps.astype(np.complex128), axis=2)
-    return TransferFunction(bins=bins, bin_spacing=ir.sample_rate / ir.num_taps)
-
-
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:
     """Sample mean of H^H H over channel realizations.
 
@@ -367,20 +321,8 @@ def write_ir(path, ir: ChannelImpulseResponse) -> None:
 
 
 def read_ir(path, kind: str = "clutter") -> ChannelImpulseResponse:
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ConfigurationError(f"{path}: truncated impulse-response header")
-        magic, n, m, l, fs, origin, prf = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ConfigurationError(f"{path}: not an impulse-response file (magic {magic!r})")
-        nbytes = 8 * n * m * l
-        payload = f.read(nbytes)
-        if len(payload) < nbytes:
-            raise ConfigurationError(f"{path}: truncated impulse-response payload")
-        extra = f.read(1)
-        if extra:
-            raise ConfigurationError(f"{path}: trailing bytes after impulse-response payload")
+    (n, m, l, fs, origin, prf), payload = read_framed(
+        path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l), 8)
     taps = np.frombuffer(payload, dtype="<c8").reshape(n, m, l)
     return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf,
                                   delay_origin=origin, kind=kind)

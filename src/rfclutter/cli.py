@@ -3,7 +3,6 @@
 Verbs:
 
   simulate        run a scenario, export cubes + truth channels + manifest
-  dataset-gen     same export driven by a built-in scene preset
   clutter-map     per-patch link-budget raster (CSV + PGM)
   los-map         per-patch visibility raster (CSV + PGM)
   range-doppler   beamformed range-Doppler maps and peak lists
@@ -81,13 +80,6 @@ def cmd_simulate(args) -> int:
           f"{dims[2]} pulses x {dims[3]} range samples")
     print(f"wrote {manifest}")
     return 0
-
-
-def cmd_dataset_gen(args) -> int:
-    if not args.preset:
-        raise ConfigurationError("dataset-gen needs --preset")
-    args.scenario = None
-    return cmd_simulate(args)
 
 
 def _write_raster_outputs(out: Path, stem: str, values: np.ndarray,
@@ -274,10 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a scenario and export a dataset")
     _add_scenario_args(p)
     p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("dataset-gen", help="export a dataset from a preset scene")
-    _add_scenario_args(p)
-    p.set_defaults(func=cmd_dataset_gen)
 
     p = sub.add_parser("clutter-map", help="per-patch gain raster")
     _add_scenario_args(p)

@@ -21,6 +21,7 @@ import struct
 
 import numpy as np
 
+from .binfile import read_framed
 from .errors import ConfigurationError
 from .seeding import STREAM_SNAPSHOT, STREAM_SNAPSHOT_BATCH, derive_rng
 
@@ -125,18 +126,7 @@ def write_covariance(path, matrix: np.ndarray) -> None:
 
 
 def read_covariance(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ConfigurationError(f"{path}: truncated covariance header")
-        magic, n = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ConfigurationError(f"{path}: not a covariance file (magic {magic!r})")
-        nbytes = 16 * n * n
-        payload = f.read(nbytes)
-        if len(payload) < nbytes:
-            raise ConfigurationError(f"{path}: truncated covariance payload")
-        if f.read(1):
-            raise ConfigurationError(f"{path}: trailing bytes after covariance payload")
+    (n,), payload = read_framed(path, _HEADER, _MAGIC, "covariance",
+                                lambda n: (n, n), 16)
     flat = np.frombuffer(payload, dtype="<f8")
     return (flat[0::2] + 1j * flat[1::2]).reshape(n, n)

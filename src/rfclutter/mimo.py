@@ -16,15 +16,8 @@ import numpy as np
 
 from .channel import ChannelImpulseResponse
 from .errors import ConfigurationError
-from .rxsim import DataCube, _noise_for_cpi, noiseless_samples
+from .rxsim import DataCube, noise_samples, noiseless_samples
 from .waveform import Waveform
-
-
-def enumerate_pairs(num_tx: int, num_rx: int) -> list[tuple[int, int]]:
-    """All (tx, rx) index pairs in tx-major order."""
-    if num_tx < 1 or num_rx < 1:
-        raise ConfigurationError("need at least one transmitter and one receiver")
-    return [(t, r) for t in range(num_tx) for r in range(num_rx)]
 
 
 def simulate_mimo_cube(pair_irs: Sequence[Sequence[ChannelImpulseResponse]],
@@ -60,10 +53,8 @@ def simulate_mimo_cube(pair_irs: Sequence[Sequence[ChannelImpulseResponse]],
                 raise ConfigurationError(
                     f"pair ({t}, {r}) channel dimensions differ from pair (0, {r})")
             signal = signal + noiseless_samples(ir, waveforms[t])
-        noise = np.zeros((1,) + signal.shape, dtype=np.complex128)
-        if noise_power > 0.0:
-            noise = _noise_for_cpi(cpi_index, ref.num_channels, ref.num_pulses,
-                                   signal.shape[2], noise_power, seed, rx_index=r)
+        noise = noise_samples(cpi_index, ref.num_channels, ref.num_pulses,
+                              signal.shape[2], noise_power, seed, rx_index=r)
         cubes.append(DataCube(samples=signal[None] + noise, sample_rate=ref.sample_rate,
                               prf=ref.prf, noise_power=noise_power,
                               carrier_hz=carrier_hz, delay_origin=ref.delay_origin))

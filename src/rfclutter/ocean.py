@@ -14,7 +14,7 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class OceanState:
 
     patches: list[ScenePatch]
     wind_speed: float                    # m/s
-    wind_direction: float = 0.0          # rad from east, reserved for wakes
     velocity_per_wind: float = DEFAULT_VELOCITY_PER_WIND
     log_amp_per_wind: float = DEFAULT_LOG_AMP_PER_WIND
     correlation_time: float = 0.05       # s, OU velocity decorrelation
@@ -89,23 +88,6 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     return vel, amp
 
 
-def evolve_clutter_map(state: OceanState, pulse_index: int, prf: float,
-                       wavelength: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-patch (Doppler offset Hz, amplitude factor) at one pulse.
-
-    Deterministic in (state, pulse_index, seed): recomputes the series
-    up to the requested pulse, so calls at different pulse indices are
-    mutually consistent.
-    """
-    if pulse_index < 0:
-        raise ConfigurationError(f"pulse_index must be non-negative, got {pulse_index}")
-    if wavelength <= 0:
-        raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
-    vel, amp = surface_series(state, pulse_index + 1, prf, seed)
-    doppler = 2.0 * vel[:, pulse_index] / wavelength
-    return doppler, amp[:, pulse_index]
-
-
 def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
                      wavelength: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch, per-pulse extra phase (rad) and amplitude factor.
@@ -122,54 +104,6 @@ def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
     if num_pulses > 1:
         phase[:, 1:] = (2.0 * np.pi / prf) * np.cumsum(doppler[:, 1:], axis=1)
     return phase, amp
-
-
-def make_sea_patches(extent_east: float, extent_north: float, patch_size: float,
-                     landcover_class: int = 0, first_id: int = 0) -> list[ScenePatch]:
-    """Flat sea-surface patch grid at height 0."""
-    if patch_size <= 0:
-        raise ConfigurationError(f"patch_size must be positive, got {patch_size}")
-    n_x = max(1, int(np.ceil(extent_east / patch_size - 1e-9)))
-    n_y = max(1, int(np.ceil(extent_north / patch_size - 1e-9)))
-    up = np.array([0.0, 0.0, 1.0])
-    patches = []
-    k = first_id
-    for i in range(n_y):
-        for j in range(n_x):
-            patches.append(ScenePatch(
-                center=np.array([(j + 0.5) * patch_size, (i + 0.5) * patch_size, 0.0]),
-                normal=up.copy(),
-                area=patch_size * patch_size,
-                landcover_class=landcover_class,
-                patch_id=k,
-            ))
-            k += 1
-    return patches
-
-
-def wake_strip(start, heading: float, length: float, width: float,
-               patch_size: float, landcover_class: int, first_id: int) -> list[ScenePatch]:
-    """Line of elevated-reflectivity patches approximating a ship wake.
-
-    Geometry only; callers assign the wake class a stronger table entry.
-    """
-    if length <= 0 or width <= 0 or patch_size <= 0:
-        raise ConfigurationError("wake dimensions must be positive")
-    start = np.asarray(start, dtype=np.float64).reshape(2)
-    u = np.array([np.cos(heading), np.sin(heading)])
-    n_along = max(1, int(np.ceil(length / patch_size - 1e-9)))
-    up = np.array([0.0, 0.0, 1.0])
-    patches = []
-    for k in range(n_along):
-        c = start + u * (k + 0.5) * patch_size
-        patches.append(ScenePatch(
-            center=np.array([c[0], c[1], 0.0]),
-            normal=up.copy(),
-            area=patch_size * width,
-            landcover_class=landcover_class,
-            patch_id=first_id + k,
-        ))
-    return patches
 
 
 def wind_doppler_spread(power_map: np.ndarray, doppler_freqs: np.ndarray,

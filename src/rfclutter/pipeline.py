@@ -28,7 +28,7 @@ from .cofar import ChannelMoments
 from .errors import ConfigurationError
 from .ocean import OceanState, pulse_modulation
 from .rxsim import DataCube, simulate_cube
-from .scattering import patch_power_scale, patch_power_scales
+from .scattering import patch_power_scales
 from .scenario import Scenario
 from .seeding import STREAM_MIMO_CODE, STREAM_OCEAN, derive_seed
 from .terrain import (ClassGrid, ElevationGrid, PatchArrays, PlatformState,
@@ -202,6 +202,35 @@ class PatchBudget:
     sigma0: np.ndarray          # (n,) m^2/m^2; discretes carry their RCS
 
 
+def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
+                 points: np.ndarray, sigma0: np.ndarray,
+                 areas: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Unshadowed two-way gains of point scatterers (clutter patches and
+    targets alike) by the bistatic range equation.
+
+    Transmit uses the full array pattern with uniform weights; receive
+    the shared element pattern only (array gain comes from
+    beamforming).  Returns (gains, unit rx -> point directions, tx
+    ranges, rx ranges).
+    """
+    d_tx = points - tx.position
+    d_rx = points - rx.position
+    r_tx = np.linalg.norm(d_tx, axis=1)
+    r_rx = np.linalg.norm(d_rx, axis=1)
+    if np.any(r_tx <= 0) or np.any(r_rx <= 0):
+        raise ConfigurationError("a platform coincides with a scatterer or target")
+    if np.any(sigma0 < 0):
+        raise ConfigurationError("scatterer cross sections must be non-negative")
+    dirs_tx = d_tx / r_tx[:, None]
+    dirs_rx = d_rx / r_rx[:, None]
+    tx_gain = pattern_gains(array, np.ones(array.num_elements), dirs_tx)
+    cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
+    rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
+    gains = patch_power_scales(sigma0, areas, tx_gain, rx_gain, array.wavelength,
+                               r_tx, r_rx)
+    return gains, dirs_rx, r_tx, r_rx
+
+
 def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
                  rx: PlatformState, array: ArrayGeometry,
                  timing: RadarTiming | None = None) -> PatchBudget:
@@ -215,41 +244,17 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     contribute a tap.
     """
     arr = scene.arrays
-    disc = patch_arrays(scene.discrete_patches)
-    centers = np.vstack([arr.centers, disc.centers]) if len(scene.discrete_patches) \
-        else arr.centers
-
-    d_tx = centers - tx.position
-    d_rx = centers - rx.position
-    r_tx = np.linalg.norm(d_tx, axis=1)
-    r_rx = np.linalg.norm(d_rx, axis=1)
-    if np.any(r_tx <= 0) or np.any(r_rx <= 0):
-        raise ConfigurationError("platform coincides with a scatterer")
-    dirs_tx = d_tx / r_tx[:, None]
-    dirs_rx = d_rx / r_rx[:, None]
-
+    n_disc = len(scene.discrete_patches)
     graz = grazing_angles(arr, tx.position)
-    table = scn.table()
-    sigma0 = table.sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
+    sigma0 = scn.table().sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
     sigma0 = np.where(graz > 0.0, sigma0, 0.0)
 
-    # transmit: full array pattern with uniform weights; receive: the
-    # shared element pattern only (array gain comes from beamforming)
-    weights = np.ones(array.num_elements)
-    tx_gain = pattern_gains(array, weights, dirs_tx)
-    cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
-    rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
-
-    n_disc = len(scene.discrete_patches)
-    if n_disc:
-        sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
-        graz = np.concatenate([graz, np.full(n_disc, np.pi / 2)])
-        areas = np.concatenate([arr.areas, np.ones(n_disc)])
-    else:
-        areas = arr.areas
-
-    unshadowed = patch_power_scales(sigma0, areas, tx_gain, rx_gain, scn.wavelength,
-                                    r_tx, r_rx)
+    # discretes follow the terrain and roof patches, as point scatterers
+    centers = np.vstack([arr.centers, patch_arrays(scene.discrete_patches).centers])
+    sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
+    graz = np.concatenate([graz, np.full(n_disc, np.pi / 2)])
+    areas = np.concatenate([arr.areas, np.ones(n_disc)])
+    unshadowed, dirs_rx, r_tx, r_rx = _link_budget(array, tx, rx, centers, sigma0, areas)
     in_window = np.ones(len(centers), dtype=bool)
     if timing is not None:
         tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
@@ -295,8 +300,7 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
     if rows.size == 0:
         return None
     state = OceanState(patches=[scene.patches[k] for k in live[rows].tolist()],
-                       wind_speed=scn.wind_speed_mps,
-                       wind_direction=scn.wind_direction_rad)
+                       wind_speed=scn.wind_speed_mps)
     seed = derive_seed(scn.seed, STREAM_OCEAN, cpi)
     phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz,
                                       scn.wavelength, seed)
@@ -350,54 +354,41 @@ def target_states(scn: Scenario, cpi: int) -> list[tuple[np.ndarray, np.ndarray,
             for tgt in scn.targets]
 
 
-def _target_ir(scn: Scenario, scene: SceneModel | None, cpi: int,
-               tx: PlatformState, rx: PlatformState, array: ArrayGeometry,
-               timing: RadarTiming) -> ChannelImpulseResponse:
-    """Deterministic target channel for one (tx, rx) pair at one CPI."""
-    weights = np.ones(array.num_elements)
-    boresight = np.asarray(array.boresight, dtype=np.float64)
-
-    responses = []
-    directions = []
-    for k, (pos, vel, rcs) in enumerate(target_states(scn, cpi)):
-        d_tx = pos - tx.position
-        d_rx = pos - rx.position
-        r_tx = float(np.linalg.norm(d_tx))
-        r_rx = float(np.linalg.norm(d_rx))
-        dir_tx = d_tx / r_tx
-        dir_rx = d_rx / r_rx
-
-        visible = scene is None or bool(
-            _visibility(scene.dem, tx.position, rx.position, pos[None, :])[0])
-        tx_gain = pattern_gains(array, weights, dir_tx[None, :])[0]
-        cos_rx = float(dir_rx @ boresight)
-        rx_gain = max(0.0, cos_rx) ** array.cosine_exponent if cos_rx > 0 else 0.0
-        g = patch_power_scale(sigma0=rcs, area=1.0, tx_gain=float(tx_gain),
-                              rx_gain=rx_gain, wavelength=scn.wavelength,
-                              r_tx=r_tx, r_rx=r_rx, shadowed=not visible)
-
-        delay, doppler = bistatic_delay_doppler(pos, vel, tx, rx, scn.wavelength)
-        phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / scn.wavelength
-        amplitude = np.sqrt(g) * np.exp(1j * phase)
-        responses.append(PatchResponse(delay=delay, doppler=doppler,
-                                       amplitude=complex(amplitude), patch_id=k))
-        directions.append(dir_rx)
-
-    return synthesize_ir(responses, np.array(directions), array, timing,
-                         kind="target")
-
-
 def synthesize_targets(scn: Scenario, scene: SceneModel | None, cpi: int,
-                       timing: RadarTiming | None = None) -> ChannelImpulseResponse | None:
+                       timing: RadarTiming | None = None,
+                       tx: PlatformState | None = None) -> ChannelImpulseResponse | None:
     """Deterministic target impulse response for one CPI; None when the
-    scenario declares no targets."""
+    scenario declares no targets.
+
+    Targets share the clutter's link budget with their RCS as sigma0 *
+    area, and its terrain shadowing; their phase comes from the path
+    length, so repeated runs are bit-identical.  `tx` defaults to the
+    scenario's own transmitter, as in `synthesize_clutter`.
+    """
     if not scn.targets:
         return None
-    tx, rx = platform_states(scn, cpi)
+    scn_tx, rx = platform_states(scn, cpi)
+    if tx is None:
+        tx = scn_tx
     array = receive_array(scn)
     if timing is None:
         timing = scn.timing()
-    return _target_ir(scn, scene, cpi, tx, rx, array, timing)
+    states = target_states(scn, cpi)
+    points = np.array([pos for pos, _, _ in states])
+    gains, directions, _, _ = _link_budget(
+        array, tx, rx, points, np.array([rcs for _, _, rcs in states]), np.ones(len(states)))
+    if scene is not None:
+        gains = np.where(_visibility(scene.dem, tx.position, rx.position, points),
+                         gains, 0.0)
+
+    responses = []
+    for k, (pos, vel, _) in enumerate(states):
+        delay, doppler = bistatic_delay_doppler(pos, vel, tx, rx, scn.wavelength)
+        phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / scn.wavelength
+        amplitude = np.sqrt(gains[k]) * np.exp(1j * phase)
+        responses.append(PatchResponse(delay=delay, doppler=doppler,
+                                       amplitude=complex(amplitude), patch_id=k))
+    return synthesize_ir(responses, directions, array, timing, kind="target")
 
 
 def default_waveform(scn: Scenario) -> Waveform:
@@ -530,8 +521,6 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
     if scene is None and not scn.targets:
         raise ConfigurationError("scenario has neither terrain nor targets")
     timing = scn.timing()
-    _, rx = platform_states(scn, cpi)
-    array = receive_array(scn)
     pair_row = []
     for t_idx, tx in enumerate(mimo_transmitters(scn, cpi)):
         ir = None
@@ -541,7 +530,7 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
             seed = scn.seed if t_idx == 0 else derive_seed(scn.seed, STREAM_MIMO_CODE, t_idx)
             ir = synthesize_clutter(scn, scene, cpi, timing, tx=tx, seed=seed)
         if scn.targets:
-            tgt = _target_ir(scn, scene, cpi, tx, rx, array, timing)
+            tgt = synthesize_targets(scn, scene, cpi, timing, tx=tx)
             if ir is None:
                 ir = tgt
             else:

@@ -18,6 +18,9 @@ The binary cube file format (magic RFCUBE01) is little-endian:
     40      f64     noise power (complex variance per sample)
     48      f64     carrier, Hz
     56      f32*2CNMR interleaved I/Q, cpi-major (c, n, m, r) C order
+
+The header has no delay-origin field, so only cubes whose range
+sample 0 sits at delay 0 can be written.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Sequence
 import numpy as np
 from scipy.fft import next_fast_len
 
+from .binfile import read_framed
 from .channel import ChannelImpulseResponse
 from .errors import ConfigurationError
 from .seeding import STREAM_NOISE, derive_rng
@@ -127,29 +131,29 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
     return np.ascontiguousarray(out[:, :, :n_out])
 
 
-def noise_samples(num_cpis: int, num_channels: int, num_pulses: int,
+def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
                   num_range_samples: int, noise_power: float, seed: int,
                   rx_index: int = 0) -> np.ndarray:
-    """Circular complex Gaussian noise, variance `noise_power` per sample.
+    """Circular complex Gaussian noise for one CPI, shape (1, N, M, R),
+    variance `noise_power` per sample.
 
-    Each (cpi, channel, pulse) line is drawn from its own derived
-    stream, so the result does not depend on evaluation order, worker
-    count, or cube slicing.  Zero noise power skips the draws entirely.
+    Each (channel, pulse) line is drawn from its own stream keyed by the
+    receiver and the absolute CPI index, so the result does not depend
+    on evaluation order, worker count, or which CPIs are simulated.
+    Zero noise power skips the draws entirely.
     """
     if noise_power < 0:
         raise ConfigurationError("noise_power must be non-negative")
-    shape = (num_cpis, num_channels, num_pulses, num_range_samples)
-    out = np.zeros(shape, dtype=np.complex128)
+    out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
     if noise_power == 0.0:
         return out
     scale = np.sqrt(noise_power / 2.0)
-    for c in range(num_cpis):
-        for n in range(num_channels):
-            for m in range(num_pulses):
-                rng = derive_rng(seed, STREAM_NOISE, rx_index, c, n, m)
-                re = rng.standard_normal(num_range_samples)
-                im = rng.standard_normal(num_range_samples)
-                out[c, n, m] = scale * (re + 1j * im)
+    for n in range(num_channels):
+        for m in range(num_pulses):
+            rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
+            re = rng.standard_normal(num_range_samples)
+            im = rng.standard_normal(num_range_samples)
+            out[0, n, m] = scale * (re + 1j * im)
     return out
 
 
@@ -191,30 +195,12 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
             f"num_range_samples {num_range_samples} exceeds the convolution length {natural}")
     signal = signal[:, :, :num_range_samples]
 
-    # noise streams are indexed by the absolute cpi so multi-CPI runs
-    # can simulate CPIs independently and still agree with a batch run
-    noise = np.zeros((1,) + signal.shape, dtype=np.complex128)
-    if noise_power > 0.0:
-        noise = _noise_for_cpi(cpi_index, ref.num_channels, ref.num_pulses,
-                               num_range_samples, noise_power, seed)
+    noise = noise_samples(cpi_index, ref.num_channels, ref.num_pulses,
+                          num_range_samples, noise_power, seed)
     samples = signal[None, :, :, :] + noise
     return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz,
                     delay_origin=ref.delay_origin)
-
-
-def _noise_for_cpi(cpi_index: int, num_channels: int, num_pulses: int,
-                   num_range_samples: int, noise_power: float, seed: int,
-                   rx_index: int = 0) -> np.ndarray:
-    scale = np.sqrt(noise_power / 2.0)
-    out = np.empty((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
-    for n in range(num_channels):
-        for m in range(num_pulses):
-            rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
-            re = rng.standard_normal(num_range_samples)
-            im = rng.standard_normal(num_range_samples)
-            out[0, n, m] = scale * (re + 1j * im)
-    return out
 
 
 def stack_cubes(cubes: Sequence[DataCube]) -> DataCube:
@@ -232,6 +218,9 @@ def stack_cubes(cubes: Sequence[DataCube]) -> DataCube:
 
 
 def write_cube(path, cube: DataCube) -> None:
+    if cube.delay_origin != 0.0:
+        raise ConfigurationError(
+            f"the cube format stores no delay origin; got {cube.delay_origin} s, not 0")
     payload = np.ascontiguousarray(cube.samples, dtype="<c8")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(_MAGIC, cube.num_cpis, cube.num_channels,
@@ -242,20 +231,8 @@ def write_cube(path, cube: DataCube) -> None:
 
 
 def read_cube(path) -> DataCube:
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ConfigurationError(f"{path}: truncated cube header")
-        magic, c, n, m, r, fs, prf, sigma2, carrier = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ConfigurationError(f"{path}: not a data-cube file (magic {magic!r})")
-        nbytes = 8 * c * n * m * r
-        payload = f.read(nbytes)
-        if len(payload) < nbytes:
-            raise ConfigurationError(f"{path}: truncated cube payload")
-        extra = f.read(1)
-        if extra:
-            raise ConfigurationError(f"{path}: trailing bytes after cube payload")
+    (c, n, m, r, fs, prf, sigma2, carrier), payload = read_framed(
+        path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r), 8)
     samples = np.frombuffer(payload, dtype="<c8").reshape(c, n, m, r)
     return DataCube(samples=samples, sample_rate=fs, prf=prf, noise_power=sigma2,
                     carrier_hz=carrier)

@@ -287,37 +287,9 @@ def grazing_angles(arrays: PatchArrays, observer: np.ndarray) -> np.ndarray:
     los = np.asarray(observer, dtype=np.float64).reshape(1, 3) - arrays.centers
     r = np.linalg.norm(los, axis=1)
     if np.any(r == 0.0):
-        raise ValueError("observer coincides with a patch center")
+        raise ConfigurationError("observer coincides with a patch center")
     s = np.einsum("ij,ij->i", los, arrays.normals) / r
     return np.arcsin(np.clip(s, -1.0, 1.0))
-
-
-def terrain_profile(dem: ElevationGrid, a, b, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Heights along the ground projection of segment a->b.
-
-    Returns (distances, heights); both endpoints included, interior
-    samples every `step` meters (the final partial interval is kept).
-    """
-    a = np.asarray(a, dtype=np.float64).reshape(-1)[:2]
-    b = np.asarray(b, dtype=np.float64).reshape(-1)[:2]
-    if step <= 0:
-        raise ConfigurationError(f"profile step must be positive, got {step}")
-    for name, p in (("start", a), ("end", b)):
-        if not bool(dem.within_extent(p[0], p[1])):
-            raise ValueError(f"profile {name} point {p} lies outside the raster extent")
-    dist = float(np.hypot(b[0] - a[0], b[1] - a[1]))
-    if dist == 0.0:
-        ds = np.zeros(1)
-    else:
-        ds = np.arange(0.0, dist, step)
-        if dist - ds[-1] > 1e-9:
-            ds = np.append(ds, dist)
-        else:
-            ds[-1] = dist
-    t = ds / dist if dist > 0 else ds
-    xs = a[0] + t * (b[0] - a[0])
-    ys = a[1] + t * (b[1] - a[1])
-    return ds, dem.heights_at(xs, ys)
 
 
 def line_of_sight(dem: ElevationGrid, observer, point,

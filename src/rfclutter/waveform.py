@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .binfile import read_framed
 from .errors import ConfigurationError
 
 _MAGIC = b"RFWAV001"
@@ -104,19 +105,8 @@ def write_waveform(path, wf: Waveform) -> None:
 
 
 def read_waveform(path) -> Waveform:
-    with open(path, "rb") as f:
-        head = f.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise ConfigurationError(f"{path}: truncated waveform header")
-        magic, n, fs = _HEADER.unpack(head)
-        if magic != _MAGIC:
-            raise ConfigurationError(f"{path}: not a waveform file (magic {magic!r})")
-        payload = f.read(8 * n)
-        if len(payload) < 8 * n:
-            raise ConfigurationError(f"{path}: truncated waveform payload")
-        extra = f.read(1)
-        if extra:
-            raise ConfigurationError(f"{path}: trailing bytes after waveform payload")
+    (n, fs), payload = read_framed(path, _HEADER, _MAGIC, "waveform",
+                                   lambda n, fs: (n,), 8)
     iq = np.frombuffer(payload, dtype="<f4")
     samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
     return Waveform(samples=samples, sample_rate=fs)

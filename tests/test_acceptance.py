@@ -276,7 +276,6 @@ def test_07_waveform_swap_without_resynthesis(tmp_path, monkeypatch):
     # regeneration may only convolve stored channels; block every synthesis
     # entry point and the geometry pipeline behind them
     monkeypatch.setattr("rfclutter.channel.synthesize_ir", forbidden)
-    monkeypatch.setattr("rfclutter.channel.synthesize_target_ir", forbidden)
     monkeypatch.setattr("rfclutter.channel.patch_responses", forbidden)
     monkeypatch.setattr("rfclutter.pipeline.synthesize_clutter", forbidden)
     monkeypatch.setattr("rfclutter.pipeline.synthesize_targets", forbidden)

@@ -1,0 +1,149 @@
+"""Binary readers under hostile input: every file either reads back or
+raises ConfigurationError (no MemoryError, OverflowError or bare
+ValueError from a header that lies)."""
+
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
+from rfclutter.covariance import read_covariance, write_covariance
+from rfclutter.errors import ConfigurationError
+from rfclutter.rxsim import DataCube, read_cube, write_cube
+from rfclutter.waveform import Waveform, read_waveform, write_waveform
+
+
+def _write_waveform(path):
+    write_waveform(path, Waveform(samples=np.exp(1j * np.arange(5.0)), sample_rate=5e6))
+
+
+def _write_ir(path):
+    taps = (np.arange(24).reshape(2, 3, 4) * (1.0 - 0.5j)).astype(np.complex64)
+    write_ir(path, ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3,
+                                          delay_origin=2e-5))
+
+
+def _write_cube(path):
+    samples = (np.arange(24).reshape(1, 2, 3, 4) * (0.5 + 1j)).astype(np.complex64)
+    write_cube(path, DataCube(samples=samples, sample_rate=5e6, prf=1e3,
+                              noise_power=0.1, carrier_hz=10e9))
+
+
+def _write_covariance(path):
+    write_covariance(path, np.eye(3) * (2.0 + 0.5j))
+
+
+# format -> (writer of a small valid file, reader, header layout, indices
+# of the header fields that declare the payload dimensions, those
+# dimensions as read back)
+FORMATS = {
+    "waveform": (_write_waveform, read_waveform, struct.Struct("<8sId"), (1,),
+                 lambda wf: wf.samples.shape),
+    "impulse-response": (_write_ir, read_ir, struct.Struct("<8sIIIddd"), (1, 2, 3),
+                         lambda ir: ir.taps.shape),
+    "cube": (_write_cube, read_cube, struct.Struct("<8sIIIIdddd"), (1, 2, 3, 4),
+             lambda cube: cube.samples.shape),
+    "covariance": (_write_covariance, read_covariance, struct.Struct("<8sI"), (1,),
+                   lambda matrix: matrix.shape[:1]),
+}
+U32 = st.integers(0, 2 ** 32 - 1)
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    """fmt -> (a scratch path, the bytes of a small valid file)."""
+    root = tmp_path_factory.mktemp("binfile")
+    out = {}
+    for fmt, (write, *_) in FORMATS.items():
+        path = root / f"{fmt}.bin"
+        write(path)
+        out[fmt] = (path, path.read_bytes())
+    return out
+
+
+def read_or_reject(reader, path):
+    """The oracle: the reader returns, or raises ConfigurationError."""
+    try:
+        return reader(path)
+    except ConfigurationError:
+        return None
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_valid_file_reads_back(fmt, valid):
+    path, good = valid[fmt]
+    path.write_bytes(good)
+    assert FORMATS[fmt][1](path) is not None
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_truncated_file_is_rejected(fmt, data, valid):
+    path, good = valid[fmt]
+    path.write_bytes(good[:data.draw(st.integers(0, len(good) - 1))])
+    with pytest.raises(ConfigurationError):
+        FORMATS[fmt][1](path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=40, deadline=None)
+@given(extra=st.binary(min_size=1, max_size=64))
+def test_trailing_bytes_are_rejected(fmt, extra, valid):
+    path, good = valid[fmt]
+    path.write_bytes(good + extra)
+    with pytest.raises(ConfigurationError, match="trailing bytes"):
+        FORMATS[fmt][1](path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_size_lies_never_escape_the_oracle(fmt, data, valid):
+    """Dimension fields rewritten to any u32 over the real payload, cut
+    or padded: a result must have exactly the declared dimensions."""
+    _, reader, header, dim_fields, dims_of = FORMATS[fmt]
+    path, good = valid[fmt]
+    fields = list(header.unpack(good[:header.size]))
+    for k in dim_fields:
+        fields[k] = data.draw(U32)
+    payload = good[header.size:]
+    payload = payload[:data.draw(st.integers(0, len(payload)))] + data.draw(st.binary(max_size=64))
+    path.write_bytes(header.pack(*fields) + payload)
+    got = read_or_reject(reader, path)
+    if got is not None:
+        assert list(dims_of(got)) == [fields[k] for k in dim_fields]
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_arbitrary_header_and_payload(fmt, data, valid):
+    _, reader, header, *_ = FORMATS[fmt]
+    path, good = valid[fmt]
+    magic = good[:8] if data.draw(st.booleans()) else data.draw(st.binary(min_size=8, max_size=8))
+    body = data.draw(st.binary(min_size=0, max_size=header.size + 96))
+    path.write_bytes(magic + body)
+    read_or_reject(reader, path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_all_ones_header_is_rejected(fmt, valid):
+    """2^32 - 1 in every size field (and NaN in every float field)."""
+    _, reader, header, *_ = FORMATS[fmt]
+    path, good = valid[fmt]
+    path.write_bytes(good[:8] + b"\xff" * (header.size - 8))
+    with pytest.raises(ConfigurationError, match="truncated"):
+        reader(path)
+
+
+def test_header_claiming_4096_cubed_taps_is_rejected(tmp_path):
+    head = struct.pack("<8sIIIddd", b"RFGIR001", 4096, 4096, 4096, 5e6, 0.0, 1e3)
+    assert len(head) == 44
+    path = tmp_path / "lying.rfgir"
+    path.write_bytes(head)
+    with pytest.raises(ConfigurationError, match="truncated"):
+        read_ir(path)

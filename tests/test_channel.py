@@ -14,8 +14,7 @@ from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
                                PatchResponse, RadarTiming, StochasticModel,
                                bistatic_delay_doppler, ensemble_second_moment,
                                patch_response, patch_responses, read_ir,
-                               synthesize_ir, synthesize_target_ir,
-                               to_transfer_function, write_ir)
+                               synthesize_ir, write_ir)
 from rfclutter.errors import ConfigurationError
 from rfclutter.scattering import GRASS
 from rfclutter.terrain import PlatformState, ScenePatch
@@ -278,66 +277,7 @@ def test_ir_bit_reproducible_across_runs():
     np.testing.assert_array_equal(a.taps, b.taps)
 
 
-# --- point targets ---------------------------------------------------------------
-
-def test_target_ir_closed_form_tap():
-    fs = 5e6
-    tx = platform((0, 0, 1000), (0, 60, 0))
-    arr = rx_array(1)
-    timing = RadarTiming(prf=2000.0, sample_rate=fs, num_pulses=4, num_taps=128)
-    pos = np.array([2997.0, 0.0, 0.0])
-    ir = synthesize_target_ir(pos, (0, 0, 0), 10.0, tx, tx, arr, timing)
-    r = float(np.linalg.norm(pos - tx.position))
-    tap = round(2.0 * r / SPEED_OF_LIGHT * fs)
-    profile = np.abs(ir.taps[0, 0, :])
-    assert int(np.argmax(profile)) == tap
-    # range-equation magnitude with sigma0 -> rcs, area 1, unit gains... except
-    # the element pattern: boresight +x, target along +x at -17.6 deg depression
-    # -> still multiply by nothing here since synthesize_target_ir defaults
-    # tx_gain = rx_gain = 1
-    g = (WAVELENGTH ** 2 * 10.0) / ((4 * math.pi) ** 3 * r ** 4)
-    assert profile[tap] == pytest.approx(math.sqrt(g), rel=1e-6)
-
-
-def test_target_ir_doppler_ramp():
-    fs, prf, m = 5e6, 2000.0, 16
-    tx = platform((0, 0, 0), (0, 80, 0))
-    arr = rx_array(1)
-    timing = RadarTiming(prf=prf, sample_rate=fs, num_pulses=m, num_taps=256)
-    pos = np.array([0.0, 6000.0, 0.0])
-    ir = synthesize_target_ir(pos, (0, 0, 0), 5.0, tx, tx, arr, timing)
-    tap = round(2.0 * 6000.0 / SPEED_OF_LIGHT * fs)
-    series = ir.taps[0, :, tap].astype(np.complex128)
-    # closing at 80 m/s -> fd = 2 * 80 / lambda; check pulse-to-pulse rotation
-    fd = 2.0 * 80.0 / WAVELENGTH
-    expected_step = np.exp(2j * np.pi * fd / prf)
-    steps = series[1:] / series[:-1]
-    np.testing.assert_allclose(steps, expected_step, rtol=1e-5)
-
-
-def test_target_ir_rejects_negative_rcs():
-    tx = platform((0, 0, 100))
-    arr = rx_array(1)
-    timing = RadarTiming(prf=1e3, sample_rate=5e6, num_pulses=2, num_taps=8)
-    with pytest.raises(ValueError):
-        synthesize_target_ir((100, 0, 0), (0, 0, 0), -1.0, tx, tx, arr, timing)
-
-
-# --- transfer function / moments --------------------------------------------------
-
-def test_transfer_function_parseval():
-    rng = np.random.default_rng(6)
-    taps = (rng.normal(size=(2, 3, 32)) + 1j * rng.normal(size=(2, 3, 32)))
-    ir = ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3)
-    tf = to_transfer_function(ir)
-    assert tf.num_bins == 32
-    for n in range(2):
-        for m in range(3):
-            h = ir.taps[n, m].astype(np.complex128)
-            want = 32 * np.sum(np.abs(h) ** 2)
-            got = np.sum(np.abs(tf.bins[n, m]) ** 2)
-            assert got == pytest.approx(want, rel=1e-10)
-
+# --- moments ----------------------------------------------------------------------
 
 def test_ensemble_moment_matches_convolution_matrix_oracle():
     """A deterministic one-realization ensemble is literally H^H H."""

@@ -110,3 +110,12 @@ def test_off_raster_platform_simulates(scenario_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and "error:" not in err
     assert read_challenge(out).num_cpis == 2
+
+
+def test_target_on_the_platform_exits_with_code_2(scenario_file, tmp_path, capsys):
+    text = scenario_file.read_text() + "target.2.position = 100 600 300\ntarget.2.rcs = 10\n"
+    bad = tmp_path / "target_on_platform.txt"
+    bad.write_text(text)
+    assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "ds")]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "coincides" in err and "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
-                            enumerate_pairs, simulate_mimo_cube)
+                            simulate_mimo_cube)
 from rfclutter.rxsim import simulate_cube
 from rfclutter.seeding import derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
@@ -26,13 +26,6 @@ def delta_ir(tap, total_taps, n=1, m=4, amp=1.0):
     t = np.zeros((n, m, total_taps), dtype=np.complex64)
     t[:, :, tap] = amp
     return ChannelImpulseResponse(taps=t, sample_rate=FS, prf=PRF)
-
-
-def test_enumerate_pairs_tx_major():
-    assert enumerate_pairs(2, 3) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (1, 2)]
-    assert enumerate_pairs(1, 1) == [(0, 0)]
-    with pytest.raises(ConfigurationError):
-        enumerate_pairs(0, 2)
 
 
 def test_single_pair_matches_plain_simulator_exactly():

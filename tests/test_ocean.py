@@ -1,4 +1,4 @@
-"""Sea-surface dynamics: pulse modulation, wakes, Doppler-spread estimate."""
+"""Sea-surface dynamics: pulse modulation, Doppler-spread estimate."""
 
 import numpy as np
 import pytest
@@ -6,28 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfclutter.errors import ConfigurationError
-from rfclutter.ocean import (OceanState, evolve_clutter_map, make_sea_patches,
-                             pulse_modulation, surface_series, wake_strip,
+from rfclutter.ocean import (OceanState, pulse_modulation, surface_series,
                              wind_doppler_spread)
 from rfclutter.scattering import WATER
+from rfclutter.terrain import ScenePatch
 
 WAVELENGTH = 0.03
 
 
-def sea_state(wind=10.0, n_patches=6, corr=0.05):
-    patches = make_sea_patches(90.0, 60.0, 30.0, landcover_class=WATER)
-    assert len(patches) == n_patches
-    return OceanState(patches=patches, wind_speed=wind, wind_direction=0.0,
-                      correlation_time=corr)
+def sea_patches(n=6):
+    """A row of flat 30 m water patches at sea level."""
+    return [ScenePatch(center=np.array([(k + 0.5) * 30.0, 15.0, 0.0]),
+                       normal=np.array([0.0, 0.0, 1.0]), area=900.0,
+                       landcover_class=WATER, patch_id=k)
+            for k in range(n)]
 
 
-def test_sea_patch_grid():
-    patches = make_sea_patches(90.0, 60.0, 30.0)
-    assert len(patches) == 6
-    assert all(p.center[2] == 0.0 for p in patches)
-    assert all(p.landcover_class == WATER for p in patches)
-    ids = [p.patch_id for p in patches]
-    assert ids == sorted(ids)
+def sea_state(wind=10.0, corr=0.05):
+    return OceanState(patches=sea_patches(), wind_speed=wind, correlation_time=corr)
 
 
 def test_zero_wind_modulation_is_identity():
@@ -45,15 +41,6 @@ def test_series_prefix_consistency():
     v16, a16 = surface_series(state, 16, 2000.0, seed=5)
     np.testing.assert_array_equal(v8, v16[:, :8])
     np.testing.assert_array_equal(a8, a16[:, :8])
-
-
-def test_evolve_matches_series_column():
-    state = sea_state(wind=8.0)
-    vel, amp = surface_series(state, 12, 1500.0, seed=9)
-    for m in (0, 5, 11):
-        dop, a = evolve_clutter_map(state, m, 1500.0, WAVELENGTH, seed=9)
-        np.testing.assert_array_equal(dop, 2.0 * vel[:, m] / WAVELENGTH)
-        np.testing.assert_array_equal(a, amp[:, m])
 
 
 def test_velocity_std_scales_with_wind():
@@ -85,22 +72,6 @@ def test_modulation_deterministic():
     np.testing.assert_array_equal(a[1], b[1])
     c = pulse_modulation(state, 10, 1800.0, WAVELENGTH, seed=2)
     assert not np.array_equal(a[0], c[0])
-
-
-def test_wake_strip_geometry():
-    strip = wake_strip((150.0, 10.0), heading=np.pi / 2, length=200.0, width=35.0,
-                       patch_size=25.0, landcover_class=7, first_id=100)
-    assert len(strip) == 8          # ceil(200 / 25)
-    assert [p.patch_id for p in strip] == list(range(100, 108))
-    # wake runs due north from the start point: x fixed, y marches by patch_size
-    for k, p in enumerate(strip):
-        assert p.center[0] == pytest.approx(150.0, abs=1e-9)
-        assert p.center[1] == pytest.approx(10.0 + (k + 0.5) * 25.0)
-        assert p.area == pytest.approx(25.0 * 35.0)
-        assert p.landcover_class == 7
-    with pytest.raises(ConfigurationError):
-        wake_strip((0, 0), 0.0, length=-5.0, width=35.0, patch_size=25.0,
-                   landcover_class=7, first_id=0)
 
 
 # --- Doppler-spread estimator ----------------------------------------------------
@@ -148,6 +119,5 @@ def test_spread_validation():
 
 
 def test_ocean_state_validation():
-    patches = make_sea_patches(60.0, 60.0, 30.0)
     with pytest.raises(ConfigurationError):
-        OceanState(patches=patches, wind_speed=-1.0, wind_direction=0.0)
+        OceanState(patches=sea_patches(4), wind_speed=-1.0)

@@ -5,6 +5,7 @@ import csv
 import dataclasses
 import io
 import logging
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -280,8 +281,7 @@ def all_patch_clutter(scn, scene, cpi, timing, budget):
     water = np.flatnonzero(scene.water)
     if scn.wind_speed_mps > 0.0 and water.size:
         state = OceanState(patches=[scene.patches[k] for k in water],
-                           wind_speed=scn.wind_speed_mps,
-                           wind_direction=scn.wind_direction_rad)
+                           wind_speed=scn.wind_speed_mps)
         phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
                                           derive_seed(scn.seed, STREAM_OCEAN, cpi))
         phase = np.zeros((scene.num_responses, scn.num_pulses))
@@ -435,6 +435,65 @@ def test_off_raster_transmitter_simulates():
     assert np.count_nonzero(result.clutter_ir.taps) > 0
     assert np.count_nonzero(result.target_ir.taps) > 0
     assert np.all(np.isfinite(result.cube.samples))
+
+
+# --- point targets through the shared link budget ----------------------------
+
+def point_target_scenario(tx_position, tx_velocity, target_position, rcs, **overrides):
+    """Terrain-free monostatic scenario: one receive channel, one static
+    target."""
+    base = dict(carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0, num_pulses=4,
+                num_channels=1, pulse_duration_s=1e-6,
+                tx_position=np.asarray(tx_position, float),
+                tx_velocity=np.asarray(tx_velocity, float),
+                targets=[TargetSpec(position=target_position, velocity=[0.0, 0.0, 0.0],
+                                    rcs=rcs)])
+    base.update(overrides)
+    return Scenario(**base)
+
+
+def test_target_ir_closed_form_tap():
+    scn = point_target_scenario((0, 0, 1000), (0, 60, 0), [2997.0, 0.0, 0.0], 10.0)
+    ir = pipeline.synthesize_targets(scn, None, 0)
+    r = float(np.linalg.norm(scn.targets[0].position - scn.tx_position))
+    tap = round(2.0 * r / SPEED_OF_LIGHT * scn.sample_rate)
+    profile = np.abs(ir.taps[0, 0, :])
+    assert int(np.argmax(profile)) == tap
+    # range equation with sigma0 * area -> rcs; the single element's
+    # cos^1 pattern (boresight +x) applies on transmit and on receive
+    cos_off = 2997.0 / r
+    g = cos_off ** 2 * scn.wavelength ** 2 * 10.0 / ((4 * math.pi) ** 3 * r ** 4)
+    assert profile[tap] == pytest.approx(math.sqrt(g), rel=1e-6)
+
+
+def test_target_ir_doppler_ramp():
+    scn = point_target_scenario((0, 0, 0), (0, 80, 0), [0.0, 6000.0, 0.0], 5.0,
+                                num_pulses=16, boresight=np.array([0.0, 1.0, 0.0]),
+                                array_axis=np.array([1.0, 0.0, 0.0]))
+    ir = pipeline.synthesize_targets(scn, None, 0)
+    tap = round(2.0 * 6000.0 / SPEED_OF_LIGHT * scn.sample_rate)
+    series = ir.taps[0, :, tap].astype(np.complex128)
+    assert np.all(series != 0)
+    # closing at 80 m/s -> fd = 2 * 80 / lambda; check pulse-to-pulse rotation
+    fd = 2.0 * 80.0 / scn.wavelength
+    steps = series[1:] / series[:-1]
+    np.testing.assert_allclose(steps, np.exp(2j * np.pi * fd / scn.prf_hz), rtol=1e-5)
+
+
+def test_target_ir_rejects_negative_rcs():
+    scn = point_target_scenario((0, 0, 100), (0, 0, 0), [100.0, 0.0, 0.0], 1.0)
+    scn.targets[0].rcs = -1.0           # past TargetSpec's own check
+    with pytest.raises(ConfigurationError):
+        pipeline.synthesize_targets(scn, None, 0)
+
+
+def test_target_on_the_platform_is_a_configuration_error():
+    on_tx = TargetSpec(position=[100.0, 600.0, 300.0], velocity=[0.0, 0.0, 0.0], rcs=10.0)
+    scn = tiny_scenario(targets=[on_tx], num_cpis=1)
+    with pytest.raises(ConfigurationError, match="coincides"):
+        pipeline.simulate_scenario(scn)
+    with pytest.raises(ConfigurationError, match="coincides"):
+        pipeline.mimo_pair_irs(scn, None, 0)
 
 
 # --- built-in scene structure (desk scale) ------------------------------------

@@ -104,19 +104,20 @@ def test_waveform_linearity_under_shared_seed():
 
 
 def test_noise_variance_and_independence():
-    noise = noise_samples(1, 2, 4, 4096, noise_power=2.0, seed=11)
+    noise = noise_samples(0, 2, 4, 4096, noise_power=2.0, seed=11)
+    assert noise.shape == (1, 2, 4, 4096)
     var = np.mean(np.abs(noise) ** 2)
     assert var == pytest.approx(2.0, rel=0.05)
     # per-line streams: two lines never share samples
     assert not np.allclose(noise[0, 0, 0], noise[0, 0, 1])
     assert not np.allclose(noise[0, 0, 0], noise[0, 1, 0])
     # deterministic
-    again = noise_samples(1, 2, 4, 4096, noise_power=2.0, seed=11)
+    again = noise_samples(0, 2, 4, 4096, noise_power=2.0, seed=11)
     np.testing.assert_array_equal(noise, again)
 
 
 def test_zero_noise_power_is_exactly_zero():
-    noise = noise_samples(1, 1, 2, 64, noise_power=0.0, seed=1)
+    noise = noise_samples(0, 1, 2, 64, noise_power=0.0, seed=1)
     assert np.all(noise == 0)
 
 
@@ -179,6 +180,17 @@ def test_cube_round_trip(tmp_path):
     assert back.noise_power == cube.noise_power
     # payload stored as complex64
     np.testing.assert_array_equal(back.samples, cube.samples.astype(np.complex64))
+
+
+def test_cube_writer_rejects_a_delay_origin(tmp_path):
+    """The cube header has no delay-origin field; writing one would
+    silently read back as 0."""
+    cube = DataCube(samples=np.ones((1, 1, 2, 4), dtype=np.complex64), sample_rate=5e6,
+                    prf=1e3, noise_power=0.0, delay_origin=3e-5)
+    path = tmp_path / "origin.rfcube"
+    with pytest.raises(ConfigurationError, match="delay origin"):
+        write_cube(path, cube)
+    assert not path.exists()
 
 
 def test_cube_reader_rejects_corruption(tmp_path):

@@ -1,5 +1,7 @@
 """Scenario text format: parsing, canonical echo, hashing, built-in scenes."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from rfclutter.scenario import (DESK_SCALE, Scenario, TargetSpec,
                                 littoral_dem, load_scenario, parse_scenario,
                                 scaled_count, scenario_hash, scenario_text)
 from rfclutter.scattering import BUILDING, WATER
-from rfclutter.terrain import write_dem
+from rfclutter.terrain import ClassGrid, ElevationGrid, write_dem, write_landcover
 
 MINIMAL = "radar.carrier = 10e9\nradar.prf = 2000\n"
 
@@ -191,3 +193,21 @@ def test_scenario2_adds_coastal_content():
     # the two presets share the radar but not the scene content
     s1 = generate_scenario1(scale=DESK_SCALE, seed=3)
     assert scenario_hash(scn) != scenario_hash(s1)
+
+
+def test_readme_scenario_example_parses(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Scenario files", 1)[1]
+    text = section.split("```\n", 2)[1]
+    write_dem(tmp_path / "site.dem",
+              ElevationGrid(heights=np.zeros((8, 8)), cell_size=30.0))
+    write_landcover(tmp_path / "site.lcm",
+                    ClassGrid(classes=np.full((8, 8), WATER, dtype=np.int64),
+                              cell_size=30.0))
+    scn = parse_scenario(text, base_dir=tmp_path)
+    assert scn.num_cpis == 4 and scn.num_channels == 4
+    np.testing.assert_array_equal(scn.tx_position, [0.0, -2000.0, 3000.0])
+    assert scn.wind_speed_mps == 12.0
+    (target,) = scn.targets
+    np.testing.assert_array_equal(target.velocity, [-6.0, 3.0, 0.0])
+    assert scn.dem is not None and scn.landcover is not None

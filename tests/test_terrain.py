@@ -12,8 +12,7 @@ from rfclutter.terrain import (ClassGrid, ElevationGrid, ScenePatch,
                                build_patch_grid, enu_from_geodetic,
                                grazing_angle, grazing_angles, line_of_sight,
                                los_mask, patch_arrays, read_dem,
-                               read_landcover, terrain_profile, write_dem,
-                               write_landcover)
+                               read_landcover, write_dem, write_landcover)
 from rfclutter.scattering import GRASS, WATER
 
 from conftest import ridge_heights
@@ -247,14 +246,6 @@ def test_los_mask_matches_scalar_calls(ridge_dem):
     for k in (0, 17, len(patches) - 1):
         assert mask[k] == line_of_sight(ridge_dem, obs, patches[k].center)
     assert mask.any() and not mask.all()   # the ridge must shadow something
-
-
-def test_terrain_profile_on_ramp():
-    dem = planar_dem(nx=32, ny=32, cell=10.0, gx=0.1)
-    dist, height = terrain_profile(dem, (5.0, 160.0, 0.0), (305.0, 160.0, 0.0), step=5.0)
-    assert dist[0] == 0.0 and dist[-1] == pytest.approx(300.0)
-    np.testing.assert_allclose(np.diff(dist), 5.0 * np.ones(len(dist) - 1), atol=1e-9)
-    np.testing.assert_allclose(height, 0.1 * (5.0 + dist), atol=1e-9)
 
 
 # --- raster file format ------------------------------------------------------
