@@ -63,10 +63,11 @@ class RadarTiming:
     delay_origin: float = 0.0    # s, absolute delay of tap 0
 
     def __post_init__(self):
-        if self.prf <= 0:
-            raise ConfigurationError(f"prf must be positive, got {self.prf}")
-        if self.sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (np.isfinite(self.prf) and self.prf > 0):
+            raise ConfigurationError(f"prf must be positive and finite, got {self.prf}")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigurationError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}")
         if self.num_pulses < 1:
             raise ConfigurationError(f"num_pulses must be >= 1, got {self.num_pulses}")
         if self.num_taps < 1:
@@ -86,6 +87,8 @@ class RadarTiming:
         if swath <= 0:
             raise ConfigurationError(f"swath must be positive, got {swath}")
         delay_extent = 2.0 * swath / SPEED_OF_LIGHT
+        if not math.isfinite(delay_extent * sample_rate):
+            raise ConfigurationError(f"a swath of {swath} m spans too many samples")
         num_taps = max(1, math.ceil(delay_extent * sample_rate - 1e-9))
         return cls(prf=prf, sample_rate=sample_rate, num_pulses=num_pulses,
                    num_taps=num_taps, delay_origin=delay_origin)
@@ -128,8 +131,9 @@ class ChannelImpulseResponse:
         self.taps = np.ascontiguousarray(self.taps, dtype=np.complex64)
         if self.taps.ndim != 3:
             raise ConfigurationError("impulse response taps must have shape (N, M, L)")
-        if self.sample_rate <= 0 or self.prf <= 0:
-            raise ConfigurationError("sample_rate and prf must be positive")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
+                and np.isfinite(self.prf) and self.prf > 0):
+            raise ConfigurationError("sample_rate and prf must be positive and finite")
         self.taps.setflags(write=False)
 
     @property

@@ -66,15 +66,21 @@ def _load(args) -> Scenario:
 
 
 def _out_dir(args) -> Path:
+    """The --out directory, created if missing.  Every verb resolves it
+    before simulating, so a bad path fails before any work is done."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"--out {out} is not a usable directory: {exc}") from exc
     return out
 
 
 def cmd_simulate(args) -> int:
     scn = _load(args)
+    out = _out_dir(args)
     run = pipeline.simulate_scenario(scn, threads=args.threads)
-    manifest = challenge.export_challenge(run, _out_dir(args))
+    manifest = challenge.export_challenge(run, out)
     dims = scn.export_dims
     print(f"scenario {scn.name}: {dims[0]} CPIs x {dims[1]} channels x "
           f"{dims[2]} pulses x {dims[3]} range samples")
@@ -90,8 +96,8 @@ def _write_raster_outputs(out: Path, stem: str, values: np.ndarray,
 
 def cmd_clutter_map(args) -> int:
     scn = _load(args)
-    gm = pipeline.gain_map(scn, cpi=args.cpi)
     out = _out_dir(args)
+    gm = pipeline.gain_map(scn, cpi=args.cpi)
     # normalize to the strongest patch for the image; CSV keeps raw dB
     dsp.write_map_csv(out / "clutter_map.csv", gm.gains_db)
     rel = gm.gains_db - gm.gains_db.max()
@@ -106,8 +112,8 @@ def cmd_clutter_map(args) -> int:
 
 def cmd_los_map(args) -> int:
     scn = _load(args)
-    gm = pipeline.gain_map(scn, cpi=args.cpi)
     out = _out_dir(args)
+    gm = pipeline.gain_map(scn, cpi=args.cpi)
     vis = gm.visible.astype(np.float64)
     with open(out / "los_map.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -156,6 +162,7 @@ def cmd_range_doppler(args) -> int:
 
 def cmd_cofar_optimize(args) -> int:
     scn = _load(args)
+    out = _out_dir(args)
     scene = pipeline.build_scene(scn)
     moments = pipeline.channel_moments(scn, scene, cpi=args.cpi, pulse=args.pulse,
                                        channel=args.channel,
@@ -163,7 +170,6 @@ def cmd_cofar_optimize(args) -> int:
     probe = pipeline.default_waveform(scn)
     base = cofar.scnr(probe.samples, moments)
     s_opt, gain = cofar.optimal_waveform(moments)
-    out = _out_dir(args)
     wf_path = out / "optimal_waveform.rfwav"
     from .waveform import Waveform
     write_waveform(wf_path, Waveform(samples=s_opt, sample_rate=scn.sample_rate,
@@ -183,6 +189,7 @@ def cmd_cofar_optimize(args) -> int:
 
 def cmd_mimo_sim(args) -> int:
     scn = _load(args)
+    out = _out_dir(args)
     scene = pipeline.build_scene(scn)
     pair_irs = pipeline.mimo_pair_irs(scn, scene, cpi=args.cpi)
     num_tx = len(pair_irs)
@@ -192,7 +199,6 @@ def cmd_mimo_sim(args) -> int:
              for t in range(num_tx)]
     cubes = mimo.simulate_mimo_cube(pair_irs, codes, scn.noise_power, scn.seed,
                                     carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-    out = _out_dir(args)
     from .rxsim import write_cube
     for r, cube in enumerate(cubes):
         write_cube(out / f"mimo_rx{r}.rfcube", cube)

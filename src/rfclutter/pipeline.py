@@ -32,7 +32,7 @@ from .scattering import patch_power_scales
 from .scenario import Scenario
 from .seeding import STREAM_MIMO_CODE, STREAM_OCEAN, derive_seed
 from .terrain import (ClassGrid, ElevationGrid, PatchArrays, PlatformState,
-                      ScenePatch, build_patch_grid, grazing_angles, line_of_sight,
+                      ScenePatch, build_patch_grid, grazing_angles, lines_of_sight,
                       patch_arrays)
 from .waveform import Waveform, lfm
 
@@ -168,17 +168,19 @@ def receive_array(scn: Scenario) -> ArrayGeometry:
 def _visibility(dem: ElevationGrid, tx_position: np.ndarray,
                 rx_position: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Both-path LOS mask from a transmitter and a receiver to many
-    points, with the standard clearance.  The receive ray is marched
-    only where the transmit ray is clear, and not at all when the two
-    coincide.  Points outside the raster extent count as visible (the
-    terrain can't block what it doesn't cover)."""
-    monostatic = bool(np.array_equal(tx_position, rx_position))
+    points, with the standard clearance.  One `lines_of_sight` call
+    covers the transmit rays; a second covers the receive rays of the
+    points whose transmit ray is clear, and is skipped when the two
+    platforms coincide.  Points outside the raster extent count as
+    visible (the terrain can't block what it doesn't cover)."""
     out = ~dem.within_extent(points[:, 0], points[:, 1])
-    for k in np.flatnonzero(~out):
-        clear = line_of_sight(dem, tx_position, points[k], clearance=LOS_CLEARANCE_M)
-        if clear and not monostatic:
-            clear = line_of_sight(dem, rx_position, points[k], clearance=LOS_CLEARANCE_M)
-        out[k] = clear
+    on = np.flatnonzero(~out)
+    clear = lines_of_sight(dem, tx_position, points[on], clearance=LOS_CLEARANCE_M)
+    if not np.array_equal(tx_position, rx_position):
+        tx_clear = np.flatnonzero(clear)
+        clear[tx_clear] = lines_of_sight(dem, rx_position, points[on[tx_clear]],
+                                         clearance=LOS_CLEARANCE_M)
+    out[on] = clear
     return out
 
 

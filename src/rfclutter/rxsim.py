@@ -55,10 +55,11 @@ class DataCube:
         self.samples = np.ascontiguousarray(self.samples)
         if self.samples.ndim != 4:
             raise ConfigurationError("cube samples must have shape (C, N, M, R)")
-        if self.sample_rate <= 0 or self.prf <= 0:
-            raise ConfigurationError("sample_rate and prf must be positive")
-        if self.noise_power < 0:
-            raise ConfigurationError("noise_power must be non-negative")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
+                and np.isfinite(self.prf) and self.prf > 0):
+            raise ConfigurationError("sample_rate and prf must be positive and finite")
+        if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
+            raise ConfigurationError("noise_power must be non-negative and finite")
 
     @property
     def num_cpis(self) -> int:

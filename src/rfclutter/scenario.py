@@ -54,6 +54,9 @@ class TargetSpec:
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
         self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.velocity))
+                and math.isfinite(self.rcs)):
+            raise ConfigurationError("target position, velocity and rcs must be finite")
         if self.rcs < 0:
             raise ConfigurationError(f"target rcs must be non-negative, got {self.rcs}")
 
@@ -67,6 +70,8 @@ class DiscreteSpec:
 
     def __post_init__(self):
         self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
+        if not (np.all(np.isfinite(self.position)) and math.isfinite(self.rcs)):
+            raise ConfigurationError("discrete position and rcs must be finite")
         if self.rcs < 0:
             raise ConfigurationError(f"discrete rcs must be non-negative, got {self.rcs}")
 
@@ -90,8 +95,10 @@ class BuildingGrid:
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
         if self.rows < 1 or self.cols < 1:
             raise ConfigurationError("building grid needs at least one row and column")
-        if self.footprint <= 0 or self.height <= 0:
-            raise ConfigurationError("building footprint and height must be positive")
+        if not np.all(np.isfinite(self.origin)):
+            raise ConfigurationError("building origin must be finite")
+        if not (0 < self.footprint < math.inf and 0 < self.height < math.inf):
+            raise ConfigurationError("building footprint and height must be positive and finite")
 
     @property
     def count(self) -> int:
@@ -186,6 +193,10 @@ class Scenario:
         return scattering.default_table()
 
     def validate(self) -> None:
+        for key, (kind, attr) in _KEYS.items():
+            value = getattr(self, attr)
+            if kind in (_FLOAT, _VEC3) and value is not None and not np.all(np.isfinite(value)):
+                raise ConfigurationError(f"{key} must be finite")
         checks = [
             ("radar.carrier", self.carrier_hz > 0),
             ("radar.bandwidth", self.bandwidth_hz > 0),
@@ -211,6 +222,8 @@ class Scenario:
         if self.sample_rate < self.bandwidth_hz:
             raise ConfigurationError(
                 "radar.sample_rate must be at least radar.bandwidth")
+        if not math.isfinite(self.pulse_duration_s * self.sample_rate):
+            raise ConfigurationError("radar.pulse_duration spans too many samples")
 
 
 # --- text format -------------------------------------------------------------
@@ -393,6 +406,9 @@ def parse_scenario(text: str, base_dir=None) -> Scenario:
             scn.scattering_table = scattering.read_scattering_table(_resolve(scn.scattering_path))
     except FileNotFoundError as exc:
         raise ConfigurationError(f"referenced file not found: {exc.filename}") from exc
+    except OSError as exc:
+        raise ConfigurationError(
+            f"cannot read referenced file {exc.filename}: {exc.strerror}") from exc
 
     scn.validate()
     return scn

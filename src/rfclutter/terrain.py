@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import maximum_filter
 
 from .errors import ConfigurationError
 
@@ -83,6 +84,16 @@ class ElevationGrid:
         y = np.asarray(y, dtype=np.float64)
         return (x >= 0.0) & (x <= self.extent_east) & (y >= 0.0) & (y <= self.extent_north)
 
+    def node_coords(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """Fractional (row, col) node coordinates of ENU (x, y), clamped
+        to the node grid.  Node (r, c) sits at x = (c + 0.5) * cell,
+        y = (nrows - 1 - r + 0.5) * cell."""
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        fc = np.clip(x / self.cell_size - 0.5, 0.0, self.ncols - 1.0)
+        fr = np.clip((self.nrows - 1) - (y / self.cell_size - 0.5), 0.0, self.nrows - 1.0)
+        return fr, fc
+
     def heights_at(self, x, y) -> np.ndarray:
         """Bilinear interpolation of the height field at ENU (x, y).
 
@@ -91,13 +102,8 @@ class ElevationGrid:
         the border values.  Callers are expected to stay within the
         raster extent (see within_extent).
         """
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
         h = self.heights
-        # fractional node coordinates: node (r, c) sits at
-        # x = (c + 0.5) * cell, y = (nrows - 1 - r + 0.5) * cell
-        fc = np.clip(x / self.cell_size - 0.5, 0.0, self.ncols - 1.0)
-        fr = np.clip((self.nrows - 1) - (y / self.cell_size - 0.5), 0.0, self.nrows - 1.0)
+        fr, fc = self.node_coords(x, y)
         c0 = np.floor(fc).astype(np.intp)
         r0 = np.floor(fr).astype(np.intp)
         c1 = np.minimum(c0 + 1, self.ncols - 1)
@@ -292,6 +298,18 @@ def grazing_angles(arrays: PatchArrays, observer: np.ndarray) -> np.ndarray:
     return np.arcsin(np.clip(s, -1.0, 1.0))
 
 
+def _los_step(dem: ElevationGrid, clearance: float, step: float | None) -> float:
+    """The sample spacing of a line-of-sight query, after checking the
+    query's clearance and spacing."""
+    if step is None:
+        step = dem.cell_size / 2.0
+    if not step > 0:
+        raise ConfigurationError(f"line-of-sight step must be positive, got {step}")
+    if not math.isfinite(clearance):
+        raise ConfigurationError(f"line-of-sight clearance must be finite, got {clearance}")
+    return step
+
+
 def line_of_sight(dem: ElevationGrid, observer, point,
                   clearance: float = 0.0, step: float | None = None) -> bool:
     """True when the straight ray observer->point clears the terrain.
@@ -306,13 +324,13 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     Either endpoint may lie outside the raster extent.  The sample grid
     stays the same; samples off the raster see no terrain, so they
     cannot occlude.
+
+    This is the scalar reference that marches every sample;
+    `lines_of_sight` gives the same answers for many points at once.
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pt = np.asarray(point, dtype=np.float64).reshape(3)
-    if step is None:
-        step = dem.cell_size / 2.0
-    if step <= 0:
-        raise ConfigurationError(f"line-of-sight step must be positive, got {step}")
+    step = _los_step(dem, clearance, step)
     dist = float(np.hypot(pt[0] - obs[0], pt[1] - obs[1]))
     n_interior = max(0, math.ceil(dist / step) - 1)
     if n_interior == 0:
@@ -328,13 +346,148 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     return not bool(np.any(blocked))
 
 
+# lines_of_sight bounds the terrain under a sample by the highest node of
+# its LOS_BLOCK-square block of DEM nodes and of the blocks east, south
+# and south-east of it, which hold the c0 + 1 and r0 + 1 nodes of the
+# bilinear stencil.  A run of samples that stays within LOS_REACH blocks
+# of its first sample is bounded by the highest block bound within
+# LOS_REACH blocks of that sample's block.
+LOS_BLOCK = 4
+LOS_REACH = 4
+# Samples per chunk of lines_of_sight; fixes its working memory.
+LOS_CHUNK = 1 << 16
+# heights_at blends up to four nodes with rounded weights and can land
+# up to about 8 eps * max|h| above the highest of them; the block bound
+# adds 64 eps * max|h|, so a sample above it cannot be blocked.
+_BLEND_MARGIN_EPS = 64.0
+# The per-ray sample window is solved in floating point and widened by
+# this fraction of the coordinate magnitudes plus two samples, far more
+# than the rounding of the samples' own arithmetic, so it holds every
+# sample the exact per-sample test can keep.
+_WINDOW_TOL = 1e-9
+# t_i = i / (n + 1) is exact only while i and n + 1 are exact floats.
+_MAX_RAY_SAMPLES = 2 ** 52
+
+
+def _block_bound(dem: ElevationGrid) -> np.ndarray:
+    """Upper bound on heights_at over each LOS_BLOCK-square node block,
+    indexed [r0 // LOS_BLOCK, c0 // LOS_BLOCK] of the stencil's first
+    node."""
+    b = LOS_BLOCK
+    rows, cols = -(-dem.nrows // b), -(-dem.ncols // b)
+    padded = np.full((rows * b, cols * b), -np.inf)
+    padded[:dem.nrows, :dem.ncols] = dem.heights
+    top = padded.reshape(rows, b, cols, b).max(axis=(1, 3))
+    top[:-1] = np.maximum(top[:-1], top[1:])
+    top[:, :-1] = np.maximum(top[:, :-1], top[:, 1:])
+    eps = np.finfo(np.float64).eps
+    return top + _BLEND_MARGIN_EPS * eps * float(np.abs(dem.heights).max())
+
+
+def _t_window(a, d, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per ray, the range of t in which a + t * d lies in [lo - tol,
+    hi + tol]; empty (t0 > t1) when it never does."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = (lo - tol - a) / d
+        v = (hi + tol - a) / d
+    t0 = np.where(d > 0, u, v)
+    t1 = np.where(d > 0, v, u)
+    inside = (a >= lo - tol) & (a <= hi + tol)
+    flat = d == 0
+    t0 = np.where(flat, np.where(inside, -np.inf, np.inf), t0)
+    t1 = np.where(flat, np.where(inside, np.inf, -np.inf), t1)
+    return t0, t1
+
+
+def lines_of_sight(dem: ElevationGrid, observer, points,
+                   clearance: float = 0.0, step: float | None = None) -> np.ndarray:
+    """Boolean line of sight from one observer to each of `points`
+    ((m, 3) ENU); element k is `line_of_sight(dem, observer, points[k],
+    clearance, step)`, bit for bit.
+
+    Each ray keeps that routine's sample grid, height arithmetic and
+    off-raster rule, but only the samples that could be blocked are
+    interpolated.  A ray is first narrowed to the contiguous window of
+    samples near the raster and at or below the highest terrain.  The
+    window is cut into runs of samples; a run goes on only if its lowest
+    sample is at or below the bound of the blocks it can cross, and a
+    sample of such a run is interpolated only if it is at or below the
+    bound of the DEM nodes its interpolation reads.  Runs are processed
+    in chunks of at most LOS_CHUNK samples.
+    """
+    obs = np.asarray(observer, dtype=np.float64).reshape(3)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
+    step = _los_step(dem, clearance, step)
+    if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(pts))):
+        raise ConfigurationError("line-of-sight endpoints must be finite")
+    if len(pts) == 0:
+        return np.ones(0, dtype=bool)
+    d = pts - obs
+    n = np.maximum(np.ceil(np.hypot(d[:, 0], d[:, 1]) / step) - 1.0, 0.0)
+    if n.max() > _MAX_RAY_SAMPLES:
+        raise ConfigurationError(f"a line-of-sight ray of {n.max():.3g} samples is too long")
+    s = 1.0 / (n + 1.0)          # i * s is np.linspace(0, 1, n + 2)[i], bit for bit
+
+    def sample(ray, i):
+        t = i * s[ray]
+        return (obs[0] + t * d[ray, 0], obs[1] + t * d[ray, 1],
+                obs[2] + t * d[ray, 2] + clearance)
+
+    fine = _block_bound(dem)
+    coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
+    # samples are at most `step` apart, so a run of this many moves less
+    # than LOS_REACH * LOS_BLOCK - 2 nodes from its first sample
+    run = 1 + int(min(LOS_CHUNK - 1, (LOS_REACH * LOS_BLOCK - 2) * dem.cell_size / step))
+
+    # the window: on the raster and at or below the highest bound
+    tol = _WINDOW_TOL * (1.0 + abs(clearance) + float(np.abs(fine).max())
+                         + float(np.abs(obs).max()) + float(np.abs(pts).max())
+                         + dem.extent_east + dem.extent_north)
+    t0, t1 = _t_window(obs[2] + clearance, d[:, 2], -np.inf, float(fine.max()), tol)
+    for axis, extent in ((0, dem.extent_east), (1, dem.extent_north)):
+        u0, u1 = _t_window(obs[axis], d[:, axis], 0.0, extent, tol)
+        t0 = np.maximum(t0, u0)
+        t1 = np.minimum(t1, u1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        first = np.maximum(np.ceil(t0 / s) - 2.0, 1.0)
+        last = np.minimum(np.floor(t1 / s) + 2.0, n)
+        count = np.where(last >= first, last - first + 1.0, 0.0).astype(np.int64)
+    first = np.where(count > 0, first, 0.0).astype(np.int64)
+    runs = -(-count // run)
+    ends = np.cumsum(runs)
+    total = int(ends[-1])
+
+    # between two on-raster endpoints every sample is on the raster
+    masked = ~(dem.within_extent(obs[0], obs[1]) & dem.within_extent(pts[:, 0], pts[:, 1]))
+    blocked = np.zeros(len(pts), dtype=bool)
+    per_chunk = LOS_CHUNK // run
+    for lo in range(0, total, per_chunk):
+        j = np.arange(lo, min(lo + per_chunk, total))
+        ray = np.searchsorted(ends, j, side="right")
+        a = first[ray] + (j - (ends[ray] - runs[ray])) * run
+        m = np.minimum(run, first[ray] + count[ray] - a)
+        xa, ya, za = sample(ray, a)
+        zb = sample(ray, a + m - 1)[2]
+        fr, fc = dem.node_coords(xa, ya)
+        near = np.minimum(za, zb) <= coarse[fr.astype(np.intp) // LOS_BLOCK,
+                                            fc.astype(np.intp) // LOS_BLOCK]
+        ray, a, m = ray[near], a[near], m[near]
+
+        ray = np.repeat(ray, m)
+        xs, ys, ray_z = sample(ray, np.repeat(a - (np.cumsum(m) - m), m) + np.arange(m.sum()))
+        fr, fc = dem.node_coords(xs, ys)
+        near = ray_z <= fine[fr.astype(np.intp) // LOS_BLOCK, fc.astype(np.intp) // LOS_BLOCK]
+        near &= ~masked[ray] | dem.within_extent(xs, ys)
+        k = np.flatnonzero(near)
+        hit = dem.heights_at(xs[k], ys[k]) > ray_z[k]
+        blocked[ray[k[hit]]] = True
+    return ~blocked
+
+
 def los_mask(dem: ElevationGrid, observer, patches: list[ScenePatch],
              clearance: float = 0.0, step: float | None = None) -> np.ndarray:
     """Boolean visibility per patch; True = line of sight is clear."""
-    out = np.empty(len(patches), dtype=bool)
-    for k, p in enumerate(patches):
-        out[k] = line_of_sight(dem, observer, p.center, clearance=clearance, step=step)
-    return out
+    return lines_of_sight(dem, observer, patch_arrays(patches).centers, clearance, step)
 
 
 # --- file formats -----------------------------------------------------------

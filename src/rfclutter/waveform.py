@@ -34,8 +34,9 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
         if self.samples.size == 0:
             raise ConfigurationError("waveform must have at least one sample")
-        if self.sample_rate <= 0:
-            raise ConfigurationError(f"sample_rate must be positive, got {self.sample_rate}")
+        if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ConfigurationError(
+                f"sample_rate must be positive and finite, got {self.sample_rate}")
 
     @property
     def num_samples(self) -> int:

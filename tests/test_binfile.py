@@ -147,3 +147,14 @@ def test_header_claiming_4096_cubed_taps_is_rejected(tmp_path):
     path.write_bytes(head)
     with pytest.raises(ConfigurationError, match="truncated"):
         read_ir(path)
+
+
+@pytest.mark.parametrize("field", [4, 6])      # the sample rate and the PRF
+def test_impulse_response_with_nan_rate_is_rejected(field, valid):
+    path, good = valid["impulse-response"]
+    header = FORMATS["impulse-response"][2]
+    fields = list(header.unpack(good[:header.size]))
+    fields[field] = float("nan")
+    path.write_bytes(header.pack(*fields) + good[header.size:])
+    with pytest.raises(ConfigurationError):
+        read_ir(path)

@@ -167,6 +167,20 @@ def test_timing_validation():
         RadarTiming.for_swath(prf=1e3, sample_rate=5e6, num_pulses=4, swath=-5.0)
 
 
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_rates_must_be_finite(bad):
+    with pytest.raises(ConfigurationError):
+        RadarTiming(prf=bad, sample_rate=5e6, num_pulses=4, num_taps=10)
+    with pytest.raises(ConfigurationError):
+        RadarTiming(prf=1e3, sample_rate=bad, num_pulses=4, num_taps=10)
+    taps = np.zeros((1, 2, 3), dtype=np.complex64)
+    with pytest.raises(ConfigurationError):
+        ChannelImpulseResponse(taps=taps, sample_rate=bad, prf=1e3)
+    with pytest.raises(ConfigurationError):
+        ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=bad)
+
+
 # --- tap synthesis -------------------------------------------------------------
 
 def single_response(tap=3, doppler=400.0, amp=0.5 + 0.1j, fs=5e6):

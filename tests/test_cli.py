@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
 from rfclutter.terrain import ElevationGrid, write_dem
@@ -119,3 +120,21 @@ def test_target_on_the_platform_exits_with_code_2(scenario_file, tmp_path, capsy
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "ds")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "coincides" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
+                                  "cofar-optimize", "mimo-sim"])
+def test_out_that_is_a_file_exits_with_code_2_before_simulating(
+        verb, scenario_file, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulated before resolving --out")
+
+    for name in ("simulate_scenario", "gain_map", "build_scene"):
+        monkeypatch.setattr(pipeline, name, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("a file, not a directory")
+    for out in (taken, taken / "sub"):
+        assert main([verb, "--scenario", str(scenario_file), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--out" in err and "Traceback" not in err
+    assert taken.read_text() == "a file, not a directory"

@@ -25,7 +25,8 @@ from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 generate_scenario2)
 from rfclutter.scattering import URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
-from rfclutter.terrain import ClassGrid, ElevationGrid, grazing_angles, line_of_sight
+from rfclutter.terrain import (ClassGrid, ElevationGrid, grazing_angles, line_of_sight,
+                               lines_of_sight)
 
 
 def tiny_scenario(**overrides):
@@ -329,9 +330,9 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
     drawn = []
     sea_rows = []
 
-    def counting_los(dem, observer, point, **kw):
-        rays["tx" if np.array_equal(observer, tx.position) else "rx"] += 1
-        return line_of_sight(dem, observer, point, **kw)
+    def counting_los(dem, observer, points, **kw):
+        rays["tx" if np.array_equal(observer, tx.position) else "rx"] += len(points)
+        return lines_of_sight(dem, observer, points, **kw)
 
     def counting_responses(patches, *args, **kw):
         drawn.append(len(patches))
@@ -341,7 +342,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
         sea_rows.append(len(state.patches))
         return pulse_modulation(state, *args, **kw)
 
-    monkeypatch.setattr(pipeline, "line_of_sight", counting_los)
+    monkeypatch.setattr(pipeline, "lines_of_sight", counting_los)
     monkeypatch.setattr(pipeline, "patch_responses", counting_responses)
     monkeypatch.setattr(pipeline, "pulse_modulation", counting_modulation)
     got = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
@@ -399,6 +400,25 @@ def oracle_visibility(scn):
     n = scene.num_terrain_patches
     n_x = pipeline.terrain_patch_cols(scene, scn)
     return oracle.both_clear[:n].reshape(n // n_x, n_x)[::-1]
+
+
+@pytest.mark.parametrize("make", [lambda: generate_scenario1(scale=DESK_SCALE, seed=1),
+                                  lambda: generate_scenario2(scale=0.25, seed=1)],
+                         ids=["scenario1-desk", "scenario2-quarter"])
+def test_lines_of_sight_matches_reference_on_every_patch(make):
+    """The batched visibility routine against the scalar reference on
+    every scatterer of a preset at CPI 0; the bound is 0 disagreements."""
+    scn = make()
+    scene = pipeline.build_scene(scn)
+    points = np.vstack([scene.arrays.centers,
+                        np.reshape([p.center for p in scene.discrete_patches], (-1, 3))])
+    tx, rx = pipeline.platform_states(scn, 0)
+    for observer in {tuple(tx.position), tuple(rx.position)}:
+        got = lines_of_sight(scene.dem, observer, points, clearance=pipeline.LOS_CLEARANCE_M)
+        want = [line_of_sight(scene.dem, observer, p, clearance=pipeline.LOS_CLEARANCE_M)
+                for p in points]
+        assert np.count_nonzero(got != want) == 0
+        assert 0 < np.count_nonzero(~got) < len(points)
 
 
 def test_gain_map_keeps_full_visibility(tmp_path):

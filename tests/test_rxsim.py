@@ -155,6 +155,25 @@ def test_mismatched_channels_rejected():
         simulate_cube(None, None, random_waveform(rng), 0.0, seed=1)
 
 
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_cube_rates_and_noise_power_must_be_finite(bad):
+    samples = np.zeros((1, 1, 2, 3), dtype=np.complex64)
+    good = dict(sample_rate=5e6, prf=1e3, noise_power=0.1)
+    for field in good:
+        with pytest.raises(ConfigurationError):
+            DataCube(samples=samples, **{**good, field: bad})
+
+
+def test_nan_rate_waveform_never_reaches_the_convolution():
+    """A NaN waveform rate used to pass the rate-match check against
+    any channel."""
+    rng = np.random.default_rng(8)
+    with pytest.raises(ConfigurationError):
+        simulate_cube(random_ir(rng), None, Waveform(np.ones(4), sample_rate=float("nan")),
+                      0.0, seed=1)
+
+
 def test_stack_cubes_orders_cpis():
     rng = np.random.default_rng(7)
     ir = random_ir(rng)

@@ -4,9 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rfclutter.errors import ConfigurationError
-from rfclutter.scenario import (DESK_SCALE, Scenario, TargetSpec,
+from rfclutter.scenario import (_BUILDING_KEYS, _GROUP_KEYS, _KEYS, DESK_SCALE,
+                                Scenario, TargetSpec,
                                 generate_scenario1, generate_scenario2,
                                 littoral_dem, load_scenario, parse_scenario,
                                 scaled_count, scenario_hash, scenario_text)
@@ -149,6 +152,9 @@ def test_load_scenario_resolves_relative_rasters(tmp_path):
     (tmp_path / "broken.txt").write_text(MINIMAL + "terrain.dem = missing.dem\n")
     with pytest.raises(ConfigurationError, match="referenced file not found"):
         load_scenario(tmp_path / "broken.txt")
+    (tmp_path / "a_directory.txt").write_text(MINIMAL + "terrain.dem = .\n")
+    with pytest.raises(ConfigurationError, match="cannot read referenced file"):
+        load_scenario(tmp_path / "a_directory.txt")
 
 
 def test_target_spec_validation():
@@ -211,3 +217,59 @@ def test_readme_scenario_example_parses(tmp_path):
     (target,) = scn.targets
     np.testing.assert_array_equal(target.velocity, [-6.0, 3.0, 0.0])
     assert scn.dem is not None and scn.landcover is not None
+
+
+# --- fuzzing ------------------------------------------------------------------
+
+EDGE_TOKENS = ["0", "-1", "-0.5", "2.5", "7", "3000", "1e9", "1e300", "nan", "-nan", "inf",
+               "-inf", "1e400", "-1e400", "1e-400", "junk", ".", "0x10", "true", "no"]
+KEYS = (sorted(_KEYS) + sorted(_BUILDING_KEYS)
+        + [f"{group}.{idx}.{name}" for group, fields in sorted(_GROUP_KEYS.items())
+           for idx in (1, 2) for name in sorted(fields)])
+
+
+@st.composite
+def scenario_texts(draw):
+    """Scenario text over the real key table: the two required keys
+    (valid, or one of them left out) and up to three others, each set to a plain
+    value or to 0 to 4 edge tokens (so vectors get the wrong arity
+    too)."""
+    missing = draw(st.sampled_from([None, None, "radar.carrier", "radar.prf"]))
+    lines = [f"{key} = {value}" for key, value in (("radar.carrier", "10e9"),
+                                                   ("radar.prf", "2000"))
+             if key != missing]
+    plain = st.sampled_from(["1e9", "2000", "2.5", "3", "1 2 3", "100 200", "1", "name"])
+    edge = st.sampled_from(EDGE_TOKENS)
+    edges = st.lists(edge, max_size=4).map(" ".join)
+    for key in draw(st.lists(st.sampled_from(KEYS), max_size=3, unique=True)):
+        lines.append(f"{key} = {draw(st.one_of(edge, plain, edges))}")
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=scenario_texts())
+@example(text=MINIMAL + "radar.swath = inf\n")
+@example(text=MINIMAL + "radar.sample_rate = 1e400\n")
+@example(text=MINIMAL + "radar.pulse_duration = inf\n")
+def test_parse_scenario_returns_a_usable_scenario_or_rejects(text, tmp_path_factory):
+    """The oracle: a parsed scenario validates, times and sizes its
+    export; anything else is a ConfigurationError."""
+    try:
+        scn = parse_scenario(text, base_dir=tmp_path_factory.getbasetemp())
+    except ConfigurationError:
+        return
+    scn.validate()
+    scn.timing()
+    assert all(isinstance(n, int) and n >= 1 for n in scn.export_dims)
+
+
+@pytest.mark.parametrize("line", ["radar.noise_power = inf", "radar.swath = 1e400",
+                                  "platform.tx_position = 0 nan 1000",
+                                  "ocean.wind_direction = nan",
+                                  "target.1.position = 1 2 3\ntarget.1.rcs = inf",
+                                  "discrete.1.position = 1 inf 3\ndiscrete.1.rcs = 5",
+                                  "buildings.origin = 0 0\nbuildings.rows = 1\n"
+                                  "buildings.cols = 1\nbuildings.height = inf"])
+def test_non_finite_values_are_rejected(line):
+    with pytest.raises(ConfigurationError):
+        parse_scenario("radar.carrier = 10e9\nradar.prf = 2000\n" + line + "\n")

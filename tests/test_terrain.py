@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfclutter import terrain
 from rfclutter.errors import ConfigurationError
 from rfclutter.terrain import (ClassGrid, ElevationGrid, ScenePatch,
                                build_patch_grid, enu_from_geodetic,
                                grazing_angle, grazing_angles, line_of_sight,
-                               los_mask, patch_arrays, read_dem,
+                               lines_of_sight, los_mask, patch_arrays, read_dem,
                                read_landcover, write_dem, write_landcover)
 from rfclutter.scattering import GRASS, WATER
 
@@ -246,6 +247,102 @@ def test_los_mask_matches_scalar_calls(ridge_dem):
     for k in (0, 17, len(patches) - 1):
         assert mask[k] == line_of_sight(ridge_dem, obs, patches[k].center)
     assert mask.any() and not mask.all()   # the ridge must shadow something
+
+
+# Heights and ray altitudes share these levels, so with clearances from
+# CLEARANCES a raised ray often equals the terrain exactly at a sample.
+LEVELS = [-6.0, -1.0, 0.0, 1.0, 2.0, 3.5, 4.5, 9.0]
+CLEARANCES = [0.0, 1.0, 2.5, -1.0]
+
+
+@st.composite
+def los_queries(draw):
+    """A small DEM (negative heights and plateaus included) and one
+    observer with its points, each on or off the raster."""
+    rows, cols = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cell = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    level = st.one_of(st.sampled_from(LEVELS), st.floats(-20.0, 20.0))
+    heights = draw(st.lists(level, min_size=rows * cols, max_size=rows * cols))
+    dem = ElevationGrid(heights=np.reshape(heights, (rows, cols)), cell_size=cell)
+
+    def endpoint():
+        xy = [draw(st.one_of(st.floats(0.0, extent), st.floats(-extent, 2.0 * extent)))
+              for extent in (dem.extent_east, dem.extent_north)]
+        return xy + [draw(level)]
+
+    observer = endpoint()
+    points = [endpoint() for _ in range(draw(st.integers(0, 10)))]
+    if draw(st.booleans()):
+        for p in points:             # horizontal rays
+            p[2] = observer[2]
+    clearance = draw(st.sampled_from(CLEARANCES))
+    step = draw(st.one_of(st.none(), st.floats(0.2 * cell, 3.0 * cell)))
+    return dem, observer, points, clearance, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(los_queries())
+def test_lines_of_sight_matches_scalar_reference(query):
+    dem, observer, points, clearance, step = query
+    got = lines_of_sight(dem, observer, np.reshape(points, (-1, 3)), clearance, step)
+    want = [line_of_sight(dem, observer, p, clearance, step) for p in points]
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_lines_of_sight_plateau_at_ray_height():
+    """Rays level with a plateau: raised by the clearance onto it
+    exactly, or one ulp above it, where only the rounding of the
+    interpolation can block them.  The block bound's margin must keep
+    those samples."""
+    xs = np.linspace(-10.0, 40.0, 41)
+    for plateau, ray_z, clearance in ((4.5, 3.5, 1.0), (7.3, np.nextafter(7.3, 8.0), 0.0)):
+        dem = ElevationGrid(heights=np.full((12, 12), plateau), cell_size=2.5)
+        points = np.column_stack([xs, xs[::-1], np.full(xs.size, ray_z)])
+        want = []
+        for observer in ((0.3, 29.7, ray_z), (15.0, 15.0, ray_z), (-7.0, 2.0, ray_z)):
+            got = lines_of_sight(dem, observer, points, clearance=clearance, step=0.1)
+            want = [line_of_sight(dem, observer, p, clearance=clearance, step=0.1)
+                    for p in points]
+            assert got.tolist() == want
+        assert not all(want) and any(want)
+
+
+def test_lines_of_sight_thin_wall_far_along_the_ray():
+    """A one-node wall far from the observer blocks level rays; it must
+    be found whatever run of samples it falls in."""
+    heights = np.zeros((8, 400))
+    heights[:, 300] = 50.0
+    dem = ElevationGrid(heights=heights, cell_size=10.0)
+    for x0 in np.arange(5.0, 400.0, 13.0):
+        got = lines_of_sight(dem, (x0, 40.0, 20.0), [(3995.0, 40.0, 20.0), (3995.0, 41.0, 80.0)])
+        assert got.tolist() == [False, True]
+
+
+def test_lines_of_sight_long_rays_cross_chunks(ridge_dem):
+    """Rays longer than one chunk, from an observer below the ridge
+    crest, agree with the reference."""
+    obs = (320.0, 40.0, 30.0)
+    points = np.array([(x, 600.0, z) for x in (5.0, 320.0, 630.0) for z in (2.0, 300.0)])
+    step = 0.004
+    assert 560.0 / step > terrain.LOS_CHUNK
+    got = lines_of_sight(ridge_dem, obs, points, step=step)
+    want = [line_of_sight(ridge_dem, obs, p, step=step) for p in points]
+    assert got.tolist() == want
+    assert not all(want) and any(want)
+
+
+def test_lines_of_sight_validation(ridge_dem):
+    obs = (10.0, 10.0, 5.0)
+    assert lines_of_sight(ridge_dem, obs, np.zeros((0, 3))).shape == (0,)
+    for step in (0.0, -1.0, float("nan")):
+        with pytest.raises(ConfigurationError):
+            lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], step=step)
+        with pytest.raises(ConfigurationError):
+            line_of_sight(ridge_dem, obs, (100.0, 100.0, 5.0), step=step)
+    with pytest.raises(ConfigurationError):
+        lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], clearance=float("nan"))
+    with pytest.raises(ConfigurationError):
+        lines_of_sight(ridge_dem, obs, [(100.0, float("inf"), 5.0)])
 
 
 # --- raster file format ------------------------------------------------------

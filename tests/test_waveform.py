@@ -81,6 +81,13 @@ def test_lfm_validation():
         lfm(5e6, 1e-5, 5e6, direction="sideways")
 
 
+
+@pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf")])
+def test_waveform_rejects_non_finite_sample_rate(rate):
+    with pytest.raises(ConfigurationError):
+        Waveform(samples=np.ones(4), sample_rate=rate)
+
+
 def test_normalize_energy_idempotent():
     wf = Waveform(samples=np.array([3.0 + 4j, 1.0, -2j]), sample_rate=1e6)
     once = normalize_energy(wf)
