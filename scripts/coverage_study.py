@@ -52,13 +52,13 @@ def main(argv=None):
                                    pipeline.receive_array(scn), scn.timing())
 
     lit = budget.gains > 0.0
-    per_class = collections.Counter()
-    lit_per_class = collections.Counter()
-    for patch, is_lit in zip(scene.patches, lit):
-        per_class[patch.landcover_class] += 1
-        lit_per_class[patch.landcover_class] += int(is_lit)
+    # the class table covers the terrain and roof patches, not the discretes
+    facets = len(scene.patches) - scene.num_discretes
+    classes = scene.patches.classes[:facets]
+    per_class = collections.Counter(classes.tolist())
+    lit_per_class = collections.Counter(classes[lit[:facets]].tolist())
 
-    print(f"scenario {scn.name!r}: {len(scene.patches)} patches, "
+    print(f"scenario {scn.name!r}: {facets} patches, "
           f"{int(lit.sum())} lit at CPI {args.cpi}")
     for cls in sorted(per_class):
         n, k = per_class[cls], lit_per_class[cls]

@@ -20,17 +20,13 @@ class ArrayGeometry:
     """Element positions and the common element pattern.
 
     The element pattern is cos(theta)^cosine_exponent of the angle off
-    boresight, zero in the back hemisphere.  Optional per-element
-    complex gain errors model uncalibrated hardware; they are applied
-    when forming channel responses, never inside the ideal steering
-    vectors.
+    boresight, zero in the back hemisphere.
     """
 
     element_positions: np.ndarray        # (n, 3) m, array frame == ENU frame
     wavelength: float                    # m
     boresight: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
     cosine_exponent: float = 1.0
-    gain_errors: np.ndarray | None = None   # optional complex (n,)
 
     def __post_init__(self):
         self.element_positions = np.atleast_2d(
@@ -46,21 +42,10 @@ class ArrayGeometry:
         self.boresight = self.boresight / n
         if self.cosine_exponent < 0:
             raise ConfigurationError("cosine_exponent must be non-negative")
-        if self.gain_errors is not None:
-            self.gain_errors = np.asarray(self.gain_errors, dtype=np.complex128).reshape(-1)
-            if self.gain_errors.shape[0] != self.num_elements:
-                raise ConfigurationError("gain_errors length must match element count")
 
     @property
     def num_elements(self) -> int:
         return self.element_positions.shape[0]
-
-    @property
-    def element_gains(self) -> np.ndarray:
-        """Per-element complex gains; ones when no errors are configured."""
-        if self.gain_errors is None:
-            return np.ones(self.num_elements, dtype=np.complex128)
-        return self.gain_errors
 
     @classmethod
     def ula(cls, num_elements: int, spacing: float, wavelength: float,
@@ -152,8 +137,7 @@ def space_time_steering(spatial: SteeringVector, temporal: SteeringVector) -> St
 def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
     """Power gain |w^H s(d)|^2 * cos^p(angle off boresight).
 
-    Zero in the back hemisphere.  Per-element gain errors, when
-    configured, are included in the response the weights act on.
+    Zero in the back hemisphere.
     """
     direction = _check_unit(direction)
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
@@ -163,7 +147,7 @@ def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
     cos_off = float(np.dot(direction, array.boresight))
     if cos_off <= 0.0:
         return 0.0
-    response = spatial_steering_many(array, direction)[0] * array.element_gains
+    response = spatial_steering_many(array, direction)[0]
     af = abs(np.vdot(weights, response)) ** 2
     return af * cos_off ** array.cosine_exponent
 
@@ -176,7 +160,7 @@ def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
         raise ConfigurationError(
             f"weights length {weights.shape[0]} != element count {array.num_elements}")
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    response = spatial_steering_many(array, directions) * array.element_gains
+    response = spatial_steering_many(array, directions)
     af = np.abs(response @ weights.conj()) ** 2
     cos_off = directions @ array.boresight
     ef = np.where(cos_off > 0.0, np.maximum(cos_off, 0.0) ** array.cosine_exponent, 0.0)

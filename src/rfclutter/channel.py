@@ -40,7 +40,7 @@ from .antenna import ArrayGeometry, spatial_steering_many
 from .binfile import read_framed
 from .errors import ConfigurationError
 from .seeding import STREAM_CLUTTER, derive_rng
-from .terrain import PlatformState, ScenePatch
+from .terrain import PatchArrays, PlatformState
 
 logger = logging.getLogger(__name__)
 
@@ -108,16 +108,6 @@ class StochasticModel:
 
 
 @dataclass
-class PatchResponse:
-    """Delay/Doppler/amplitude of one scatterer for one realization."""
-
-    delay: float                 # s, total propagation delay
-    doppler: float               # Hz
-    amplitude: complex
-    patch_id: int
-
-
-@dataclass
 class ChannelImpulseResponse:
     """Tapped-delay-line channel: taps[n, m, l], complex64."""
 
@@ -176,24 +166,63 @@ def bistatic_delay_doppler(position, velocity, tx: PlatformState, rx: PlatformSt
     return delay, doppler
 
 
-def patch_response(patch: ScenePatch, power_scale: float, tx: PlatformState,
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner product of two (n, 3) arrays, each row bit for bit
+    the `np.dot` of the two rows (a stacked matmul; `einsum` and
+    `np.linalg.norm(axis=1)` round differently)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def bistatic_delays_dopplers(positions, velocities, tx: PlatformState, rx: PlatformState,
+                             wavelength: float) -> tuple[np.ndarray, np.ndarray]:
+    """`bistatic_delay_doppler` for many points at once, bit for bit:
+    positions and velocities are (n, 3); returns (delays, dopplers)."""
+    if wavelength <= 0:
+        raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    velocities = np.broadcast_to(np.asarray(velocities, dtype=np.float64), positions.shape)
+    d_tx = positions - tx.position
+    d_rx = positions - rx.position
+    r_tx = np.sqrt(_row_dot(d_tx, d_tx))
+    r_rx = np.sqrt(_row_dot(d_rx, d_rx))
+    if np.any(r_tx == 0.0) or np.any(r_rx == 0.0):
+        raise ConfigurationError("a point coincides with a platform")
+    u_tx = d_tx / r_tx[:, None]
+    u_rx = d_rx / r_rx[:, None]
+    delays = (r_tx + r_rx) / SPEED_OF_LIGHT
+    dopplers = (_row_dot(tx.velocity - velocities, u_tx)
+                + _row_dot(rx.velocity - velocities, u_rx)) / wavelength
+    return delays, dopplers
+
+
+def scatterer_responses(delay, doppler, amplitude, patch_id) -> np.recarray:
+    """Delay (s), Doppler (Hz), complex amplitude and patch id of each
+    scatterer for one realization, as the columns of a record array."""
+    return np.rec.fromarrays(
+        [np.asarray(delay, dtype=np.float64), np.asarray(doppler, dtype=np.float64),
+         np.asarray(amplitude, dtype=np.complex128), np.asarray(patch_id, dtype=np.int64)],
+        names="delay,doppler,amplitude,patch_id")
+
+
+def patch_response(center, patch_id: int, power_scale: float, tx: PlatformState,
                    rx: PlatformState, wavelength: float, model: StochasticModel,
-                   realization: int = 0) -> PatchResponse:
-    """Delay/Doppler/amplitude of one patch for one CPI realization.
+                   realization: int = 0) -> tuple[float, float, complex]:
+    """(delay, Doppler, amplitude) of one patch for one CPI realization.
 
     amplitude = sqrt(G) * exp(j phi) with phi uniform per (patch,
     realization) under the model seed, or derived from the path length
     when the model is deterministic.  Doppler jitter, when configured,
     is drawn after the phase from the same per-patch stream.
+
+    This is the scalar reference for `patch_responses`.
     """
     if power_scale < 0:
         raise ValueError(f"power_scale must be non-negative, got {power_scale}")
-    delay, doppler = bistatic_delay_doppler(patch.center, (0.0, 0.0, 0.0), tx, rx,
-                                            wavelength)
+    delay, doppler = bistatic_delay_doppler(center, (0.0, 0.0, 0.0), tx, rx, wavelength)
     needs_rng = (not model.deterministic_phase) or model.doppler_std_hz > 0
     rng = None
     if needs_rng:
-        rng = derive_rng(model.seed, STREAM_CLUTTER, realization, patch.patch_id)
+        rng = derive_rng(model.seed, STREAM_CLUTTER, realization, patch_id)
     if model.deterministic_phase:
         phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / wavelength
     else:
@@ -201,37 +230,55 @@ def patch_response(patch: ScenePatch, power_scale: float, tx: PlatformState,
     if model.doppler_std_hz > 0:
         doppler += rng.normal(0.0, model.doppler_std_hz)
     amplitude = math.sqrt(power_scale) * complex(np.exp(1j * phase))
-    return PatchResponse(delay=delay, doppler=doppler, amplitude=amplitude,
-                         patch_id=patch.patch_id)
+    return delay, doppler, amplitude
 
 
-def patch_responses(patches: list[ScenePatch], power_scales: np.ndarray,
+def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
                     tx: PlatformState, rx: PlatformState, wavelength: float,
-                    model: StochasticModel, realization: int = 0) -> list[PatchResponse]:
-    """patch_response over a patch list; same per-patch streams as the
-    scalar form, so a single patch can always be reproduced in isolation."""
+                    model: StochasticModel, realization: int = 0) -> np.recarray:
+    """`patch_response` for every patch, bit for bit, as the columns of
+    `scatterer_responses`.  Each patch draws from its own stream, so a
+    single patch can always be reproduced in isolation."""
     power_scales = np.asarray(power_scales, dtype=np.float64).reshape(-1)
     if power_scales.shape[0] != len(patches):
         raise ConfigurationError("power_scales length must match patch count")
-    return [patch_response(p, float(g), tx, rx, wavelength, model, realization)
-            for p, g in zip(patches, power_scales)]
+    if np.any(power_scales < 0):
+        raise ConfigurationError("power_scales must be non-negative")
+    delays, dopplers = bistatic_delays_dopplers(patches.centers, np.zeros(3), tx, rx,
+                                                wavelength)
+    if model.deterministic_phase:
+        phase = -2.0 * np.pi * (delays * SPEED_OF_LIGHT) / wavelength
+    else:
+        phase = np.empty(len(patches))
+    jitter = np.empty(len(patches))
+    if (not model.deterministic_phase) or model.doppler_std_hz > 0:
+        for k, patch_id in enumerate(patches.ids.tolist()):
+            rng = derive_rng(model.seed, STREAM_CLUTTER, realization, patch_id)
+            if not model.deterministic_phase:
+                phase[k] = rng.uniform(0.0, 2.0 * np.pi)
+            if model.doppler_std_hz > 0:
+                jitter[k] = rng.normal(0.0, model.doppler_std_hz)
+    if model.doppler_std_hz > 0:
+        dopplers = dopplers + jitter
+    amplitudes = np.sqrt(power_scales) * np.exp(1j * phase)
+    return scatterer_responses(delays, dopplers, amplitudes, patches.ids)
 
 
-def synthesize_ir(responses: list[PatchResponse], directions: np.ndarray,
+def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                   array: ArrayGeometry, timing: RadarTiming, kind: str = "clutter",
-                  delay_origin: float | None = None,
                   pulse_phase: np.ndarray | None = None,
                   pulse_amp: np.ndarray | None = None) -> ChannelImpulseResponse:
-    """Accumulate patch responses into a per-channel, per-pulse tap array.
+    """Accumulate scatterer responses into a per-channel, per-pulse tap array.
 
     tap[n, m, round((delay - origin) * fs)] += amp * exp(j 2 pi fd m / prf) * s_n(d)
 
-    `directions` holds the unit receive direction (array -> patch) per
-    response.  Responses are accumulated in ascending patch_id order so
-    the result is bit-reproducible; zero-amplitude (shadowed) responses
-    are skipped, which leaves the sum unchanged.  Responses whose tap
-    falls outside the receive window are dropped and counted in a
-    warning.
+    `responses` has the columns of `scatterer_responses`; `directions`
+    holds the unit receive direction (array -> scatterer) per response.
+    Responses are accumulated in ascending patch_id order, ties in input
+    order, so the result is bit-reproducible; zero-amplitude (shadowed)
+    responses are skipped, which leaves the sum unchanged.  Responses
+    whose tap falls outside the receive window are dropped and counted
+    in a warning.
 
     `pulse_phase` / `pulse_amp`, when given, apply an extra per-response,
     per-pulse phase (rad) and amplitude factor; dynamic surfaces (sea
@@ -243,16 +290,16 @@ def synthesize_ir(responses: list[PatchResponse], directions: np.ndarray,
     n_elem = array.num_elements
     n_pulse = timing.num_pulses
     n_tap = timing.num_taps
-    origin = timing.delay_origin if delay_origin is None else delay_origin
+    origin = timing.delay_origin
 
-    order = sorted(range(len(responses)), key=lambda k: (responses[k].patch_id, k))
-    amps = np.array([responses[k].amplitude for k in order], dtype=np.complex128)
+    order = np.argsort(responses.patch_id, kind="stable")
+    amps = responses.amplitude[order]
     keep = amps != 0
-    order = [order[k] for k in np.nonzero(keep)[0]]
+    order = order[keep]
     amps = amps[keep]
-    delays = np.array([responses[k].delay for k in order], dtype=np.float64)
-    dopplers = np.array([responses[k].doppler for k in order], dtype=np.float64)
-    dirs = directions[order] if order else np.zeros((0, 3))
+    delays = responses.delay[order]
+    dopplers = responses.doppler[order]
+    dirs = directions[order]
 
     taps_idx = np.round((delays - origin) * timing.sample_rate).astype(np.int64)
     in_window = (taps_idx >= 0) & (taps_idx < n_tap)
@@ -275,7 +322,7 @@ def synthesize_ir(responses: list[PatchResponse], directions: np.ndarray,
                 raise ConfigurationError("pulse_amp must have shape (num_responses, num_pulses)")
             pulse_amp = pulse_amp[order][sel]
 
-        steer = spatial_steering_many(array, dirs[sel]) * array.element_gains
+        steer = spatial_steering_many(array, dirs[sel])
         m = np.arange(n_pulse)
         for start in range(0, sel.size, _ACCUM_CHUNK):
             stop = min(start + _ACCUM_CHUNK, sel.size)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .seeding import STREAM_OCEAN, derive_rng
-from .terrain import ScenePatch
 
 DEFAULT_VELOCITY_PER_WIND = 0.1      # stationary velocity sigma per m/s of wind
 DEFAULT_LOG_AMP_PER_WIND = 0.02      # lognormal sigma per m/s of wind
@@ -28,15 +27,17 @@ DEFAULT_LOG_AMP_PER_WIND = 0.02      # lognormal sigma per m/s of wind
 
 @dataclass
 class OceanState:
-    """Sea-surface configuration for a set of water patches."""
+    """Sea-surface configuration for a set of water patches, named by
+    the patch ids that key their draws."""
 
-    patches: list[ScenePatch]
+    ids: np.ndarray                      # (n,) int patch ids
     wind_speed: float                    # m/s
     velocity_per_wind: float = DEFAULT_VELOCITY_PER_WIND
     log_amp_per_wind: float = DEFAULT_LOG_AMP_PER_WIND
     correlation_time: float = 0.05       # s, OU velocity decorrelation
 
     def __post_init__(self):
+        self.ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
         if self.wind_speed < 0:
             raise ConfigurationError(f"wind_speed must be non-negative, got {self.wind_speed}")
         if self.correlation_time <= 0:
@@ -67,11 +68,11 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
         raise ConfigurationError(f"num_pulses must be >= 1, got {num_pulses}")
     if prf <= 0:
         raise ConfigurationError(f"prf must be positive, got {prf}")
-    n = len(state.patches)
+    n = len(state.ids)
     xi = np.empty((n, num_pulses))
     za = np.empty((n, num_pulses))
-    for i, p in enumerate(state.patches):
-        rng = derive_rng(seed, STREAM_OCEAN, p.patch_id)
+    for i, patch_id in enumerate(state.ids.tolist()):
+        rng = derive_rng(seed, STREAM_OCEAN, patch_id)
         buf = rng.standard_normal(2 * num_pulses)
         xi[i] = buf[0::2]
         za[i] = buf[1::2]

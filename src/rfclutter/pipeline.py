@@ -21,9 +21,9 @@ import numpy as np
 
 from . import scattering
 from .antenna import ArrayGeometry, pattern_gains
-from .channel import (ChannelImpulseResponse, PatchResponse, RadarTiming,
-                      SPEED_OF_LIGHT, StochasticModel, bistatic_delay_doppler,
-                      ensemble_second_moment, patch_responses, synthesize_ir)
+from .channel import (ChannelImpulseResponse, RadarTiming, SPEED_OF_LIGHT,
+                      StochasticModel, bistatic_delays_dopplers, ensemble_second_moment,
+                      patch_responses, scatterer_responses, synthesize_ir)
 from .cofar import ChannelMoments
 from .errors import ConfigurationError
 from .ocean import OceanState, pulse_modulation
@@ -32,8 +32,8 @@ from .scattering import patch_power_scales
 from .scenario import Scenario
 from .seeding import STREAM_MIMO_CODE, STREAM_OCEAN, derive_seed
 from .terrain import (ClassGrid, ElevationGrid, PatchArrays, PlatformState,
-                      ScenePatch, build_patch_grid, grazing_angles, lines_of_sight,
-                      patch_arrays)
+                      build_patch_grid, grazing_angles, lines_of_sight,
+                      patch_grid_shape)
 from .waveform import Waveform, lfm
 
 logger = logging.getLogger(__name__)
@@ -51,26 +51,35 @@ MOMENT_REALIZATION_BASE = 1_000_000
 class SceneModel:
     """Scenario geometry resolved into scatterers.
 
-    `patches` holds the terrain grid first, then one roof patch per
-    building; `discrete_patches` continue the id sequence.  The DEM
-    includes the building extrusions so visibility rays see them.
+    `patches` holds every scatterer in id order: the terrain grid
+    (`grid_shape` rows south to north by columns west to east, row
+    major), then one roof patch per building, then one point scatterer
+    per stationary discrete, whose cross sections are `discrete_rcs`.
+    The DEM includes the building extrusions so visibility rays see
+    them.
     """
 
     dem: ElevationGrid
     landcover: ClassGrid
-    patches: list[ScenePatch]
-    discrete_patches: list[ScenePatch] = field(default_factory=list)
-    discrete_rcs: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    num_terrain_patches: int = 0
+    patches: PatchArrays
+    grid_shape: tuple[int, int]
     num_building_patches: int = 0
+    discrete_rcs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
-        self.arrays: PatchArrays = patch_arrays(self.patches)
-        self.water: np.ndarray = self.arrays.classes == scattering.WATER
+        self.water: np.ndarray = self.patches.classes == scattering.WATER
+
+    @property
+    def num_terrain_patches(self) -> int:
+        return self.grid_shape[0] * self.grid_shape[1]
+
+    @property
+    def num_discretes(self) -> int:
+        return len(self.discrete_rcs)
 
     @property
     def num_responses(self) -> int:
-        return len(self.patches) + len(self.discrete_patches)
+        return len(self.patches)
 
 
 def _extrude_buildings(dem: ElevationGrid, scn: Scenario) -> ElevationGrid:
@@ -109,39 +118,31 @@ def build_scene(scn: Scenario) -> SceneModel | None:
     if scn.buildings is not None:
         dem = _extrude_buildings(dem, scn)
 
-    patches = build_patch_grid(dem, landcover, scn.patch_size_m)
-    n_terrain = len(patches)
-
-    n_buildings = 0
+    grid = build_patch_grid(dem, landcover, scn.patch_size_m)
+    centers, areas, classes = [grid.centers], [grid.areas], [grid.classes]
+    n_roof = 0
     if scn.buildings is not None:
         b = scn.buildings
-        up = np.array([0.0, 0.0, 1.0])
-        for k, (cx, cy) in enumerate(b.centers()):
-            roof = ground.height_at(cx, cy) + b.height
-            patches.append(ScenePatch(
-                center=np.array([cx, cy, roof]),
-                normal=up.copy(),
-                area=b.footprint ** 2,
-                landcover_class=b.landcover_class,
-                patch_id=n_terrain + k,
-            ))
-        n_buildings = b.count
-
-    discrete_patches = []
-    for j, d in enumerate(scn.discretes):
-        discrete_patches.append(ScenePatch(
-            center=d.position.copy(),
-            normal=np.array([0.0, 0.0, 1.0]),
-            area=1.0,
-            landcover_class=scattering.URBAN,
-            patch_id=n_terrain + n_buildings + j,
-        ))
-
+        xy = b.centers()
+        n_roof = len(xy)
+        centers.append(np.column_stack([xy, ground.heights_at(xy[:, 0], xy[:, 1]) + b.height]))
+        areas.append(np.full(n_roof, b.footprint ** 2))
+        classes.append(np.full(n_roof, b.landcover_class))
+    n_disc = len(scn.discretes)
+    centers.append(np.reshape([d.position for d in scn.discretes], (n_disc, 3)))
+    areas.append(np.ones(n_disc))
+    classes.append(np.full(n_disc, scattering.URBAN))
+    # roofs and discretes face straight up
+    up = np.zeros((n_roof + n_disc, 3))
+    up[:, 2] = 1.0
+    centers = np.vstack(centers)
+    patches = PatchArrays(centers=centers, normals=np.vstack([grid.normals, up]),
+                          areas=np.concatenate(areas), classes=np.concatenate(classes),
+                          ids=np.arange(len(centers)))
     return SceneModel(dem=dem, landcover=landcover, patches=patches,
-                      discrete_patches=discrete_patches,
-                      discrete_rcs=np.array([d.rcs for d in scn.discretes]),
-                      num_terrain_patches=n_terrain,
-                      num_building_patches=n_buildings)
+                      grid_shape=patch_grid_shape(dem, scn.patch_size_m),
+                      num_building_patches=n_roof,
+                      discrete_rcs=np.array([d.rcs for d in scn.discretes]))
 
 
 def platform_states(scn: Scenario, cpi: int) -> tuple[PlatformState, PlatformState]:
@@ -186,7 +187,7 @@ def _visibility(dem: ElevationGrid, tx_position: np.ndarray,
 
 @dataclass
 class PatchBudget:
-    """Per-scatterer link budget for one CPI (patches then discretes).
+    """Per-scatterer link budget for one CPI, in `SceneModel.patches` order.
 
     Only scatterers that could contribute are LOS-tested: those with a
     non-zero unshadowed gain and, when a timing is given, a tap inside
@@ -245,18 +246,16 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     window are zeroed too and never marched; they could never
     contribute a tap.
     """
-    arr = scene.arrays
-    n_disc = len(scene.discrete_patches)
-    graz = grazing_angles(arr, tx.position)
-    sigma0 = scn.table().sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
-    sigma0 = np.where(graz > 0.0, sigma0, 0.0)
-
-    # discretes follow the terrain and roof patches, as point scatterers
-    centers = np.vstack([arr.centers, patch_arrays(scene.discrete_patches).centers])
-    sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
-    graz = np.concatenate([graz, np.full(n_disc, np.pi / 2)])
-    areas = np.concatenate([arr.areas, np.ones(n_disc)])
-    unshadowed, dirs_rx, r_tx, r_rx = _link_budget(array, tx, rx, centers, sigma0, areas)
+    # the discretes, last in id order, are point scatterers with their
+    # own cross sections
+    facets = scene.patches[:len(scene.patches) - scene.num_discretes]
+    graz = grazing_angles(facets, tx.position)
+    sigma0 = scn.table().sigma0_many(facets.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
+    sigma0 = np.concatenate([np.where(graz > 0.0, sigma0, 0.0), scene.discrete_rcs])
+    graz = np.concatenate([graz, np.full(scene.num_discretes, np.pi / 2)])
+    centers = scene.patches.centers
+    unshadowed, dirs_rx, r_tx, r_rx = _link_budget(array, tx, rx, centers, sigma0,
+                                                   scene.patches.areas)
     in_window = np.ones(len(centers), dtype=bool)
     if timing is not None:
         tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
@@ -276,16 +275,14 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
 
 def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
                        live: np.ndarray, tx: PlatformState, rx: PlatformState,
-                       realization: int, seed: int) -> list[PatchResponse]:
-    """Responses of the scatterers at indices `live` (patches then
-    discretes).  Every draw is keyed by patch id, so skipping the
-    zero-gain scatterers leaves the others' draws unchanged."""
-    all_patches = scene.patches + scene.discrete_patches
-    chosen = [all_patches[k] for k in live.tolist()]
+                       realization: int, seed: int) -> np.recarray:
+    """Responses of the scatterers at indices `live`.  Every draw is
+    keyed by patch id, so skipping the zero-gain scatterers leaves the
+    others' draws unchanged."""
     model = StochasticModel(seed=seed,
                             doppler_std_hz=scn.clutter_doppler_std_hz,
                             deterministic_phase=scn.deterministic_clutter_phase)
-    return patch_responses(chosen, budget.gains[live], tx, rx, scn.wavelength,
+    return patch_responses(scene.patches[live], budget.gains[live], tx, rx, scn.wavelength,
                            model, realization=realization)
 
 
@@ -297,12 +294,10 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
     patch id, so the rows match a draw over every water patch."""
     if scn.wind_speed_mps <= 0.0:
         return None
-    is_water = np.append(scene.water, np.zeros(len(scene.discrete_patches), dtype=bool))
-    rows = np.flatnonzero(is_water[live])
+    rows = np.flatnonzero(scene.water[live])
     if rows.size == 0:
         return None
-    state = OceanState(patches=[scene.patches[k] for k in live[rows].tolist()],
-                       wind_speed=scn.wind_speed_mps)
+    state = OceanState(ids=scene.patches.ids[live[rows]], wind_speed=scn.wind_speed_mps)
     seed = derive_seed(scn.seed, STREAM_OCEAN, cpi)
     phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz,
                                       scn.wavelength, seed)
@@ -383,14 +378,20 @@ def synthesize_targets(scn: Scenario, scene: SceneModel | None, cpi: int,
         gains = np.where(_visibility(scene.dem, tx.position, rx.position, points),
                          gains, 0.0)
 
-    responses = []
-    for k, (pos, vel, _) in enumerate(states):
-        delay, doppler = bistatic_delay_doppler(pos, vel, tx, rx, scn.wavelength)
-        phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / scn.wavelength
-        amplitude = np.sqrt(gains[k]) * np.exp(1j * phase)
-        responses.append(PatchResponse(delay=delay, doppler=doppler,
-                                       amplitude=complex(amplitude), patch_id=k))
+    delays, dopplers = bistatic_delays_dopplers(
+        points, np.array([vel for _, vel, _ in states]), tx, rx, scn.wavelength)
+    phase = -2.0 * np.pi * (delays * SPEED_OF_LIGHT) / scn.wavelength
+    responses = scatterer_responses(delays, dopplers, np.sqrt(gains) * np.exp(1j * phase),
+                                    np.arange(len(states)))
     return synthesize_ir(responses, directions, array, timing, kind="target")
+
+
+def _check_indices(scn: Scenario, cpi: int, pulse: int = 0, channel: int = 0) -> None:
+    """Reject a CPI, pulse or receive-channel index outside the scenario."""
+    for name, value, count in (("cpi", cpi, scn.num_cpis), ("pulse", pulse, scn.num_pulses),
+                               ("channel", channel, scn.num_channels)):
+        if not 0 <= value < count:
+            raise ConfigurationError(f"{name} index {value} is outside 0..{count - 1}")
 
 
 def default_waveform(scn: Scenario) -> Waveform:
@@ -482,6 +483,7 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
                     realizations: int = 64) -> ChannelMoments:
     """Second moments of the clutter and target channels at one
     (CPI, pulse, channel), sized for waveform design."""
+    _check_indices(scn, cpi, pulse, channel)
     if scene is None:
         scene = build_scene(scn)
     if scene is None:
@@ -520,6 +522,7 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
     receiver) pair, indexed [tx][rx].  The single receiver is the
     scenario's array; targets ride in the same taps since the MIMO
     simulator takes one channel per pair."""
+    _check_indices(scn, cpi)
     if scene is None and not scn.targets:
         raise ConfigurationError("scenario has neither terrain nor targets")
     timing = scn.timing()
@@ -561,6 +564,7 @@ class GainMap:
 
 def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     """Per-patch budget at one CPI arranged as a north-up raster."""
+    _check_indices(scn, cpi)
     scene = build_scene(scn)
     if scene is None:
         raise ConfigurationError("gain map needs a terrain raster")
@@ -573,9 +577,8 @@ def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     visible = budget.visible[:n].copy()
     rest = np.flatnonzero(~budget.los_tested[:n])
     visible[rest] = _visibility(scene.dem, tx.position, rx.position,
-                                scene.arrays.centers[rest])
-    n_x = terrain_patch_cols(scene, scn)
-    n_y = n // n_x
+                                scene.patches.centers[rest])
+    n_y, n_x = scene.grid_shape
     g = budget.gains[:n].reshape(n_y, n_x)[::-1]           # south-up -> north-up
     vis = visible.reshape(n_y, n_x)[::-1]
     graz = budget.grazing[:n].reshape(n_y, n_x)[::-1]
@@ -584,8 +587,3 @@ def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     gdb = np.where(np.isfinite(gdb), np.maximum(gdb, floor_db), floor_db)
     return GainMap(gains_db=gdb, visible=vis, grazing=graz,
                    patch_size=scn.patch_size_m, floor_db=floor_db)
-
-
-def terrain_patch_cols(scene: SceneModel, scn: Scenario) -> int:
-    from .terrain import _count_cells
-    return _count_cells(scene.dem.extent_east, scn.patch_size_m)

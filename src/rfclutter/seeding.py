@@ -18,8 +18,6 @@ STREAM_NOISE = 2
 STREAM_OCEAN = 3
 STREAM_SNAPSHOT = 4
 STREAM_SNAPSHOT_BATCH = 5
-STREAM_TERRAIN = 6
-STREAM_MOMENTS = 7
 STREAM_MIMO_CODE = 8
 
 

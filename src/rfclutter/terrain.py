@@ -171,59 +171,55 @@ class PlatformState:
 
 
 @dataclass
-class ScenePatch:
-    """One resolved scattering facet of the scene."""
-
-    center: np.ndarray           # (3,) m ENU
-    normal: np.ndarray           # (3,) unit, outward (up for level ground)
-    area: float                  # m^2, tilt-corrected
-    landcover_class: int
-    patch_id: int
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64).reshape(3)
-        self.normal = np.asarray(self.normal, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(self.normal)
-        if abs(n - 1.0) > 1e-9:
-            raise ConfigurationError(f"patch normal must be unit length, |n| = {n}")
-        if not self.area > 0:
-            raise ConfigurationError(f"patch area must be positive, got {self.area}")
-
-
-@dataclass
 class PatchArrays:
-    """Column-array view of a patch list, for vectorized geometry."""
+    """The scatterers of a scene, one row each, in ascending id order.
 
-    centers: np.ndarray          # (n, 3)
-    normals: np.ndarray          # (n, 3)
-    areas: np.ndarray            # (n,)
+    Terrain patches, building roofs and stationary discretes all share
+    this form: a center, an outward unit normal (up for level ground),
+    a tilt-corrected area, a land-cover class and the patch id that
+    keys every random draw of the scatterer.  Indexing with a slice, a
+    mask or an index array selects rows.
+    """
+
+    centers: np.ndarray          # (n, 3) m ENU
+    normals: np.ndarray          # (n, 3) unit
+    areas: np.ndarray            # (n,) m^2
     classes: np.ndarray          # (n,) int
     ids: np.ndarray              # (n,) int
 
+    def __post_init__(self):
+        n = len(self.ids)
+        if not all(len(a) == n for a in (self.centers, self.normals, self.areas, self.classes)):
+            raise ConfigurationError("patch columns must all have one row per patch")
+        norms = np.sqrt(np.einsum("ij,ij->i", self.normals, self.normals))
+        if np.any(np.abs(norms - 1.0) > 1e-9):
+            raise ConfigurationError("patch normals must be unit length")
+        if not np.all(self.areas > 0):
+            raise ConfigurationError("patch areas must be positive")
 
-def patch_arrays(patches: list[ScenePatch]) -> PatchArrays:
-    if not patches:
-        z3 = np.zeros((0, 3))
-        return PatchArrays(z3, z3.copy(), np.zeros(0), np.zeros(0, dtype=np.int64),
-                           np.zeros(0, dtype=np.int64))
-    return PatchArrays(
-        centers=np.array([p.center for p in patches]),
-        normals=np.array([p.normal for p in patches]),
-        areas=np.array([p.area for p in patches]),
-        classes=np.array([p.landcover_class for p in patches], dtype=np.int64),
-        ids=np.array([p.patch_id for p in patches], dtype=np.int64),
-    )
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, index) -> "PatchArrays":
+        return PatchArrays(self.centers[index], self.normals[index], self.areas[index],
+                           self.classes[index], self.ids[index])
+
+
+def patch_grid_shape(dem: ElevationGrid, patch_size: float) -> tuple[int, int]:
+    """(rows, cols) of the square patches that tile the raster extent."""
+    return (_count_cells(dem.extent_north, patch_size),
+            _count_cells(dem.extent_east, patch_size))
 
 
 def build_patch_grid(dem: ElevationGrid, landcover: ClassGrid,
-                     patch_size: float) -> list[ScenePatch]:
+                     patch_size: float) -> PatchArrays:
     """Tile the raster extent into square patches and sample geometry.
 
     One patch per aggregated cell; patch centers are sampled from the
     height field bilinearly, normals from central height differences
     (one-sided at the borders), and the area carries the 1/cos(tilt)
     slope correction.  Patch ids run row-major from the south-west
-    corner, ascending.
+    corner, ascending; `patch_grid_shape` gives the rows and columns.
     """
     if landcover.classes.shape != dem.heights.shape:
         raise ConfigurationError(
@@ -235,8 +231,7 @@ def build_patch_grid(dem: ElevationGrid, landcover: ClassGrid,
         raise ConfigurationError(
             f"patch_size {patch_size} must be at least the cell size {dem.cell_size}")
 
-    n_y = _count_cells(dem.extent_north, patch_size)
-    n_x = _count_cells(dem.extent_east, patch_size)
+    n_y, n_x = patch_grid_shape(dem, patch_size)
 
     jj, ii = np.meshgrid(np.arange(n_x), np.arange(n_y))  # ii south->north
     cx = (jj.ravel() + 0.5) * patch_size
@@ -261,40 +256,35 @@ def build_patch_grid(dem: ElevationGrid, landcover: ClassGrid,
     nx, ny, nz = -gx / norm, -gy / norm, 1.0 / norm
     area = patch_size * patch_size / nz
 
-    cls = landcover.classes_at(cx, cy)
-
-    patches = []
-    for k in range(cx.size):
-        patches.append(ScenePatch(
-            center=np.array([cx[k], cy[k], cz[k]]),
-            normal=np.array([nx[k], ny[k], nz[k]]),
-            area=float(area[k]),
-            landcover_class=int(cls[k]),
-            patch_id=k,
-        ))
-    return patches
+    return PatchArrays(centers=np.column_stack([cx, cy, cz]),
+                       normals=np.column_stack([nx, ny, nz]), areas=area,
+                       classes=landcover.classes_at(cx, cy), ids=np.arange(cx.size))
 
 
-def grazing_angle(patch: ScenePatch, observer: np.ndarray) -> float:
-    """Angle (rad) between the patch->observer ray and the patch's local
-    horizontal plane.  Positive when the observer is on the outward side
-    of the facet; pi/2 for an observer straight along the normal.
+def grazing_angle(center, normal, observer) -> float:
+    """Angle (rad) between the center->observer ray and the local
+    horizontal plane of a facet with the given unit normal.  Positive
+    when the observer is on the outward side of the facet; pi/2 for an
+    observer straight along the normal.
+
+    This is the scalar reference for `grazing_angles`.
     """
-    los = np.asarray(observer, dtype=np.float64).reshape(3) - patch.center
+    los = (np.asarray(observer, dtype=np.float64).reshape(3)
+           - np.asarray(center, dtype=np.float64).reshape(3))
     r = np.linalg.norm(los)
     if r == 0.0:
         raise ValueError("observer coincides with the patch center")
-    s = float(np.dot(los, patch.normal) / r)
+    s = float(np.dot(los, np.asarray(normal, dtype=np.float64).reshape(3)) / r)
     return math.asin(min(1.0, max(-1.0, s)))
 
 
-def grazing_angles(arrays: PatchArrays, observer: np.ndarray) -> np.ndarray:
-    """Vectorized grazing_angle over a PatchArrays bundle."""
-    los = np.asarray(observer, dtype=np.float64).reshape(1, 3) - arrays.centers
+def grazing_angles(patches: PatchArrays, observer: np.ndarray) -> np.ndarray:
+    """Vectorized grazing_angle over every patch."""
+    los = np.asarray(observer, dtype=np.float64).reshape(1, 3) - patches.centers
     r = np.linalg.norm(los, axis=1)
     if np.any(r == 0.0):
         raise ConfigurationError("observer coincides with a patch center")
-    s = np.einsum("ij,ij->i", los, arrays.normals) / r
+    s = np.einsum("ij,ij->i", los, patches.normals) / r
     return np.arcsin(np.clip(s, -1.0, 1.0))
 
 
@@ -484,10 +474,10 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
     return ~blocked
 
 
-def los_mask(dem: ElevationGrid, observer, patches: list[ScenePatch],
+def los_mask(dem: ElevationGrid, observer, patches: PatchArrays,
              clearance: float = 0.0, step: float | None = None) -> np.ndarray:
     """Boolean visibility per patch; True = line of sight is clear."""
-    return lines_of_sight(dem, observer, patch_arrays(patches).centers, clearance, step)
+    return lines_of_sight(dem, observer, patches.centers, clearance, step)
 
 
 # --- file formats -----------------------------------------------------------

@@ -140,9 +140,9 @@ def test_03_visibility_against_dense_ray_march():
     obs = (640.0, 50.0, 20.0)
 
     agree = 0
-    for p in patches:
-        fast = line_of_sight(dem, obs, p.center)
-        dense = _march_oracle(dem, obs, p.center, cell / 10.0)
+    for center in patches.centers:
+        fast = line_of_sight(dem, obs, center)
+        dense = _march_oracle(dem, obs, center, cell / 10.0)
         agree += int(fast == dense)
     assert agree == len(patches)
 
@@ -156,7 +156,7 @@ def test_03_visibility_against_dense_ray_march():
     obs2 = np.array([160.0, 640.0, 15.0])
     visible = los_mask(dem2, obs2, patches2)
 
-    centers = np.array([p.center for p in patches2])
+    centers = patches2.centers
     rel = centers[:, :2] - obs2[:2]
     rng_xy = np.hypot(rel[:, 0], rel[:, 1])
     az = np.degrees(np.arctan2(rel[:, 1], rel[:, 0]))   # hill sits at az 0

@@ -9,15 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import convolution_matrix
 
+from rfclutter import pipeline
 from rfclutter.antenna import ArrayGeometry
 from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
-                               PatchResponse, RadarTiming, StochasticModel,
-                               bistatic_delay_doppler, ensemble_second_moment,
-                               patch_response, patch_responses, read_ir,
+                               RadarTiming, StochasticModel,
+                               bistatic_delay_doppler, bistatic_delays_dopplers,
+                               ensemble_second_moment, patch_response,
+                               patch_responses, read_ir, scatterer_responses,
                                synthesize_ir, write_ir)
 from rfclutter.errors import ConfigurationError
 from rfclutter.scattering import GRASS
-from rfclutter.terrain import PlatformState, ScenePatch
+from rfclutter.scenario import DESK_SCALE, generate_scenario1, generate_scenario2
+from rfclutter.terrain import PatchArrays, PlatformState
 
 WAVELENGTH = 0.03
 
@@ -27,10 +30,14 @@ def platform(pos, vel=(0.0, 0.0, 0.0)):
                          velocity=np.asarray(vel, float))
 
 
-def patch_at(pos, patch_id=0):
-    return ScenePatch(center=np.asarray(pos, float),
-                      normal=np.array([0.0, 0.0, 1.0]), area=900.0,
-                      landcover_class=GRASS, patch_id=patch_id)
+def flat_patches(centers):
+    """Level 900 m^2 grass patches at `centers`, ids 0, 1, ..."""
+    centers = np.asarray(centers, float).reshape(-1, 3)
+    n = len(centers)
+    normals = np.zeros((n, 3))
+    normals[:, 2] = 1.0
+    return PatchArrays(centers=centers, normals=normals, areas=np.full(n, 900.0),
+                       classes=np.full(n, GRASS), ids=np.arange(n))
 
 
 def rx_array(n=1):
@@ -100,51 +107,103 @@ def test_delay_never_below_direct_path():
         assert delay >= direct - 1e-18
 
 
+@pytest.mark.parametrize("monostatic", [False, True])
+def test_array_delay_doppler_matches_scalar_for_moving_points(monostatic):
+    """The array form against the scalar one for moving points and
+    moving platforms; the bound is exact equality."""
+    rng = np.random.default_rng(21)
+    tx = platform(rng.uniform(-3e3, 3e3, 3) + [0, 0, 4e3], rng.uniform(-90, 90, 3))
+    rx = tx if monostatic else platform(rng.uniform(-3e3, 3e3, 3) + [0, 0, 2e3],
+                                        rng.uniform(-40, 40, 3))
+    points = rng.uniform(-2e4, 2e4, (2000, 3))
+    velocities = rng.uniform(-60, 60, (2000, 3))
+    delays, dopplers = bistatic_delays_dopplers(points, velocities, tx, rx, WAVELENGTH)
+    want = [bistatic_delay_doppler(p, v, tx, rx, WAVELENGTH)
+            for p, v in zip(points, velocities)]
+    assert delays.tolist() == [d for d, _ in want]
+    assert dopplers.tolist() == [f for _, f in want]
+    with pytest.raises(ConfigurationError):
+        bistatic_delays_dopplers(np.vstack([points[:3], rx.position]), velocities[:4],
+                                 tx, rx, WAVELENGTH)
+
+
 # --- patch responses -----------------------------------------------------------
 
 def test_patch_response_amplitude_and_streams():
     tx = platform((0, 0, 1000), (0, 60, 0))
     model = StochasticModel(seed=42)
-    p = patch_at((4000, 0, 0), patch_id=7)
+    center = (4000.0, 0.0, 0.0)
     g = 2.5e-13
-    r1 = patch_response(p, g, tx, tx, WAVELENGTH, model, realization=0)
-    assert abs(r1.amplitude) == pytest.approx(math.sqrt(g), rel=1e-12)
-    assert r1.patch_id == 7
+    _, _, a1 = patch_response(center, 7, g, tx, tx, WAVELENGTH, model, realization=0)
+    assert abs(a1) == pytest.approx(math.sqrt(g), rel=1e-12)
     # same (seed, realization, patch) -> identical draw
-    r2 = patch_response(p, g, tx, tx, WAVELENGTH, model, realization=0)
-    assert r1.amplitude == r2.amplitude
-    # different realization -> a fresh phase
-    r3 = patch_response(p, g, tx, tx, WAVELENGTH, model, realization=1)
-    assert r1.amplitude != r3.amplitude
-    assert abs(r3.amplitude) == pytest.approx(abs(r1.amplitude), rel=1e-12)
+    _, _, a2 = patch_response(center, 7, g, tx, tx, WAVELENGTH, model, realization=0)
+    assert a1 == a2
+    # different realization or patch id -> a fresh phase
+    _, _, a3 = patch_response(center, 7, g, tx, tx, WAVELENGTH, model, realization=1)
+    assert a1 != a3
+    assert abs(a3) == pytest.approx(abs(a1), rel=1e-12)
+    _, _, a4 = patch_response(center, 8, g, tx, tx, WAVELENGTH, model, realization=0)
+    assert a1 != a4
 
 
 def test_deterministic_phase_mode():
     tx = platform((0, 0, 1000))
     model = StochasticModel(seed=0, deterministic_phase=True)
-    p = patch_at((3000, 0, 0))
-    r = patch_response(p, 1.0, tx, tx, WAVELENGTH, model)
-    path = r.delay * SPEED_OF_LIGHT
+    center = (3000.0, 0.0, 0.0)
+    delay, _, amp = patch_response(center, 0, 1.0, tx, tx, WAVELENGTH, model)
+    path = delay * SPEED_OF_LIGHT
     want = complex(np.exp(-2j * np.pi * path / WAVELENGTH))
-    assert r.amplitude == pytest.approx(want, rel=1e-9)
-    again = patch_response(p, 1.0, tx, tx, WAVELENGTH, model)
-    assert r.amplitude == again.amplitude
+    assert amp == pytest.approx(want, rel=1e-9)
+    _, _, again = patch_response(center, 0, 1.0, tx, tx, WAVELENGTH, model)
+    assert amp == again
+
+
+def assert_responses_match_scalar(patches, gains, tx, rx, wavelength, model, realization):
+    batch = patch_responses(patches, gains, tx, rx, wavelength, model, realization)
+    assert len(batch) == len(patches)
+    assert batch.patch_id.tolist() == patches.ids.tolist()
+    want = [patch_response(c, i, g, tx, rx, wavelength, model, realization)
+            for c, i, g in zip(patches.centers, patches.ids.tolist(), gains.tolist())]
+    assert batch.delay.tolist() == [d for d, _, _ in want]
+    assert batch.doppler.tolist() == [f for _, f, _ in want]
+    assert batch.amplitude.tolist() == [a for _, _, a in want]
+
+
+MODELS = {
+    "jitter": dict(doppler_std_hz=2.0),
+    "deterministic": dict(deterministic_phase=True),
+    "deterministic-jitter": dict(deterministic_phase=True, doppler_std_hz=2.0),
+}
 
 
 def test_patch_responses_match_scalar_calls():
     """Batch form uses the same per-patch streams as isolated calls."""
     tx = platform((0, 0, 800), (0, 40, 0))
-    rx = platform((500, 0, 900))
-    model = StochasticModel(seed=3, doppler_std_hz=2.0)
-    patches = [patch_at((3000 + 40 * k, 100 * k, 0), patch_id=k) for k in range(12)]
-    gains = np.linspace(1e-14, 5e-13, 12)
-    batch = patch_responses(patches, gains, tx, rx, WAVELENGTH, model, realization=5)
-    for k, p in enumerate(patches):
-        solo = patch_response(p, float(gains[k]), tx, rx, WAVELENGTH, model,
-                              realization=5)
-        assert batch[k].amplitude == solo.amplitude
-        assert batch[k].doppler == solo.doppler
-        assert batch[k].delay == solo.delay
+    rx = platform((500, 0, 900), (3, -2, 0))
+    patches = flat_patches([(3000 + 40 * k, 100 * k, 0) for k in range(12)])
+    gains = np.linspace(0.0, 5e-13, 12)
+    for model in MODELS.values():
+        assert_responses_match_scalar(patches, gains, tx, rx, WAVELENGTH,
+                                      StochasticModel(seed=3, **model), realization=5)
+
+
+@pytest.mark.parametrize("model", ["jitter", "deterministic"])
+@pytest.mark.parametrize("make", [lambda: generate_scenario1(scale=DESK_SCALE, seed=1),
+                                  lambda: generate_scenario2(scale=0.25, seed=1)],
+                         ids=["scenario1-desk", "scenario2-quarter"])
+def test_patch_responses_match_scalar_calls_on_every_scatterer(make, model):
+    """The array path against the scalar reference over every scatterer
+    of a preset at CPI 1, with the CPI's link-budget gains (zeros
+    included); the bound is exact equality."""
+    scn = make()
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 1)
+    gains = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn)).gains
+    assert 0 < np.count_nonzero(gains) < len(gains)
+    assert_responses_match_scalar(scene.patches, gains, tx, rx, scn.wavelength,
+                                  StochasticModel(seed=scn.seed, **MODELS[model]),
+                                  realization=1)
 
 
 # --- timing --------------------------------------------------------------------
@@ -183,9 +242,9 @@ def test_rates_must_be_finite(bad):
 
 # --- tap synthesis -------------------------------------------------------------
 
-def single_response(tap=3, doppler=400.0, amp=0.5 + 0.1j, fs=5e6):
-    delay = tap / fs
-    return PatchResponse(delay=delay, doppler=doppler, amplitude=amp, patch_id=0)
+def responses(*rows):
+    """A response table from (delay, doppler, amplitude, patch_id) rows."""
+    return scatterer_responses(*(list(col) for col in zip(*rows)))
 
 
 def test_synthesize_ir_single_response_closed_form():
@@ -193,16 +252,16 @@ def test_synthesize_ir_single_response_closed_form():
     fs, prf, n_pulse, n_tap = 5e6, 2000.0, 8, 16
     timing = RadarTiming(prf=prf, sample_rate=fs, num_pulses=n_pulse, num_taps=n_tap)
     arr = rx_array(2)
-    resp = single_response(tap=5, doppler=300.0, amp=0.25 - 0.4j, fs=fs)
+    amp = 0.25 - 0.4j
     d = np.array([[0.0, 1.0, 0.0]])            # straight along the array axis
-    ir = synthesize_ir([resp], d, arr, timing)
+    ir = synthesize_ir(responses((5 / fs, 300.0, amp, 0)), d, arr, timing)
 
     assert ir.taps.shape == (2, n_pulse, n_tap)
     s = np.exp(1j * 2.0 * np.pi * 0.5 * np.arange(2) * 1.0)  # d/lambda = 0.5, u = 1
     m = np.arange(n_pulse)
     ramp = np.exp(2j * np.pi * 300.0 * m / prf)
     for n in range(2):
-        want = resp.amplitude * s[n] * ramp
+        want = amp * s[n] * ramp
         got = ir.taps[n, :, 5].astype(np.complex128)
         np.testing.assert_allclose(got, want.astype(np.complex64).astype(complex),
                                    rtol=2e-6)
@@ -218,20 +277,18 @@ def test_synthesize_ir_disjoint_linearity():
     timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=4, num_taps=32)
     arr = rx_array(3)
     rng = np.random.default_rng(8)
-    resp_a, resp_b, dirs_a, dirs_b = [], [], [], []
+    rows_a, rows_b, dirs_a, dirs_b = [], [], [], []
     for k in range(6):
-        resp_a.append(PatchResponse(delay=(2 * k) / fs, doppler=rng.uniform(-500, 500),
-                                    amplitude=complex(rng.normal(), rng.normal()),
-                                    patch_id=k))
-        resp_b.append(PatchResponse(delay=(2 * k + 1) / fs, doppler=rng.uniform(-500, 500),
-                                    amplitude=complex(rng.normal(), rng.normal()),
-                                    patch_id=100 + k))
+        rows_a.append(((2 * k) / fs, rng.uniform(-500, 500),
+                       complex(rng.normal(), rng.normal()), k))
+        rows_b.append(((2 * k + 1) / fs, rng.uniform(-500, 500),
+                       complex(rng.normal(), rng.normal()), 100 + k))
         u = rng.uniform(-0.7, 0.7, 2)
         dirs_a.append([math.sqrt(1 - u[0] ** 2), u[0], 0.0])
         dirs_b.append([math.sqrt(1 - u[1] ** 2), u[1], 0.0])
-    ir_a = synthesize_ir(resp_a, np.array(dirs_a), arr, timing)
-    ir_b = synthesize_ir(resp_b, np.array(dirs_b), arr, timing)
-    both = synthesize_ir(resp_a + resp_b, np.array(dirs_a + dirs_b), arr, timing)
+    ir_a = synthesize_ir(responses(*rows_a), np.array(dirs_a), arr, timing)
+    ir_b = synthesize_ir(responses(*rows_b), np.array(dirs_b), arr, timing)
+    both = synthesize_ir(responses(*rows_a, *rows_b), np.array(dirs_a + dirs_b), arr, timing)
     np.testing.assert_array_equal(both.taps, ir_a.taps + ir_b.taps)
 
 
@@ -239,15 +296,12 @@ def test_zero_amplitude_responses_leave_ir_bit_identical():
     fs = 5e6
     timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=4, num_taps=16)
     arr = rx_array(2)
-    live = [single_response(tap=2, amp=1.0 + 0j),
-            single_response(tap=9, amp=0.3 - 0.2j)]
-    live[1] = PatchResponse(delay=live[1].delay, doppler=live[1].doppler,
-                            amplitude=live[1].amplitude, patch_id=5)
+    live = [(2 / fs, 400.0, 1.0 + 0j, 0), (9 / fs, 400.0, 0.3 - 0.2j, 5)]
     dirs = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0]])
-    base = synthesize_ir(live, dirs, arr, timing)
+    base = synthesize_ir(responses(*live), dirs, arr, timing)
 
-    shadowed = PatchResponse(delay=4 / fs, doppler=123.0, amplitude=0.0, patch_id=3)
-    with_shadow = synthesize_ir([live[0], shadowed, live[1]],
+    shadowed = (4 / fs, 123.0, 0.0, 3)
+    with_shadow = synthesize_ir(responses(live[0], shadowed, live[1]),
                                 np.array([dirs[0], [0.0, 1.0, 0.0], dirs[1]]),
                                 arr, timing)
     np.testing.assert_array_equal(base.taps, with_shadow.taps)
@@ -255,15 +309,16 @@ def test_zero_amplitude_responses_leave_ir_bit_identical():
 
 def test_out_of_window_responses_dropped_with_warning(caplog):
     fs = 5e6
-    timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=2, num_taps=8)
+    timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=2, num_taps=8,
+                         delay_origin=1 / fs)
     arr = rx_array(1)
-    inside = single_response(tap=3)
-    outside = single_response(tap=20)
-    early = PatchResponse(delay=0.0, doppler=0.0, amplitude=1.0, patch_id=2)
+    inside = (3 / fs, 400.0, 0.5 + 0.1j, 0)
+    outside = (20 / fs, 400.0, 0.5 + 0.1j, 0)
+    early = (0.0, 0.0, 1.0, 2)
     with caplog.at_level(logging.WARNING, logger="rfclutter.channel"):
-        ir = synthesize_ir([inside, outside, early],
+        ir = synthesize_ir(responses(inside, outside, early),
                            np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0]], float),
-                           arr, timing, delay_origin=1 / fs)
+                           arr, timing)
     # with the shifted origin: inside -> tap 2 (kept), early -> tap -1 and
     # outside -> tap 19 (both dropped and counted)
     assert "2 patch responses" in caplog.text
@@ -276,14 +331,13 @@ def test_ir_bit_reproducible_across_runs():
     timing = RadarTiming(prf=2000.0, sample_rate=5e6, num_pulses=8, num_taps=64)
     arr = rx_array(2)
     model = StochasticModel(seed=77, doppler_std_hz=1.5)
-    patches = [patch_at((2500 + 30 * k, 60 * k, 0), patch_id=k) for k in range(25)]
+    patches = flat_patches([(2500 + 30 * k, 60 * k, 0) for k in range(25)])
     gains = np.full(25, 1e-13)
 
     def run():
         resp = patch_responses(patches, gains, tx, tx, WAVELENGTH, model,
                                realization=2)
-        centers = np.array([p.center for p in patches])
-        d = centers - tx.position
+        d = patches.centers - tx.position
         d /= np.linalg.norm(d, axis=1)[:, None]
         return synthesize_ir(resp, d, arr, timing)
 

@@ -138,3 +138,37 @@ def test_out_that_is_a_file_exits_with_code_2_before_simulating(
         err = capsys.readouterr().err
         assert "error:" in err and "--out" in err and "Traceback" not in err
     assert taken.read_text() == "a file, not a directory"
+
+
+# the scenario file has 2 CPIs, 8 pulses and 2 channels
+@pytest.mark.parametrize("argv", [
+    ["cofar-optimize", "--pulse", "999"],
+    ["cofar-optimize", "--pulse", "8"],
+    ["cofar-optimize", "--channel", "-1"],
+    ["cofar-optimize", "--channel", "2"],
+    ["cofar-optimize", "--cpi", "2"],
+    ["mimo-sim", "--cpi", "-1"],
+    ["mimo-sim", "--cpi", "2"],
+    ["clutter-map", "--cpi", "-1"],
+    ["clutter-map", "--cpi", "2"],
+    ["los-map", "--cpi", "-1"],
+], ids=" ".join)
+def test_out_of_range_index_exits_with_code_2(argv, scenario_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    if argv[0] == "cofar-optimize":
+        argv = argv + ["--realizations", "2"]
+    assert main(argv + ["--scenario", str(scenario_file), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "index" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_last_valid_indices_run(scenario_file, tmp_path):
+    out = tmp_path / "out"
+    assert main(["cofar-optimize", "--cpi", "1", "--pulse", "7", "--channel", "1",
+                 "--realizations", "2", "--scenario", str(scenario_file),
+                 "--out", str(out)]) == 0
+    assert main(["mimo-sim", "--cpi", "1", "--scenario", str(scenario_file),
+                 "--out", str(out)]) == 0
+    assert main(["clutter-map", "--cpi", "1", "--scenario", str(scenario_file),
+                 "--out", str(out)]) == 0

@@ -8,22 +8,12 @@ from hypothesis import strategies as st
 from rfclutter.errors import ConfigurationError
 from rfclutter.ocean import (OceanState, pulse_modulation, surface_series,
                              wind_doppler_spread)
-from rfclutter.scattering import WATER
-from rfclutter.terrain import ScenePatch
 
 WAVELENGTH = 0.03
 
 
-def sea_patches(n=6):
-    """A row of flat 30 m water patches at sea level."""
-    return [ScenePatch(center=np.array([(k + 0.5) * 30.0, 15.0, 0.0]),
-                       normal=np.array([0.0, 0.0, 1.0]), area=900.0,
-                       landcover_class=WATER, patch_id=k)
-            for k in range(n)]
-
-
 def sea_state(wind=10.0, corr=0.05):
-    return OceanState(patches=sea_patches(), wind_speed=wind, correlation_time=corr)
+    return OceanState(ids=np.arange(6), wind_speed=wind, correlation_time=corr)
 
 
 def test_zero_wind_modulation_is_identity():
@@ -120,4 +110,4 @@ def test_spread_validation():
 
 def test_ocean_state_validation():
     with pytest.raises(ConfigurationError):
-        OceanState(patches=sea_patches(4), wind_speed=-1.0)
+        OceanState(ids=np.arange(4), wind_speed=-1.0)

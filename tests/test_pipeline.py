@@ -56,10 +56,10 @@ def test_build_scene_patch_counts():
     scn = tiny_scenario()
     scene = pipeline.build_scene(scn)
     assert scene.num_terrain_patches == 400        # (1200 / 60)^2
+    assert scene.grid_shape == (20, 20)
     assert scene.num_building_patches == 0
-    assert scene.discrete_patches == []
-    ids = [p.patch_id for p in scene.patches]
-    assert ids == list(range(400))
+    assert scene.num_discretes == 0
+    assert scene.patches.ids.tolist() == list(range(400))
 
 
 def test_build_scene_appends_discretes_and_buildings():
@@ -71,14 +71,16 @@ def test_build_scene_appends_discretes_and_buildings():
     scene = pipeline.build_scene(scn)
     assert scene.num_terrain_patches == 400
     assert scene.num_building_patches == 2
-    assert len(scene.discrete_patches) == 1
+    assert scene.num_discretes == 1
     # ids continue through roofs into discretes
-    roof_ids = [p.patch_id for p in scene.patches[400:]]
-    assert roof_ids == [400, 401]
-    assert scene.discrete_patches[0].patch_id == 402
+    assert len(scene.patches) == scene.num_responses == 403
+    assert scene.patches.ids[400:].tolist() == [400, 401, 402]
+    np.testing.assert_array_equal(scene.patches.centers[402], [800.0, 600.0, 5.0])
+    np.testing.assert_array_equal(scene.patches.areas[400:], [900.0, 900.0, 1.0])
+    np.testing.assert_array_equal(scene.patches.normals[400:, 2], 1.0)
     # roofs sit at ground + height and the DEM is raised under them
-    for roof in scene.patches[400:]:
-        assert roof.center[2] == pytest.approx(9.0)
+    for roof in scene.patches.centers[400:402]:
+        assert roof[2] == pytest.approx(9.0)
     assert scene.dem.height_at(615.0, 555.0) == pytest.approx(9.0)
     # the original scenario raster is untouched
     assert scn.dem.height_at(615.0, 555.0) == 0.0
@@ -120,7 +122,7 @@ def test_patch_budget_zeroes_shadowed_patches():
     tx, rx = pipeline.platform_states(scn, 0)
     arr = pipeline.receive_array(scn)
     budget = pipeline.patch_budget(scn, scene, tx, rx, arr)
-    centers = scene.arrays.centers
+    centers = scene.patches.centers
     behind = (centers[:, 0] > 700.0) & (np.abs(centers[:, 1] - 600.0) < 200.0)
     assert behind.any()
     assert not budget.visible[behind].any()
@@ -139,7 +141,7 @@ def test_patch_budget_window_filter():
     short = RadarTiming.for_swath(prf=scn.prf_hz, sample_rate=scn.sample_rate,
                                   num_pulses=scn.num_pulses, swath=300.0)
     windowed = pipeline.patch_budget(scn, scene, tx, rx, arr, timing=short)
-    r = np.linalg.norm(scene.arrays.centers - tx.position, axis=1)
+    r = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
     reach = short.num_taps / scn.sample_rate * 299792458.0 / 2.0
     far = r > reach + 50.0
     assert far.any() and (full.gains[far] > 0).any()
@@ -228,8 +230,9 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
     """The link budget with every scatterer's rays marched and the
     shadow and window masks applied last; the oracle for the gated
     `patch_budget`."""
-    arr = scene.arrays
-    centers = np.array([p.center for p in scene.patches + scene.discrete_patches])
+    n_disc = scene.num_discretes
+    facets = scene.patches[:len(scene.patches) - n_disc]
+    centers = scene.patches.centers
     d_tx = centers - tx.position
     d_rx = centers - rx.position
     r_tx = np.linalg.norm(d_tx, axis=1)
@@ -237,8 +240,8 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
     dirs_tx = d_tx / r_tx[:, None]
     dirs_rx = d_rx / r_rx[:, None]
 
-    graz = grazing_angles(arr, tx.position)
-    sigma0 = scn.table().sigma0_many(arr.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
+    graz = grazing_angles(facets, tx.position)
+    sigma0 = scn.table().sigma0_many(facets.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
     sigma0 = np.where(graz > 0.0, sigma0, 0.0)
 
     dem = scene.dem
@@ -260,9 +263,8 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
     tx_gain = pattern_gains(array, np.ones(array.num_elements), dirs_tx)
     cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
     rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
-    n_disc = len(scene.discrete_patches)
     sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
-    areas = np.concatenate([arr.areas, np.ones(n_disc)])
+    areas = np.concatenate([facets.areas, np.ones(n_disc)])
     args = (sigma0, areas, tx_gain, rx_gain, scn.wavelength, r_tx, r_rx)
     return SimpleNamespace(gains=patch_power_scales(*args, shadowed=~visible),
                            unshadowed=patch_power_scales(*args),
@@ -276,13 +278,12 @@ def all_patch_clutter(scn, scene, cpi, timing, budget):
     tx, rx = pipeline.platform_states(scn, cpi)
     model = StochasticModel(seed=scn.seed, doppler_std_hz=scn.clutter_doppler_std_hz,
                             deterministic_phase=scn.deterministic_clutter_phase)
-    responses = patch_responses(scene.patches + scene.discrete_patches, budget.gains,
+    responses = patch_responses(scene.patches, budget.gains,
                                 tx, rx, scn.wavelength, model, realization=cpi)
     phase = amp = None
     water = np.flatnonzero(scene.water)
     if scn.wind_speed_mps > 0.0 and water.size:
-        state = OceanState(patches=[scene.patches[k] for k in water],
-                           wind_speed=scn.wind_speed_mps)
+        state = OceanState(ids=scene.patches.ids[water], wind_speed=scn.wind_speed_mps)
         phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
                                           derive_seed(scn.seed, STREAM_OCEAN, cpi))
         phase = np.zeros((scene.num_responses, scn.num_pulses))
@@ -339,7 +340,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
         return patch_responses(patches, *args, **kw)
 
     def counting_modulation(state, *args, **kw):
-        sea_rows.append(len(state.patches))
+        sea_rows.append(len(state.ids))
         return pulse_modulation(state, *args, **kw)
 
     monkeypatch.setattr(pipeline, "lines_of_sight", counting_los)
@@ -364,7 +365,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
 
     live = np.count_nonzero(got.gains)
     assert drawn == [live] and 0 < live < len(want.gains)
-    live_water = np.count_nonzero(got.gains[:len(scene.patches)][scene.water])
+    live_water = np.count_nonzero(got.gains[scene.water])
     if scn.wind_speed_mps > 0.0:
         assert sea_rows == [live_water] and live_water > 0
     else:
@@ -398,8 +399,7 @@ def oracle_visibility(scn):
     oracle = all_patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn),
                               scn.timing())
     n = scene.num_terrain_patches
-    n_x = pipeline.terrain_patch_cols(scene, scn)
-    return oracle.both_clear[:n].reshape(n // n_x, n_x)[::-1]
+    return oracle.both_clear[:n].reshape(scene.grid_shape)[::-1]
 
 
 @pytest.mark.parametrize("make", [lambda: generate_scenario1(scale=DESK_SCALE, seed=1),
@@ -410,8 +410,7 @@ def test_lines_of_sight_matches_reference_on_every_patch(make):
     every scatterer of a preset at CPI 0; the bound is 0 disagreements."""
     scn = make()
     scene = pipeline.build_scene(scn)
-    points = np.vstack([scene.arrays.centers,
-                        np.reshape([p.center for p in scene.discrete_patches], (-1, 3))])
+    points = scene.patches.centers
     tx, rx = pipeline.platform_states(scn, 0)
     for observer in {tuple(tx.position), tuple(rx.position)}:
         got = lines_of_sight(scene.dem, observer, points, clearance=pipeline.LOS_CLEARANCE_M)

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from rfclutter import terrain
 from rfclutter.errors import ConfigurationError
-from rfclutter.terrain import (ClassGrid, ElevationGrid, ScenePatch,
+from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays,
                                build_patch_grid, enu_from_geodetic,
                                grazing_angle, grazing_angles, line_of_sight,
-                               lines_of_sight, los_mask, patch_arrays, read_dem,
+                               lines_of_sight, los_mask, patch_grid_shape, read_dem,
                                read_landcover, write_dem, write_landcover)
 from rfclutter.scattering import GRASS, WATER
 
@@ -77,17 +77,19 @@ def test_patch_count_matches_aggregation_arithmetic():
     patches = build_patch_grid(dem, cover, patch_size=30.0)
     # extent 200 x 120 m, 30 m patches -> ceil(200/30) * ceil(120/30)
     assert len(patches) == 7 * 4
+    assert patch_grid_shape(dem, 30.0) == (4, 7)
 
 
 def test_patch_ids_run_row_major_from_southwest():
     dem = planar_dem(nx=6, ny=6, cell=10.0)
     patches = build_patch_grid(dem, uniform_cover(dem), patch_size=20.0)
-    assert patches[0].patch_id == 0
+    centers = patches.centers
+    assert patches.ids[0] == 0
     # first row of ids walks east, then the next row starts further north
-    assert patches[1].center[0] > patches[0].center[0]
-    assert patches[1].center[1] == pytest.approx(patches[0].center[1])
-    assert patches[3].center[1] > patches[0].center[1]
-    assert [p.patch_id for p in patches] == list(range(len(patches)))
+    assert centers[1, 0] > centers[0, 0]
+    assert centers[1, 1] == pytest.approx(centers[0, 1])
+    assert centers[3, 1] > centers[0, 1]
+    assert patches.ids.tolist() == list(range(len(patches)))
 
 
 def test_normals_against_finite_difference_oracle():
@@ -96,9 +98,9 @@ def test_normals_against_finite_difference_oracle():
     dem = planar_dem(nx=24, ny=24, cell=10.0, gx=gx, gy=gy)
     patches = build_patch_grid(dem, uniform_cover(dem), patch_size=20.0)
     true_normal = np.array([-gx, -gy, 1.0]) / math.sqrt(gx * gx + gy * gy + 1.0)
-    for p in patches:
-        np.testing.assert_allclose(p.normal, true_normal, atol=1e-12)
-        assert abs(np.linalg.norm(p.normal) - 1.0) < 1e-9
+    for normal in patches.normals:
+        np.testing.assert_allclose(normal, true_normal, atol=1e-12)
+        assert abs(np.linalg.norm(normal) - 1.0) < 1e-9
 
 
 def test_patch_area_carries_slope_correction():
@@ -107,8 +109,25 @@ def test_patch_area_carries_slope_correction():
     patches = build_patch_grid(dem, uniform_cover(dem), patch_size=20.0)
     flat_area = 20.0 * 20.0
     expected = flat_area * math.sqrt(1.0 + gx * gx)
-    for p in patches:
-        assert p.area == pytest.approx(expected, rel=1e-9)
+    for area in patches.areas:
+        assert area == pytest.approx(expected, rel=1e-9)
+
+
+def test_patch_arrays_select_rows_and_reject_bad_columns():
+    dem = planar_dem(nx=6, ny=6, cell=10.0, gx=0.1)
+    p = build_patch_grid(dem, uniform_cover(dem), patch_size=20.0)
+    sub = p[np.array([4, 1])]
+    assert len(sub) == 2 and sub.ids.tolist() == [4, 1]
+    np.testing.assert_array_equal(sub.centers, p.centers[[4, 1]])
+    np.testing.assert_array_equal(sub.normals, p.normals[[4, 1]])
+    assert len(p[:0]) == 0 and len(p[p.ids % 2 == 0]) == 5
+    for bad in (dict(normals=2.0 * p.normals), dict(areas=-p.areas),
+                dict(centers=p.centers[:-1])):
+        cols = dict(centers=p.centers, normals=p.normals, areas=p.areas,
+                    classes=p.classes, ids=p.ids)
+        cols.update(bad)
+        with pytest.raises(ConfigurationError):
+            PatchArrays(**cols)
 
 
 def test_patch_grid_rejects_mismatched_rasters():
@@ -122,45 +141,40 @@ def test_patch_grid_rejects_mismatched_rasters():
 
 # --- grazing angle -----------------------------------------------------------
 
-def flat_patch(x=0.0, y=0.0, z=0.0):
-    return ScenePatch(center=np.array([x, y, z]), normal=np.array([0.0, 0.0, 1.0]),
-                      area=100.0, landcover_class=GRASS, patch_id=0)
+ORIGIN = np.zeros(3)
+UP = np.array([0.0, 0.0, 1.0])
 
 
 def test_grazing_angle_closed_forms():
-    p = flat_patch()
-    assert grazing_angle(p, np.array([0.0, 0.0, 100.0])) == pytest.approx(math.pi / 2)
+    assert grazing_angle(ORIGIN, UP, np.array([0.0, 0.0, 100.0])) == pytest.approx(math.pi / 2)
     # 45 degrees: equal horizontal offset and height
-    assert grazing_angle(p, np.array([100.0, 0.0, 100.0])) == pytest.approx(math.pi / 4)
+    assert grazing_angle(ORIGIN, UP, np.array([100.0, 0.0, 100.0])) == pytest.approx(math.pi / 4)
     # observer below the facet plane -> negative
-    assert grazing_angle(p, np.array([100.0, 0.0, -5.0])) < 0.0
+    assert grazing_angle(ORIGIN, UP, np.array([100.0, 0.0, -5.0])) < 0.0
 
 
 def test_grazing_matches_vectorized_form():
     rng = np.random.default_rng(11)
-    patches = []
-    for k in range(40):
-        n = rng.normal(size=3)
-        n[2] = abs(n[2]) + 0.5
-        n /= np.linalg.norm(n)
-        patches.append(ScenePatch(center=rng.uniform(-50, 50, 3), normal=n,
-                                  area=1.0, landcover_class=GRASS, patch_id=k))
+    normals = rng.normal(size=(40, 3))
+    normals[:, 2] = np.abs(normals[:, 2]) + 0.5
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    patches = PatchArrays(centers=rng.uniform(-50, 50, (40, 3)), normals=normals,
+                          areas=np.ones(40), classes=np.full(40, GRASS), ids=np.arange(40))
     obs = np.array([10.0, -20.0, 500.0])
-    arrays = patch_arrays(patches)
-    vec = grazing_angles(arrays, obs)
-    scalar = np.array([grazing_angle(p, obs) for p in patches])
+    vec = grazing_angles(patches, obs)
+    scalar = np.array([grazing_angle(c, n, obs)
+                       for c, n in zip(patches.centers, patches.normals)])
     np.testing.assert_allclose(vec, scalar, atol=1e-12)
 
 
 @given(st.floats(0.0, 2.0 * math.pi))
 def test_grazing_invariant_under_rotation_about_normal(theta):
     """Spinning the scene around the patch normal leaves grazing unchanged."""
-    p = flat_patch()
     obs = np.array([300.0, 400.0, 250.0])
-    base = grazing_angle(p, obs)
+    base = grazing_angle(ORIGIN, UP, obs)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])  # about +z
-    assert grazing_angle(p, rot @ obs) == pytest.approx(base, abs=1e-12)
+    assert grazing_angle(ORIGIN, UP, rot @ obs) == pytest.approx(base, abs=1e-12)
 
 
 # --- line of sight -----------------------------------------------------------
@@ -245,7 +259,7 @@ def test_los_mask_matches_scalar_calls(ridge_dem):
     mask = los_mask(ridge_dem, obs, patches)
     assert mask.shape == (len(patches),)
     for k in (0, 17, len(patches) - 1):
-        assert mask[k] == line_of_sight(ridge_dem, obs, patches[k].center)
+        assert mask[k] == line_of_sight(ridge_dem, obs, patches.centers[k])
     assert mask.any() and not mask.all()   # the ridge must shadow something
 
 
