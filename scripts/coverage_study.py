@@ -1,7 +1,8 @@
 """Terrain coverage study for a stored or preset scenario.
 
 Builds the scene, reports the patch budget (lit vs terrain-shadowed,
-split by landcover class), and writes the north-up clutter gain map as
+split by landcover class, with the stationary discretes on their own
+line), and writes the north-up clutter gain map as
 CSV plus an 8-bit PGM quicklook.
 
 Usage:
@@ -59,11 +60,13 @@ def main(argv=None):
     lit_per_class = collections.Counter(classes[lit[:facets]].tolist())
 
     print(f"scenario {scn.name!r}: {facets} patches, "
-          f"{int(lit.sum())} lit at CPI {args.cpi}")
+          f"{int(lit[:facets].sum())} lit at CPI {args.cpi}")
     for cls in sorted(per_class):
         n, k = per_class[cls], lit_per_class[cls]
         name = CLASS_NAMES.get(cls, f"class {cls}")
         print(f"  {name:<10} {k:>6} / {n:<6} lit ({100.0 * k / n:5.1f}%)")
+    if scene.num_discretes:
+        print(f"  discretes: {int(lit[facets:].sum())} / {scene.num_discretes} lit")
 
     gmap = pipeline.gain_map(scn, cpi=args.cpi)
     out = Path(args.out)

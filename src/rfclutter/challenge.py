@@ -5,7 +5,8 @@ target impulse response (when the scenario has targets), and the
 simulated receiver cube, plus the probing waveform and the canonical
 scenario text.  `manifest.txt` lists the run parameters and the SHA-256
 of every payload file, so a consumer can verify integrity and
-provenance before training or scoring against the data.
+provenance before training or scoring against the data.  The `rng`
+line names the generator behind the per-scatterer draws.
 
 Manifest lines follow the same `key = value` shape as scenario files;
 the `file` key repeats, one line per payload:
@@ -25,6 +26,7 @@ from .errors import ConfigurationError
 from .pipeline import ScenarioRun
 from .rxsim import DataCube, read_cube, write_cube
 from .scenario import scenario_hash, scenario_text
+from .seeding import RNG_NAME
 from .waveform import Waveform, read_waveform, write_waveform
 
 MANIFEST_NAME = "manifest.txt"
@@ -74,6 +76,7 @@ def export_challenge(run: ScenarioRun, out_dir) -> Path:
         f"scenario = {scn.name}",
         f"scenario_hash = {scenario_hash(scn)}",
         f"seed = {scn.seed}",
+        f"rng = {RNG_NAME}",
         f"cpis = {dims[0]}",
         f"channels = {dims[1]}",
         f"pulses = {dims[2]}",

@@ -10,7 +10,7 @@ waveform independent.
 Taps are stored as complex64; that is the precision of the interchange
 file format, and keeping the in-memory array identical to the on-disk
 payload makes export/import lossless.  Accumulation happens in
-complex128 before the final cast.
+complex128 (one GEMM per tap) before the final cast.
 
 The binary impulse-response file format (magic RFGIR001) is
 little-endian:
@@ -39,7 +39,7 @@ from scipy.linalg import convolution_matrix
 from .antenna import ArrayGeometry, spatial_steering_many
 from .binfile import read_framed
 from .errors import ConfigurationError
-from .seeding import STREAM_CLUTTER, derive_rng
+from .seeding import STREAM_CLUTTER, normal_pair, philox_key, philox_words, uniforms
 from .terrain import PatchArrays, PlatformState
 
 logger = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s
 _MAGIC = b"RFGIR001"
 _HEADER = struct.Struct("<8sIIIddd")
 
-_ACCUM_CHUNK = 512  # patches per accumulation chunk; bounds scratch memory
+_TAP_BATCH = 4096  # responses per accumulation batch of whole taps; bounds scratch memory
 
 
 @dataclass
@@ -211,24 +211,24 @@ def patch_response(center, patch_id: int, power_scale: float, tx: PlatformState,
 
     amplitude = sqrt(G) * exp(j phi) with phi uniform per (patch,
     realization) under the model seed, or derived from the path length
-    when the model is deterministic.  Doppler jitter, when configured,
-    is drawn after the phase from the same per-patch stream.
+    when the model is deterministic.  Both draws come from the patch's
+    first Philox block (see `seeding`): word 0 is the phase, words 1 and
+    2 the Doppler jitter by Box-Muller.
 
-    This is the scalar reference for `patch_responses`.
+    This is the scalar reference for `patch_responses`; it draws
+    through numpy's own `Philox` bit generator.
     """
     if power_scale < 0:
         raise ValueError(f"power_scale must be non-negative, got {power_scale}")
     delay, doppler = bistatic_delay_doppler(center, (0.0, 0.0, 0.0), tx, rx, wavelength)
-    needs_rng = (not model.deterministic_phase) or model.doppler_std_hz > 0
-    rng = None
-    if needs_rng:
-        rng = derive_rng(model.seed, STREAM_CLUTTER, realization, patch_id)
+    words = np.random.Philox(key=philox_key(model.seed, STREAM_CLUTTER),
+                             counter=(0, patch_id, realization, 0)).random_raw(3)
     if model.deterministic_phase:
         phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / wavelength
     else:
-        phase = rng.uniform(0.0, 2.0 * np.pi)
+        phase = 2.0 * np.pi * uniforms(words[0])
     if model.doppler_std_hz > 0:
-        doppler += rng.normal(0.0, model.doppler_std_hz)
+        doppler += model.doppler_std_hz * float(normal_pair(words[1:2], words[2:3])[0][0])
     amplitude = math.sqrt(power_scale) * complex(np.exp(1j * phase))
     return delay, doppler, amplitude
 
@@ -237,8 +237,8 @@ def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
                     tx: PlatformState, rx: PlatformState, wavelength: float,
                     model: StochasticModel, realization: int = 0) -> np.recarray:
     """`patch_response` for every patch, bit for bit, as the columns of
-    `scatterer_responses`.  Each patch draws from its own stream, so a
-    single patch can always be reproduced in isolation."""
+    `scatterer_responses`.  Each patch draws from its own Philox
+    counter, so a single patch can always be reproduced in isolation."""
     power_scales = np.asarray(power_scales, dtype=np.float64).reshape(-1)
     if power_scales.shape[0] != len(patches):
         raise ConfigurationError("power_scales length must match patch count")
@@ -246,20 +246,14 @@ def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
         raise ConfigurationError("power_scales must be non-negative")
     delays, dopplers = bistatic_delays_dopplers(patches.centers, np.zeros(3), tx, rx,
                                                 wavelength)
+    words = philox_words(philox_key(model.seed, STREAM_CLUTTER), patches.ids,
+                         realization, 1)
     if model.deterministic_phase:
         phase = -2.0 * np.pi * (delays * SPEED_OF_LIGHT) / wavelength
     else:
-        phase = np.empty(len(patches))
-    jitter = np.empty(len(patches))
-    if (not model.deterministic_phase) or model.doppler_std_hz > 0:
-        for k, patch_id in enumerate(patches.ids.tolist()):
-            rng = derive_rng(model.seed, STREAM_CLUTTER, realization, patch_id)
-            if not model.deterministic_phase:
-                phase[k] = rng.uniform(0.0, 2.0 * np.pi)
-            if model.doppler_std_hz > 0:
-                jitter[k] = rng.normal(0.0, model.doppler_std_hz)
+        phase = 2.0 * np.pi * uniforms(words[:, 0])
     if model.doppler_std_hz > 0:
-        dopplers = dopplers + jitter
+        dopplers = dopplers + model.doppler_std_hz * normal_pair(words[:, 1], words[:, 2])[0]
     amplitudes = np.sqrt(power_scales) * np.exp(1j * phase)
     return scatterer_responses(delays, dopplers, amplitudes, patches.ids)
 
@@ -274,11 +268,14 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
 
     `responses` has the columns of `scatterer_responses`; `directions`
     holds the unit receive direction (array -> scatterer) per response.
-    Responses are accumulated in ascending patch_id order, ties in input
-    order, so the result is bit-reproducible; zero-amplitude (shadowed)
-    responses are skipped, which leaves the sum unchanged.  Responses
-    whose tap falls outside the receive window are dropped and counted
-    in a warning.
+    Each occupied tap is one complex128 product: with the k responses
+    that land on it in ascending patch_id order (ties in input order),
+    taps[:, :, l] = (amp * s)^T @ slow, an (N x k) @ (k x M) GEMM, cast
+    to complex64.  A tap's value so depends only on its own responses;
+    its bytes depend on the BLAS build but not on its thread count.
+    Zero-amplitude (shadowed) responses are skipped, which leaves the
+    sum unchanged.  Responses whose tap falls outside the receive window
+    are dropped and counted in a warning.
 
     `pulse_phase` / `pulse_amp`, when given, apply an extra per-response,
     per-pulse phase (rad) and amplitude factor; dynamic surfaces (sea
@@ -290,55 +287,52 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     n_elem = array.num_elements
     n_pulse = timing.num_pulses
     n_tap = timing.num_taps
-    origin = timing.delay_origin
+    if pulse_phase is not None:
+        pulse_phase = np.asarray(pulse_phase, dtype=np.float64)
+        if pulse_phase.shape != (len(responses), n_pulse):
+            raise ConfigurationError("pulse_phase must have shape (num_responses, num_pulses)")
+    if pulse_amp is not None:
+        pulse_amp = np.asarray(pulse_amp, dtype=np.float64)
+        if pulse_amp.shape != (len(responses), n_pulse):
+            raise ConfigurationError("pulse_amp must have shape (num_responses, num_pulses)")
 
-    order = np.argsort(responses.patch_id, kind="stable")
-    amps = responses.amplitude[order]
-    keep = amps != 0
-    order = order[keep]
-    amps = amps[keep]
-    delays = responses.delay[order]
-    dopplers = responses.doppler[order]
-    dirs = directions[order]
-
-    taps_idx = np.round((delays - origin) * timing.sample_rate).astype(np.int64)
+    amps = responses.amplitude
+    taps_idx = np.round((responses.delay - timing.delay_origin)
+                        * timing.sample_rate).astype(np.int64)
+    live = amps != 0
     in_window = (taps_idx >= 0) & (taps_idx < n_tap)
-    dropped = int(np.count_nonzero(~in_window))
+    dropped = int(np.count_nonzero(live & ~in_window))
     if dropped:
         logger.warning("%d patch responses fall outside the receive window and were dropped",
                        dropped)
 
-    sel = np.nonzero(in_window)[0]
-    out = np.zeros((n_tap, n_elem, n_pulse), dtype=np.complex128)
-    if sel.size:
+    sel = np.flatnonzero(live & in_window)
+    sel = sel[np.lexsort((responses.patch_id[sel], taps_idx[sel]))]
+    tap_of = taps_idx[sel]
+    # bounds[g]:bounds[g + 1] are the responses of the g-th occupied tap
+    bounds = np.append(np.flatnonzero(np.diff(tap_of, prepend=-1)), sel.size)
+    out = np.zeros((n_tap, n_elem, n_pulse), dtype=np.complex64)
+    m = np.arange(n_pulse)
+    g = 0
+    while g < bounds.size - 1:
+        # a batch of whole taps, about _TAP_BATCH responses
+        h = max(g + 1, int(np.searchsorted(bounds, bounds[g] + _TAP_BATCH, side="right")) - 1)
+        lo = bounds[g]
+        idx = sel[lo:bounds[h]]
+        coef = amps[idx, None] * spatial_steering_many(array, directions[idx])
+        slow = np.exp((2j * np.pi / timing.prf) * np.outer(responses.doppler[idx], m))
         if pulse_phase is not None:
-            pulse_phase = np.asarray(pulse_phase, dtype=np.float64)
-            if pulse_phase.shape != (len(responses), n_pulse):
-                raise ConfigurationError("pulse_phase must have shape (num_responses, num_pulses)")
-            pulse_phase = pulse_phase[order][sel]
+            slow *= np.exp(1j * pulse_phase[idx])
         if pulse_amp is not None:
-            pulse_amp = np.asarray(pulse_amp, dtype=np.float64)
-            if pulse_amp.shape != (len(responses), n_pulse):
-                raise ConfigurationError("pulse_amp must have shape (num_responses, num_pulses)")
-            pulse_amp = pulse_amp[order][sel]
+            slow *= pulse_amp[idx]
+        for a, b, tap in zip((bounds[g:h] - lo).tolist(), (bounds[g + 1:h + 1] - lo).tolist(),
+                             tap_of[bounds[g:h]].tolist()):
+            out[tap] = coef[a:b].T @ slow[a:b]
+        g = h
 
-        steer = spatial_steering_many(array, dirs[sel])
-        m = np.arange(n_pulse)
-        for start in range(0, sel.size, _ACCUM_CHUNK):
-            stop = min(start + _ACCUM_CHUNK, sel.size)
-            blk = slice(start, stop)
-            idx = sel[blk]
-            slow = np.exp((2j * np.pi / timing.prf) * np.outer(dopplers[idx], m))
-            if pulse_phase is not None:
-                slow = slow * np.exp(1j * pulse_phase[blk])
-            if pulse_amp is not None:
-                slow = slow * pulse_amp[blk]
-            contrib = (amps[idx, None, None] * steer[blk][:, :, None] * slow[:, None, :])
-            np.add.at(out, taps_idx[idx], contrib)
-
-    taps = np.ascontiguousarray(out.transpose(1, 2, 0)).astype(np.complex64)
-    return ChannelImpulseResponse(taps=taps, sample_rate=timing.sample_rate,
-                                  prf=timing.prf, delay_origin=origin, kind=kind)
+    return ChannelImpulseResponse(taps=np.ascontiguousarray(out.transpose(1, 2, 0)),
+                                  sample_rate=timing.sample_rate, prf=timing.prf,
+                                  delay_origin=timing.delay_origin, kind=kind)
 
 
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:

@@ -19,10 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import STREAM_OCEAN, derive_rng
+from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words
 
 DEFAULT_VELOCITY_PER_WIND = 0.1      # stationary velocity sigma per m/s of wind
 DEFAULT_LOG_AMP_PER_WIND = 0.02      # lognormal sigma per m/s of wind
+
+_CHUNK_BLOCKS = 1 << 16              # Philox blocks per draw chunk; bounds scratch memory
 
 
 @dataclass
@@ -60,22 +62,27 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     """Per-patch radial velocities and amplitude factors over a CPI.
 
     Returns (velocities, amplitudes), each (num_patches, num_pulses).
-    Each patch draws from its own stream keyed by patch_id, with the
-    velocity innovation and amplitude draw interleaved per pulse, so a
-    series of any length is a prefix of a longer one.
+    Each patch draws from its own Philox counters keyed by patch_id
+    (see `seeding`): pulse m takes words 2m and 2m + 1 of the patch's
+    stream, whose Box-Muller pair is the velocity innovation and the
+    amplitude draw, so a series of any length is a prefix of a longer
+    one.
     """
     if num_pulses < 1:
         raise ConfigurationError(f"num_pulses must be >= 1, got {num_pulses}")
     if prf <= 0:
         raise ConfigurationError(f"prf must be positive, got {prf}")
     n = len(state.ids)
+    key = philox_key(seed, STREAM_OCEAN)
+    blocks = -(-2 * num_pulses // 4)
     xi = np.empty((n, num_pulses))
     za = np.empty((n, num_pulses))
-    for i, patch_id in enumerate(state.ids.tolist()):
-        rng = derive_rng(seed, STREAM_OCEAN, patch_id)
-        buf = rng.standard_normal(2 * num_pulses)
-        xi[i] = buf[0::2]
-        za[i] = buf[1::2]
+    step = max(1, _CHUNK_BLOCKS // blocks)
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        words = philox_words(key, state.ids[rows], 0, blocks)
+        xi[rows], za[rows] = normal_pair(words[:, 0:2 * num_pulses:2],
+                                         words[:, 1:2 * num_pulses:2])
 
     sigma_v = state.velocity_std
     rho = float(np.exp(-1.0 / (state.correlation_time * prf)))

@@ -552,8 +552,8 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
 
 @dataclass
 class GainMap:
-    """Terrain-patch gains on their (north rows, east cols) grid; row 0
-    is the northernmost patch row, matching image conventions."""
+    """Scatterer gains on the terrain patch grid (north rows, east cols);
+    row 0 is the northernmost patch row, matching image conventions."""
 
     gains_db: np.ndarray
     visible: np.ndarray
@@ -563,7 +563,13 @@ class GainMap:
 
 
 def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
-    """Per-patch budget at one CPI arranged as a north-up raster."""
+    """Per-patch budget at one CPI arranged as a north-up raster.
+
+    Each cell's gain is the linear-power sum of its terrain patch and of
+    the roofs and discretes inside it; a scatterer off the patch grid
+    has no cell and is left out.  `visible` and `grazing` describe the
+    terrain patches.
+    """
     _check_indices(scn, cpi)
     scene = build_scene(scn)
     if scene is None:
@@ -573,13 +579,18 @@ def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     budget = patch_budget(scn, scene, tx, rx, array)
 
     n = scene.num_terrain_patches
+    n_y, n_x = scene.grid_shape
     # the budget marches only the candidates; the map shows every patch
     visible = budget.visible[:n].copy()
     rest = np.flatnonzero(~budget.los_tested[:n])
     visible[rest] = _visibility(scene.dem, tx.position, rx.position,
                                 scene.patches.centers[rest])
-    n_y, n_x = scene.grid_shape
-    g = budget.gains[:n].reshape(n_y, n_x)[::-1]           # south-up -> north-up
+    gains = budget.gains[:n].copy()
+    xy = scene.patches.centers[n:, :2] / scn.patch_size_m
+    on_grid = np.all(xy >= 0.0, axis=1) & (xy[:, 0] < n_x) & (xy[:, 1] < n_y)
+    cells = np.floor(xy[on_grid]).astype(np.int64)
+    np.add.at(gains, cells[:, 1] * n_x + cells[:, 0], budget.gains[n:][on_grid])
+    g = gains.reshape(n_y, n_x)[::-1]                       # south-up -> north-up
     vis = visible.reshape(n_y, n_x)[::-1]
     graz = budget.grazing[:n].reshape(n_y, n_x)[::-1]
     with np.errstate(divide="ignore"):

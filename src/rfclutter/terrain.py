@@ -115,9 +115,6 @@ class ElevationGrid:
                 + wr * (1.0 - wc) * h[r1, c0]
                 + wr * wc * h[r1, c1])
 
-    def height_at(self, x: float, y: float) -> float:
-        return float(self.heights_at(np.float64(x), np.float64(y)))
-
 
 @dataclass
 class ClassGrid:

@@ -1,5 +1,6 @@
 """Channel synthesis: bistatic geometry, patch responses, tap accumulation."""
 
+import dataclasses
 import logging
 import math
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import convolution_matrix
 
 from rfclutter import pipeline
-from rfclutter.antenna import ArrayGeometry
+from rfclutter.antenna import ArrayGeometry, spatial_steering_many
 from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
                                RadarTiming, StochasticModel,
                                bistatic_delay_doppler, bistatic_delays_dopplers,
@@ -343,6 +344,72 @@ def test_ir_bit_reproducible_across_runs():
 
     a, b = run(), run()
     np.testing.assert_array_equal(a.taps, b.taps)
+
+
+# --- tap accumulation against the scatter-add reference -----------------------
+
+def add_at_taps(responses, directions, array, timing, pulse_phase=None, pulse_amp=None):
+    """The scatter-add accumulation `synthesize_ir` replaced, as its
+    reference: each live in-window response's (N, M) contribution is
+    added into its tap with np.add.at, in ascending patch_id order, in
+    complex128, then cast to complex64."""
+    order = np.argsort(responses.patch_id, kind="stable")
+    idx = order[responses.amplitude[order] != 0]
+    tap = np.round((responses.delay[idx] - timing.delay_origin)
+                   * timing.sample_rate).astype(np.int64)
+    inside = (tap >= 0) & (tap < timing.num_taps)
+    idx, tap = idx[inside], tap[inside]
+    out = np.zeros((timing.num_taps, array.num_elements, timing.num_pulses), complex)
+    m = np.arange(timing.num_pulses)
+    for blk in np.array_split(np.arange(idx.size), max(1, idx.size // 512)):
+        i = idx[blk]
+        slow = np.exp((2j * np.pi / timing.prf) * np.outer(responses.doppler[i], m))
+        if pulse_phase is not None:
+            slow = slow * np.exp(1j * pulse_phase[i])
+        if pulse_amp is not None:
+            slow = slow * pulse_amp[i]
+        steer = spatial_steering_many(array, directions[i])
+        np.add.at(out, tap[blk], (responses.amplitude[i, None, None] * steer[:, :, None]
+                                  * slow[:, None, :]))
+    return out.transpose(1, 2, 0).astype(np.complex64)
+
+
+def ulp_distance(a, b):
+    """Word-by-word distance of two complex64 arrays in float32 units in
+    the last place (+0 and -0 are one value)."""
+    def ordered(x):
+        i = np.ascontiguousarray(x).view(np.float32).view(np.int32).astype(np.int64)
+        return np.where(i < 0, -(i & 0x7FFFFFFF), i)
+    return np.abs(ordered(a) - ordered(b))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_scenario1(scale=DESK_SCALE, seed=1),
+    lambda: dataclasses.replace(generate_scenario2(scale=0.25, seed=1), wind_speed_mps=12.0,
+                                clutter_doppler_std_hz=2.0)],
+    ids=["scenario1-desk", "scenario2-quarter-wind"])
+def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
+    """The per-tap GEMM against the np.add.at reference on the clutter
+    of a preset CPI.  Both sum in float64 and differ only in order, so
+    after the cast to complex64 every word is within 1 ulp."""
+    scn = make()
+    calls = []
+
+    def capture(*args, **kw):
+        calls.append((args, kw))
+        return synthesize_ir(*args, **kw)
+
+    monkeypatch.setattr(pipeline, "synthesize_ir", capture)
+    ir = pipeline.synthesize_clutter(scn, pipeline.build_scene(scn), 1)
+    ((resp, directions, array, timing), kw), = calls
+    if scn.wind_speed_mps > 0:
+        assert kw["pulse_phase"] is not None and kw["pulse_amp"] is not None
+    want = add_at_taps(resp, directions, array, timing, kw["pulse_phase"], kw["pulse_amp"])
+    live = resp.amplitude != 0
+    tap = np.round((resp.delay[live] - timing.delay_origin) * timing.sample_rate)
+    assert np.unique(tap, return_counts=True)[1].max() > 1   # real sums, not copies
+    assert np.count_nonzero(want) > 0
+    assert ulp_distance(ir.taps, want).max() <= 1
 
 
 # --- moments ----------------------------------------------------------------------

@@ -1,8 +1,14 @@
 """Command line wiring, exercised through main() with a small scenario file."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rfclutter
 from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
@@ -172,3 +178,21 @@ def test_last_valid_indices_run(scenario_file, tmp_path):
                  "--out", str(out)]) == 0
     assert main(["clutter-map", "--cpi", "1", "--scenario", str(scenario_file),
                  "--out", str(out)]) == 0
+
+
+def test_blas_thread_count_does_not_change_the_dataset(tmp_path):
+    """The per-tap GEMM sums each tap in one order whatever the OpenBLAS
+    thread count: the desk scenario1 manifest, which hashes every file,
+    is byte-identical under one and two BLAS threads."""
+    src = str(Path(rfclutter.__file__).resolve().parents[1])
+    manifests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"blas{threads}"
+        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", "--preset",
+                        "scenario1", "--out", str(out)], env=env, check=True,
+                       capture_output=True)
+        manifests.append((out / "manifest.txt").read_bytes())
+    assert manifests[0] == manifests[1]
+    assert b"\nrng = philox4x64-10\n" in manifests[0]

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rfclutter.errors import ConfigurationError
 from rfclutter.ocean import (OceanState, pulse_modulation, surface_series,
                              wind_doppler_spread)
+from rfclutter.seeding import STREAM_OCEAN, normal_pair, philox_key
 
 WAVELENGTH = 0.03
 
@@ -31,6 +32,37 @@ def test_series_prefix_consistency():
     v16, a16 = surface_series(state, 16, 2000.0, seed=5)
     np.testing.assert_array_equal(v8, v16[:, :8])
     np.testing.assert_array_equal(a8, a16[:, :8])
+
+
+def scalar_surface_series(state, num_pulses, prf, seed):
+    """`surface_series` one patch at a time from numpy's own Philox bit
+    generator: pulse m takes words 2m and 2m + 1 of the patch's stream."""
+    key = philox_key(seed, STREAM_OCEAN)
+    rho = float(np.exp(-1.0 / (state.correlation_time * prf)))
+    drive = state.velocity_std * np.sqrt(1.0 - rho * rho)
+    vel, amp = [], []
+    for patch_id in state.ids.tolist():
+        words = np.random.Philox(key=key, counter=(0, patch_id, 0, 0)).random_raw(2 * num_pulses)
+        xi, za = normal_pair(words[0::2], words[1::2])
+        v = [state.velocity_std * xi[0]]
+        for m in range(1, num_pulses):
+            v.append(rho * v[-1] + drive * xi[m])
+        vel.append(v)
+        amp.append(np.exp(state.log_amp_std * za))
+    return np.array(vel), np.array(amp)
+
+
+@pytest.mark.parametrize("num_pulses, num_patches", [(5, 40), (64, 2500)])
+def test_surface_series_matches_scalar_draws_on_every_patch(num_pulses, num_patches):
+    """The vector draw against the per-patch reference; 2500 patches of
+    64 pulses span two draw chunks, and an odd pulse count leaves part
+    of the last Philox block unused.  The bound is exact equality."""
+    ids = np.append(np.arange(num_patches - 1) * 7 + 3, 2 ** 40)
+    state = OceanState(ids=ids, wind_speed=12.0)
+    vel, amp = surface_series(state, num_pulses, 2000.0, seed=11)
+    want_vel, want_amp = scalar_surface_series(state, num_pulses, 2000.0, seed=11)
+    assert vel.tobytes() == want_vel.tobytes()
+    assert amp.tobytes() == want_amp.tobytes()
 
 
 def test_velocity_std_scales_with_wind():

@@ -6,6 +6,7 @@ import dataclasses
 import io
 import logging
 import math
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -81,9 +82,9 @@ def test_build_scene_appends_discretes_and_buildings():
     # roofs sit at ground + height and the DEM is raised under them
     for roof in scene.patches.centers[400:402]:
         assert roof[2] == pytest.approx(9.0)
-    assert scene.dem.height_at(615.0, 555.0) == pytest.approx(9.0)
+    assert float(scene.dem.heights_at(615.0, 555.0)) == pytest.approx(9.0)
     # the original scenario raster is untouched
-    assert scn.dem.height_at(615.0, 555.0) == 0.0
+    assert float(scn.dem.heights_at(615.0, 555.0)) == 0.0
 
 
 def test_build_scene_target_only_and_guards():
@@ -442,6 +443,50 @@ def test_gain_map_keeps_full_visibility(tmp_path):
     bistatic = bistatic_walled_scenario()
     np.testing.assert_array_equal(pipeline.gain_map(bistatic).visible,
                                   oracle_visibility(bistatic))
+
+
+@pytest.mark.parametrize("make", [generate_scenario1, generate_scenario2])
+def test_gain_map_sums_every_scatterer_into_its_cell(make):
+    """Roofs and discretes add their linear gain to the terrain cell
+    that holds them, so the map carries the whole budget."""
+    scn = make(scale=DESK_SCALE, seed=1)
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 0)
+    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn))
+    gm = pipeline.gain_map(scn)
+    linear = np.where(gm.gains_db > gm.floor_db, 10.0 ** (gm.gains_db / 10.0), 0.0)
+    assert np.count_nonzero(budget.gains[scene.num_terrain_patches:]) > 0
+    assert linear.sum() == pytest.approx(budget.gains.sum(), rel=1e-12)
+
+
+def test_gain_map_shows_the_buildings():
+    flat = pipeline.gain_map(generate_scenario1(scale=DESK_SCALE, seed=1))
+    built = pipeline.gain_map(generate_scenario2(scale=DESK_SCALE, seed=1))
+    assert np.any(built.gains_db > flat.gains_db)
+
+
+def test_clutter_draws_build_no_per_scatterer_generator(monkeypatch):
+    """With wind and Doppler jitter on, every per-scatterer draw comes
+    from the vector Philox: no rfclutter module may build a
+    `derive_rng` generator for clutter synthesis.  Receiver noise still
+    builds its per-CPI generators, which shows the patch is in effect."""
+    import rfclutter.seeding
+
+    def forbidden(*keys):
+        raise AssertionError(f"derive_rng{keys}")
+
+    patched = [m for name, m in sys.modules.items()
+               if name.startswith("rfclutter") and hasattr(m, "derive_rng")]
+    assert rfclutter.seeding in patched
+    for module in patched:
+        monkeypatch.setattr(module, "derive_rng", forbidden)
+    scn = dataclasses.replace(generate_scenario2(scale=DESK_SCALE, seed=1),
+                              wind_speed_mps=12.0, clutter_doppler_std_hz=2.0)
+    scene = pipeline.build_scene(scn)
+    ir = pipeline.synthesize_clutter(scn, scene, 0)
+    assert np.count_nonzero(ir.taps) > 0
+    with pytest.raises(AssertionError, match="derive_rng"):
+        pipeline.simulate_cpi(scn, scene, 0, pipeline.default_waveform(scn))
 
 
 def test_off_raster_transmitter_simulates():

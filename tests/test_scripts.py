@@ -45,3 +45,19 @@ def test_script_runs(name, tmp_path, capsys):
     assert text in capsys.readouterr().out
     for rel in outputs:
         assert (tmp_path / rel).stat().st_size > 0
+
+
+@pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
+def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path, capsys):
+    """The header counts the facets that the class rows list; the
+    presets' two discretes get a line of their own."""
+    argv = ["--preset", preset, "--scale", "0.125", "--out", str(tmp_path)]
+    assert load_script("coverage_study").main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    words = header.split()
+    patches, lit = int(words[words.index("patches,") - 1]), int(words[words.index("lit") - 1])
+    table = [r.split() for r in rows if r.split()[2:5:2] == ["/", "lit"]]
+    classes = [r for r in table if r[0] != "discretes:"]
+    assert sum(int(c[1]) for c in classes) == lit
+    assert sum(int(c[3]) for c in classes) == patches
+    assert [r[1:4] for r in table if r[0] == "discretes:"] == [["2", "/", "2"]]

@@ -47,8 +47,8 @@ def test_bilinear_sampling_reproduces_plane():
 
 def test_heights_clamp_outside_extent():
     dem = planar_dem(gx=0.1)
-    inside = dem.height_at(155.0, 80.0)   # last node center column
-    assert dem.height_at(1e6, 80.0) == pytest.approx(inside)
+    inside = float(dem.heights_at(155.0, 80.0))   # last node center column
+    assert float(dem.heights_at(1e6, 80.0)) == pytest.approx(inside)
 
 
 def test_dem_rejects_bad_inputs():
