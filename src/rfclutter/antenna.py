@@ -134,6 +134,11 @@ def space_time_steering(spatial: SteeringVector, temporal: SteeringVector) -> St
     return SteeringVector(entries=np.kron(temporal.entries, spatial.entries), kind="space_time")
 
 
+# Directions per chunk of pattern_gains; fixes its working memory (a
+# chunk's complex steering matrix is PATTERN_CHUNK x elements x 16 bytes).
+PATTERN_CHUNK = 1 << 16
+
+
 def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
     """Power gain |w^H s(d)|^2 * cos^p(angle off boresight).
 
@@ -154,14 +159,21 @@ def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
 
 def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
                   directions: np.ndarray) -> np.ndarray:
-    """Vectorized pattern_gain over rows of `directions`."""
+    """Vectorized pattern_gain over rows of `directions`.
+
+    The steering matrix is built PATTERN_CHUNK rows at a time, so the
+    working memory does not grow with the number of directions.
+    """
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
     if weights.shape[0] != array.num_elements:
         raise ConfigurationError(
             f"weights length {weights.shape[0]} != element count {array.num_elements}")
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    response = spatial_steering_many(array, directions)
-    af = np.abs(response @ weights.conj()) ** 2
+    conj = weights.conj()
+    af = np.empty(len(directions))
+    for start in range(0, len(directions), PATTERN_CHUNK):
+        rows = directions[start:start + PATTERN_CHUNK]
+        af[start:start + len(rows)] = np.abs(spatial_steering_many(array, rows) @ conj) ** 2
     cos_off = directions @ array.boresight
     ef = np.where(cos_off > 0.0, np.maximum(cos_off, 0.0) ** array.cosine_exponent, 0.0)
     return af * ef

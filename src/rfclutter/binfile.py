@@ -7,6 +7,7 @@ payload whose size the header declares, then nothing.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import struct
@@ -15,7 +16,7 @@ from .errors import ConfigurationError
 
 
 def read_framed(path, header: struct.Struct, magic: bytes, what: str,
-                shape, itemsize: int) -> tuple[tuple, bytes]:
+                shape, itemsize: int, sha256: str | None = None) -> tuple[tuple, bytes]:
     """Read and check one header-then-payload file.
 
     `shape(*fields)` gives the payload dimensions from the header fields
@@ -23,7 +24,9 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str,
     element.  The declared size is compared with the file size before
     any payload byte is read, so a header that lies about its
     dimensions raises ConfigurationError instead of allocating.
-    Returns (fields, payload bytes).
+    With `sha256` (hex) given, the header and payload bytes read must
+    hash to it, so the bytes returned are the bytes verified and the
+    file is read once.  Returns (fields, payload bytes).
     """
     with open(path, "rb") as f:
         head = f.read(header.size)
@@ -44,4 +47,11 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str,
         payload = f.read(nbytes)
     if len(payload) < nbytes:
         raise ConfigurationError(f"{path}: truncated {what} payload")
+    if sha256 is not None:
+        digest = hashlib.sha256(head)
+        digest.update(payload)
+        actual = digest.hexdigest()
+        if actual != sha256:
+            raise ConfigurationError(
+                f"{path}: checksum mismatch: expected {sha256[:12]}..., file {actual[:12]}...")
     return tuple(fields), payload

@@ -140,7 +140,8 @@ def read_challenge(path) -> ChallengeData:
     """Load and verify a challenge directory (or its manifest path).
 
     Every listed file must exist and match its recorded SHA-256;
-    anything else raises ConfigurationError.
+    anything else raises ConfigurationError.  Each file is read once:
+    the payload files are hashed over the bytes that are parsed.
     """
     p = Path(path)
     root = p.parent if p.is_file() else p
@@ -156,16 +157,18 @@ def read_challenge(path) -> ChallengeData:
         if req not in fields:
             raise ConfigurationError(f"manifest missing required key {req}")
 
-    for name, sha in files.items():
-        fp = root / name
+    for name in files:
         if os.path.basename(name) != name:
             raise ConfigurationError(f"manifest file name escapes the directory: {name!r}")
-        if not fp.exists():
+        if not (root / name).exists():
             raise ConfigurationError(f"dataset file missing: {name}")
-        actual = _sha256_file(fp)
-        if actual != sha:
-            raise ConfigurationError(
-                f"checksum mismatch for {name}: manifest {sha[:12]}..., file {actual[:12]}...")
+
+    verified: set[str] = set()
+
+    def parse(name, reader, **kwargs):
+        """Read one listed payload file; the read hashes the bytes it parses."""
+        verified.add(name)
+        return reader(root / name, sha256=files[name], **kwargs)
 
     num_cpis = int(fields["cpis"])
     cubes = []
@@ -175,12 +178,12 @@ def read_challenge(path) -> ChallengeData:
         cube_name = f"cube_cpi{cpi:03d}.rfcube"
         if cube_name not in files:
             raise ConfigurationError(f"manifest lists no {cube_name}")
-        cubes.append(read_cube(root / cube_name))
+        cubes.append(parse(cube_name, read_cube))
         clutter_name = f"clutter_cpi{cpi:03d}.rfgir"
-        clutter_irs.append(read_ir(root / clutter_name, kind="clutter")
+        clutter_irs.append(parse(clutter_name, read_ir, kind="clutter")
                            if clutter_name in files else None)
         target_name = f"target_cpi{cpi:03d}.rfgir"
-        target_irs.append(read_ir(root / target_name, kind="target")
+        target_irs.append(parse(target_name, read_ir, kind="target")
                           if target_name in files else None)
         if clutter_irs[-1] is None and target_irs[-1] is None:
             raise ConfigurationError(
@@ -188,7 +191,14 @@ def read_challenge(path) -> ChallengeData:
 
     if "waveform.rfwav" not in files:
         raise ConfigurationError("manifest lists no waveform.rfwav")
-    wf = read_waveform(root / "waveform.rfwav")
+    wf = parse("waveform.rfwav", read_waveform)
+
+    for name in files.keys() - verified:
+        actual = _sha256_file(root / name)
+        if actual != files[name]:
+            raise ConfigurationError(
+                f"checksum mismatch for {name}: manifest {files[name][:12]}..., "
+                f"file {actual[:12]}...")
 
     want = (int(fields["channels"]), int(fields["pulses"]), int(fields["range_samples"]))
     for cpi, cube in enumerate(cubes):

@@ -365,9 +365,12 @@ def write_ir(path, ir: ChannelImpulseResponse) -> None:
         f.write(taps.tobytes())
 
 
-def read_ir(path, kind: str = "clutter") -> ChannelImpulseResponse:
+def read_ir(path, kind: str = "clutter", sha256: str | None = None) -> ChannelImpulseResponse:
+    """Read an impulse-response file; `sha256`, when given, is the hex
+    digest the whole file must have."""
     (n, m, l, fs, origin, prf), payload = read_framed(
-        path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l), 8)
+        path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l), 8,
+        sha256=sha256)
     taps = np.frombuffer(payload, dtype="<c8").reshape(n, m, l)
     return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf,
                                   delay_origin=origin, kind=kind)

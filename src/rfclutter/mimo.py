@@ -16,7 +16,7 @@ import numpy as np
 
 from .channel import ChannelImpulseResponse
 from .errors import ConfigurationError
-from .rxsim import DataCube, noise_samples, noiseless_samples
+from .rxsim import DataCube, _assemble_cube
 from .waveform import Waveform
 
 
@@ -45,19 +45,11 @@ def simulate_mimo_cube(pair_irs: Sequence[Sequence[ChannelImpulseResponse]],
     cubes = []
     for r in range(num_rx):
         ref = pair_irs[0][r]
-        signal = noiseless_samples(ref, waveforms[0])
-        for t in range(1, num_tx):
-            ir = pair_irs[t][r]
-            if (ir.num_channels, ir.num_pulses, ir.num_taps) != (
-                    ref.num_channels, ref.num_pulses, ref.num_taps):
-                raise ConfigurationError(
-                    f"pair ({t}, {r}) channel dimensions differ from pair (0, {r})")
-            signal = signal + noiseless_samples(ir, waveforms[t])
-        noise = noise_samples(cpi_index, ref.num_channels, ref.num_pulses,
-                              signal.shape[2], noise_power, seed, rx_index=r)
-        cubes.append(DataCube(samples=signal[None] + noise, sample_rate=ref.sample_rate,
-                              prf=ref.prf, noise_power=noise_power,
-                              carrier_hz=carrier_hz, delay_origin=ref.delay_origin))
+        samples = _assemble_cube([([pair_irs[t][r]], waveforms[t]) for t in range(num_tx)],
+                                 noise_power, seed, cpi_index, rx_index=r)
+        cubes.append(DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
+                              noise_power=noise_power, carrier_hz=carrier_hz,
+                              delay_origin=ref.delay_origin))
     return cubes
 
 

@@ -5,6 +5,11 @@ return is the linear convolution of that pulse's channel taps with the
 transmitted waveform, so a cube built from exported channel files and
 any waveform is exactly what a fresh simulation would produce.
 
+A cube is assembled one receive channel at a time: convolution,
+superposition and noise for channel n all happen in one reused
+(M, nfft) buffer before channel n + 1 starts.  Peak memory is one cube
+plus one channel's scratch, whatever the channel count.
+
 The binary cube file format (magic RFCUBE01) is little-endian:
 
     offset  type    field
@@ -98,25 +103,14 @@ def convolve_pulse(taps: np.ndarray, waveform_samples: np.ndarray) -> np.ndarray
     return out[:n_out]
 
 
-def _as_pulse_waveforms(waveforms, num_pulses: int) -> list[Waveform]:
-    if isinstance(waveforms, Waveform):
-        return [waveforms] * num_pulses
-    waveforms = list(waveforms)
-    if len(waveforms) == 1:
-        return waveforms * num_pulses
-    if len(waveforms) != num_pulses:
+def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
+    """The pulse waveforms for `ir` as a (1, P) array shared by every
+    pulse or an (M, P) array with one row per pulse.  They must share
+    one length and the channel's sample rate."""
+    wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
+    if not wfs or len(wfs) not in (1, ir.num_pulses):
         raise ConfigurationError(
-            f"need 1 or {num_pulses} waveforms, got {len(waveforms)}")
-    return waveforms
-
-
-def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
-    """Convolve every (channel, pulse) tap line with its pulse waveform.
-
-    Returns (N, M, L + P - 1) complex128.  All pulse waveforms must
-    share one length and sample rate (matching the channel's).
-    """
-    wfs = _as_pulse_waveforms(waveforms, ir.num_pulses)
+            f"need 1 or {ir.num_pulses} waveforms, got {len(wfs)}")
     p = wfs[0].num_samples
     for w in wfs:
         if w.num_samples != p:
@@ -124,81 +118,102 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
         if abs(w.sample_rate - ir.sample_rate) > 1e-6 * ir.sample_rate:
             raise ConfigurationError(
                 f"waveform sample rate {w.sample_rate} != channel rate {ir.sample_rate}")
-    n_out = ir.num_taps + p - 1
-    nfft = next_fast_len(n_out)
-    taps_f = np.fft.fft(ir.taps.astype(np.complex128), nfft, axis=2)
-    wf_f = np.fft.fft(np.stack([w.samples for w in wfs]), nfft, axis=1)
-    out = np.fft.ifft(taps_f * wf_f[None, :, :], axis=2)
-    return np.ascontiguousarray(out[:, :, :n_out])
+    return np.stack([w.samples for w in wfs])
 
 
-def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
-                  num_range_samples: int, noise_power: float, seed: int,
-                  rx_index: int = 0) -> np.ndarray:
-    """Circular complex Gaussian noise for one CPI, shape (1, N, M, R),
-    variance `noise_power` per sample.
+def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
+                   noise_power: float, seed: int, cpi_index: int,
+                   rx_index: int = 0) -> np.ndarray:
+    """One receiver's CPI samples, (1, N, M, L + P - 1) complex128.
 
-    Each (channel, pulse) line is drawn from its own stream keyed by the
-    receiver and the absolute CPI index, so the result does not depend
-    on evaluation order, worker count, or which CPIs are simulated.
-    Zero noise power skips the draws entirely.
+    `groups` pairs channels with the waveforms (one Waveform or a
+    per-pulse sequence) they carry; the cube is the sum of every
+    channel convolved with its pulses, in the order given, plus
+    circular Gaussian noise of variance `noise_power` per sample.  Each
+    (channel, pulse) noise line draws from its own stream keyed by
+    (seed, rx_index, cpi_index, channel, pulse), so the noise does not
+    depend on evaluation order, worker count, or which CPIs are
+    simulated.
+
+    The cube is built one receive channel at a time in one reused
+    (M, nfft) buffer, so the working set is the cube plus one channel's
+    scratch.  Every tap line goes through the same 1-D FFTs, and the
+    channels and the noise are added in the same order, as in a
+    whole-cube evaluation, so the bytes do not depend on the blocking.
     """
-    if noise_power < 0:
-        raise ConfigurationError("noise_power must be non-negative")
-    out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
-    if noise_power == 0.0:
-        return out
+    if not (np.isfinite(noise_power) and noise_power >= 0):
+        raise ConfigurationError(
+            f"noise_power must be non-negative and finite, got {noise_power}")
+    ref = groups[0][0][0]
+    n_ch, n_pulses, n_taps = ref.taps.shape
+    rows = []
+    for irs, waveforms in groups:
+        for ir in irs:
+            if ir.taps.shape != ref.taps.shape:
+                raise ConfigurationError(
+                    f"channel dimensions {ir.taps.shape} differ from {ref.taps.shape}")
+            if abs(ir.sample_rate - ref.sample_rate) > 1e-6 * ref.sample_rate:
+                raise ConfigurationError(
+                    f"channel sample rates {ir.sample_rate} and {ref.sample_rate} differ")
+        rows.append(_waveform_rows(waveforms, ref))
+    p = rows[0].shape[1]
+    if any(r.shape[1] != p for r in rows):
+        raise ConfigurationError("the waveforms of one cube must share one length")
+    n_out = n_taps + p - 1
+    nfft = next_fast_len(n_out)
+    spectra = [np.fft.fft(r, nfft, axis=1) for r in rows]
+    terms = [(ir, spectrum) for (irs, _), spectrum in zip(groups, spectra) for ir in irs]
+
+    cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
+    buf = np.empty((n_pulses, nfft), dtype=np.complex128)
     scale = np.sqrt(noise_power / 2.0)
-    for n in range(num_channels):
-        for m in range(num_pulses):
+    for n in range(n_ch):
+        lines = cube[0, n]
+        for k, (ir, spectrum) in enumerate(terms):
+            buf[:, :n_taps] = ir.taps[n]
+            buf[:, n_taps:] = 0.0
+            np.fft.fft(buf, axis=1, out=buf)
+            buf *= spectrum
+            np.fft.ifft(buf, axis=1, out=buf)
+            if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
+                lines[...] = buf[:, :n_out]
+            else:
+                lines += buf[:, :n_out]
+        if noise_power == 0.0:
+            # adding zero noise still turns -0.0 into +0.0
+            lines += 0.0
+            continue
+        for m in range(n_pulses):
             rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
-            re = rng.standard_normal(num_range_samples)
-            im = rng.standard_normal(num_range_samples)
-            out[0, n, m] = scale * (re + 1j * im)
-    return out
+            re = rng.standard_normal(n_out)
+            im = rng.standard_normal(n_out)
+            lines[m] += scale * (re + 1j * im)
+    return cube
 
 
 def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
                   target_ir: ChannelImpulseResponse | None,
                   waveforms, noise_power: float, seed: int,
-                  carrier_hz: float = 0.0, cpi_index: int = 0,
-                  num_range_samples: int | None = None) -> DataCube:
+                  carrier_hz: float = 0.0, cpi_index: int = 0) -> DataCube:
     """One-CPI receiver cube: clutter return + target return + noise.
 
     The two channels are convolved separately and summed, so the cube of
     the combined scene equals the sum of the single-channel cubes
-    exactly.  `num_range_samples`, when given, truncates the natural
-    convolution length L + P - 1 (the tail beyond the receive window is
-    discarded); it may not extend it.
+    exactly.  The range window is the full convolution length L + P - 1.
+    `waveforms` is one Waveform or one per pulse, all of one length;
+    both channels and the waveforms must share one sample rate.
     """
     irs = [ir for ir in (clutter_ir, target_ir) if ir is not None]
     if not irs:
         raise ConfigurationError("need at least one of clutter_ir / target_ir")
     ref = irs[0]
     for ir in irs[1:]:
-        if (ir.num_channels, ir.num_pulses, ir.num_taps) != (ref.num_channels, ref.num_pulses, ref.num_taps):
-            raise ConfigurationError("clutter and target channel dimensions differ")
-        if abs(ir.sample_rate - ref.sample_rate) > 1e-6 * ref.sample_rate:
-            raise ConfigurationError("clutter and target sample rates differ")
         if abs(ir.prf - ref.prf) > 1e-6 * ref.prf:
             raise ConfigurationError("clutter and target PRFs differ")
         if abs(ir.delay_origin - ref.delay_origin) > 1e-15:
             raise ConfigurationError("clutter and target delay origins differ")
 
-    signal = noiseless_samples(irs[0], waveforms)
-    for ir in irs[1:]:
-        signal = signal + noiseless_samples(ir, waveforms)
-    natural = signal.shape[2]
-    if num_range_samples is None:
-        num_range_samples = natural
-    elif num_range_samples > natural:
-        raise ConfigurationError(
-            f"num_range_samples {num_range_samples} exceeds the convolution length {natural}")
-    signal = signal[:, :, :num_range_samples]
-
-    noise = noise_samples(cpi_index, ref.num_channels, ref.num_pulses,
-                          num_range_samples, noise_power, seed)
-    samples = signal[None, :, :, :] + noise
+    samples = _assemble_cube([(irs, waveforms)], noise_power, seed, cpi_index)
     return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz,
                     delay_origin=ref.delay_origin)
@@ -231,9 +246,12 @@ def write_cube(path, cube: DataCube) -> None:
         f.write(payload.tobytes())
 
 
-def read_cube(path) -> DataCube:
+def read_cube(path, sha256: str | None = None) -> DataCube:
+    """Read a cube file; `sha256`, when given, is the hex digest the
+    whole file must have."""
     (c, n, m, r, fs, prf, sigma2, carrier), payload = read_framed(
-        path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r), 8)
+        path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r), 8,
+        sha256=sha256)
     samples = np.frombuffer(payload, dtype="<c8").reshape(c, n, m, r)
     return DataCube(samples=samples, sample_rate=fs, prf=prf, noise_power=sigma2,
                     carrier_hz=carrier)

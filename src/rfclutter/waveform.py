@@ -105,9 +105,11 @@ def write_waveform(path, wf: Waveform) -> None:
         f.write(iq.tobytes())
 
 
-def read_waveform(path) -> Waveform:
+def read_waveform(path, sha256: str | None = None) -> Waveform:
+    """Read a waveform file; `sha256`, when given, is the hex digest the
+    whole file must have."""
     (n, fs), payload = read_framed(path, _HEADER, _MAGIC, "waveform",
-                                   lambda n, fs: (n,), 8)
+                                   lambda n, fs: (n,), 8, sha256=sha256)
     iq = np.frombuffer(payload, dtype="<f4")
     samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
     return Waveform(samples=samples, sample_rate=fs)

@@ -1,8 +1,13 @@
 """Dataset export/import: manifest integrity, round trips, tamper detection."""
 
+import builtins
+from collections import Counter
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rfclutter import binfile, challenge
 from rfclutter.challenge import export_challenge, read_challenge
 from rfclutter.errors import ConfigurationError
 from rfclutter.pipeline import simulate_scenario
@@ -96,6 +101,35 @@ def test_tampered_payload_is_rejected(tmp_path):
     cube_path.write_bytes(bytes(blob))
     with pytest.raises(ConfigurationError, match="checksum mismatch"):
         read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("name", ["clutter_cpi000.rfgir", "target_cpi000.rfgir",
+                                  "waveform.rfwav", "scenario.txt"])
+def test_tampering_any_listed_file_is_rejected(tmp_path, name):
+    export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    path = tmp_path / "ds" / name
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="checksum mismatch"):
+        read_challenge(tmp_path / "ds")
+
+
+def test_each_dataset_file_is_read_once(tmp_path, monkeypatch):
+    """The payload files are hashed over the bytes that are parsed, not
+    read a second time to hash."""
+    export_challenge(small_run(num_cpis=2), tmp_path / "ds")
+    opened = Counter()
+
+    def counting_open(file, *args, **kwargs):
+        opened[Path(file).name] += 1
+        return builtins.open(file, *args, **kwargs)
+
+    for module in (binfile, challenge):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    data = read_challenge(tmp_path / "ds")
+    assert set(opened) == set(data.files)
+    assert set(opened.values()) == {1}
 
 
 def test_missing_file_and_bad_manifest(tmp_path):

@@ -74,6 +74,9 @@ def test_pair_dimension_guards():
         simulate_mimo_cube([[ir]], [wf, wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
         simulate_mimo_cube([[ir, ir], [ir]], [wf, wf], noise_power=0.0, seed=1)
+    with pytest.raises(ConfigurationError):
+        simulate_mimo_cube([[ir], [ir]], [wf, phase_code(13, FS, seed=9)],
+                           noise_power=0.0, seed=1)
 
 
 def test_identical_waveforms_leak_at_zero_db():

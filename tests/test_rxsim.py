@@ -1,18 +1,66 @@
 """Receiver simulation: pulse convolution, superposition, noise, cube files."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import next_fast_len
 
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
-from rfclutter.rxsim import (DataCube, convolve_pulse, noise_samples,
-                             noiseless_samples, read_cube, simulate_cube,
+from rfclutter.mimo import simulate_mimo_cube
+from rfclutter.rxsim import (DataCube, convolve_pulse, read_cube, simulate_cube,
                              stack_cubes, write_cube)
+from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
 
 FS = 5e6
+
+
+def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
+    """Whole-cube oracle: every (channel, pulse) tap line convolved with
+    its pulse waveform in one batched FFT, (N, M, L + P - 1) complex128.
+    `waveforms` is one Waveform or one per pulse."""
+    wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
+    if len(wfs) == 1:
+        wfs = wfs * ir.num_pulses
+    n_out = ir.num_taps + wfs[0].num_samples - 1
+    nfft = next_fast_len(n_out)
+    taps_f = np.fft.fft(ir.taps.astype(np.complex128), nfft, axis=2)
+    wf_f = np.fft.fft(np.stack([w.samples for w in wfs]), nfft, axis=1)
+    out = np.fft.ifft(taps_f * wf_f[None, :, :], axis=2)
+    return np.ascontiguousarray(out[:, :, :n_out])
+
+
+def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
+                  num_range_samples: int, noise_power: float, seed: int,
+                  rx_index: int = 0) -> np.ndarray:
+    """Whole-cube noise oracle, (1, N, M, R): line (n, m) draws from
+    derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m), and zero
+    noise power gives a zero cube."""
+    out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
+    if noise_power == 0.0:
+        return out
+    scale = np.sqrt(noise_power / 2.0)
+    for n in range(num_channels):
+        for m in range(num_pulses):
+            rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
+            re = rng.standard_normal(num_range_samples)
+            im = rng.standard_normal(num_range_samples)
+            out[0, n, m] = scale * (re + 1j * im)
+    return out
+
+
+def oracle_cube(terms, noise_power, seed, cpi_index=0, rx_index=0) -> np.ndarray:
+    """Whole-cube oracle of one receiver's samples: the (channel,
+    waveforms) terms convolved and summed in order, then noise added."""
+    signal = noiseless_samples(*terms[0])
+    for ir, wfs in terms[1:]:
+        signal = signal + noiseless_samples(ir, wfs)
+    n, m, r = signal.shape
+    return signal[None] + noise_samples(cpi_index, n, m, r, noise_power, seed, rx_index)
 
 
 def random_ir(rng, n=2, m=3, l=16, kind="clutter"):
@@ -133,16 +181,84 @@ def test_cube_noise_matches_absolute_cpi_stream():
     np.testing.assert_array_equal(c2.samples, again.samples)
 
 
-def test_range_window_truncation():
-    rng = np.random.default_rng(5)
-    ir = random_ir(rng, l=16)
-    wf = random_waveform(rng, p=8)
-    full = simulate_cube(ir, None, wf, 0.0, seed=1)
-    cut = simulate_cube(ir, None, wf, 0.0, seed=1, num_range_samples=10)
-    assert cut.num_range_samples == 10
-    np.testing.assert_array_equal(cut.samples, full.samples[:, :, :, :10])
-    with pytest.raises(ConfigurationError):
-        simulate_cube(ir, None, wf, 0.0, seed=1, num_range_samples=99)
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+@pytest.mark.parametrize("per_pulse", [False, True])
+@pytest.mark.parametrize("parts", ["clutter", "target", "both"])
+def test_cube_bytes_match_the_whole_cube_oracle(parts, per_pulse, noise_power):
+    """Channel-by-channel assembly gives the whole-cube oracle's bytes."""
+    rng = np.random.default_rng(10)
+    clutter = random_ir(rng, n=3, m=4, l=20)
+    target = random_ir(rng, n=3, m=4, l=20, kind="target")
+    wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
+    irs = {"clutter": (clutter, None), "target": (None, target),
+           "both": (clutter, target)}[parts]
+    cube = simulate_cube(*irs, wfs, noise_power, seed=13, cpi_index=2)
+    want = oracle_cube([(ir, wfs) for ir in irs if ir is not None], noise_power, 13,
+                       cpi_index=2)
+    assert cube.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
+    """Every receiver sums its transmitters in tx order and draws its
+    own noise streams, as the whole-cube oracle does."""
+    rng = np.random.default_rng(11)
+    pair_irs = [[random_ir(rng) for _ in range(2)] for _ in range(2)]
+    wfs = [random_waveform(rng) for _ in range(2)]
+    cubes = simulate_mimo_cube(pair_irs, wfs, noise_power, seed=21, cpi_index=2)
+    for r, cube in enumerate(cubes):
+        want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], noise_power, 21,
+                           cpi_index=2, rx_index=r)
+        assert cube.samples.tobytes() == want.tobytes()
+
+
+def test_zero_noise_still_clears_negative_zeros():
+    """Adding a zero noise cube turns -0.0 into +0.0, and a zero
+    waveform's convolution holds -0.0 samples."""
+    rng = np.random.default_rng(12)
+    ir = random_ir(rng)
+    silent = Waveform(samples=np.zeros(8), sample_rate=FS)
+    assert np.signbit(noiseless_samples(ir, silent).view(np.float64)).any()
+    cube = simulate_cube(ir, None, silent, 0.0, seed=1)
+    assert cube.samples.tobytes() == oracle_cube([(ir, silent)], 0.0, 1).tobytes()
+    assert not np.signbit(cube.samples.view(np.float64)).any()
+
+
+def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch():
+    """Working memory is the cube and one channel's FFT buffers, not
+    whole-cube intermediates."""
+    n, m, l, p = 8, 64, 1000, 32
+    rng = np.random.default_rng(13)
+    clutter = random_ir(rng, n=n, m=m, l=l)
+    target = random_ir(rng, n=n, m=m, l=l, kind="target")
+    wf = random_waveform(rng, p=p)
+    n_out = l + p - 1
+    cube_bytes = n * m * n_out * 16
+    channel_bytes = m * next_fast_len(n_out) * 16
+    tracemalloc.start()
+    try:
+        cube = simulate_cube(clutter, target, wf, 0.5, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cube.samples.nbytes == cube_bytes
+    assert peak <= 1.1 * (cube_bytes + 2 * channel_bytes)
+
+
+@pytest.mark.parametrize("noise_power", [float("nan"), float("inf"), -1.0])
+def test_bad_noise_power_is_rejected_before_any_fft(monkeypatch, noise_power):
+    rng = np.random.default_rng(14)
+    ir = random_ir(rng)
+    wf = random_waveform(rng)
+
+    def no_fft(*args, **kwargs):
+        raise AssertionError("an FFT ran before the inputs were checked")
+
+    monkeypatch.setattr(np.fft, "fft", no_fft)
+    with pytest.raises(ConfigurationError, match="noise_power"):
+        simulate_cube(ir, None, wf, noise_power, seed=1)
+    with pytest.raises(ConfigurationError, match="one length"):
+        simulate_cube(ir, None, [wf, wf, random_waveform(rng, p=9)], 0.0, seed=1)
 
 
 def test_mismatched_channels_rejected():
