@@ -136,6 +136,21 @@ def _parse_manifest(text: str) -> tuple[dict[str, str], dict[str, str]]:
     return fields, files
 
 
+def _manifest_int(fields: dict[str, str], key: str, minimum: int) -> int:
+    """The integer value of a required manifest key, which must be at
+    least `minimum`."""
+    if key not in fields:
+        raise ConfigurationError(f"manifest missing required key {key}")
+    try:
+        value = int(fields[key])
+    except ValueError:
+        raise ConfigurationError(
+            f"manifest {key} must be an integer, got {fields[key]!r}") from None
+    if value < minimum:
+        raise ConfigurationError(f"manifest {key} must be at least {minimum}, got {value}")
+    return value
+
+
 def read_challenge(path) -> ChallengeData:
     """Load and verify a challenge directory (or its manifest path).
 
@@ -153,9 +168,9 @@ def read_challenge(path) -> ChallengeData:
     if fields.get("format") != FORMAT_TAG:
         raise ConfigurationError(
             f"unsupported dataset format {fields.get('format')!r}")
-    for req in ("seed", "cpis", "channels", "pulses", "range_samples"):
-        if req not in fields:
-            raise ConfigurationError(f"manifest missing required key {req}")
+    _manifest_int(fields, "seed", 0)
+    num_cpis = _manifest_int(fields, "cpis", 1)
+    want = tuple(_manifest_int(fields, key, 1) for key in ("channels", "pulses", "range_samples"))
 
     for name in files:
         if os.path.basename(name) != name:
@@ -170,7 +185,6 @@ def read_challenge(path) -> ChallengeData:
         verified.add(name)
         return reader(root / name, sha256=files[name], **kwargs)
 
-    num_cpis = int(fields["cpis"])
     cubes = []
     clutter_irs: list[ChannelImpulseResponse | None] = []
     target_irs: list[ChannelImpulseResponse | None] = []
@@ -200,7 +214,6 @@ def read_challenge(path) -> ChallengeData:
                 f"checksum mismatch for {name}: manifest {files[name][:12]}..., "
                 f"file {actual[:12]}...")
 
-    want = (int(fields["channels"]), int(fields["pulses"]), int(fields["range_samples"]))
     for cpi, cube in enumerate(cubes):
         got = (cube.num_channels, cube.num_pulses, cube.num_range_samples)
         if got != want:

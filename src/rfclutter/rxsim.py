@@ -5,10 +5,11 @@ return is the linear convolution of that pulse's channel taps with the
 transmitted waveform, so a cube built from exported channel files and
 any waveform is exactly what a fresh simulation would produce.
 
-A cube is assembled one receive channel at a time: convolution,
-superposition and noise for channel n all happen in one reused
-(M, nfft) buffer before channel n + 1 starts.  Peak memory is one cube
-plus one channel's scratch, whatever the channel count.
+A cube is assembled one receive channel at a time: convolution and
+superposition for channel n happen in one reused (M, nfft) buffer, and
+its noise is drawn into one reused (2, M, R) block, before channel
+n + 1 starts.  Peak memory is one cube plus one channel's scratch,
+whatever the channel count.
 
 The binary cube file format (magic RFCUBE01) is little-endian:
 
@@ -130,16 +131,19 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     per-pulse sequence) they carry; the cube is the sum of every
     channel convolved with its pulses, in the order given, plus
     circular Gaussian noise of variance `noise_power` per sample.  Each
-    (channel, pulse) noise line draws from its own stream keyed by
-    (seed, rx_index, cpi_index, channel, pulse), so the noise does not
-    depend on evaluation order, worker count, or which CPIs are
-    simulated.
+    receive channel n draws its noise as one (2, M, L + P - 1) block of
+    standard normals from `derive_rng(seed, STREAM_NOISE, rx_index,
+    cpi_index, n)`: block [0] holds the real parts and [1] the
+    imaginary parts, each scaled by sqrt(noise_power / 2).  The noise is
+    keyed by index alone, so it does not depend on evaluation order,
+    worker count, channel blocking, or which CPIs are simulated.
 
     The cube is built one receive channel at a time in one reused
-    (M, nfft) buffer, so the working set is the cube plus one channel's
-    scratch.  Every tap line goes through the same 1-D FFTs, and the
-    channels and the noise are added in the same order, as in a
-    whole-cube evaluation, so the bytes do not depend on the blocking.
+    (M, nfft) buffer and one reused noise block, so the working set is
+    the cube plus one channel's scratch.  Every tap line goes through
+    the same 1-D FFTs, and the channels and the noise are added in the
+    same order, as in a whole-cube evaluation, so the bytes do not
+    depend on the blocking.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -166,6 +170,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
 
     cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
     buf = np.empty((n_pulses, nfft), dtype=np.complex128)
+    noise = np.empty((2, n_pulses, n_out)) if noise_power > 0.0 else None
     scale = np.sqrt(noise_power / 2.0)
     for n in range(n_ch):
         lines = cube[0, n]
@@ -183,11 +188,10 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             # adding zero noise still turns -0.0 into +0.0
             lines += 0.0
             continue
-        for m in range(n_pulses):
-            rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
-            re = rng.standard_normal(n_out)
-            im = rng.standard_normal(n_out)
-            lines[m] += scale * (re + 1j * im)
+        derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n).standard_normal(out=noise)
+        noise *= scale
+        lines.real += noise[0]
+        lines.imag += noise[1]
     return cube
 
 

@@ -492,23 +492,25 @@ def littoral_dem(cells: int = _SCENE_CELLS, cell_size: float = _SCENE_CELL_SIZE,
                  ) -> tuple[ElevationGrid, ClassGrid]:
     """Synthetic coastal scene: water to the west, rolling terrain with
     one dominant hill inland, forest and urban pockets on land."""
+    # each term depends on x alone or y alone until the products, sums
+    # and the hill's exponential combine them, so the terms are evaluated
+    # on 1-D axes and broadcast: x varies along a row, y down a column
     c = np.arange(cells)
     x = (c + 0.5) * cell_size
-    y = ((cells - 1 - c) + 0.5) * cell_size   # row 0 = north
-    xx, yy = np.meshgrid(x, y)
+    y = (((cells - 1 - c) + 0.5) * cell_size)[:, None]   # row 0 = north
 
-    land = xx >= _COAST_X
-    inland = np.maximum(0.0, xx - _COAST_X)
-    rolling = 12.0 * (1.0 + np.sin(xx / 900.0) * np.sin(yy / 700.0))
+    land = x >= _COAST_X
+    inland = np.maximum(0.0, x - _COAST_X)
+    rolling = 12.0 * (1.0 + np.sin(x / 900.0) * np.sin(y / 700.0))
     ramp = 0.004 * inland
-    hill = 350.0 * np.exp(-(((xx - 14000.0) ** 2) + ((yy - 12000.0) ** 2)) / (2.0 * 1800.0 ** 2))
+    hill = 350.0 * np.exp(-(((x - 14000.0) ** 2) + ((y - 12000.0) ** 2)) / (2.0 * 1800.0 ** 2))
     heights = np.where(land, ramp + rolling + hill, 0.0)
 
     classes = np.full((cells, cells), scattering.GRASS, dtype=np.int64)
-    classes[~land] = scattering.WATER
-    forest = land & (np.sin(xx / 1500.0 + 1.0) * np.sin(yy / 1100.0) > 0.55)
+    classes[:, ~land] = scattering.WATER
+    forest = land & (np.sin(x / 1500.0 + 1.0) * np.sin(y / 1100.0) > 0.55)
     classes[forest] = scattering.FOREST
-    urban = land & (xx > 8000.0) & (xx < 9500.0) & (yy > 8000.0) & (yy < 12000.0)
+    urban = land & (x > 8000.0) & (x < 9500.0) & (y > 8000.0) & (y < 12000.0)
     classes[urban] = scattering.URBAN
     dem = ElevationGrid(heights=heights, cell_size=cell_size)
     lc = ClassGrid(classes=classes, cell_size=cell_size)

@@ -10,7 +10,9 @@ northernmost row, matching the on-disk layout.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.ndimage import maximum_filter
@@ -18,6 +20,7 @@ from scipy.ndimage import maximum_filter
 from .errors import ConfigurationError
 
 EARTH_RADIUS_M = 6_378_137.0  # equatorial radius used by the flat-earth mapping
+_LOS_BOUNDS_LOCK = threading.Lock()
 
 
 def enu_from_geodetic(lat_deg: float, lon_deg: float,
@@ -51,6 +54,8 @@ class ElevationGrid:
     cell_size: float             # m
     origin_lat: float = 0.0      # deg, geodetic anchor of the SW corner
     origin_lon: float = 0.0      # deg
+    # (heights array, LosBounds) of the last los_bounds build
+    _los_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.heights = np.asarray(self.heights, dtype=np.float64)
@@ -61,6 +66,23 @@ class ElevationGrid:
         if self.cell_size <= 0:
             raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
         self.heights.setflags(write=False)
+
+    @property
+    def los_bounds(self) -> "LosBounds":
+        """The block height bounds `lines_of_sight` culls with, built
+        on first use and kept for this `heights` array; assigning a new
+        array to `heights` rebuilds them."""
+        with _LOS_BOUNDS_LOCK:   # CPI worker threads share one grid
+            cache = self._los_cache
+            if cache is None or cache[0] is not self.heights:
+                fine = _block_bound(self)
+                coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
+                fine.setflags(write=False)
+                coarse.setflags(write=False)
+                cache = (self.heights, LosBounds(fine, coarse, float(fine.max()),
+                                                 float(np.abs(fine).max())))
+                self._los_cache = cache
+            return cache[1]
 
     @property
     def nrows(self) -> int:
@@ -356,6 +378,15 @@ _WINDOW_TOL = 1e-9
 _MAX_RAY_SAMPLES = 2 ** 52
 
 
+class LosBounds(NamedTuple):
+    """Per-DEM height bounds of `lines_of_sight`."""
+
+    fine: np.ndarray       # _block_bound, per LOS_BLOCK-square node block
+    coarse: np.ndarray     # highest `fine` within LOS_REACH blocks
+    top: float             # fine.max()
+    magnitude: float       # abs(fine).max()
+
+
 def _block_bound(dem: ElevationGrid) -> np.ndarray:
     """Upper bound on heights_at over each LOS_BLOCK-square node block,
     indexed [r0 // LOS_BLOCK, c0 // LOS_BLOCK] of the stencil's first
@@ -400,7 +431,8 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
     sample is at or below the bound of the blocks it can cross, and a
     sample of such a run is interpolated only if it is at or below the
     bound of the DEM nodes its interpolation reads.  Runs are processed
-    in chunks of at most LOS_CHUNK samples.
+    in chunks of at most LOS_CHUNK samples.  The bounds are the grid's
+    `los_bounds`, built once per grid.
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -420,17 +452,16 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
         return (obs[0] + t * d[ray, 0], obs[1] + t * d[ray, 1],
                 obs[2] + t * d[ray, 2] + clearance)
 
-    fine = _block_bound(dem)
-    coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
+    fine, coarse, top, magnitude = dem.los_bounds
     # samples are at most `step` apart, so a run of this many moves less
     # than LOS_REACH * LOS_BLOCK - 2 nodes from its first sample
     run = 1 + int(min(LOS_CHUNK - 1, (LOS_REACH * LOS_BLOCK - 2) * dem.cell_size / step))
 
     # the window: on the raster and at or below the highest bound
-    tol = _WINDOW_TOL * (1.0 + abs(clearance) + float(np.abs(fine).max())
+    tol = _WINDOW_TOL * (1.0 + abs(clearance) + magnitude
                          + float(np.abs(obs).max()) + float(np.abs(pts).max())
                          + dem.extent_east + dem.extent_north)
-    t0, t1 = _t_window(obs[2] + clearance, d[:, 2], -np.inf, float(fine.max()), tol)
+    t0, t1 = _t_window(obs[2] + clearance, d[:, 2], -np.inf, top, tol)
     for axis, extent in ((0, dem.extent_east), (1, dem.extent_north)):
         u0, u1 = _t_window(obs[axis], d[:, axis], 0.0, extent, tol)
         t0 = np.maximum(t0, u0)

@@ -105,6 +105,23 @@ def test_errors_exit_with_code_2(tmp_path, capsys):
     assert main(["inspect", str(tmp_path / "nothing.rfcube")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("cpis", "four"), ("cpis", "0"), ("cpis", "-1"), ("cpis", "2.0"),
+    ("channels", "0"), ("pulses", "x"), ("range_samples", "0"),
+    ("seed", "-3"), ("seed", "five")])
+def test_inspect_rejects_a_bad_manifest_count_with_code_2(
+        key, value, scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", str(ds)]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_off_raster_platform_simulates(scenario_file, tmp_path, capsys):
     # the 1.2 km raster spans x in [0, 1200]; put the radar west of it
     text = scenario_file.read_text().replace(

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
+from rfclutter import rxsim
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
@@ -37,19 +38,19 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
 def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
                   num_range_samples: int, noise_power: float, seed: int,
                   rx_index: int = 0) -> np.ndarray:
-    """Whole-cube noise oracle, (1, N, M, R): line (n, m) draws from
-    derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m), and zero
+    """Whole-cube noise oracle, (1, N, M, R): channel n draws a
+    (2, M, R) block of standard normals from derive_rng(seed,
+    STREAM_NOISE, rx_index, cpi_index, n), real parts first, and zero
     noise power gives a zero cube."""
     out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
     if noise_power == 0.0:
         return out
     scale = np.sqrt(noise_power / 2.0)
     for n in range(num_channels):
-        for m in range(num_pulses):
-            rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n, m)
-            re = rng.standard_normal(num_range_samples)
-            im = rng.standard_normal(num_range_samples)
-            out[0, n, m] = scale * (re + 1j * im)
+        rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n)
+        re, im = rng.standard_normal((2, num_pulses, num_range_samples))
+        out[0, n].real = scale * re
+        out[0, n].imag = scale * im
     return out
 
 
@@ -210,6 +211,38 @@ def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
         want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], noise_power, 21,
                            cpi_index=2, rx_index=r)
         assert cube.samples.tobytes() == want.tobytes()
+
+
+def count_noise_streams(monkeypatch):
+    """Record the key tuple of every noise stream rxsim derives."""
+    keys = []
+
+    def counting(*k):
+        keys.append(k)
+        return derive_rng(*k)
+
+    monkeypatch.setattr(rxsim, "derive_rng", counting)
+    return keys
+
+
+@pytest.mark.parametrize("per_pulse", [False, True])
+def test_cube_derives_one_noise_stream_per_channel(monkeypatch, per_pulse):
+    rng = np.random.default_rng(15)
+    clutter = random_ir(rng, n=3, m=5)
+    target = random_ir(rng, n=3, m=5, kind="target")
+    wfs = [random_waveform(rng) for _ in range(5)] if per_pulse else random_waveform(rng)
+    keys = count_noise_streams(monkeypatch)
+    simulate_cube(clutter, target, wfs, 0.4, seed=6, cpi_index=3)
+    assert keys == [(6, STREAM_NOISE, 0, 3, n) for n in range(3)]
+
+
+def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
+    rng = np.random.default_rng(16)
+    pair_irs = [[random_ir(rng, n=2) for _ in range(3)] for _ in range(2)]
+    wfs = [random_waveform(rng) for _ in range(2)]
+    keys = count_noise_streams(monkeypatch)
+    simulate_mimo_cube(pair_irs, wfs, 0.4, seed=8, cpi_index=1)
+    assert keys == [(8, STREAM_NOISE, r, 1, n) for r in range(3) for n in range(2)]
 
 
 def test_zero_noise_still_clears_negative_zeros():

@@ -13,7 +13,7 @@ from rfclutter.scenario import (_BUILDING_KEYS, _GROUP_KEYS, _KEYS, DESK_SCALE,
                                 generate_scenario1, generate_scenario2,
                                 littoral_dem, load_scenario, parse_scenario,
                                 scaled_count, scenario_hash, scenario_text)
-from rfclutter.scattering import BUILDING, WATER
+from rfclutter.scattering import BUILDING, FOREST, GRASS, URBAN, WATER
 from rfclutter.terrain import ClassGrid, ElevationGrid, write_dem, write_landcover
 
 MINIMAL = "radar.carrier = 10e9\nradar.prf = 2000\n"
@@ -178,6 +178,38 @@ def test_littoral_dem_structure():
     assert np.all(cover.classes[:, water_cols] == WATER)
     assert dem.heights[:, ~water_cols].max() > 50.0
     assert not np.any(cover.classes[:, ~water_cols] == WATER)
+
+
+def meshgrid_littoral_dem(cells=667, cell_size=30.0):
+    """Oracle: the built-in coastal scene evaluated on full meshgrids."""
+    c = np.arange(cells)
+    x = (c + 0.5) * cell_size
+    y = ((cells - 1 - c) + 0.5) * cell_size   # row 0 = north
+    xx, yy = np.meshgrid(x, y)
+
+    land = xx >= 6000.0
+    inland = np.maximum(0.0, xx - 6000.0)
+    rolling = 12.0 * (1.0 + np.sin(xx / 900.0) * np.sin(yy / 700.0))
+    ramp = 0.004 * inland
+    hill = 350.0 * np.exp(-(((xx - 14000.0) ** 2) + ((yy - 12000.0) ** 2)) / (2.0 * 1800.0 ** 2))
+    heights = np.where(land, ramp + rolling + hill, 0.0)
+
+    classes = np.full((cells, cells), GRASS, dtype=np.int64)
+    classes[~land] = WATER
+    forest = land & (np.sin(xx / 1500.0 + 1.0) * np.sin(yy / 1100.0) > 0.55)
+    classes[forest] = FOREST
+    urban = land & (xx > 8000.0) & (xx < 9500.0) & (yy > 8000.0) & (yy < 12000.0)
+    classes[urban] = URBAN
+    return heights, classes
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"cells": 500}])
+def test_littoral_dem_matches_the_meshgrid_oracle(kwargs):
+    dem, cover = littoral_dem(**kwargs)
+    heights, classes = meshgrid_littoral_dem(**kwargs)
+    assert np.array_equal(dem.heights, heights)
+    assert np.array_equal(cover.classes, classes)
+    assert dem.heights.tobytes() == heights.tobytes()
 
 
 def test_scenario1_scales():

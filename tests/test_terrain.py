@@ -1,6 +1,9 @@
 """Terrain geometry: sampling, normals, grazing, line of sight, rasters."""
 
 import math
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -357,6 +360,66 @@ def test_lines_of_sight_validation(ridge_dem):
         lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], clearance=float("nan"))
     with pytest.raises(ConfigurationError):
         lines_of_sight(ridge_dem, obs, [(100.0, float("inf"), 5.0)])
+
+
+@pytest.fixture
+def bound_builds(monkeypatch):
+    """The grids whose LOS block bound gets built, in build order; each
+    build sleeps briefly so that racing threads would overlap it."""
+    builds = []
+    block_bound = terrain._block_bound
+
+    def counting(dem):
+        builds.append(dem)
+        time.sleep(0.01)
+        return block_bound(dem)
+
+    monkeypatch.setattr(terrain, "_block_bound", counting)
+    return builds
+
+
+def test_lines_of_sight_builds_each_grid_bound_once(bound_builds, ridge_dem):
+    other = ElevationGrid(heights=ridge_heights(48, 12.0, crest=60.0), cell_size=12.0)
+    obs = (320.0, 40.0, 30.0)
+    points = np.array([(x, 600.0, z) for x in (5.0, 320.0, 630.0) for z in (2.0, 300.0)])
+    first = lines_of_sight(ridge_dem, obs, points)
+    second = lines_of_sight(ridge_dem, obs, points[::-1], clearance=1.0, step=3.0)
+    third = lines_of_sight(other, obs, points)
+    assert bound_builds == [ridge_dem, other]
+    for dem, args, got in ((ridge_dem, (points,), first),
+                           (ridge_dem, (points[::-1], 1.0, 3.0), second),
+                           (other, (points,), third)):
+        fresh = ElevationGrid(heights=dem.heights.copy(), cell_size=dem.cell_size)
+        assert lines_of_sight(fresh, obs, *args).tolist() == got.tolist()
+    assert not all(first) and any(first)
+
+
+def test_threads_share_one_los_bound_build(bound_builds, ridge_dem):
+    obs = (320.0, 40.0, 30.0)
+    points = np.array([(x, 600.0, z) for x in (5.0, 320.0, 630.0) for z in (2.0, 300.0)])
+    want = lines_of_sight(ElevationGrid(heights=ridge_dem.heights.copy(), cell_size=10.0),
+                          obs, points).tolist()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lines_of_sight, ridge_dem, obs, points) for _ in range(12)]
+            got = [f.result(timeout=60).tolist() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want] * 12
+    assert len(bound_builds) == 2   # `want`'s fresh grid, then ridge_dem once
+
+
+def test_reassigned_heights_rebuild_the_los_bound():
+    """A bound is tied to the heights array it was built from: the flat
+    grid's bound would cull every sample of a ray over the new ridge."""
+    dem = ElevationGrid(heights=np.zeros((64, 64)), cell_size=10.0)
+    obs = (320.0, 40.0, 30.0)
+    behind = [(320.0, 600.0, 2.0)]
+    assert lines_of_sight(dem, obs, behind)[0]
+    dem.heights = ridge_heights(64, 10.0)
+    assert not lines_of_sight(dem, obs, behind)[0]
 
 
 # --- raster file format ------------------------------------------------------
