@@ -1,9 +1,12 @@
 """Receive array geometry and space-time steering vectors.
 
-Directions are unit vectors in the scene ENU frame pointing from the
-array toward the source.  Spatial steering is phase-referenced to
-element 0, temporal steering to pulse 0, and the space-time vector is
-their Kronecker product with the temporal factor varying slowest.
+The receive array is a uniform linear array: element m sits at
+p_0 + m (p_1 - p_0).  Directions are unit vectors in the scene ENU
+frame pointing from the array toward the source.  Spatial steering is
+phase-referenced to element 0, temporal steering to pulse 0, and the
+space-time vector is their Kronecker product with the temporal factor
+varying slowest.  Both factors are phase ramps exp(j theta k), built by
+`phase_ramps`.
 """
 
 from __future__ import annotations
@@ -17,10 +20,14 @@ from .errors import ConfigurationError
 
 @dataclass
 class ArrayGeometry:
-    """Element positions and the common element pattern.
+    """Element positions of a uniform linear array and the common
+    element pattern.
 
-    The element pattern is cos(theta)^cosine_exponent of the angle off
-    boresight, zero in the back hemisphere.
+    The positions must satisfy p_m - p_0 = m (p_1 - p_0) to within 1e-9
+    of the aperture |p_{n-1} - p_0|, with distinct elements; any other
+    layout is a `ConfigurationError`.  The element pattern is
+    cos(theta)^cosine_exponent of the angle off boresight, zero in the
+    back hemisphere.
     """
 
     element_positions: np.ndarray        # (n, 3) m, array frame == ENU frame
@@ -33,6 +40,17 @@ class ArrayGeometry:
             np.asarray(self.element_positions, dtype=np.float64))
         if self.element_positions.ndim != 2 or self.element_positions.shape[1] != 3:
             raise ConfigurationError("element_positions must have shape (n, 3)")
+        if self.num_elements == 0:
+            raise ConfigurationError("array needs at least one element")
+        if not np.all(np.isfinite(self.element_positions)):
+            raise ConfigurationError("element positions must be finite")
+        rel = self.element_positions - self.element_positions[0]
+        off_grid = rel - np.outer(np.arange(self.num_elements), self.element_step)
+        aperture = np.linalg.norm(rel[-1])
+        if self.num_elements > 1 and (
+                aperture == 0.0 or np.linalg.norm(off_grid, axis=1).max() > 1e-9 * aperture):
+            raise ConfigurationError(
+                "element positions must form a uniform linear array, p_m - p_0 = m (p_1 - p_0)")
         if self.wavelength <= 0:
             raise ConfigurationError(f"wavelength must be positive, got {self.wavelength}")
         self.boresight = np.asarray(self.boresight, dtype=np.float64).reshape(3)
@@ -47,13 +65,17 @@ class ArrayGeometry:
     def num_elements(self) -> int:
         return self.element_positions.shape[0]
 
+    @property
+    def element_step(self) -> np.ndarray:
+        """p_1 - p_0, the element spacing vector; zero for one element."""
+        p = self.element_positions
+        return p[min(1, len(p) - 1)] - p[0]
+
     @classmethod
     def ula(cls, num_elements: int, spacing: float, wavelength: float,
             axis=(1.0, 0.0, 0.0), boresight=(0.0, 1.0, 0.0),
             cosine_exponent: float = 1.0) -> "ArrayGeometry":
         """Uniform linear array along `axis`, element 0 at the origin."""
-        if num_elements < 1:
-            raise ConfigurationError("array needs at least one element")
         if spacing <= 0:
             raise ConfigurationError(f"element spacing must be positive, got {spacing}")
         axis = np.asarray(axis, dtype=np.float64).reshape(3)
@@ -91,16 +113,38 @@ def _check_unit(direction: np.ndarray) -> np.ndarray:
     return direction
 
 
+def phase_ramps(theta, count: int) -> np.ndarray:
+    """Rows exp(j theta_i k), k = 0..count-1, shape (len(theta), count).
+
+    Built by doubling along k: columns [w, 2w) are columns [0, w) times
+    exp(j theta w), for w = 1, 2, 4, ...  Each theta * w is exact in
+    binary, so entry k is a product of at most ceil(log2 count)
+    correctly rounded exponentials, where exp(j fl(theta * k)) would
+    carry the rounding of its argument.
+    """
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    out = np.empty((theta.size, count), dtype=np.complex128)
+    out[:, :1] = 1.0
+    width = 1
+    while width < count:
+        step = min(width, count - width)
+        np.multiply(out[:, :step], np.exp(1j * (theta * width))[:, None],
+                    out=out[:, width:width + step])
+        width *= 2
+    return out
+
+
 def spatial_steering_many(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
     """Ideal spatial steering entries for many directions, shape (k, n).
 
     Entry (i, m) = exp(j 2 pi / lambda <p_m - p_0, d_i>); element 0 is
-    the phase reference, so column 0 is identically 1.
+    the phase reference, so column 0 is identically 1.  On a uniform
+    linear array row i is the phase ramp of
+    theta_i = 2 pi / lambda <p_1 - p_0, d_i>.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    rel = array.element_positions - array.element_positions[0]
-    phase = (2.0 * np.pi / array.wavelength) * (directions @ rel.T)
-    return np.exp(1j * phase)
+    theta = (2.0 * np.pi / array.wavelength) * (directions @ array.element_step)
+    return phase_ramps(theta, array.num_elements)
 
 
 def spatial_steering(array: ArrayGeometry, direction) -> SteeringVector:
@@ -122,8 +166,8 @@ def temporal_steering(normalized_doppler: float, num_pulses: int) -> SteeringVec
         raise ValueError(
             f"normalized Doppler {normalized_doppler} outside [-0.5, 0.5); "
             "wrap it first (wrap_normalized_doppler)")
-    m = np.arange(num_pulses)
-    return SteeringVector(entries=np.exp(2j * np.pi * normalized_doppler * m), kind="temporal")
+    return SteeringVector(entries=phase_ramps(2.0 * np.pi * normalized_doppler, num_pulses)[0],
+                          kind="temporal")
 
 
 def space_time_steering(spatial: SteeringVector, temporal: SteeringVector) -> SteeringVector:

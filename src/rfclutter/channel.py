@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import convolution_matrix
 
-from .antenna import ArrayGeometry, spatial_steering_many
+from .antenna import ArrayGeometry, phase_ramps, spatial_steering_many
 from .binfile import read_framed
 from .errors import ConfigurationError
 from .seeding import STREAM_CLUTTER, normal_pair, philox_key, philox_words, uniforms
@@ -260,14 +260,18 @@ def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
 
 def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                   array: ArrayGeometry, timing: RadarTiming, kind: str = "clutter",
-                  pulse_phase: np.ndarray | None = None,
-                  pulse_amp: np.ndarray | None = None) -> ChannelImpulseResponse:
+                  modulation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                  ) -> ChannelImpulseResponse:
     """Accumulate scatterer responses into a per-channel, per-pulse tap array.
 
     tap[n, m, round((delay - origin) * fs)] += amp * exp(j 2 pi fd m / prf) * s_n(d)
 
     `responses` has the columns of `scatterer_responses`; `directions`
     holds the unit receive direction (array -> scatterer) per response.
+    Both phase factors are `phase_ramps`: a response's slow-time phasors
+    are the ramp of theta = (2 pi / prf) fd over the M pulses, and its
+    steering entries s_n(d) the ramp over the N elements of the uniform
+    linear array (`spatial_steering_many`).
     Each occupied tap is one complex128 product: with the k responses
     that land on it in ascending patch_id order (ties in input order),
     taps[:, :, l] = (amp * s)^T @ slow, an (N x k) @ (k x M) GEMM, cast
@@ -277,9 +281,11 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     sum unchanged.  Responses whose tap falls outside the receive window
     are dropped and counted in a warning.
 
-    `pulse_phase` / `pulse_amp`, when given, apply an extra per-response,
-    per-pulse phase (rad) and amplitude factor; dynamic surfaces (sea
-    states) use these to modulate individual pulses.
+    `modulation = (rows, phase, amp)`, when given, multiplies the
+    slow-time phasors of the responses at the ascending indices `rows` by
+    exp(j phase) and then by amp, both of shape (len(rows), M); dynamic
+    surfaces (sea states) use it to modulate the pulses of the rows
+    they cover, and every other row is left as it is.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     if directions.shape[0] != len(responses):
@@ -287,14 +293,22 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     n_elem = array.num_elements
     n_pulse = timing.num_pulses
     n_tap = timing.num_taps
-    if pulse_phase is not None:
-        pulse_phase = np.asarray(pulse_phase, dtype=np.float64)
-        if pulse_phase.shape != (len(responses), n_pulse):
-            raise ConfigurationError("pulse_phase must have shape (num_responses, num_pulses)")
-    if pulse_amp is not None:
-        pulse_amp = np.asarray(pulse_amp, dtype=np.float64)
-        if pulse_amp.shape != (len(responses), n_pulse):
-            raise ConfigurationError("pulse_amp must have shape (num_responses, num_pulses)")
+    mod_of = None
+    if modulation is not None:
+        rows, mod_phase, mod_amp = modulation
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        mod_phase = np.asarray(mod_phase, dtype=np.float64)
+        mod_amp = np.asarray(mod_amp, dtype=np.float64)
+        if mod_phase.shape != (rows.size, n_pulse) or mod_amp.shape != (rows.size, n_pulse):
+            raise ConfigurationError("modulation phase and amp must have shape "
+                                     "(len(rows), num_pulses)")
+        if rows.size and (rows[0] < 0 or rows[-1] >= len(responses)
+                          or np.any(np.diff(rows) <= 0)):
+            raise ConfigurationError(
+                "modulation rows must be ascending, distinct indices of the responses")
+        # mod_of[i] is response i's modulation row, -1 where it has none
+        mod_of = np.full(len(responses), -1, dtype=np.int64)
+        mod_of[rows] = np.arange(rows.size)
 
     amps = responses.amplitude
     taps_idx = np.round((responses.delay - timing.delay_origin)
@@ -312,7 +326,6 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     # bounds[g]:bounds[g + 1] are the responses of the g-th occupied tap
     bounds = np.append(np.flatnonzero(np.diff(tap_of, prepend=-1)), sel.size)
     out = np.zeros((n_tap, n_elem, n_pulse), dtype=np.complex64)
-    m = np.arange(n_pulse)
     g = 0
     while g < bounds.size - 1:
         # a batch of whole taps, about _TAP_BATCH responses
@@ -320,11 +333,12 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
         lo = bounds[g]
         idx = sel[lo:bounds[h]]
         coef = amps[idx, None] * spatial_steering_many(array, directions[idx])
-        slow = np.exp((2j * np.pi / timing.prf) * np.outer(responses.doppler[idx], m))
-        if pulse_phase is not None:
-            slow *= np.exp(1j * pulse_phase[idx])
-        if pulse_amp is not None:
-            slow *= pulse_amp[idx]
+        slow = phase_ramps((2.0 * np.pi / timing.prf) * responses.doppler[idx], n_pulse)
+        if mod_of is not None:
+            hit = np.flatnonzero(mod_of[idx] >= 0)
+            row = mod_of[idx[hit]]
+            slow[hit] *= np.exp(1j * mod_phase[row])
+            slow[hit] *= mod_amp[row]
         for a, b, tap in zip((bounds[g:h] - lo).tolist(), (bounds[g + 1:h + 1] - lo).tolist(),
                              tap_of[bounds[g:h]].tolist()):
             out[tap] = coef[a:b].T @ slow[a:b]

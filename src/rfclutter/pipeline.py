@@ -97,6 +97,7 @@ def _extrude_buildings(dem: ElevationGrid, scn: Scenario) -> ElevationGrid:
             continue
         rows = dem.nrows - 1 - np.arange(r_from_south0, r_from_south1 + 1)
         heights[np.ix_(rows, np.arange(c0, c1 + 1))] += b.height
+    heights.setflags(write=False)            # the grid adopts it without a copy
     return ElevationGrid(heights=heights, cell_size=dem.cell_size,
                          origin_lat=dem.origin_lat, origin_lon=dem.origin_lon)
 
@@ -287,11 +288,13 @@ def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
 
 
 def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarray,
-                      ) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per-pulse sea-surface phase/amplitude for the scatterers at
-    indices `live`, or None when no live scatterer is moving water.
-    Only the live water patches are drawn; each keys its own stream by
-    patch id, so the rows match a draw over every water patch."""
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Per-pulse sea-surface modulation of the live water scatterers, as
+    `synthesize_ir`'s (rows, phase, amp): `rows` index `live`, and
+    phase (rad) and amp are (len(rows), num_pulses).  None when no live
+    scatterer is moving water.  Only the live water patches are drawn;
+    each keys its own stream by patch id, so the rows match a draw over
+    every water patch."""
     if scn.wind_speed_mps <= 0.0:
         return None
     rows = np.flatnonzero(scene.water[live])
@@ -299,13 +302,8 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
         return None
     state = OceanState(ids=scene.patches.ids[live[rows]], wind_speed=scn.wind_speed_mps)
     seed = derive_seed(scn.seed, STREAM_OCEAN, cpi)
-    phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz,
-                                      scn.wavelength, seed)
-    phase = np.zeros((live.size, scn.num_pulses))
-    amp = np.ones((live.size, scn.num_pulses))
-    phase[rows] = phase_w
-    amp[rows] = amp_w
-    return phase, amp
+    phase, amp = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength, seed)
+    return rows, phase, amp
 
 
 def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
@@ -338,10 +336,8 @@ def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
     responses = _clutter_responses(scn, scene, budget, live, tx, rx,
                                    cpi if realization is None else realization,
                                    scn.seed if seed is None else seed)
-    mod = _ocean_modulation(scn, scene, cpi, live)
-    phase, amp = mod if mod is not None else (None, None)
-    return synthesize_ir(responses, budget.directions[live], array, timing,
-                         kind="clutter", pulse_phase=phase, pulse_amp=amp)
+    return synthesize_ir(responses, budget.directions[live], array, timing, kind="clutter",
+                         modulation=_ocean_modulation(scn, scene, cpi, live))
 
 
 def target_states(scn: Scenario, cpi: int) -> list[tuple[np.ndarray, np.ndarray, float]]:

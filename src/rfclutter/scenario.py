@@ -512,6 +512,7 @@ def littoral_dem(cells: int = _SCENE_CELLS, cell_size: float = _SCENE_CELL_SIZE,
     classes[forest] = scattering.FOREST
     urban = land & (x > 8000.0) & (x < 9500.0) & (y > 8000.0) & (y < 12000.0)
     classes[urban] = scattering.URBAN
+    heights.setflags(write=False)            # the grid adopts it without a copy
     dem = ElevationGrid(heights=heights, cell_size=cell_size)
     lc = ClassGrid(classes=classes, cell_size=cell_size)
     return dem, lc

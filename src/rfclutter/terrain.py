@@ -58,20 +58,31 @@ class ElevationGrid:
     _los_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.heights = np.asarray(self.heights, dtype=np.float64)
-        if self.heights.ndim != 2 or self.heights.size == 0:
-            raise ConfigurationError("elevation grid must be a non-empty 2-D array")
-        if not np.all(np.isfinite(self.heights)):
-            raise ConfigurationError("elevation grid contains non-finite heights")
         if self.cell_size <= 0:
             raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
-        self.heights.setflags(write=False)
+
+    def __setattr__(self, name, value):
+        # every `heights` assignment, the constructor's included, is
+        # checked and stored read-only.  A read-only array that owns its
+        # memory is adopted as is; anything else is copied, so no
+        # caller-held array can change the heights (or leave
+        # `los_bounds` stale) afterwards.
+        if name == "heights":
+            value = np.asarray(value, dtype=np.float64)
+            if value.flags.writeable or not value.flags.owndata:
+                value = value.copy()
+            if value.ndim != 2 or value.size == 0:
+                raise ConfigurationError("elevation grid must be a non-empty 2-D array")
+            if not np.all(np.isfinite(value)):
+                raise ConfigurationError("elevation grid contains non-finite heights")
+            value.setflags(write=False)
+        object.__setattr__(self, name, value)
 
     @property
     def los_bounds(self) -> "LosBounds":
         """The block height bounds `lines_of_sight` culls with, built
-        on first use and kept for this `heights` array; assigning a new
-        array to `heights` rebuilds them."""
+        on first use and kept for this `heights` array; assigning
+        `heights` stores a new array and so rebuilds them."""
         with _LOS_BOUNDS_LOCK:   # CPI worker threads share one grid
             cache = self._los_cache
             if cache is None or cache[0] is not self.heights:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from rfclutter import antenna
 from rfclutter.antenna import (ArrayGeometry, pattern_gain, pattern_gains,
-                               space_time_steering, spatial_steering,
+                               phase_ramps, space_time_steering, spatial_steering,
                                spatial_steering_many, temporal_steering,
                                wrap_normalized_doppler)
 from rfclutter.errors import ConfigurationError
@@ -26,6 +26,28 @@ def ula(n=8, spacing=None):
 def direction_at(u):
     """Unit LOS with sine-angle u off boresight, in the array plane."""
     return np.array([math.sqrt(1.0 - u * u), u, 0.0])
+
+
+# --- phase ramps -----------------------------------------------------------------
+
+@pytest.mark.parametrize("count", [1, 2, 5, 64, 100])
+def test_phase_ramps_match_a_long_double_reference(count):
+    """Entry k is a product of popcount(k) <= L = ceil(log2 count)
+    factors.  Each is a correctly rounded exponential (within eps/2)
+    and enters one rounded complex product (about eps/2 more), so an
+    entry is within about one eps per factor; the bound allows one eps
+    more.  The reference takes theta * k exactly in long double."""
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([[0.0, np.pi, -np.pi, 1e-12, -1e-12],
+                            rng.uniform(-np.pi, np.pi, 500), rng.uniform(-60.0, 60.0, 100)])
+    got = phase_ramps(theta, count)
+    assert got.shape == (theta.size, count) and got.dtype == np.complex128
+    arg = theta.astype(np.longdouble)[:, None] * np.arange(count, dtype=np.longdouble)
+    err = np.hypot(got.real.astype(np.longdouble) - np.cos(arg),
+                   got.imag.astype(np.longdouble) - np.sin(arg))
+    bound = (math.ceil(math.log2(count)) + 1) * np.finfo(np.float64).eps
+    assert float(err.max()) <= bound
+    assert np.all(got[:, 0] == 1.0)
 
 
 # --- spatial steering ----------------------------------------------------------
@@ -74,13 +96,51 @@ def test_element_translation_leaves_steering_identical():
                                spatial_steering(shifted, d).entries, atol=1e-12)
 
 
+def test_steering_many_matches_direct_exponentials():
+    """The ramp against one np.exp per (direction, element) entry; the
+    direct form's phases up to ~100 rad carry its own rounding."""
+    arr = ArrayGeometry.ula(32, WAVELENGTH / 2, WAVELENGTH, axis=(0.6, 0.8, 0.0),
+                            boresight=(0.8, -0.6, 0.0))
+    rng = np.random.default_rng(9)
+    dirs = rng.normal(size=(200, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    rel = arr.element_positions - arr.element_positions[0]
+    direct = np.exp(1j * (2.0 * np.pi / WAVELENGTH) * (dirs @ rel.T))
+    np.testing.assert_allclose(spatial_steering_many(arr, dirs), direct, rtol=0, atol=1e-13)
+
+
+def test_array_geometry_requires_a_uniform_linear_array():
+    base = ula(5).element_positions
+    bent = base.copy()
+    bent[3] += [0.0, 0.0, 1e-6]                   # off the line by 1.7e-5 of the aperture
+    uneven = base.copy()
+    uneven[4] *= 1.01                             # on the line, unevenly spaced
+    stacked = np.zeros((3, 3))                    # every element at one point
+    corner = np.array([[0.0, 0.0, 0.0], [0.015, 0.0, 0.0], [0.015, 0.015, 0.0]])
+    nan = base.copy()
+    nan[2, 0] = np.nan
+    for positions in (bent, uneven, stacked, corner, nan, np.zeros((0, 3))):
+        with pytest.raises(ConfigurationError):
+            ArrayGeometry(element_positions=positions, wavelength=WAVELENGTH)
+    single = ArrayGeometry(element_positions=[[4.0, -2.0, 9.0]], wavelength=WAVELENGTH)
+    assert single.num_elements == 1 and np.all(single.element_step == 0.0)
+    np.testing.assert_array_equal(spatial_steering_many(single, direction_at(0.3)), [[1.0]])
+    # a translated or slightly perturbed ULA is still one
+    ArrayGeometry(element_positions=base + [3.0, -2.0, 7.0], wavelength=WAVELENGTH)
+    close = base.copy()
+    close[3, 2] += 1e-13
+    ArrayGeometry(element_positions=close, wavelength=WAVELENGTH)
+
+
 # --- temporal / space-time steering --------------------------------------------
 
 def test_temporal_steering_phase_ramp():
-    f = 0.15
-    v = temporal_steering(f, 8).entries
-    expected = np.exp(1j * 2.0 * np.pi * f * np.arange(8))
-    np.testing.assert_allclose(v, expected, atol=1e-12)
+    """The ramp against one direct np.exp per pulse."""
+    for m in (1, 3, 8, 16, 64, 129):
+        for f in (-0.5, -0.3125, -1e-9, 0.0, 0.0371, 0.15, 0.25, 0.4999):
+            direct = np.exp(1j * 2.0 * np.pi * f * np.arange(m))
+            np.testing.assert_allclose(temporal_steering(f, m).entries, direct,
+                                       rtol=0, atol=1e-13)
 
 
 def test_wrap_normalized_doppler():

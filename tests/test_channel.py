@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.linalg import convolution_matrix
 
 from rfclutter import pipeline
-from rfclutter.antenna import ArrayGeometry, spatial_steering_many
+from rfclutter.antenna import ArrayGeometry
 from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
                                RadarTiming, StochasticModel,
                                bistatic_delay_doppler, bistatic_delays_dopplers,
@@ -348,11 +348,21 @@ def test_ir_bit_reproducible_across_runs():
 
 # --- tap accumulation against the scatter-add reference -----------------------
 
+def direct_steering(array, directions):
+    """Spatial steering by one np.exp per (direction, element) entry of
+    the phases 2 pi / lambda <p_m - p_0, d>, independent of
+    `phase_ramps`."""
+    rel = array.element_positions - array.element_positions[0]
+    return np.exp(1j * (2.0 * np.pi / array.wavelength) * (directions @ rel.T))
+
+
 def add_at_taps(responses, directions, array, timing, pulse_phase=None, pulse_amp=None):
     """The scatter-add accumulation `synthesize_ir` replaced, as its
     reference: each live in-window response's (N, M) contribution is
     added into its tap with np.add.at, in ascending patch_id order, in
-    complex128, then cast to complex64."""
+    complex128, then cast to complex64.  Both phase factors are direct
+    np.exp calls per entry, and `pulse_phase` / `pulse_amp` cover every
+    response."""
     order = np.argsort(responses.patch_id, kind="stable")
     idx = order[responses.amplitude[order] != 0]
     tap = np.round((responses.delay[idx] - timing.delay_origin)
@@ -368,7 +378,7 @@ def add_at_taps(responses, directions, array, timing, pulse_phase=None, pulse_am
             slow = slow * np.exp(1j * pulse_phase[i])
         if pulse_amp is not None:
             slow = slow * pulse_amp[i]
-        steer = spatial_steering_many(array, directions[i])
+        steer = direct_steering(array, directions[i])
         np.add.at(out, tap[blk], (responses.amplitude[i, None, None] * steer[:, :, None]
                                   * slow[:, None, :]))
     return out.transpose(1, 2, 0).astype(np.complex64)
@@ -402,9 +412,15 @@ def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
     monkeypatch.setattr(pipeline, "synthesize_ir", capture)
     ir = pipeline.synthesize_clutter(scn, pipeline.build_scene(scn), 1)
     ((resp, directions, array, timing), kw), = calls
+    phase = amp = None
     if scn.wind_speed_mps > 0:
-        assert kw["pulse_phase"] is not None and kw["pulse_amp"] is not None
-    want = add_at_taps(resp, directions, array, timing, kw["pulse_phase"], kw["pulse_amp"])
+        assert kw["modulation"] is not None
+        rows, mod_phase, mod_amp = kw["modulation"]
+        phase = np.zeros((len(resp), timing.num_pulses))
+        amp = np.ones((len(resp), timing.num_pulses))
+        phase[rows] = mod_phase
+        amp[rows] = mod_amp
+    want = add_at_taps(resp, directions, array, timing, phase, amp)
     live = resp.amplitude != 0
     tap = np.round((resp.delay[live] - timing.delay_origin) * timing.sample_rate)
     assert np.unique(tap, return_counts=True)[1].max() > 1   # real sums, not copies

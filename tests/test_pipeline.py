@@ -281,18 +281,15 @@ def all_patch_clutter(scn, scene, cpi, timing, budget):
                             deterministic_phase=scn.deterministic_clutter_phase)
     responses = patch_responses(scene.patches, budget.gains,
                                 tx, rx, scn.wavelength, model, realization=cpi)
-    phase = amp = None
+    modulation = None
     water = np.flatnonzero(scene.water)
     if scn.wind_speed_mps > 0.0 and water.size:
         state = OceanState(ids=scene.patches.ids[water], wind_speed=scn.wind_speed_mps)
-        phase_w, amp_w = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
-                                          derive_seed(scn.seed, STREAM_OCEAN, cpi))
-        phase = np.zeros((scene.num_responses, scn.num_pulses))
-        amp = np.ones((scene.num_responses, scn.num_pulses))
-        phase[water] = phase_w
-        amp[water] = amp_w
+        modulation = (water, *pulse_modulation(state, scn.num_pulses, scn.prf_hz,
+                                               scn.wavelength,
+                                               derive_seed(scn.seed, STREAM_OCEAN, cpi)))
     return synthesize_ir(responses, budget.directions, pipeline.receive_array(scn),
-                         timing, kind="clutter", pulse_phase=phase, pulse_amp=amp)
+                         timing, kind="clutter", modulation=modulation)
 
 
 def bistatic_walled_scenario():
@@ -344,9 +341,15 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
         sea_rows.append(len(state.ids))
         return pulse_modulation(state, *args, **kw)
 
+    def capturing_ir(*args, **kw):
+        modulations.append(kw["modulation"])
+        return synthesize_ir(*args, **kw)
+
+    modulations = []
     monkeypatch.setattr(pipeline, "lines_of_sight", counting_los)
     monkeypatch.setattr(pipeline, "patch_responses", counting_responses)
     monkeypatch.setattr(pipeline, "pulse_modulation", counting_modulation)
+    monkeypatch.setattr(pipeline, "synthesize_ir", capturing_ir)
     got = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
     ir = pipeline.synthesize_clutter(scn, scene, 0, timing, budget=got)
 
@@ -369,8 +372,14 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
     live_water = np.count_nonzero(got.gains[scene.water])
     if scn.wind_speed_mps > 0.0:
         assert sea_rows == [live_water] and live_water > 0
+        # the modulation covers the live water rows only, not every
+        # live scatterer
+        (rows, phase, amp), = modulations
+        assert rows.shape == (live_water,)
+        assert phase.shape == amp.shape == (live_water, scn.num_pulses)
+        np.testing.assert_array_equal(rows, np.flatnonzero(scene.water[got.gains != 0.0]))
     else:
-        assert sea_rows == []
+        assert sea_rows == [] and modulations == [None]
 
 
 def test_patch_budget_logs_per_cpi_counts(caplog):

@@ -422,6 +422,46 @@ def test_reassigned_heights_rebuild_the_los_bound():
     assert not lines_of_sight(dem, obs, behind)[0]
 
 
+def test_assigned_heights_are_checked_like_constructed_ones():
+    dem = ElevationGrid(heights=np.zeros((8, 8)), cell_size=10.0)
+    bad = np.zeros((8, 8))
+    bad[3, 4] = np.nan
+    for value in (bad, np.zeros(8), np.zeros((0, 8))):
+        with pytest.raises(ConfigurationError):
+            dem.heights = value
+    assert np.all(dem.heights == 0.0) and not dem.heights.flags.writeable
+
+
+def test_editing_an_assigned_array_in_place_changes_nothing():
+    """`heights` holds its own read-only copy of a writable array: a
+    ridge raised in the caller's array after the assignment leaves the
+    grid flat, and the batched LOS still agrees with the scalar one."""
+    dem = ElevationGrid(heights=np.ones((64, 64)), cell_size=10.0)
+    arr = np.zeros((64, 64))
+    dem.heights = arr
+    obs = (320.0, 40.0, 30.0)
+    points = np.array([(x, 600.0, 2.0) for x in (100.0, 320.0, 500.0)])
+    assert lines_of_sight(dem, obs, points).all()
+    arr[:] = ridge_heights(64, 10.0)
+    assert np.all(dem.heights == 0.0) and not dem.heights.flags.writeable
+    got = lines_of_sight(dem, obs, points)
+    assert got.tolist() == [line_of_sight(dem, obs, p) for p in points] == [True] * 3
+    # the same ridge assigned (not edited in) does block every ray
+    dem.heights = arr
+    assert not lines_of_sight(dem, obs, points).any()
+    # a read-only view is copied too (its base may still be written);
+    # only a read-only array that owns its memory is adopted as is
+    view = np.zeros((64, 64))[:]
+    view.setflags(write=False)
+    dem.heights = view
+    view.base[:] = 500.0
+    assert np.all(dem.heights == 0.0)
+    frozen = np.zeros((64, 64))
+    frozen.setflags(write=False)
+    dem.heights = frozen
+    assert dem.heights is frozen
+
+
 # --- raster file format ------------------------------------------------------
 
 def test_dem_round_trip(tmp_path, ridge_dem):
