@@ -48,7 +48,8 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
                    help="override the scenario seed")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads (never changes the output bytes)")
+                   help="CPIs simulated at once; cube assembly always uses the "
+                        "available cores (never changes the output bytes)")
 
 
 def _load(args) -> Scenario:

@@ -5,11 +5,13 @@ return is the linear convolution of that pulse's channel taps with the
 transmitted waveform, so a cube built from exported channel files and
 any waveform is exactly what a fresh simulation would produce.
 
-A cube is assembled one receive channel at a time: convolution and
-superposition for channel n happen in one reused (M, nfft) buffer, and
-its noise is drawn into one reused (2, M, R) block, before channel
-n + 1 starts.  Peak memory is one cube plus one channel's scratch,
-whatever the channel count.
+A cube's receive channels are spread over the CPUs this process may
+run on, through one worker-thread pool that lives as long as the
+process.  Each worker assembles its channels one at a time in one
+(M, nfft) buffer: convolution and superposition happen in it, and once
+they are copied out the channel's noise is drawn into the same buffer.
+Peak memory is one cube plus one such buffer per worker, and the bytes
+are the same at any core count.
 
 The binary cube file format (magic RFCUBE01) is little-endian:
 
@@ -31,7 +33,10 @@ sample 0 sits at delay 0 can be written.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -46,6 +51,38 @@ from .waveform import Waveform
 
 _MAGIC = b"RFCUBE01"
 _HEADER = struct.Struct("<8sIIIIdddd")
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _workers() -> ThreadPoolExecutor:
+    """The process's cube-assembly pool, built on first use.  Its tasks
+    never submit tasks, so any number of callers can share it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="rxsim")
+        return _pool
+
+
+def _drop_pool() -> None:
+    """A forked child has none of its parent's threads: it builds its own pool."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
 
 
 @dataclass
@@ -138,12 +175,18 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     keyed by index alone, so it does not depend on evaluation order,
     worker count, channel blocking, or which CPIs are simulated.
 
-    The cube is built one receive channel at a time in one reused
-    (M, nfft) buffer and one reused noise block, so the working set is
-    the cube plus one channel's scratch.  Every tap line goes through
-    the same 1-D FFTs, and the channels and the noise are added in the
-    same order, as in a whole-cube evaluation, so the bytes do not
-    depend on the blocking.
+    Receive channel n goes to block n % W', where W' is the smaller of
+    the channel count and the CPUs this process may run on; each block
+    runs as one task of the shared pool, or inline when W' is 1.  The
+    noise generators are derived here, in channel order, before
+    dispatch.  Each block owns one (M, nfft) buffer: a channel's tap
+    lines are convolved and summed through it, and once they are copied
+    into the cube its noise block is drawn into the buffer's first
+    2 M R float64 words.  So the working set is the cube plus one
+    buffer per worker.  Every tap line goes through the same 1-D FFTs,
+    and the channels and the noise are added in the same order, as in a
+    whole-cube evaluation, so the bytes do not depend on the blocking
+    or the worker count.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -167,31 +210,43 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     nfft = next_fast_len(n_out)
     spectra = [np.fft.fft(r, nfft, axis=1) for r in rows]
     terms = [(ir, spectrum) for (irs, _), spectrum in zip(groups, spectra) for ir in irs]
-
-    cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
-    buf = np.empty((n_pulses, nfft), dtype=np.complex128)
-    noise = np.empty((2, n_pulses, n_out)) if noise_power > 0.0 else None
+    rngs = ([derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n) for n in range(n_ch)]
+            if noise_power > 0.0 else None)
     scale = np.sqrt(noise_power / 2.0)
-    for n in range(n_ch):
-        lines = cube[0, n]
-        for k, (ir, spectrum) in enumerate(terms):
-            buf[:, :n_taps] = ir.taps[n]
-            buf[:, n_taps:] = 0.0
-            np.fft.fft(buf, axis=1, out=buf)
-            buf *= spectrum
-            np.fft.ifft(buf, axis=1, out=buf)
-            if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
-                lines[...] = buf[:, :n_out]
-            else:
-                lines += buf[:, :n_out]
-        if noise_power == 0.0:
-            # adding zero noise still turns -0.0 into +0.0
-            lines += 0.0
-            continue
-        derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n).standard_normal(out=noise)
-        noise *= scale
-        lines.real += noise[0]
-        lines.imag += noise[1]
+    cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
+
+    def assemble(channels: range) -> None:
+        buf = np.empty((n_pulses, nfft), dtype=np.complex128)
+        noise = buf.reshape(-1).view(np.float64)[:2 * n_pulses * n_out].reshape(
+            2, n_pulses, n_out)
+        for n in channels:
+            lines = cube[0, n]
+            for k, (ir, spectrum) in enumerate(terms):
+                buf[:, :n_taps] = ir.taps[n]
+                buf[:, n_taps:] = 0.0
+                np.fft.fft(buf, axis=1, out=buf)
+                buf *= spectrum
+                np.fft.ifft(buf, axis=1, out=buf)
+                if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
+                    lines[...] = buf[:, :n_out]
+                else:
+                    lines += buf[:, :n_out]
+            if rngs is None:
+                # adding zero noise still turns -0.0 into +0.0
+                lines += 0.0
+                continue
+            rngs[n].standard_normal(out=noise)
+            noise *= scale
+            lines.real += noise[0]
+            lines.imag += noise[1]
+
+    n_blocks = min(_cpu_count(), n_ch)
+    if n_blocks == 1:
+        assemble(range(n_ch))
+    else:
+        pool = _workers()
+        for f in [pool.submit(assemble, range(b, n_ch, n_blocks)) for b in range(n_blocks)]:
+            f.result()
     return cube
 
 
@@ -220,20 +275,6 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
     samples = _assemble_cube([(irs, waveforms)], noise_power, seed, cpi_index)
     return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz,
-                    delay_origin=ref.delay_origin)
-
-
-def stack_cubes(cubes: Sequence[DataCube]) -> DataCube:
-    """Concatenate single-CPI cubes along the CPI axis."""
-    if not cubes:
-        raise ConfigurationError("stack_cubes needs at least one cube")
-    ref = cubes[0]
-    for c in cubes[1:]:
-        if c.samples.shape[1:] != ref.samples.shape[1:]:
-            raise ConfigurationError("cube dimensions differ")
-    samples = np.concatenate([c.samples for c in cubes], axis=0)
-    return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
-                    noise_power=ref.noise_power, carrier_hz=ref.carrier_hz,
                     delay_origin=ref.delay_origin)
 
 

@@ -41,6 +41,14 @@ def _count_cells(extent: float, size: float) -> int:
     return max(1, math.ceil(extent / size - 1e-9))
 
 
+def _check_georeference(cell_size: float, origin_lat: float, origin_lon: float) -> None:
+    if not (np.isfinite(cell_size) and cell_size > 0):
+        raise ConfigurationError(f"cell_size must be positive and finite, got {cell_size}")
+    if not (np.isfinite(origin_lat) and np.isfinite(origin_lon)):
+        raise ConfigurationError(
+            f"grid origin must be finite, got ({origin_lat}, {origin_lon})")
+
+
 @dataclass
 class ElevationGrid:
     """Regular height raster.
@@ -58,8 +66,7 @@ class ElevationGrid:
     _los_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
+        _check_georeference(self.cell_size, self.origin_lat, self.origin_lon)
 
     def __setattr__(self, name, value):
         # every `heights` assignment, the constructor's included, is
@@ -162,8 +169,7 @@ class ClassGrid:
         self.classes = np.asarray(self.classes, dtype=np.int64)
         if self.classes.ndim != 2 or self.classes.size == 0:
             raise ConfigurationError("class grid must be a non-empty 2-D array")
-        if self.cell_size <= 0:
-            raise ConfigurationError(f"cell_size must be positive, got {self.cell_size}")
+        _check_georeference(self.cell_size, self.origin_lat, self.origin_lon)
         self.classes.setflags(write=False)
 
     @property
@@ -564,6 +570,9 @@ def _read_raster_text(path) -> tuple[dict, list[str]]:
             values.extend(parts)
     if seen < len(expected):
         raise ConfigurationError(f"{path}: truncated header, stopped after {seen} of {len(expected)} lines")
+    if header["nrows"] < 1 or header["ncols"] < 1:
+        raise ConfigurationError(
+            f"{path}: nrows and ncols must be at least 1, got {header['nrows']} x {header['ncols']}")
     n_expected = header["nrows"] * header["ncols"]
     if len(values) != n_expected:
         raise ConfigurationError(

@@ -213,3 +213,23 @@ def test_blas_thread_count_does_not_change_the_dataset(tmp_path):
         manifests.append((out / "manifest.txt").read_bytes())
     assert manifests[0] == manifests[1]
     assert b"\nrng = philox4x64-10\n" in manifests[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and at least two CPUs")
+def test_core_count_does_not_change_the_dataset(tmp_path):
+    """Cube assembly spreads receive channels over the CPUs the process
+    may run on: the desk scenario1 manifest is byte-identical when the
+    run is pinned to one CPU."""
+    src = str(Path(rfclutter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    cpu = min(os.sched_getaffinity(0))
+    manifests = []
+    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", "--preset",
+                        "scenario1", "--out", str(out)], env=env, check=True,
+                       capture_output=True, preexec_fn=pin)
+        manifests.append((out / "manifest.txt").read_bytes())
+    assert manifests[0] == manifests[1]

@@ -1,6 +1,9 @@
 """Receiver simulation: pulse convolution, superposition, noise, cube files."""
 
+import multiprocessing
+import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -12,8 +15,7 @@ from rfclutter import rxsim
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
-from rfclutter.rxsim import (DataCube, convolve_pulse, read_cube, simulate_cube,
-                             stack_cubes, write_cube)
+from rfclutter.rxsim import DataCube, convolve_pulse, read_cube, simulate_cube, write_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
 
@@ -182,14 +184,17 @@ def test_cube_noise_matches_absolute_cpi_stream():
     np.testing.assert_array_equal(c2.samples, again.samples)
 
 
-@pytest.mark.parametrize("noise_power", [0.0, 0.7])
-@pytest.mark.parametrize("per_pulse", [False, True])
-@pytest.mark.parametrize("parts", ["clutter", "target", "both"])
-def test_cube_bytes_match_the_whole_cube_oracle(parts, per_pulse, noise_power):
-    """Channel-by-channel assembly gives the whole-cube oracle's bytes."""
+def set_worker_count(monkeypatch, workers):
+    """Make cube assembly split its channels `workers` ways.  The
+    shared pool is built first, so it keeps this machine's size."""
+    rxsim._workers()
+    monkeypatch.setattr(rxsim, "_cpu_count", lambda: workers)
+
+
+def assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n):
     rng = np.random.default_rng(10)
-    clutter = random_ir(rng, n=3, m=4, l=20)
-    target = random_ir(rng, n=3, m=4, l=20, kind="target")
+    clutter = random_ir(rng, n=n, m=4, l=20)
+    target = random_ir(rng, n=n, m=4, l=20, kind="target")
     wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
     irs = {"clutter": (clutter, None), "target": (None, target),
            "both": (clutter, target)}[parts]
@@ -200,17 +205,108 @@ def test_cube_bytes_match_the_whole_cube_oracle(parts, per_pulse, noise_power):
 
 
 @pytest.mark.parametrize("noise_power", [0.0, 0.7])
-def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
-    """Every receiver sums its transmitters in tx order and draws its
-    own noise streams, as the whole-cube oracle does."""
+@pytest.mark.parametrize("per_pulse", [False, True])
+@pytest.mark.parametrize("parts", ["clutter", "target", "both"])
+def test_cube_bytes_match_the_whole_cube_oracle(parts, per_pulse, noise_power):
+    """Channel-by-channel assembly gives the whole-cube oracle's bytes."""
+    assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n=3)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+@pytest.mark.parametrize("per_pulse", [False, True])
+@pytest.mark.parametrize("parts", ["clutter", "target", "both"])
+def test_cube_bytes_do_not_depend_on_the_worker_count(monkeypatch, parts, per_pulse,
+                                                      noise_power, workers):
+    """Five channels split 1, 2, 3 (a remainder block) and 8 (more
+    workers than channels) ways give the whole-cube oracle's bytes."""
+    set_worker_count(monkeypatch, workers)
+    assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n=5)
+
+
+def assert_mimo_cube_bytes_match_the_oracle(noise_power, n):
     rng = np.random.default_rng(11)
-    pair_irs = [[random_ir(rng) for _ in range(2)] for _ in range(2)]
+    pair_irs = [[random_ir(rng, n=n) for _ in range(2)] for _ in range(2)]
     wfs = [random_waveform(rng) for _ in range(2)]
     cubes = simulate_mimo_cube(pair_irs, wfs, noise_power, seed=21, cpi_index=2)
     for r, cube in enumerate(cubes):
         want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], noise_power, 21,
                            cpi_index=2, rx_index=r)
         assert cube.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
+    """Every receiver sums its transmitters in tx order and draws its
+    own noise streams, as the whole-cube oracle does."""
+    assert_mimo_cube_bytes_match_the_oracle(noise_power, n=2)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+def test_mimo_cube_bytes_do_not_depend_on_the_worker_count(monkeypatch, noise_power,
+                                                           workers):
+    set_worker_count(monkeypatch, workers)
+    assert_mimo_cube_bytes_match_the_oracle(noise_power, n=5)
+
+
+def test_concurrent_cubes_and_blocks_keep_their_bytes(monkeypatch):
+    """Stress: three caller threads share an eight-thread pool that runs
+    eight channel blocks per cube, with a short switch interval; every
+    cube keeps the whole-cube oracle's bytes, so no block writes into
+    another's scratch or channels."""
+    rng = np.random.default_rng(18)
+    clutter = random_ir(rng, n=8, m=32, l=500)
+    target = random_ir(rng, n=8, m=32, l=500, kind="target")
+    wf = random_waveform(rng, p=16)
+    want = oracle_cube([(clutter, wf), (target, wf)], 0.7, 9).tobytes()
+    pool = ThreadPoolExecutor(8)
+    monkeypatch.setattr(rxsim, "_pool", pool)
+    monkeypatch.setattr(rxsim, "_cpu_count", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(3) as callers:
+            cubes = [callers.submit(simulate_cube, clutter, target, wf, 0.7, seed=9)
+                     for _ in range(6)]
+            got = [f.result(timeout=120).samples.tobytes() for f in cubes]
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert all(g == want for g in got)
+
+
+def simulate_in_child(conn, ir, wf):
+    conn.send(simulate_cube(ir, None, wf, 0.7, seed=3).samples.tobytes())
+    conn.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="no fork start method")
+def test_forked_child_assembles_cubes_on_its_own_pool(monkeypatch):
+    """A child forked after the parent used the pool has none of its
+    threads; it must build its own pool rather than wait on the
+    parent's forever."""
+    set_worker_count(monkeypatch, 2)
+    rng = np.random.default_rng(17)
+    ir = random_ir(rng, n=4, m=4, l=20)
+    wf = random_waveform(rng)
+    parent = simulate_cube(ir, None, wf, 0.7, seed=3).samples.tobytes()
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=simulate_in_child, args=(send, ir, wf))
+    child.start()
+    send.close()
+    try:
+        assert recv.poll(60), "the forked child did not finish its cube"
+        assert recv.recv() == parent
+        child.join(60)
+        assert not child.is_alive()
+        assert child.exitcode == 0
+    finally:
+        if child.is_alive():
+            child.kill()
+            child.join(10)
 
 
 def count_noise_streams(monkeypatch):
@@ -257,9 +353,10 @@ def test_zero_noise_still_clears_negative_zeros():
     assert not np.signbit(cube.samples.view(np.float64)).any()
 
 
-def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch():
-    """Working memory is the cube and one channel's FFT buffers, not
-    whole-cube intermediates."""
+def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(monkeypatch):
+    """Working memory is the cube and one channel FFT buffer per worker,
+    which also holds the channel's noise, not whole-cube
+    intermediates."""
     n, m, l, p = 8, 64, 1000, 32
     rng = np.random.default_rng(13)
     clutter = random_ir(rng, n=n, m=m, l=l)
@@ -268,14 +365,16 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch():
     n_out = l + p - 1
     cube_bytes = n * m * n_out * 16
     channel_bytes = m * next_fast_len(n_out) * 16
-    tracemalloc.start()
-    try:
-        cube = simulate_cube(clutter, target, wf, 0.5, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert cube.samples.nbytes == cube_bytes
-    assert peak <= 1.1 * (cube_bytes + 2 * channel_bytes)
+    for workers in (1, 2, 4):
+        set_worker_count(monkeypatch, workers)
+        tracemalloc.start()
+        try:
+            cube = simulate_cube(clutter, target, wf, 0.5, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cube.samples.nbytes == cube_bytes
+        assert peak <= 1.1 * (cube_bytes + workers * channel_bytes), workers
 
 
 @pytest.mark.parametrize("noise_power", [float("nan"), float("inf"), -1.0])
@@ -321,17 +420,6 @@ def test_nan_rate_waveform_never_reaches_the_convolution():
     with pytest.raises(ConfigurationError):
         simulate_cube(random_ir(rng), None, Waveform(np.ones(4), sample_rate=float("nan")),
                       0.0, seed=1)
-
-
-def test_stack_cubes_orders_cpis():
-    rng = np.random.default_rng(7)
-    ir = random_ir(rng)
-    wf = random_waveform(rng)
-    cubes = [simulate_cube(ir, None, wf, 0.1, seed=3, cpi_index=c) for c in range(3)]
-    stacked = stack_cubes(cubes)
-    assert stacked.num_cpis == 3
-    for c in range(3):
-        np.testing.assert_array_equal(stacked.samples[c], cubes[c].samples[0])
 
 
 def test_cube_round_trip(tmp_path):

@@ -490,3 +490,25 @@ def test_raster_reader_rejects_malformed(tmp_path):
     worse.write_text("ncols 2\ncellsize 10\norigin 0 0\n1 2\n")
     with pytest.raises(ConfigurationError):
         read_dem(worse)
+
+
+@pytest.mark.parametrize("reader", [read_dem, read_landcover])
+@pytest.mark.parametrize("header", [
+    "nrows 2\nncols 3\ncellsize nan\norigin 0 0\n",
+    "nrows 2\nncols 3\ncellsize inf\norigin 0 0\n",
+    "nrows 2\nncols 3\ncellsize 0\norigin 0 0\n",
+    "nrows 2\nncols 3\ncellsize 10\norigin nan 0\n",
+    "nrows 2\nncols 3\ncellsize 10\norigin 0 -inf\n",
+    "nrows -2\nncols -3\ncellsize 10\norigin 0 0\n",
+    "nrows 0\nncols 0\ncellsize 10\norigin 0 0\n",
+], ids=["cellsize-nan", "cellsize-inf", "cellsize-0", "origin-nan", "origin-inf",
+        "negative-shape", "empty-shape"])
+def test_raster_reader_rejects_bad_georeference(tmp_path, reader, header):
+    """A non-finite or non-positive cell size, a non-finite origin and
+    fewer than one row or column are configuration errors, not a grid
+    with a NaN extent or a reshape traceback."""
+    values = "" if header.startswith("nrows 0") else "1 2 3\n4 5 6\n"
+    path = tmp_path / "bad.raster"
+    path.write_text(header + values)
+    with pytest.raises(ConfigurationError):
+        reader(path)
