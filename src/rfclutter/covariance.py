@@ -23,7 +23,7 @@ import numpy as np
 
 from .binfile import read_framed
 from .errors import ConfigurationError
-from .seeding import STREAM_SNAPSHOT, STREAM_SNAPSHOT_BATCH, derive_rng
+from .seeding import STREAM_SNAPSHOT_BATCH, derive_rng
 
 _MAGIC = b"RFCOV001"
 _HEADER = struct.Struct("<8sI")
@@ -38,21 +38,6 @@ def _check_patch_model(gains: np.ndarray, steerings: np.ndarray) -> tuple[np.nda
     if np.any(gains < 0):
         raise ValueError("patch power scales must be non-negative")
     return gains, steerings
-
-
-def draw_snapshot(gains: np.ndarray, steerings: np.ndarray, seed: int) -> np.ndarray:
-    """One clutter snapshot x = sum_i gamma_i v_i, deterministic in seed.
-
-    `steerings` has one space-time vector per row; gamma_i are circular
-    complex Gaussian with variance gains[i] (real and imaginary parts
-    drawn as two vectors, in that order).
-    """
-    gains, steerings = _check_patch_model(gains, steerings)
-    rng = derive_rng(seed, STREAM_SNAPSHOT)
-    scale = np.sqrt(gains / 2.0)
-    gamma = scale * rng.standard_normal(gains.shape[0]) \
-        + 1j * (scale * rng.standard_normal(gains.shape[0]))
-    return gamma @ steerings
 
 
 def draw_snapshots(gains: np.ndarray, steerings: np.ndarray, count: int,

@@ -6,12 +6,13 @@ transmitted waveform, so a cube built from exported channel files and
 any waveform is exactly what a fresh simulation would produce.
 
 A cube's receive channels are spread over the CPUs this process may
-run on, through one worker-thread pool that lives as long as the
-process.  Each worker assembles its channels one at a time in one
-(M, nfft) buffer: convolution and superposition happen in it, and once
-they are copied out the channel's noise is drawn into the same buffer.
-Peak memory is one cube plus one such buffer per worker, and the bytes
-are the same at any core count.
+run on, through the process's one worker pool (`workers`), which line
+of sight and the Philox draws share.  Each worker assembles its
+channels one at a time in one (M, nfft) buffer: convolution and
+superposition happen in it, and once they are copied out the
+channel's noise is drawn into the same buffer.  Peak memory is one
+cube plus one such buffer per worker.  Cube assembly, line of sight
+and the Philox draws all give the same bytes at any core count.
 
 The binary cube file format (magic RFCUBE01) is little-endian:
 
@@ -33,10 +34,7 @@ sample 0 sits at delay 0 can be written.
 
 from __future__ import annotations
 
-import os
 import struct
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -48,42 +46,10 @@ from .channel import ChannelImpulseResponse
 from .errors import ConfigurationError
 from .seeding import STREAM_NOISE, derive_rng
 from .waveform import Waveform
+from .workers import run_blocks
 
 _MAGIC = b"RFCUBE01"
 _HEADER = struct.Struct("<8sIIIIdddd")
-
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _cpu_count() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _workers() -> ThreadPoolExecutor:
-    """The process's cube-assembly pool, built on first use.  Its tasks
-    never submit tasks, so any number of callers can share it."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_cpu_count(), thread_name_prefix="rxsim")
-        return _pool
-
-
-def _drop_pool() -> None:
-    """A forked child has none of its parent's threads: it builds its own pool."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
 
 @dataclass
 class DataCube:
@@ -176,17 +142,17 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     worker count, channel blocking, or which CPIs are simulated.
 
     Receive channel n goes to block n % W', where W' is the smaller of
-    the channel count and the CPUs this process may run on; each block
-    runs as one task of the shared pool, or inline when W' is 1.  The
-    noise generators are derived here, in channel order, before
-    dispatch.  Each block owns one (M, nfft) buffer: a channel's tap
-    lines are convolved and summed through it, and once they are copied
-    into the cube its noise block is drawn into the buffer's first
-    2 M R float64 words.  So the working set is the cube plus one
-    buffer per worker.  Every tap line goes through the same 1-D FFTs,
-    and the channels and the noise are added in the same order, as in a
-    whole-cube evaluation, so the bytes do not depend on the blocking
-    or the worker count.
+    the channel count and the CPUs this process may run on; block 0
+    runs on the calling thread and each other block as one task of the
+    shared pool (`workers.run_blocks`).  The noise generators are
+    derived here, in channel order, before dispatch.  Each block owns
+    one (M, nfft) buffer: a channel's tap lines are convolved and summed
+    through it, and once they are copied into the cube its noise block
+    is drawn into the buffer's first 2 M R float64 words.  So the
+    working set is the cube plus one buffer per worker.  Every tap line
+    goes through the same 1-D FFTs, and the channels and the noise are
+    added in the same order, as in a whole-cube evaluation, so the
+    bytes do not depend on the blocking or the worker count.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -240,13 +206,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             lines.real += noise[0]
             lines.imag += noise[1]
 
-    n_blocks = min(_cpu_count(), n_ch)
-    if n_blocks == 1:
-        assemble(range(n_ch))
-    else:
-        pool = _workers()
-        for f in [pool.submit(assemble, range(b, n_ch, n_blocks)) for b in range(n_blocks)]:
-            f.result()
+    run_blocks(assemble, n_ch)
     return cube
 
 

@@ -28,18 +28,26 @@ before it enciphers, so block b enciphers (b + 1, patch id, realization,
 0)); the tests hold the vector form to it bit for bit.  Words become
 uniforms as numpy's do, `(w >> 11) * 2**-53`, and uniforms become
 normals by Box-Muller in `normal_pair`.
+
+Each block's words depend only on its counter, so `philox_words`
+enciphers fixed-size chunks of counters in place and spreads them over
+every CPU through the shared worker pool (`workers`); the words are the
+same at any core count.
 """
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
+
+from .workers import run_blocks
 
 # Stream identifiers.  Keep these distinct; they namespace the derived
 # generators so different consumers of the same master seed never collide.
 STREAM_CLUTTER = 1
 STREAM_NOISE = 2
 STREAM_OCEAN = 3
-STREAM_SNAPSHOT = 4
 STREAM_SNAPSHOT_BATCH = 5
 STREAM_MIMO_CODE = 8
 
@@ -51,6 +59,8 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)     # key schedule incremen
 _PHILOX_ROUNDS = 10
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
+# Counters per chunk of philox_words; fixes each task's scratch memory.
+PHILOX_CHUNK = 1 << 15
 
 
 def _entropy(keys) -> list[int]:
@@ -86,41 +96,85 @@ def philox_key(seed: int, stream: int) -> np.ndarray:
     return np.random.SeedSequence(_entropy((seed, stream))).generate_state(2, np.uint64)
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit product of a 64-bit constant
-    and each uint64 of `b`, from 32-bit halves."""
-    a_lo, a_hi = np.uint64(a & 0xFFFFFFFF), np.uint64(a >> 32)
-    b_lo, b_hi = b & _LO32, b >> _S32
-    ll = a_lo * b_lo
-    lh = a_lo * b_hi
-    hl = a_hi * b_lo
-    mid = (ll >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * b_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, (mid << _S32) | (ll & _LO32)
+def _mulhi(a_lo: np.uint64, a_hi: np.uint64, b: np.ndarray, bl: np.ndarray,
+           bh: np.ndarray, t: np.ndarray, u: np.ndarray) -> None:
+    """High word of the 128-bit product of the constant a_hi 2**32 + a_lo
+    and each uint64 of `b`, from 32-bit halves, into `bh`; `bl`, `t`
+    and `u` are scratch.  No partial sum exceeds 64 bits."""
+    np.bitwise_and(b, _LO32, out=bl)
+    np.right_shift(b, _S32, out=bh)
+    np.multiply(bl, a_lo, out=t)
+    t >>= _S32                     # (a_lo b_lo) >> 32
+    np.multiply(bh, a_lo, out=u)
+    u += t                         # a_lo b_hi + (a_lo b_lo >> 32)
+    np.bitwise_and(u, _LO32, out=t)
+    u >>= _S32
+    bl *= a_hi
+    bl += t
+    bl >>= _S32                    # (a_hi b_lo + the low half of u) >> 32
+    bh *= a_hi
+    bh += u
+    bh += bl
+
+
+def _encipher(key: np.ndarray, ids: np.ndarray, realization: int, num_blocks: int,
+              out: np.ndarray, chunks: range) -> None:
+    """Fill the given PHILOX_CHUNK-row chunks of `out`, whose row f holds
+    the four words of block f % num_blocks of ids[f // num_blocks].
+
+    One set of eight chunk-sized buffers serves every chunk.  Each
+    round works in place: its low words are wrapping uint64 products,
+    and the new c2 swaps buffers with the old one."""
+    m0, m1 = np.uint64(_PHILOX_M[0]), np.uint64(_PHILOX_M[1])
+    h0 = np.uint64(_PHILOX_M[0] & 0xFFFFFFFF), np.uint64(_PHILOX_M[0] >> 32)
+    h1 = np.uint64(_PHILOX_M[1] & 0xFFFFFFFF), np.uint64(_PHILOX_M[1] >> 32)
+    keys = []
+    k0, k1 = int(key[0]), int(key[1])
+    for _ in range(_PHILOX_ROUNDS):
+        keys.append((np.uint64(k0), np.uint64(k1)))
+        k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
+    buffers = np.empty((8, min(PHILOX_CHUNK, len(out))), dtype=np.uint64)
+    for chunk in chunks:
+        lo = chunk * PHILOX_CHUNK
+        rows = out[lo:lo + PHILOX_CHUNK]
+        c0, c1, c2, c3, s0, s1, s2, s3 = buffers[:, :len(rows)]
+        # block b enciphers counter word b + 1, as numpy's Philox does
+        q, r = np.divmod(np.arange(lo, lo + len(rows), dtype=np.uint64), np.uint64(num_blocks))
+        np.add(r, np.uint64(1), out=c0)
+        np.take(ids, q, out=c1)
+        c2.fill(realization)
+        c3.fill(0)
+        for k0, k1 in keys:
+            _mulhi(*h0, c0, s0, s1, s2, s3)
+            s1 ^= c3
+            s1 ^= k1                     # the new c2
+            np.multiply(c0, m0, out=c3)  # the new c3
+            _mulhi(*h1, c2, s0, c0, s2, s3)
+            c0 ^= c1
+            c0 ^= k0                     # the new c0
+            np.multiply(c2, m1, out=c1)  # the new c1
+            c2, s1 = s1, c2
+        for j, c in enumerate((c0, c1, c2, c3)):
+            rows[:, j] = c
 
 
 def philox_words(key: np.ndarray, ids: np.ndarray, realization: int,
                  num_blocks: int) -> np.ndarray:
     """Philox4x64-10 output for counters (block, id, realization, 0),
     blocks 0 .. num_blocks - 1 of every id: shape (len(ids), 4 * num_blocks),
-    row i holding id i's words in stream order."""
+    row i holding id i's words in stream order.
+
+    The len(ids) * num_blocks counters are enciphered in chunks of
+    PHILOX_CHUNK, spread over every core by `workers.run_blocks`; a
+    block's words do not depend on its chunk, so the bytes are the
+    same at any core count."""
     ids = np.asarray(ids, dtype=np.int64).reshape(-1)
     if np.any(ids < 0) or realization < 0:
         raise ValueError("Philox counters must be non-negative")
-    shape = (ids.size, num_blocks)
-    # block b enciphers counter word b + 1, as numpy's Philox does
-    c0 = np.broadcast_to(np.arange(1, num_blocks + 1, dtype=np.uint64), shape).ravel()
-    c1 = np.repeat(ids.astype(np.uint64), num_blocks)
-    c2 = np.full(c0.size, realization, dtype=np.uint64)
-    c3 = np.zeros(c0.size, dtype=np.uint64)
-    k0, k1 = int(key[0]), int(key[1])
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _M64, (k1 + _PHILOX_W[1]) & _M64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ np.uint64(k1), lo0
-    return np.stack([c0, c1, c2, c3], axis=1).reshape(ids.size, 4 * num_blocks)
+    out = np.empty((ids.size * num_blocks, 4), dtype=np.uint64)
+    run_blocks(partial(_encipher, key, ids.astype(np.uint64), realization, num_blocks, out),
+               -(-out.shape[0] // PHILOX_CHUNK))
+    return out.reshape(ids.size, 4 * num_blocks)
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:

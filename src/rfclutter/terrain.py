@@ -18,21 +18,9 @@ import numpy as np
 from scipy.ndimage import maximum_filter
 
 from .errors import ConfigurationError
+from .workers import run_blocks
 
-EARTH_RADIUS_M = 6_378_137.0  # equatorial radius used by the flat-earth mapping
 _LOS_BOUNDS_LOCK = threading.Lock()
-
-
-def enu_from_geodetic(lat_deg: float, lon_deg: float,
-                      origin_lat_deg: float, origin_lon_deg: float) -> tuple[float, float]:
-    """Equirectangular flat-earth mapping of a geodetic point to local ENU.
-
-    Adequate for scene extents of a few tens of km; no attempt is made
-    to handle pole or dateline wrap.
-    """
-    x = math.radians(lon_deg - origin_lon_deg) * EARTH_RADIUS_M * math.cos(math.radians(origin_lat_deg))
-    y = math.radians(lat_deg - origin_lat_deg) * EARTH_RADIUS_M
-    return x, y
 
 
 def _count_cells(extent: float, size: float) -> int:
@@ -380,8 +368,12 @@ def line_of_sight(dem: ElevationGrid, observer, point,
 # LOS_REACH blocks of that sample's block.
 LOS_BLOCK = 4
 LOS_REACH = 4
-# Samples per chunk of lines_of_sight; fixes its working memory.
+# Samples per chunk of lines_of_sight; with LOS_SPAN it fixes the
+# working memory of each of its tasks.
 LOS_CHUNK = 1 << 16
+# Runs per span: lines_of_sight culls one span of runs at a time, and
+# each span is one unit of work of the worker pool.
+LOS_SPAN = 1 << 15
 # heights_at blends up to four nodes with rounded weights and can land
 # up to about 8 eps * max|h| above the highest of them; the block bound
 # adds 64 eps * max|h|, so a sample above it cannot be blocked.
@@ -447,9 +439,15 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
     window is cut into runs of samples; a run goes on only if its lowest
     sample is at or below the bound of the blocks it can cross, and a
     sample of such a run is interpolated only if it is at or below the
-    bound of the DEM nodes its interpolation reads.  Runs are processed
-    in chunks of at most LOS_CHUNK samples.  The bounds are the grid's
-    `los_bounds`, built once per grid.
+    bound of the DEM nodes its interpolation reads.  The bounds are the
+    grid's `los_bounds`, built once per grid.
+
+    The runs are culled first, in spans of LOS_SPAN runs, and only the
+    kept runs are expanded into samples, at most LOS_CHUNK at a time.
+    A ray is blocked if any of its samples is, so the spans are
+    independent: they run on every CPU through the shared worker pool
+    (`workers.run_blocks`), and the answers are the same at any core
+    count.
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -494,29 +492,40 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
 
     # between two on-raster endpoints every sample is on the raster
     masked = ~(dem.within_extent(obs[0], obs[1]) & dem.within_extent(pts[:, 0], pts[:, 1]))
-    blocked = np.zeros(len(pts), dtype=bool)
     per_chunk = LOS_CHUNK // run
-    for lo in range(0, total, per_chunk):
-        j = np.arange(lo, min(lo + per_chunk, total))
-        ray = np.searchsorted(ends, j, side="right")
-        a = first[ray] + (j - (ends[ray] - runs[ray])) * run
-        m = np.minimum(run, first[ray] + count[ray] - a)
-        xa, ya, za = sample(ray, a)
-        zb = sample(ray, a + m - 1)[2]
-        fr, fc = dem.node_coords(xa, ya)
-        near = np.minimum(za, zb) <= coarse[fr.astype(np.intp) // LOS_BLOCK,
-                                            fc.astype(np.intp) // LOS_BLOCK]
-        ray, a, m = ray[near], a[near], m[near]
 
-        ray = np.repeat(ray, m)
-        xs, ys, ray_z = sample(ray, np.repeat(a - (np.cumsum(m) - m), m) + np.arange(m.sum()))
-        fr, fc = dem.node_coords(xs, ys)
-        near = ray_z <= fine[fr.astype(np.intp) // LOS_BLOCK, fc.astype(np.intp) // LOS_BLOCK]
-        near &= ~masked[ray] | dem.within_extent(xs, ys)
-        k = np.flatnonzero(near)
-        hit = dem.heights_at(xs[k], ys[k]) > ray_z[k]
-        blocked[ray[k[hit]]] = True
-    return ~blocked
+    def blocked_rays(spans: range) -> np.ndarray:
+        # allocated before the chunks, so it pins none of their memory
+        blocked = np.zeros(len(pts), dtype=bool)
+        for span in spans:
+            # cull the span's runs against the coarse bound ...
+            j = np.arange(span * LOS_SPAN, min(span * LOS_SPAN + LOS_SPAN, total))
+            ray = np.searchsorted(ends, j, side="right")
+            a = first[ray] + (j - (ends[ray] - runs[ray])) * run
+            m = np.minimum(run, first[ray] + count[ray] - a)
+            xa, ya, za = sample(ray, a)
+            zb = sample(ray, a + m - 1)[2]
+            fr, fc = dem.node_coords(xa, ya)
+            near = np.minimum(za, zb) <= coarse[fr.astype(np.intp) // LOS_BLOCK,
+                                                fc.astype(np.intp) // LOS_BLOCK]
+            ray, a, m = ray[near], a[near], m[near]
+            # ... then expand the kept runs, at most LOS_CHUNK samples at a time
+            for lo in range(0, len(ray), per_chunk):
+                part = slice(lo, lo + per_chunk)
+                mp = m[part]
+                r = np.repeat(ray[part], mp)
+                xs, ys, ray_z = sample(r, np.repeat(a[part] - (np.cumsum(mp) - mp), mp)
+                                       + np.arange(mp.sum()))
+                fr, fc = dem.node_coords(xs, ys)
+                near = ray_z <= fine[fr.astype(np.intp) // LOS_BLOCK,
+                                     fc.astype(np.intp) // LOS_BLOCK]
+                near &= ~masked[r] | dem.within_extent(xs, ys)
+                k = np.flatnonzero(near)
+                hit = dem.heights_at(xs[k], ys[k]) > ray_z[k]
+                blocked[r[k[hit]]] = True
+        return blocked
+
+    return ~np.logical_or.reduce(run_blocks(blocked_rays, -(-total // LOS_SPAN)))
 
 
 def los_mask(dem: ElevationGrid, observer, patches: PatchArrays,

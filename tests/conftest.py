@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from rfclutter import workers
 from rfclutter.terrain import ClassGrid, ElevationGrid
 from rfclutter.scattering import GRASS
 
@@ -29,3 +30,13 @@ def flat_dem() -> ElevationGrid:
 def grass_cover() -> ClassGrid:
     return ClassGrid(classes=np.full((32, 32), GRASS, dtype=np.int64),
                      cell_size=10.0)
+
+
+@pytest.fixture
+def set_worker_count(monkeypatch):
+    """`set_worker_count(w)` makes pooled work split w ways.  The
+    shared pool is built first, so it keeps this machine's size."""
+    def set_count(count: int) -> None:
+        workers.pool()
+        monkeypatch.setattr(workers, "cpu_count", lambda: count)
+    return set_count

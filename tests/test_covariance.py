@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from rfclutter.covariance import (clutter_covariance, draw_snapshot,
-                                  draw_snapshots, homogeneity_distance,
-                                  read_covariance, sample_covariance,
-                                  write_covariance)
+from rfclutter.covariance import (clutter_covariance, draw_snapshots,
+                                  homogeneity_distance, read_covariance,
+                                  sample_covariance, write_covariance)
 from rfclutter.errors import ConfigurationError
 from rfclutter.seeding import derive_rng
 
@@ -53,10 +52,10 @@ def test_all_shadowed_gives_zero_matrix():
 
 def test_snapshot_deterministic_and_seed_sensitive():
     gains, steer = random_patch_model(8, 6, seed=3)
-    a = draw_snapshot(gains, steer, seed=11)
-    b = draw_snapshot(gains, steer, seed=11)
+    a = draw_snapshots(gains, steer, 1, seed=11)
+    b = draw_snapshots(gains, steer, 1, seed=11)
     np.testing.assert_array_equal(a, b)
-    assert not np.array_equal(a, draw_snapshot(gains, steer, seed=12))
+    assert not np.array_equal(a, draw_snapshots(gains, steer, 1, seed=12))
 
 
 def test_batch_rows_are_iid_not_repeats():

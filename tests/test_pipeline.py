@@ -7,12 +7,13 @@ import io
 import logging
 import math
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from rfclutter import pipeline
+from rfclutter import pipeline, rxsim, seeding, terrain, workers
 from rfclutter.antenna import pattern_gains
 from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
                                bistatic_delay_doppler, patch_responses,
@@ -28,6 +29,8 @@ from rfclutter.scattering import URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
 from rfclutter.terrain import (ClassGrid, ElevationGrid, grazing_angles, line_of_sight,
                                lines_of_sight)
+
+from conftest import ridge_heights
 
 
 def tiny_scenario(**overrides):
@@ -209,6 +212,40 @@ def test_mimo_first_transmitter_matches_single_pipeline():
     assert not np.array_equal(calm_pairs[0][0].taps, pairs[0][0].taps)
 
 
+EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("cpi, options", [
+    (0, dict(clutter_doppler_std_hz=40.0)),
+    (0, dict(rx_position=np.array([100.0, 300.0, 250.0]),
+             rx_velocity=np.array([0.0, 10.0, 0.0]))),
+    (0, dict(buildings=BuildingGrid(origin=np.array([600.0, 540.0]), rows=1, cols=2,
+                                    footprint=30.0, height=9.0))),
+    (1, {}),
+    (0, dict(landcover=half_water_cover(), wind_speed_mps=12.0, extra_tx=True)),
+    (1, dict(landcover=half_water_cover(), wind_speed_mps=12.0, extra_tx=True)),
+], ids=["jitter", "bistatic", "buildings", "cpi1", "wind-extra-tx", "wind-extra-tx-cpi1"])
+def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
+    """MIMO transmitter 0 carries exactly the taps of the
+    single-transmitter pipeline, clutter plus target, under each
+    scenario option, not only at the defaults."""
+    options = dict(options)
+    mimo_tx = [(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))]
+    if options.pop("extra_tx", False):
+        mimo_tx.append(EXTRA_TX)
+    scn = tiny_scenario(
+        targets=[TargetSpec(position=[900.0, 600.0, 0.0],
+                            velocity=[10.0, 0.0, 0.0], rcs=50.0)],
+        mimo_tx=mimo_tx, **options)
+    scene = pipeline.build_scene(scn)
+    pairs = pipeline.mimo_pair_irs(scn, scene, cpi=cpi)
+    assert len(pairs) == 1 + len(mimo_tx)
+    result = pipeline.simulate_cpi(scn, scene, cpi, pipeline.default_waveform(scn))
+    assert np.any(result.clutter_ir.taps) and np.any(result.target_ir.taps)
+    np.testing.assert_array_equal(pairs[0][0].taps,
+                                  result.clutter_ir.taps + result.target_ir.taps)
+
+
 def test_threads_do_not_change_output_bytes():
     scn = tiny_scenario(noise_power=1e-19, num_cpis=3)
     serial = pipeline.simulate_scenario(scn, threads=1)
@@ -218,6 +255,48 @@ def test_threads_do_not_change_output_bytes():
         assert a.cpi == b.cpi
         np.testing.assert_array_equal(a.cube.samples, b.cube.samples)
         np.testing.assert_array_equal(a.clutter_ir.taps, b.clutter_ir.taps)
+
+
+def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
+    """Stress: three CPI threads share a one-thread pool while line of
+    sight, the Philox draws and cube assembly each split their work four
+    ways into small spans and chunks, with a short switch interval.  The
+    run finishes, so no pool task waits on another, and every CPI keeps
+    the serial run's bytes."""
+    scn = tiny_scenario(dem=ElevationGrid(heights=ridge_heights(40, 30.0, crest=150.0),
+                                          cell_size=30.0),
+                        landcover=half_water_cover(), wind_speed_mps=12.0,
+                        noise_power=1e-19, num_cpis=3)
+    serial = pipeline.simulate_scenario(scn, threads=1)
+    splits = collections.Counter()
+
+    def counting(module):
+        def run(task, count):
+            splits[module.__name__] = max(splits[module.__name__], count)
+            return workers.run_blocks(task, count)
+        return run
+
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(workers, "_pool", pool)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 4)
+    monkeypatch.setattr(terrain, "LOS_SPAN", 7)
+    monkeypatch.setattr(seeding, "PHILOX_CHUNK", 64)
+    for module in (terrain, seeding, rxsim):
+        monkeypatch.setattr(module, "run_blocks", counting(module))
+    caller = ThreadPoolExecutor(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        pooled = caller.submit(pipeline.simulate_scenario, scn, threads=3).result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        # without waiting, so a deadlock fails the test instead of hanging it
+        caller.shutdown(wait=False)
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert min(splits[m.__name__] for m in (terrain, seeding, rxsim)) >= 2
+    for a, b in zip(serial.results, pooled.results, strict=True):
+        assert a.cube.samples.tobytes() == b.cube.samples.tobytes()
+        assert a.clutter_ir.taps.tobytes() == b.clutter_ir.taps.tobytes()
 
 
 def test_empty_scenario_rejected():

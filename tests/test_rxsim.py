@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.fft import next_fast_len
 
-from rfclutter import rxsim
+from rfclutter import rxsim, workers
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
@@ -184,13 +184,6 @@ def test_cube_noise_matches_absolute_cpi_stream():
     np.testing.assert_array_equal(c2.samples, again.samples)
 
 
-def set_worker_count(monkeypatch, workers):
-    """Make cube assembly split its channels `workers` ways.  The
-    shared pool is built first, so it keeps this machine's size."""
-    rxsim._workers()
-    monkeypatch.setattr(rxsim, "_cpu_count", lambda: workers)
-
-
 def assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n):
     rng = np.random.default_rng(10)
     clutter = random_ir(rng, n=n, m=4, l=20)
@@ -216,11 +209,11 @@ def test_cube_bytes_match_the_whole_cube_oracle(parts, per_pulse, noise_power):
 @pytest.mark.parametrize("noise_power", [0.0, 0.7])
 @pytest.mark.parametrize("per_pulse", [False, True])
 @pytest.mark.parametrize("parts", ["clutter", "target", "both"])
-def test_cube_bytes_do_not_depend_on_the_worker_count(monkeypatch, parts, per_pulse,
+def test_cube_bytes_do_not_depend_on_the_worker_count(set_worker_count, parts, per_pulse,
                                                       noise_power, workers):
     """Five channels split 1, 2, 3 (a remainder block) and 8 (more
     workers than channels) ways give the whole-cube oracle's bytes."""
-    set_worker_count(monkeypatch, workers)
+    set_worker_count(workers)
     assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n=5)
 
 
@@ -244,9 +237,9 @@ def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 @pytest.mark.parametrize("noise_power", [0.0, 0.7])
-def test_mimo_cube_bytes_do_not_depend_on_the_worker_count(monkeypatch, noise_power,
+def test_mimo_cube_bytes_do_not_depend_on_the_worker_count(set_worker_count, noise_power,
                                                            workers):
-    set_worker_count(monkeypatch, workers)
+    set_worker_count(workers)
     assert_mimo_cube_bytes_match_the_oracle(noise_power, n=5)
 
 
@@ -261,8 +254,8 @@ def test_concurrent_cubes_and_blocks_keep_their_bytes(monkeypatch):
     wf = random_waveform(rng, p=16)
     want = oracle_cube([(clutter, wf), (target, wf)], 0.7, 9).tobytes()
     pool = ThreadPoolExecutor(8)
-    monkeypatch.setattr(rxsim, "_pool", pool)
-    monkeypatch.setattr(rxsim, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(workers, "_pool", pool)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -283,11 +276,11 @@ def simulate_in_child(conn, ir, wf):
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="no fork start method")
-def test_forked_child_assembles_cubes_on_its_own_pool(monkeypatch):
+def test_forked_child_assembles_cubes_on_its_own_pool(set_worker_count):
     """A child forked after the parent used the pool has none of its
     threads; it must build its own pool rather than wait on the
     parent's forever."""
-    set_worker_count(monkeypatch, 2)
+    set_worker_count(2)
     rng = np.random.default_rng(17)
     ir = random_ir(rng, n=4, m=4, l=20)
     wf = random_waveform(rng)
@@ -353,7 +346,7 @@ def test_zero_noise_still_clears_negative_zeros():
     assert not np.signbit(cube.samples.view(np.float64)).any()
 
 
-def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(monkeypatch):
+def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
     """Working memory is the cube and one channel FFT buffer per worker,
     which also holds the channel's noise, not whole-cube
     intermediates."""
@@ -366,7 +359,7 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(monkeypatch):
     cube_bytes = n * m * n_out * 16
     channel_bytes = m * next_fast_len(n_out) * 16
     for workers in (1, 2, 4):
-        set_worker_count(monkeypatch, workers)
+        set_worker_count(workers)
         tracemalloc.start()
         try:
             cube = simulate_cube(clutter, target, wf, 0.5, seed=3)

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 from rfclutter import terrain
 from rfclutter.errors import ConfigurationError
 from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays,
-                               build_patch_grid, enu_from_geodetic,
-                               grazing_angle, grazing_angles, line_of_sight,
+                               build_patch_grid, grazing_angle,
+                               grazing_angles, line_of_sight,
                                lines_of_sight, los_mask, patch_grid_shape, read_dem,
                                read_landcover, write_dem, write_landcover)
 from rfclutter.scattering import GRASS, WATER
+from rfclutter.workers import run_blocks
 
 from conftest import ridge_heights
 
@@ -63,13 +64,6 @@ def test_dem_rejects_bad_inputs():
     bad[1, 2] = np.nan
     with pytest.raises(ConfigurationError):
         ElevationGrid(heights=bad, cell_size=10.0)
-
-
-def test_enu_from_geodetic_small_offsets():
-    # 1 arc-second of latitude is ~30.9 m of northing at the equator
-    e, n = enu_from_geodetic(1.0 / 3600.0, 0.0, 0.0, 0.0)
-    assert n == pytest.approx(30.92, abs=0.05)
-    assert e == pytest.approx(0.0, abs=1e-9)
 
 
 # --- patch grids -------------------------------------------------------------
@@ -346,6 +340,31 @@ def test_lines_of_sight_long_rays_cross_chunks(ridge_dem):
     want = [line_of_sight(ridge_dem, obs, p, step=step) for p in points]
     assert got.tolist() == want
     assert not all(want) and any(want)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_lines_of_sight_do_not_depend_on_the_worker_count(set_worker_count, monkeypatch,
+                                                          ridge_dem, workers):
+    """Spans of seven runs split 1, 2, 3 and 8 ways, with kept runs
+    expanded a few at a time, give the scalar reference's answers."""
+    monkeypatch.setattr(terrain, "LOS_SPAN", 7)
+    monkeypatch.setattr(terrain, "LOS_CHUNK", 100)
+    set_worker_count(workers)
+    spans = []
+
+    def counting(task, count):
+        spans.append(count)
+        return run_blocks(task, count)
+
+    monkeypatch.setattr(terrain, "run_blocks", counting)
+    cover = ClassGrid(classes=np.full((64, 64), GRASS, dtype=np.int64), cell_size=10.0)
+    points = build_patch_grid(ridge_dem, cover, patch_size=40.0).centers
+    for obs in ((320.0, 40.0, 30.0), (-50.0, 700.0, 120.0)):
+        got = lines_of_sight(ridge_dem, obs, points, clearance=1.0)
+        want = [line_of_sight(ridge_dem, obs, p, clearance=1.0) for p in points]
+        assert got.tolist() == want
+        assert not all(want) and any(want)
+    assert min(spans) > 8
 
 
 def test_lines_of_sight_validation(ridge_dem):
