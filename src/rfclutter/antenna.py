@@ -134,6 +134,26 @@ def phase_ramps(theta, count: int) -> np.ndarray:
     return out
 
 
+def phase_ramp_column(theta, k: int) -> np.ndarray:
+    """Column k of `phase_ramps(theta, count)` for any count > k, bit for
+    bit, without the other columns: 1 times exp(j theta w) for each set
+    bit w of k, lowest first, as the doubling multiplies them."""
+    theta = np.asarray(theta, dtype=np.float64)
+    out = np.ones(theta.shape, dtype=np.complex128)
+    width = 1
+    while width <= k:
+        if k & width:
+            out *= np.exp(1j * (theta * width))
+        width *= 2
+    return out
+
+
+def _steering_phases(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
+    """theta_i = 2 pi / lambda <p_1 - p_0, d_i>, the ramp step of each direction."""
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    return (2.0 * np.pi / array.wavelength) * (directions @ array.element_step)
+
+
 def spatial_steering_many(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
     """Ideal spatial steering entries for many directions, shape (k, n).
 
@@ -142,9 +162,13 @@ def spatial_steering_many(array: ArrayGeometry, directions: np.ndarray) -> np.nd
     linear array row i is the phase ramp of
     theta_i = 2 pi / lambda <p_1 - p_0, d_i>.
     """
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    theta = (2.0 * np.pi / array.wavelength) * (directions @ array.element_step)
-    return phase_ramps(theta, array.num_elements)
+    return phase_ramps(_steering_phases(array, directions), array.num_elements)
+
+
+def spatial_steering_column(array: ArrayGeometry, directions: np.ndarray,
+                            element: int) -> np.ndarray:
+    """Column `element` of `spatial_steering_many`, bit for bit, shape (k,)."""
+    return phase_ramp_column(_steering_phases(array, directions), element)
 
 
 def spatial_steering(array: ArrayGeometry, direction) -> SteeringVector:

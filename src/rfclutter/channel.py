@@ -34,7 +34,7 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import convolution_matrix
+from scipy.linalg import toeplitz
 
 from .antenna import ArrayGeometry, phase_ramps, spatial_steering_many
 from .binfile import read_framed
@@ -248,14 +248,28 @@ def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
                                                 wavelength)
     words = philox_words(philox_key(model.seed, STREAM_CLUTTER), patches.ids,
                          realization, 1)
+    amplitudes, dopplers = drawn_amplitudes_dopplers(words, delays, dopplers, power_scales,
+                                                     wavelength, model)
+    return scatterer_responses(delays, dopplers, amplitudes, patches.ids)
+
+
+def drawn_amplitudes_dopplers(words, delays: np.ndarray, dopplers: np.ndarray,
+                              power_scales: np.ndarray, wavelength: float,
+                              model: StochasticModel) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes and Dopplers of scatterers with the given delays,
+    Dopplers and power scales, from the first Philox block of each:
+    `words[..., 0]` draws the phase and words 1 and 2 the Doppler
+    jitter, as in `patch_response`.  Leading axes of `words` (one per
+    realization, say) broadcast against the scatterer axis.  Words that
+    the model does not draw from may be None."""
     if model.deterministic_phase:
         phase = -2.0 * np.pi * (delays * SPEED_OF_LIGHT) / wavelength
     else:
-        phase = 2.0 * np.pi * uniforms(words[:, 0])
+        phase = 2.0 * np.pi * uniforms(words[..., 0])
     if model.doppler_std_hz > 0:
-        dopplers = dopplers + model.doppler_std_hz * normal_pair(words[:, 1], words[:, 2])[0]
-    amplitudes = np.sqrt(power_scales) * np.exp(1j * phase)
-    return scatterer_responses(delays, dopplers, amplitudes, patches.ids)
+        dopplers = dopplers + model.doppler_std_hz * normal_pair(words[..., 1],
+                                                                 words[..., 2])[0]
+    return np.sqrt(power_scales) * np.exp(1j * phase), dopplers
 
 
 def synthesize_ir(responses: np.recarray, directions: np.ndarray,
@@ -352,23 +366,27 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:
     """Sample mean of H^H H over channel realizations.
 
-    `realize(k)` must return the 1-D delay taps of realization k for a
-    single channel/pulse.  H is that tap vector's convolution matrix
-    acting on a length-`waveform_len` waveform, so the result is a
-    (waveform_len, waveform_len) Hermitian matrix suitable for SCNR
-    work.
+    `realize(k)` must return the 1-D delay taps h of realization k for a
+    single channel/pulse.  H is the full convolution matrix of h acting
+    on a length-`waveform_len` waveform, so H^H H is Toeplitz: entry
+    (i, j) is the lag sum r_(i-j), where r_k = sum_l conj(h_l) h_(l+k)
+    and r_(-k) = conj(r_k).  Only the lags 0 .. waveform_len - 1 are
+    accumulated over the realizations; the (waveform_len, waveform_len)
+    Hermitian matrix, with a real diagonal, is built once from their
+    mean.  It is suitable for SCNR work.
     """
     if waveform_len < 1:
         raise ConfigurationError(f"waveform_len must be >= 1, got {waveform_len}")
     if num_realizations < 1:
         raise ConfigurationError(f"num_realizations must be >= 1, got {num_realizations}")
-    acc = np.zeros((waveform_len, waveform_len), dtype=np.complex128)
+    lags = np.zeros(waveform_len, dtype=np.complex128)
     for k in range(num_realizations):
         taps = np.asarray(realize(k), dtype=np.complex128).reshape(-1)
-        h = convolution_matrix(taps, waveform_len)
-        acc += h.conj().T @ h
-    acc /= num_realizations
-    return 0.5 * (acc + acc.conj().T)
+        for lag in range(min(waveform_len, taps.size)):
+            lags[lag] += np.vdot(taps[:taps.size - lag], taps[lag:])
+    lags /= num_realizations
+    lags[0] = lags[0].real
+    return toeplitz(lags, lags.conj())
 
 
 def write_ir(path, ir: ChannelImpulseResponse) -> None:

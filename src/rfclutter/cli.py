@@ -164,8 +164,7 @@ def cmd_range_doppler(args) -> int:
 def cmd_cofar_optimize(args) -> int:
     scn = _load(args)
     out = _out_dir(args)
-    scene = pipeline.build_scene(scn)
-    moments = pipeline.channel_moments(scn, scene, cpi=args.cpi, pulse=args.pulse,
+    moments = pipeline.channel_moments(scn, cpi=args.cpi, pulse=args.pulse,
                                        channel=args.channel,
                                        realizations=args.realizations)
     probe = pipeline.default_waveform(scn)
@@ -301,7 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cpi", type=int, default=0)
     p.add_argument("--pulse", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
-    p.add_argument("--realizations", type=int, default=64)
+    p.add_argument("--realizations", type=int, default=64,
+                   help="clutter draws of the chosen tap row (default 64)")
     p.set_defaults(func=cmd_cofar_optimize)
 
     p = sub.add_parser("mimo-sim", help="multi-transmitter simulation")

@@ -20,17 +20,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scattering
-from .antenna import ArrayGeometry, pattern_gains
+from .antenna import ArrayGeometry, pattern_gains, phase_ramp_column, spatial_steering_column
 from .channel import (ChannelImpulseResponse, RadarTiming, SPEED_OF_LIGHT,
-                      StochasticModel, bistatic_delays_dopplers, ensemble_second_moment,
-                      patch_responses, scatterer_responses, synthesize_ir)
+                      StochasticModel, bistatic_delays_dopplers, drawn_amplitudes_dopplers,
+                      ensemble_second_moment, patch_responses, scatterer_responses,
+                      synthesize_ir)
 from .cofar import ChannelMoments
 from .errors import ConfigurationError
 from .ocean import OceanState, pulse_modulation
 from .rxsim import DataCube, simulate_cube
 from .scattering import patch_power_scales
 from .scenario import Scenario
-from .seeding import STREAM_MIMO_CODE, STREAM_OCEAN, derive_seed
+from .seeding import (STREAM_CLUTTER, STREAM_MIMO_CODE, STREAM_OCEAN, derive_seed, philox_key,
+                      philox_words)
 from .terrain import (ClassGrid, ElevationGrid, PatchArrays, PlatformState,
                       build_patch_grid, grazing_angles, lines_of_sight,
                       patch_grid_shape)
@@ -45,6 +47,10 @@ LOS_CLEARANCE_M = 1.0
 # Realization indices >= this belong to moment estimation, so training
 # draws never reuse the phases of the exported CPIs.
 MOMENT_REALIZATION_BASE = 1_000_000
+
+# Philox counters (or taps) per batch of moment realizations; fixes the
+# row sampler's working memory whatever the realization count.
+MOMENT_BATCH = 1 << 16
 
 
 @dataclass
@@ -280,11 +286,13 @@ def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
     """Responses of the scatterers at indices `live`.  Every draw is
     keyed by patch id, so skipping the zero-gain scatterers leaves the
     others' draws unchanged."""
-    model = StochasticModel(seed=seed,
-                            doppler_std_hz=scn.clutter_doppler_std_hz,
-                            deterministic_phase=scn.deterministic_clutter_phase)
     return patch_responses(scene.patches[live], budget.gains[live], tx, rx, scn.wavelength,
-                           model, realization=realization)
+                           _clutter_model(scn, seed), realization=realization)
+
+
+def _clutter_model(scn: Scenario, seed: int) -> StochasticModel:
+    return StochasticModel(seed=seed, doppler_std_hz=scn.clutter_doppler_std_hz,
+                           deterministic_phase=scn.deterministic_clutter_phase)
 
 
 def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarray,
@@ -308,16 +316,15 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
 
 def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
                        timing: RadarTiming | None = None,
-                       realization: int | None = None,
                        budget: PatchBudget | None = None,
                        tx: PlatformState | None = None,
                        seed: int | None = None) -> ChannelImpulseResponse:
     """Clutter impulse response for one CPI (terrain + buildings +
     discretes, with sea-surface modulation when the wind blows).
 
-    The link budget is pure geometry; callers drawing many realizations
-    of the same CPI can compute it once and pass it in.  Only the
-    scatterers with a non-zero gain are drawn and accumulated.
+    The link budget is pure geometry; a caller that has it can pass it
+    in.  Only the scatterers with a non-zero gain are drawn and
+    accumulated.
 
     `tx` and `seed` default to the scenario's own transmitter and seed;
     the MIMO path passes its extra transmitters and their clutter seeds.
@@ -333,8 +340,7 @@ def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
     if budget is None:
         budget = patch_budget(scn, scene, tx, rx, array, timing)
     live = np.flatnonzero(budget.gains)
-    responses = _clutter_responses(scn, scene, budget, live, tx, rx,
-                                   cpi if realization is None else realization,
+    responses = _clutter_responses(scn, scene, budget, live, tx, rx, cpi,
                                    scn.seed if seed is None else seed)
     return synthesize_ir(responses, budget.directions[live], array, timing, kind="clutter",
                          modulation=_ocean_modulation(scn, scene, cpi, live))
@@ -453,23 +459,100 @@ def simulate_scenario(scn: Scenario, waveform: Waveform | None = None,
 # --- waveform design support -------------------------------------------------
 
 
-def clutter_tap_realizations(scn: Scenario, scene: SceneModel, cpi: int,
-                             pulse: int = 0, channel: int = 0):
-    """Callable k -> fresh clutter delay taps for one (channel, pulse).
+def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
+                     channel: int = 0, realizations: int = 1):
+    """Callable k -> clutter delay taps of realization k, k < realizations,
+    for one (channel, pulse): the row taps[channel, pulse] that
+    `synthesize_clutter` would build at CPI `cpi` with the draws of
+    realization MOMENT_REALIZATION_BASE + k.  The reserved block keeps
+    training draws independent of every exported CPI.
 
-    Realization indices are offset into a reserved block so training
-    draws are independent of every exported CPI.
+    Only the row is built.  Once per call: the link budget, the live
+    scatterers' delays and Dopplers, their taps in (tap, patch id)
+    order, their steering entries at `channel` and their sea
+    modulation at `pulse`.  Per batch of realizations: one Philox call,
+    then each realization's phases, Doppler jitter and slow-time
+    entries at `pulse` (`phase_ramp_column`), summed per tap by
+    `np.bincount` in (tap, patch id) order and cast to complex64.  A
+    batch holds at most MOMENT_BATCH counters or taps (or one
+    realization, if that is larger), so the working memory does not
+    grow with `realizations`.
+
+    Every factor has `synthesize_ir`'s arithmetic; only each tap's sum
+    runs in another order than its GEMM, which shows at most in the
+    last bit of the complex64 cast.  Without random phase or Doppler
+    jitter every realization is the same row, drawn once.
     """
     timing = scn.timing()
     tx, rx = platform_states(scn, cpi)
     array = receive_array(scn)
     budget = patch_budget(scn, scene, tx, rx, array, timing)
+    live = np.flatnonzero(budget.gains)
+    delays, dopplers = bistatic_delays_dopplers(scene.patches.centers[live], np.zeros(3),
+                                                tx, rx, scn.wavelength)
+    tap = np.round((delays - timing.delay_origin) * timing.sample_rate).astype(np.int64)
+    in_window = (tap >= 0) & (tap < timing.num_taps)
+    if not in_window.all():
+        logger.warning("%d patch responses fall outside the receive window and were dropped",
+                       int(np.count_nonzero(~in_window)))
+    ids = scene.patches.ids[live]
+    sel = np.flatnonzero(in_window)
+    sel = sel[np.lexsort((ids[sel], tap[sel]))]
+    ids, tap, delays, dopplers = ids[sel], tap[sel], delays[sel], dopplers[sel]
+
+    gains = budget.gains[live][sel]
+    steer = spatial_steering_column(array, budget.directions[live][sel], channel)
+    modulation = _ocean_modulation(scn, scene, cpi, live)
+    if modulation is not None:
+        rows, mod_phase, mod_amp = modulation
+        mod_of = np.full(live.size, -1, dtype=np.int64)
+        mod_of[rows] = np.arange(rows.size)
+        mod_row = mod_of[sel]
+        hit = np.flatnonzero(mod_row >= 0)
+        pulse_phasor = np.exp(1j * mod_phase[mod_row[hit], pulse])
+        pulse_amp = mod_amp[mod_row[hit], pulse]
+
+    def slow_entries(doppler: np.ndarray) -> np.ndarray:
+        slow = phase_ramp_column((2.0 * np.pi / timing.prf) * doppler, pulse)
+        if modulation is not None:
+            slow[..., hit] *= pulse_phasor
+            slow[..., hit] *= pulse_amp
+        return slow
+
+    model = _clutter_model(scn, scn.seed)
+    drawn = not model.deterministic_phase or model.doppler_std_hz > 0
+    fixed_slow = None if model.doppler_std_hz > 0 else slow_entries(dopplers)
+    key = philox_key(scn.seed, STREAM_CLUTTER)
+    num_taps = timing.num_taps
+
+    def draw(ks: np.ndarray) -> np.ndarray:
+        """Rows of the realizations `ks`, shape (len(ks), num_taps)."""
+        words = (philox_words(key, ids, (MOMENT_REALIZATION_BASE + ks)[:, None], 1)
+                 if drawn else None)
+        amps, doppler = drawn_amplitudes_dopplers(words, delays, dopplers, gains,
+                                                  scn.wavelength, model)
+        slow = slow_entries(doppler) if fixed_slow is None else fixed_slow
+        terms = np.broadcast_to((amps * steer) * slow, (ks.size, ids.size))
+        bins = (np.arange(ks.size)[:, None] * num_taps + tap).reshape(-1)
+        out = np.empty((ks.size, num_taps), dtype=np.complex64)
+        for part, values in ((out.real, terms.real), (out.imag, terms.imag)):
+            part[...] = np.bincount(bins, weights=values.reshape(-1),
+                                    minlength=ks.size * num_taps).reshape(ks.size, num_taps)
+        return out
+
+    if not drawn:
+        row = draw(np.zeros(1, dtype=np.int64))[0]
+        return lambda k: row
+
+    batch = max(1, MOMENT_BATCH // max(ids.size, num_taps))
+    start, rows = 0, None
 
     def realize(k: int) -> np.ndarray:
-        ir = synthesize_clutter(scn, scene, cpi, timing,
-                                realization=MOMENT_REALIZATION_BASE + k,
-                                budget=budget)
-        return ir.taps[channel, pulse, :]
+        nonlocal start, rows
+        if rows is None or not start <= k < start + batch:
+            start = k - k % batch
+            rows = draw(np.arange(start, min(start + batch, realizations)))
+        return rows[k - start]
 
     return realize
 
@@ -478,17 +561,25 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
                     pulse: int = 0, channel: int = 0,
                     realizations: int = 64) -> ChannelMoments:
     """Second moments of the clutter and target channels at one
-    (CPI, pulse, channel), sized for waveform design."""
+    (CPI, pulse, channel), sized for waveform design.
+
+    The clutter moment is the mean of H^H H over `realizations` draws
+    of the one tap row (`clutter_tap_rows`); the target moment is the
+    deterministic target row's H^H H.  The indices, the realization
+    count and the presence of targets are checked before the scene or
+    the budget is built."""
     _check_indices(scn, cpi, pulse, channel)
+    if realizations < 1:
+        raise ConfigurationError(f"realizations must be >= 1, got {realizations}")
+    if not scn.targets:
+        raise ConfigurationError("waveform design needs at least one target")
     if scene is None:
         scene = build_scene(scn)
     if scene is None:
         raise ConfigurationError("waveform design needs a terrain scene")
-    if not scn.targets:
-        raise ConfigurationError("waveform design needs at least one target")
     p = scn.num_waveform_samples
     clutter = ensemble_second_moment(
-        clutter_tap_realizations(scn, scene, cpi, pulse, channel), p, realizations)
+        clutter_tap_rows(scn, scene, cpi, pulse, channel, realizations), p, realizations)
     timing = scn.timing()
     target_ir = synthesize_targets(scn, scene, cpi, timing)
     t_taps = target_ir.taps[channel, pulse, :]

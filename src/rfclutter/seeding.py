@@ -117,10 +117,12 @@ def _mulhi(a_lo: np.uint64, a_hi: np.uint64, b: np.ndarray, bl: np.ndarray,
     bh += bl
 
 
-def _encipher(key: np.ndarray, ids: np.ndarray, realization: int, num_blocks: int,
+def _encipher(key: np.ndarray, ids: np.ndarray, realization, num_blocks: int,
               out: np.ndarray, chunks: range) -> None:
     """Fill the given PHILOX_CHUNK-row chunks of `out`, whose row f holds
-    the four words of block f % num_blocks of ids[f // num_blocks].
+    the four words of block f % num_blocks of ids[f // num_blocks], under
+    the realization `realization` (an int) or realization[f // num_blocks]
+    (a uint64 array as long as `ids`).
 
     One set of eight chunk-sized buffers serves every chunk.  Each
     round works in place: its low words are wrapping uint64 products,
@@ -142,7 +144,10 @@ def _encipher(key: np.ndarray, ids: np.ndarray, realization: int, num_blocks: in
         q, r = np.divmod(np.arange(lo, lo + len(rows), dtype=np.uint64), np.uint64(num_blocks))
         np.add(r, np.uint64(1), out=c0)
         np.take(ids, q, out=c1)
-        c2.fill(realization)
+        if isinstance(realization, np.ndarray):
+            np.take(realization, q, out=c2)
+        else:
+            c2.fill(realization)
         c3.fill(0)
         for k0, k1 in keys:
             _mulhi(*h0, c0, s0, s1, s2, s3)
@@ -158,23 +163,38 @@ def _encipher(key: np.ndarray, ids: np.ndarray, realization: int, num_blocks: in
             rows[:, j] = c
 
 
-def philox_words(key: np.ndarray, ids: np.ndarray, realization: int,
+def philox_words(key: np.ndarray, ids: np.ndarray, realization,
                  num_blocks: int) -> np.ndarray:
     """Philox4x64-10 output for counters (block, id, realization, 0),
-    blocks 0 .. num_blocks - 1 of every id: shape (len(ids), 4 * num_blocks),
-    row i holding id i's words in stream order.
+    blocks 0 .. num_blocks - 1 of every id.
 
-    The len(ids) * num_blocks counters are enciphered in chunks of
-    PHILOX_CHUNK, spread over every core by `workers.run_blocks`; a
-    block's words do not depend on its chunk, so the bytes are the
-    same at any core count."""
-    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
-    if np.any(ids < 0) or realization < 0:
+    With an int `realization`, `ids` is flattened and the result has
+    shape (len(ids), 4 * num_blocks), row i holding id i's words in
+    stream order.  An array `realization` broadcasts against `ids` to
+    a shape S, each element naming one (id, realization) pair, as for
+    a batch of realizations of the same ids
+    (`realization=ks[:, None]`); the result has shape
+    S + (4 * num_blocks,).
+
+    The counters are enciphered in chunks of PHILOX_CHUNK, spread over
+    every core by `workers.run_blocks`; a block's words do not depend
+    on its chunk, so the bytes are the same at any core count."""
+    ids = np.asarray(ids, dtype=np.int64)
+    realization = np.asarray(realization, dtype=np.int64)
+    if np.any(ids < 0) or np.any(realization < 0):
         raise ValueError("Philox counters must be non-negative")
+    if realization.ndim == 0:
+        ids = ids.reshape(-1)
+        realization = int(realization)
+    else:
+        ids, realization = np.broadcast_arrays(ids, realization)
+        realization = realization.astype(np.uint64).reshape(-1)
+    shape = ids.shape
+    ids = ids.reshape(-1)
     out = np.empty((ids.size * num_blocks, 4), dtype=np.uint64)
     run_blocks(partial(_encipher, key, ids.astype(np.uint64), realization, num_blocks, out),
                -(-out.shape[0] // PHILOX_CHUNK))
-    return out.reshape(ids.size, 4 * num_blocks)
+    return out.reshape(shape + (4 * num_blocks,))
 
 
 def uniforms(words: np.ndarray) -> np.ndarray:

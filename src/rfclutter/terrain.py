@@ -499,8 +499,13 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
         blocked = np.zeros(len(pts), dtype=bool)
         for span in spans:
             # cull the span's runs against the coarse bound ...
-            j = np.arange(span * LOS_SPAN, min(span * LOS_SPAN + LOS_SPAN, total))
-            ray = np.searchsorted(ends, j, side="right")
+            j0, j1 = span * LOS_SPAN, min(span * LOS_SPAN + LOS_SPAN, total)
+            r0, r1 = np.searchsorted(ends, [j0, j1 - 1], side="right")
+            # rays r0..r1 hold the span's runs, consecutive in ray order
+            span_ends = ends[r0:r1 + 1]
+            ray = np.repeat(np.arange(r0, r1 + 1), np.minimum(span_ends, j1)
+                            - np.maximum(span_ends - runs[r0:r1 + 1], j0))
+            j = np.arange(j0, j1)
             a = first[ray] + (j - (ends[ray] - runs[ray])) * run
             m = np.minimum(run, first[ray] + count[ray] - a)
             xa, ya, za = sample(ray, a)

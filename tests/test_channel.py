@@ -443,6 +443,32 @@ def test_ensemble_moment_matches_convolution_matrix_oracle():
     np.testing.assert_allclose(moment, moment.conj().T, atol=0)
 
 
+@pytest.mark.parametrize("realizations", [1, 16])
+@pytest.mark.parametrize("num_taps", [3, 6, 40], ids=["L<p", "L=p", "L>p"])
+def test_ensemble_moment_lag_sums_match_convolution_matrices(num_taps, realizations):
+    """The lag-sum Toeplitz moment against the mean of H^H H over the
+    realizations' full convolution matrices, at p = 6.  Each entry of
+    either side is a sum of at most n = L + p - 1 products, within
+    (n + 2) eps sum|h_i||h_j| <= (n + 2) eps ||h||^2 of the exact value
+    (Cauchy-Schwarz), and the mean over R realizations adds R eps
+    mean ||h||^2; the two sides so differ by at most
+    2 (n + 2 + R) eps mean ||h||^2."""
+    p = 6
+    rng = np.random.default_rng(num_taps * 100 + realizations)
+    draws = (rng.normal(size=(realizations, num_taps))
+             + 1j * rng.normal(size=(realizations, num_taps))) * rng.uniform(0.1, 10.0)
+    moment = ensemble_second_moment(lambda k: draws[k], p, num_realizations=realizations)
+    want = sum(convolution_matrix(h, p).conj().T @ convolution_matrix(h, p)
+               for h in draws) / realizations
+    n = num_taps + p - 1
+    bound = 2 * (n + 2 + realizations) * np.finfo(float).eps * np.mean(
+        np.sum(np.abs(draws) ** 2, axis=1))
+    assert np.abs(moment - want).max() <= bound
+    # Hermitian with a real diagonal by construction
+    np.testing.assert_array_equal(moment, moment.conj().T)
+    assert moment.shape == (p, p) and np.all(np.diag(moment).imag == 0)
+
+
 def test_ensemble_moment_single_tap_statistics():
     """One CN(0, sigma^2) tap: E{H^H H} -> sigma^2 I as K grows."""
     sigma2 = 4.0

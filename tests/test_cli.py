@@ -186,6 +186,20 @@ def test_out_of_range_index_exits_with_code_2(argv, scenario_file, tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+def test_zero_realizations_exit_with_code_2_before_any_budget(scenario_file, tmp_path,
+                                                              capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("scene or budget work before the realization check")
+
+    monkeypatch.setattr(pipeline, "build_scene", forbidden)
+    monkeypatch.setattr(pipeline, "patch_budget", forbidden)
+    out = tmp_path / "out"
+    assert main(["cofar-optimize", "--realizations", "0", "--scenario", str(scenario_file),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "realizations" in err and "Traceback" not in err
+
+
 def test_last_valid_indices_run(scenario_file, tmp_path):
     out = tmp_path / "out"
     assert main(["cofar-optimize", "--cpi", "1", "--pulse", "7", "--channel", "1",

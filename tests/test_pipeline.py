@@ -7,6 +7,7 @@ import io
 import logging
 import math
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from rfclutter import pipeline, rxsim, seeding, terrain, workers
-from rfclutter.antenna import pattern_gains
+from rfclutter.antenna import pattern_gains, phase_ramp_column, phase_ramps
 from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
                                bistatic_delay_doppler, patch_responses,
                                synthesize_ir)
@@ -459,6 +460,111 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
         np.testing.assert_array_equal(rows, np.flatnonzero(scene.water[got.gains != 0.0]))
     else:
         assert sea_rows == [] and modulations == [None]
+
+
+def moment_row_oracle(scn, scene, cpi, pulse, channel, k):
+    """Row [channel, pulse] of the clutter IR of moment realization k, by
+    the full path: patch_budget -> patch_responses -> synthesize_ir."""
+    timing = scn.timing()
+    tx, rx = pipeline.platform_states(scn, cpi)
+    array = pipeline.receive_array(scn)
+    budget = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
+    live = np.flatnonzero(budget.gains)
+    model = StochasticModel(seed=scn.seed, doppler_std_hz=scn.clutter_doppler_std_hz,
+                            deterministic_phase=scn.deterministic_clutter_phase)
+    responses = patch_responses(scene.patches[live], budget.gains[live], tx, rx,
+                                scn.wavelength, model,
+                                realization=pipeline.MOMENT_REALIZATION_BASE + k)
+    modulation = None
+    water = np.flatnonzero(scene.water[live])
+    if scn.wind_speed_mps > 0.0 and water.size:
+        state = OceanState(ids=scene.patches.ids[live[water]], wind_speed=scn.wind_speed_mps)
+        phase, amp = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
+                                      derive_seed(scn.seed, STREAM_OCEAN, cpi))
+        modulation = (water, phase, amp)
+    ir = synthesize_ir(responses, budget.directions[live], array, timing,
+                       modulation=modulation)
+    return ir.taps[channel, pulse]
+
+
+ROW_CASES = {
+    "defaults": (lambda: generate_scenario1(scale=DESK_SCALE, seed=1), 0),
+    "jitter": (lambda: dataclasses.replace(generate_scenario1(scale=DESK_SCALE, seed=1),
+                                           clutter_doppler_std_hz=40.0), 0),
+    "deterministic-jitter": (lambda: dataclasses.replace(
+        generate_scenario1(scale=DESK_SCALE, seed=1), deterministic_clutter_phase=True,
+        clutter_doppler_std_hz=40.0), 0),
+    "deterministic": (lambda: dataclasses.replace(
+        generate_scenario1(scale=DESK_SCALE, seed=1), deterministic_clutter_phase=True), 0),
+    "scenario2-wind": (lambda: dataclasses.replace(
+        generate_scenario2(scale=DESK_SCALE, seed=1), wind_speed_mps=12.0), 0),
+    "scenario2-wind-jitter": (lambda: dataclasses.replace(
+        generate_scenario2(scale=DESK_SCALE, seed=2), wind_speed_mps=12.0,
+        clutter_doppler_std_hz=20.0), 0),
+    "bistatic": (bistatic_walled_scenario, 0),
+    "cpi1": (lambda: generate_scenario1(scale=DESK_SCALE, seed=1), 1),
+}
+
+
+@pytest.mark.parametrize("batch", [pipeline.MOMENT_BATCH, 2000])
+@pytest.mark.parametrize("case", sorted(ROW_CASES))
+def test_clutter_tap_rows_match_the_full_ir(case, batch, monkeypatch):
+    """The row sampler gives row [channel, pulse] of the full IR of
+    each realization, at the first, a middle and the last pulse and the
+    first and last channel, whether a batch holds every realization or
+    a few.  The rows are byte-equal: each tap sums in another order
+    than the oracle's GEMM, but in complex128, before the complex64
+    cast."""
+    monkeypatch.setattr(pipeline, "MOMENT_BATCH", batch)
+    make, cpi = ROW_CASES[case]
+    scn = make()
+    scene = pipeline.build_scene(scn)
+    realizations = 3
+    for pulse in (0, scn.num_pulses // 2, scn.num_pulses - 1):
+        for channel in (0, scn.num_channels - 1):
+            realize = pipeline.clutter_tap_rows(scn, scene, cpi, pulse, channel,
+                                                realizations)
+            for k in range(realizations):
+                got = realize(k)
+                want = moment_row_oracle(scn, scene, cpi, pulse, channel, k)
+                assert got.dtype == np.complex64 and np.count_nonzero(want) > 0
+                np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("batch, fewer, more", [(1 << 12, 8, 64), (pipeline.MOMENT_BATCH, 64, 256)],
+                         ids=["small-batch", "shipped-batch"])
+def test_channel_moments_memory_does_not_grow_with_realizations(monkeypatch, batch,
+                                                                fewer, more):
+    """Once the realizations fill a batch, nothing grows with their
+    count: the traced peak of `channel_moments` at `more` realizations
+    is within 10% of the peak at `fewer`.  Both counts span more than
+    one batch of the desk scene's ~1,200 live scatterers (at the
+    shipped batch, 8 realizations would not fill one)."""
+    monkeypatch.setattr(pipeline, "MOMENT_BATCH", batch)
+    scn = generate_scenario1(scale=DESK_SCALE, seed=1)
+    scene = pipeline.build_scene(scn)
+    pipeline.channel_moments(scn, scene, realizations=1)   # the grid's LOS bounds, the pool
+    peaks = []
+    for realizations in (fewer, more):
+        tracemalloc.start()
+        try:
+            pipeline.channel_moments(scn, scene, realizations=realizations)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0]
+
+
+def test_phase_ramp_column_equals_every_column_of_phase_ramps():
+    rng = np.random.default_rng(5)
+    theta = np.concatenate([rng.uniform(-np.pi, np.pi, 500), rng.normal(0.0, 50.0, 500),
+                            [0.0, np.pi, -np.pi / 3, 1e-300]])
+    ramps = phase_ramps(theta, 131)
+    for k in range(131):
+        np.testing.assert_array_equal(phase_ramp_column(theta, k), ramps[:, k])
+    # a batch of rows keeps each row's bytes
+    np.testing.assert_array_equal(phase_ramp_column(theta.reshape(4, -1)[:, ::-1], 77),
+                                  ramps[:, 77].reshape(4, -1)[:, ::-1])
 
 
 def test_patch_budget_logs_per_cpi_counts(caplog):
