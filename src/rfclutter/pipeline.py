@@ -481,7 +481,7 @@ def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
     Every factor has `synthesize_ir`'s arithmetic; only each tap's sum
     runs in another order than its GEMM, which shows at most in the
     last bit of the complex64 cast.  Without random phase or Doppler
-    jitter every realization is the same row, drawn once.
+    jitter no words are drawn and every realization is the same row.
     """
     timing = scn.timing()
     tx, rx = platform_states(scn, cpi)
@@ -539,10 +539,6 @@ def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
             part[...] = np.bincount(bins, weights=values.reshape(-1),
                                     minlength=ks.size * num_taps).reshape(ks.size, num_taps)
         return out
-
-    if not drawn:
-        row = draw(np.zeros(1, dtype=np.int64))[0]
-        return lambda k: row
 
     batch = max(1, MOMENT_BATCH // max(ids.size, num_taps))
     start, rows = 0, None
