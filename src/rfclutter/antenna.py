@@ -225,6 +225,13 @@ def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
     return af * cos_off ** array.cosine_exponent
 
 
+def element_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
+    """The element pattern cos^p(angle off boresight) over rows of
+    `directions`, zero in the back hemisphere."""
+    cos_off = directions @ array.boresight
+    return np.where(cos_off > 0.0, np.maximum(cos_off, 0.0) ** array.cosine_exponent, 0.0)
+
+
 def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
                   directions: np.ndarray) -> np.ndarray:
     """Vectorized pattern_gain over rows of `directions`.
@@ -242,6 +249,24 @@ def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
     for start in range(0, len(directions), PATTERN_CHUNK):
         rows = directions[start:start + PATTERN_CHUNK]
         af[start:start + len(rows)] = np.abs(spatial_steering_many(array, rows) @ conj) ** 2
-    cos_off = directions @ array.boresight
-    ef = np.where(cos_off > 0.0, np.maximum(cos_off, 0.0) ** array.cosine_exponent, 0.0)
-    return af * ef
+    return af * element_gains(array, directions)
+
+
+def uniform_pattern_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
+    """`pattern_gains` with uniform weights, in closed form.
+
+    The uniform array factor |sum_k exp(j psi k)|^2 over N elements is
+    sin^2(N psi / 2) / sin^2(psi / 2), with the limit N^2 where
+    sin(psi / 2) = 0.  psi is each direction's ramp step, reduced to
+    [-pi, pi] so that grating lobes meet the limit too.  No (k x N)
+    steering matrix is built.
+    """
+    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+    n = array.num_elements
+    psi = _steering_phases(array, directions)
+    half = 0.5 * (psi - 2.0 * np.pi * np.rint(psi / (2.0 * np.pi)))
+    denominator = np.sin(half)
+    flat = denominator == 0.0
+    af = np.square(np.sin(n * half) / np.where(flat, 1.0, denominator))
+    af[flat] = float(n * n)
+    return af * element_gains(array, directions)

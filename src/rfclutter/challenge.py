@@ -8,6 +8,12 @@ of every payload file, so a consumer can verify integrity and
 provenance before training or scoring against the data.  The `rng`
 line names the generator behind the per-scatterer draws.
 
+Export hashes, and `read_challenge` reads and verifies, the payload
+files on the process's worker pool (`workers`), one file per task.
+The manifest bytes, and the error raised for a dataset with several
+bad files (that of the earliest in the manifest), do not depend on the
+worker count.
+
 Manifest lines follow the same `key = value` shape as scenario files;
 the `file` key repeats, one line per payload:
 
@@ -19,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from .channel import ChannelImpulseResponse, read_ir, write_ir
 from .errors import ConfigurationError
@@ -28,6 +36,7 @@ from .rxsim import DataCube, read_cube, write_cube
 from .scenario import scenario_hash, scenario_text
 from .seeding import RNG_NAME
 from .waveform import Waveform, read_waveform, write_waveform
+from .workers import run_blocks
 
 MANIFEST_NAME = "manifest.txt"
 FORMAT_TAG = "rfchallenge-1"
@@ -42,7 +51,9 @@ def _sha256_file(path) -> str:
 
 
 def export_challenge(run: ScenarioRun, out_dir) -> Path:
-    """Write a run to `out_dir`; returns the manifest path."""
+    """Write a run to `out_dir`; returns the manifest path.  The payload
+    files are hashed on the shared worker pool and listed in the order
+    they were written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scn = run.scenario
@@ -86,8 +97,14 @@ def export_challenge(run: ScenarioRun, out_dir) -> Path:
         f"carrier = {scn.carrier_hz!r}",
         f"noise_power = {scn.noise_power!r}",
     ]
-    for name in names:
-        lines.append(f"file = {name} {_sha256_file(out / name)}")
+    digests = [""] * len(names)
+
+    def hash_files(block: range) -> None:
+        for i in block:
+            digests[i] = _sha256_file(out / names[i])
+
+    run_blocks(hash_files, len(names))   # hashing releases the GIL
+    lines += [f"file = {name} {digest}" for name, digest in zip(names, digests)]
     manifest = out / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest
@@ -151,12 +168,51 @@ def _manifest_int(fields: dict[str, str], key: str, minimum: int) -> int:
     return value
 
 
+def _verify_files(root: Path, files: dict[str, str],
+                  readers: dict[str, Callable]) -> dict[str, object]:
+    """Read and verify every listed file on the shared pool; returns
+    `readers[name](path, sha256=...)` for each listed name that has a
+    reader.
+
+    Each file is read once: a file with a reader is hashed over the
+    bytes that it parses, any other file is only hashed.  File reads and
+    SHA-256 updates release the GIL, so the files are read in parallel.
+    When several files fail, the error of the earliest one in the
+    manifest is raised, whatever the worker count.
+    """
+    names = list(files)
+    loaded: list[object] = [None] * len(names)
+    errors: list[Exception | None] = [None] * len(names)
+
+    def verify(block: range) -> None:
+        for i in block:
+            name = names[i]
+            reader = readers.get(name)
+            try:
+                if reader is not None:
+                    loaded[i] = reader(root / name, sha256=files[name])
+                    continue
+                actual = _sha256_file(root / name)
+                if actual != files[name]:
+                    raise ConfigurationError(
+                        f"checksum mismatch for {name}: manifest {files[name][:12]}..., "
+                        f"file {actual[:12]}...")
+            except (ConfigurationError, OSError) as exc:   # raised in manifest order below
+                errors[i] = exc
+
+    run_blocks(verify, len(names))
+    first = next((exc for exc in errors if exc is not None), None)
+    if first is not None:
+        raise first
+    return {name: value for name, value in zip(names, loaded) if name in readers}
+
+
 def read_challenge(path) -> ChallengeData:
     """Load and verify a challenge directory (or its manifest path).
 
     Every listed file must exist and match its recorded SHA-256;
-    anything else raises ConfigurationError.  Each file is read once:
-    the payload files are hashed over the bytes that are parsed.
+    anything else raises ConfigurationError.  The files are read and
+    verified on the shared worker pool, each once (`_verify_files`).
     """
     p = Path(path)
     root = p.parent if p.is_file() else p
@@ -178,41 +234,26 @@ def read_challenge(path) -> ChallengeData:
         if not (root / name).exists():
             raise ConfigurationError(f"dataset file missing: {name}")
 
-    verified: set[str] = set()
-
-    def parse(name, reader, **kwargs):
-        """Read one listed payload file; the read hashes the bytes it parses."""
-        verified.add(name)
-        return reader(root / name, sha256=files[name], **kwargs)
-
-    cubes = []
-    clutter_irs: list[ChannelImpulseResponse | None] = []
-    target_irs: list[ChannelImpulseResponse | None] = []
+    readers: dict[str, Callable] = {"waveform.rfwav": read_waveform}
     for cpi in range(num_cpis):
         cube_name = f"cube_cpi{cpi:03d}.rfcube"
         if cube_name not in files:
             raise ConfigurationError(f"manifest lists no {cube_name}")
-        cubes.append(parse(cube_name, read_cube))
-        clutter_name = f"clutter_cpi{cpi:03d}.rfgir"
-        clutter_irs.append(parse(clutter_name, read_ir, kind="clutter")
-                           if clutter_name in files else None)
-        target_name = f"target_cpi{cpi:03d}.rfgir"
-        target_irs.append(parse(target_name, read_ir, kind="target")
-                          if target_name in files else None)
-        if clutter_irs[-1] is None and target_irs[-1] is None:
+        readers[cube_name] = read_cube
+        channel_names = [f"{kind}_cpi{cpi:03d}.rfgir" for kind in ("clutter", "target")]
+        if not any(name in files for name in channel_names):
             raise ConfigurationError(
                 f"CPI {cpi} has neither a clutter nor a target channel file")
-
+        for kind, name in zip(("clutter", "target"), channel_names):
+            readers[name] = partial(read_ir, kind=kind)
     if "waveform.rfwav" not in files:
         raise ConfigurationError("manifest lists no waveform.rfwav")
-    wf = parse("waveform.rfwav", read_waveform)
 
-    for name in files.keys() - verified:
-        actual = _sha256_file(root / name)
-        if actual != files[name]:
-            raise ConfigurationError(
-                f"checksum mismatch for {name}: manifest {files[name][:12]}..., "
-                f"file {actual[:12]}...")
+    loaded = _verify_files(root, files, readers)
+    cubes = [loaded[f"cube_cpi{cpi:03d}.rfcube"] for cpi in range(num_cpis)]
+    clutter_irs = [loaded.get(f"clutter_cpi{cpi:03d}.rfgir") for cpi in range(num_cpis)]
+    target_irs = [loaded.get(f"target_cpi{cpi:03d}.rfgir") for cpi in range(num_cpis)]
+    wf = loaded["waveform.rfwav"]
 
     for cpi, cube in enumerate(cubes):
         got = (cube.num_channels, cube.num_pulses, cube.num_range_samples)

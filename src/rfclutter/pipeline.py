@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scattering
-from .antenna import ArrayGeometry, pattern_gains, phase_ramp_column, spatial_steering_column
+from .antenna import (ArrayGeometry, element_gains, phase_ramp_column,
+                      spatial_steering_column, uniform_pattern_gains)
 from .channel import (ChannelImpulseResponse, RadarTiming, SPEED_OF_LIGHT,
                       StochasticModel, bistatic_delays_dopplers, drawn_amplitudes_dopplers,
                       ensemble_second_moment, patch_responses, scatterer_responses,
@@ -218,10 +219,10 @@ def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
     """Unshadowed two-way gains of point scatterers (clutter patches and
     targets alike) by the bistatic range equation.
 
-    Transmit uses the full array pattern with uniform weights; receive
-    the shared element pattern only (array gain comes from
-    beamforming).  Returns (gains, unit rx -> point directions, tx
-    ranges, rx ranges).
+    Transmit uses the full array pattern with uniform weights, in
+    closed form (`uniform_pattern_gains`); receive the shared element
+    pattern only (array gain comes from beamforming).  Returns (gains,
+    unit rx -> point directions, tx ranges, rx ranges).
     """
     d_tx = points - tx.position
     d_rx = points - rx.position
@@ -233,9 +234,8 @@ def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
         raise ConfigurationError("scatterer cross sections must be non-negative")
     dirs_tx = d_tx / r_tx[:, None]
     dirs_rx = d_rx / r_rx[:, None]
-    tx_gain = pattern_gains(array, np.ones(array.num_elements), dirs_tx)
-    cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
-    rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
+    tx_gain = uniform_pattern_gains(array, dirs_tx)
+    rx_gain = element_gains(array, dirs_rx)
     gains = patch_power_scales(sigma0, areas, tx_gain, rx_gain, array.wavelength,
                                r_tx, r_rx)
     return gains, dirs_rx, r_tx, r_rx

@@ -14,6 +14,13 @@ channel's noise is drawn into the same buffer.  Peak memory is one
 cube plus one such buffer per worker.  Cube assembly, line of sight
 and the Philox draws all give the same bytes at any core count.
 
+A channel's lines go through the FFT pair unless they are sparse: when
+the taps that are non-zero in any pulse, its tap support S, satisfy
+|S| P <= nfft for P waveform samples, the direct sum costs at most one
+transform length of multiplies per line, and the lines are convolved
+directly over S instead.  A target channel has a few such taps, dense
+clutter hundreds.  The route depends only on the channel's own taps.
+
 The binary cube file format (magic RFCUBE01) is little-endian:
 
     offset  type    field
@@ -125,6 +132,18 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
     return np.stack([w.samples for w in wfs])
 
 
+def _tap_support(lines: np.ndarray, limit: int) -> np.ndarray | None:
+    """The taps of one channel's (M, L) lines that are non-zero in any
+    pulse, ascending, when there are at most `limit` of them; None
+    otherwise.  The taps are counted on one pass over the lines (an
+    any-reduction over pulses, several times cheaper than counting the
+    non-zero complex entries), so dense lines are rejected after it."""
+    occupied = lines.any(axis=0)
+    if np.count_nonzero(occupied) > limit:
+        return None
+    return np.flatnonzero(occupied)
+
+
 def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
                    noise_power: float, seed: int, cpi_index: int,
                    rx_index: int = 0) -> np.ndarray:
@@ -150,9 +169,15 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     through it, and once they are copied into the cube its noise block
     is drawn into the buffer's first 2 M R float64 words.  So the
     working set is the cube plus one buffer per worker.  Every tap line
-    goes through the same 1-D FFTs, and the channels and the noise are
-    added in the same order, as in a whole-cube evaluation, so the
+    goes through the same arithmetic, and the channels and the noise
+    are added in the same order, as in a whole-cube evaluation, so the
     bytes do not depend on the blocking or the worker count.
+
+    A (channel, receive channel) pair whose `_tap_support` S has
+    |S| P <= nfft skips the FFTs: the buffer is zeroed over the output
+    span and, for s in S ascending, taps[:, s] times the waveform rows
+    is added at offset s.  The result is copied or added into the lines
+    as an FFT term is, so superposition stays exact.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -174,8 +199,9 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
         raise ConfigurationError("the waveforms of one cube must share one length")
     n_out = n_taps + p - 1
     nfft = next_fast_len(n_out)
-    spectra = [np.fft.fft(r, nfft, axis=1) for r in rows]
-    terms = [(ir, spectrum) for (irs, _), spectrum in zip(groups, spectra) for ir in irs]
+    direct_limit = nfft // p    # |S| P <= nfft
+    terms = [(ir, r, np.fft.fft(r, nfft, axis=1))
+             for (irs, _), r in zip(groups, rows) for ir in irs]
     rngs = ([derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 else None)
     scale = np.sqrt(noise_power / 2.0)
@@ -187,12 +213,19 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             2, n_pulses, n_out)
         for n in channels:
             lines = cube[0, n]
-            for k, (ir, spectrum) in enumerate(terms):
-                buf[:, :n_taps] = ir.taps[n]
-                buf[:, n_taps:] = 0.0
-                np.fft.fft(buf, axis=1, out=buf)
-                buf *= spectrum
-                np.fft.ifft(buf, axis=1, out=buf)
+            for k, (ir, waveform_rows, spectrum) in enumerate(terms):
+                taps = ir.taps[n]
+                support = _tap_support(taps, direct_limit)
+                if support is None:
+                    buf[:, :n_taps] = taps
+                    buf[:, n_taps:] = 0.0
+                    np.fft.fft(buf, axis=1, out=buf)
+                    buf *= spectrum
+                    np.fft.ifft(buf, axis=1, out=buf)
+                else:
+                    buf[:, :n_out] = 0.0
+                    for s in support:
+                        buf[:, s:s + p] += taps[:, s, None] * waveform_rows
                 if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
                     lines[...] = buf[:, :n_out]
                 else:

@@ -1,11 +1,12 @@
 """The process's one worker-thread pool.
 
-Cube assembly (`rxsim`), line of sight (`terrain.lines_of_sight`) and
-the counter-based draws (`seeding.philox_words`) split their work into
-blocks that run on every CPU this process may use.  Each block writes
-only its own part of the output, and every sample, word and tap keeps
-the arithmetic it has in a serial evaluation, so the bytes are the same
-at any core count.
+Cube assembly (`rxsim`), line of sight (`terrain.lines_of_sight`),
+the counter-based draws (`seeding.philox_words`) and the dataset file
+hashes (`challenge`) split their work into blocks that run on every
+CPU this process may use.  Each block writes only its own part of the
+output, and every sample, word, tap and digest keeps the arithmetic it
+has in a serial evaluation, so the bytes are the same at any core
+count.
 
 The caller runs the first block itself, so one CPU runs everything
 inline and the other blocks add one worker thread's memory each.  The

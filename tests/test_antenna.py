@@ -11,7 +11,7 @@ from rfclutter import antenna
 from rfclutter.antenna import (ArrayGeometry, pattern_gain, pattern_gains,
                                phase_ramps, space_time_steering, spatial_steering,
                                spatial_steering_many, temporal_steering,
-                               wrap_normalized_doppler)
+                               uniform_pattern_gains, wrap_normalized_doppler)
 from rfclutter.errors import ConfigurationError
 
 WAVELENGTH = 0.03
@@ -245,6 +245,52 @@ def test_pattern_gains_chunks_are_bit_identical(monkeypatch, chunk):
     whole = pattern_gains(arr, w, dirs)
     monkeypatch.setattr(antenna, "PATTERN_CHUNK", chunk)
     assert pattern_gains(arr, w, dirs).tobytes() == whole.tobytes()
+
+
+def assert_closed_form_matches_pattern_gains(arr, dirs):
+    n = arr.num_elements
+    want = pattern_gains(arr, np.ones(n), dirs)
+    got = uniform_pattern_gains(arr, dirs)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * n * n)
+    return got
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 32])
+def test_uniform_pattern_closed_form_matches_pattern_gains(n):
+    """sin^2(N psi / 2) / sin^2(psi / 2) against the steering GEMV at
+    broadside, at every null, in the back hemisphere, at endfire and
+    over random directions, to within 1e-12 N^2."""
+    arr = ula(n)
+    nulls = [direction_at(2.0 * k / n) for k in range(1, n // 2 + 1) if 2.0 * k / n < 1.0]
+    fixed = np.array([[1.0, 0.0, 0.0],       # broadside
+                      [-1.0, 0.0, 0.0],      # behind the array
+                      [0.0, 1.0, 0.0],       # endfire
+                      [0.0, -1.0, 0.0],
+                      [0.0, 0.0, 1.0]] + nulls)
+    got = assert_closed_form_matches_pattern_gains(arr, fixed)
+    assert got[0] == float(n * n)
+    assert got[1] == 0.0
+    assert np.all(got[5:] <= 1e-12 * n * n)
+    rng = np.random.default_rng(n)
+    dirs = rng.normal(size=(2000, 3))
+    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+    behind = np.array([-math.sqrt(1.0 - u * u) for u in np.linspace(-0.9, 0.9, 7)])
+    back = np.stack([behind, np.linspace(-0.9, 0.9, 7), np.zeros(7)], axis=1)
+    got = assert_closed_form_matches_pattern_gains(arr, np.concatenate([dirs, back]))
+    assert np.all(got[-7:] == 0.0)
+
+
+def test_uniform_pattern_closed_form_meets_grating_lobes():
+    """At spacing 2 lambda the array factor has grating lobes at
+    u = +-0.5, where psi is a whole turn: the closed form takes the
+    N^2 limit there, as at broadside."""
+    n = 6
+    arr = ArrayGeometry.ula(n, 2.0 * WAVELENGTH, WAVELENGTH, axis=(0.0, 1.0, 0.0),
+                            boresight=(1.0, 0.0, 0.0), cosine_exponent=0.0)
+    us = np.concatenate([[-0.5, 0.5], np.linspace(-0.95, 0.95, 101)])
+    got = assert_closed_form_matches_pattern_gains(arr, np.array([direction_at(u) for u in us]))
+    np.testing.assert_allclose(got[:2], n * n, rtol=1e-12)
 
 
 def test_array_validation():

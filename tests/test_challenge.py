@@ -1,6 +1,7 @@
 """Dataset export/import: manifest integrity, round trips, tamper detection."""
 
 import builtins
+import hashlib
 from collections import Counter
 from pathlib import Path
 
@@ -130,6 +131,57 @@ def test_each_dataset_file_is_read_once(tmp_path, monkeypatch):
     data = read_challenge(tmp_path / "ds")
     assert set(opened) == set(data.files)
     assert set(opened.values()) == {1}
+
+
+def flip_last_byte(path):
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0x01
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("earlier, later", [
+    ("waveform.rfwav", "target_cpi001.rfgir"),
+    ("scenario.txt", "cube_cpi000.rfcube"),
+    ("clutter_cpi000.rfgir", "target_cpi001.rfgir"),
+    ("cube_cpi000.rfcube", "clutter_cpi000.rfgir"),
+    ("target_cpi000.rfgir", "cube_cpi001.rfcube"),
+])
+def test_two_bad_files_raise_the_earlier_ones_error(tmp_path, set_worker_count, workers,
+                                                    earlier, later):
+    """Files are verified in parallel, but the error raised is that of
+    the bad file listed first in the manifest, whatever file the
+    workers reach first.  The later file is truncated, so its own error
+    would read differently."""
+    export_challenge(small_run(num_cpis=2), tmp_path / "ds")
+    names = list(read_challenge(tmp_path / "ds").files)
+    assert names.index(earlier) < names.index(later)
+    flip_last_byte(tmp_path / "ds" / earlier)
+    (tmp_path / "ds" / later).write_bytes((tmp_path / "ds" / later).read_bytes()[:-3])
+    set_worker_count(workers)
+    with pytest.raises(ConfigurationError, match="checksum mismatch") as err:
+        read_challenge(tmp_path / "ds")
+    assert earlier in str(err.value)
+    assert later not in str(err.value)
+
+
+def test_export_manifest_does_not_depend_on_the_worker_count(tmp_path, set_worker_count):
+    """The files are hashed on the pool but listed in the order they are
+    written, with the same digests, at any worker count."""
+    run = small_run()
+    manifests = []
+    for workers in (1, 2, 3):
+        set_worker_count(workers)
+        manifests.append(export_challenge(run, tmp_path / f"w{workers}").read_bytes())
+    assert manifests[1] == manifests[0] and manifests[2] == manifests[0]
+    listed = [line.split()[2:] for line in manifests[0].decode().splitlines()
+              if line.startswith("file = ")]
+    assert [name for name, _ in listed] == [
+        "waveform.rfwav", "scenario.txt",
+        "cube_cpi000.rfcube", "clutter_cpi000.rfgir", "target_cpi000.rfgir",
+        "cube_cpi001.rfcube", "clutter_cpi001.rfgir", "target_cpi001.rfgir"]
+    for name, digest in listed:
+        assert digest == hashlib.sha256((tmp_path / "w1" / name).read_bytes()).hexdigest()
 
 
 def test_missing_file_and_bad_manifest(tmp_path):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from rfclutter import pipeline, rxsim, seeding, terrain, workers
-from rfclutter.antenna import pattern_gains, phase_ramp_column, phase_ramps
+from rfclutter.antenna import phase_ramp_column, phase_ramps, uniform_pattern_gains
 from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
                                bistatic_delay_doppler, patch_responses,
                                synthesize_ir)
@@ -341,7 +341,7 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
     in_window = (tap >= 0) & (tap < timing.num_taps)
     visible = both_clear & in_window
 
-    tx_gain = pattern_gains(array, np.ones(array.num_elements), dirs_tx)
+    tx_gain = uniform_pattern_gains(array, dirs_tx)
     cos_rx = dirs_rx @ np.asarray(array.boresight, dtype=np.float64)
     rx_gain = np.where(cos_rx > 0.0, np.maximum(cos_rx, 0.0) ** array.cosine_exponent, 0.0)
     sigma0 = np.concatenate([sigma0, scene.discrete_rcs])

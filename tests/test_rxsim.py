@@ -37,6 +37,25 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
     return np.ascontiguousarray(out[:, :, :n_out])
 
 
+def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
+    """Whole-cube oracle with the support rule: receive channel n whose
+    taps non-zero in any pulse, S, satisfy |S| P <= nfft is summed
+    directly, tap by tap in ascending order, into zeros; every other
+    channel is the batched FFT of `noiseless_samples`."""
+    wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
+    rows = np.stack([w.samples for w in wfs])
+    p = rows.shape[1]
+    out = noiseless_samples(ir, waveforms)
+    nfft = next_fast_len(out.shape[2])
+    for n in range(ir.num_channels):
+        support = [s for s in range(ir.num_taps) if np.any(ir.taps[n, :, s] != 0)]
+        if len(support) * p <= nfft:
+            out[n] = 0.0
+            for s in support:
+                out[n, :, s:s + p] += ir.taps[n, :, s, None] * rows
+    return out
+
+
 def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
                   num_range_samples: int, noise_power: float, seed: int,
                   rx_index: int = 0) -> np.ndarray:
@@ -58,10 +77,11 @@ def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
 
 def oracle_cube(terms, noise_power, seed, cpi_index=0, rx_index=0) -> np.ndarray:
     """Whole-cube oracle of one receiver's samples: the (channel,
-    waveforms) terms convolved and summed in order, then noise added."""
-    signal = noiseless_samples(*terms[0])
+    waveforms) terms convolved under the support rule and summed in
+    order, then noise added."""
+    signal = support_rule_samples(*terms[0])
     for ir, wfs in terms[1:]:
-        signal = signal + noiseless_samples(ir, wfs)
+        signal = signal + support_rule_samples(ir, wfs)
     n, m, r = signal.shape
     return signal[None] + noise_samples(cpi_index, n, m, r, noise_power, seed, rx_index)
 
@@ -332,6 +352,150 @@ def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
     keys = count_noise_streams(monkeypatch)
     simulate_mimo_cube(pair_irs, wfs, 0.4, seed=8, cpi_index=1)
     assert keys == [(8, STREAM_NOISE, r, 1, n) for r in range(3) for n in range(2)]
+
+
+# --- the direct route over a sparse channel's tap support -------------------
+
+SPARSE_TAPS = 40      # with an 8-sample waveform: nfft 48, so |S| <= 6 goes direct
+
+
+def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, kind="target", dense_channels=()):
+    """A channel non-zero only at the taps `support`; the first of them
+    is zero in the even pulses, so the support is a union over pulses.
+    Receive channels in `dense_channels` have every tap non-zero."""
+    taps = np.zeros((n, m, l), dtype=np.complex128)
+    cols = list(support)
+    taps[:, :, cols] = rng.normal(size=(n, m, len(cols))) + 1j * rng.normal(size=(n, m, len(cols)))
+    taps[:, ::2, cols[:1]] = 0.0
+    for c in dense_channels:
+        taps[c] = rng.normal(size=(m, l)) + 1j * rng.normal(size=(m, l))
+    return ChannelImpulseResponse(taps=taps, sample_rate=FS, prf=2000.0, kind=kind)
+
+
+def count_ffts(monkeypatch):
+    """Count the inverse FFTs cube assembly runs, one per FFT-route
+    (channel, receive channel) pair."""
+    calls = []
+    ifft = np.fft.ifft
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return ifft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [0, 1])
+def test_direct_route_is_taken_up_to_one_transform_of_multiplies(monkeypatch, extra):
+    """The rule |S| P <= nfft: 6 support taps times 8 samples fit in a
+    48-point transform and skip the FFTs; a 7th tap does not."""
+    rng = np.random.default_rng(20)
+    wf = random_waveform(rng)
+    nfft = next_fast_len(SPARSE_TAPS + wf.num_samples - 1)
+    limit = nfft // wf.num_samples
+    assert (nfft, limit) == (48, 6)
+    support = np.linspace(0, SPARSE_TAPS - 1, limit + extra).astype(int)
+    target = sparse_ir(rng, support, n=2)
+    calls = count_ffts(monkeypatch)
+    simulate_cube(None, target, wf, 0.0, seed=1)
+    assert len(calls) == 2 * extra
+
+
+@pytest.mark.parametrize("noise_power", [0.0, 0.7])
+@pytest.mark.parametrize("per_pulse", [False, True])
+@pytest.mark.parametrize("parts", ["target", "both"])
+def test_direct_route_bytes_match_the_support_rule_oracle(parts, per_pulse, noise_power):
+    """A sparse target whose receive channel 1 is dense, alone and over
+    dense clutter: every (channel, receive channel) pair takes the
+    oracle's route and gives its bytes."""
+    rng = np.random.default_rng(21)
+    clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
+    target = sparse_ir(rng, [3, 5, 9, 30], dense_channels=[1])
+    wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
+    irs = (clutter, target) if parts == "both" else (None, target)
+    cube = simulate_cube(*irs, wfs, noise_power, seed=13, cpi_index=2)
+    want = oracle_cube([(ir, wfs) for ir in irs if ir is not None], noise_power, 13,
+                       cpi_index=2)
+    assert cube.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("per_pulse", [False, True])
+def test_direct_route_matches_direct_convolution(per_pulse):
+    """Every line of a direct-route cube is within 1e-12 of the O(LP)
+    reference convolution."""
+    rng = np.random.default_rng(22)
+    target = sparse_ir(rng, [0, 2, 17, SPARSE_TAPS - 1])
+    wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
+    cube = simulate_cube(None, target, wfs, 0.0, seed=1)
+    for n in range(3):
+        for m in range(4):
+            wf = wfs[m] if per_pulse else wfs
+            want = direct_convolve(target.taps[n, m].astype(complex), wf.samples)
+            np.testing.assert_allclose(cube.samples[0, n, m], want,
+                                       rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+def test_dense_clutter_plus_close_sparse_target_superposes_exactly():
+    """The target's taps lie closer together than the waveform, so their
+    direct sums overlap; the term is still built apart from the clutter
+    and added, so the combined cube is the sum of the parts."""
+    rng = np.random.default_rng(23)
+    clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
+    target = sparse_ir(rng, [11, 12, 14, 18])
+    wf = random_waveform(rng)
+    both = simulate_cube(clutter, target, wf, 0.0, seed=5)
+    only_c = simulate_cube(clutter, None, wf, 0.0, seed=5)
+    only_t = simulate_cube(None, target, wf, 0.0, seed=5)
+    np.testing.assert_array_equal(both.samples, only_c.samples + only_t.samples)
+
+
+def test_shadowed_target_adds_nothing():
+    """An all-zero target has an empty support: it takes the direct route
+    and leaves the clutter cube's bytes as they are."""
+    rng = np.random.default_rng(24)
+    clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
+    shadowed = ChannelImpulseResponse(taps=np.zeros_like(clutter.taps), sample_rate=FS,
+                                      prf=2000.0, kind="target")
+    wf = random_waveform(rng)
+    for noise_power in (0.0, 0.7):
+        both = simulate_cube(clutter, shadowed, wf, noise_power, seed=5)
+        alone = simulate_cube(clutter, None, wf, noise_power, seed=5)
+        assert both.samples.tobytes() == alone.samples.tobytes()
+        want = oracle_cube([(clutter, wf), (shadowed, wf)], noise_power, 5)
+        assert both.samples.tobytes() == want.tobytes()
+    assert not simulate_cube(None, shadowed, wf, 0.0, seed=5).samples.any()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("per_pulse", [False, True])
+def test_direct_route_bytes_do_not_depend_on_the_worker_count(set_worker_count, per_pulse,
+                                                              workers):
+    set_worker_count(workers)
+    rng = np.random.default_rng(25)
+    clutter = random_ir(rng, n=5, m=4, l=SPARSE_TAPS)
+    target = sparse_ir(rng, [4, 6, 7], n=5, dense_channels=[2])
+    wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
+    cube = simulate_cube(clutter, target, wfs, 0.7, seed=13, cpi_index=1)
+    want = oracle_cube([(clutter, wfs), (target, wfs)], 0.7, 13, cpi_index=1)
+    assert cube.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_mimo_direct_route_bytes_match_the_oracle(set_worker_count, workers):
+    """Sparse and dense transmitter-receiver pairs mixed in one MIMO
+    cube: each receiver sums its transmitters, each on its own route."""
+    set_worker_count(workers)
+    rng = np.random.default_rng(26)
+    pair_irs = [[random_ir(rng, n=5, l=SPARSE_TAPS), sparse_ir(rng, [1, 8, 20], n=5, m=3)],
+                [sparse_ir(rng, [2, 3], n=5, m=3, dense_channels=[4]),
+                 random_ir(rng, n=5, l=SPARSE_TAPS)]]
+    wfs = [random_waveform(rng) for _ in range(2)]
+    cubes = simulate_mimo_cube(pair_irs, wfs, 0.7, seed=21, cpi_index=2)
+    for r, cube in enumerate(cubes):
+        want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], 0.7, 21,
+                           cpi_index=2, rx_index=r)
+        assert cube.samples.tobytes() == want.tobytes()
 
 
 def test_zero_noise_still_clears_negative_zeros():
