@@ -202,11 +202,6 @@ def space_time_steering(spatial: SteeringVector, temporal: SteeringVector) -> St
     return SteeringVector(entries=np.kron(temporal.entries, spatial.entries), kind="space_time")
 
 
-# Directions per chunk of pattern_gains; fixes its working memory (a
-# chunk's complex steering matrix is PATTERN_CHUNK x elements x 16 bytes).
-PATTERN_CHUNK = 1 << 16
-
-
 def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
     """Power gain |w^H s(d)|^2 * cos^p(angle off boresight).
 
@@ -234,21 +229,15 @@ def element_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
 
 def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
                   directions: np.ndarray) -> np.ndarray:
-    """Vectorized pattern_gain over rows of `directions`.
-
-    The steering matrix is built PATTERN_CHUNK rows at a time, so the
-    working memory does not grow with the number of directions.
-    """
+    """Vectorized pattern_gain over rows of `directions`; it builds the
+    whole (k x N) steering matrix, so the pipeline takes the closed form
+    `uniform_pattern_gains` and this stays its reference."""
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
     if weights.shape[0] != array.num_elements:
         raise ConfigurationError(
             f"weights length {weights.shape[0]} != element count {array.num_elements}")
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    conj = weights.conj()
-    af = np.empty(len(directions))
-    for start in range(0, len(directions), PATTERN_CHUNK):
-        rows = directions[start:start + PATTERN_CHUNK]
-        af[start:start + len(rows)] = np.abs(spatial_steering_many(array, rows) @ conj) ** 2
+    af = np.abs(spatial_steering_many(array, directions) @ weights.conj()) ** 2
     return af * element_gains(array, directions)
 
 

@@ -15,6 +15,20 @@ import struct
 from .errors import ConfigurationError
 
 
+def read_header(f, header: struct.Struct, magic: bytes, what: str) -> tuple[bytes, tuple]:
+    """Read and unpack the header at the start of the open binary file
+    `f`.  A file shorter than the header, or one that starts with
+    another magic, raises ConfigurationError.  Returns (header bytes,
+    the fields that follow the magic)."""
+    head = f.read(header.size)
+    if len(head) < header.size:
+        raise ConfigurationError(f"{f.name}: truncated {what} header")
+    found, *fields = header.unpack(head)
+    if found != magic:
+        raise ConfigurationError(f"{f.name}: expected magic {magic!r}, found {found!r}")
+    return head, tuple(fields)
+
+
 def read_framed(path, header: struct.Struct, magic: bytes, what: str,
                 shape, itemsize: int, sha256: str | None = None) -> tuple[tuple, bytes]:
     """Read and check one header-then-payload file.
@@ -29,12 +43,7 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str,
     file is read once.  Returns (fields, payload bytes).
     """
     with open(path, "rb") as f:
-        head = f.read(header.size)
-        if len(head) < header.size:
-            raise ConfigurationError(f"{path}: truncated {what} header")
-        found, *fields = header.unpack(head)
-        if found != magic:
-            raise ConfigurationError(f"{path}: expected magic {magic!r}, found {found!r}")
+        head, fields = read_header(f, header, magic, what)
         dims = shape(*fields)
         if min(dims) < 1:
             raise ConfigurationError(f"{path}: {what} header declares an empty array {dims}")
@@ -54,4 +63,4 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str,
         if actual != sha256:
             raise ConfigurationError(
                 f"{path}: checksum mismatch: expected {sha256[:12]}..., file {actual[:12]}...")
-    return tuple(fields), payload
+    return fields, payload

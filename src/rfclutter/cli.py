@@ -11,21 +11,22 @@ Verbs:
   inspect         print the header of any data file or dataset manifest
 
 Scenarios come from a file (--scenario) or a preset (--preset, sized by
---scale).  Simulation output is byte-identical for any --threads value.
+--scale).  CPIs run one after another; the stages inside a CPI use every
+available core, and the output bytes do not depend on the core count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from . import challenge, cofar, dsp, mimo, pipeline
+from . import challenge, channel, cofar, covariance, dsp, mimo, pipeline, rxsim, waveform
+from .binfile import read_header
 from .errors import ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
                        generate_scenario2, load_scenario)
@@ -47,9 +48,6 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--threads", type=int, default=1,
-                   help="CPIs simulated at once; cube assembly always uses the "
-                        "available cores (never changes the output bytes)")
 
 
 def _load(args) -> Scenario:
@@ -80,7 +78,7 @@ def _out_dir(args) -> Path:
 def cmd_simulate(args) -> int:
     scn = _load(args)
     out = _out_dir(args)
-    run = pipeline.simulate_scenario(scn, threads=args.threads)
+    run = pipeline.simulate_scenario(scn)
     manifest = challenge.export_challenge(run, out)
     dims = scn.export_dims
     print(f"scenario {scn.name}: {dims[0]} CPIs x {dims[1]} channels x "
@@ -133,8 +131,7 @@ def cmd_los_map(args) -> int:
 def cmd_range_doppler(args) -> int:
     out = _out_dir(args)
     if args.cube:
-        from .rxsim import read_cube
-        cube = read_cube(args.cube)
+        cube = rxsim.read_cube(args.cube)
         wf = read_waveform(args.waveform) if args.waveform else None
         if wf is None:
             raise ConfigurationError("--cube needs --waveform for compression")
@@ -143,7 +140,7 @@ def cmd_range_doppler(args) -> int:
         weights = np.ones(cube.num_channels)
     else:
         scn = _load(args)
-        run = pipeline.simulate_scenario(scn, threads=args.threads)
+        run = pipeline.simulate_scenario(scn)
         wf = run.waveform
         cubes = [(r.cpi, 0, r.cube) for r in run.results]
         weights = np.ones(scn.num_channels)
@@ -191,24 +188,19 @@ def cmd_mimo_sim(args) -> int:
     scn = _load(args)
     out = _out_dir(args)
     scene = pipeline.build_scene(scn)
-    pair_irs = pipeline.mimo_pair_irs(scn, scene, cpi=args.cpi)
-    num_tx = len(pair_irs)
+    tx_irs = pipeline.mimo_irs(scn, scene, cpi=args.cpi)
+    num_tx = len(tx_irs)
     chips = scn.num_waveform_samples
     codes = [phase_code(chips, scn.sample_rate,
                         seed=derive_seed(scn.seed, STREAM_MIMO_CODE, t))
              for t in range(num_tx)]
-    cubes = mimo.simulate_mimo_cube(pair_irs, codes, scn.noise_power, scn.seed,
-                                    carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-    from .rxsim import write_cube
-    for r, cube in enumerate(cubes):
-        write_cube(out / f"mimo_rx{r}.rfcube", cube)
+    cube = mimo.simulate_mimo_cube(tx_irs, codes, scn.noise_power, scn.seed,
+                                   carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
+    rxsim.write_cube(out / "mimo_rx0.rfcube", cube)
 
-    singles = []
-    for t in range(num_tx):
-        one = [[pair_irs[t][0]]]
-        singles.append(mimo.simulate_mimo_cube(one, [codes[t]], 0.0, scn.seed,
-                                               carrier_hz=scn.carrier_hz,
-                                               cpi_index=args.cpi)[0])
+    singles = [mimo.simulate_mimo_cube([ir], [code], 0.0, scn.seed,
+                                       carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
+               for ir, code in zip(tx_irs, codes)]
     leak = mimo.cross_channel_leakage(singles, codes)
     with open(out / "mimo_leakage.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -218,15 +210,25 @@ def cmd_mimo_sim(args) -> int:
                 w.writerow([a, b, repr(float(leak[a, b]))])
     worst = float(leak[~np.eye(num_tx, dtype=bool)].max()) if num_tx > 1 else float("-inf")
     print(f"{num_tx} transmitters, worst cross-code leakage {worst:.1f} dB")
-    print(f"wrote per-receiver cubes and mimo_leakage.csv under {out}")
+    print(f"wrote mimo_rx0.rfcube and mimo_leakage.csv under {out}")
     return 0
 
 
-_MAGIC_NAMES = {
-    b"RFWAV001": "waveform",
-    b"RFGIR001": "impulse response",
-    b"RFCUBE01": "data cube",
-    b"RFCOV001": "covariance",
+# magic -> (kind, header layout, description of the fields after the magic)
+_FORMATS = {
+    waveform._MAGIC: ("waveform", waveform._HEADER,
+                      lambda n, fs: f"  {n} samples at {fs:.0f} Hz"),
+    channel._MAGIC: ("impulse response", channel._HEADER,
+                     lambda n, m, l, fs, origin, prf:
+                     f"  {n} channels x {m} pulses x {l} taps, fs {fs:.0f} Hz, "
+                     f"PRF {prf:.1f} Hz, delay origin {origin:.3e} s"),
+    rxsim._MAGIC: ("data cube", rxsim._HEADER,
+                   lambda c, n, m, r, fs, prf, npow, carrier:
+                   f"  {c} CPIs x {n} channels x {m} pulses x {r} range samples\n"
+                   f"  fs {fs:.0f} Hz, PRF {prf:.1f} Hz, carrier {carrier:.3e} Hz, "
+                   f"noise power {npow:.3e}"),
+    covariance._MAGIC: ("covariance", covariance._HEADER,
+                        lambda dim: f"  {dim} x {dim} Hermitian matrix"),
 }
 
 
@@ -241,25 +243,13 @@ def cmd_inspect(args) -> int:
         return 0
     with open(p, "rb") as f:
         magic = f.read(8)
-        kind = _MAGIC_NAMES.get(magic)
-        if kind is None:
+        if magic not in _FORMATS:
             raise ConfigurationError(f"unrecognized file magic {magic!r}")
-        print(f"{p.name}: {kind}")
-        if magic == b"RFWAV001":
-            n, fs = struct.unpack("<Id", f.read(12))
-            print(f"  {n} samples at {fs:.0f} Hz")
-        elif magic == b"RFGIR001":
-            n, m, l, fs, origin, prf = struct.unpack("<IIIddd", f.read(36))
-            print(f"  {n} channels x {m} pulses x {l} taps, "
-                  f"fs {fs:.0f} Hz, PRF {prf:.1f} Hz, delay origin {origin:.3e} s")
-        elif magic == b"RFCUBE01":
-            c, n, m, r, fs, prf, npow, carrier = struct.unpack("<IIIIdddd", f.read(48))
-            print(f"  {c} CPIs x {n} channels x {m} pulses x {r} range samples")
-            print(f"  fs {fs:.0f} Hz, PRF {prf:.1f} Hz, carrier {carrier:.3e} Hz, "
-                  f"noise power {npow:.3e}")
-        elif magic == b"RFCOV001":
-            (dim,) = struct.unpack("<I", f.read(4))
-            print(f"  {dim} x {dim} Hermitian matrix")
+        kind, header, describe = _FORMATS[magic]
+        f.seek(0)
+        _, fields = read_header(f, header, magic, kind)
+    print(f"{p.name}: {kind}")
+    print(describe(*fields))
     return 0
 
 

@@ -16,7 +16,7 @@ from scipy.fft import next_fast_len
 from scipy.ndimage import maximum_filter
 
 from .errors import ConfigurationError
-from .rxsim import DataCube
+from .rxsim import DataCube, check_waveform_rate
 from .waveform import Waveform
 
 DEFAULT_CLIP_DB = 60.0        # dynamic range below the map peak
@@ -107,10 +107,13 @@ def range_doppler_map(cube, wf: Waveform, weights: np.ndarray, cpi: int = 0,
     0 dB, floored `clip_db` below that.  Peaks are local maxima (wrapped
     in Doppler) above median + peak_offset_db, returned as (range bin,
     Doppler bin, dB) sorted strongest first.  An all-zero cube yields a
-    floor-valued map and no peaks.
+    floor-valued map and no peaks.  A DataCube must share the
+    waveform's sample rate, as a channel must in cube assembly.
     """
     if clip_db <= 0:
         raise ConfigurationError(f"clip_db must be positive, got {clip_db}")
+    if isinstance(cube, DataCube):
+        check_waveform_rate(wf, cube.sample_rate, "cube")
     bf = beamform(cube, weights, cpi=cpi)
     pc = pulse_compress(bf, wf)
     dp = doppler_process(pc, window=window)

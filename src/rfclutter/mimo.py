@@ -1,9 +1,9 @@
-"""Multistatic (MIMO) channel simulation and separation measurement.
+"""Multi-transmitter (MIMO) channel simulation and separation measurement.
 
-Every transmit/receive platform pair gets its own channel impulse
-response; a receiver's cube is the sum over transmitters of that pair's
-channel convolved with that transmitter's waveform, plus receiver
-noise.  Waveform separability is measured by matched-filtering a
+Every transmitter gets its own channel impulse response to the one
+receive array; the receiver's cube is the sum over transmitters of that
+transmitter's channel convolved with its waveform, plus receiver noise.
+Waveform separability is measured by matched-filtering a
 single-transmitter cube with every transmitter's waveform and comparing
 peaks.
 """
@@ -20,37 +20,29 @@ from .rxsim import DataCube, _assemble_cube
 from .waveform import Waveform
 
 
-def simulate_mimo_cube(pair_irs: Sequence[Sequence[ChannelImpulseResponse]],
+def simulate_mimo_cube(tx_irs: Sequence[ChannelImpulseResponse],
                        waveforms: Sequence[Waveform], noise_power: float,
                        seed: int, carrier_hz: float = 0.0,
-                       cpi_index: int = 0) -> list[DataCube]:
-    """Per-receiver cubes for a T x R channel matrix.
+                       cpi_index: int = 0) -> DataCube:
+    """The receiver's cube for one channel per transmitter.
 
-    pair_irs[t][r] is the channel from transmitter t to receiver r;
+    tx_irs[t] is the channel from transmitter t to the receiver;
     waveforms[t] is what transmitter t radiates.  Transmit returns are
-    accumulated in tx order; receiver noise uses per-receiver streams,
-    so the 1x1 case is bit-identical to the single-channel simulator.
+    accumulated in tx order and the noise is the single-channel
+    simulator's, so one transmitter gives `simulate_cube`'s bytes.
     """
-    num_tx = len(pair_irs)
+    num_tx = len(tx_irs)
     if num_tx == 0:
         raise ConfigurationError("need at least one transmitter")
     if len(waveforms) != num_tx:
         raise ConfigurationError(
             f"{num_tx} transmitters but {len(waveforms)} waveforms")
-    num_rx = len(pair_irs[0])
-    for row in pair_irs:
-        if len(row) != num_rx:
-            raise ConfigurationError("pair_irs rows must share one receiver count")
-
-    cubes = []
-    for r in range(num_rx):
-        ref = pair_irs[0][r]
-        samples = _assemble_cube([([pair_irs[t][r]], waveforms[t]) for t in range(num_tx)],
-                                 noise_power, seed, cpi_index, rx_index=r)
-        cubes.append(DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
-                              noise_power=noise_power, carrier_hz=carrier_hz,
-                              delay_origin=ref.delay_origin))
-    return cubes
+    ref = tx_irs[0]
+    samples = _assemble_cube([([ir], wf) for ir, wf in zip(tx_irs, waveforms)],
+                             noise_power, seed, cpi_index)
+    return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
+                    noise_power=noise_power, carrier_hz=carrier_hz,
+                    delay_origin=ref.delay_origin)
 
 
 LEAKAGE_FLOOR_DB = -300.0

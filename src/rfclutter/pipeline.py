@@ -6,15 +6,14 @@ patches, buildings, stationary discretes), a target impulse response
 reflectivity, and the range-equation budget all happen here; the
 numeric kernels live in the channel/rxsim modules.
 
-CPIs are simulated independently with per-CPI derived random streams,
-so a run is byte-identical whether CPIs execute serially or on a thread
-pool.
+CPIs are simulated one after another with per-CPI derived random
+streams; the heavy stages inside a CPI share the process's worker pool
+(`workers`), so a run is byte-identical at any core count.
 """
 
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -433,25 +432,14 @@ def simulate_cpi(scn: Scenario, scene: SceneModel | None, cpi: int,
 
 
 def simulate_scenario(scn: Scenario, waveform: Waveform | None = None,
-                      threads: int = 1, scene: SceneModel | None = None,
-                      ) -> ScenarioRun:
-    """Simulate every CPI of a scenario.
-
-    CPIs draw from independent derived streams, so `threads` changes the
-    wall time, never the bytes.
-    """
+                      scene: SceneModel | None = None) -> ScenarioRun:
+    """Simulate every CPI of a scenario, in CPI order."""
     scn.validate()
     if scene is None:
         scene = build_scene(scn)
     if waveform is None:
         waveform = default_waveform(scn)
-    indices = range(scn.num_cpis)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda c: simulate_cpi(scn, scene, c, waveform), indices))
-    else:
-        results = [simulate_cpi(scn, scene, c, waveform) for c in indices]
+    results = [simulate_cpi(scn, scene, c, waveform) for c in range(scn.num_cpis)]
     logger.info("simulated %d CPIs of scenario %s", scn.num_cpis, scn.name)
     return ScenarioRun(scenario=scn, scene=scene, waveform=waveform, results=results)
 
@@ -599,17 +587,17 @@ def mimo_transmitters(scn: Scenario, cpi: int) -> list[PlatformState]:
     return states
 
 
-def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
-                  ) -> list[list[ChannelImpulseResponse]]:
-    """Combined clutter+target impulse response per (transmitter,
-    receiver) pair, indexed [tx][rx].  The single receiver is the
-    scenario's array; targets ride in the same taps since the MIMO
-    simulator takes one channel per pair."""
+def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
+             ) -> list[ChannelImpulseResponse]:
+    """Combined clutter+target impulse response from each transmitter
+    to the scenario's one receive array, in transmitter order; targets
+    ride in the same taps since the MIMO simulator takes one channel
+    per transmitter."""
     _check_indices(scn, cpi)
     if scene is None and not scn.targets:
         raise ConfigurationError("scenario has neither terrain nor targets")
     timing = scn.timing()
-    pair_row = []
+    irs = []
     for t_idx, tx in enumerate(mimo_transmitters(scn, cpi)):
         ir = None
         if scene is not None:
@@ -626,8 +614,8 @@ def mimo_pair_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
                                             sample_rate=ir.sample_rate, prf=ir.prf,
                                             delay_origin=ir.delay_origin,
                                             kind="clutter")
-        pair_row.append([ir])
-    return pair_row
+        irs.append(ir)
+    return irs
 
 
 # --- diagnostic maps ---------------------------------------------------------

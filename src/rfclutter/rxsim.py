@@ -114,6 +114,13 @@ def convolve_pulse(taps: np.ndarray, waveform_samples: np.ndarray) -> np.ndarray
     return out[:n_out]
 
 
+def check_waveform_rate(wf: Waveform, rate: float, holder: str) -> None:
+    """Reject a waveform not sampled at `rate` (to 1e-6 relative), the
+    rate of the channel or cube named by `holder`."""
+    if abs(wf.sample_rate - rate) > 1e-6 * rate:
+        raise ConfigurationError(f"waveform sample rate {wf.sample_rate} != {holder} rate {rate}")
+
+
 def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
     """The pulse waveforms for `ir` as a (1, P) array shared by every
     pulse or an (M, P) array with one row per pulse.  They must share
@@ -126,9 +133,7 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
     for w in wfs:
         if w.num_samples != p:
             raise ConfigurationError("per-pulse waveforms must share one length")
-        if abs(w.sample_rate - ir.sample_rate) > 1e-6 * ir.sample_rate:
-            raise ConfigurationError(
-                f"waveform sample rate {w.sample_rate} != channel rate {ir.sample_rate}")
+        check_waveform_rate(w, ir.sample_rate, "channel")
     return np.stack([w.samples for w in wfs])
 
 
@@ -145,20 +150,20 @@ def _tap_support(lines: np.ndarray, limit: int) -> np.ndarray | None:
 
 
 def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
-                   noise_power: float, seed: int, cpi_index: int,
-                   rx_index: int = 0) -> np.ndarray:
-    """One receiver's CPI samples, (1, N, M, L + P - 1) complex128.
+                   noise_power: float, seed: int, cpi_index: int) -> np.ndarray:
+    """The receiver's CPI samples, (1, N, M, L + P - 1) complex128.
 
     `groups` pairs channels with the waveforms (one Waveform or a
     per-pulse sequence) they carry; the cube is the sum of every
     channel convolved with its pulses, in the order given, plus
     circular Gaussian noise of variance `noise_power` per sample.  Each
     receive channel n draws its noise as one (2, M, L + P - 1) block of
-    standard normals from `derive_rng(seed, STREAM_NOISE, rx_index,
-    cpi_index, n)`: block [0] holds the real parts and [1] the
-    imaginary parts, each scaled by sqrt(noise_power / 2).  The noise is
-    keyed by index alone, so it does not depend on evaluation order,
-    worker count, channel blocking, or which CPIs are simulated.
+    standard normals from `derive_rng(seed, STREAM_NOISE, 0, cpi_index,
+    n)`, where 0 fills the key's receiver slot (there is one receiver):
+    block [0] holds the real parts and [1] the imaginary parts, each
+    scaled by sqrt(noise_power / 2).  The noise is keyed by index
+    alone, so it does not depend on evaluation order, worker count,
+    channel blocking, or which CPIs are simulated.
 
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
@@ -202,7 +207,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     direct_limit = nfft // p    # |S| P <= nfft
     terms = [(ir, r, np.fft.fft(r, nfft, axis=1))
              for (irs, _), r in zip(groups, rows) for ir in irs]
-    rngs = ([derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n) for n in range(n_ch)]
+    rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 else None)
     scale = np.sqrt(noise_power / 2.0)
     cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)

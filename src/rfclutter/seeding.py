@@ -7,8 +7,10 @@ count, and any single draw can be reproduced in isolation.
 Per-CPI consumers (receiver noise, covariance snapshots, MIMO codes)
 build one `numpy.random.Generator` per key tuple with `derive_rng`.
 Receiver noise builds one per receive channel, keyed by (seed,
-STREAM_NOISE, receiver, cpi, channel); it draws a (2, pulses, range)
-block of standard normals, real parts first, then imaginary parts.
+STREAM_NOISE, 0, cpi, channel), where the 0 is a receiver slot that
+stays fixed because there is one receiver; it draws a (2, pulses,
+range) block of standard normals, real parts first, then imaginary
+parts.
 
 Per-scatterer draws (clutter phase and Doppler jitter, sea-surface
 series) would need one such generator per scatterer, so they use a

@@ -78,7 +78,7 @@ class ElevationGrid:
         """The block height bounds `lines_of_sight` culls with, built
         on first use and kept for this `heights` array; assigning
         `heights` stores a new array and so rebuilds them."""
-        with _LOS_BOUNDS_LOCK:   # CPI worker threads share one grid
+        with _LOS_BOUNDS_LOCK:   # callers on several threads may share one grid
             cache = self._los_cache
             if cache is None or cache[0] is not self.heights:
                 fine = _block_bound(self)
@@ -531,12 +531,6 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
         return blocked
 
     return ~np.logical_or.reduce(run_blocks(blocked_rays, -(-total // LOS_SPAN)))
-
-
-def los_mask(dem: ElevationGrid, observer, patches: PatchArrays,
-             clearance: float = 0.0, step: float | None = None) -> np.ndarray:
-    """Boolean visibility per patch; True = line of sight is clear."""
-    return lines_of_sight(dem, observer, patches.centers, clearance, step)
 
 
 # --- file formats -----------------------------------------------------------

@@ -12,9 +12,8 @@ The caller runs the first block itself, so one CPU runs everything
 inline and the other blocks add one worker thread's memory each.  The
 pool is built on first use with one thread per CPU and lives as long
 as the process.  Its tasks never submit tasks, so any number of
-callers (CPI threads included) can share it without deadlock.  A
-forked child has none of its parent's threads, so it drops the pool
-and builds its own.
+calling threads can share it without deadlock.  A forked child has
+none of its parent's threads, so it drops the pool and builds its own.
 """
 
 from __future__ import annotations

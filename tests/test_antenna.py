@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfclutter import antenna
 from rfclutter.antenna import (ArrayGeometry, pattern_gain, pattern_gains,
                                phase_ramps, space_time_steering, spatial_steering,
                                spatial_steering_many, temporal_steering,
@@ -230,21 +229,6 @@ def test_pattern_gains_vector_matches_scalar():
     vec = pattern_gains(arr, w, dirs)
     scalar = np.array([pattern_gain(arr, w, d) for d in dirs])
     np.testing.assert_allclose(vec, scalar, atol=1e-14)
-
-
-@pytest.mark.parametrize("chunk", [1000, 4097])
-def test_pattern_gains_chunks_are_bit_identical(monkeypatch, chunk):
-    """Evaluating the directions in several chunks gives the one-shot
-    gains bit for bit."""
-    arr = ula(32)
-    rng = np.random.default_rng(17)
-    dirs = rng.normal(size=(10_001, 3))
-    dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    w = np.ones(32)
-    monkeypatch.setattr(antenna, "PATTERN_CHUNK", len(dirs))
-    whole = pattern_gains(arr, w, dirs)
-    monkeypatch.setattr(antenna, "PATTERN_CHUNK", chunk)
-    assert pattern_gains(arr, w, dirs).tobytes() == whole.tobytes()
 
 
 def assert_closed_form_matches_pattern_gains(arr, dirs):

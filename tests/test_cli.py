@@ -13,6 +13,7 @@ from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
 from rfclutter.terrain import ElevationGrid, write_dem
+from rfclutter.waveform import lfm, write_waveform
 
 SCENARIO = """
 scenario.name = cli-check
@@ -97,6 +98,43 @@ def test_inspect_identifies_files(scenario_file, tmp_path, capsys):
     assert "data cube" in capsys.readouterr().out
     assert main(["inspect", str(ds)]) == 0
     assert "cli-check" in capsys.readouterr().out
+
+
+def test_range_doppler_rejects_a_waveform_at_another_rate(scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    fast = tmp_path / "fast.rfwav"
+    write_waveform(fast, lfm(bandwidth=5e6, duration=1e-6, sample_rate=10e6))
+    out = tmp_path / "rd"
+    capsys.readouterr()
+    assert main(["range-doppler", "--cube", str(ds / "cube_cpi000.rfcube"),
+                 "--waveform", str(fast), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "sample rate" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("magic, fields", [
+    (b"RFWAV001", 12), (b"RFGIR001", 36), (b"RFCUBE01", 48), (b"RFCOV001", 4)])
+def test_inspect_rejects_a_truncated_header_with_code_2(magic, fields, tmp_path, capsys):
+    """The magic alone, and the magic with all but one byte of the
+    header fields, exit 2 and name the truncated header."""
+    for kept in (0, 3, fields - 1):
+        path = tmp_path / f"short{kept}.bin"
+        path.write_bytes(magic + b"abc"[:kept] + bytes(max(0, kept - 3)))
+        assert main(["inspect", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
+                                  "cofar-optimize", "mimo-sim"])
+def test_no_verb_accepts_threads(verb, scenario_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--scenario", str(scenario_file), "--out", str(tmp_path / "out"),
+              "--threads", "2"])
+    assert exit_info.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_errors_exit_with_code_2(tmp_path, capsys):

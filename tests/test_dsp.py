@@ -10,6 +10,7 @@ from rfclutter.dsp import (beamform, doppler_axis, doppler_bin_for,
                            range_doppler_map, write_map_csv, write_peaks_csv,
                            write_pgm)
 from rfclutter.errors import ConfigurationError
+from rfclutter.rxsim import DataCube
 from rfclutter.seeding import derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
 
@@ -140,6 +141,21 @@ def test_zero_cube_floors_with_no_peaks():
     np.testing.assert_array_equal(m, -50.0)
     with pytest.raises(ConfigurationError):
         range_doppler_map(cube, wf, np.ones(2), clip_db=0.0)
+
+
+def test_cube_waveform_rate_mismatch_is_a_configuration_error():
+    """A DataCube is compressed only by a waveform at its own sample
+    rate, to 1e-6 relative as in cube assembly."""
+    wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
+    samples = embedded_echo_cube(wf, 11, 625.0)[None]
+    for rate in (FS * (1.0 + 0.9e-6), FS * (1.0 - 0.9e-6)):
+        cube = DataCube(samples=samples, sample_rate=rate, prf=PRF, noise_power=0.0)
+        _, peaks = range_doppler_map(cube, wf, np.ones(2))
+        assert peaks[0][0] == 11
+    for rate in (FS / 2.0, 2.0 * FS, FS * (1.0 + 1.1e-6)):
+        cube = DataCube(samples=samples, sample_rate=rate, prf=PRF, noise_power=0.0)
+        with pytest.raises(ConfigurationError, match="sample rate"):
+            range_doppler_map(cube, wf, np.ones(2))
 
 
 def test_map_floor_respects_clip():

@@ -1,4 +1,4 @@
-"""Multistatic cubes: superposition over transmitters, waveform cross-talk."""
+"""Multi-transmitter cubes: superposition over transmitters, waveform cross-talk."""
 
 import numpy as np
 import pytest
@@ -7,8 +7,8 @@ from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
                             simulate_mimo_cube)
-from rfclutter.rxsim import simulate_cube
-from rfclutter.seeding import derive_rng
+from rfclutter.rxsim import DataCube, simulate_cube
+from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
 
 FS = 10e6
@@ -29,60 +29,69 @@ def delta_ir(tap, total_taps, n=1, m=4, amp=1.0):
 
 
 def test_single_pair_matches_plain_simulator_exactly():
-    """1x1 MIMO must be bit-identical to the single-channel path."""
+    """One transmitter must be bit-identical to the single-channel path."""
     ir = random_ir(1)
     wf = phase_code(12, FS, seed=9)
-    mimo = simulate_mimo_cube([[ir]], [wf], noise_power=0.5, seed=77)
+    mimo = simulate_mimo_cube([ir], [wf], noise_power=0.5, seed=77)
     plain = simulate_cube(ir, None, wf, noise_power=0.5, seed=77)
-    assert len(mimo) == 1
-    np.testing.assert_array_equal(mimo[0].samples, plain.samples)
-    assert mimo[0].delay_origin == plain.delay_origin
+    assert isinstance(mimo, DataCube)
+    np.testing.assert_array_equal(mimo.samples, plain.samples)
+    assert mimo.delay_origin == plain.delay_origin
 
 
 def test_multi_tx_cube_is_superposition():
     ir_a, ir_b = random_ir(2), random_ir(3)
     wf_a = lfm(bandwidth=2e6, duration=1.6e-6, sample_rate=FS)
     wf_b = phase_code(16, FS, seed=4)
-    both = simulate_mimo_cube([[ir_a], [ir_b]], [wf_a, wf_b],
-                              noise_power=0.0, seed=1)[0]
-    only_a = simulate_mimo_cube([[ir_a]], [wf_a], noise_power=0.0, seed=1)[0]
-    only_b = simulate_mimo_cube([[ir_b]], [wf_b], noise_power=0.0, seed=1)[0]
+    both = simulate_mimo_cube([ir_a, ir_b], [wf_a, wf_b], noise_power=0.0, seed=1)
+    only_a = simulate_mimo_cube([ir_a], [wf_a], noise_power=0.0, seed=1)
+    only_b = simulate_mimo_cube([ir_b], [wf_b], noise_power=0.0, seed=1)
     np.testing.assert_allclose(
         both.samples, only_a.samples + only_b.samples,
         atol=1e-10 * np.abs(both.samples).max())
 
 
 def test_receiver_noise_streams_are_independent():
-    ir = random_ir(4)
+    """Two receive channels with the same taps get different noise,
+    channel n's noise is the (seed, STREAM_NOISE, 0, cpi, n) stream, and
+    the same seed repeats it."""
+    one = random_ir(4, n=1)
+    ir = ChannelImpulseResponse(taps=np.repeat(one.taps, 2, axis=0), sample_rate=FS, prf=PRF)
     wf = phase_code(12, FS, seed=9)
-    cubes = simulate_mimo_cube([[ir, ir]], [wf], noise_power=1.0, seed=5)
-    assert len(cubes) == 2
-    noise0 = cubes[0].samples - cubes[1].samples  # same signal, different noise
-    assert np.abs(noise0).max() > 0.0
-    again = simulate_mimo_cube([[ir, ir]], [wf], noise_power=1.0, seed=5)
-    np.testing.assert_array_equal(cubes[0].samples, again[0].samples)
-    np.testing.assert_array_equal(cubes[1].samples, again[1].samples)
+    cube = simulate_mimo_cube([ir], [wf], noise_power=1.0, seed=5, cpi_index=3)
+    quiet = simulate_mimo_cube([ir], [wf], noise_power=0.0, seed=5, cpi_index=3)
+    noise = cube.samples[0] - quiet.samples[0]
+    assert np.abs(noise[0] - noise[1]).max() > 0.0   # same signal, different noise
+    for n in range(2):
+        draws = derive_rng(5, STREAM_NOISE, 0, 3, n).standard_normal((2,) + noise.shape[1:])
+        np.testing.assert_allclose(noise[n], (draws[0] + 1j * draws[1]) * np.sqrt(0.5),
+                                   rtol=0.0, atol=1e-12)
+    again = simulate_mimo_cube([ir], [wf], noise_power=1.0, seed=5, cpi_index=3)
+    assert again.samples.tobytes() == cube.samples.tobytes()
 
 
 def test_pair_dimension_guards():
     ir = random_ir(6)
     small = random_ir(7, taps=10)
+    wide = random_ir(8, n=3)
     wf = phase_code(12, FS, seed=9)
     with pytest.raises(ConfigurationError):
-        simulate_mimo_cube([[ir], [small]], [wf, wf], noise_power=0.0, seed=1)
+        simulate_mimo_cube([ir, small], [wf, wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
-        simulate_mimo_cube([[ir]], [wf, wf], noise_power=0.0, seed=1)
+        simulate_mimo_cube([ir], [wf, wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
-        simulate_mimo_cube([[ir, ir], [ir]], [wf, wf], noise_power=0.0, seed=1)
+        simulate_mimo_cube([ir, wide], [wf, wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
-        simulate_mimo_cube([[ir], [ir]], [wf, phase_code(13, FS, seed=9)],
+        simulate_mimo_cube([ir, ir], [wf, phase_code(13, FS, seed=9)],
                            noise_power=0.0, seed=1)
+    with pytest.raises(ConfigurationError):
+        simulate_mimo_cube([], [], noise_power=0.0, seed=1)
 
 
 def test_identical_waveforms_leak_at_zero_db():
     wf = phase_code(16, FS, seed=11)
     irs = [delta_ir(3, 40), delta_ir(3, 40)]
-    cubes = [simulate_mimo_cube([[ir]], [wf], noise_power=0.0, seed=1)[0]
+    cubes = [simulate_mimo_cube([ir], [wf], noise_power=0.0, seed=1)
              for ir in irs]
     leak = cross_channel_leakage(cubes, [wf, wf])
     np.testing.assert_allclose(leak, 0.0, atol=1e-9)
@@ -100,7 +109,7 @@ def test_disjoint_support_waveforms_hit_the_floor():
     # matched filter evaluates only the zero lag, where the disjoint halves
     # give an exact zero cross product
     ir = delta_ir(0, 1)
-    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)[0]
+    cubes = [simulate_mimo_cube([ir], [w], noise_power=0.0, seed=1)
              for w in (wf_a, wf_b)]
     leak = cross_channel_leakage(cubes, [wf_a, wf_b])
     assert leak[0, 0] == pytest.approx(0.0, abs=1e-9)
@@ -113,7 +122,7 @@ def test_chirp_pair_sits_between_floor_and_unity():
     wf_up = lfm(bandwidth=4e6, duration=6.4e-6, sample_rate=FS)
     wf_dn = lfm(bandwidth=4e6, duration=6.4e-6, sample_rate=FS, direction="down")
     ir = delta_ir(0, wf_up.samples.shape[0] + 20)
-    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)[0]
+    cubes = [simulate_mimo_cube([ir], [w], noise_power=0.0, seed=1)
              for w in (wf_up, wf_dn)]
     leak = cross_channel_leakage(cubes, [wf_up, wf_dn])
     off = leak[0, 1]
@@ -124,11 +133,11 @@ def test_chirp_pair_sits_between_floor_and_unity():
 def test_leakage_validation():
     wf = phase_code(8, FS, seed=2)
     ir = delta_ir(0, 20)
-    cube = simulate_mimo_cube([[ir]], [wf], noise_power=0.0, seed=1)[0]
+    cube = simulate_mimo_cube([ir], [wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
         cross_channel_leakage([cube], [wf, wf])
     zero = ChannelImpulseResponse(
         taps=np.zeros((1, 4, 20), dtype=np.complex64), sample_rate=FS, prf=PRF)
-    zcube = simulate_mimo_cube([[zero]], [wf], noise_power=0.0, seed=1)[0]
+    zcube = simulate_mimo_cube([zero], [wf], noise_power=0.0, seed=1)
     with pytest.raises(ValueError):
         cross_channel_leakage([zcube], [wf])

@@ -200,17 +200,17 @@ def test_mimo_first_transmitter_matches_single_pipeline():
             **extra,
         )
         scene = pipeline.build_scene(scn)
-        pairs = pipeline.mimo_pair_irs(scn, scene, cpi=0)
-        assert len(pairs) == 2 and len(pairs[0]) == 1
+        irs = pipeline.mimo_irs(scn, scene, cpi=0)
+        assert len(irs) == 2
         timing = scn.timing()
         clutter = pipeline.synthesize_clutter(scn, scene, 0, timing)
         target = pipeline.synthesize_targets(scn, scene, 0, timing)
-        np.testing.assert_array_equal(pairs[0][0].taps, clutter.taps + target.taps)
-        assert not np.array_equal(pairs[1][0].taps, pairs[0][0].taps)
+        np.testing.assert_array_equal(irs[0].taps, clutter.taps + target.taps)
+        assert not np.array_equal(irs[1].taps, irs[0].taps)
     # the sea modulation really reaches the MIMO channel
     calm = dataclasses.replace(scn, wind_speed_mps=0.0)
-    calm_pairs = pipeline.mimo_pair_irs(calm, pipeline.build_scene(calm), cpi=0)
-    assert not np.array_equal(calm_pairs[0][0].taps, pairs[0][0].taps)
+    calm_irs = pipeline.mimo_irs(calm, pipeline.build_scene(calm), cpi=0)
+    assert not np.array_equal(calm_irs[0].taps, irs[0].taps)
 
 
 EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
@@ -239,36 +239,30 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
                             velocity=[10.0, 0.0, 0.0], rcs=50.0)],
         mimo_tx=mimo_tx, **options)
     scene = pipeline.build_scene(scn)
-    pairs = pipeline.mimo_pair_irs(scn, scene, cpi=cpi)
-    assert len(pairs) == 1 + len(mimo_tx)
+    irs = pipeline.mimo_irs(scn, scene, cpi=cpi)
+    assert len(irs) == 1 + len(mimo_tx)
     result = pipeline.simulate_cpi(scn, scene, cpi, pipeline.default_waveform(scn))
     assert np.any(result.clutter_ir.taps) and np.any(result.target_ir.taps)
-    np.testing.assert_array_equal(pairs[0][0].taps,
+    np.testing.assert_array_equal(irs[0].taps,
                                   result.clutter_ir.taps + result.target_ir.taps)
 
 
-def test_threads_do_not_change_output_bytes():
-    scn = tiny_scenario(noise_power=1e-19, num_cpis=3)
-    serial = pipeline.simulate_scenario(scn, threads=1)
-    pooled = pipeline.simulate_scenario(scn, threads=3)
-    assert len(serial.results) == len(pooled.results) == 3
-    for a, b in zip(serial.results, pooled.results):
-        assert a.cpi == b.cpi
-        np.testing.assert_array_equal(a.cube.samples, b.cube.samples)
-        np.testing.assert_array_equal(a.clutter_ir.taps, b.clutter_ir.taps)
-
-
 def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
-    """Stress: three CPI threads share a one-thread pool while line of
-    sight, the Philox draws and cube assembly each split their work four
-    ways into small spans and chunks, with a short switch interval.  The
-    run finishes, so no pool task waits on another, and every CPI keeps
-    the serial run's bytes."""
-    scn = tiny_scenario(dem=ElevationGrid(heights=ridge_heights(40, 30.0, crest=150.0),
-                                          cell_size=30.0),
+    """Stress: three caller threads each simulate one CPI of a shared
+    scene on a one-thread pool while line of sight, the Philox draws
+    and cube assembly each split their work four ways into small spans
+    and chunks, with a short switch interval.  The threads finish, so
+    no pool task waits on another; the shared scene's grid is fresh, so
+    they race to build its `los_bounds`; and every CPI keeps the serial
+    run's bytes."""
+    heights = ridge_heights(40, 30.0, crest=150.0)
+    scn = tiny_scenario(dem=ElevationGrid(heights=heights, cell_size=30.0),
                         landcover=half_water_cover(), wind_speed_mps=12.0,
                         noise_power=1e-19, num_cpis=3)
-    serial = pipeline.simulate_scenario(scn, threads=1)
+    serial = pipeline.simulate_scenario(scn)
+    shared = dataclasses.replace(scn, dem=ElevationGrid(heights=heights, cell_size=30.0))
+    scene = pipeline.build_scene(shared)
+    waveform = pipeline.default_waveform(shared)
     splits = collections.Counter()
 
     def counting(module):
@@ -284,18 +278,20 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
     monkeypatch.setattr(seeding, "PHILOX_CHUNK", 64)
     for module in (terrain, seeding, rxsim):
         monkeypatch.setattr(module, "run_blocks", counting(module))
-    caller = ThreadPoolExecutor(1)
+    callers = ThreadPoolExecutor(3)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        pooled = caller.submit(pipeline.simulate_scenario, scn, threads=3).result(timeout=60)
+        futures = [callers.submit(pipeline.simulate_cpi, shared, scene, c, waveform)
+                   for c in range(scn.num_cpis)]
+        pooled = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
         # without waiting, so a deadlock fails the test instead of hanging it
-        caller.shutdown(wait=False)
+        callers.shutdown(wait=False)
         pool.shutdown(wait=False, cancel_futures=True)
     assert min(splits[m.__name__] for m in (terrain, seeding, rxsim)) >= 2
-    for a, b in zip(serial.results, pooled.results, strict=True):
+    for a, b in zip(serial.results, pooled, strict=True):
         assert a.cube.samples.tobytes() == b.cube.samples.tobytes()
         assert a.clutter_ir.taps.tobytes() == b.clutter_ir.taps.tobytes()
 
@@ -751,7 +747,7 @@ def test_target_on_the_platform_is_a_configuration_error():
     with pytest.raises(ConfigurationError, match="coincides"):
         pipeline.simulate_scenario(scn)
     with pytest.raises(ConfigurationError, match="coincides"):
-        pipeline.mimo_pair_irs(scn, None, 0)
+        pipeline.mimo_irs(scn, None, 0)
 
 
 # --- built-in scene structure (desk scale) ------------------------------------

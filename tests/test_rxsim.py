@@ -57,33 +57,32 @@ def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
 
 
 def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
-                  num_range_samples: int, noise_power: float, seed: int,
-                  rx_index: int = 0) -> np.ndarray:
+                  num_range_samples: int, noise_power: float, seed: int) -> np.ndarray:
     """Whole-cube noise oracle, (1, N, M, R): channel n draws a
     (2, M, R) block of standard normals from derive_rng(seed,
-    STREAM_NOISE, rx_index, cpi_index, n), real parts first, and zero
-    noise power gives a zero cube."""
+    STREAM_NOISE, 0, cpi_index, n), real parts first, and zero noise
+    power gives a zero cube."""
     out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
     if noise_power == 0.0:
         return out
     scale = np.sqrt(noise_power / 2.0)
     for n in range(num_channels):
-        rng = derive_rng(seed, STREAM_NOISE, rx_index, cpi_index, n)
+        rng = derive_rng(seed, STREAM_NOISE, 0, cpi_index, n)
         re, im = rng.standard_normal((2, num_pulses, num_range_samples))
         out[0, n].real = scale * re
         out[0, n].imag = scale * im
     return out
 
 
-def oracle_cube(terms, noise_power, seed, cpi_index=0, rx_index=0) -> np.ndarray:
-    """Whole-cube oracle of one receiver's samples: the (channel,
+def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
+    """Whole-cube oracle of the receiver's samples: the (channel,
     waveforms) terms convolved under the support rule and summed in
     order, then noise added."""
     signal = support_rule_samples(*terms[0])
     for ir, wfs in terms[1:]:
         signal = signal + support_rule_samples(ir, wfs)
     n, m, r = signal.shape
-    return signal[None] + noise_samples(cpi_index, n, m, r, noise_power, seed, rx_index)
+    return signal[None] + noise_samples(cpi_index, n, m, r, noise_power, seed)
 
 
 def random_ir(rng, n=2, m=3, l=16, kind="clutter"):
@@ -239,19 +238,17 @@ def test_cube_bytes_do_not_depend_on_the_worker_count(set_worker_count, parts, p
 
 def assert_mimo_cube_bytes_match_the_oracle(noise_power, n):
     rng = np.random.default_rng(11)
-    pair_irs = [[random_ir(rng, n=n) for _ in range(2)] for _ in range(2)]
-    wfs = [random_waveform(rng) for _ in range(2)]
-    cubes = simulate_mimo_cube(pair_irs, wfs, noise_power, seed=21, cpi_index=2)
-    for r, cube in enumerate(cubes):
-        want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], noise_power, 21,
-                           cpi_index=2, rx_index=r)
-        assert cube.samples.tobytes() == want.tobytes()
+    tx_irs = [random_ir(rng, n=n) for _ in range(3)]
+    wfs = [random_waveform(rng) for _ in range(3)]
+    cube = simulate_mimo_cube(tx_irs, wfs, noise_power, seed=21, cpi_index=2)
+    want = oracle_cube(list(zip(tx_irs, wfs)), noise_power, 21, cpi_index=2)
+    assert cube.samples.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("noise_power", [0.0, 0.7])
 def test_mimo_cube_bytes_match_the_whole_cube_oracle(noise_power):
-    """Every receiver sums its transmitters in tx order and draws its
-    own noise streams, as the whole-cube oracle does."""
+    """The receiver sums its transmitters in tx order and draws one
+    noise stream per receive channel, as the whole-cube oracle does."""
     assert_mimo_cube_bytes_match_the_oracle(noise_power, n=2)
 
 
@@ -346,12 +343,14 @@ def test_cube_derives_one_noise_stream_per_channel(monkeypatch, per_pulse):
 
 
 def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
+    """Three transmitters into two receive channels derive two noise
+    streams, not one per transmitter."""
     rng = np.random.default_rng(16)
-    pair_irs = [[random_ir(rng, n=2) for _ in range(3)] for _ in range(2)]
-    wfs = [random_waveform(rng) for _ in range(2)]
+    tx_irs = [random_ir(rng, n=2) for _ in range(3)]
+    wfs = [random_waveform(rng) for _ in range(3)]
     keys = count_noise_streams(monkeypatch)
-    simulate_mimo_cube(pair_irs, wfs, 0.4, seed=8, cpi_index=1)
-    assert keys == [(8, STREAM_NOISE, r, 1, n) for r in range(3) for n in range(2)]
+    simulate_mimo_cube(tx_irs, wfs, 0.4, seed=8, cpi_index=1)
+    assert keys == [(8, STREAM_NOISE, 0, 1, n) for n in range(2)]
 
 
 # --- the direct route over a sparse channel's tap support -------------------
@@ -483,19 +482,17 @@ def test_direct_route_bytes_do_not_depend_on_the_worker_count(set_worker_count, 
 
 @pytest.mark.parametrize("workers", [1, 2, 3, 8])
 def test_mimo_direct_route_bytes_match_the_oracle(set_worker_count, workers):
-    """Sparse and dense transmitter-receiver pairs mixed in one MIMO
-    cube: each receiver sums its transmitters, each on its own route."""
+    """Sparse and dense transmitter channels mixed in one MIMO cube:
+    the receiver sums its transmitters in order, each on its own route."""
     set_worker_count(workers)
     rng = np.random.default_rng(26)
-    pair_irs = [[random_ir(rng, n=5, l=SPARSE_TAPS), sparse_ir(rng, [1, 8, 20], n=5, m=3)],
-                [sparse_ir(rng, [2, 3], n=5, m=3, dense_channels=[4]),
-                 random_ir(rng, n=5, l=SPARSE_TAPS)]]
-    wfs = [random_waveform(rng) for _ in range(2)]
-    cubes = simulate_mimo_cube(pair_irs, wfs, 0.7, seed=21, cpi_index=2)
-    for r, cube in enumerate(cubes):
-        want = oracle_cube([(pair_irs[t][r], wfs[t]) for t in range(2)], 0.7, 21,
-                           cpi_index=2, rx_index=r)
-        assert cube.samples.tobytes() == want.tobytes()
+    tx_irs = [random_ir(rng, n=5, l=SPARSE_TAPS), sparse_ir(rng, [1, 8, 20], n=5, m=3),
+              sparse_ir(rng, [2, 3], n=5, m=3, dense_channels=[4]),
+              random_ir(rng, n=5, l=SPARSE_TAPS)]
+    wfs = [random_waveform(rng) for _ in range(4)]
+    cube = simulate_mimo_cube(tx_irs, wfs, 0.7, seed=21, cpi_index=2)
+    want = oracle_cube(list(zip(tx_irs, wfs)), 0.7, 21, cpi_index=2)
+    assert cube.samples.tobytes() == want.tobytes()
 
 
 def test_zero_noise_still_clears_negative_zeros():

@@ -15,7 +15,7 @@ from rfclutter.errors import ConfigurationError
 from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays,
                                build_patch_grid, grazing_angle,
                                grazing_angles, line_of_sight,
-                               lines_of_sight, los_mask, patch_grid_shape, read_dem,
+                               lines_of_sight, patch_grid_shape, read_dem,
                                read_landcover, write_dem, write_landcover)
 from rfclutter.scattering import GRASS, WATER
 from rfclutter.workers import run_blocks
@@ -253,7 +253,7 @@ def test_los_mask_matches_scalar_calls(ridge_dem):
     cover = ClassGrid(classes=np.full((64, 64), WATER, dtype=np.int64), cell_size=10.0)
     patches = build_patch_grid(ridge_dem, cover, patch_size=80.0)
     obs = (320.0, 40.0, 25.0)
-    mask = los_mask(ridge_dem, obs, patches)
+    mask = lines_of_sight(ridge_dem, obs, patches.centers)
     assert mask.shape == (len(patches),)
     for k in (0, 17, len(patches) - 1):
         assert mask[k] == line_of_sight(ridge_dem, obs, patches.centers[k])
