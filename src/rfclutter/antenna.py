@@ -51,8 +51,9 @@ class ArrayGeometry:
                 aperture == 0.0 or np.linalg.norm(off_grid, axis=1).max() > 1e-9 * aperture):
             raise ConfigurationError(
                 "element positions must form a uniform linear array, p_m - p_0 = m (p_1 - p_0)")
-        if self.wavelength <= 0:
-            raise ConfigurationError(f"wavelength must be positive, got {self.wavelength}")
+        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
+            raise ConfigurationError(
+                f"wavelength must be positive and finite, got {self.wavelength}")
         self.boresight = np.asarray(self.boresight, dtype=np.float64).reshape(3)
         n = np.linalg.norm(self.boresight)
         if n == 0:
@@ -121,17 +122,20 @@ def phase_ramps(theta, count: int) -> np.ndarray:
     binary, so entry k is a product of at most ceil(log2 count)
     correctly rounded exponentials, where exp(j fl(theta * k)) would
     carry the rounding of its argument.
+
+    The doubling runs over the rows of a (count, len(theta)) buffer, so
+    every multiply streams over contiguous memory; the result is that
+    buffer's transpose (a Fortran-ordered view).
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
-    out = np.empty((theta.size, count), dtype=np.complex128)
-    out[:, :1] = 1.0
+    out = np.empty((count, theta.size), dtype=np.complex128)
+    out[:1] = 1.0
     width = 1
     while width < count:
         step = min(width, count - width)
-        np.multiply(out[:, :step], np.exp(1j * (theta * width))[:, None],
-                    out=out[:, width:width + step])
+        np.multiply(out[:step], np.exp(1j * (theta * width)), out=out[width:width + step])
         width *= 2
-    return out
+    return out.T
 
 
 def phase_ramp_column(theta, k: int) -> np.ndarray:

@@ -41,6 +41,7 @@ from .binfile import read_framed
 from .errors import ConfigurationError
 from .seeding import STREAM_CLUTTER, normal_pair, philox_key, philox_words, uniforms
 from .terrain import PatchArrays, PlatformState
+from .workers import run_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -50,6 +51,12 @@ _MAGIC = b"RFGIR001"
 _HEADER = struct.Struct("<8sIIIddd")
 
 _TAP_BATCH = 4096  # responses per accumulation batch of whole taps; bounds scratch memory
+
+
+def _check_delay_origin(delay_origin: float) -> None:
+    if not (np.isfinite(delay_origin) and delay_origin >= 0):
+        raise ConfigurationError(
+            f"delay_origin must be non-negative and finite, got {delay_origin}")
 
 
 @dataclass
@@ -72,8 +79,7 @@ class RadarTiming:
             raise ConfigurationError(f"num_pulses must be >= 1, got {self.num_pulses}")
         if self.num_taps < 1:
             raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
-        if self.delay_origin < 0:
-            raise ConfigurationError(f"delay_origin must be non-negative, got {self.delay_origin}")
+        _check_delay_origin(self.delay_origin)
 
     @classmethod
     def for_swath(cls, prf: float, sample_rate: float, num_pulses: int,
@@ -124,6 +130,7 @@ class ChannelImpulseResponse:
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
+        _check_delay_origin(self.delay_origin)
         self.taps.setflags(write=False)
 
     @property
@@ -295,6 +302,13 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     sum unchanged.  Responses whose tap falls outside the receive window
     are dropped and counted in a warning.
 
+    The occupied taps are cut into batches of whole taps, about
+    _TAP_BATCH responses each, and the batches run on every core
+    (`workers.run_blocks`): a batch builds its responses' steering
+    entries, slow-time phasors and sea modulation and runs its taps'
+    GEMMs, writing only its own taps, so the bytes are the same at any
+    core count.
+
     `modulation = (rows, phase, amp)`, when given, multiplies the
     slow-time phasors of the responses at the ascending indices `rows` by
     exp(j phase) and then by amp, both of shape (len(rows), M); dynamic
@@ -339,27 +353,33 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     tap_of = taps_idx[sel]
     # bounds[g]:bounds[g + 1] are the responses of the g-th occupied tap
     bounds = np.append(np.flatnonzero(np.diff(tap_of, prepend=-1)), sel.size)
-    out = np.zeros((n_tap, n_elem, n_pulse), dtype=np.complex64)
-    g = 0
-    while g < bounds.size - 1:
-        # a batch of whole taps, about _TAP_BATCH responses
-        h = max(g + 1, int(np.searchsorted(bounds, bounds[g] + _TAP_BATCH, side="right")) - 1)
-        lo = bounds[g]
-        idx = sel[lo:bounds[h]]
-        coef = amps[idx, None] * spatial_steering_many(array, directions[idx])
-        slow = phase_ramps((2.0 * np.pi / timing.prf) * responses.doppler[idx], n_pulse)
-        if mod_of is not None:
-            hit = np.flatnonzero(mod_of[idx] >= 0)
-            row = mod_of[idx[hit]]
-            slow[hit] *= np.exp(1j * mod_phase[row])
-            slow[hit] *= mod_amp[row]
-        for a, b, tap in zip((bounds[g:h] - lo).tolist(), (bounds[g + 1:h + 1] - lo).tolist(),
-                             tap_of[bounds[g:h]].tolist()):
-            out[tap] = coef[a:b].T @ slow[a:b]
-        g = h
+    # batch i holds the whole taps edges[i]:edges[i + 1], about _TAP_BATCH responses
+    edges = [0]
+    while edges[-1] < bounds.size - 1:
+        g = edges[-1]
+        edges.append(max(g + 1, int(np.searchsorted(bounds, bounds[g] + _TAP_BATCH,
+                                                    side="right")) - 1))
+    out = np.zeros((n_elem, n_pulse, n_tap), dtype=np.complex64)
 
-    return ChannelImpulseResponse(taps=np.ascontiguousarray(out.transpose(1, 2, 0)),
-                                  sample_rate=timing.sample_rate, prf=timing.prf,
+    def accumulate(batches: range) -> None:
+        for i in batches:
+            g, h = edges[i], edges[i + 1]
+            lo = bounds[g]
+            idx = sel[lo:bounds[h]]
+            coef = amps[idx, None] * spatial_steering_many(array, directions[idx])
+            slow = phase_ramps((2.0 * np.pi / timing.prf) * responses.doppler[idx], n_pulse)
+            if mod_of is not None:
+                hit = np.flatnonzero(mod_of[idx] >= 0)
+                row = mod_of[idx[hit]]
+                slow[hit] = slow[hit] * np.exp(1j * mod_phase[row]) * mod_amp[row]
+            for a, b, tap in zip((bounds[g:h] - lo).tolist(),
+                                 (bounds[g + 1:h + 1] - lo).tolist(),
+                                 tap_of[bounds[g:h]].tolist()):
+                out[:, :, tap] = coef[a:b].T @ slow[a:b]
+
+    run_blocks(accumulate, len(edges) - 1)
+
+    return ChannelImpulseResponse(taps=out, sample_rate=timing.sample_rate, prf=timing.prf,
                                   delay_origin=timing.delay_origin, kind=kind)
 
 

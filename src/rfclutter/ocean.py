@@ -19,12 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words
+from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words_inline
+from .workers import run_blocks
 
 DEFAULT_VELOCITY_PER_WIND = 0.1      # stationary velocity sigma per m/s of wind
 DEFAULT_LOG_AMP_PER_WIND = 0.02      # lognormal sigma per m/s of wind
 
-_CHUNK_BLOCKS = 1 << 16              # Philox blocks per draw chunk; bounds scratch memory
+_CHUNK_BLOCKS = 1 << 16              # Philox blocks per row chunk; bounds scratch memory
 
 
 @dataclass
@@ -57,6 +58,11 @@ class OceanState:
         return self.log_amp_per_wind * self.wind_speed
 
 
+def _row_step(num_pulses: int) -> int:
+    """Patches per row chunk: about _CHUNK_BLOCKS Philox blocks of draws."""
+    return max(1, _CHUNK_BLOCKS // -(-2 * num_pulses // 4))
+
+
 def surface_series(state: OceanState, num_pulses: int, prf: float,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch radial velocities and amplitude factors over a CPI.
@@ -67,32 +73,40 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     stream, whose Box-Muller pair is the velocity innovation and the
     amplitude draw, so a series of any length is a prefix of a longer
     one.
+
+    The patches are split into row chunks of about _CHUNK_BLOCKS Philox
+    blocks, which run on every core (`workers.run_blocks`).  A chunk
+    draws its words, runs the velocity recursion and forms the
+    amplitudes of its own rows only, with the arithmetic of one pass
+    over every row, so the bytes are the same at any core count.
     """
     if num_pulses < 1:
         raise ConfigurationError(f"num_pulses must be >= 1, got {num_pulses}")
-    if prf <= 0:
-        raise ConfigurationError(f"prf must be positive, got {prf}")
+    if not (np.isfinite(prf) and prf > 0):
+        raise ConfigurationError(f"prf must be positive and finite, got {prf}")
     n = len(state.ids)
     key = philox_key(seed, STREAM_OCEAN)
     blocks = -(-2 * num_pulses // 4)
-    xi = np.empty((n, num_pulses))
-    za = np.empty((n, num_pulses))
-    step = max(1, _CHUNK_BLOCKS // blocks)
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        words = philox_words(key, state.ids[rows], 0, blocks)
-        xi[rows], za[rows] = normal_pair(words[:, 0:2 * num_pulses:2],
-                                         words[:, 1:2 * num_pulses:2])
-
+    step = _row_step(num_pulses)
     sigma_v = state.velocity_std
+    log_amp_std = state.log_amp_std
     rho = float(np.exp(-1.0 / (state.correlation_time * prf)))
-    vel = np.empty((n, num_pulses))
-    vel[:, 0] = sigma_v * xi[:, 0]
     drive = sigma_v * np.sqrt(1.0 - rho * rho)
-    for m in range(1, num_pulses):
-        vel[:, m] = rho * vel[:, m - 1] + drive * xi[:, m]
+    vel = np.empty((n, num_pulses))
+    amp = np.empty((n, num_pulses))
 
-    amp = np.exp(state.log_amp_std * za)
+    def series(chunks: range) -> None:
+        for chunk in chunks:
+            rows = slice(chunk * step, (chunk + 1) * step)
+            words = philox_words_inline(key, state.ids[rows], 0, blocks)
+            xi, za = normal_pair(words[:, 0:2 * num_pulses:2], words[:, 1:2 * num_pulses:2])
+            v = vel[rows]
+            v[:, 0] = sigma_v * xi[:, 0]
+            for m in range(1, num_pulses):
+                v[:, m] = rho * v[:, m - 1] + drive * xi[:, m]
+            np.exp(log_amp_std * za, out=amp[rows])
+
+    run_blocks(series, -(-n // step))
     return vel, amp
 
 
@@ -102,15 +116,23 @@ def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
 
     The phase track integrates the per-pulse Doppler offsets (zero at
     pulse 0), in the form synthesize_ir consumes.  At zero wind both
-    arrays are exactly zeros/ones.
+    arrays are exactly zeros/ones.  The track runs over the row chunks
+    of `surface_series` on every core; each row keeps its own sums.
     """
-    if wavelength <= 0:
-        raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
+    if not (np.isfinite(wavelength) and wavelength > 0):
+        raise ConfigurationError(f"wavelength must be positive and finite, got {wavelength}")
     vel, amp = surface_series(state, num_pulses, prf, seed)
-    doppler = 2.0 * vel / wavelength
-    phase = np.zeros_like(doppler)
+    phase = np.zeros_like(vel)
+    step = _row_step(num_pulses)
+
+    def track(chunks: range) -> None:
+        for chunk in chunks:
+            rows = slice(chunk * step, (chunk + 1) * step)
+            doppler = 2.0 * vel[rows, 1:] / wavelength
+            phase[rows, 1:] = (2.0 * np.pi / prf) * np.cumsum(doppler, axis=1)
+
     if num_pulses > 1:
-        phase[:, 1:] = (2.0 * np.pi / prf) * np.cumsum(doppler[:, 1:], axis=1)
+        run_blocks(track, -(-len(vel) // step))
     return phase, amp
 
 

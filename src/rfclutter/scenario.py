@@ -473,11 +473,12 @@ def scenario_hash(scn: Scenario) -> str:
     """
     h = hashlib.sha256()
     h.update(scenario_text(scn).encode("utf-8"))
+    # the rasters are hashed through memoryviews, without a bytes copy
     if scn.dem is not None:
-        h.update(np.ascontiguousarray(scn.dem.heights, dtype="<f8").tobytes())
+        h.update(memoryview(np.ascontiguousarray(scn.dem.heights, dtype="<f8")).cast("B"))
         h.update(np.float64(scn.dem.cell_size).tobytes())
     if scn.landcover is not None:
-        h.update(np.ascontiguousarray(scn.landcover.classes, dtype="<i8").tobytes())
+        h.update(memoryview(np.ascontiguousarray(scn.landcover.classes, dtype="<i8")).cast("B"))
     return h.hexdigest()
 
 

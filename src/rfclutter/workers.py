@@ -1,12 +1,13 @@
 """The process's one worker-thread pool.
 
 Cube assembly (`rxsim`), line of sight (`terrain.lines_of_sight`),
-the counter-based draws (`seeding.philox_words`) and the dataset file
-hashes (`challenge`) split their work into blocks that run on every
-CPU this process may use.  Each block writes only its own part of the
-output, and every sample, word, tap and digest keeps the arithmetic it
-has in a serial evaluation, so the bytes are the same at any core
-count.
+the counter-based draws (`seeding.philox_words`), the sea surface
+(`ocean.surface_series` and the phase track of `ocean.pulse_modulation`),
+tap accumulation (`channel.synthesize_ir`) and the dataset file hashes
+(`challenge`) split their work into blocks that run on every CPU this
+process may use.  Each block writes only its own part of the output, and every
+sample, word, sea row, tap and digest keeps the arithmetic it has in
+a serial evaluation, so the bytes are the same at any core count.
 
 The caller runs the first block itself, so one CPU runs everything
 inline and the other blocks add one worker thread's memory each.  The

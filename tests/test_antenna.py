@@ -49,6 +49,35 @@ def test_phase_ramps_match_a_long_double_reference(count):
     assert np.all(got[:, 0] == 1.0)
 
 
+def column_doubling_phase_ramps(theta, count):
+    """`phase_ramps` as it once was, doubling along the columns of a
+    (len(theta), count) buffer: the bit-for-bit oracle of the row
+    doubling."""
+    theta = np.asarray(theta, dtype=np.float64).reshape(-1)
+    out = np.empty((theta.size, count), dtype=np.complex128)
+    out[:, :1] = 1.0
+    width = 1
+    while width < count:
+        step = min(width, count - width)
+        np.multiply(out[:, :step], np.exp(1j * (theta * width))[:, None],
+                    out=out[:, width:width + step])
+        width *= 2
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 31, 32, 33, 64, 100])
+@pytest.mark.parametrize("size", [0, 1, 7, 1000])
+def test_phase_ramps_equal_the_column_doubling_oracle(count, size):
+    rng = np.random.default_rng(count)
+    theta = np.concatenate([[0.0, np.pi, -np.pi / 3, 1e-300],
+                            rng.uniform(-np.pi, np.pi, 500), rng.normal(0.0, 60.0, 500)])[:size]
+    got = phase_ramps(theta, count)
+    want = column_doubling_phase_ramps(theta, count)
+    assert got.shape == want.shape == (size, count)
+    assert got.dtype == np.complex128
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+
+
 # --- spatial steering ----------------------------------------------------------
 
 def test_ula_steering_phase_progression():
@@ -282,6 +311,11 @@ def test_array_validation():
         ArrayGeometry.ula(0, 0.015, WAVELENGTH)
     with pytest.raises(ConfigurationError):
         ArrayGeometry.ula(4, 0.015, -1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            ArrayGeometry.ula(4, 0.015, bad)
+        with pytest.raises(ConfigurationError):
+            ArrayGeometry(element_positions=ula(4).element_positions, wavelength=bad)
     arr = ula(4)
     with pytest.raises(ConfigurationError):
         pattern_gain(arr, np.ones(3), direction_at(0.0))  # weight length

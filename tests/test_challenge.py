@@ -2,6 +2,7 @@
 
 import builtins
 import hashlib
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -113,6 +114,24 @@ def test_tampering_any_listed_file_is_rejected(tmp_path, name):
     blob[-1] ^= 0x01
     path.write_bytes(bytes(blob))
     with pytest.raises(ConfigurationError, match="checksum mismatch"):
+        read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_relisted_ir_with_a_bad_delay_origin_is_rejected(tmp_path, bad):
+    """An IR header edited to a bad delay origin, with its digest
+    relisted in the manifest, still fails to load."""
+    export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    path = tmp_path / "ds" / "clutter_cpi000.rfgir"
+    old = hashlib.sha256(path.read_bytes()).hexdigest()
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 28, bad)
+    path.write_bytes(bytes(blob))
+    manifest = tmp_path / "ds" / "manifest.txt"
+    text = manifest.read_text()
+    assert old in text
+    manifest.write_text(text.replace(old, hashlib.sha256(bytes(blob)).hexdigest()))
+    with pytest.raises(ConfigurationError, match="delay_origin"):
         read_challenge(tmp_path / "ds")
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import convolution_matrix
 
-from rfclutter import pipeline
+from rfclutter import channel, pipeline
 from rfclutter.antenna import ArrayGeometry
 from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
                                RadarTiming, StochasticModel,
@@ -241,6 +242,35 @@ def test_rates_must_be_finite(bad):
         ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=bad)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+def test_delay_origin_must_be_finite_and_non_negative(bad):
+    with pytest.raises(ConfigurationError):
+        RadarTiming(prf=1e3, sample_rate=5e6, num_pulses=4, num_taps=10, delay_origin=bad)
+    with pytest.raises(ConfigurationError):
+        RadarTiming.for_swath(prf=1e3, sample_rate=5e6, num_pulses=4, swath=300.0,
+                              delay_origin=bad)
+    with pytest.raises(ConfigurationError):
+        ChannelImpulseResponse(taps=np.zeros((1, 2, 3), dtype=np.complex64),
+                               sample_rate=5e6, prf=1e3, delay_origin=bad)
+
+
+def write_ir_with_delay_origin(path, delay_origin):
+    """An IR file whose header's delay origin (offset 28) is edited."""
+    write_ir(path, ChannelImpulseResponse(taps=np.ones((1, 2, 4), dtype=np.complex64),
+                                          sample_rate=5e6, prf=1e3, delay_origin=1e-5))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 28, delay_origin)
+    path.write_bytes(bytes(blob))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+def test_ir_reader_rejects_a_bad_delay_origin(tmp_path, bad):
+    path = tmp_path / "edited.rfgir"
+    write_ir_with_delay_origin(path, bad)
+    with pytest.raises(ConfigurationError, match="delay_origin"):
+        read_ir(path)
+
+
 # --- tap synthesis -------------------------------------------------------------
 
 def responses(*rows):
@@ -426,6 +456,45 @@ def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
     assert np.unique(tap, return_counts=True)[1].max() > 1   # real sums, not copies
     assert np.count_nonzero(want) > 0
     assert ulp_distance(ir.taps, want).max() <= 1
+
+
+def many_tap_responses(count=600, num_taps=48, seed=3):
+    """`count` responses over `num_taps` taps, several per tap, with
+    directions, a few shadowed rows and sea modulation on every third
+    row, for a (3 element, 8 pulse) array."""
+    rng = np.random.default_rng(seed)
+    fs = 5e6
+    timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=8, num_taps=num_taps)
+    amps = rng.normal(size=count) + 1j * rng.normal(size=count)
+    amps[::17] = 0.0
+    resp = scatterer_responses(rng.integers(0, num_taps, count) / fs,
+                               rng.uniform(-600.0, 600.0, count), amps,
+                               rng.permutation(count) * 3)
+    u = rng.uniform(-0.8, 0.8, count)
+    directions = np.stack([np.sqrt(1.0 - u * u), u, np.zeros(count)], axis=1)
+    rows = np.arange(0, count, 3)
+    modulation = (rows, rng.uniform(-np.pi, np.pi, (rows.size, 8)),
+                  rng.lognormal(0.0, 0.2, (rows.size, 8)))
+    return resp, directions, rx_array(3), timing, modulation
+
+
+@pytest.mark.parametrize("modulated", [False, True], ids=["static", "sea"])
+def test_synthesize_ir_does_not_depend_on_the_worker_count(set_worker_count, monkeypatch,
+                                                           modulated):
+    """Batches of about 40 responses (more than 8 of them) split 1, 2,
+    3 and 8 ways give the bytes of one default-size batch on one
+    worker."""
+    resp, directions, array, timing, modulation = many_tap_responses()
+    if not modulated:
+        modulation = None
+    set_worker_count(1)
+    want = synthesize_ir(resp, directions, array, timing, modulation=modulation).taps
+    assert np.count_nonzero(want) > 0
+    monkeypatch.setattr(channel, "_TAP_BATCH", 40)
+    for workers in (1, 2, 3, 8):
+        set_worker_count(workers)
+        got = synthesize_ir(resp, directions, array, timing, modulation=modulation).taps
+        assert got.tobytes() == want.tobytes()
 
 
 # --- moments ----------------------------------------------------------------------

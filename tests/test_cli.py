@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,9 @@ import rfclutter
 from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
-from rfclutter.terrain import ElevationGrid, write_dem
+from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
+                                scenario_text)
+from rfclutter.terrain import ElevationGrid, write_dem, write_landcover
 from rfclutter.waveform import lfm, write_waveform
 
 SCENARIO = """
@@ -249,39 +252,71 @@ def test_last_valid_indices_run(scenario_file, tmp_path):
                  "--out", str(out)]) == 0
 
 
+def windy_scenario(root: Path) -> list[str]:
+    """`simulate` arguments for desk scenario2 with a 12 m/s wind,
+    written as a scenario file with its rasters: the sea surface
+    modulates its water clutter, which the scenario1 preset has none
+    of."""
+    scn = replace(generate_scenario2(scale=DESK_SCALE, seed=1), wind_speed_mps=12.0,
+                  dem_path="coast.dem", landcover_path="coast.lc")
+    root.mkdir(parents=True)
+    write_dem(root / "coast.dem", scn.dem)
+    write_landcover(root / "coast.lc", scn.landcover)
+    (root / "windy.txt").write_text(scenario_text(scn))
+    return ["--scenario", str(root / "windy.txt")]
+
+
+def simulated_manifests(tmp_path, env, **run) -> dict[str, bytes]:
+    """Manifest bytes of `simulate` on the scenario1 preset and on the
+    windy scenario, run in a child process with `env`."""
+    manifests = {}
+    for name, argv in (("scenario1", ["--preset", "scenario1"]),
+                       ("windy", windy_scenario(tmp_path / "windy-input"))):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", *argv,
+                        "--out", str(out)], env=env, check=True, capture_output=True, **run)
+        manifests[name] = (out / "manifest.txt").read_bytes()
+    return manifests
+
+
+def child_env(**extra) -> dict[str, str]:
+    src = str(Path(rfclutter.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_windy_scenario_reaches_the_sea_surface(tmp_path):
+    """The gates' windy scenario has live water clutter, so they run
+    the sea-surface series."""
+    scn = load_scenario(windy_scenario(tmp_path / "in")[1])
+    assert scn.wind_speed_mps == 12.0
+    scene = pipeline.build_scene(scn)
+    budget = pipeline.patch_budget(scn, scene, *pipeline.platform_states(scn, 0),
+                                   pipeline.receive_array(scn))
+    assert np.count_nonzero(scene.water & (budget.gains != 0)) > 0
+
+
 def test_blas_thread_count_does_not_change_the_dataset(tmp_path):
     """The per-tap GEMM sums each tap in one order whatever the OpenBLAS
-    thread count: the desk scenario1 manifest, which hashes every file,
-    is byte-identical under one and two BLAS threads."""
-    src = str(Path(rfclutter.__file__).resolve().parents[1])
-    manifests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = tmp_path / f"blas{threads}"
-        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", "--preset",
-                        "scenario1", "--out", str(out)], env=env, check=True,
-                       capture_output=True)
-        manifests.append((out / "manifest.txt").read_bytes())
-    assert manifests[0] == manifests[1]
-    assert b"\nrng = philox4x64-10\n" in manifests[0]
+    thread count: the manifests of desk scenario1 and of the windy
+    scenario, which hash every file, are byte-identical under one and
+    two BLAS threads."""
+    one = simulated_manifests(tmp_path / "blas1", child_env(OPENBLAS_NUM_THREADS="1"))
+    two = simulated_manifests(tmp_path / "blas2", child_env(OPENBLAS_NUM_THREADS="2"))
+    assert one == two
+    assert b"\nrng = philox4x64-10\n" in one["scenario1"]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs CPU affinity and at least two CPUs")
 def test_core_count_does_not_change_the_dataset(tmp_path):
-    """Cube assembly spreads receive channels over the CPUs the process
-    may run on: the desk scenario1 manifest is byte-identical when the
-    run is pinned to one CPU."""
-    src = str(Path(rfclutter.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    """Line of sight, the draws, the sea surface, tap accumulation and
+    cube assembly spread their work over the CPUs the process may run
+    on: the manifests of desk scenario1 and of the windy scenario are
+    byte-identical when the run is pinned to one CPU."""
     cpu = min(os.sched_getaffinity(0))
-    manifests = []
-    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, {cpu})), ("free", None)):
-        out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", "--preset",
-                        "scenario1", "--out", str(out)], env=env, check=True,
-                       capture_output=True, preexec_fn=pin)
-        manifests.append((out / "manifest.txt").read_bytes())
-    assert manifests[0] == manifests[1]
+    pinned = simulated_manifests(tmp_path / "pinned", child_env(),
+                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    free = simulated_manifests(tmp_path / "free", child_env())
+    assert pinned == free

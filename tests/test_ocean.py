@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfclutter import ocean, seeding
 from rfclutter.errors import ConfigurationError
 from rfclutter.ocean import (OceanState, pulse_modulation, surface_series,
                              wind_doppler_spread)
@@ -63,6 +64,38 @@ def test_surface_series_matches_scalar_draws_on_every_patch(num_pulses, num_patc
     want_vel, want_amp = scalar_surface_series(state, num_pulses, 2000.0, seed=11)
     assert vel.tobytes() == want_vel.tobytes()
     assert amp.tobytes() == want_amp.tobytes()
+
+
+@pytest.mark.parametrize("num_pulses", [3, 16])
+def test_surface_series_does_not_depend_on_the_worker_count(set_worker_count, monkeypatch,
+                                                           num_pulses):
+    """Row chunks of a few patches (a partial last chunk, with several
+    Philox chunks inside a row chunk) split 1, 2, 3 and 8 ways give the
+    per-patch reference's bytes."""
+    state = OceanState(ids=np.arange(53) * 5 + 1, wind_speed=12.0)
+    want_vel, want_amp = scalar_surface_series(state, num_pulses, 2000.0, seed=4)
+    monkeypatch.setattr(ocean, "_CHUNK_BLOCKS", 24)
+    monkeypatch.setattr(seeding, "PHILOX_CHUNK", 5)
+    for workers in (1, 2, 3, 8):
+        set_worker_count(workers)
+        vel, amp = surface_series(state, num_pulses, 2000.0, seed=4)
+        assert vel.tobytes() == want_vel.tobytes()
+        assert amp.tobytes() == want_amp.tobytes()
+
+
+def test_surface_series_with_no_patches():
+    vel, amp = surface_series(OceanState(ids=np.zeros(0), wind_speed=5.0), 4, 2000.0, seed=1)
+    assert vel.shape == amp.shape == (0, 4)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0])
+def test_non_finite_rates_and_wavelengths_are_rejected(bad):
+    with pytest.raises(ConfigurationError, match="prf"):
+        surface_series(sea_state(), 4, bad, seed=1)
+    with pytest.raises(ConfigurationError, match="prf"):
+        pulse_modulation(sea_state(), 4, bad, WAVELENGTH, seed=1)
+    with pytest.raises(ConfigurationError, match="wavelength"):
+        pulse_modulation(sea_state(), 4, 2000.0, bad, seed=1)
 
 
 def test_velocity_std_scales_with_wind():

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from rfclutter import pipeline, rxsim, seeding, terrain, workers
+from rfclutter import channel, ocean, pipeline, rxsim, seeding, terrain, workers
 from rfclutter.antenna import phase_ramp_column, phase_ramps, uniform_pattern_gains
 from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
                                bistatic_delay_doppler, patch_responses,
@@ -249,9 +249,10 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
 
 def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
     """Stress: three caller threads each simulate one CPI of a shared
-    scene on a one-thread pool while line of sight, the Philox draws
-    and cube assembly each split their work four ways into small spans
-    and chunks, with a short switch interval.  The threads finish, so
+    scene on a one-thread pool while line of sight, the Philox draws,
+    the sea surface, tap accumulation and cube assembly each split
+    their work four ways into small spans, chunks and batches, with a
+    short switch interval.  The threads finish, so
     no pool task waits on another; the shared scene's grid is fresh, so
     they race to build its `los_bounds`; and every CPI keeps the serial
     run's bytes."""
@@ -276,7 +277,12 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
     monkeypatch.setattr(workers, "cpu_count", lambda: 4)
     monkeypatch.setattr(terrain, "LOS_SPAN", 7)
     monkeypatch.setattr(seeding, "PHILOX_CHUNK", 64)
-    for module in (terrain, seeding, rxsim):
+    # a sea row chunk spans four Philox chunks, so a chunk that drew its
+    # words through the pool would wait on the pool's one thread
+    monkeypatch.setattr(ocean, "_CHUNK_BLOCKS", 256)
+    monkeypatch.setattr(channel, "_TAP_BATCH", 16)
+    pooled_modules = (terrain, seeding, ocean, channel, rxsim)
+    for module in pooled_modules:
         monkeypatch.setattr(module, "run_blocks", counting(module))
     callers = ThreadPoolExecutor(3)
     interval = sys.getswitchinterval()
@@ -290,7 +296,7 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
         # without waiting, so a deadlock fails the test instead of hanging it
         callers.shutdown(wait=False)
         pool.shutdown(wait=False, cancel_futures=True)
-    assert min(splits[m.__name__] for m in (terrain, seeding, rxsim)) >= 2
+    assert min(splits[m.__name__] for m in pooled_modules) >= 2
     for a, b in zip(serial.results, pooled, strict=True):
         assert a.cube.samples.tobytes() == b.cube.samples.tobytes()
         assert a.clutter_ir.taps.tobytes() == b.clutter_ir.taps.tobytes()

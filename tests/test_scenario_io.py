@@ -142,6 +142,20 @@ def test_hash_tracks_semantic_changes():
     assert scenario_hash(a) != scenario_hash(b)
 
 
+PRESET_HASHES = {
+    "scenario1": "281f7f2b4f8a3e3d2447672ee03102c2798a5e09f946b46a69afb58c8c54a5b1",
+    "scenario2": "5cf02206773a063df5e132d48ec73ce8129c6838e418f6fbea7911032231a1bb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_HASHES))
+def test_preset_hashes_are_pinned(name):
+    """The seed-1 desk presets keep the digests they had when the
+    rasters were hashed through `tobytes` copies."""
+    make = {"scenario1": generate_scenario1, "scenario2": generate_scenario2}[name]
+    assert scenario_hash(make(scale=DESK_SCALE, seed=1)) == PRESET_HASHES[name]
+
+
 def test_load_scenario_resolves_relative_rasters(tmp_path):
     dem_path = tmp_path / "ground.dem"
     from rfclutter.terrain import ElevationGrid
