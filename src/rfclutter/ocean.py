@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words_inline
+from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words
 from .workers import run_blocks
 
 DEFAULT_VELOCITY_PER_WIND = 0.1      # stationary velocity sigma per m/s of wind
@@ -58,11 +58,6 @@ class OceanState:
         return self.log_amp_per_wind * self.wind_speed
 
 
-def _row_step(num_pulses: int) -> int:
-    """Patches per row chunk: about _CHUNK_BLOCKS Philox blocks of draws."""
-    return max(1, _CHUNK_BLOCKS // -(-2 * num_pulses // 4))
-
-
 def surface_series(state: OceanState, num_pulses: int, prf: float,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch radial velocities and amplitude factors over a CPI.
@@ -87,7 +82,7 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     n = len(state.ids)
     key = philox_key(seed, STREAM_OCEAN)
     blocks = -(-2 * num_pulses // 4)
-    step = _row_step(num_pulses)
+    step = max(1, _CHUNK_BLOCKS // blocks)
     sigma_v = state.velocity_std
     log_amp_std = state.log_amp_std
     rho = float(np.exp(-1.0 / (state.correlation_time * prf)))
@@ -98,7 +93,7 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     def series(chunks: range) -> None:
         for chunk in chunks:
             rows = slice(chunk * step, (chunk + 1) * step)
-            words = philox_words_inline(key, state.ids[rows], 0, blocks)
+            words = philox_words(key, state.ids[rows], 0, blocks)
             xi, za = normal_pair(words[:, 0:2 * num_pulses:2], words[:, 1:2 * num_pulses:2])
             v = vel[rows]
             v[:, 0] = sigma_v * xi[:, 0]
@@ -116,23 +111,15 @@ def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
 
     The phase track integrates the per-pulse Doppler offsets (zero at
     pulse 0), in the form synthesize_ir consumes.  At zero wind both
-    arrays are exactly zeros/ones.  The track runs over the row chunks
-    of `surface_series` on every core; each row keeps its own sums.
+    arrays are exactly zeros/ones.
     """
     if not (np.isfinite(wavelength) and wavelength > 0):
         raise ConfigurationError(f"wavelength must be positive and finite, got {wavelength}")
     vel, amp = surface_series(state, num_pulses, prf, seed)
-    phase = np.zeros_like(vel)
-    step = _row_step(num_pulses)
-
-    def track(chunks: range) -> None:
-        for chunk in chunks:
-            rows = slice(chunk * step, (chunk + 1) * step)
-            doppler = 2.0 * vel[rows, 1:] / wavelength
-            phase[rows, 1:] = (2.0 * np.pi / prf) * np.cumsum(doppler, axis=1)
-
+    doppler = 2.0 * vel / wavelength
+    phase = np.zeros_like(doppler)
     if num_pulses > 1:
-        run_blocks(track, -(-len(vel) // step))
+        phase[:, 1:] = (2.0 * np.pi / prf) * np.cumsum(doppler[:, 1:], axis=1)
     return phase, amp
 
 

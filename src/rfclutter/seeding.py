@@ -34,9 +34,7 @@ normals by Box-Muller in `normal_pair`.
 Each block's words depend only on its counter, so `philox_words`
 enciphers fixed-size chunks of counters in place and spreads them over
 every CPU through the shared worker pool (`workers`); the words are the
-same at any core count.  A task that already runs on the pool draws
-through `philox_words_inline`, which enciphers the same chunks on its
-own thread.
+same at any core count.
 """
 
 from __future__ import annotations
@@ -183,22 +181,6 @@ def philox_words(key: np.ndarray, ids: np.ndarray, realization,
     The counters are enciphered in chunks of PHILOX_CHUNK, spread over
     every core by `workers.run_blocks`; a block's words do not depend
     on its chunk, so the bytes are the same at any core count."""
-    return _words(key, ids, realization, num_blocks, run_blocks)
-
-
-def philox_words_inline(key: np.ndarray, ids: np.ndarray, realization,
-                        num_blocks: int) -> np.ndarray:
-    """`philox_words` with every chunk enciphered on the calling thread,
-    for a task that already runs on the pool (pool tasks never submit
-    tasks); the words are the same."""
-    return _words(key, ids, realization, num_blocks,
-                  lambda task, count: [task(range(count))])
-
-
-def _words(key: np.ndarray, ids: np.ndarray, realization, num_blocks: int,
-           run) -> np.ndarray:
-    """The words of `philox_words`, its PHILOX_CHUNK-row chunks run by
-    `run(task, count)` as `workers.run_blocks` runs blocks."""
     ids = np.asarray(ids, dtype=np.int64)
     realization = np.asarray(realization, dtype=np.int64)
     if np.any(ids < 0) or np.any(realization < 0):
@@ -212,8 +194,8 @@ def _words(key: np.ndarray, ids: np.ndarray, realization, num_blocks: int,
     shape = ids.shape
     ids = ids.reshape(-1)
     out = np.empty((ids.size * num_blocks, 4), dtype=np.uint64)
-    run(partial(_encipher, key, ids.astype(np.uint64), realization, num_blocks, out),
-        -(-out.shape[0] // PHILOX_CHUNK))
+    run_blocks(partial(_encipher, key, ids.astype(np.uint64), realization, num_blocks, out),
+               -(-out.shape[0] // PHILOX_CHUNK))
     return out.reshape(shape + (4 * num_blocks,))
 
 

@@ -7,6 +7,7 @@ import io
 import logging
 import math
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -252,10 +253,10 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
     scene on a one-thread pool while line of sight, the Philox draws,
     the sea surface, tap accumulation and cube assembly each split
     their work four ways into small spans, chunks and batches, with a
-    short switch interval.  The threads finish, so
-    no pool task waits on another; the shared scene's grid is fresh, so
-    they race to build its `los_bounds`; and every CPI keeps the serial
-    run's bytes."""
+    short switch interval.  The threads finish, so no pool task waits
+    on another, not even a sea chunk whose draws ask for blocks; the
+    shared scene's grid is fresh, so they race to build its
+    `los_bounds`; and every CPI keeps the serial run's bytes."""
     heights = ridge_heights(40, 30.0, crest=150.0)
     scn = tiny_scenario(dem=ElevationGrid(heights=heights, cell_size=30.0),
                         landcover=half_water_cover(), wind_speed_mps=12.0,
@@ -277,8 +278,8 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
     monkeypatch.setattr(workers, "cpu_count", lambda: 4)
     monkeypatch.setattr(terrain, "LOS_SPAN", 7)
     monkeypatch.setattr(seeding, "PHILOX_CHUNK", 64)
-    # a sea row chunk spans four Philox chunks, so a chunk that drew its
-    # words through the pool would wait on the pool's one thread
+    # a sea row chunk spans four Philox chunks, so a sea chunk on the
+    # pool asks for blocks of its own
     monkeypatch.setattr(ocean, "_CHUNK_BLOCKS", 256)
     monkeypatch.setattr(channel, "_TAP_BATCH", 16)
     pooled_modules = (terrain, seeding, ocean, channel, rxsim)
@@ -293,13 +294,40 @@ def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
         pooled = [f.result(timeout=60) for f in futures]
     finally:
         sys.setswitchinterval(interval)
-        # without waiting, so a deadlock fails the test instead of hanging it
+        # without waiting; after a deadlock, `result` has raised, but the
+        # blocked pool thread still holds the interpreter at exit
         callers.shutdown(wait=False)
         pool.shutdown(wait=False, cancel_futures=True)
     assert min(splits[m.__name__] for m in pooled_modules) >= 2
     for a, b in zip(serial.results, pooled, strict=True):
         assert a.cube.samples.tobytes() == b.cube.samples.tobytes()
         assert a.clutter_ir.taps.tobytes() == b.clutter_ir.taps.tobytes()
+
+
+def test_a_block_runs_the_blocks_it_asks_for_on_its_own_thread(monkeypatch):
+    """Blocks asked for inside a block, the caller's or a pool task's,
+    run inline on that block's thread, so a task never waits on the
+    pool, even on a one-thread pool that is busy running it; after the
+    outer call, the caller's blocks split again."""
+    pool = ThreadPoolExecutor(1)
+    monkeypatch.setattr(workers, "_pool", pool)
+    monkeypatch.setattr(workers, "cpu_count", lambda: 2)
+
+    def inner(items):
+        return threading.get_ident(), list(items)
+
+    def outer(blocks):
+        return [(threading.get_ident(), workers.run_blocks(inner, 3)) for _ in blocks]
+
+    try:
+        [(caller, caller_inner)], [(task, task_inner)] = workers.run_blocks(outer, 2)
+        again = workers.run_blocks(inner, 3)
+    finally:
+        pool.shutdown(wait=False, cancel_futures=True)
+    assert caller == threading.get_ident() != task
+    assert caller_inner == [(caller, [0, 1, 2])]
+    assert task_inner == [(task, [0, 1, 2])]
+    assert again == [(caller, [0, 2]), (task, [1])]
 
 
 def test_empty_scenario_rejected():
