@@ -1,12 +1,10 @@
-"""Receive array geometry and space-time steering vectors.
+"""Receive array geometry, steering phase ramps and pattern gains.
 
 The receive array is a uniform linear array: element m sits at
 p_0 + m (p_1 - p_0).  Directions are unit vectors in the scene ENU
 frame pointing from the array toward the source.  Spatial steering is
-phase-referenced to element 0, temporal steering to pulse 0, and the
-space-time vector is their Kronecker product with the temporal factor
-varying slowest.  Both factors are phase ramps exp(j theta k), built by
-`phase_ramps`.
+phase-referenced to element 0 and slow-time phasors to pulse 0; both
+are phase ramps exp(j theta k), built by `phase_ramps`.
 """
 
 from __future__ import annotations
@@ -90,30 +88,6 @@ class ArrayGeometry:
                    cosine_exponent=cosine_exponent)
 
 
-@dataclass
-class SteeringVector:
-    """A steering vector with a tag recording which factor(s) it holds."""
-
-    entries: np.ndarray          # complex (len,)
-    kind: str                    # "spatial" | "temporal" | "space_time"
-
-    def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=np.complex128).reshape(-1)
-        if self.kind not in ("spatial", "temporal", "space_time"):
-            raise ConfigurationError(f"unknown steering vector kind {self.kind!r}")
-
-    def __len__(self) -> int:
-        return self.entries.shape[0]
-
-
-def _check_unit(direction: np.ndarray) -> np.ndarray:
-    direction = np.asarray(direction, dtype=np.float64).reshape(3)
-    n = np.linalg.norm(direction)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, |d| = {n}")
-    return direction
-
-
 def phase_ramps(theta, count: int) -> np.ndarray:
     """Rows exp(j theta_i k), k = 0..count-1, shape (len(theta), count).
 
@@ -175,55 +149,6 @@ def spatial_steering_column(array: ArrayGeometry, directions: np.ndarray,
     return phase_ramp_column(_steering_phases(array, directions), element)
 
 
-def spatial_steering(array: ArrayGeometry, direction) -> SteeringVector:
-    """Spatial steering vector toward a unit direction."""
-    direction = _check_unit(direction)
-    return SteeringVector(entries=spatial_steering_many(array, direction)[0], kind="spatial")
-
-
-def wrap_normalized_doppler(f: float) -> float:
-    """Wrap a normalized Doppler (cycles/pulse) into [-0.5, 0.5)."""
-    return float((f + 0.5) % 1.0 - 0.5)
-
-
-def temporal_steering(normalized_doppler: float, num_pulses: int) -> SteeringVector:
-    """Temporal steering vector, entry m = exp(j 2 pi f m), m = 0..M-1."""
-    if num_pulses < 1:
-        raise ConfigurationError(f"num_pulses must be >= 1, got {num_pulses}")
-    if not -0.5 <= normalized_doppler < 0.5:
-        raise ValueError(
-            f"normalized Doppler {normalized_doppler} outside [-0.5, 0.5); "
-            "wrap it first (wrap_normalized_doppler)")
-    return SteeringVector(entries=phase_ramps(2.0 * np.pi * normalized_doppler, num_pulses)[0],
-                          kind="temporal")
-
-
-def space_time_steering(spatial: SteeringVector, temporal: SteeringVector) -> SteeringVector:
-    """Kronecker product temporal (x) spatial: entry (m*n_elems + n) = t_m * s_n."""
-    if spatial.kind != "spatial" or temporal.kind != "temporal":
-        raise ConfigurationError(
-            f"expected (spatial, temporal) factors, got ({spatial.kind}, {temporal.kind})")
-    return SteeringVector(entries=np.kron(temporal.entries, spatial.entries), kind="space_time")
-
-
-def pattern_gain(array: ArrayGeometry, weights: np.ndarray, direction) -> float:
-    """Power gain |w^H s(d)|^2 * cos^p(angle off boresight).
-
-    Zero in the back hemisphere.
-    """
-    direction = _check_unit(direction)
-    weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
-    if weights.shape[0] != array.num_elements:
-        raise ConfigurationError(
-            f"weights length {weights.shape[0]} != element count {array.num_elements}")
-    cos_off = float(np.dot(direction, array.boresight))
-    if cos_off <= 0.0:
-        return 0.0
-    response = spatial_steering_many(array, direction)[0]
-    af = abs(np.vdot(weights, response)) ** 2
-    return af * cos_off ** array.cosine_exponent
-
-
 def element_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
     """The element pattern cos^p(angle off boresight) over rows of
     `directions`, zero in the back hemisphere."""
@@ -231,28 +156,16 @@ def element_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
     return np.where(cos_off > 0.0, np.maximum(cos_off, 0.0) ** array.cosine_exponent, 0.0)
 
 
-def pattern_gains(array: ArrayGeometry, weights: np.ndarray,
-                  directions: np.ndarray) -> np.ndarray:
-    """Vectorized pattern_gain over rows of `directions`; it builds the
-    whole (k x N) steering matrix, so the pipeline takes the closed form
-    `uniform_pattern_gains` and this stays its reference."""
-    weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
-    if weights.shape[0] != array.num_elements:
-        raise ConfigurationError(
-            f"weights length {weights.shape[0]} != element count {array.num_elements}")
-    directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
-    af = np.abs(spatial_steering_many(array, directions) @ weights.conj()) ** 2
-    return af * element_gains(array, directions)
-
-
 def uniform_pattern_gains(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
-    """`pattern_gains` with uniform weights, in closed form.
+    """Power gain |sum_n s_n(d)|^2 cos^p(angle off boresight) of
+    uniform weights over rows of `directions`, in closed form.
 
     The uniform array factor |sum_k exp(j psi k)|^2 over N elements is
     sin^2(N psi / 2) / sin^2(psi / 2), with the limit N^2 where
     sin(psi / 2) = 0.  psi is each direction's ramp step, reduced to
     [-pi, pi] so that grating lobes meet the limit too.  No (k x N)
-    steering matrix is built.
+    steering matrix is built; the oracle in tests/oracles.py that it is
+    checked against builds it.
     """
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     n = array.num_elements

@@ -23,6 +23,7 @@ the `file` key repeats, one line per payload:
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from functools import partial
@@ -32,7 +33,7 @@ from typing import Callable
 from .channel import ChannelImpulseResponse, read_ir, write_ir
 from .errors import ConfigurationError
 from .pipeline import ScenarioRun
-from .rxsim import DataCube, read_cube, write_cube
+from .rxsim import DataCube, check_waveform_rate, read_cube, write_cube
 from .scenario import scenario_hash, scenario_text
 from .seeding import RNG_NAME
 from .waveform import Waveform, read_waveform, write_waveform
@@ -145,6 +146,8 @@ def _parse_manifest(text: str) -> tuple[dict[str, str], dict[str, str]]:
             if len(parts) != 2:
                 raise ConfigurationError(
                     f"manifest line {lineno}: file entries need '<name> <sha256>'")
+            if parts[0] in files:
+                raise ConfigurationError(f"manifest line {lineno}: duplicate file {parts[0]}")
             files[parts[0]] = parts[1]
         else:
             if key in fields:
@@ -165,6 +168,20 @@ def _manifest_int(fields: dict[str, str], key: str, minimum: int) -> int:
             f"manifest {key} must be an integer, got {fields[key]!r}") from None
     if value < minimum:
         raise ConfigurationError(f"manifest {key} must be at least {minimum}, got {value}")
+    return value
+
+
+def _manifest_rate(fields: dict[str, str], key: str) -> float:
+    """The value of a required manifest rate key, positive and finite."""
+    if key not in fields:
+        raise ConfigurationError(f"manifest missing required key {key}")
+    try:
+        value = float(fields[key])
+    except ValueError:
+        raise ConfigurationError(
+            f"manifest {key} must be a number, got {fields[key]!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigurationError(f"manifest {key} must be positive and finite, got {value}")
     return value
 
 
@@ -210,7 +227,10 @@ def _verify_files(root: Path, files: dict[str, str],
 def read_challenge(path) -> ChallengeData:
     """Load and verify a challenge directory (or its manifest path).
 
-    Every listed file must exist and match its recorded SHA-256;
+    Every listed file must exist and match its recorded SHA-256, and
+    every cube, channel and waveform file must have the manifest's
+    dimensions, sample rate and PRF (a waveform has no PRF; a channel
+    of L taps spans L + P - 1 range samples for the waveform's P);
     anything else raises ConfigurationError.  The files are read and
     verified on the shared worker pool, each once (`_verify_files`).
     """
@@ -227,6 +247,8 @@ def read_challenge(path) -> ChallengeData:
     _manifest_int(fields, "seed", 0)
     num_cpis = _manifest_int(fields, "cpis", 1)
     want = tuple(_manifest_int(fields, key, 1) for key in ("channels", "pulses", "range_samples"))
+    rate = _manifest_rate(fields, "sample_rate")
+    prf = _manifest_rate(fields, "prf")
 
     for name in files:
         if os.path.basename(name) != name:
@@ -253,13 +275,22 @@ def read_challenge(path) -> ChallengeData:
     cubes = [loaded[f"cube_cpi{cpi:03d}.rfcube"] for cpi in range(num_cpis)]
     clutter_irs = [loaded.get(f"clutter_cpi{cpi:03d}.rfgir") for cpi in range(num_cpis)]
     target_irs = [loaded.get(f"target_cpi{cpi:03d}.rfgir") for cpi in range(num_cpis)]
-    wf = loaded["waveform.rfwav"]
+    wf = loaded.pop("waveform.rfwav")
+    check_waveform_rate(wf, rate, "manifest")
 
-    for cpi, cube in enumerate(cubes):
-        got = (cube.num_channels, cube.num_pulses, cube.num_range_samples)
+    for name, item in loaded.items():
+        if isinstance(item, DataCube):
+            got = (item.num_channels, item.num_pulses, item.num_range_samples)
+        else:
+            got = (item.num_channels, item.num_pulses, item.num_taps + wf.num_samples - 1)
         if got != want:
             raise ConfigurationError(
-                f"cube_cpi{cpi:03d} dimensions {got} disagree with the manifest {want}")
+                f"{name} dimensions {got} disagree with the manifest {want}")
+        for key, value, expected in (("sample_rate", item.sample_rate, rate),
+                                     ("prf", item.prf, prf)):
+            if abs(value - expected) > 1e-6 * expected:
+                raise ConfigurationError(
+                    f"{name} {key} {value} disagrees with the manifest {expected}")
 
     return ChallengeData(manifest=fields, files=files, waveform=wf, cubes=cubes,
                          clutter_irs=clutter_irs, target_irs=target_irs)

@@ -146,33 +146,6 @@ class ChannelImpulseResponse:
         return self.taps.shape[2]
 
 
-def bistatic_delay_doppler(position, velocity, tx: PlatformState, rx: PlatformState,
-                           wavelength: float) -> tuple[float, float]:
-    """Propagation delay and Doppler of a point at `position` moving with
-    `velocity`, for the given transmit and receive platforms.
-
-    Doppler is positive for closing geometry; with tx == rx and a static
-    point it reduces to 2 <v_platform, u> / lambda with u the unit
-    vector from the platform to the point.
-    """
-    if wavelength <= 0:
-        raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
-    position = np.asarray(position, dtype=np.float64).reshape(3)
-    velocity = np.asarray(velocity, dtype=np.float64).reshape(3)
-    d_tx = position - tx.position
-    d_rx = position - rx.position
-    r_tx = float(np.linalg.norm(d_tx))
-    r_rx = float(np.linalg.norm(d_rx))
-    if r_tx == 0.0 or r_rx == 0.0:
-        raise ValueError("point coincides with a platform")
-    u_tx = d_tx / r_tx
-    u_rx = d_rx / r_rx
-    delay = (r_tx + r_rx) / SPEED_OF_LIGHT
-    doppler = (float(np.dot(tx.velocity - velocity, u_tx))
-               + float(np.dot(rx.velocity - velocity, u_rx))) / wavelength
-    return delay, doppler
-
-
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner product of two (n, 3) arrays, each row bit for bit
     the `np.dot` of the two rows (a stacked matmul; `einsum` and
@@ -182,8 +155,16 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bistatic_delays_dopplers(positions, velocities, tx: PlatformState, rx: PlatformState,
                              wavelength: float) -> tuple[np.ndarray, np.ndarray]:
-    """`bistatic_delay_doppler` for many points at once, bit for bit:
-    positions and velocities are (n, 3); returns (delays, dopplers)."""
+    """Propagation delays and Dopplers of points at `positions` moving
+    with `velocities` ((n, 3) each), for the given transmit and receive
+    platforms; returns (delays, dopplers).
+
+    A point's delay is (r_tx + r_rx) / c, and its Doppler is
+    (<v_tx - v, u_tx> + <v_rx - v, u_rx>) / lambda, positive for closing
+    geometry, with u the unit vectors from each platform to the point.
+    Each row is bit for bit the scalar `np.linalg.norm` and `np.dot`
+    arithmetic of the one-point oracle in tests/oracles.py.
+    """
     if wavelength <= 0:
         raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
@@ -211,41 +192,20 @@ def scatterer_responses(delay, doppler, amplitude, patch_id) -> np.recarray:
         names="delay,doppler,amplitude,patch_id")
 
 
-def patch_response(center, patch_id: int, power_scale: float, tx: PlatformState,
-                   rx: PlatformState, wavelength: float, model: StochasticModel,
-                   realization: int = 0) -> tuple[float, float, complex]:
-    """(delay, Doppler, amplitude) of one patch for one CPI realization.
-
-    amplitude = sqrt(G) * exp(j phi) with phi uniform per (patch,
-    realization) under the model seed, or derived from the path length
-    when the model is deterministic.  Both draws come from the patch's
-    first Philox block (see `seeding`): word 0 is the phase, words 1 and
-    2 the Doppler jitter by Box-Muller.
-
-    This is the scalar reference for `patch_responses`; it draws
-    through numpy's own `Philox` bit generator.
-    """
-    if power_scale < 0:
-        raise ValueError(f"power_scale must be non-negative, got {power_scale}")
-    delay, doppler = bistatic_delay_doppler(center, (0.0, 0.0, 0.0), tx, rx, wavelength)
-    words = np.random.Philox(key=philox_key(model.seed, STREAM_CLUTTER),
-                             counter=(0, patch_id, realization, 0)).random_raw(3)
-    if model.deterministic_phase:
-        phase = -2.0 * np.pi * (delay * SPEED_OF_LIGHT) / wavelength
-    else:
-        phase = 2.0 * np.pi * uniforms(words[0])
-    if model.doppler_std_hz > 0:
-        doppler += model.doppler_std_hz * float(normal_pair(words[1:2], words[2:3])[0][0])
-    amplitude = math.sqrt(power_scale) * complex(np.exp(1j * phase))
-    return delay, doppler, amplitude
-
-
 def patch_responses(patches: PatchArrays, power_scales: np.ndarray,
                     tx: PlatformState, rx: PlatformState, wavelength: float,
                     model: StochasticModel, realization: int = 0) -> np.recarray:
-    """`patch_response` for every patch, bit for bit, as the columns of
-    `scatterer_responses`.  Each patch draws from its own Philox
-    counter, so a single patch can always be reproduced in isolation."""
+    """(delay, Doppler, amplitude) of every patch for one CPI
+    realization, as the columns of `scatterer_responses`.
+
+    amplitude = sqrt(G) * exp(j phi), with phi uniform per (patch,
+    realization) under the model seed, or derived from the path length
+    when the model is deterministic (`drawn_amplitudes_dopplers`).  Each
+    patch draws from its own Philox counter, so a single patch can
+    always be reproduced in isolation, bit for bit, through numpy's own
+    `Philox` bit generator, as the one-patch oracle in tests/oracles.py
+    does.
+    """
     power_scales = np.asarray(power_scales, dtype=np.float64).reshape(-1)
     if power_scales.shape[0] != len(patches):
         raise ConfigurationError("power_scales length must match patch count")
@@ -266,7 +226,7 @@ def drawn_amplitudes_dopplers(words, delays: np.ndarray, dopplers: np.ndarray,
     """Amplitudes and Dopplers of scatterers with the given delays,
     Dopplers and power scales, from the first Philox block of each:
     `words[..., 0]` draws the phase and words 1 and 2 the Doppler
-    jitter, as in `patch_response`.  Leading axes of `words` (one per
+    jitter by Box-Muller (see `seeding`).  Leading axes of `words` (one per
     realization, say) broadcast against the scatterer axis.  Words that
     the model does not draw from may be None."""
     if model.deterministic_phase:
@@ -420,9 +380,8 @@ def write_ir(path, ir: ChannelImpulseResponse) -> None:
 def read_ir(path, kind: str = "clutter", sha256: str | None = None) -> ChannelImpulseResponse:
     """Read an impulse-response file; `sha256`, when given, is the hex
     digest the whole file must have."""
-    (n, m, l, fs, origin, prf), payload = read_framed(
-        path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l), 8,
+    (n, m, l, fs, origin, prf), taps = read_framed(
+        path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l),
         sha256=sha256)
-    taps = np.frombuffer(payload, dtype="<c8").reshape(n, m, l)
     return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf,
                                   delay_origin=origin, kind=kind)

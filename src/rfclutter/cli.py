@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import challenge, channel, cofar, covariance, dsp, mimo, pipeline, rxsim, waveform
+from . import challenge, channel, cofar, dsp, mimo, pipeline, rxsim, waveform
 from .binfile import read_header
 from .errors import ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
@@ -227,8 +227,6 @@ _FORMATS = {
                    f"  {c} CPIs x {n} channels x {m} pulses x {r} range samples\n"
                    f"  fs {fs:.0f} Hz, PRF {prf:.1f} Hz, carrier {carrier:.3e} Hz, "
                    f"noise power {npow:.3e}"),
-    covariance._MAGIC: ("covariance", covariance._HEADER,
-                        lambda dim: f"  {dim} x {dim} Hermitian matrix"),
 }
 
 

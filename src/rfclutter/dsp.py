@@ -87,16 +87,6 @@ def doppler_axis(num_pulses: int, prf: float) -> np.ndarray:
     return np.where(f >= prf / 2.0, f - prf, f)
 
 
-def doppler_bin_for(doppler_hz: float, prf: float, num_pulses: int) -> int:
-    """Doppler bin index nearest a Doppler frequency (wrapped)."""
-    return int(round(num_pulses * doppler_hz / prf)) % num_pulses
-
-
-def range_bin_for(delay: float, sample_rate: float, delay_origin: float = 0.0) -> int:
-    """Compressed range bin nearest an absolute propagation delay."""
-    return int(round((delay - delay_origin) * sample_rate))
-
-
 def range_doppler_map(cube, wf: Waveform, weights: np.ndarray, cpi: int = 0,
                       window: str | None = None, clip_db: float = DEFAULT_CLIP_DB,
                       peak_offset_db: float = DEFAULT_PEAK_OFFSET_DB,

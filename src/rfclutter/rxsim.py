@@ -98,22 +98,6 @@ class DataCube:
         return self.samples.shape
 
 
-def convolve_pulse(taps: np.ndarray, waveform_samples: np.ndarray) -> np.ndarray:
-    """Linear convolution of channel taps with one pulse, length L + P - 1.
-
-    FFT implementation with enough zero padding that it matches direct
-    convolution to floating-point accuracy.
-    """
-    taps = np.asarray(taps, dtype=np.complex128).reshape(-1)
-    wf = np.asarray(waveform_samples, dtype=np.complex128).reshape(-1)
-    if taps.size == 0 or wf.size == 0:
-        raise ConfigurationError("convolve_pulse needs non-empty inputs")
-    n_out = taps.size + wf.size - 1
-    nfft = next_fast_len(n_out)
-    out = np.fft.ifft(np.fft.fft(taps, nfft) * np.fft.fft(wf, nfft))
-    return out[:n_out]
-
-
 def check_waveform_rate(wf: Waveform, rate: float, holder: str) -> None:
     """Reject a waveform not sampled at `rate` (to 1e-6 relative), the
     rate of the channel or cube named by `holder`."""
@@ -292,9 +276,8 @@ def write_cube(path, cube: DataCube) -> None:
 def read_cube(path, sha256: str | None = None) -> DataCube:
     """Read a cube file; `sha256`, when given, is the hex digest the
     whole file must have."""
-    (c, n, m, r, fs, prf, sigma2, carrier), payload = read_framed(
-        path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r), 8,
+    (c, n, m, r, fs, prf, sigma2, carrier), samples = read_framed(
+        path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r),
         sha256=sha256)
-    samples = np.frombuffer(payload, dtype="<c8").reshape(c, n, m, r)
     return DataCube(samples=samples, sample_rate=fs, prf=prf, noise_power=sigma2,
                     carrier_hz=carrier)

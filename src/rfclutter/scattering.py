@@ -39,21 +39,10 @@ class ScatteringTable:
             raise ConfigurationError(
                 f"no scattering entry for class {landcover_class} in band {band!r}") from None
 
-    def sigma0(self, landcover_class: int, band: str, grazing: float) -> float:
-        """Normalized radar cross-section (m^2/m^2) at the given grazing angle."""
-        if not -math.pi / 2 <= grazing <= math.pi / 2 + 1e-12:
-            raise ValueError(f"grazing angle {grazing} outside [-pi/2, pi/2]")
-        entry = self.lookup(landcover_class, band)
-        if entry.poly_db:
-            db = 0.0
-            for k, p in enumerate(entry.poly_db):
-                db += p * grazing ** k
-            return 10.0 ** (db / 10.0)
-        gamma = 10.0 ** (entry.gamma_db / 10.0)
-        return max(0.0, gamma * math.sin(grazing))
-
     def sigma0_many(self, classes: np.ndarray, band: str, grazing: np.ndarray) -> np.ndarray:
-        """Vectorized sigma0 over per-patch classes and grazing angles."""
+        """Normalized radar cross-section (m^2/m^2) of each patch, from its
+        land-cover class and grazing angle (rad): the entry's polynomial
+        in dB when it has one, else max(0, gamma sin(grazing))."""
         classes = np.asarray(classes)
         grazing = np.asarray(grazing, dtype=np.float64)
         out = np.empty(grazing.shape, dtype=np.float64)
@@ -96,34 +85,18 @@ def default_table() -> ScatteringTable:
     return ScatteringTable(entries=dict(_DEFAULT_ENTRIES))
 
 
-def patch_power_scale(sigma0: float, area: float, tx_gain: float, rx_gain: float,
-                      wavelength: float, r_tx: float, r_rx: float,
-                      shadowed: bool = False) -> float:
-    """Two-way power scale G for one patch via the bistatic range equation:
-
-        G = tx_gain * rx_gain * wavelength^2 * sigma0 * area
-            / ((4 pi)^3 * r_tx^2 * r_rx^2)
-
-    Returns 0 for shadowed patches.  For a point target pass the RCS as
-    sigma0 with area = 1.
-    """
-    if r_tx <= 0 or r_rx <= 0:
-        raise ValueError(f"ranges must be positive, got r_tx={r_tx}, r_rx={r_rx}")
-    if sigma0 < 0 or area < 0 or tx_gain < 0 or rx_gain < 0:
-        raise ValueError("sigma0, area and gains must be non-negative")
-    if wavelength <= 0:
-        raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
-    if shadowed:
-        return 0.0
-    return (tx_gain * rx_gain * wavelength ** 2 * sigma0 * area
-            / (FOUR_PI_CUBED * r_tx ** 2 * r_rx ** 2))
-
-
 def patch_power_scales(sigma0: np.ndarray, area: np.ndarray, tx_gain: np.ndarray,
                        rx_gain: np.ndarray, wavelength: float,
                        r_tx: np.ndarray, r_rx: np.ndarray,
                        shadowed: np.ndarray | None = None) -> np.ndarray:
-    """Vectorized patch_power_scale; shadowed patches get exactly 0."""
+    """Two-way power scale G of each patch via the bistatic range equation:
+
+        G = tx_gain * rx_gain * wavelength^2 * sigma0 * area
+            / ((4 pi)^3 * r_tx^2 * r_rx^2)
+
+    Shadowed patches get exactly 0.  For a point target pass the RCS as
+    sigma0 with area = 1.
+    """
     if wavelength <= 0:
         raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
     r_tx = np.asarray(r_tx, dtype=np.float64)
@@ -172,12 +145,3 @@ def read_scattering_table(path) -> ScatteringTable:
     if not entries:
         raise ConfigurationError(f"{path}: empty scattering table")
     return ScatteringTable(entries=entries)
-
-
-def write_scattering_table(path, table: ScatteringTable) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for (cls, band), entry in sorted(table.entries.items()):
-            line = f"{cls} {band} {entry.gamma_db!r}"
-            if entry.poly_db:
-                line += " " + " ".join(repr(p) for p in entry.poly_db)
-            f.write(line + "\n")

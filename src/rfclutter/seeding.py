@@ -4,13 +4,12 @@ Every random draw in the simulator is keyed by (master seed, stream id,
 indices...), so results never depend on evaluation order or worker
 count, and any single draw can be reproduced in isolation.
 
-Per-CPI consumers (receiver noise, covariance snapshots, MIMO codes)
-build one `numpy.random.Generator` per key tuple with `derive_rng`.
-Receiver noise builds one per receive channel, keyed by (seed,
-STREAM_NOISE, 0, cpi, channel), where the 0 is a receiver slot that
-stays fixed because there is one receiver; it draws a (2, pulses,
-range) block of standard normals, real parts first, then imaginary
-parts.
+Per-CPI consumers (receiver noise, MIMO codes) build one
+`numpy.random.Generator` per key tuple with `derive_rng`.  Receiver
+noise builds one per receive channel, keyed by (seed, STREAM_NOISE, 0,
+cpi, channel), where the 0 is a receiver slot that stays fixed because
+there is one receiver; it draws a (2, pulses, range) block of standard
+normals, real parts first, then imaginary parts.
 
 Per-scatterer draws (clutter phase and Doppler jitter, sea-surface
 series) would need one such generator per scatterer, so they use a
@@ -50,7 +49,6 @@ from .workers import run_blocks
 STREAM_CLUTTER = 1
 STREAM_NOISE = 2
 STREAM_OCEAN = 3
-STREAM_SNAPSHOT_BATCH = 5
 STREAM_MIMO_CODE = 8
 
 RNG_NAME = "philox4x64-10"   # the per-scatterer generator, as the manifest names it

@@ -285,25 +285,11 @@ def build_patch_grid(dem: ElevationGrid, landcover: ClassGrid,
                        classes=landcover.classes_at(cx, cy), ids=np.arange(cx.size))
 
 
-def grazing_angle(center, normal, observer) -> float:
-    """Angle (rad) between the center->observer ray and the local
-    horizontal plane of a facet with the given unit normal.  Positive
-    when the observer is on the outward side of the facet; pi/2 for an
-    observer straight along the normal.
-
-    This is the scalar reference for `grazing_angles`.
-    """
-    los = (np.asarray(observer, dtype=np.float64).reshape(3)
-           - np.asarray(center, dtype=np.float64).reshape(3))
-    r = np.linalg.norm(los)
-    if r == 0.0:
-        raise ValueError("observer coincides with the patch center")
-    s = float(np.dot(los, np.asarray(normal, dtype=np.float64).reshape(3)) / r)
-    return math.asin(min(1.0, max(-1.0, s)))
-
-
 def grazing_angles(patches: PatchArrays, observer: np.ndarray) -> np.ndarray:
-    """Vectorized grazing_angle over every patch."""
+    """Angle (rad) between each patch's center->observer ray and the
+    local horizontal plane of the patch: arcsin of the ray's unit
+    vector along the patch normal.  Positive when the observer is on
+    the outward side; pi/2 for an observer straight along the normal."""
     los = np.asarray(observer, dtype=np.float64).reshape(1, 3) - patches.centers
     r = np.linalg.norm(los, axis=1)
     if np.any(r == 0.0):
@@ -322,42 +308,6 @@ def _los_step(dem: ElevationGrid, clearance: float, step: float | None) -> float
     if not math.isfinite(clearance):
         raise ConfigurationError(f"line-of-sight clearance must be finite, got {clearance}")
     return step
-
-
-def line_of_sight(dem: ElevationGrid, observer, point,
-                  clearance: float = 0.0, step: float | None = None) -> bool:
-    """True when the straight ray observer->point clears the terrain.
-
-    The terrain is sampled between the endpoints on a uniform grid no
-    coarser than `step` (default cell_size / 2); the endpoints
-    themselves are excluded, since both usually sit on or near the
-    surface.  The ray is raised by `clearance` meters before the
-    comparison.  The sample grid is symmetric in the two endpoints, so
-    the result is direction-independent.
-
-    Either endpoint may lie outside the raster extent.  The sample grid
-    stays the same; samples off the raster see no terrain, so they
-    cannot occlude.
-
-    This is the scalar reference that marches every sample;
-    `lines_of_sight` gives the same answers for many points at once.
-    """
-    obs = np.asarray(observer, dtype=np.float64).reshape(3)
-    pt = np.asarray(point, dtype=np.float64).reshape(3)
-    step = _los_step(dem, clearance, step)
-    dist = float(np.hypot(pt[0] - obs[0], pt[1] - obs[1]))
-    n_interior = max(0, math.ceil(dist / step) - 1)
-    if n_interior == 0:
-        return True
-    t = np.linspace(0.0, 1.0, n_interior + 2)[1:-1]
-    xs = obs[0] + t * (pt[0] - obs[0])
-    ys = obs[1] + t * (pt[1] - obs[1])
-    ray_z = obs[2] + t * (pt[2] - obs[2])
-    blocked = dem.heights_at(xs, ys) > ray_z + clearance
-    # between two on-raster endpoints every sample is on the raster
-    if not bool(np.all(dem.within_extent([obs[0], pt[0]], [obs[1], pt[1]]))):
-        blocked &= dem.within_extent(xs, ys)
-    return not bool(np.any(blocked))
 
 
 # lines_of_sight bounds the terrain under a sample by the highest node of
@@ -429,17 +379,26 @@ def _t_window(a, d, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.nd
 def lines_of_sight(dem: ElevationGrid, observer, points,
                    clearance: float = 0.0, step: float | None = None) -> np.ndarray:
     """Boolean line of sight from one observer to each of `points`
-    ((m, 3) ENU); element k is `line_of_sight(dem, observer, points[k],
-    clearance, step)`, bit for bit.
+    ((m, 3) ENU): True when the straight ray clears the terrain.
 
-    Each ray keeps that routine's sample grid, height arithmetic and
-    off-raster rule, but only the samples that could be blocked are
-    interpolated.  A ray is first narrowed to the contiguous window of
-    samples near the raster and at or below the highest terrain.  The
-    window is cut into runs of samples; a run goes on only if its lowest
-    sample is at or below the bound of the blocks it can cross, and a
-    sample of such a run is interpolated only if it is at or below the
-    bound of the DEM nodes its interpolation reads.  The bounds are the
+    The terrain is sampled between the endpoints on a uniform grid no
+    coarser than `step` (default cell_size / 2): the n = max(0,
+    ceil(horizontal distance / step) - 1) interior points of
+    np.linspace(0, 1, n + 2), symmetric in the two endpoints.  The
+    endpoints themselves are excluded, since both usually sit on or
+    near the surface.  The ray is raised by `clearance` meters before
+    the comparison with `heights_at`.  Either endpoint may lie outside
+    the raster extent; samples off the raster see no terrain, so they
+    cannot occlude.  The oracle in tests/oracles.py marches every
+    sample, and each answer equals its answer.
+
+    Only the samples that could be blocked are interpolated.  A ray is
+    first narrowed to the contiguous window of samples near the raster
+    and at or below the highest terrain.  The window is cut into runs
+    of samples; a run goes on only if its lowest sample is at or below
+    the bound of the blocks it can cross, and a sample of such a run is
+    interpolated only if it is at or below the bound of the DEM nodes
+    its interpolation reads.  The bounds are the
     grid's `los_bounds`, built once per grid.
 
     The runs are culled first, in spans of LOS_SPAN runs, and only the
@@ -610,23 +569,3 @@ def read_landcover(path) -> ClassGrid:
     lat, lon = header["origin"]
     return ClassGrid(classes=classes, cell_size=header["cellsize"],
                      origin_lat=lat, origin_lon=lon)
-
-
-def write_dem(path, dem: ElevationGrid) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"nrows {dem.nrows}\n")
-        f.write(f"ncols {dem.ncols}\n")
-        f.write(f"cellsize {dem.cell_size!r}\n")
-        f.write(f"origin {dem.origin_lat!r} {dem.origin_lon!r}\n")
-        for row in dem.heights:
-            f.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
-def write_landcover(path, grid: ClassGrid) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"nrows {grid.nrows}\n")
-        f.write(f"ncols {grid.ncols}\n")
-        f.write(f"cellsize {grid.cell_size!r}\n")
-        f.write(f"origin {grid.origin_lat!r} {grid.origin_lon!r}\n")
-        for row in grid.classes:
-            f.write(" ".join(str(int(v)) for v in row) + "\n")

@@ -34,6 +34,8 @@ class Waveform:
         self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
         if self.samples.size == 0:
             raise ConfigurationError("waveform must have at least one sample")
+        if not np.all(np.isfinite(self.samples)):
+            raise ConfigurationError("waveform samples must be finite")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ConfigurationError(
                 f"sample_rate must be positive and finite, got {self.sample_rate}")
@@ -108,8 +110,7 @@ def write_waveform(path, wf: Waveform) -> None:
 def read_waveform(path, sha256: str | None = None) -> Waveform:
     """Read a waveform file; `sha256`, when given, is the hex digest the
     whole file must have."""
-    (n, fs), payload = read_framed(path, _HEADER, _MAGIC, "waveform",
-                                   lambda n, fs: (n,), 8, sha256=sha256)
-    iq = np.frombuffer(payload, dtype="<f4")
-    samples = iq[0::2].astype(np.float64) + 1j * iq[1::2].astype(np.float64)
+    (n, fs), iq = read_framed(path, _HEADER, _MAGIC, "waveform",
+                              lambda n, fs: (n,), sha256=sha256)
+    samples = iq.real.astype(np.float64) + 1j * iq.imag.astype(np.float64)
     return Waveform(samples=samples, sample_rate=fs)

@@ -13,30 +13,29 @@ import numpy as np
 import pytest
 
 from rfclutter import pipeline
-from rfclutter.antenna import (ArrayGeometry, spatial_steering,
-                               space_time_steering, temporal_steering)
+from rfclutter.antenna import ArrayGeometry
 from rfclutter.challenge import export_challenge, read_challenge
 from rfclutter.channel import (ChannelImpulseResponse, ensemble_second_moment,
                                read_ir)
 from rfclutter.cli import main as cli_main
 from rfclutter.cofar import (ChannelMoments, generalized_eigenvalues,
                              max_gain_db, optimal_waveform, scnr)
-from rfclutter.covariance import (clutter_covariance, draw_snapshots,
-                                  sample_covariance)
-from rfclutter.dsp import (doppler_axis, doppler_bin_for, doppler_process,
-                           pulse_compress, range_bin_for, range_doppler_map)
+from rfclutter.covariance import clutter_covariance, sample_covariance
+from rfclutter.dsp import doppler_axis, doppler_process, pulse_compress, range_doppler_map
 from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
                             simulate_mimo_cube)
 from rfclutter.ocean import wind_doppler_spread
 from rfclutter.pipeline import CPIResult, ScenarioRun, simulate_scenario
-from rfclutter.rxsim import convolve_pulse, simulate_cube
+from rfclutter.rxsim import simulate_cube
 from rfclutter.scenario import (DESK_SCALE, Scenario, TargetSpec,
                                 generate_scenario1, parse_scenario)
 from rfclutter.scattering import GRASS, WATER
 from rfclutter.seeding import derive_rng
-from rfclutter.terrain import (ClassGrid, ElevationGrid, build_patch_grid,
-                               line_of_sight, lines_of_sight)
+from rfclutter.terrain import ClassGrid, ElevationGrid, build_patch_grid, lines_of_sight
 from rfclutter.waveform import Waveform, lfm, phase_code
+
+from oracles import (convolve_pulse, draw_snapshots, line_of_sight, space_time_steering,
+                     spatial_steering, temporal_steering)
 
 C = 299792458.0
 
@@ -181,7 +180,7 @@ def test_04_sample_covariance_converges_at_root_k():
         d = np.array([math.sqrt(1.0 - u * u), u, 0.0])
         sp = spatial_steering(arr, d)
         tm = temporal_steering(0.45 * u, 4)
-        rows.append(space_time_steering(sp, tm).entries)
+        rows.append(space_time_steering(sp, tm))
     steer = np.array(rows)                 # 30 patches x (NM = 16)
 
     r_true = clutter_covariance(gains, steer)

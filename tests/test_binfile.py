@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
-from rfclutter.covariance import read_covariance, write_covariance
 from rfclutter.errors import ConfigurationError
 from rfclutter.rxsim import DataCube, read_cube, write_cube
 from rfclutter.waveform import Waveform, read_waveform, write_waveform
@@ -32,10 +31,6 @@ def _write_cube(path):
                               noise_power=0.1, carrier_hz=10e9))
 
 
-def _write_covariance(path):
-    write_covariance(path, np.eye(3) * (2.0 + 0.5j))
-
-
 # format -> (writer of a small valid file, reader, header layout, indices
 # of the header fields that declare the payload dimensions, those
 # dimensions as read back)
@@ -46,8 +41,6 @@ FORMATS = {
                          lambda ir: ir.taps.shape),
     "cube": (_write_cube, read_cube, struct.Struct("<8sIIIIdddd"), (1, 2, 3, 4),
              lambda cube: cube.samples.shape),
-    "covariance": (_write_covariance, read_covariance, struct.Struct("<8sI"), (1,),
-                   lambda matrix: matrix.shape[:1]),
 }
 U32 = st.integers(0, 2 ** 32 - 1)
 
@@ -158,3 +151,19 @@ def test_impulse_response_with_nan_rate_is_rejected(field, valid):
     path.write_bytes(header.pack(*fields) + good[header.size:])
     with pytest.raises(ConfigurationError):
         read_ir(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_non_finite_payload_is_rejected(fmt, value, valid):
+    """One NaN or infinite I or Q value, at the start, the middle or the
+    end of the payload, is rejected."""
+    _, reader, header, *_ = FORMATS[fmt]
+    path, good = valid[fmt]
+    count = (len(good) - header.size) // 4
+    for index in (0, count // 2 + 1, count - 1):
+        blob = bytearray(good)
+        struct.pack_into("<f", blob, header.size + 4 * index, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ConfigurationError, match="non-finite"):
+            reader(path)

@@ -11,10 +11,12 @@ import pytest
 
 from rfclutter import binfile, challenge
 from rfclutter.challenge import export_challenge, read_challenge
+from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
 from rfclutter.errors import ConfigurationError
 from rfclutter.pipeline import simulate_scenario
 from rfclutter.scenario import Scenario, TargetSpec
 from rfclutter.terrain import ElevationGrid
+from rfclutter.waveform import Waveform, read_waveform, write_waveform
 
 
 def small_run(num_cpis=2, seed=5, targets=True):
@@ -233,4 +235,87 @@ def test_path_escape_rejected(tmp_path):
     text += "file = ../outside.bin 0000000000000000000000000000000000000000000000000000000000000000\n"
     manifest.write_text(text)
     with pytest.raises(ConfigurationError, match="escapes"):
+        read_challenge(tmp_path / "ds")
+
+
+def test_a_repeated_file_entry_is_rejected(tmp_path):
+    """A second `file` line for one name, before the real one, would
+    otherwise leave the earlier digest unchecked."""
+    manifest = export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("file = cube_cpi000"))
+    lines.insert(first, "file = cube_cpi000.rfcube " + "0" * 64)
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError,
+                       match=f"line {first + 2}: duplicate file cube_cpi000.rfcube"):
+        read_challenge(tmp_path / "ds")
+
+
+def relist(root, name, blob):
+    """Replace a dataset file by `blob` and its digest in the manifest."""
+    path = root / name
+    manifest = root / "manifest.txt"
+    text = manifest.read_text()
+    old = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert old in text
+    path.write_bytes(blob)
+    manifest.write_text(text.replace(old, hashlib.sha256(blob).hexdigest()))
+
+
+def rewritten_ir(ir, taps=None, sample_rate=None, prf=None):
+    return ChannelImpulseResponse(taps=ir.taps if taps is None else taps,
+                                  sample_rate=sample_rate or ir.sample_rate,
+                                  prf=prf or ir.prf, delay_origin=ir.delay_origin)
+
+
+@pytest.mark.parametrize("name", ["clutter_cpi000.rfgir", "target_cpi000.rfgir"])
+@pytest.mark.parametrize("change, message", [
+    (lambda ir: rewritten_ir(ir, taps=ir.taps[:, :, :-7]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, taps=ir.taps[:1]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, taps=ir.taps[:, :-1]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, sample_rate=2.0 * ir.sample_rate), "sample_rate"),
+    (lambda ir: rewritten_ir(ir, prf=3.0 * ir.prf), "prf"),
+])
+def test_a_relisted_channel_must_match_the_manifest(tmp_path, name, change, message):
+    """A channel file rewritten with other dimensions, sample rate or
+    PRF, its digest relisted, fails to load."""
+    export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    path = tmp_path / "ds" / name
+    write_ir(tmp_path / "new.rfgir", change(read_ir(path)))
+    relist(tmp_path / "ds", name, (tmp_path / "new.rfgir").read_bytes())
+    with pytest.raises(ConfigurationError, match=f"{name} {message}"):
+        read_challenge(tmp_path / "ds")
+
+
+def test_a_relisted_waveform_must_match_the_manifest_rate(tmp_path):
+    export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    wf = read_waveform(tmp_path / "ds" / "waveform.rfwav")
+    write_waveform(tmp_path / "new.rfwav",
+                   Waveform(samples=wf.samples, sample_rate=2.0 * wf.sample_rate))
+    relist(tmp_path / "ds", "waveform.rfwav", (tmp_path / "new.rfwav").read_bytes())
+    with pytest.raises(ConfigurationError, match="waveform sample rate .* manifest rate"):
+        read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("field, message", [(5, "sample_rate"), (6, "prf")])
+def test_a_relisted_cube_must_match_the_manifest_rates(tmp_path, field, message):
+    export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    blob = bytearray((tmp_path / "ds" / "cube_cpi000.rfcube").read_bytes())
+    header = struct.Struct("<8sIIIIdddd")
+    fields = list(header.unpack_from(blob))
+    fields[field] *= 2.0
+    header.pack_into(blob, 0, *fields)
+    relist(tmp_path / "ds", "cube_cpi000.rfcube", bytes(blob))
+    with pytest.raises(ConfigurationError, match=f"cube_cpi000.rfcube {message}"):
+        read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("key", ["sample_rate", "prf"])
+@pytest.mark.parametrize("value", ["fast", "0", "-1e6", "nan", "inf"])
+def test_a_bad_manifest_rate_is_rejected(tmp_path, key, value):
+    manifest = export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"manifest {key}"):
         read_challenge(tmp_path / "ds")

@@ -14,15 +14,15 @@ from scipy.linalg import convolution_matrix
 from rfclutter import channel, pipeline
 from rfclutter.antenna import ArrayGeometry
 from rfclutter.channel import (SPEED_OF_LIGHT, ChannelImpulseResponse,
-                               RadarTiming, StochasticModel,
-                               bistatic_delay_doppler, bistatic_delays_dopplers,
-                               ensemble_second_moment, patch_response,
-                               patch_responses, read_ir, scatterer_responses,
-                               synthesize_ir, write_ir)
+                               RadarTiming, StochasticModel, bistatic_delays_dopplers,
+                               ensemble_second_moment, patch_responses, read_ir,
+                               scatterer_responses, synthesize_ir, write_ir)
 from rfclutter.errors import ConfigurationError
 from rfclutter.scattering import GRASS
 from rfclutter.scenario import DESK_SCALE, generate_scenario1, generate_scenario2
 from rfclutter.terrain import PatchArrays, PlatformState
+
+from oracles import bistatic_delay_doppler, patch_response
 
 WAVELENGTH = 0.03
 

@@ -1,6 +1,7 @@
 """Command line wiring, exercised through main() with a small scenario file."""
 
 import os
+import struct
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,8 +16,10 @@ from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
 from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
                                 scenario_text)
-from rfclutter.terrain import ElevationGrid, write_dem, write_landcover
+from rfclutter.terrain import ElevationGrid
 from rfclutter.waveform import lfm, write_waveform
+
+from oracles import write_dem, write_landcover
 
 SCENARIO = """
 scenario.name = cli-check
@@ -118,7 +121,7 @@ def test_range_doppler_rejects_a_waveform_at_another_rate(scenario_file, tmp_pat
 
 
 @pytest.mark.parametrize("magic, fields", [
-    (b"RFWAV001", 12), (b"RFGIR001", 36), (b"RFCUBE01", 48), (b"RFCOV001", 4)])
+    (b"RFWAV001", 12), (b"RFGIR001", 36), (b"RFCUBE01", 48)])
 def test_inspect_rejects_a_truncated_header_with_code_2(magic, fields, tmp_path, capsys):
     """The magic alone, and the magic with all but one byte of the
     header fields, exit 2 and name the truncated header."""
@@ -128,6 +131,47 @@ def test_inspect_rejects_a_truncated_header_with_code_2(magic, fields, tmp_path,
         assert main(["inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+def test_inspect_rejects_the_removed_covariance_format_with_code_2(tmp_path, capsys):
+    """The covariance matrix format is gone, so its magic is unknown."""
+    path = tmp_path / "r.rfcov"
+    path.write_bytes(struct.pack("<8sI", b"RFCOV" + b"001", 3) + bytes(16 * 9))
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized file magic" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_range_doppler_rejects_a_non_finite_waveform_with_code_2(
+        value, scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    blob = bytearray((ds / "waveform.rfwav").read_bytes())
+    struct.pack_into("<f", blob, 20 + 4 * 3, value)        # the Q value of sample 1
+    bad = tmp_path / "bad.rfwav"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "rd"
+    capsys.readouterr()
+    assert main(["range-doppler", "--cube", str(ds / "cube_cpi000.rfcube"),
+                 "--waveform", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "non-finite" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_inspect_rejects_a_repeated_file_entry_with_code_2(scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("file = cube_cpi000"))
+    lines.insert(first, "file = cube_cpi000.rfcube " + "0" * 64)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", str(ds)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {first + 2}" in err and "duplicate file cube_cpi000.rfcube" in err
 
 
 @pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
@@ -184,6 +228,47 @@ def test_target_on_the_platform_exits_with_code_2(scenario_file, tmp_path, capsy
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "ds")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "coincides" in err and "Traceback" not in err
+
+
+def test_inspect_rejects_the_removed_covariance_format_with_code_2(tmp_path, capsys):
+    """The covariance matrix format is gone, so its magic is unknown."""
+    path = tmp_path / "r.rfcov"
+    path.write_bytes(struct.pack("<8sI", b"RFCOV" + b"001", 3) + bytes(16 * 9))
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "unrecognized file magic" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_range_doppler_rejects_a_non_finite_waveform_with_code_2(
+        value, scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    blob = bytearray((ds / "waveform.rfwav").read_bytes())
+    struct.pack_into("<f", blob, 20 + 4 * 3, value)        # the Q value of sample 1
+    bad = tmp_path / "bad.rfwav"
+    bad.write_bytes(bytes(blob))
+    out = tmp_path / "rd"
+    capsys.readouterr()
+    assert main(["range-doppler", "--cube", str(ds / "cube_cpi000.rfcube"),
+                 "--waveform", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "non-finite" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_inspect_rejects_a_repeated_file_entry_with_code_2(scenario_file, tmp_path, capsys):
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    lines = manifest.read_text().splitlines()
+    first = next(i for i, line in enumerate(lines) if line.startswith("file = cube_cpi000"))
+    lines.insert(first, "file = cube_cpi000.rfcube " + "0" * 64)
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", str(ds)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {first + 2}" in err and "duplicate file cube_cpi000.rfcube" in err
 
 
 @pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",

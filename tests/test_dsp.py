@@ -5,14 +5,14 @@ import csv
 import numpy as np
 import pytest
 
-from rfclutter.dsp import (beamform, doppler_axis, doppler_bin_for,
-                           doppler_process, pulse_compress, range_bin_for,
-                           range_doppler_map, write_map_csv, write_peaks_csv,
-                           write_pgm)
+from rfclutter.dsp import (beamform, doppler_axis, doppler_process, pulse_compress,
+                           range_doppler_map, write_map_csv, write_peaks_csv, write_pgm)
 from rfclutter.errors import ConfigurationError
 from rfclutter.rxsim import DataCube
 from rfclutter.seeding import derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
+
+from oracles import doppler_bin_for, range_bin_for
 
 FS = 10e6
 PRF = 2000.0

@@ -18,10 +18,9 @@ import pytest
 from rfclutter import channel, ocean, pipeline, rxsim, seeding, terrain, workers
 from rfclutter.antenna import phase_ramp_column, phase_ramps, uniform_pattern_gains
 from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
-                               bistatic_delay_doppler, patch_responses,
-                               synthesize_ir)
+                               patch_responses, synthesize_ir)
 from rfclutter.cli import main
-from rfclutter.dsp import doppler_bin_for, range_bin_for, range_doppler_map
+from rfclutter.dsp import range_doppler_map
 from rfclutter.errors import ConfigurationError
 from rfclutter.ocean import OceanState, pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
@@ -29,10 +28,10 @@ from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 generate_scenario2)
 from rfclutter.scattering import URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
-from rfclutter.terrain import (ClassGrid, ElevationGrid, grazing_angles, line_of_sight,
-                               lines_of_sight)
+from rfclutter.terrain import ClassGrid, ElevationGrid, grazing_angles, lines_of_sight
 
 from conftest import ridge_heights
+from oracles import bistatic_delay_doppler, doppler_bin_for, line_of_sight, range_bin_for
 
 
 def tiny_scenario(**overrides):

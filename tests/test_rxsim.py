@@ -15,9 +15,11 @@ from rfclutter import rxsim, workers
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
-from rfclutter.rxsim import DataCube, convolve_pulse, read_cube, simulate_cube, write_cube
+from rfclutter.rxsim import DataCube, read_cube, simulate_cube, write_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
+
+from oracles import convolve_pulse
 
 FS = 5e6
 

@@ -14,7 +14,9 @@ from rfclutter.scenario import (_BUILDING_KEYS, _GROUP_KEYS, _KEYS, DESK_SCALE,
                                 littoral_dem, load_scenario, parse_scenario,
                                 scaled_count, scenario_hash, scenario_text)
 from rfclutter.scattering import BUILDING, FOREST, GRASS, URBAN, WATER
-from rfclutter.terrain import ClassGrid, ElevationGrid, write_dem, write_landcover
+from rfclutter.terrain import ClassGrid, ElevationGrid
+
+from oracles import write_dem, write_landcover
 
 MINIMAL = "radar.carrier = 10e9\nradar.prf = 2000\n"
 

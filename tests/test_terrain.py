@@ -12,15 +12,14 @@ from hypothesis import strategies as st
 
 from rfclutter import terrain
 from rfclutter.errors import ConfigurationError
-from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays,
-                               build_patch_grid, grazing_angle,
-                               grazing_angles, line_of_sight,
-                               lines_of_sight, patch_grid_shape, read_dem,
-                               read_landcover, write_dem, write_landcover)
+from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays, build_patch_grid,
+                               grazing_angles, lines_of_sight, patch_grid_shape, read_dem,
+                               read_landcover)
 from rfclutter.scattering import GRASS, WATER
 from rfclutter.workers import run_blocks
 
 from conftest import ridge_heights
+from oracles import grazing_angle, line_of_sight, write_dem, write_landcover
 
 
 def planar_dem(nx=16, ny=16, cell=10.0, gx=0.0, gy=0.0, z0=0.0):

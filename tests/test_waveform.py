@@ -142,3 +142,12 @@ def test_waveform_reader_rejects_truncation(tmp_path):
     path.write_bytes(data[:-5])
     with pytest.raises(ConfigurationError):
         read_waveform(path)
+
+
+@pytest.mark.parametrize("value", [complex(np.nan, 0.0), complex(0.0, np.inf),
+                                   complex(-np.inf, 1.0)])
+def test_waveform_rejects_non_finite_samples(value):
+    samples = lfm(1e6, 1e-5, 2e6).samples.copy()
+    samples[3] = value
+    with pytest.raises(ConfigurationError, match="finite"):
+        Waveform(samples=samples, sample_rate=2e6)
