@@ -58,8 +58,7 @@ def main(argv=None):
     rng = np.random.default_rng(args.seed)
     taps = (rng.standard_normal((1, args.pulses, args.taps))
             + 1j * rng.standard_normal((1, args.pulses, args.taps)))
-    ir = ChannelImpulseResponse(taps=taps.astype(np.complex64),
-                                sample_rate=FS, prf=2000.0)
+    ir = ChannelImpulseResponse.from_dense(taps, sample_rate=FS, prf=2000.0)
 
     print(f"channel: {args.taps} taps, {args.pulses} pulses, "
           f"{args.frame}-sample waveforms")

@@ -42,7 +42,7 @@ def spread_hz(wind: float, seed: int) -> float:
     scn = sea_scenario(wind, seed)
     scene = pipeline.build_scene(scn)
     ir = pipeline.synthesize_clutter(scn, scene, 0)
-    power = np.abs(doppler_process(ir.taps[0].astype(np.complex128))) ** 2
+    power = np.abs(doppler_process(ir.dense()[0].astype(np.complex128))) ** 2
     return wind_doppler_spread(power, doppler_axis(scn.num_pulses, scn.prf_hz))
 
 

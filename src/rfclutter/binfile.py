@@ -1,9 +1,12 @@
-"""Reading the binary file formats.
+"""Reading and writing the binary file formats.
 
-Every format (RFWAV001, RFGIR001, RFCUBE01) is a fixed little-endian
+Every format (RFWAV001, RFGIR002, RFCUBE01) is a fixed little-endian
 header that starts with an 8-byte magic, then one payload of
 interleaved float32 I/Q samples whose dimensions the header declares,
-then nothing.
+then nothing.  An impulse response stores only its occupied taps: its
+header declares the full tap axis and the count K of occupied taps,
+and K u32 tap indices sit between the header and the payload, which
+holds those K taps only.
 """
 
 from __future__ import annotations
@@ -32,37 +35,66 @@ def read_header(f, header: struct.Struct, magic: bytes, what: str) -> tuple[byte
     return head, tuple(fields)
 
 
-def read_framed(path, header: struct.Struct, magic: bytes, what: str,
-                shape, sha256: str | None = None) -> tuple[tuple, np.ndarray]:
+def _read_exact(f, nbytes: int, path, what: str) -> bytes:
+    data = f.read(nbytes)
+    if len(data) < nbytes:
+        raise ConfigurationError(f"{path}: truncated {what} payload")
+    return data
+
+
+def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
+                sha256: str | None = None, occupied=None,
+                ) -> tuple[tuple, np.ndarray | None, np.ndarray]:
     """Read and check one header-then-payload file.
 
-    `shape(*fields)` gives the payload dimensions from the header fields
-    that follow the magic; the payload holds one complex64 (8 bytes of
-    float32 I/Q) per element.  The declared size is compared with the
-    file size before any payload byte is read, so a header that lies
-    about its dimensions raises ConfigurationError instead of
-    allocating.  With `sha256` (hex) given, the header and payload
-    bytes read must hash to it, so the bytes returned are the bytes
-    verified and the file is read once.  A NaN or infinite I or Q value
-    raises ConfigurationError.  Returns (fields, the read-only payload
-    array of those dimensions).
+    `shape(*fields)` gives the declared array dimensions from the header
+    fields that follow the magic; each must be at least 1.  The payload
+    holds one complex64 (8 bytes of float32 I/Q) per element.  With
+    `occupied(*fields)` given, the last axis is stored sparse: it
+    returns the count K of occupied positions along that axis, the file
+    holds their K u32 indices after the header, strictly ascending and
+    below the declared length, and the payload holds those K positions
+    only (K may be 0).
+
+    The declared size is compared with the file size before any index
+    or payload byte is read, and the indices are checked before the
+    payload is read, so a header or an index section that lies raises
+    ConfigurationError instead of allocating.  With `sha256` (hex)
+    given, the bytes read must hash to it, so the bytes returned are
+    the bytes verified and the file is read once.  A NaN or infinite I
+    or Q value raises ConfigurationError.  Returns (fields, the
+    read-only index array or None, the read-only payload array).
     """
     with open(path, "rb") as f:
         head, fields = read_header(f, header, magic, what)
         dims = shape(*fields)
         if min(dims) < 1:
             raise ConfigurationError(f"{path}: {what} header declares an empty array {dims}")
+        count = None
+        if occupied is not None:
+            count, limit = occupied(*fields), dims[-1]
+            if count > limit:
+                raise ConfigurationError(
+                    f"{path}: {what} header declares {count} occupied of {limit} positions")
+            dims = dims[:-1] + (count,)
+        nindex = 0 if count is None else 4 * count
         nbytes = 8 * math.prod(dims)
         available = os.fstat(f.fileno()).st_size - header.size
-        if nbytes > available:
+        if nindex + nbytes > available:
             raise ConfigurationError(f"{path}: truncated {what} payload")
-        if nbytes < available:
+        if nindex + nbytes < available:
             raise ConfigurationError(f"{path}: trailing bytes after {what} payload")
-        payload = f.read(nbytes)
-    if len(payload) < nbytes:
-        raise ConfigurationError(f"{path}: truncated {what} payload")
+        index = None
+        if count is not None:
+            index = np.frombuffer(_read_exact(f, nindex, path, what), dtype="<u4")
+            if index.size and (index[-1] >= limit or np.any(index[1:] <= index[:-1])):
+                raise ConfigurationError(
+                    f"{path}: {what} indices must ascend strictly below {limit}")
+        payload = _read_exact(f, nbytes, path, what)
     if sha256 is not None:
         digest = hashlib.sha256(head)
+        if index is not None:
+            digest.update(index)
         digest.update(payload)
         actual = digest.hexdigest()
         if actual != sha256:
@@ -70,6 +102,19 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str,
                 f"{path}: checksum mismatch: expected {sha256[:12]}..., file {actual[:12]}...")
     iq = np.frombuffer(payload, dtype="<f4")
     # min and max both propagate NaN, and an infinity is one of them
-    if not (np.isfinite(iq.min()) and np.isfinite(iq.max())):
+    if iq.size and not (np.isfinite(iq.min()) and np.isfinite(iq.max())):
         raise ConfigurationError(f"{path}: {what} payload holds a non-finite sample")
-    return fields, iq.view("<c8").reshape(dims)
+    return fields, index, iq.view("<c8").reshape(dims)
+
+
+def write_framed(path, *parts) -> str:
+    """Write `parts` (bytes, or C-contiguous arrays in their file byte
+    order) to `path` one after another; returns the SHA-256 hex digest
+    of the bytes written, so a file is hashed as it is written and
+    never read back."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+            digest.update(part)
+    return digest.hexdigest()

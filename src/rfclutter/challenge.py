@@ -8,8 +8,9 @@ of every payload file, so a consumer can verify integrity and
 provenance before training or scoring against the data.  The `rng`
 line names the generator behind the per-scatterer draws.
 
-Export hashes, and `read_challenge` reads and verifies, the payload
-files on the process's worker pool (`workers`), one file per task.
+Export writes and hashes, and `read_challenge` reads and verifies, the
+payload files on the process's worker pool (`workers`), one file per
+task.
 The manifest bytes, and the error raised for a dataset with several
 bad files (that of the earliest in the manifest), do not depend on the
 worker count.
@@ -30,6 +31,7 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
+from .binfile import write_framed
 from .channel import ChannelImpulseResponse, read_ir, write_ir
 from .errors import ConfigurationError
 from .pipeline import ScenarioRun
@@ -40,7 +42,7 @@ from .waveform import Waveform, read_waveform, write_waveform
 from .workers import run_blocks
 
 MANIFEST_NAME = "manifest.txt"
-FORMAT_TAG = "rfchallenge-1"
+FORMAT_TAG = "rfchallenge-2"
 
 
 def _sha256_file(path) -> str:
@@ -52,35 +54,34 @@ def _sha256_file(path) -> str:
 
 
 def export_challenge(run: ScenarioRun, out_dir) -> Path:
-    """Write a run to `out_dir`; returns the manifest path.  The payload
-    files are hashed on the shared worker pool and listed in the order
-    they were written."""
+    """Write a run to `out_dir`; returns the manifest path.
+
+    Each payload file is serialized, written and hashed in one block of
+    the shared worker pool, so no file is read back; the files are
+    listed in a fixed order (waveform, scenario, then each CPI's cube,
+    clutter and target channel), whatever the worker count."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     scn = run.scenario
 
-    names: list[str] = []
-
-    wf_name = "waveform.rfwav"
-    write_waveform(out / wf_name, run.waveform)
-    names.append(wf_name)
-
-    scn_name = "scenario.txt"
-    (out / scn_name).write_text(scenario_text(scn), encoding="utf-8")
-    names.append(scn_name)
-
+    # (file name, writer returning the file's digest, what it writes)
+    files: list[tuple[str, Callable, object]] = [
+        ("waveform.rfwav", write_waveform, run.waveform),
+        ("scenario.txt", write_framed, scenario_text(scn).encode("utf-8")),
+    ]
     for r in run.results:
-        cube_name = f"cube_cpi{r.cpi:03d}.rfcube"
-        write_cube(out / cube_name, r.cube)
-        names.append(cube_name)
-        if r.clutter_ir is not None:
-            name = f"clutter_cpi{r.cpi:03d}.rfgir"
-            write_ir(out / name, r.clutter_ir)
-            names.append(name)
-        if r.target_ir is not None:
-            name = f"target_cpi{r.cpi:03d}.rfgir"
-            write_ir(out / name, r.target_ir)
-            names.append(name)
+        files.append((f"cube_cpi{r.cpi:03d}.rfcube", write_cube, r.cube))
+        for kind, ir in (("clutter", r.clutter_ir), ("target", r.target_ir)):
+            if ir is not None:
+                files.append((f"{kind}_cpi{r.cpi:03d}.rfgir", write_ir, ir))
+    digests = [""] * len(files)
+
+    def write_files(block: range) -> None:
+        for i in block:
+            name, write, item = files[i]
+            digests[i] = write(out / name, item)
+
+    run_blocks(write_files, len(files))   # writes and hashing release the GIL
 
     dims = scn.export_dims
     lines = [
@@ -98,14 +99,7 @@ def export_challenge(run: ScenarioRun, out_dir) -> Path:
         f"carrier = {scn.carrier_hz!r}",
         f"noise_power = {scn.noise_power!r}",
     ]
-    digests = [""] * len(names)
-
-    def hash_files(block: range) -> None:
-        for i in block:
-            digests[i] = _sha256_file(out / names[i])
-
-    run_blocks(hash_files, len(names))   # hashing releases the GIL
-    lines += [f"file = {name} {digest}" for name, digest in zip(names, digests)]
+    lines += [f"file = {name} {digest}" for (name, _, _), digest in zip(files, digests)]
     manifest = out / MANIFEST_NAME
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return manifest

@@ -1,29 +1,34 @@
 """Channel impulse response synthesis.
 
 The clutter and target channels are represented as per-channel,
-per-pulse tapped delay lines: taps[n, m, l] is the complex gain of
-receive channel n, pulse m at fast-time delay delay_origin + l / fs.
-A receiver data cube is then just each pulse's waveform convolved with
-these taps plus noise, which is what makes the channel description
-waveform independent.
+per-pulse tapped delay lines over the taps where scatterers lie: a
+channel holds the ascending occupied tap indices support[k] of its L
+taps and taps[n, m, k], the complex gain of receive channel n, pulse m
+at fast-time delay delay_origin + support[k] / fs.  Every other tap is
+zero.  A receiver data cube is then just each pulse's waveform
+convolved with these taps plus noise, which is what makes the channel
+description waveform independent.
 
 Taps are stored as complex64; that is the precision of the interchange
 file format, and keeping the in-memory array identical to the on-disk
 payload makes export/import lossless.  Accumulation happens in
 complex128 (one GEMM per tap) before the final cast.
 
-The binary impulse-response file format (magic RFGIR001) is
+The binary impulse-response file format (magic RFGIR002) is
 little-endian:
 
     offset  type    field
-    0       8s      magic "RFGIR001"
+    0       8s      magic "RFGIR002"
     8       u32     N receive channels
     12      u32     M pulses
     16      u32     L delay taps
     20      f64     sample rate, Hz
     28      f64     delay origin, s
     36      f64     PRF, Hz
-    44      f32*2NML interleaved I/Q, channel-major (n, m, l) C order
+    44      u32     K occupied taps, K <= L
+    48      u32*K   the occupied tap indices, strictly ascending, < L
+    48+4K   f32*2NMK interleaved I/Q of the occupied taps,
+                    channel-major (n, m, k) C order
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from .antenna import ArrayGeometry, phase_ramps, spatial_steering_many
-from .binfile import read_framed
+from .binfile import read_framed, write_framed
 from .errors import ConfigurationError
 from .seeding import STREAM_CLUTTER, normal_pair, philox_key, philox_words, uniforms
 from .terrain import PatchArrays, PlatformState
@@ -47,8 +52,8 @@ logger = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
-_MAGIC = b"RFGIR001"
-_HEADER = struct.Struct("<8sIIIddd")
+_MAGIC = b"RFGIR002"
+_HEADER = struct.Struct("<8sIIIdddI")
 
 _TAP_BATCH = 4096  # responses per accumulation batch of whole taps; bounds scratch memory
 
@@ -115,23 +120,67 @@ class StochasticModel:
 
 @dataclass
 class ChannelImpulseResponse:
-    """Tapped-delay-line channel: taps[n, m, l], complex64."""
+    """Tapped-delay-line channel over its occupied taps: taps[n, m, k],
+    complex64, is the gain at tap support[k] of num_taps.
 
-    taps: np.ndarray             # (N, M, L) complex64
+    `support` defaults to every tap 0 .. K - 1 and `num_taps` to K; an
+    (N, M, L) array with zero taps comes in through `from_dense`.
+    """
+
+    taps: np.ndarray             # (N, M, K) complex64
     sample_rate: float           # Hz
     prf: float                   # Hz
     delay_origin: float = 0.0    # s
     kind: str = "clutter"        # "clutter" | "target"
+    support: np.ndarray | None = None   # (K,) ascending tap indices
+    num_taps: int | None = None  # L, the receive window in taps
 
     def __post_init__(self):
         self.taps = np.ascontiguousarray(self.taps, dtype=np.complex64)
         if self.taps.ndim != 3:
-            raise ConfigurationError("impulse response taps must have shape (N, M, L)")
+            raise ConfigurationError("impulse response taps must have shape (N, M, K)")
+        k = self.taps.shape[2]
+        if self.support is None:
+            self.support = np.arange(k)
+        self.support = np.asarray(self.support, dtype=np.int64).reshape(-1)
+        if self.num_taps is None:
+            self.num_taps = k
+        self.num_taps = int(self.num_taps)
+        if self.num_taps < 1:
+            raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
+        if self.support.size != k:
+            raise ConfigurationError(f"{self.support.size} support taps for {k} tap columns")
+        if k > self.num_taps or (k and (self.support[0] < 0
+                                        or self.support[-1] >= self.num_taps
+                                        or np.any(np.diff(self.support) <= 0))):
+            raise ConfigurationError(
+                f"the support must ascend strictly within 0..{self.num_taps - 1}")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
         _check_delay_origin(self.delay_origin)
         self.taps.setflags(write=False)
+        self.support.setflags(write=False)
+
+    @classmethod
+    def from_dense(cls, taps, sample_rate: float, prf: float, delay_origin: float = 0.0,
+                   kind: str = "clutter") -> "ChannelImpulseResponse":
+        """The channel of an (N, M, L) tap array: its support is the taps
+        that are non-zero in some channel and pulse."""
+        taps = np.asarray(taps, dtype=np.complex64)
+        if taps.ndim != 3:
+            raise ConfigurationError("impulse response taps must have shape (N, M, L)")
+        support = np.flatnonzero(taps.any(axis=(0, 1)))
+        return cls(taps=taps[:, :, support], sample_rate=sample_rate, prf=prf,
+                   delay_origin=delay_origin, kind=kind, support=support,
+                   num_taps=taps.shape[2])
+
+    def dense(self) -> np.ndarray:
+        """The (N, M, L) complex64 taps, zero off the support."""
+        out = np.zeros((self.num_channels, self.num_pulses, self.num_taps),
+                       dtype=np.complex64)
+        out[:, :, self.support] = self.taps
+        return out
 
     @property
     def num_channels(self) -> int:
@@ -140,10 +189,6 @@ class ChannelImpulseResponse:
     @property
     def num_pulses(self) -> int:
         return self.taps.shape[1]
-
-    @property
-    def num_taps(self) -> int:
-        return self.taps.shape[2]
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -243,7 +288,7 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                   array: ArrayGeometry, timing: RadarTiming, kind: str = "clutter",
                   modulation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                   ) -> ChannelImpulseResponse:
-    """Accumulate scatterer responses into a per-channel, per-pulse tap array.
+    """Accumulate scatterer responses into per-channel, per-pulse taps.
 
     tap[n, m, round((delay - origin) * fs)] += amp * exp(j 2 pi fd m / prf) * s_n(d)
 
@@ -253,14 +298,15 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     are the ramp of theta = (2 pi / prf) fd over the M pulses, and its
     steering entries s_n(d) the ramp over the N elements of the uniform
     linear array (`spatial_steering_many`).
-    Each occupied tap is one complex128 product: with the k responses
-    that land on it in ascending patch_id order (ties in input order),
-    taps[:, :, l] = (amp * s)^T @ slow, an (N x k) @ (k x M) GEMM, cast
-    to complex64.  A tap's value so depends only on its own responses;
-    its bytes depend on the BLAS build but not on its thread count.
-    Zero-amplitude (shadowed) responses are skipped, which leaves the
-    sum unchanged.  Responses whose tap falls outside the receive window
-    are dropped and counted in a warning.
+    The channel's support is the taps that some live response lands on,
+    ascending.  Each of them is one complex128 product: with the r
+    responses that land on support[k] in ascending patch_id order (ties
+    in input order), taps[:, :, k] = (amp * s)^T @ slow, an (N x r) @
+    (r x M) GEMM, cast to complex64.  A tap's value so depends only on
+    its own responses; its bytes depend on the BLAS build but not on its
+    thread count.  Zero-amplitude (shadowed) responses are skipped, which
+    leaves the sum unchanged.  Responses whose tap falls outside the
+    receive window are dropped and counted in a warning.
 
     The occupied taps are cut into batches of whole taps, about
     _TAP_BATCH responses each, and the batches run on every core
@@ -319,7 +365,8 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
         g = edges[-1]
         edges.append(max(g + 1, int(np.searchsorted(bounds, bounds[g] + _TAP_BATCH,
                                                     side="right")) - 1))
-    out = np.zeros((n_elem, n_pulse, n_tap), dtype=np.complex64)
+    support = tap_of[bounds[:-1]]
+    out = np.empty((n_elem, n_pulse, support.size), dtype=np.complex64)
 
     def accumulate(batches: range) -> None:
         for i in batches:
@@ -332,15 +379,15 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                 hit = np.flatnonzero(mod_of[idx] >= 0)
                 row = mod_of[idx[hit]]
                 slow[hit] = slow[hit] * np.exp(1j * mod_phase[row]) * mod_amp[row]
-            for a, b, tap in zip((bounds[g:h] - lo).tolist(),
-                                 (bounds[g + 1:h + 1] - lo).tolist(),
-                                 tap_of[bounds[g:h]].tolist()):
-                out[:, :, tap] = coef[a:b].T @ slow[a:b]
+            for k, (a, b) in enumerate(zip((bounds[g:h] - lo).tolist(),
+                                           (bounds[g + 1:h + 1] - lo).tolist()), start=g):
+                out[:, :, k] = coef[a:b].T @ slow[a:b]
 
     run_blocks(accumulate, len(edges) - 1)
 
     return ChannelImpulseResponse(taps=out, sample_rate=timing.sample_rate, prf=timing.prf,
-                                  delay_origin=timing.delay_origin, kind=kind)
+                                  delay_origin=timing.delay_origin, kind=kind,
+                                  support=support, num_taps=n_tap)
 
 
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:
@@ -369,19 +416,20 @@ def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 6
     return toeplitz(lags, lags.conj())
 
 
-def write_ir(path, ir: ChannelImpulseResponse) -> None:
-    taps = np.ascontiguousarray(ir.taps, dtype="<c8")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, ir.num_channels, ir.num_pulses, ir.num_taps,
-                             ir.sample_rate, ir.delay_origin, ir.prf))
-        f.write(taps.tobytes())
+def write_ir(path, ir: ChannelImpulseResponse) -> str:
+    """Write an impulse-response file; returns its SHA-256 hex digest."""
+    return write_framed(path, _HEADER.pack(_MAGIC, ir.num_channels, ir.num_pulses,
+                                           ir.num_taps, ir.sample_rate, ir.delay_origin,
+                                           ir.prf, ir.support.size),
+                        np.ascontiguousarray(ir.support, dtype="<u4"),
+                        np.ascontiguousarray(ir.taps, dtype="<c8"))
 
 
 def read_ir(path, kind: str = "clutter", sha256: str | None = None) -> ChannelImpulseResponse:
     """Read an impulse-response file; `sha256`, when given, is the hex
     digest the whole file must have."""
-    (n, m, l, fs, origin, prf), taps = read_framed(
+    (n, m, l, fs, origin, prf, k), support, taps = read_framed(
         path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l),
-        sha256=sha256)
-    return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf,
-                                  delay_origin=origin, kind=kind)
+        sha256=sha256, occupied=lambda *fields: fields[-1])
+    return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf, delay_origin=origin,
+                                  kind=kind, support=support, num_taps=l)

@@ -8,7 +8,7 @@ Verbs:
   range-doppler   beamformed range-Doppler maps and peak lists
   cofar-optimize  moment-based waveform optimization for one CPI
   mimo-sim        multi-transmitter run with per-code leakage report
-  inspect         print the header of any data file or dataset manifest
+  inspect         check and describe any data file or dataset manifest
 
 Scenarios come from a file (--scenario) or a preset (--preset, sized by
 --scale).  CPIs run one after another; the stages inside a CPI use every
@@ -26,7 +26,6 @@ from pathlib import Path
 import numpy as np
 
 from . import challenge, channel, cofar, dsp, mimo, pipeline, rxsim, waveform
-from .binfile import read_header
 from .errors import ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
                        generate_scenario2, load_scenario)
@@ -214,19 +213,21 @@ def cmd_mimo_sim(args) -> int:
     return 0
 
 
-# magic -> (kind, header layout, description of the fields after the magic)
+# magic -> (kind, reader, description of what it read)
 _FORMATS = {
-    waveform._MAGIC: ("waveform", waveform._HEADER,
-                      lambda n, fs: f"  {n} samples at {fs:.0f} Hz"),
-    channel._MAGIC: ("impulse response", channel._HEADER,
-                     lambda n, m, l, fs, origin, prf:
-                     f"  {n} channels x {m} pulses x {l} taps, fs {fs:.0f} Hz, "
-                     f"PRF {prf:.1f} Hz, delay origin {origin:.3e} s"),
-    rxsim._MAGIC: ("data cube", rxsim._HEADER,
-                   lambda c, n, m, r, fs, prf, npow, carrier:
-                   f"  {c} CPIs x {n} channels x {m} pulses x {r} range samples\n"
-                   f"  fs {fs:.0f} Hz, PRF {prf:.1f} Hz, carrier {carrier:.3e} Hz, "
-                   f"noise power {npow:.3e}"),
+    waveform._MAGIC: ("waveform", read_waveform,
+                      lambda wf: f"  {wf.num_samples} samples at {wf.sample_rate:.0f} Hz"),
+    channel._MAGIC: ("impulse response", channel.read_ir,
+                     lambda ir: f"  {ir.num_channels} channels x {ir.num_pulses} pulses x "
+                                f"{ir.num_taps} taps, {ir.support.size} occupied, "
+                                f"fs {ir.sample_rate:.0f} Hz, PRF {ir.prf:.1f} Hz, "
+                                f"delay origin {ir.delay_origin:.3e} s"),
+    rxsim._MAGIC: ("data cube", rxsim.read_cube,
+                   lambda cube: "  {} CPIs x {} channels x {} pulses x {} range samples\n"
+                                .format(*cube.dims)
+                                + f"  fs {cube.sample_rate:.0f} Hz, PRF {cube.prf:.1f} Hz, "
+                                  f"carrier {cube.carrier_hz:.3e} Hz, "
+                                  f"noise power {cube.noise_power:.3e}"),
 }
 
 
@@ -241,13 +242,12 @@ def cmd_inspect(args) -> int:
         return 0
     with open(p, "rb") as f:
         magic = f.read(8)
-        if magic not in _FORMATS:
-            raise ConfigurationError(f"unrecognized file magic {magic!r}")
-        kind, header, describe = _FORMATS[magic]
-        f.seek(0)
-        _, fields = read_header(f, header, magic, kind)
+    if magic not in _FORMATS:
+        raise ConfigurationError(f"unrecognized file magic {magic!r}")
+    kind, read, describe = _FORMATS[magic]
+    item = read(p)    # the whole file is checked, not only its header
     print(f"{p.name}: {kind}")
-    print(describe(*fields))
+    print(describe(item))
     return 0
 
 

@@ -566,7 +566,8 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
         clutter_tap_rows(scn, scene, cpi, pulse, channel, realizations), p, realizations)
     timing = scn.timing()
     target_ir = synthesize_targets(scn, scene, cpi, timing)
-    t_taps = target_ir.taps[channel, pulse, :]
+    t_taps = np.zeros(target_ir.num_taps, dtype=np.complex64)
+    t_taps[target_ir.support] = target_ir.taps[channel, pulse]
     target = ensemble_second_moment(lambda k: t_taps, p, 1)
     return ChannelMoments.from_second_moments(clutter, target, scn.noise_power)
 
@@ -610,10 +611,10 @@ def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
             if ir is None:
                 ir = tgt
             else:
-                ir = ChannelImpulseResponse(taps=ir.taps + tgt.taps,
-                                            sample_rate=ir.sample_rate, prf=ir.prf,
-                                            delay_origin=ir.delay_origin,
-                                            kind="clutter")
+                ir = ChannelImpulseResponse.from_dense(ir.dense() + tgt.dense(),
+                                                       sample_rate=ir.sample_rate,
+                                                       prf=ir.prf,
+                                                       delay_origin=ir.delay_origin)
         irs.append(ir)
     return irs
 

@@ -15,11 +15,11 @@ cube plus one such buffer per worker.  Cube assembly, line of sight
 and the Philox draws all give the same bytes at any core count.
 
 A channel's lines go through the FFT pair unless they are sparse: when
-the taps that are non-zero in any pulse, its tap support S, satisfy
+the channel's tap support S (the occupied taps it carries) satisfies
 |S| P <= nfft for P waveform samples, the direct sum costs at most one
 transform length of multiplies per line, and the lines are convolved
 directly over S instead.  A target channel has a few such taps, dense
-clutter hundreds.  The route depends only on the channel's own taps.
+clutter hundreds.  The route depends only on the channel's own support.
 
 The binary cube file format (magic RFCUBE01) is little-endian:
 
@@ -48,7 +48,7 @@ from typing import Sequence
 import numpy as np
 from scipy.fft import next_fast_len
 
-from .binfile import read_framed
+from .binfile import read_framed, write_framed
 from .channel import ChannelImpulseResponse
 from .errors import ConfigurationError
 from .seeding import STREAM_NOISE, derive_rng
@@ -121,18 +121,6 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
     return np.stack([w.samples for w in wfs])
 
 
-def _tap_support(lines: np.ndarray, limit: int) -> np.ndarray | None:
-    """The taps of one channel's (M, L) lines that are non-zero in any
-    pulse, ascending, when there are at most `limit` of them; None
-    otherwise.  The taps are counted on one pass over the lines (an
-    any-reduction over pulses, several times cheaper than counting the
-    non-zero complex entries), so dense lines are rejected after it."""
-    occupied = lines.any(axis=0)
-    if np.count_nonzero(occupied) > limit:
-        return None
-    return np.flatnonzero(occupied)
-
-
 def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
                    noise_power: float, seed: int, cpi_index: int) -> np.ndarray:
     """The receiver's CPI samples, (1, N, M, L + P - 1) complex128.
@@ -162,23 +150,23 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     are added in the same order, as in a whole-cube evaluation, so the
     bytes do not depend on the blocking or the worker count.
 
-    A (channel, receive channel) pair whose `_tap_support` S has
-    |S| P <= nfft skips the FFTs: the buffer is zeroed over the output
-    span and, for s in S ascending, taps[:, s] times the waveform rows
-    is added at offset s.  The result is copied or added into the lines
-    as an FFT term is, so superposition stays exact.
+    A channel whose support S has |S| P <= nfft skips the FFTs: the
+    buffer is zeroed over the output span and, for s in S ascending, the
+    tap at s times the waveform rows is added at offset s.  The result is
+    copied or added into the lines as an FFT term is, so superposition
+    stays exact.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
             f"noise_power must be non-negative and finite, got {noise_power}")
     ref = groups[0][0][0]
-    n_ch, n_pulses, n_taps = ref.taps.shape
+    n_ch, n_pulses, n_taps = dims = (ref.num_channels, ref.num_pulses, ref.num_taps)
     rows = []
     for irs, waveforms in groups:
         for ir in irs:
-            if ir.taps.shape != ref.taps.shape:
-                raise ConfigurationError(
-                    f"channel dimensions {ir.taps.shape} differ from {ref.taps.shape}")
+            got = (ir.num_channels, ir.num_pulses, ir.num_taps)
+            if got != dims:
+                raise ConfigurationError(f"channel dimensions {got} differ from {dims}")
             if abs(ir.sample_rate - ref.sample_rate) > 1e-6 * ref.sample_rate:
                 raise ConfigurationError(
                     f"channel sample rates {ir.sample_rate} and {ref.sample_rate} differ")
@@ -189,7 +177,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     n_out = n_taps + p - 1
     nfft = next_fast_len(n_out)
     direct_limit = nfft // p    # |S| P <= nfft
-    terms = [(ir, r, np.fft.fft(r, nfft, axis=1))
+    terms = [(ir, r, None if ir.support.size <= direct_limit else np.fft.fft(r, nfft, axis=1))
              for (irs, _), r in zip(groups, rows) for ir in irs]
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 else None)
@@ -204,17 +192,16 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             lines = cube[0, n]
             for k, (ir, waveform_rows, spectrum) in enumerate(terms):
                 taps = ir.taps[n]
-                support = _tap_support(taps, direct_limit)
-                if support is None:
-                    buf[:, :n_taps] = taps
-                    buf[:, n_taps:] = 0.0
+                if spectrum is not None:
+                    buf[...] = 0.0
+                    buf[:, ir.support] = taps
                     np.fft.fft(buf, axis=1, out=buf)
                     buf *= spectrum
                     np.fft.ifft(buf, axis=1, out=buf)
                 else:
                     buf[:, :n_out] = 0.0
-                    for s in support:
-                        buf[:, s:s + p] += taps[:, s, None] * waveform_rows
+                    for j, s in enumerate(ir.support.tolist()):
+                        buf[:, s:s + p] += taps[:, j, None] * waveform_rows
                 if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
                     lines[...] = buf[:, :n_out]
                 else:
@@ -260,23 +247,22 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
                     delay_origin=ref.delay_origin)
 
 
-def write_cube(path, cube: DataCube) -> None:
+def write_cube(path, cube: DataCube) -> str:
+    """Write a cube file; returns its SHA-256 hex digest."""
     if cube.delay_origin != 0.0:
         raise ConfigurationError(
             f"the cube format stores no delay origin; got {cube.delay_origin} s, not 0")
-    payload = np.ascontiguousarray(cube.samples, dtype="<c8")
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, cube.num_cpis, cube.num_channels,
-                             cube.num_pulses, cube.num_range_samples,
-                             cube.sample_rate, cube.prf, cube.noise_power,
-                             cube.carrier_hz))
-        f.write(payload.tobytes())
+    return write_framed(path, _HEADER.pack(_MAGIC, cube.num_cpis, cube.num_channels,
+                                           cube.num_pulses, cube.num_range_samples,
+                                           cube.sample_rate, cube.prf, cube.noise_power,
+                                           cube.carrier_hz),
+                        np.ascontiguousarray(cube.samples, dtype="<c8"))
 
 
 def read_cube(path, sha256: str | None = None) -> DataCube:
     """Read a cube file; `sha256`, when given, is the hex digest the
     whole file must have."""
-    (c, n, m, r, fs, prf, sigma2, carrier), samples = read_framed(
+    (c, n, m, r, fs, prf, sigma2, carrier), _, samples = read_framed(
         path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r),
         sha256=sha256)
     return DataCube(samples=samples, sample_rate=fs, prf=prf, noise_power=sigma2,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binfile import read_framed
+from .binfile import read_framed, write_framed
 from .errors import ConfigurationError
 
 _MAGIC = b"RFWAV001"
@@ -98,19 +98,17 @@ def phase_code(num_chips: int, sample_rate: float, seed: int) -> Waveform:
     return normalize_energy(wf)
 
 
-def write_waveform(path, wf: Waveform) -> None:
+def write_waveform(path, wf: Waveform) -> str:
+    """Write a waveform file; returns its SHA-256 hex digest."""
     iq = np.empty(2 * wf.num_samples, dtype="<f4")
     iq[0::2] = wf.samples.real
     iq[1::2] = wf.samples.imag
-    with open(path, "wb") as f:
-        f.write(_HEADER.pack(_MAGIC, wf.num_samples, wf.sample_rate))
-        f.write(iq.tobytes())
+    return write_framed(path, _HEADER.pack(_MAGIC, wf.num_samples, wf.sample_rate), iq)
 
 
 def read_waveform(path, sha256: str | None = None) -> Waveform:
     """Read a waveform file; `sha256`, when given, is the hex digest the
     whole file must have."""
-    (n, fs), iq = read_framed(path, _HEADER, _MAGIC, "waveform",
-                              lambda n, fs: (n,), sha256=sha256)
-    samples = iq.real.astype(np.float64) + 1j * iq.imag.astype(np.float64)
-    return Waveform(samples=samples, sample_rate=fs)
+    (n, fs), _, iq = read_framed(path, _HEADER, _MAGIC, "waveform",
+                                 lambda n, fs: (n,), sha256=sha256)
+    return Waveform(samples=iq.astype(np.complex128), sample_rate=fs)

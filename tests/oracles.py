@@ -3,8 +3,9 @@
 The simulator keeps one implementation of each concept, the vector
 form its pipeline runs.  The routines here are the references those
 forms are checked against: one point, one ray or one patch at a time,
-in the plainest arithmetic, plus writers of the text rasters and
-scattering tables that the tests build their fixtures from.  Where a
+in the plainest arithmetic, plus writers of the text rasters,
+scattering tables and hostile channel files that the tests build their
+fixtures from.  Where a
 test asks for bit-for-bit agreement, the reference is the arithmetic
 the vector form must reproduce.
 
@@ -14,6 +15,7 @@ Tests import them as `from oracles import ...`.
 from __future__ import annotations
 
 import math
+import struct
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -223,6 +225,38 @@ def write_landcover(path, grid: ClassGrid) -> None:
         f.write(f"origin {grid.origin_lat!r} {grid.origin_lon!r}\n")
         for row in grid.classes:
             f.write(" ".join(str(int(v)) for v in row) + "\n")
+
+
+# --- impulse-response files ------------------------------------------------------
+
+IR_HEADER = struct.Struct("<8sIIIdddI")   # RFGIR002: magic, N, M, L, fs, origin, PRF, K
+
+
+def ir_blob(n: int, m: int, l: int, support, payload_taps: int | None = None,
+            k: int | None = None) -> bytes:
+    """The bytes of an RFGIR002 file with the given header and support
+    words, the header's K defaulting to len(support), followed by
+    n * m * payload_taps (default K) complex64 taps of value 1."""
+    k = len(support) if k is None else k
+    payload_taps = k if payload_taps is None else payload_taps
+    return (IR_HEADER.pack(b"RFGIR002", n, m, l, 5e6, 0.0, 1e3, k)
+            + np.asarray(support, dtype="<u4").tobytes()
+            + np.ones(n * m * payload_taps, dtype="<c8").tobytes())
+
+
+# name -> (the bytes of a hostile RFGIR002 file, the message it must raise);
+# the valid file they vary is ir_blob(2, 3, 6, [0, 2, 3, 5])
+HOSTILE_IR_FILES = {
+    "unsorted-support": (ir_blob(2, 3, 6, [2, 0, 3, 5]), "ascend"),
+    "duplicated-support": (ir_blob(2, 3, 6, [0, 2, 2, 5]), "ascend"),
+    "support-out-of-range": (ir_blob(2, 3, 6, [0, 2, 3, 6]), "ascend"),
+    "more-occupied-than-taps": (ir_blob(2, 3, 6, list(range(7))), "occupied"),
+    "truncated-support": (ir_blob(2, 3, 6, [0, 2, 3, 5])[:IR_HEADER.size + 6], "truncated"),
+    "nmk-over-the-file-size": (ir_blob(2, 3, 6, [0, 2, 3, 5], payload_taps=3), "truncated"),
+    "nmk-under-the-file-size": (ir_blob(2, 3, 6, [0, 2, 3, 5], payload_taps=5),
+                                "trailing bytes"),
+    "huge-nmk": (ir_blob(2 ** 20, 2 ** 20, 6, [0, 2, 3, 5], payload_taps=0), "truncated"),
+}
 
 
 # --- scattering ---------------------------------------------------------------

@@ -9,10 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfclutter import binfile
 from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
 from rfclutter.errors import ConfigurationError
 from rfclutter.rxsim import DataCube, read_cube, write_cube
 from rfclutter.waveform import Waveform, read_waveform, write_waveform
+
+from oracles import HOSTILE_IR_FILES, IR_HEADER, ir_blob
 
 
 def _write_waveform(path):
@@ -20,9 +23,11 @@ def _write_waveform(path):
 
 
 def _write_ir(path):
-    taps = (np.arange(24).reshape(2, 3, 4) * (1.0 - 0.5j)).astype(np.complex64)
-    write_ir(path, ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3,
-                                          delay_origin=2e-5))
+    """Taps 1 and 4 of 6 are zero, so K = 4 occupied taps are stored."""
+    taps = (np.arange(36).reshape(2, 3, 6) * (1.0 - 0.5j)).astype(np.complex64)
+    taps[:, :, [1, 4]] = 0.0
+    write_ir(path, ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1e3,
+                                                     delay_origin=2e-5))
 
 
 def _write_cube(path):
@@ -37,8 +42,9 @@ def _write_cube(path):
 FORMATS = {
     "waveform": (_write_waveform, read_waveform, struct.Struct("<8sId"), (1,),
                  lambda wf: wf.samples.shape),
-    "impulse-response": (_write_ir, read_ir, struct.Struct("<8sIIIddd"), (1, 2, 3),
-                         lambda ir: ir.taps.shape),
+    "impulse-response": (_write_ir, read_ir, IR_HEADER, (1, 2, 3, 7),
+                         lambda ir: (ir.num_channels, ir.num_pulses, ir.num_taps,
+                                     ir.support.size)),
     "cube": (_write_cube, read_cube, struct.Struct("<8sIIIIdddd"), (1, 2, 3, 4),
              lambda cube: cube.samples.shape),
 }
@@ -134,8 +140,8 @@ def test_all_ones_header_is_rejected(fmt, valid):
 
 
 def test_header_claiming_4096_cubed_taps_is_rejected(tmp_path):
-    head = struct.pack("<8sIIIddd", b"RFGIR001", 4096, 4096, 4096, 5e6, 0.0, 1e3)
-    assert len(head) == 44
+    head = struct.pack("<8sIIIdddI", b"RFGIR002", 4096, 4096, 4096, 5e6, 0.0, 1e3, 4096)
+    assert len(head) == 48
     path = tmp_path / "lying.rfgir"
     path.write_bytes(head)
     with pytest.raises(ConfigurationError, match="truncated"):
@@ -160,10 +166,54 @@ def test_non_finite_payload_is_rejected(fmt, value, valid):
     end of the payload, is rejected."""
     _, reader, header, *_ = FORMATS[fmt]
     path, good = valid[fmt]
-    count = (len(good) - header.size) // 4
+    start = header.size
+    if fmt == "impulse-response":       # the payload follows the K tap indices
+        start += 4 * header.unpack(good[:header.size])[-1]
+    count = (len(good) - start) // 4
     for index in (0, count // 2 + 1, count - 1):
         blob = bytearray(good)
-        struct.pack_into("<f", blob, header.size + 4 * index, value)
+        struct.pack_into("<f", blob, start + 4 * index, value)
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigurationError, match="non-finite"):
             reader(path)
+
+
+def test_the_valid_impulse_response_stores_its_occupied_taps_only(valid):
+    path, good = valid["impulse-response"]
+    path.write_bytes(good)
+    ir = read_ir(path)
+    assert ir.support.tolist() == [0, 2, 3, 5] and ir.num_taps == 6
+    assert len(good) == IR_HEADER.size + 4 * 4 + 8 * 2 * 3 * 4
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_IR_FILES))
+def test_hostile_impulse_response_is_rejected_before_its_payload_is_read(
+        name, tmp_path, monkeypatch):
+    """A support that is unsorted, repeated or out of range, more
+    occupied taps than taps, a cut support section, and a header whose
+    N M K disagrees with the file size: each raises ConfigurationError,
+    and no payload byte is read or allocated first."""
+    blob, message = HOSTILE_IR_FILES[name]
+    path = tmp_path / f"{name}.rfgir"
+    path.write_bytes(blob)
+    reads = []
+    read_exact = binfile._read_exact
+
+    def recording(f, nbytes, *args):
+        reads.append(nbytes)
+        return read_exact(f, nbytes, *args)
+
+    monkeypatch.setattr(binfile, "_read_exact", recording)
+    with pytest.raises(ConfigurationError, match=message):
+        read_ir(path)
+    k = IR_HEADER.unpack(blob[:IR_HEADER.size])[-1] if len(blob) >= IR_HEADER.size else 0
+    assert reads in ([], [4 * k])      # at most the support words
+
+
+def test_an_empty_support_reads_back(tmp_path):
+    """An all-shadowed channel stores no taps at all."""
+    path = tmp_path / "empty.rfgir"
+    path.write_bytes(ir_blob(2, 3, 6, []))
+    ir = read_ir(path)
+    assert ir.taps.shape == (2, 3, 0) and ir.num_taps == 6
+    assert not ir.dense().any()

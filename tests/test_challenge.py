@@ -14,6 +14,7 @@ from rfclutter.challenge import export_challenge, read_challenge
 from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
 from rfclutter.errors import ConfigurationError
 from rfclutter.pipeline import simulate_scenario
+from rfclutter.rxsim import simulate_cube
 from rfclutter.scenario import Scenario, TargetSpec
 from rfclutter.terrain import ElevationGrid
 from rfclutter.waveform import Waveform, read_waveform, write_waveform
@@ -54,8 +55,11 @@ def test_export_then_read_round_trip(tmp_path):
         # cube payloads are complex64 on disk
         np.testing.assert_array_equal(
             data.cubes[cpi].samples, r.cube.samples.astype(np.complex64))
-        np.testing.assert_array_equal(data.clutter_irs[cpi].taps, r.clutter_ir.taps)
-        np.testing.assert_array_equal(data.target_irs[cpi].taps, r.target_ir.taps)
+        for back, ir in ((data.clutter_irs[cpi], r.clutter_ir),
+                         (data.target_irs[cpi], r.target_ir)):
+            np.testing.assert_array_equal(back.support, ir.support)
+            np.testing.assert_array_equal(back.taps, ir.taps)
+            assert back.num_taps == ir.num_taps
     # waveform samples are float32 I/Q on disk
     np.testing.assert_array_equal(
         data.waveform.samples, run.waveform.samples.astype(np.complex64))
@@ -154,6 +158,45 @@ def test_each_dataset_file_is_read_once(tmp_path, monkeypatch):
     assert set(opened.values()) == {1}
 
 
+def test_export_hashes_each_file_as_it_is_written(tmp_path, monkeypatch):
+    """Every payload file is opened once, to be written, and never read
+    back to hash it; the manifest digests are those of the bytes on
+    disk."""
+    run = small_run(num_cpis=2)
+    opened = []
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        opened.append((Path(file).name, mode))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    for module in (binfile, challenge):
+        monkeypatch.setattr(module, "open", counting_open, raising=False)
+    manifest = export_challenge(run, tmp_path / "ds")
+    monkeypatch.undo()
+    listed = [line.split()[2:] for line in manifest.read_text().splitlines()
+              if line.startswith("file = ")]
+    assert sorted(opened) == sorted((name, "wb") for name, _ in listed)
+    for name, digest in listed:
+        assert digest == hashlib.sha256((tmp_path / "ds" / name).read_bytes()).hexdigest()
+
+
+def test_simulate_export_and_read_never_build_dense_taps(tmp_path, monkeypatch):
+    """Cube assembly, export and the dataset reader work on the occupied
+    taps only: none of them asks a channel for its dense tap array."""
+    def forbidden(self):
+        raise AssertionError("dense() called")
+
+    monkeypatch.setattr(ChannelImpulseResponse, "dense", forbidden)
+    run = small_run(num_cpis=1)
+    export_challenge(run, tmp_path / "ds")
+    data = read_challenge(tmp_path / "ds")
+    cube = simulate_cube(data.clutter_irs[0], data.target_irs[0], data.waveform,
+                         run.scenario.noise_power, seed=run.scenario.seed)
+    assert cube.dims == data.cubes[0].dims
+    assert 0 < data.clutter_irs[0].support.size < data.clutter_irs[0].num_taps
+    assert data.target_irs[0].support.size == 1
+
+
 def flip_last_byte(path):
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0x01
@@ -223,7 +266,7 @@ def test_missing_file_and_bad_manifest(tmp_path):
 
     noeq = tmp_path / "noeq"
     noeq.mkdir()
-    (noeq / "manifest.txt").write_text("format rfchallenge-1\n")
+    (noeq / "manifest.txt").write_text("format rfchallenge-2\n")
     with pytest.raises(ConfigurationError, match="line 1"):
         read_challenge(noeq)
 
@@ -263,16 +306,16 @@ def relist(root, name, blob):
 
 
 def rewritten_ir(ir, taps=None, sample_rate=None, prf=None):
-    return ChannelImpulseResponse(taps=ir.taps if taps is None else taps,
-                                  sample_rate=sample_rate or ir.sample_rate,
-                                  prf=prf or ir.prf, delay_origin=ir.delay_origin)
+    return ChannelImpulseResponse.from_dense(ir.dense() if taps is None else taps,
+                                             sample_rate=sample_rate or ir.sample_rate,
+                                             prf=prf or ir.prf, delay_origin=ir.delay_origin)
 
 
 @pytest.mark.parametrize("name", ["clutter_cpi000.rfgir", "target_cpi000.rfgir"])
 @pytest.mark.parametrize("change, message", [
-    (lambda ir: rewritten_ir(ir, taps=ir.taps[:, :, :-7]), "dimensions"),
-    (lambda ir: rewritten_ir(ir, taps=ir.taps[:1]), "dimensions"),
-    (lambda ir: rewritten_ir(ir, taps=ir.taps[:, :-1]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, taps=ir.dense()[:, :, :-7]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, taps=ir.dense()[:1]), "dimensions"),
+    (lambda ir: rewritten_ir(ir, taps=ir.dense()[:, :-1]), "dimensions"),
     (lambda ir: rewritten_ir(ir, sample_rate=2.0 * ir.sample_rate), "sample_rate"),
     (lambda ir: rewritten_ir(ir, prf=3.0 * ir.prf), "prf"),
 ])

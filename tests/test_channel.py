@@ -1,6 +1,7 @@
 """Channel synthesis: bistatic geometry, patch responses, tap accumulation."""
 
 import dataclasses
+import hashlib
 import logging
 import math
 import struct
@@ -287,19 +288,21 @@ def test_synthesize_ir_single_response_closed_form():
     d = np.array([[0.0, 1.0, 0.0]])            # straight along the array axis
     ir = synthesize_ir(responses((5 / fs, 300.0, amp, 0)), d, arr, timing)
 
-    assert ir.taps.shape == (2, n_pulse, n_tap)
+    assert ir.taps.shape == (2, n_pulse, 1) and ir.num_taps == n_tap
+    assert ir.support.tolist() == [5]
     s = np.exp(1j * 2.0 * np.pi * 0.5 * np.arange(2) * 1.0)  # d/lambda = 0.5, u = 1
     m = np.arange(n_pulse)
     ramp = np.exp(2j * np.pi * 300.0 * m / prf)
     for n in range(2):
         want = amp * s[n] * ramp
-        got = ir.taps[n, :, 5].astype(np.complex128)
+        got = ir.taps[n, :, 0].astype(np.complex128)
         np.testing.assert_allclose(got, want.astype(np.complex64).astype(complex),
                                    rtol=2e-6)
     # all other taps stay exactly zero
+    dense = ir.dense()
     mask = np.ones(n_tap, dtype=bool)
     mask[5] = False
-    assert np.all(ir.taps[:, :, mask] == 0)
+    assert np.all(dense[:, :, mask] == 0)
 
 
 def test_synthesize_ir_disjoint_linearity():
@@ -320,7 +323,7 @@ def test_synthesize_ir_disjoint_linearity():
     ir_a = synthesize_ir(responses(*rows_a), np.array(dirs_a), arr, timing)
     ir_b = synthesize_ir(responses(*rows_b), np.array(dirs_b), arr, timing)
     both = synthesize_ir(responses(*rows_a, *rows_b), np.array(dirs_a + dirs_b), arr, timing)
-    np.testing.assert_array_equal(both.taps, ir_a.taps + ir_b.taps)
+    np.testing.assert_array_equal(both.dense(), ir_a.dense() + ir_b.dense())
 
 
 def test_zero_amplitude_responses_leave_ir_bit_identical():
@@ -353,8 +356,9 @@ def test_out_of_window_responses_dropped_with_warning(caplog):
     # with the shifted origin: inside -> tap 2 (kept), early -> tap -1 and
     # outside -> tap 19 (both dropped and counted)
     assert "2 patch responses" in caplog.text
-    assert ir.taps.shape == (1, 2, 8)
-    assert np.any(ir.taps[:, :, 2] != 0)
+    assert ir.taps.shape == (1, 2, 1) and ir.num_taps == 8
+    assert ir.support.tolist() == [2]
+    assert np.any(ir.taps != 0)
 
 
 def test_ir_bit_reproducible_across_runs():
@@ -455,7 +459,7 @@ def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
     tap = np.round((resp.delay[live] - timing.delay_origin) * timing.sample_rate)
     assert np.unique(tap, return_counts=True)[1].max() > 1   # real sums, not copies
     assert np.count_nonzero(want) > 0
-    assert ulp_distance(ir.taps, want).max() <= 1
+    assert ulp_distance(ir.dense(), want).max() <= 1
 
 
 def many_tap_responses(count=600, num_taps=48, seed=3):
@@ -566,15 +570,68 @@ def test_ensemble_moment_psd():
 def test_ir_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     taps = (rng.normal(size=(2, 4, 16)) + 1j * rng.normal(size=(2, 4, 16)))
-    ir = ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1800.0,
-                                delay_origin=3.2e-5, kind="clutter")
+    taps[:, :, [0, 3, 4, 9, 15]] = 0.0
+    taps[0, 1, 3] = -0.0 + 0.5j       # zero in all but one (channel, pulse)
+    ir = ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1800.0,
+                                           delay_origin=3.2e-5, kind="clutter")
+    assert ir.support.tolist() == [1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14]
     path = tmp_path / "ch.rfgir"
-    write_ir(path, ir)
+    digest = write_ir(path, ir)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert path.stat().st_size == 48 + 4 * 12 + 8 * 2 * 4 * 12
     back = read_ir(path)
-    np.testing.assert_array_equal(back.taps, ir.taps)   # complex64 native: exact
+    # complex64 native, the support as written: exact
+    assert back.support.tobytes() == ir.support.tobytes()
+    assert back.taps.tobytes() == ir.taps.tobytes()
+    assert back.num_taps == 16
+    assert back.dense().tobytes() == taps.astype(np.complex64).tobytes()
     assert back.sample_rate == ir.sample_rate
     assert back.prf == ir.prf
     assert back.delay_origin == ir.delay_origin
+
+
+@pytest.mark.parametrize("support", [[], [0], [0, 15], [2, 3, 7]])
+def test_write_ir_read_ir_keep_the_support_and_taps_bit_for_bit(tmp_path, support):
+    """Any support, the empty one of an all-shadowed channel included,
+    reads back as written, with signed zeros in the taps kept."""
+    rng = np.random.default_rng(len(support))
+    k = len(support)
+    taps = (rng.normal(size=(3, 2, k)) + 1j * rng.normal(size=(3, 2, k))).astype(np.complex64)
+    if k:
+        taps[1, 0, 0] = complex(-0.0, 0.25)
+    ir = ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3, support=support,
+                                num_taps=16, kind="target")
+    path = tmp_path / "ch.rfgir"
+    write_ir(path, ir)
+    back = read_ir(path, kind="target")
+    assert back.support.tolist() == support and back.num_taps == 16
+    assert back.taps.shape == (3, 2, k)
+    assert back.taps.tobytes() == ir.taps.tobytes()
+
+
+@pytest.mark.parametrize("support, num_taps", [
+    ([3, 1], 8), ([1, 1], 8), ([-1, 2], 8), ([2, 8], 8), ([0, 1, 2], 2)])
+def test_a_bad_support_is_rejected(support, num_taps):
+    taps = np.ones((1, 2, len(support)), dtype=np.complex64)
+    with pytest.raises(ConfigurationError, match="support"):
+        ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3, support=support,
+                               num_taps=num_taps)
+    with pytest.raises(ConfigurationError, match="support"):
+        ChannelImpulseResponse(taps=taps[:, :, :1], sample_rate=5e6, prf=1e3,
+                               support=support, num_taps=num_taps)
+
+
+def test_dense_and_from_dense_invert_each_other():
+    rng = np.random.default_rng(5)
+    taps = np.zeros((2, 3, 12), dtype=np.complex64)
+    taps[:, :, [1, 4, 11]] = rng.normal(size=(2, 3, 3))
+    taps[1, 2, 6] = 1j
+    ir = ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1e3)
+    assert ir.support.tolist() == [1, 4, 6, 11] and ir.num_taps == 12
+    assert ir.dense().tobytes() == taps.tobytes()
+    empty = ChannelImpulseResponse.from_dense(np.zeros((2, 3, 12)), sample_rate=5e6, prf=1e3)
+    assert empty.taps.shape == (2, 3, 0) and empty.num_taps == 12
+    assert not empty.dense().any()
 
 
 def test_ir_reader_rejects_corruption(tmp_path):

@@ -19,7 +19,7 @@ from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
 from rfclutter.terrain import ElevationGrid
 from rfclutter.waveform import lfm, write_waveform
 
-from oracles import write_dem, write_landcover
+from oracles import HOSTILE_IR_FILES, ir_blob, write_dem, write_landcover
 
 SCENARIO = """
 scenario.name = cli-check
@@ -121,7 +121,7 @@ def test_range_doppler_rejects_a_waveform_at_another_rate(scenario_file, tmp_pat
 
 
 @pytest.mark.parametrize("magic, fields", [
-    (b"RFWAV001", 12), (b"RFGIR001", 36), (b"RFCUBE01", 48)])
+    (b"RFWAV001", 12), (b"RFGIR002", 40), (b"RFCUBE01", 48)])
 def test_inspect_rejects_a_truncated_header_with_code_2(magic, fields, tmp_path, capsys):
     """The magic alone, and the magic with all but one byte of the
     header fields, exit 2 and name the truncated header."""
@@ -131,6 +131,24 @@ def test_inspect_rejects_a_truncated_header_with_code_2(magic, fields, tmp_path,
         assert main(["inspect", str(path)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "truncated" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_IR_FILES))
+def test_inspect_rejects_a_hostile_impulse_response_with_code_2(name, tmp_path, capsys):
+    blob, message = HOSTILE_IR_FILES[name]
+    path = tmp_path / f"{name}.rfgir"
+    path.write_bytes(blob)
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_inspect_prints_the_occupied_tap_count(tmp_path, capsys):
+    path = tmp_path / "ok.rfgir"
+    path.write_bytes(ir_blob(2, 3, 6, [0, 2, 3, 5]))
+    assert main(["inspect", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "impulse response" in out and "2 channels x 3 pulses x 6 taps, 4 occupied" in out
 
 
 def test_inspect_rejects_the_removed_covariance_format_with_code_2(tmp_path, capsys):
@@ -228,6 +246,24 @@ def test_target_on_the_platform_exits_with_code_2(scenario_file, tmp_path, capsy
     assert main(["simulate", "--scenario", str(bad), "--out", str(tmp_path / "ds")]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "coincides" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_IR_FILES))
+def test_inspect_rejects_a_hostile_impulse_response_with_code_2(name, tmp_path, capsys):
+    blob, message = HOSTILE_IR_FILES[name]
+    path = tmp_path / f"{name}.rfgir"
+    path.write_bytes(blob)
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+
+
+def test_inspect_prints_the_occupied_tap_count(tmp_path, capsys):
+    path = tmp_path / "ok.rfgir"
+    path.write_bytes(ir_blob(2, 3, 6, [0, 2, 3, 5]))
+    assert main(["inspect", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "impulse response" in out and "2 channels x 3 pulses x 6 taps, 4 occupied" in out
 
 
 def test_inspect_rejects_the_removed_covariance_format_with_code_2(tmp_path, capsys):

@@ -25,7 +25,7 @@ def random_ir(seed, n=2, m=8, taps=24):
 def delta_ir(tap, total_taps, n=1, m=4, amp=1.0):
     t = np.zeros((n, m, total_taps), dtype=np.complex64)
     t[:, :, tap] = amp
-    return ChannelImpulseResponse(taps=t, sample_rate=FS, prf=PRF)
+    return ChannelImpulseResponse.from_dense(t, sample_rate=FS, prf=PRF)
 
 
 def test_single_pair_matches_plain_simulator_exactly():
@@ -136,8 +136,8 @@ def test_leakage_validation():
     cube = simulate_mimo_cube([ir], [wf], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
         cross_channel_leakage([cube], [wf, wf])
-    zero = ChannelImpulseResponse(
-        taps=np.zeros((1, 4, 20), dtype=np.complex64), sample_rate=FS, prf=PRF)
+    zero = ChannelImpulseResponse.from_dense(
+        np.zeros((1, 4, 20), dtype=np.complex64), sample_rate=FS, prf=PRF)
     zcube = simulate_mimo_cube([zero], [wf], noise_power=0.0, seed=1)
     with pytest.raises(ValueError):
         cross_channel_leakage([zcube], [wf])

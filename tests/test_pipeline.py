@@ -205,12 +205,12 @@ def test_mimo_first_transmitter_matches_single_pipeline():
         timing = scn.timing()
         clutter = pipeline.synthesize_clutter(scn, scene, 0, timing)
         target = pipeline.synthesize_targets(scn, scene, 0, timing)
-        np.testing.assert_array_equal(irs[0].taps, clutter.taps + target.taps)
-        assert not np.array_equal(irs[1].taps, irs[0].taps)
+        np.testing.assert_array_equal(irs[0].dense(), clutter.dense() + target.dense())
+        assert not np.array_equal(irs[1].dense(), irs[0].dense())
     # the sea modulation really reaches the MIMO channel
     calm = dataclasses.replace(scn, wind_speed_mps=0.0)
     calm_irs = pipeline.mimo_irs(calm, pipeline.build_scene(calm), cpi=0)
-    assert not np.array_equal(calm_irs[0].taps, irs[0].taps)
+    assert not np.array_equal(calm_irs[0].dense(), irs[0].dense())
 
 
 EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
@@ -243,8 +243,8 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
     assert len(irs) == 1 + len(mimo_tx)
     result = pipeline.simulate_cpi(scn, scene, cpi, pipeline.default_waveform(scn))
     assert np.any(result.clutter_ir.taps) and np.any(result.target_ir.taps)
-    np.testing.assert_array_equal(irs[0].taps,
-                                  result.clutter_ir.taps + result.target_ir.taps)
+    np.testing.assert_array_equal(irs[0].dense(),
+                                  result.clutter_ir.dense() + result.target_ir.dense())
 
 
 def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
@@ -513,7 +513,7 @@ def moment_row_oracle(scn, scene, cpi, pulse, channel, k):
         modulation = (water, phase, amp)
     ir = synthesize_ir(responses, budget.directions[live], array, timing,
                        modulation=modulation)
-    return ir.taps[channel, pulse]
+    return ir.dense()[channel, pulse]
 
 
 ROW_CASES = {
@@ -744,7 +744,7 @@ def test_target_ir_closed_form_tap():
     ir = pipeline.synthesize_targets(scn, None, 0)
     r = float(np.linalg.norm(scn.targets[0].position - scn.tx_position))
     tap = round(2.0 * r / SPEED_OF_LIGHT * scn.sample_rate)
-    profile = np.abs(ir.taps[0, 0, :])
+    profile = np.abs(ir.dense()[0, 0, :])
     assert int(np.argmax(profile)) == tap
     # range equation with sigma0 * area -> rcs; the single element's
     # cos^1 pattern (boresight +x) applies on transmit and on receive
@@ -759,7 +759,7 @@ def test_target_ir_doppler_ramp():
                                 array_axis=np.array([1.0, 0.0, 0.0]))
     ir = pipeline.synthesize_targets(scn, None, 0)
     tap = round(2.0 * 6000.0 / SPEED_OF_LIGHT * scn.sample_rate)
-    series = ir.taps[0, :, tap].astype(np.complex128)
+    series = ir.dense()[0, :, tap].astype(np.complex128)
     assert np.all(series != 0)
     # closing at 80 m/s -> fd = 2 * 80 / lambda; check pulse-to-pulse rotation
     fd = 2.0 * 80.0 / scn.wavelength

@@ -33,28 +33,27 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
         wfs = wfs * ir.num_pulses
     n_out = ir.num_taps + wfs[0].num_samples - 1
     nfft = next_fast_len(n_out)
-    taps_f = np.fft.fft(ir.taps.astype(np.complex128), nfft, axis=2)
+    taps_f = np.fft.fft(ir.dense().astype(np.complex128), nfft, axis=2)
     wf_f = np.fft.fft(np.stack([w.samples for w in wfs]), nfft, axis=1)
     out = np.fft.ifft(taps_f * wf_f[None, :, :], axis=2)
     return np.ascontiguousarray(out[:, :, :n_out])
 
 
 def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
-    """Whole-cube oracle with the support rule: receive channel n whose
-    taps non-zero in any pulse, S, satisfy |S| P <= nfft is summed
-    directly, tap by tap in ascending order, into zeros; every other
-    channel is the batched FFT of `noiseless_samples`."""
+    """Whole-cube oracle with the support rule: a channel whose support
+    S satisfies |S| P <= nfft is summed directly, tap by tap in
+    ascending order, into zeros; any other channel is the batched FFT
+    of `noiseless_samples`."""
     wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
     rows = np.stack([w.samples for w in wfs])
     p = rows.shape[1]
     out = noiseless_samples(ir, waveforms)
     nfft = next_fast_len(out.shape[2])
-    for n in range(ir.num_channels):
-        support = [s for s in range(ir.num_taps) if np.any(ir.taps[n, :, s] != 0)]
-        if len(support) * p <= nfft:
-            out[n] = 0.0
-            for s in support:
-                out[n, :, s:s + p] += ir.taps[n, :, s, None] * rows
+    if ir.support.size * p <= nfft:
+        dense = ir.dense()
+        out[...] = 0.0
+        for s in ir.support:
+            out[:, :, s:s + p] += dense[:, :, s, None] * rows
     return out
 
 
@@ -129,7 +128,7 @@ def test_noiseless_samples_per_pulse_lines():
     assert out.shape == (2, 3, 16 + 8 - 1)
     for n in range(2):
         for m in range(3):
-            want = direct_convolve(ir.taps[n, m].astype(complex), wf.samples)
+            want = direct_convolve(ir.dense()[n, m].astype(complex), wf.samples)
             np.testing.assert_allclose(out[n, m], want, atol=1e-12 * np.abs(want).max())
 
 
@@ -140,7 +139,7 @@ def test_noiseless_samples_distinct_pulse_waveforms():
     wfs = [random_waveform(rng) for _ in range(3)]
     out = noiseless_samples(ir, wfs)
     for m in range(3):
-        want = direct_convolve(ir.taps[0, m].astype(complex), wfs[m].samples)
+        want = direct_convolve(ir.dense()[0, m].astype(complex), wfs[m].samples)
         np.testing.assert_allclose(out[0, m], want, atol=1e-12 * np.abs(want).max())
 
 
@@ -363,14 +362,15 @@ SPARSE_TAPS = 40      # with an 8-sample waveform: nfft 48, so |S| <= 6 goes dir
 def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, kind="target", dense_channels=()):
     """A channel non-zero only at the taps `support`; the first of them
     is zero in the even pulses, so the support is a union over pulses.
-    Receive channels in `dense_channels` have every tap non-zero."""
+    Receive channels in `dense_channels` have every tap non-zero, which
+    makes every tap part of the support."""
     taps = np.zeros((n, m, l), dtype=np.complex128)
     cols = list(support)
     taps[:, :, cols] = rng.normal(size=(n, m, len(cols))) + 1j * rng.normal(size=(n, m, len(cols)))
     taps[:, ::2, cols[:1]] = 0.0
     for c in dense_channels:
         taps[c] = rng.normal(size=(m, l)) + 1j * rng.normal(size=(m, l))
-    return ChannelImpulseResponse(taps=taps, sample_rate=FS, prf=2000.0, kind=kind)
+    return ChannelImpulseResponse.from_dense(taps, sample_rate=FS, prf=2000.0, kind=kind)
 
 
 def count_ffts(monkeypatch):
@@ -403,16 +403,28 @@ def test_direct_route_is_taken_up_to_one_transform_of_multiplies(monkeypatch, ex
     assert len(calls) == 2 * extra
 
 
+def test_one_dense_receive_channel_sends_the_channel_through_the_ffts(monkeypatch):
+    """The support is shared by the receive channels: one channel with
+    every tap occupied puts all of them on the FFT route."""
+    rng = np.random.default_rng(27)
+    wf = random_waveform(rng)
+    target = sparse_ir(rng, [3, 9], n=3, dense_channels=[1])
+    assert target.support.size == SPARSE_TAPS
+    calls = count_ffts(monkeypatch)
+    cube = simulate_cube(None, target, wf, 0.0, seed=1)
+    assert len(calls) == 3
+    assert cube.samples.tobytes() == oracle_cube([(target, wf)], 0.0, 1).tobytes()
+
+
 @pytest.mark.parametrize("noise_power", [0.0, 0.7])
 @pytest.mark.parametrize("per_pulse", [False, True])
 @pytest.mark.parametrize("parts", ["target", "both"])
 def test_direct_route_bytes_match_the_support_rule_oracle(parts, per_pulse, noise_power):
-    """A sparse target whose receive channel 1 is dense, alone and over
-    dense clutter: every (channel, receive channel) pair takes the
-    oracle's route and gives its bytes."""
+    """A sparse target, alone and over dense clutter: each channel takes
+    the oracle's route and gives its bytes."""
     rng = np.random.default_rng(21)
     clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
-    target = sparse_ir(rng, [3, 5, 9, 30], dense_channels=[1])
+    target = sparse_ir(rng, [3, 5, 9, 30])
     wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
     irs = (clutter, target) if parts == "both" else (None, target)
     cube = simulate_cube(*irs, wfs, noise_power, seed=13, cpi_index=2)
@@ -432,7 +444,7 @@ def test_direct_route_matches_direct_convolution(per_pulse):
     for n in range(3):
         for m in range(4):
             wf = wfs[m] if per_pulse else wfs
-            want = direct_convolve(target.taps[n, m].astype(complex), wf.samples)
+            want = direct_convolve(target.dense()[n, m].astype(complex), wf.samples)
             np.testing.assert_allclose(cube.samples[0, n, m], want,
                                        rtol=0.0, atol=1e-12 * np.abs(want).max())
 
@@ -456,8 +468,9 @@ def test_shadowed_target_adds_nothing():
     and leaves the clutter cube's bytes as they are."""
     rng = np.random.default_rng(24)
     clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
-    shadowed = ChannelImpulseResponse(taps=np.zeros_like(clutter.taps), sample_rate=FS,
-                                      prf=2000.0, kind="target")
+    shadowed = ChannelImpulseResponse.from_dense(np.zeros_like(clutter.taps), sample_rate=FS,
+                                                 prf=2000.0, kind="target")
+    assert shadowed.support.size == 0
     wf = random_waveform(rng)
     for noise_power in (0.0, 0.7):
         both = simulate_cube(clutter, shadowed, wf, noise_power, seed=5)
@@ -475,7 +488,7 @@ def test_direct_route_bytes_do_not_depend_on_the_worker_count(set_worker_count, 
     set_worker_count(workers)
     rng = np.random.default_rng(25)
     clutter = random_ir(rng, n=5, m=4, l=SPARSE_TAPS)
-    target = sparse_ir(rng, [4, 6, 7], n=5, dense_channels=[2])
+    target = sparse_ir(rng, [4, 6, 7], n=5)
     wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
     cube = simulate_cube(clutter, target, wfs, 0.7, seed=13, cpi_index=1)
     want = oracle_cube([(clutter, wfs), (target, wfs)], 0.7, 13, cpi_index=1)

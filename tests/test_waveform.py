@@ -1,5 +1,7 @@
 """Waveform generation and the RFWAV file format."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -125,6 +127,20 @@ def test_waveform_round_trip(tmp_path):
     # payload is f32 I/Q; round trip through f32 is exact on re-read
     np.testing.assert_array_equal(back.samples,
                                   wf.samples.astype(np.complex64).astype(np.complex128))
+
+
+def test_waveform_round_trip_keeps_signed_zeros(tmp_path):
+    """The stored float32 bits come back as they are, the sign of a zero
+    I or Q value included."""
+    wf = Waveform(np.array([complex(1.0, -0.0), complex(-0.0, 0.5), complex(-0.0, -0.0)]),
+                  sample_rate=5e6)
+    path = tmp_path / "zeros.rfwav"
+    digest = write_waveform(path, wf)
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    back = read_waveform(path)
+    assert back.samples.tobytes() == wf.samples.tobytes()
+    assert np.signbit(back.samples.view(np.float64)).tolist() == [False, True, True,
+                                                                  False, True, True]
 
 
 def test_waveform_reader_rejects_wrong_magic(tmp_path):
