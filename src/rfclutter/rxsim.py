@@ -14,12 +14,17 @@ channel's noise is drawn into the same buffer.  Peak memory is one
 cube plus one such buffer per worker.  Cube assembly, line of sight
 and the Philox draws all give the same bytes at any core count.
 
-A channel's lines go through the FFT pair unless they are sparse: when
-the channel's tap support S (the occupied taps it carries) satisfies
-|S| P <= nfft for P waveform samples, the direct sum costs at most one
-transform length of multiplies per line, and the lines are convolved
-directly over S instead.  A target channel has a few such taps, dense
-clutter hundreds.  The route depends only on the channel's own support.
+A channel carries its tap support S, the occupied taps, ascending, and
+only its window [S[0], S[-1]] is convolved: the rest of the range
+window receives nothing from it.  The lines go through the FFT pair
+unless they are sparse: when |S| P <= nfft for P waveform samples and
+nfft = next_fast_len(L + P - 1), the whole window's transform length,
+the direct sum costs at most one such transform of multiplies per
+line, and the lines are convolved directly over S instead.  A target
+channel has a few such taps, dense clutter hundreds.  An FFT-routed
+channel is transformed over its window only, at next_fast_len(span +
+P - 1) for span = S[-1] - S[0] + 1 taps.  The route and the transform
+length depend only on the channel's own support.
 
 The binary cube file format (magic RFCUBE01) is little-endian:
 
@@ -140,21 +145,27 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
     runs on the calling thread and each other block as one task of the
-    shared pool (`workers.run_blocks`).  The noise generators are
-    derived here, in channel order, before dispatch.  Each block owns
-    one (M, nfft) buffer: a channel's tap lines are convolved and summed
-    through it, and once they are copied into the cube its noise block
-    is drawn into the buffer's first 2 M R float64 words.  So the
-    working set is the cube plus one buffer per worker.  Every tap line
-    goes through the same arithmetic, and the channels and the noise
-    are added in the same order, as in a whole-cube evaluation, so the
-    bytes do not depend on the blocking or the worker count.
+    shared pool (`workers.run_blocks`).  The noise generators and each
+    channel's waveform spectrum are computed here, before dispatch.
+    Each block owns one (M, nfft) buffer: a channel's tap lines are
+    convolved and summed through it, and once they are copied into the
+    cube its noise block is drawn into the buffer's first 2 M R float64
+    words.  So the working set is the cube plus one buffer per worker.
+    Every tap line goes through the same arithmetic, and the channels
+    and the noise are added in the same order, as in a whole-cube
+    evaluation, so the bytes do not depend on the blocking or the
+    worker count.
 
-    A channel whose support S has |S| P <= nfft skips the FFTs: the
-    buffer is zeroed over the output span and, for s in S ascending, the
-    tap at s times the waveform rows is added at offset s.  The result is
-    copied or added into the lines as an FFT term is, so superposition
-    stays exact.
+    A channel with support S yields the W = S[-1] - S[0] + P output
+    samples from offset S[0].  If |S| P <= nfft, the buffer's first W
+    columns are zeroed and, for s in S ascending, the tap at s times
+    the waveform rows is added at column s - S[0]; otherwise the taps
+    are placed at those columns of a zeroed next_fast_len(W)-column
+    block, which is transformed, multiplied by the waveform spectrum of
+    that length and transformed back.  The first channel's W samples
+    are copied into the lines, and zeros around them; each later
+    channel's are added to theirs, so superposition stays exact.  An
+    empty support (a shadowed channel) yields nothing.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -177,8 +188,16 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     n_out = n_taps + p - 1
     nfft = next_fast_len(n_out)
     direct_limit = nfft // p    # |S| P <= nfft
-    terms = [(ir, r, None if ir.support.size <= direct_limit else np.fft.fft(r, nfft, axis=1))
-             for (irs, _), r in zip(groups, rows) for ir in irs]
+    # per channel: its waveform rows, the offset and width of its output
+    # window, and the waveform spectrum of its window FFT (None: direct)
+    terms = []
+    for (irs, _), r in zip(groups, rows):
+        for ir in irs:
+            lo = int(ir.support[0]) if ir.support.size else 0
+            width = int(ir.support[-1]) - lo + p if ir.support.size else 0
+            spectrum = (np.fft.fft(r, next_fast_len(width), axis=1)
+                        if ir.support.size > direct_limit else None)
+            terms.append((ir, r, lo, width, spectrum))
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 else None)
     scale = np.sqrt(noise_power / 2.0)
@@ -190,22 +209,27 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             2, n_pulses, n_out)
         for n in channels:
             lines = cube[0, n]
-            for k, (ir, waveform_rows, spectrum) in enumerate(terms):
+            for k, (ir, waveform_rows, lo, width, spectrum) in enumerate(terms):
                 taps = ir.taps[n]
                 if spectrum is not None:
-                    buf[...] = 0.0
-                    buf[:, ir.support] = taps
-                    np.fft.fft(buf, axis=1, out=buf)
-                    buf *= spectrum
-                    np.fft.ifft(buf, axis=1, out=buf)
+                    size = spectrum.shape[1]
+                    out = buf.reshape(-1)[:n_pulses * size].reshape(n_pulses, size)
+                    out[...] = 0.0
+                    out[:, ir.support - lo] = taps
+                    np.fft.fft(out, axis=1, out=out)
+                    out *= spectrum
+                    np.fft.ifft(out, axis=1, out=out)
                 else:
-                    buf[:, :n_out] = 0.0
-                    for j, s in enumerate(ir.support.tolist()):
-                        buf[:, s:s + p] += taps[:, j, None] * waveform_rows
+                    out = buf
+                    out[:, :width] = 0.0
+                    for j, s in enumerate((ir.support - lo).tolist()):
+                        out[:, s:s + p] += taps[:, j, None] * waveform_rows
                 if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
-                    lines[...] = buf[:, :n_out]
+                    lines[:, :lo] = 0.0
+                    lines[:, lo:lo + width] = out[:, :width]
+                    lines[:, lo + width:] = 0.0
                 else:
-                    lines += buf[:, :n_out]
+                    lines[:, lo:lo + width] += out[:, :width]
             if rngs is None:
                 # adding zero noise still turns -0.0 into +0.0
                 lines += 0.0

@@ -326,6 +326,16 @@ def convolve_pulse(taps: np.ndarray, waveform_samples: np.ndarray) -> np.ndarray
     return out[:n_out]
 
 
+def convolve_lines(taps: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Every (channel, pulse) line of an (N, M, L) tap array convolved
+    by `np.convolve` with its pulse's waveform row (`rows` is (1, P),
+    shared by the pulses, or (M, P)): (N, M, L + P - 1) complex128."""
+    n, m, _ = taps.shape
+    rows = np.broadcast_to(np.asarray(rows, dtype=np.complex128), (m, np.shape(rows)[-1]))
+    return np.array([[np.convolve(taps[i, j].astype(np.complex128), rows[j])
+                      for j in range(m)] for i in range(n)])
+
+
 def doppler_bin_for(doppler_hz: float, prf: float, num_pulses: int) -> int:
     """Doppler bin index nearest a Doppler frequency (wrapped)."""
     return int(round(num_pulses * doppler_hz / prf)) % num_pulses

@@ -19,7 +19,7 @@ from rfclutter.rxsim import DataCube, read_cube, simulate_cube, write_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
 
-from oracles import convolve_pulse
+from oracles import convolve_lines, convolve_pulse
 
 FS = 5e6
 
@@ -40,20 +40,29 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
 
 
 def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
-    """Whole-cube oracle with the support rule: a channel whose support
-    S satisfies |S| P <= nfft is summed directly, tap by tap in
-    ascending order, into zeros; any other channel is the batched FFT
-    of `noiseless_samples`."""
+    """Whole-cube oracle with the support rule, (N, M, L + P - 1)
+    complex128, zero outside the support's window [S[0], S[-1] + P - 1]:
+    a channel whose support S satisfies |S| P <= nfft, nfft the whole
+    window's transform length, is summed directly, tap by tap in
+    ascending order, into zeros; any other channel's window S[0] ..
+    S[-1] goes through one batched FFT of length next_fast_len(S[-1] -
+    S[0] + P)."""
     wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
     rows = np.stack([w.samples for w in wfs])
     p = rows.shape[1]
-    out = noiseless_samples(ir, waveforms)
-    nfft = next_fast_len(out.shape[2])
-    if ir.support.size * p <= nfft:
-        dense = ir.dense()
-        out[...] = 0.0
+    n_out = ir.num_taps + p - 1
+    out = np.zeros((ir.num_channels, ir.num_pulses, n_out), dtype=np.complex128)
+    dense = ir.dense()
+    if ir.support.size * p <= next_fast_len(n_out):
         for s in ir.support:
             out[:, :, s:s + p] += dense[:, :, s, None] * rows
+        return out
+    lo, hi = ir.support[0], ir.support[-1]
+    width = hi - lo + p
+    size = next_fast_len(width)
+    taps_f = np.fft.fft(dense[:, :, lo:hi + 1].astype(np.complex128), size, axis=2)
+    window = np.fft.ifft(taps_f * np.fft.fft(rows, size, axis=1)[None], axis=2)
+    out[:, :, lo:lo + width] = window[:, :, :width]
     return out
 
 
@@ -374,13 +383,13 @@ def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, kind="target", dense_channe
 
 
 def count_ffts(monkeypatch):
-    """Count the inverse FFTs cube assembly runs, one per FFT-route
-    (channel, receive channel) pair."""
+    """Record the length of each inverse FFT cube assembly runs, one per
+    FFT-route (channel, receive channel) pair."""
     calls = []
     ifft = np.fft.ifft
 
     def counting(*args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(args[0])[-1])
         return ifft(*args, **kwargs)
 
     monkeypatch.setattr(np.fft, "ifft", counting)
@@ -447,6 +456,46 @@ def test_direct_route_matches_direct_convolution(per_pulse):
             want = direct_convolve(target.dense()[n, m].astype(complex), wf.samples)
             np.testing.assert_allclose(cube.samples[0, n, m], want,
                                        rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+# supports of a 40-tap channel; with an 8-sample waveform, more than 6 taps
+# take the window FFT
+WINDOW_CASES = {
+    "gaps": [5, 6, 9, 14, 15, 16, 22, 27, 30],
+    "tap-0-and-tap-L-1": [0, 3, 8, 12, 20, 27, 33, SPARSE_TAPS - 1],
+    "single-tap": [17],
+    "empty": [],
+}
+
+
+@pytest.mark.parametrize("per_pulse", [False, True])
+@pytest.mark.parametrize("case", sorted(WINDOW_CASES))
+def test_window_route_matches_np_convolve(monkeypatch, case, per_pulse):
+    """Each line of the cube is within 1e-12 of `np.convolve` of the
+    dense taps, and exactly zero outside the support's window.  A
+    window-FFT channel is transformed at next_fast_len(span + P - 1);
+    one tap, or none (an all-shadowed channel), is summed directly."""
+    rng = np.random.default_rng(28)
+    support = WINDOW_CASES[case]
+    k = len(support)
+    ir = ChannelImpulseResponse(taps=rng.normal(size=(3, 4, k)) + 1j * rng.normal(size=(3, 4, k)),
+                                sample_rate=FS, prf=2000.0, support=support,
+                                num_taps=SPARSE_TAPS)
+    wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
+    rows = np.stack([w.samples for w in ([wfs] if isinstance(wfs, Waveform) else wfs)])
+    calls = count_ffts(monkeypatch)
+    got = simulate_cube(ir, None, wfs, 0.0, seed=1).samples[0]
+    if k * 8 > 48:
+        assert calls == [next_fast_len(support[-1] - support[0] + 8)] * 3
+    else:
+        assert calls == []
+    want = convolve_lines(ir.dense(), rows)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * (np.abs(want).max() or 1.0))
+    inside = np.zeros(got.shape[-1], dtype=bool)
+    if k:
+        inside[support[0]:support[-1] + 8] = True
+    assert not got[:, :, ~inside].any()
+    assert got.tobytes() == oracle_cube([(ir, wfs)], 0.0, 1)[0].tobytes()
 
 
 def test_dense_clutter_plus_close_sparse_target_superposes_exactly():
