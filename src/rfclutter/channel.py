@@ -150,9 +150,8 @@ class ChannelImpulseResponse:
             raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
         if self.support.size != k:
             raise ConfigurationError(f"{self.support.size} support taps for {k} tap columns")
-        if k > self.num_taps or (k and (self.support[0] < 0
-                                        or self.support[-1] >= self.num_taps
-                                        or np.any(np.diff(self.support) <= 0))):
+        if k and (self.support[0] < 0 or self.support[-1] >= self.num_taps
+                  or np.any(np.diff(self.support) <= 0)):
             raise ConfigurationError(
                 f"the support must ascend strictly within 0..{self.num_taps - 1}")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
