@@ -52,7 +52,7 @@ def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
     s = wf.samples
     p = s.shape[0]
     if wf.energy == 0.0:
-        raise ValueError("cannot pulse-compress against an all-zero waveform")
+        raise ConfigurationError("cannot pulse-compress against an all-zero waveform")
     r = x.shape[-1]
     if r < p:
         raise ConfigurationError(

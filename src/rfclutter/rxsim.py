@@ -8,11 +8,12 @@ any waveform is exactly what a fresh simulation would produce.
 A cube's receive channels are spread over the CPUs this process may
 run on, through the process's one worker pool (`workers`), which line
 of sight and the Philox draws share.  Each worker assembles its
-channels one at a time in one (M, nfft) buffer: convolution and
-superposition happen in it, and once they are copied out the
-channel's noise is drawn into the same buffer.  Peak memory is one
-cube plus one such buffer per worker.  Cube assembly, line of sight
-and the Philox draws all give the same bytes at any core count.
+channels one at a time with one (M, nfft) buffer: the channel's noise
+is drawn through it into the cube first, as float32 Box-Muller pairs
+scaled in complex128, and then each channel term is convolved in it
+and added to the noise.  Peak memory is one cube plus one such buffer
+per worker.  Cube assembly, line of sight and the Philox draws all
+give the same bytes at any core count.
 
 A channel carries its tap support S, the occupied taps, ascending, and
 only its window [S[0], S[-1]] is convolved: the rest of the range
@@ -131,30 +132,40 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     """The receiver's CPI samples, (1, N, M, L + P - 1) complex128.
 
     `groups` pairs channels with the waveforms (one Waveform or a
-    per-pulse sequence) they carry; the cube is the sum of every
-    channel convolved with its pulses, in the order given, plus
-    circular Gaussian noise of variance `noise_power` per sample.  Each
-    receive channel n draws its noise as one (2, M, L + P - 1) block of
-    standard normals from `derive_rng(seed, STREAM_NOISE, 0, cpi_index,
-    n)`, where 0 fills the key's receiver slot (there is one receiver):
-    block [0] holds the real parts and [1] the imaginary parts, each
-    scaled by sqrt(noise_power / 2).  The noise is keyed by index
-    alone, so it does not depend on evaluation order, worker count,
-    channel blocking, or which CPIs are simulated.
+    per-pulse sequence) they carry; the cube is circular Gaussian noise
+    of variance `noise_power` per sample plus every channel convolved
+    with its pulses, added to the noise in the order given.  Each
+    receive channel n draws its noise from `derive_rng(seed,
+    STREAM_NOISE, 0, cpi_index, n)`, where 0 fills the key's receiver
+    slot (there is one receiver): M R float64 uniforms u, then M R
+    float32 uniforms v, for R = L + P - 1.  In float32 the radius is
+    r = sqrt(-2 ln(1 - u)), 1 - u rounded to float32, and the angle
+    t = 2 pi v, which make the complex64 unit normal r (cos t + i sin
+    t); it is scaled by sqrt(noise_power / 2) in complex128, so no
+    noise power underflows or overflows float32.  The 53-bit u caps a
+    noise sample's power at 53 ln 2 (about 36.7) times `noise_power`,
+    a probability of about 1e-16, and the angle has 2^24 levels.  Zero
+    noise power draws nothing and starts the lines at +0.0, so they
+    hold no -0.0.  The noise is keyed by index alone, so it does not
+    depend on evaluation order, worker count, channel blocking, or
+    which CPIs are simulated.  Builds that drew numpy's ziggurat
+    normals, and added them after the channels, made other noisy
+    cubes.
 
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
     runs on the calling thread and each other block as one task of the
     shared pool (`workers.run_blocks`).  The noise generators and each
     channel's waveform spectrum are computed here, before dispatch.
-    Each block owns one (M, nfft) buffer: a channel's tap lines are
-    convolved and summed through it, and once they are copied into the
-    cube its noise block is drawn into the buffer's first 2 M R float64
-    words.  So the working set is the cube plus one buffer per worker.
-    Every tap line goes through the same arithmetic, and the channels
-    and the noise are added in the same order, as in a whole-cube
-    evaluation, so the bytes do not depend on the blocking or the
-    worker count.
+    Each block owns one (M, nfft) buffer: a channel's noise draw keeps
+    u, then z over it, in the buffer's first 8 M R bytes, r in the next
+    4 M R and v in the next, and writes the scaled noise into the cube;
+    then the channel's tap lines are convolved through the buffer and
+    added to it.  So the working set is the cube plus one buffer per
+    worker.  Every tap line goes through the same arithmetic, and the
+    noise and the channels are added in the same order, as in a
+    whole-cube evaluation, so the bytes do not depend on the blocking
+    or the worker count.
 
     A channel with support S yields the W = S[-1] - S[0] + P output
     samples from offset S[0].  If |S| P <= nfft, the buffer's first W
@@ -162,10 +173,10 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     the waveform rows is added at column s - S[0]; otherwise the taps
     are placed at those columns of a zeroed next_fast_len(W)-column
     block, which is transformed, multiplied by the waveform spectrum of
-    that length and transformed back.  The first channel's W samples
-    are copied into the lines, and zeros around them; each later
-    channel's are added to theirs, so superposition stays exact.  An
-    empty support (a shadowed channel) yields nothing.
+    that length and transformed back.  The W samples are added to the
+    lines from offset S[0], and the rest of the lines receive nothing,
+    so superposition stays exact.  An empty support (a shadowed
+    channel) yields nothing.
     """
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
@@ -200,16 +211,37 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             terms.append((ir, r, lo, width, spectrum))
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 else None)
-    scale = np.sqrt(noise_power / 2.0)
+    scale = np.sqrt(noise_power / 2.0)    # float64, so the scaling is complex128
     cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
+    count = n_pulses * n_out    # the samples of one channel's lines
 
     def assemble(channels: range) -> None:
         buf = np.empty((n_pulses, nfft), dtype=np.complex128)
-        noise = buf.reshape(-1).view(np.float64)[:2 * n_pulses * n_out].reshape(
-            2, n_pulses, n_out)
+        # the noise draw's scratch, in bytes of buf for c = count: u at
+        # [0, 8c), overlaid by z once u is consumed, r [8c, 12c), v [12c, 16c)
+        words = buf.reshape(-1).view(np.float32)
+        u = buf.reshape(-1).view(np.float64)[:count].reshape(n_pulses, n_out)
+        z = buf.reshape(-1).view(np.complex64)[:count].reshape(n_pulses, n_out)
+        r = words[2 * count:3 * count].reshape(n_pulses, n_out)
+        v = words[3 * count:4 * count].reshape(n_pulses, n_out)
         for n in channels:
             lines = cube[0, n]
-            for k, (ir, waveform_rows, lo, width, spectrum) in enumerate(terms):
+            if rngs is None:
+                lines[...] = 0.0
+            else:
+                rngs[n].random(out=u)
+                rngs[n].random(dtype=np.float32, out=v)
+                np.subtract(1.0, u, out=r)           # rounded to float32, in (0, 1]
+                np.log(r, out=r)
+                np.multiply(r, np.float32(-2.0), out=r)
+                np.sqrt(r, out=r)
+                np.multiply(v, np.float32(2.0 * np.pi), out=v)
+                np.cos(v, out=z.real)
+                np.multiply(z.real, r, out=z.real)
+                np.sin(v, out=v)
+                np.multiply(v, r, out=z.imag)
+                np.multiply(z, scale, out=lines)
+            for ir, waveform_rows, lo, width, spectrum in terms:
                 taps = ir.taps[n]
                 if spectrum is not None:
                     size = spectrum.shape[1]
@@ -224,20 +256,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                     out[:, :width] = 0.0
                     for j, s in enumerate((ir.support - lo).tolist()):
                         out[:, s:s + p] += taps[:, j, None] * waveform_rows
-                if k == 0:   # a copy: adding to zeros would turn -0.0 into +0.0
-                    lines[:, :lo] = 0.0
-                    lines[:, lo:lo + width] = out[:, :width]
-                    lines[:, lo + width:] = 0.0
-                else:
-                    lines[:, lo:lo + width] += out[:, :width]
-            if rngs is None:
-                # adding zero noise still turns -0.0 into +0.0
-                lines += 0.0
-                continue
-            rngs[n].standard_normal(out=noise)
-            noise *= scale
-            lines.real += noise[0]
-            lines.imag += noise[1]
+                lines[:, lo:lo + width] += out[:, :width]
 
     run_blocks(assemble, n_ch)
     return cube

@@ -8,8 +8,10 @@ Per-CPI consumers (receiver noise, MIMO codes) build one
 `numpy.random.Generator` per key tuple with `derive_rng`.  Receiver
 noise builds one per receive channel, keyed by (seed, STREAM_NOISE, 0,
 cpi, channel), where the 0 is a receiver slot that stays fixed because
-there is one receiver; it draws a (2, pulses, range) block of standard
-normals, real parts first, then imaginary parts.
+there is one receiver; it draws (pulses, range) float64 uniforms, then
+(pulses, range) float32 uniforms, the radii and the angles of float32
+Box-Muller pairs (see `rxsim._assemble_cube`).  Builds that drew
+numpy's ziggurat normals from these generators made other noise.
 
 Per-scatterer draws (clutter phase and Doppler jitter, sea-surface
 series) would need one such generator per scatterer, so they use a

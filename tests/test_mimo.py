@@ -53,7 +53,8 @@ def test_multi_tx_cube_is_superposition():
 
 def test_receiver_noise_streams_are_independent():
     """Two receive channels with the same taps get different noise,
-    channel n's noise is the (seed, STREAM_NOISE, 0, cpi, n) stream, and
+    channel n's noise is the Box-Muller pair of the (seed, STREAM_NOISE,
+    0, cpi, n) stream's float64 radius and float32 angle uniforms, and
     the same seed repeats it."""
     one = random_ir(4, n=1)
     ir = ChannelImpulseResponse(taps=np.repeat(one.taps, 2, axis=0), sample_rate=FS, prf=PRF)
@@ -62,10 +63,19 @@ def test_receiver_noise_streams_are_independent():
     quiet = simulate_mimo_cube([ir], [wf], noise_power=0.0, seed=5, cpi_index=3)
     noise = cube.samples[0] - quiet.samples[0]
     assert np.abs(noise[0] - noise[1]).max() > 0.0   # same signal, different noise
+    shape = cube.samples.shape[2:]
     for n in range(2):
-        draws = derive_rng(5, STREAM_NOISE, 0, 3, n).standard_normal((2,) + noise.shape[1:])
-        np.testing.assert_allclose(noise[n], (draws[0] + 1j * draws[1]) * np.sqrt(0.5),
-                                   rtol=0.0, atol=1e-12)
+        rng = derive_rng(5, STREAM_NOISE, 0, 3, n)
+        u = rng.random(shape)
+        v = rng.random(shape, dtype=np.float32)
+        radius = np.sqrt(-2 * np.log((1 - u).astype(np.float32)))
+        angle = 2 * np.pi * v
+        unit = np.empty(shape, dtype=np.complex64)
+        unit.real = radius * np.cos(angle)
+        unit.imag = radius * np.sin(angle)
+        # the noise comes first and the channel's samples are added to it
+        want = unit * np.sqrt(0.5) + quiet.samples[0, n]
+        assert cube.samples[0, n].tobytes() == want.tobytes()
     again = simulate_mimo_cube([ir], [wf], noise_power=1.0, seed=5, cpi_index=3)
     assert again.samples.tobytes() == cube.samples.tobytes()
 

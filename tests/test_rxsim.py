@@ -68,31 +68,39 @@ def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
 
 def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
                   num_range_samples: int, noise_power: float, seed: int) -> np.ndarray:
-    """Whole-cube noise oracle, (1, N, M, R): channel n draws a
-    (2, M, R) block of standard normals from derive_rng(seed,
-    STREAM_NOISE, 0, cpi_index, n), real parts first, and zero noise
-    power gives a zero cube."""
-    out = np.zeros((1, num_channels, num_pulses, num_range_samples), dtype=np.complex128)
+    """Whole-cube noise oracle, (1, N, M, R) complex128: channel n draws
+    M R float64 uniforms u, then M R float32 uniforms v, from
+    derive_rng(seed, STREAM_NOISE, 0, cpi_index, n); in float32 the
+    radius is sqrt(-2 ln(1 - u)) and the angle 2 pi v, their complex64
+    Box-Muller pair is scaled in complex128 by sqrt(noise_power / 2),
+    and zero noise power gives a zero cube."""
+    shape = (num_channels, num_pulses, num_range_samples)
     if noise_power == 0.0:
-        return out
-    scale = np.sqrt(noise_power / 2.0)
-    for n in range(num_channels):
-        rng = derive_rng(seed, STREAM_NOISE, 0, cpi_index, n)
-        re, im = rng.standard_normal((2, num_pulses, num_range_samples))
-        out[0, n].real = scale * re
-        out[0, n].imag = scale * im
-    return out
+        return np.zeros((1,) + shape, dtype=np.complex128)
+    rngs = [derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(num_channels)]
+    u = np.stack([g.random(shape[1:]) for g in rngs])
+    v = np.stack([g.random(shape[1:], dtype=np.float32) for g in rngs])
+    radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u).astype(np.float32)))
+    angle = np.float32(2.0 * np.pi) * v
+    z = np.empty(shape, dtype=np.complex64)
+    z.real = radius * np.cos(angle)
+    z.imag = radius * np.sin(angle)
+    return (z * np.sqrt(noise_power / 2.0))[None]
 
 
 def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
-    """Whole-cube oracle of the receiver's samples: the (channel,
-    waveforms) terms convolved under the support rule and summed in
-    order, then noise added."""
-    signal = support_rule_samples(*terms[0])
-    for ir, wfs in terms[1:]:
-        signal = signal + support_rule_samples(ir, wfs)
-    n, m, r = signal.shape
-    return signal[None] + noise_samples(cpi_index, n, m, r, noise_power, seed)
+    """Whole-cube oracle of the receiver's samples: the noise, then each
+    (channel, waveforms) term convolved under the support rule and
+    added in order over its window [S[0], S[-1] + P - 1] (the rest of
+    the range window receives nothing from it)."""
+    signals = [support_rule_samples(ir, wfs) for ir, wfs in terms]
+    n, m, r = signals[0].shape
+    cube = noise_samples(cpi_index, n, m, r, noise_power, seed)[0]
+    for (ir, _), signal in zip(terms, signals):
+        if ir.support.size:
+            lo, hi = ir.support[0], ir.support[-1] + r - ir.num_taps    # r - L = P - 1
+            cube[:, :, lo:hi + 1] += signal[:, :, lo:hi + 1]
+    return cube[None]
 
 
 def random_ir(rng, n=2, m=3, l=16, kind="clutter"):
@@ -199,6 +207,46 @@ def test_noise_variance_and_independence():
 def test_zero_noise_power_is_exactly_zero():
     noise = noise_samples(0, 1, 2, 64, noise_power=0.0, seed=1)
     assert np.all(noise == 0)
+
+
+def silent_cube_noise(noise_power: float) -> np.ndarray:
+    """The 2**20 samples of a cube whose one channel has no taps, so
+    every sample is receiver noise."""
+    silent = ChannelImpulseResponse.from_dense(np.zeros((4, 64, 4089), dtype=np.complex64),
+                                               sample_rate=FS, prf=2000.0)
+    wf = Waveform(samples=np.ones(8), sample_rate=FS)
+    cube = simulate_cube(silent, None, wf, noise_power, seed=17, cpi_index=1)
+    assert cube.samples.size == 2 ** 20
+    return cube.samples.reshape(-1)
+
+
+def test_receiver_noise_is_circular_gaussian_of_the_noise_power():
+    """Per-component mean and variance, circularity E[z^2] = 0 and the
+    exponential tail P(|z|^2 / sigma^2 > t) = exp(-t), each within 5
+    standard deviations of its estimate over the sample count."""
+    sigma2 = 0.7
+    z = silent_cube_noise(sigma2)
+    n = z.size
+    for part in (z.real, z.imag):
+        assert abs(part.mean()) < 5 * np.sqrt(sigma2 / 2 / n)
+        # the sample variance of a normal has standard deviation var sqrt(2 / n)
+        assert abs(part.var() / (sigma2 / 2) - 1) < 5 * np.sqrt(2 / n)
+    second = np.mean(z * z) / sigma2    # each part has standard deviation 1 / sqrt(n)
+    assert abs(second.real) < 5 / np.sqrt(n) and abs(second.imag) < 5 / np.sqrt(n)
+    power = np.abs(z) ** 2 / sigma2
+    for t in (2.0, 6.0, 10.0):
+        p = np.exp(-t)
+        assert abs(np.count_nonzero(power > t) - n * p) < 5 * np.sqrt(n * p * (1 - p)), t
+
+
+def test_receiver_noise_is_scaled_in_double_precision():
+    """Noise powers far outside float32's range keep the variance of a
+    unit noise power: a float32 scale would flush 1e-80 to zero and
+    overflow 1e80."""
+    unit = np.mean(np.abs(silent_cube_noise(1.0)) ** 2)
+    for sigma2 in (1e-80, 1e80):
+        assert np.mean(np.abs(silent_cube_noise(sigma2)) ** 2) / sigma2 == pytest.approx(
+            unit, rel=1e-12), sigma2
 
 
 def test_cube_noise_matches_absolute_cpi_stream():
@@ -560,8 +608,9 @@ def test_mimo_direct_route_bytes_match_the_oracle(set_worker_count, workers):
 
 
 def test_zero_noise_still_clears_negative_zeros():
-    """Adding a zero noise cube turns -0.0 into +0.0, and a zero
-    waveform's convolution holds -0.0 samples."""
+    """Without noise the lines start at +0.0, and adding the channel to
+    them turns -0.0 into +0.0: a zero waveform's convolution holds -0.0
+    samples."""
     rng = np.random.default_rng(12)
     ir = random_ir(rng)
     silent = Waveform(samples=np.zeros(8), sample_rate=FS)
