@@ -41,7 +41,7 @@ def families(frame: int, seed: int):
 
 
 def leakage_matrix(pair, ir) -> np.ndarray:
-    cubes = [simulate_mimo_cube([ir], [w], noise_power=0.0, seed=1)
+    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)
              for w in pair]
     return cross_channel_leakage(cubes, list(pair))
 

@@ -27,7 +27,6 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -260,8 +259,7 @@ def read_challenge(path) -> ChallengeData:
         if not any(name in files for name in channel_names):
             raise ConfigurationError(
                 f"CPI {cpi} has neither a clutter nor a target channel file")
-        for kind, name in zip(("clutter", "target"), channel_names):
-            readers[name] = partial(read_ir, kind=kind)
+        readers.update(dict.fromkeys(channel_names, read_ir))
     if "waveform.rfwav" not in files:
         raise ConfigurationError("manifest lists no waveform.rfwav")
 

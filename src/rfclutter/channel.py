@@ -131,7 +131,6 @@ class ChannelImpulseResponse:
     sample_rate: float           # Hz
     prf: float                   # Hz
     delay_origin: float = 0.0    # s
-    kind: str = "clutter"        # "clutter" | "target"
     support: np.ndarray | None = None   # (K,) ascending tap indices
     num_taps: int | None = None  # L, the receive window in taps
 
@@ -162,8 +161,8 @@ class ChannelImpulseResponse:
         self.support.setflags(write=False)
 
     @classmethod
-    def from_dense(cls, taps, sample_rate: float, prf: float, delay_origin: float = 0.0,
-                   kind: str = "clutter") -> "ChannelImpulseResponse":
+    def from_dense(cls, taps, sample_rate: float, prf: float,
+                   delay_origin: float = 0.0) -> "ChannelImpulseResponse":
         """The channel of an (N, M, L) tap array: its support is the taps
         that are non-zero in some channel and pulse."""
         taps = np.asarray(taps, dtype=np.complex64)
@@ -171,7 +170,7 @@ class ChannelImpulseResponse:
             raise ConfigurationError("impulse response taps must have shape (N, M, L)")
         support = np.flatnonzero(taps.any(axis=(0, 1)))
         return cls(taps=taps[:, :, support], sample_rate=sample_rate, prf=prf,
-                   delay_origin=delay_origin, kind=kind, support=support,
+                   delay_origin=delay_origin, support=support,
                    num_taps=taps.shape[2])
 
     def dense(self) -> np.ndarray:
@@ -284,7 +283,7 @@ def drawn_amplitudes_dopplers(words, delays: np.ndarray, dopplers: np.ndarray,
 
 
 def synthesize_ir(responses: np.recarray, directions: np.ndarray,
-                  array: ArrayGeometry, timing: RadarTiming, kind: str = "clutter",
+                  array: ArrayGeometry, timing: RadarTiming,
                   modulation: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
                   ) -> ChannelImpulseResponse:
     """Accumulate scatterer responses into per-channel, per-pulse taps.
@@ -385,8 +384,8 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     run_blocks(accumulate, len(edges) - 1)
 
     return ChannelImpulseResponse(taps=out, sample_rate=timing.sample_rate, prf=timing.prf,
-                                  delay_origin=timing.delay_origin, kind=kind,
-                                  support=support, num_taps=n_tap)
+                                  delay_origin=timing.delay_origin, support=support,
+                                  num_taps=n_tap)
 
 
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:
@@ -424,11 +423,11 @@ def write_ir(path, ir: ChannelImpulseResponse) -> str:
                         np.ascontiguousarray(ir.taps, dtype="<c8"))
 
 
-def read_ir(path, kind: str = "clutter", sha256: str | None = None) -> ChannelImpulseResponse:
+def read_ir(path, sha256: str | None = None) -> ChannelImpulseResponse:
     """Read an impulse-response file; `sha256`, when given, is the hex
     digest the whole file must have."""
     (n, m, l, fs, origin, prf, k), support, taps = read_framed(
         path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l),
         sha256=sha256, occupied=lambda *fields: fields[-1])
     return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf, delay_origin=origin,
-                                  kind=kind, support=support, num_taps=l)
+                                  support=support, num_taps=l)

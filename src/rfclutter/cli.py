@@ -30,7 +30,7 @@ from .errors import ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
                        generate_scenario2, load_scenario)
 from .seeding import STREAM_MIMO_CODE, derive_seed
-from .waveform import phase_code, read_waveform, write_waveform
+from .waveform import Waveform, phase_code, read_waveform, write_waveform
 
 _PRESETS = {
     "scenario1": generate_scenario1,
@@ -134,19 +134,21 @@ def cmd_range_doppler(args) -> int:
         wf = read_waveform(args.waveform) if args.waveform else None
         if wf is None:
             raise ConfigurationError("--cube needs --waveform for compression")
-        # a cube file holds exactly one CPI; --cpi only labels the output
-        cubes = [(args.cpi, 0, cube)]
+        if cube.num_cpis != 1:
+            raise ConfigurationError(
+                f"--cube needs a one-CPI cube file; {args.cube} holds {cube.num_cpis} CPIs")
+        cubes = [(args.cpi, cube)]
         weights = np.ones(cube.num_channels)
     else:
         scn = _load(args)
         run = pipeline.simulate_scenario(scn)
         wf = run.waveform
-        cubes = [(r.cpi, 0, r.cube) for r in run.results]
+        cubes = [(r.cpi, r.cube) for r in run.results]
         weights = np.ones(scn.num_channels)
 
-    for cpi, cube_cpi, cube in cubes:
+    for cpi, cube in cubes:
         map_db, peaks = dsp.range_doppler_map(
-            cube, wf, weights, cpi=cube_cpi, window=args.window,
+            cube, wf, weights, window=args.window,
             clip_db=args.clip_db, peak_offset_db=args.peak_offset_db)
         stem = f"rd_cpi{cpi:03d}"
         _write_raster_outputs(out, stem, map_db, args.clip_db)
@@ -167,9 +169,7 @@ def cmd_cofar_optimize(args) -> int:
     base = cofar.scnr(probe.samples, moments)
     s_opt, gain = cofar.optimal_waveform(moments)
     wf_path = out / "optimal_waveform.rfwav"
-    from .waveform import Waveform
-    write_waveform(wf_path, Waveform(samples=s_opt, sample_rate=scn.sample_rate,
-                                     label="scnr-optimal"))
+    write_waveform(wf_path, Waveform(samples=s_opt, sample_rate=scn.sample_rate))
     with open(out / "cofar_report.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["quantity", "value"])
@@ -187,19 +187,19 @@ def cmd_mimo_sim(args) -> int:
     scn = _load(args)
     out = _out_dir(args)
     scene = pipeline.build_scene(scn)
-    tx_irs = pipeline.mimo_irs(scn, scene, cpi=args.cpi)
-    num_tx = len(tx_irs)
+    tx_channels = pipeline.mimo_irs(scn, scene, cpi=args.cpi)
+    num_tx = len(tx_channels)
     chips = scn.num_waveform_samples
     codes = [phase_code(chips, scn.sample_rate,
                         seed=derive_seed(scn.seed, STREAM_MIMO_CODE, t))
              for t in range(num_tx)]
-    cube = mimo.simulate_mimo_cube(tx_irs, codes, scn.noise_power, scn.seed,
+    cube = mimo.simulate_mimo_cube(tx_channels, codes, scn.noise_power, scn.seed,
                                    carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
     rxsim.write_cube(out / "mimo_rx0.rfcube", cube)
 
-    singles = [mimo.simulate_mimo_cube([ir], [code], 0.0, scn.seed,
+    singles = [mimo.simulate_mimo_cube([channels], [code], 0.0, scn.seed,
                                        carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-               for ir, code in zip(tx_irs, codes)]
+               for channels, code in zip(tx_channels, codes)]
     leak = mimo.cross_channel_leakage(singles, codes)
     with open(out / "mimo_leakage.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
@@ -277,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--cube", help="process an existing cube file instead")
     p.add_argument("--waveform", help="waveform file for --cube")
-    p.add_argument("--cpi", type=int, default=0, help="CPI index within --cube")
+    p.add_argument("--cpi", type=int, default=0,
+                   help="the CPI number that names the outputs of --cube")
     p.add_argument("--window", choices=["hann"], default=None)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
     p.add_argument("--peak-offset-db", type=float, default=dsp.DEFAULT_PEAK_OFFSET_DB)

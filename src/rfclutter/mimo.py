@@ -1,11 +1,14 @@
 """Multi-transmitter (MIMO) channel simulation and separation measurement.
 
-Every transmitter gets its own channel impulse response to the one
-receive array; the receiver's cube is the sum over transmitters of that
-transmitter's channel convolved with its waveform, plus receiver noise.
-Waveform separability is measured by matched-filtering a
-single-transmitter cube with every transmitter's waveform and comparing
-peaks.
+Every transmitter has its own channels to the one receive array, kept
+apart as the single-transmitter pipeline keeps them: its clutter
+channel and its target channel (`pipeline.mimo_irs`).  The receiver's
+cube is the sum over transmitters of each of that transmitter's
+channels convolved with its waveform, plus receiver noise, all through
+the one cube assembler, so transmitter 0 alone gives the
+single-transmitter cube byte for byte.  Waveform separability is
+measured by matched-filtering a single-transmitter cube with every
+transmitter's waveform and comparing peaks.
 """
 
 from __future__ import annotations
@@ -20,29 +23,25 @@ from .rxsim import DataCube, _assemble_cube
 from .waveform import Waveform
 
 
-def simulate_mimo_cube(tx_irs: Sequence[ChannelImpulseResponse],
+def simulate_mimo_cube(tx_channels: Sequence[Sequence[ChannelImpulseResponse]],
                        waveforms: Sequence[Waveform], noise_power: float,
                        seed: int, carrier_hz: float = 0.0,
                        cpi_index: int = 0) -> DataCube:
-    """The receiver's cube for one channel per transmitter.
+    """The receiver's cube for a list of channels per transmitter.
 
-    tx_irs[t] is the channel from transmitter t to the receiver;
-    waveforms[t] is what transmitter t radiates.  Transmit returns are
-    accumulated in tx order and the noise is the single-channel
-    simulator's, so one transmitter gives `simulate_cube`'s bytes.
+    tx_channels[t] holds the channels from transmitter t to the
+    receiver, at least one, such as its clutter and its target
+    channel; waveforms[t] is what transmitter t radiates.  The channels
+    are added in tx order, and in list order within a transmitter, and
+    the noise is the single-transmitter simulator's, so one transmitter
+    with [clutter, target] gives `simulate_cube`'s bytes.
+    `rxsim._assemble_cube` checks that every channel and waveform agree.
     """
-    num_tx = len(tx_irs)
-    if num_tx == 0:
-        raise ConfigurationError("need at least one transmitter")
-    if len(waveforms) != num_tx:
+    if len(waveforms) != len(tx_channels):
         raise ConfigurationError(
-            f"{num_tx} transmitters but {len(waveforms)} waveforms")
-    ref = tx_irs[0]
-    samples = _assemble_cube([([ir], wf) for ir, wf in zip(tx_irs, waveforms)],
-                             noise_power, seed, cpi_index)
-    return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
-                    noise_power=noise_power, carrier_hz=carrier_hz,
-                    delay_origin=ref.delay_origin)
+            f"{len(tx_channels)} transmitters but {len(waveforms)} waveforms")
+    return _assemble_cube(list(zip(tx_channels, waveforms)), noise_power, seed, cpi_index,
+                          carrier_hz)
 
 
 LEAKAGE_FLOOR_DB = -300.0

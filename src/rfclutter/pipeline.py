@@ -69,7 +69,6 @@ class SceneModel:
     landcover: ClassGrid
     patches: PatchArrays
     grid_shape: tuple[int, int]
-    num_building_patches: int = 0
     discrete_rcs: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
     def __post_init__(self):
@@ -148,7 +147,6 @@ def build_scene(scn: Scenario) -> SceneModel | None:
                           ids=np.arange(len(centers)))
     return SceneModel(dem=dem, landcover=landcover, patches=patches,
                       grid_shape=patch_grid_shape(dem, scn.patch_size_m),
-                      num_building_patches=n_roof,
                       discrete_rcs=np.array([d.rcs for d in scn.discretes]))
 
 
@@ -209,7 +207,6 @@ class PatchBudget:
     visible: np.ndarray         # (n,) bool, LOS-tested and both paths clear
     los_tested: np.ndarray      # (n,) bool, the contribution candidates
     grazing: np.ndarray         # (n,) rad, tx side; discretes carry pi/2
-    sigma0: np.ndarray          # (n,) m^2/m^2; discretes carry their RCS
 
 
 def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
@@ -276,7 +273,7 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
                  len(centers), int(np.count_nonzero(in_window)), idx.size,
                  int(np.count_nonzero(visible)))
     return PatchBudget(gains=gains, directions=dirs_rx, visible=visible,
-                       los_tested=tested, grazing=graz, sigma0=sigma0)
+                       los_tested=tested, grazing=graz)
 
 
 def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
@@ -341,7 +338,7 @@ def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
     live = np.flatnonzero(budget.gains)
     responses = _clutter_responses(scn, scene, budget, live, tx, rx, cpi,
                                    scn.seed if seed is None else seed)
-    return synthesize_ir(responses, budget.directions[live], array, timing, kind="clutter",
+    return synthesize_ir(responses, budget.directions[live], array, timing,
                          modulation=_ocean_modulation(scn, scene, cpi, live))
 
 
@@ -384,7 +381,7 @@ def synthesize_targets(scn: Scenario, scene: SceneModel | None, cpi: int,
     phase = -2.0 * np.pi * (delays * SPEED_OF_LIGHT) / scn.wavelength
     responses = scatterer_responses(delays, dopplers, np.sqrt(gains) * np.exp(1j * phase),
                                     np.arange(len(states)))
-    return synthesize_ir(responses, directions, array, timing, kind="target")
+    return synthesize_ir(responses, directions, array, timing)
 
 
 def _check_indices(scn: Scenario, cpi: int, pulse: int = 0, channel: int = 0) -> None:
@@ -589,34 +586,27 @@ def mimo_transmitters(scn: Scenario, cpi: int) -> list[PlatformState]:
 
 
 def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
-             ) -> list[ChannelImpulseResponse]:
-    """Combined clutter+target impulse response from each transmitter
-    to the scenario's one receive array, in transmitter order; targets
-    ride in the same taps since the MIMO simulator takes one channel
-    per transmitter."""
+             ) -> list[list[ChannelImpulseResponse]]:
+    """Each transmitter's channels to the scenario's one receive array,
+    in transmitter order: its clutter channel when there is a scene,
+    then its target channel when there are targets.  Transmitter 0's
+    are the single-transmitter pipeline's channels."""
     _check_indices(scn, cpi)
     if scene is None and not scn.targets:
         raise ConfigurationError("scenario has neither terrain nor targets")
     timing = scn.timing()
-    irs = []
+    tx_channels = []
     for t_idx, tx in enumerate(mimo_transmitters(scn, cpi)):
-        ir = None
+        channels = []
         if scene is not None:
             # transmitter 0 is the scenario's own: same streams as the
             # single-transmitter pipeline; extras get derived seeds
             seed = scn.seed if t_idx == 0 else derive_seed(scn.seed, STREAM_MIMO_CODE, t_idx)
-            ir = synthesize_clutter(scn, scene, cpi, timing, tx=tx, seed=seed)
+            channels.append(synthesize_clutter(scn, scene, cpi, timing, tx=tx, seed=seed))
         if scn.targets:
-            tgt = synthesize_targets(scn, scene, cpi, timing, tx=tx)
-            if ir is None:
-                ir = tgt
-            else:
-                ir = ChannelImpulseResponse.from_dense(ir.dense() + tgt.dense(),
-                                                       sample_rate=ir.sample_rate,
-                                                       prf=ir.prf,
-                                                       delay_origin=ir.delay_origin)
-        irs.append(ir)
-    return irs
+            channels.append(synthesize_targets(scn, scene, cpi, timing, tx=tx))
+        tx_channels.append(channels)
+    return tx_channels
 
 
 # --- diagnostic maps ---------------------------------------------------------
@@ -631,10 +621,13 @@ class GainMap:
     visible: np.ndarray
     grazing: np.ndarray
     patch_size: float
-    floor_db: float
 
 
-def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
+# gain_map's value, in dB, for cells with no gain
+GAIN_MAP_FLOOR_DB = -320.0
+
+
+def gain_map(scn: Scenario, cpi: int = 0) -> GainMap:
     """Per-patch budget at one CPI arranged as a north-up raster.
 
     Each cell's gain is the linear-power sum of its terrain patch and of
@@ -667,6 +660,5 @@ def gain_map(scn: Scenario, cpi: int = 0, floor_db: float = -320.0) -> GainMap:
     graz = budget.grazing[:n].reshape(n_y, n_x)[::-1]
     with np.errstate(divide="ignore"):
         gdb = 10.0 * np.log10(g)
-    gdb = np.where(np.isfinite(gdb), np.maximum(gdb, floor_db), floor_db)
-    return GainMap(gains_db=gdb, visible=vis, grazing=graz,
-                   patch_size=scn.patch_size_m, floor_db=floor_db)
+    gdb = np.where(np.isfinite(gdb), np.maximum(gdb, GAIN_MAP_FLOOR_DB), GAIN_MAP_FLOOR_DB)
+    return GainMap(gains_db=gdb, visible=vis, grazing=graz, patch_size=scn.patch_size_m)

@@ -128,13 +128,21 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
 
 
 def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
-                   noise_power: float, seed: int, cpi_index: int) -> np.ndarray:
-    """The receiver's CPI samples, (1, N, M, L + P - 1) complex128.
+                   noise_power: float, seed: int, cpi_index: int,
+                   carrier_hz: float) -> DataCube:
+    """The receiver's one-CPI cube, samples (1, N, M, L + P - 1) complex128.
 
     `groups` pairs channels with the waveforms (one Waveform or a
-    per-pulse sequence) they carry; the cube is circular Gaussian noise
-    of variance `noise_power` per sample plus every channel convolved
-    with its pulses, added to the noise in the order given.  Each
+    per-pulse sequence) they carry.  Every group needs at least one
+    channel, and every channel and waveform must agree with the first
+    channel: dimensions (N, M, L), sample rate (to 1e-6 relative), PRF
+    (to 1e-6 relative) and delay origin (to 1e-15 s); every waveform
+    must have one length P.  Anything else is a ConfigurationError.  The
+    cube carries the first channel's rate, PRF and delay origin.
+
+    The samples are circular Gaussian noise of variance `noise_power`
+    per sample plus every channel convolved with its pulses, added to
+    the noise in the order given.  Each
     receive channel n draws its noise from `derive_rng(seed,
     STREAM_NOISE, 0, cpi_index, n)`, where 0 fills the key's receiver
     slot (there is one receiver): M R float64 uniforms u, then M R
@@ -181,10 +189,12 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     if not (np.isfinite(noise_power) and noise_power >= 0):
         raise ConfigurationError(
             f"noise_power must be non-negative and finite, got {noise_power}")
+    if not groups or not all(irs for irs, _ in groups):
+        raise ConfigurationError(
+            "a cube needs at least one waveform, each with at least one channel")
     ref = groups[0][0][0]
     n_ch, n_pulses, n_taps = dims = (ref.num_channels, ref.num_pulses, ref.num_taps)
-    rows = []
-    for irs, waveforms in groups:
+    for irs, _ in groups:
         for ir in irs:
             got = (ir.num_channels, ir.num_pulses, ir.num_taps)
             if got != dims:
@@ -192,7 +202,12 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             if abs(ir.sample_rate - ref.sample_rate) > 1e-6 * ref.sample_rate:
                 raise ConfigurationError(
                     f"channel sample rates {ir.sample_rate} and {ref.sample_rate} differ")
-        rows.append(_waveform_rows(waveforms, ref))
+            if abs(ir.prf - ref.prf) > 1e-6 * ref.prf:
+                raise ConfigurationError(f"channel PRFs {ir.prf} and {ref.prf} differ")
+            if abs(ir.delay_origin - ref.delay_origin) > 1e-15:
+                raise ConfigurationError(
+                    f"channel delay origins {ir.delay_origin} and {ref.delay_origin} differ")
+    rows = [_waveform_rows(waveforms, ref) for _, waveforms in groups]
     p = rows[0].shape[1]
     if any(r.shape[1] != p for r in rows):
         raise ConfigurationError("the waveforms of one cube must share one length")
@@ -259,7 +274,9 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                 lines[:, lo:lo + width] += out[:, :width]
 
     run_blocks(assemble, n_ch)
-    return cube
+    return DataCube(samples=cube, sample_rate=ref.sample_rate, prf=ref.prf,
+                    noise_power=noise_power, carrier_hz=carrier_hz,
+                    delay_origin=ref.delay_origin)
 
 
 def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
@@ -271,23 +288,12 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
     The two channels are convolved separately and summed, so the cube of
     the combined scene equals the sum of the single-channel cubes
     exactly.  The range window is the full convolution length L + P - 1.
-    `waveforms` is one Waveform or one per pulse, all of one length;
-    both channels and the waveforms must share one sample rate.
+    `waveforms` is one Waveform or one per pulse.  At least one channel
+    is needed, and `_assemble_cube` checks that the channels and the
+    waveforms agree.
     """
     irs = [ir for ir in (clutter_ir, target_ir) if ir is not None]
-    if not irs:
-        raise ConfigurationError("need at least one of clutter_ir / target_ir")
-    ref = irs[0]
-    for ir in irs[1:]:
-        if abs(ir.prf - ref.prf) > 1e-6 * ref.prf:
-            raise ConfigurationError("clutter and target PRFs differ")
-        if abs(ir.delay_origin - ref.delay_origin) > 1e-15:
-            raise ConfigurationError("clutter and target delay origins differ")
-
-    samples = _assemble_cube([(irs, waveforms)], noise_power, seed, cpi_index)
-    return DataCube(samples=samples, sample_rate=ref.sample_rate, prf=ref.prf,
-                    noise_power=noise_power, carrier_hz=carrier_hz,
-                    delay_origin=ref.delay_origin)
+    return _assemble_cube([(irs, waveforms)], noise_power, seed, cpi_index, carrier_hz)
 
 
 def write_cube(path, cube: DataCube) -> str:

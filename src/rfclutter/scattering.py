@@ -87,15 +87,15 @@ def default_table() -> ScatteringTable:
 
 def patch_power_scales(sigma0: np.ndarray, area: np.ndarray, tx_gain: np.ndarray,
                        rx_gain: np.ndarray, wavelength: float,
-                       r_tx: np.ndarray, r_rx: np.ndarray,
-                       shadowed: np.ndarray | None = None) -> np.ndarray:
+                       r_tx: np.ndarray, r_rx: np.ndarray) -> np.ndarray:
     """Two-way power scale G of each patch via the bistatic range equation:
 
         G = tx_gain * rx_gain * wavelength^2 * sigma0 * area
             / ((4 pi)^3 * r_tx^2 * r_rx^2)
 
-    Shadowed patches get exactly 0.  For a point target pass the RCS as
-    sigma0 with area = 1.
+    For a point target pass the RCS as sigma0 with area = 1.  Shadowing
+    is the caller's: `pipeline.patch_budget` zeroes the gains of the
+    patches it finds shadowed.
     """
     if wavelength <= 0:
         raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
@@ -103,13 +103,10 @@ def patch_power_scales(sigma0: np.ndarray, area: np.ndarray, tx_gain: np.ndarray
     r_rx = np.asarray(r_rx, dtype=np.float64)
     if np.any(r_tx <= 0) or np.any(r_rx <= 0):
         raise ValueError("ranges must be positive")
-    g = (np.asarray(tx_gain, dtype=np.float64) * np.asarray(rx_gain, dtype=np.float64)
-         * wavelength ** 2 * np.asarray(sigma0, dtype=np.float64)
-         * np.asarray(area, dtype=np.float64)
-         / (FOUR_PI_CUBED * r_tx ** 2 * r_rx ** 2))
-    if shadowed is not None:
-        g = np.where(np.asarray(shadowed, dtype=bool), 0.0, g)
-    return g
+    return (np.asarray(tx_gain, dtype=np.float64) * np.asarray(rx_gain, dtype=np.float64)
+            * wavelength ** 2 * np.asarray(sigma0, dtype=np.float64)
+            * np.asarray(area, dtype=np.float64)
+            / (FOUR_PI_CUBED * r_tx ** 2 * r_rx ** 2))
 
 
 # --- table file format -------------------------------------------------------

@@ -28,7 +28,6 @@ _HEADER = struct.Struct("<8sId")
 class Waveform:
     samples: np.ndarray          # complex128 (P,)
     sample_rate: float           # Hz
-    label: str = ""
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
@@ -58,8 +57,7 @@ def normalize_energy(wf: Waveform) -> Waveform:
     e = wf.energy
     if e == 0.0:
         raise ValueError("cannot normalize an all-zero waveform")
-    return Waveform(samples=wf.samples / np.sqrt(e), sample_rate=wf.sample_rate,
-                    label=wf.label)
+    return Waveform(samples=wf.samples / np.sqrt(e), sample_rate=wf.sample_rate)
 
 
 def lfm(bandwidth: float, duration: float, sample_rate: float,
@@ -82,9 +80,7 @@ def lfm(bandwidth: float, duration: float, sample_rate: float,
     t = np.arange(n) / sample_rate - duration / 2.0
     sign = 1.0 if direction == "up" else -1.0
     phase = sign * np.pi * (bandwidth / duration) * t * t
-    wf = Waveform(samples=np.exp(1j * phase), sample_rate=sample_rate,
-                  label=f"lfm_{direction}")
-    return normalize_energy(wf)
+    return normalize_energy(Waveform(samples=np.exp(1j * phase), sample_rate=sample_rate))
 
 
 def phase_code(num_chips: int, sample_rate: float, seed: int) -> Waveform:
@@ -93,9 +89,7 @@ def phase_code(num_chips: int, sample_rate: float, seed: int) -> Waveform:
         raise ConfigurationError(f"num_chips must be >= 1, got {num_chips}")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, num_chips)
-    wf = Waveform(samples=np.exp(1j * phases), sample_rate=sample_rate,
-                  label=f"phase_code_{seed}")
-    return normalize_energy(wf)
+    return normalize_energy(Waveform(samples=np.exp(1j * phases), sample_rate=sample_rate))
 
 
 def write_waveform(path, wf: Waveform) -> str:

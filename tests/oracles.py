@@ -276,15 +276,13 @@ def sigma0(table: ScatteringTable, landcover_class: int, band: str, grazing: flo
 
 
 def patch_power_scale(sigma0: float, area: float, tx_gain: float, rx_gain: float,
-                      wavelength: float, r_tx: float, r_rx: float,
-                      shadowed: bool = False) -> float:
+                      wavelength: float, r_tx: float, r_rx: float) -> float:
     """Two-way power scale G for one patch via the bistatic range equation:
 
         G = tx_gain * rx_gain * wavelength^2 * sigma0 * area
             / ((4 pi)^3 * r_tx^2 * r_rx^2)
 
-    Returns 0 for shadowed patches.  For a point target pass the RCS as
-    sigma0 with area = 1.
+    For a point target pass the RCS as sigma0 with area = 1.
     """
     if r_tx <= 0 or r_rx <= 0:
         raise ValueError(f"ranges must be positive, got r_tx={r_tx}, r_rx={r_rx}")
@@ -292,8 +290,6 @@ def patch_power_scale(sigma0: float, area: float, tx_gain: float, rx_gain: float
         raise ValueError("sigma0, area and gains must be non-negative")
     if wavelength <= 0:
         raise ConfigurationError(f"wavelength must be positive, got {wavelength}")
-    if shadowed:
-        return 0.0
     return (tx_gain * rx_gain * wavelength ** 2 * sigma0 * area
             / (FOUR_PI_CUBED * r_tx ** 2 * r_rx ** 2))
 

@@ -326,7 +326,7 @@ def test_09_waveform_separation_ordering():
         taps=np.ones((1, 4, 1), dtype=np.complex64), sample_rate=fs, prf=2000.0)
 
     def leakage(wf_a, wf_b):
-        cubes = [simulate_mimo_cube([one_tap], [w], noise_power=0.0, seed=1)
+        cubes = [simulate_mimo_cube([[one_tap]], [w], noise_power=0.0, seed=1)
                  for w in (wf_a, wf_b)]
         return cross_channel_leakage(cubes, [wf_a, wf_b])
 

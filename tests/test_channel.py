@@ -573,7 +573,7 @@ def test_ir_round_trip(tmp_path):
     taps[:, :, [0, 3, 4, 9, 15]] = 0.0
     taps[0, 1, 3] = -0.0 + 0.5j       # zero in all but one (channel, pulse)
     ir = ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1800.0,
-                                           delay_origin=3.2e-5, kind="clutter")
+                                           delay_origin=3.2e-5)
     assert ir.support.tolist() == [1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14]
     path = tmp_path / "ch.rfgir"
     digest = write_ir(path, ir)
@@ -600,10 +600,10 @@ def test_write_ir_read_ir_keep_the_support_and_taps_bit_for_bit(tmp_path, suppor
     if k:
         taps[1, 0, 0] = complex(-0.0, 0.25)
     ir = ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=1e3, support=support,
-                                num_taps=16, kind="target")
+                                num_taps=16)
     path = tmp_path / "ch.rfgir"
     write_ir(path, ir)
-    back = read_ir(path, kind="target")
+    back = read_ir(path)
     assert back.support.tolist() == support and back.num_taps == 16
     assert back.taps.shape == (3, 2, k)
     assert back.taps.tobytes() == ir.taps.tobytes()

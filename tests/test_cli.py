@@ -14,6 +14,7 @@ import rfclutter
 from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
+from rfclutter.rxsim import read_cube, write_cube
 from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
                                 scenario_text)
 from rfclutter.terrain import ElevationGrid
@@ -94,6 +95,23 @@ def test_range_doppler_from_dataset_cube(scenario_file, tmp_path):
     assert rc == 0
     assert (out / "rd_cpi001.csv").exists()
     assert (out / "rd_cpi001_peaks.csv").exists()
+
+
+def test_range_doppler_rejects_a_cube_file_of_several_cpis(scenario_file, tmp_path, capsys):
+    """`--cube` maps one CPI; a file of two exits 2 instead of mapping
+    its CPI 0 under the name that `--cpi` gives."""
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    c0, c1 = (read_cube(ds / f"cube_cpi00{c}.rfcube") for c in (0, 1))
+    two = tmp_path / "two.rfcube"
+    write_cube(two, replace(c0, samples=np.concatenate([c0.samples, c1.samples])))
+    out = tmp_path / "rd"
+    capsys.readouterr()
+    assert main(["range-doppler", "--cube", str(two), "--waveform", str(ds / "waveform.rfwav"),
+                 "--cpi", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "2 CPIs" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_inspect_identifies_files(scenario_file, tmp_path, capsys):

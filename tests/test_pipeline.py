@@ -22,6 +22,7 @@ from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
 from rfclutter.cli import main
 from rfclutter.dsp import range_doppler_map
 from rfclutter.errors import ConfigurationError
+from rfclutter.mimo import simulate_mimo_cube
 from rfclutter.ocean import OceanState, pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 Scenario, TargetSpec, generate_scenario1,
@@ -62,8 +63,8 @@ def test_build_scene_patch_counts():
     scene = pipeline.build_scene(scn)
     assert scene.num_terrain_patches == 400        # (1200 / 60)^2
     assert scene.grid_shape == (20, 20)
-    assert scene.num_building_patches == 0
     assert scene.num_discretes == 0
+    assert len(scene.patches) == 400                # no roofs
     assert scene.patches.ids.tolist() == list(range(400))
 
 
@@ -75,8 +76,9 @@ def test_build_scene_appends_discretes_and_buildings():
     )
     scene = pipeline.build_scene(scn)
     assert scene.num_terrain_patches == 400
-    assert scene.num_building_patches == 2
     assert scene.num_discretes == 1
+    # two roofs between the terrain and the discrete
+    assert len(scene.patches) - scene.num_terrain_patches - scene.num_discretes == 2
     # ids continue through roofs into discretes
     assert len(scene.patches) == scene.num_responses == 403
     assert scene.patches.ids[400:].tolist() == [400, 401, 402]
@@ -191,32 +193,11 @@ def half_water_cover():
     return ClassGrid(classes=classes, cell_size=30.0)
 
 
-def test_mimo_first_transmitter_matches_single_pipeline():
-    for extra in ({}, dict(landcover=half_water_cover(), wind_speed_mps=12.0)):
-        scn = tiny_scenario(
-            targets=[TargetSpec(position=[900.0, 600.0, 0.0],
-                                velocity=[10.0, 0.0, 0.0], rcs=50.0)],
-            mimo_tx=[(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))],
-            **extra,
-        )
-        scene = pipeline.build_scene(scn)
-        irs = pipeline.mimo_irs(scn, scene, cpi=0)
-        assert len(irs) == 2
-        timing = scn.timing()
-        clutter = pipeline.synthesize_clutter(scn, scene, 0, timing)
-        target = pipeline.synthesize_targets(scn, scene, 0, timing)
-        np.testing.assert_array_equal(irs[0].dense(), clutter.dense() + target.dense())
-        assert not np.array_equal(irs[1].dense(), irs[0].dense())
-    # the sea modulation really reaches the MIMO channel
-    calm = dataclasses.replace(scn, wind_speed_mps=0.0)
-    calm_irs = pipeline.mimo_irs(calm, pipeline.build_scene(calm), cpi=0)
-    assert not np.array_equal(calm_irs[0].dense(), irs[0].dense())
-
-
 EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("cpi, options", [
+    (0, {}),
     (0, dict(clutter_doppler_std_hz=40.0)),
     (0, dict(rx_position=np.array([100.0, 300.0, 250.0]),
              rx_velocity=np.array([0.0, 10.0, 0.0]))),
@@ -225,11 +206,14 @@ EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
     (1, {}),
     (0, dict(landcover=half_water_cover(), wind_speed_mps=12.0, extra_tx=True)),
     (1, dict(landcover=half_water_cover(), wind_speed_mps=12.0, extra_tx=True)),
-], ids=["jitter", "bistatic", "buildings", "cpi1", "wind-extra-tx", "wind-extra-tx-cpi1"])
+], ids=["defaults", "jitter", "bistatic", "buildings", "cpi1", "wind-extra-tx",
+        "wind-extra-tx-cpi1"])
 def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
-    """MIMO transmitter 0 carries exactly the taps of the
-    single-transmitter pipeline, clutter plus target, under each
-    scenario option, not only at the defaults."""
+    """MIMO transmitter 0 carries exactly the single-transmitter
+    pipeline's clutter and target channels, and its cube alone is the
+    pipeline's noisy cube byte for byte, under each scenario option,
+    not only at the defaults; the other transmitters see other
+    channels."""
     options = dict(options)
     mimo_tx = [(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))]
     if options.pop("extra_tx", False):
@@ -237,14 +221,26 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
     scn = tiny_scenario(
         targets=[TargetSpec(position=[900.0, 600.0, 0.0],
                             velocity=[10.0, 0.0, 0.0], rcs=50.0)],
-        mimo_tx=mimo_tx, **options)
+        mimo_tx=mimo_tx, noise_power=0.3, **options)
     scene = pipeline.build_scene(scn)
     irs = pipeline.mimo_irs(scn, scene, cpi=cpi)
     assert len(irs) == 1 + len(mimo_tx)
-    result = pipeline.simulate_cpi(scn, scene, cpi, pipeline.default_waveform(scn))
+    wf = pipeline.default_waveform(scn)
+    result = pipeline.simulate_cpi(scn, scene, cpi, wf)
     assert np.any(result.clutter_ir.taps) and np.any(result.target_ir.taps)
-    np.testing.assert_array_equal(irs[0].dense(),
-                                  result.clutter_ir.dense() + result.target_ir.dense())
+    assert len(irs[0]) == 2
+    for got, want in zip(irs[0], (result.clutter_ir, result.target_ir)):
+        assert got.support.tobytes() == want.support.tobytes()
+        assert got.taps.tobytes() == want.taps.tobytes()
+    cube = simulate_mimo_cube([irs[0]], [wf], scn.noise_power, scn.seed,
+                              carrier_hz=scn.carrier_hz, cpi_index=cpi)
+    assert cube.samples.tobytes() == result.cube.samples.tobytes()
+    assert not np.array_equal(irs[1][0].dense(), irs[0][0].dense())
+    if scn.wind_speed_mps > 0.0:
+        # the sea modulation really reaches the MIMO channel
+        calm = dataclasses.replace(scn, wind_speed_mps=0.0)
+        calm_irs = pipeline.mimo_irs(calm, pipeline.build_scene(calm), cpi=cpi)
+        assert not np.array_equal(calm_irs[0][0].dense(), irs[0][0].dense())
 
 
 def test_cpi_threads_on_a_one_thread_pool_keep_the_serial_bytes(monkeypatch):
@@ -376,8 +372,8 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
     sigma0 = np.concatenate([sigma0, scene.discrete_rcs])
     areas = np.concatenate([facets.areas, np.ones(n_disc)])
     args = (sigma0, areas, tx_gain, rx_gain, scn.wavelength, r_tx, r_rx)
-    return SimpleNamespace(gains=patch_power_scales(*args, shadowed=~visible),
-                           unshadowed=patch_power_scales(*args),
+    unshadowed = patch_power_scales(*args)
+    return SimpleNamespace(gains=np.where(visible, unshadowed, 0.0), unshadowed=unshadowed,
                            directions=dirs_rx, in_window=in_window,
                            on_raster=on_raster, vis_tx=vis_tx, both_clear=both_clear)
 
@@ -398,7 +394,7 @@ def all_patch_clutter(scn, scene, cpi, timing, budget):
                                                scn.wavelength,
                                                derive_seed(scn.seed, STREAM_OCEAN, cpi)))
     return synthesize_ir(responses, budget.directions, pipeline.receive_array(scn),
-                         timing, kind="clutter", modulation=modulation)
+                         timing, modulation=modulation)
 
 
 def bistatic_walled_scenario():
@@ -652,7 +648,7 @@ def test_gain_map_keeps_full_visibility(tmp_path):
     # the map reports shadow, and the visibility of zero-gain patches
     # that the gated budget never marches
     assert not want.all()
-    assert want[gm.gains_db <= gm.floor_db].any()
+    assert want[gm.gains_db <= pipeline.GAIN_MAP_FLOOR_DB].any()
 
     assert main(["los-map", "--preset", "scenario1", "--out", str(tmp_path)]) == 0
     text = io.StringIO(newline="")
@@ -677,7 +673,7 @@ def test_gain_map_sums_every_scatterer_into_its_cell(make):
     tx, rx = pipeline.platform_states(scn, 0)
     budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn))
     gm = pipeline.gain_map(scn)
-    linear = np.where(gm.gains_db > gm.floor_db, 10.0 ** (gm.gains_db / 10.0), 0.0)
+    linear = np.where(gm.gains_db > pipeline.GAIN_MAP_FLOOR_DB, 10.0 ** (gm.gains_db / 10.0), 0.0)
     assert np.count_nonzero(budget.gains[scene.num_terrain_patches:]) > 0
     assert linear.sum() == pytest.approx(budget.gains.sum(), rel=1e-12)
 

@@ -103,9 +103,9 @@ def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
     return cube[None]
 
 
-def random_ir(rng, n=2, m=3, l=16, kind="clutter"):
+def random_ir(rng, n=2, m=3, l=16):
     taps = rng.normal(size=(n, m, l)) + 1j * rng.normal(size=(n, m, l))
-    return ChannelImpulseResponse(taps=taps, sample_rate=FS, prf=2000.0, kind=kind)
+    return ChannelImpulseResponse(taps=taps, sample_rate=FS, prf=2000.0)
 
 
 def random_waveform(rng, p=8):
@@ -164,7 +164,7 @@ def test_clutter_target_superposition_is_exact():
     """Separate convolutions summed: combined cube == sum of parts."""
     rng = np.random.default_rng(2)
     clutter = random_ir(rng)
-    target = random_ir(rng, kind="target")
+    target = random_ir(rng)
     wf = random_waveform(rng)
     both = simulate_cube(clutter, target, wf, 0.0, seed=5)
     only_c = simulate_cube(clutter, None, wf, 0.0, seed=5)
@@ -264,7 +264,7 @@ def test_cube_noise_matches_absolute_cpi_stream():
 def assert_cube_bytes_match_the_oracle(parts, per_pulse, noise_power, n):
     rng = np.random.default_rng(10)
     clutter = random_ir(rng, n=n, m=4, l=20)
-    target = random_ir(rng, n=n, m=4, l=20, kind="target")
+    target = random_ir(rng, n=n, m=4, l=20)
     wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
     irs = {"clutter": (clutter, None), "target": (None, target),
            "both": (clutter, target)}[parts]
@@ -296,10 +296,13 @@ def test_cube_bytes_do_not_depend_on_the_worker_count(set_worker_count, parts, p
 
 def assert_mimo_cube_bytes_match_the_oracle(noise_power, n):
     rng = np.random.default_rng(11)
-    tx_irs = [random_ir(rng, n=n) for _ in range(3)]
+    # the middle transmitter carries two channels, as clutter and target
+    tx_channels = [[random_ir(rng, n=n)], [random_ir(rng, n=n), random_ir(rng, n=n)],
+                   [random_ir(rng, n=n)]]
     wfs = [random_waveform(rng) for _ in range(3)]
-    cube = simulate_mimo_cube(tx_irs, wfs, noise_power, seed=21, cpi_index=2)
-    want = oracle_cube(list(zip(tx_irs, wfs)), noise_power, 21, cpi_index=2)
+    cube = simulate_mimo_cube(tx_channels, wfs, noise_power, seed=21, cpi_index=2)
+    want = oracle_cube([(ir, wf) for channels, wf in zip(tx_channels, wfs) for ir in channels],
+                       noise_power, 21, cpi_index=2)
     assert cube.samples.tobytes() == want.tobytes()
 
 
@@ -325,7 +328,7 @@ def test_concurrent_cubes_and_blocks_keep_their_bytes(monkeypatch):
     another's scratch or channels."""
     rng = np.random.default_rng(18)
     clutter = random_ir(rng, n=8, m=32, l=500)
-    target = random_ir(rng, n=8, m=32, l=500, kind="target")
+    target = random_ir(rng, n=8, m=32, l=500)
     wf = random_waveform(rng, p=16)
     want = oracle_cube([(clutter, wf), (target, wf)], 0.7, 9).tobytes()
     pool = ThreadPoolExecutor(8)
@@ -393,7 +396,7 @@ def count_noise_streams(monkeypatch):
 def test_cube_derives_one_noise_stream_per_channel(monkeypatch, per_pulse):
     rng = np.random.default_rng(15)
     clutter = random_ir(rng, n=3, m=5)
-    target = random_ir(rng, n=3, m=5, kind="target")
+    target = random_ir(rng, n=3, m=5)
     wfs = [random_waveform(rng) for _ in range(5)] if per_pulse else random_waveform(rng)
     keys = count_noise_streams(monkeypatch)
     simulate_cube(clutter, target, wfs, 0.4, seed=6, cpi_index=3)
@@ -404,10 +407,10 @@ def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
     """Three transmitters into two receive channels derive two noise
     streams, not one per transmitter."""
     rng = np.random.default_rng(16)
-    tx_irs = [random_ir(rng, n=2) for _ in range(3)]
+    tx_channels = [[random_ir(rng, n=2)] for _ in range(3)]
     wfs = [random_waveform(rng) for _ in range(3)]
     keys = count_noise_streams(monkeypatch)
-    simulate_mimo_cube(tx_irs, wfs, 0.4, seed=8, cpi_index=1)
+    simulate_mimo_cube(tx_channels, wfs, 0.4, seed=8, cpi_index=1)
     assert keys == [(8, STREAM_NOISE, 0, 1, n) for n in range(2)]
 
 
@@ -416,7 +419,7 @@ def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
 SPARSE_TAPS = 40      # with an 8-sample waveform: nfft 48, so |S| <= 6 goes direct
 
 
-def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, kind="target", dense_channels=()):
+def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, dense_channels=()):
     """A channel non-zero only at the taps `support`; the first of them
     is zero in the even pulses, so the support is a union over pulses.
     Receive channels in `dense_channels` have every tap non-zero, which
@@ -427,7 +430,7 @@ def sparse_ir(rng, support, n=3, m=4, l=SPARSE_TAPS, kind="target", dense_channe
     taps[:, ::2, cols[:1]] = 0.0
     for c in dense_channels:
         taps[c] = rng.normal(size=(m, l)) + 1j * rng.normal(size=(m, l))
-    return ChannelImpulseResponse.from_dense(taps, sample_rate=FS, prf=2000.0, kind=kind)
+    return ChannelImpulseResponse.from_dense(taps, sample_rate=FS, prf=2000.0)
 
 
 def count_ffts(monkeypatch):
@@ -566,7 +569,7 @@ def test_shadowed_target_adds_nothing():
     rng = np.random.default_rng(24)
     clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
     shadowed = ChannelImpulseResponse.from_dense(np.zeros_like(clutter.taps), sample_rate=FS,
-                                                 prf=2000.0, kind="target")
+                                                 prf=2000.0)
     assert shadowed.support.size == 0
     wf = random_waveform(rng)
     for noise_power in (0.0, 0.7):
@@ -602,7 +605,7 @@ def test_mimo_direct_route_bytes_match_the_oracle(set_worker_count, workers):
               sparse_ir(rng, [2, 3], n=5, m=3, dense_channels=[4]),
               random_ir(rng, n=5, l=SPARSE_TAPS)]
     wfs = [random_waveform(rng) for _ in range(4)]
-    cube = simulate_mimo_cube(tx_irs, wfs, 0.7, seed=21, cpi_index=2)
+    cube = simulate_mimo_cube([[ir] for ir in tx_irs], wfs, 0.7, seed=21, cpi_index=2)
     want = oracle_cube(list(zip(tx_irs, wfs)), 0.7, 21, cpi_index=2)
     assert cube.samples.tobytes() == want.tobytes()
 
@@ -627,7 +630,7 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
     n, m, l, p = 8, 64, 1000, 32
     rng = np.random.default_rng(13)
     clutter = random_ir(rng, n=n, m=m, l=l)
-    target = random_ir(rng, n=n, m=m, l=l, kind="target")
+    target = random_ir(rng, n=n, m=m, l=l)
     wf = random_waveform(rng, p=p)
     n_out = l + p - 1
     cube_bytes = n * m * n_out * 16
@@ -663,7 +666,7 @@ def test_bad_noise_power_is_rejected_before_any_fft(monkeypatch, noise_power):
 def test_mismatched_channels_rejected():
     rng = np.random.default_rng(6)
     a = random_ir(rng, n=2)
-    b = random_ir(rng, n=3, kind="target")
+    b = random_ir(rng, n=3)
     with pytest.raises(ConfigurationError):
         simulate_cube(a, b, random_waveform(rng), 0.0, seed=1)
     with pytest.raises(ConfigurationError):

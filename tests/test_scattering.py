@@ -95,12 +95,6 @@ def test_power_scale_separable_in_tx_gain(k):
     assert scaled == pytest.approx(k * base, rel=1e-12)
 
 
-def test_shadowed_patch_scale_is_exactly_zero():
-    g = patch_power_scale(sigma0=0.5, area=900.0, tx_gain=1.0, rx_gain=1.0,
-                          wavelength=0.03, r_tx=1000.0, r_rx=1000.0, shadowed=True)
-    assert g == 0.0
-
-
 def test_power_scales_vectorized_matches_scalar():
     rng = np.random.default_rng(9)
     n = 50
@@ -110,13 +104,10 @@ def test_power_scales_vectorized_matches_scalar():
     rxg = rng.uniform(0, 2, n)
     r1 = rng.uniform(1e3, 2e4, n)
     r2 = rng.uniform(1e3, 2e4, n)
-    shadowed = rng.random(n) < 0.3
-    vec = patch_power_scales(sigma0, area, txg, rxg, 0.03, r1, r2, shadowed)
+    vec = patch_power_scales(sigma0, area, txg, rxg, 0.03, r1, r2)
     for i in range(n):
-        want = patch_power_scale(sigma0[i], area[i], txg[i], rxg[i], 0.03,
-                                 r1[i], r2[i], bool(shadowed[i]))
+        want = patch_power_scale(sigma0[i], area[i], txg[i], rxg[i], 0.03, r1[i], r2[i])
         assert vec[i] == want
-    assert np.all(vec[shadowed] == 0.0)
     assert np.all(vec >= 0.0)
 
 

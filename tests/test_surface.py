@@ -1,10 +1,17 @@
 """The public surface of the package: every module-level function and
-class in src/rfclutter has a caller in the program.
+class in src/rfclutter has a caller in the program, and every dataclass
+field a reader.
 
 A caller is a reference, outside the definition's own body, somewhere
 in the code under src/, scripts/ or bench/: a name, an attribute or an
 import alias.  Docstrings, comments and strings do not count.  A
 routine that only the tests call belongs in tests/oracles.py.
+
+A reader of a field is an attribute load of its name in that code,
+outside `__post_init__` and `__setattr__` (which only check or normalize
+what was stored), or a string constant equal to its name, as
+`scenario._KEYS` names the fields that `scenario_text` reads.  A field
+that only the tests read is write-only for the program.
 """
 
 import ast
@@ -74,3 +81,51 @@ def test_the_allowed_names_are_public_and_uncalled():
     allowed = {(path, name) for path, name in definitions if name in ALLOWED}
     assert sorted(name for _, name in allowed) == sorted(ALLOWED)
     assert allowed.isdisjoint(hits)
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        f = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def dataclass_fields() -> dict[str, str]:
+    """"Class.field" -> field name of every dataclass field in the package."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        found[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+    return found
+
+
+def read_names() -> set[str]:
+    """Attribute names the program loads outside `__post_init__` and
+    `__setattr__`, and its string constants."""
+    names = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            skipped = {id(inner) for node in ast.walk(tree)
+                       if isinstance(node, ast.FunctionDef)
+                       and node.name in ("__post_init__", "__setattr__")
+                       for inner in ast.walk(node)}
+            for node in ast.walk(tree):
+                if id(node) in skipped:
+                    continue
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    names.add(node.value)
+    return names
+
+
+def test_every_dataclass_field_has_a_reader():
+    fields = dataclass_fields()
+    assert "ChannelImpulseResponse.taps" in fields
+    names = read_names()
+    assert sorted(q for q, name in fields.items() if name not in names) == []
