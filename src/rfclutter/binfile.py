@@ -84,6 +84,11 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
             raise ConfigurationError(f"{path}: truncated {what} payload")
         if nindex + nbytes < available:
             raise ConfigurationError(f"{path}: trailing bytes after {what} payload")
+        # with K = 0 no byte backs the leading axes, and numpy refuses a
+        # shape whose non-zero axes multiply past the address space
+        if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
+            raise ConfigurationError(
+                f"{path}: {what} header declares {dims}, too many elements to address")
         index = None
         if count is not None:
             index = np.frombuffer(_read_exact(f, nindex, path, what), dtype="<u4")

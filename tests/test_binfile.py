@@ -148,6 +148,15 @@ def test_header_claiming_4096_cubed_taps_is_rejected(tmp_path):
         read_ir(path)
 
 
+def test_header_with_no_occupied_taps_and_unaddressable_channels_is_rejected(tmp_path):
+    """K = 0 leaves no payload to bound 2^30 x 2^30 channels and pulses."""
+    head = struct.pack("<8sIIIdddI", b"RFGIR002", 2 ** 30, 2 ** 30, 1, 5e6, 0.0, 1e3, 0)
+    path = tmp_path / "empty.rfgir"
+    path.write_bytes(head)
+    with pytest.raises(ConfigurationError, match="too many elements"):
+        read_ir(path)
+
+
 @pytest.mark.parametrize("field", [4, 6])      # the sample rate and the PRF
 def test_impulse_response_with_nan_rate_is_rejected(field, valid):
     path, good = valid["impulse-response"]
