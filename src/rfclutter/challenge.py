@@ -56,7 +56,8 @@ def export_challenge(run: ScenarioRun, out_dir) -> Path:
     """Write a run to `out_dir`; returns the manifest path.
 
     Each payload file is serialized, written and hashed in one block of
-    the shared worker pool, so no file is read back; the files are
+    the shared worker pool, so no file is read back (a cube, complex64
+    in memory as on disk, is written without a copy); the files are
     listed in a fixed order (waveform, scenario, then each CPI's cube,
     clutter and target channel), whatever the worker count."""
     out = Path(out_dir)

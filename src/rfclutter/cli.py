@@ -134,9 +134,6 @@ def cmd_range_doppler(args) -> int:
         wf = read_waveform(args.waveform) if args.waveform else None
         if wf is None:
             raise ConfigurationError("--cube needs --waveform for compression")
-        if cube.num_cpis != 1:
-            raise ConfigurationError(
-                f"--cube needs a one-CPI cube file; {args.cube} holds {cube.num_cpis} CPIs")
         cubes = [(args.cpi, cube)]
         weights = np.ones(cube.num_channels)
     else:

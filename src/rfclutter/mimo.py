@@ -48,17 +48,16 @@ LEAKAGE_FLOOR_DB = -300.0
 
 
 def cross_channel_leakage(single_tx_cubes: Sequence[DataCube],
-                          waveforms: Sequence[Waveform], cpi: int = 0,
-                          channel: int = 0) -> np.ndarray:
+                          waveforms: Sequence[Waveform], channel: int = 0) -> np.ndarray:
     """Matched-filter cross-talk matrix in dB.
 
     single_tx_cubes[b] must be generated with only transmitter b
-    radiating.  Entry (a, b) is the peak magnitude of waveform a's
-    matched filter applied to cube b, relative to the matched peak
-    (a, a), as 20 log10 of the amplitude ratio.  Peaks are taken over
-    all pulses and fully-overlapped range lags of one receive channel.
-    An exactly zero cross response reports the floor value
-    LEAKAGE_FLOOR_DB.
+    radiating and hold one CPI.  Entry (a, b) is the peak magnitude of
+    waveform a's matched filter applied to cube b, relative to the
+    matched peak (a, a), as 20 log10 of the amplitude ratio.  Peaks are
+    taken over all pulses and fully-overlapped range lags of one
+    receive channel.  An exactly zero cross response reports the floor
+    value LEAKAGE_FLOOR_DB.
     """
     from .dsp import pulse_compress  # local import; dsp depends on rxsim
 
@@ -69,7 +68,7 @@ def cross_channel_leakage(single_tx_cubes: Sequence[DataCube],
     peaks = np.empty((num_tx, num_tx))
     for a in range(num_tx):
         for b in range(num_tx):
-            x = single_tx_cubes[b].samples[cpi, channel]
+            x = single_tx_cubes[b].one_cpi()[channel]
             mf = pulse_compress(x, waveforms[a])
             peaks[a, b] = float(np.abs(mf).max())
     out = np.empty((num_tx, num_tx))

@@ -1,19 +1,28 @@
 """Receiver IQ simulation: waveform convolution plus thermal noise.
 
-A data cube holds samples[cpi, channel, pulse, range]; each pulse's raw
-return is the linear convolution of that pulse's channel taps with the
+A data cube holds samples[cpi, channel, pulse, range] as complex64, the
+values its cube file stores, with one CPI; each pulse's raw return is
+the linear convolution of that pulse's channel taps with the
 transmitted waveform, so a cube built from exported channel files and
-any waveform is exactly what a fresh simulation would produce.
+any waveform is exactly what a fresh simulation would produce, in
+memory as on disk.
 
 A cube's receive channels are spread over the CPUs this process may
 run on, through the process's one worker pool (`workers`), which line
 of sight and the Philox draws share.  Each worker assembles its
-channels one at a time with one (M, nfft) buffer: the channel's noise
-is drawn through it into the cube first, as float32 Box-Muller pairs
-scaled in complex128, and then each channel term is convolved in it
-and added to the noise.  Peak memory is one cube plus one such buffer
-per worker.  Cube assembly, line of sight and the Philox draws all
-give the same bytes at any core count.
+channels one at a time in a complex128 (M, R) line buffer: the
+channel's noise is drawn into it first, as float32 Box-Muller pairs
+scaled in complex128, each channel term is convolved in one (M, nfft)
+buffer and added to it, and the lines are rounded once into the
+complex64 cube.  Peak memory is one cube plus the two buffers per
+worker.  Cube assembly, line of sight and the Philox draws all give
+the same bytes at any core count.
+
+The receiver noise of a CPI does not depend on the waveform, so
+replaying a CPI with several waveforms draws it once: the process
+keeps the unit noise of at most one CPI, 8 bytes per sample, from the
+second request for its key on (`_assemble_cube`).  A simulation, whose
+CPIs never repeat, keeps nothing.
 
 A channel carries its tap support S, the occupied taps, ascending, and
 only its window [S[0], S[-1]] is convolved: the rest of the range
@@ -47,7 +56,9 @@ sample 0 sits at delay 0 can be written.
 
 from __future__ import annotations
 
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,9 +75,30 @@ from .workers import run_blocks
 _MAGIC = b"RFCUBE01"
 _HEADER = struct.Struct("<8sIIIIdddd")
 
+# The receiver noise kept for replay: (key, unit noise), where key is
+# the (seed, cpi_index, N, M, R) of the last noisy cube request and the
+# unit noise is None until that key repeats, then its read-only
+# (N, M, R) complex64 draw (8 N M R bytes, one CPI at most); see
+# `_assemble_cube`.  The lock orders its updates; a forked child, which
+# has none of its parent's threads, makes its own.
+_noise: tuple[tuple | None, np.ndarray | None] = (None, None)
+_noise_lock = threading.Lock()
+
+
+def _new_noise_lock() -> None:
+    global _noise_lock
+    _noise_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_noise_lock)
+
+
 @dataclass
 class DataCube:
-    samples: np.ndarray          # (C, N, M, R) complex
+    # (C, N, M, R) complex64, the values a cube file stores; C is 1 for
+    # every cube the simulator builds (a file may hold more)
+    samples: np.ndarray
     sample_rate: float           # Hz
     prf: float                   # Hz
     noise_power: float           # complex variance per sample
@@ -74,7 +106,7 @@ class DataCube:
     delay_origin: float = 0.0    # s, absolute delay of range sample 0
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
         if self.samples.ndim != 4:
             raise ConfigurationError("cube samples must have shape (C, N, M, R)")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
@@ -86,6 +118,14 @@ class DataCube:
     @property
     def num_cpis(self) -> int:
         return self.samples.shape[0]
+
+    def one_cpi(self) -> np.ndarray:
+        """The (N, M, R) samples of a one-CPI cube.  A cube of several
+        CPIs is a ConfigurationError, not its CPI 0."""
+        if self.num_cpis != 1:
+            raise ConfigurationError(
+                f"the cube holds {self.num_cpis} CPIs where one CPI is processed")
+        return self.samples[0]
 
     @property
     def num_channels(self) -> int:
@@ -130,7 +170,7 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
 def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
                    noise_power: float, seed: int, cpi_index: int,
                    carrier_hz: float) -> DataCube:
-    """The receiver's one-CPI cube, samples (1, N, M, L + P - 1) complex128.
+    """The receiver's one-CPI cube, samples (1, N, M, L + P - 1) complex64.
 
     `groups` pairs channels with the waveforms (one Waveform or a
     per-pulse sequence) they carry.  Every group needs at least one
@@ -142,17 +182,18 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
 
     The samples are circular Gaussian noise of variance `noise_power`
     per sample plus every channel convolved with its pulses, added to
-    the noise in the order given.  Each
-    receive channel n draws its noise from `derive_rng(seed,
-    STREAM_NOISE, 0, cpi_index, n)`, where 0 fills the key's receiver
-    slot (there is one receiver): M R float64 uniforms u, then M R
-    float32 uniforms v, for R = L + P - 1.  In float32 the radius is
-    r = sqrt(-2 ln(1 - u)), 1 - u rounded to float32, and the angle
-    t = 2 pi v, which make the complex64 unit normal r (cos t + i sin
-    t); it is scaled by sqrt(noise_power / 2) in complex128, so no
-    noise power underflows or overflows float32.  The 53-bit u caps a
-    noise sample's power at 53 ln 2 (about 36.7) times `noise_power`,
-    a probability of about 1e-16, and the angle has 2^24 levels.  Zero
+    the noise in complex128 in the order given and rounded once to
+    complex64, the rounding a cube file applies.  Each receive channel
+    n draws its noise from `derive_rng(seed, STREAM_NOISE, 0, cpi_index,
+    n)`, where 0 fills the key's receiver slot (there is one receiver):
+    M R float64 uniforms u, then M R float32 uniforms v, for R = L + P
+    - 1.  In float32 the radius is r = sqrt(-2 ln(1 - u)), 1 - u
+    rounded to float32, and the angle t = 2 pi v, which make the
+    complex64 unit normal z = r (cos t + i sin t); z is scaled by
+    sqrt(noise_power / 2) in complex128, so the scale itself never
+    underflows or overflows float32.  The 53-bit u caps a noise
+    sample's power at 53 ln 2 (about 36.7) times `noise_power`, a
+    probability of about 1e-16, and the angle has 2^24 levels.  Zero
     noise power draws nothing and starts the lines at +0.0, so they
     hold no -0.0.  The noise is keyed by index alone, so it does not
     depend on evaluation order, worker count, channel blocking, or
@@ -160,20 +201,37 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     normals, and added them after the channels, made other noisy
     cubes.
 
+    The unit noise z depends on (seed, cpi_index, N, M, R) only, so a
+    CPI replayed with several waveforms draws it once.  The process
+    keeps the key of the last request with noise and, once that key
+    repeats, its z (module state `_noise`):
+      - a key other than the last one draws z in each worker's
+        scratch, records the key and drops any kept z;
+      - the last key repeated, with no z kept, draws z into a new
+        (N, M, R) complex64 array, which is kept, read-only, once every
+        block has finished;
+      - the kept key builds no generators, and each line starts as
+        kept z times the scale in complex128, the multiply a fresh draw
+        makes, so all three give the same bytes.
+    Zero noise power reads and changes none of this.  A simulation,
+    whose keys never repeat, keeps nothing; replay keeps 8 N M R bytes.
+
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
     runs on the calling thread and each other block as one task of the
     shared pool (`workers.run_blocks`).  The noise generators and each
     channel's waveform spectrum are computed here, before dispatch.
-    Each block owns one (M, nfft) buffer: a channel's noise draw keeps
-    u, then z over it, in the buffer's first 8 M R bytes, r in the next
-    4 M R and v in the next, and writes the scaled noise into the cube;
-    then the channel's tap lines are convolved through the buffer and
-    added to it.  So the working set is the cube plus one buffer per
-    worker.  Every tap line goes through the same arithmetic, and the
-    noise and the channels are added in the same order, as in a
-    whole-cube evaluation, so the bytes do not depend on the blocking
-    or the worker count.
+    Each block owns a complex128 (M, R) line buffer and one (M, nfft)
+    buffer: a channel's noise draw keeps u, then z over it (unless z
+    goes to the kept array), in the buffer's first 8 M R bytes, r in
+    the next 4 M R and v in the next, and writes the scaled noise into
+    the lines; then the channel's tap lines are convolved through the
+    buffer and added to the lines, which are rounded into the cube.  So
+    the working set is the cube (8 N M R bytes) plus the two buffers
+    per worker, and the kept z while it is drawn.  Every tap line goes
+    through the same arithmetic, and the noise and the channels are
+    added in the same order, as in a whole-cube evaluation, so the
+    bytes do not depend on the blocking or the worker count.
 
     A channel with support S yields the W = S[-1] - S[0] + P output
     samples from offset S[0].  If |S| P <= nfft, the buffer's first W
@@ -224,26 +282,42 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             spectrum = (np.fft.fft(r, next_fast_len(width), axis=1)
                         if ir.support.size > direct_limit else None)
             terms.append((ir, r, lo, width, spectrum))
+    global _noise
+    kept = fill = None
+    if noise_power > 0.0:
+        key = (seed, cpi_index, n_ch, n_pulses, n_out)
+        with _noise_lock:
+            last, held = _noise
+            if last != key:
+                _noise = (key, None)
+        if last == key and held is None:
+            fill = np.empty((n_ch, n_pulses, n_out), dtype=np.complex64)
+        elif last == key:
+            kept = held
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
-            if noise_power > 0.0 else None)
+            if noise_power > 0.0 and kept is None else None)
     scale = np.sqrt(noise_power / 2.0)    # float64, so the scaling is complex128
-    cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex128)
+    cube = np.empty((1, n_ch, n_pulses, n_out), dtype=np.complex64)
     count = n_pulses * n_out    # the samples of one channel's lines
 
     def assemble(channels: range) -> None:
+        lines = np.empty((n_pulses, n_out), dtype=np.complex128)
         buf = np.empty((n_pulses, nfft), dtype=np.complex128)
         # the noise draw's scratch, in bytes of buf for c = count: u at
-        # [0, 8c), overlaid by z once u is consumed, r [8c, 12c), v [12c, 16c)
+        # [0, 8c), overlaid by z once u is consumed (unless z is kept),
+        # r [8c, 12c), v [12c, 16c)
         words = buf.reshape(-1).view(np.float32)
         u = buf.reshape(-1).view(np.float64)[:count].reshape(n_pulses, n_out)
-        z = buf.reshape(-1).view(np.complex64)[:count].reshape(n_pulses, n_out)
+        scratch_z = buf.reshape(-1).view(np.complex64)[:count].reshape(n_pulses, n_out)
         r = words[2 * count:3 * count].reshape(n_pulses, n_out)
         v = words[3 * count:4 * count].reshape(n_pulses, n_out)
         for n in channels:
-            lines = cube[0, n]
-            if rngs is None:
+            if kept is not None:
+                np.multiply(kept[n], scale, out=lines)
+            elif rngs is None:
                 lines[...] = 0.0
             else:
+                z = scratch_z if fill is None else fill[n]
                 rngs[n].random(out=u)
                 rngs[n].random(dtype=np.float32, out=v)
                 np.subtract(1.0, u, out=r)           # rounded to float32, in (0, 1]
@@ -272,8 +346,14 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                     for j, s in enumerate((ir.support - lo).tolist()):
                         out[:, s:s + p] += taps[:, j, None] * waveform_rows
                 lines[:, lo:lo + width] += out[:, :width]
+            cube[0, n] = lines
 
     run_blocks(assemble, n_ch)
+    if fill is not None:
+        fill.setflags(write=False)
+        with _noise_lock:
+            if _noise[0] == key:
+                _noise = (key, fill)
     return DataCube(samples=cube, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz,
                     delay_origin=ref.delay_origin)
@@ -297,7 +377,8 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
 
 
 def write_cube(path, cube: DataCube) -> str:
-    """Write a cube file; returns its SHA-256 hex digest."""
+    """Write a cube file; returns its SHA-256 hex digest.  The cube's
+    complex64 samples are written as they are held, with no copy."""
     if cube.delay_origin != 0.0:
         raise ConfigurationError(
             f"the cube format stores no delay origin; got {cube.delay_origin} s, not 0")

@@ -354,7 +354,12 @@ def _block_bound(dem: ElevationGrid) -> np.ndarray:
     rows, cols = -(-dem.nrows // b), -(-dem.ncols // b)
     padded = np.full((rows * b, cols * b), -np.inf)
     padded[:dem.nrows, :dem.ncols] = dem.heights
-    top = padded.reshape(rows, b, cols, b).max(axis=(1, 3))
+    # the block maximum as elementwise maxima of its b * b strided
+    # phases, not a reduction over short inner axes
+    phases = [padded[i::b, j::b] for i in range(b) for j in range(b)]
+    top = phases[0].copy()
+    for phase in phases[1:]:
+        np.maximum(top, phase, out=top)
     top[:-1] = np.maximum(top[:-1], top[1:])
     top[:, :-1] = np.maximum(top[:, :-1], top[:, 1:])
     eps = np.finfo(np.float64).eps

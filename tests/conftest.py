@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rfclutter import workers
+from rfclutter import rxsim, workers
 from rfclutter.terrain import ClassGrid, ElevationGrid
 from rfclutter.scattering import GRASS
 
@@ -40,3 +40,11 @@ def set_worker_count(monkeypatch):
         workers.pool()
         monkeypatch.setattr(workers, "cpu_count", lambda: count)
     return set_count
+
+
+@pytest.fixture(autouse=True)
+def no_kept_noise(monkeypatch):
+    """Every test starts with no receiver noise kept from an earlier
+    test's requests, so whether a request draws does not depend on the
+    test order."""
+    monkeypatch.setattr(rxsim, "_noise", (None, None))

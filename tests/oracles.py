@@ -26,8 +26,11 @@ from rfclutter.channel import SPEED_OF_LIGHT, StochasticModel
 from rfclutter.covariance import _check_patch_model, sample_covariance
 from rfclutter.errors import ConfigurationError
 from rfclutter.scattering import FOUR_PI_CUBED, ScatteringTable
-from rfclutter.seeding import STREAM_CLUTTER, derive_rng, normal_pair, philox_key, uniforms
-from rfclutter.terrain import ClassGrid, ElevationGrid, PlatformState, _los_step
+from rfclutter.seeding import (STREAM_CLUTTER, STREAM_NOISE, derive_rng, normal_pair, philox_key,
+                               uniforms)
+from rfclutter.terrain import (LOS_BLOCK, _BLEND_MARGIN_EPS, ClassGrid, ElevationGrid,
+                               PlatformState, _los_step)
+from rfclutter.waveform import Waveform
 
 # The stream id of the covariance snapshots, distinct from the ids in
 # `rfclutter.seeding`.
@@ -205,6 +208,20 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     return not bool(np.any(blocked))
 
 
+def reshape_block_bound(dem: ElevationGrid) -> np.ndarray:
+    """`terrain._block_bound` with the block maximum taken as a
+    reduction over the reshaped raster's (1, 3) axes: its reference."""
+    b = LOS_BLOCK
+    rows, cols = -(-dem.nrows // b), -(-dem.ncols // b)
+    padded = np.full((rows * b, cols * b), -np.inf)
+    padded[:dem.nrows, :dem.ncols] = dem.heights
+    top = padded.reshape(rows, b, cols, b).max(axis=(1, 3))
+    top[:-1] = np.maximum(top[:-1], top[1:])
+    top[:, :-1] = np.maximum(top[:, :-1], top[:, 1:])
+    eps = np.finfo(np.float64).eps
+    return top + _BLEND_MARGIN_EPS * eps * float(np.abs(dem.heights).max())
+
+
 def write_dem(path, dem: ElevationGrid) -> None:
     """An elevation raster in the text layout `rfclutter.terrain.read_dem` reads."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
@@ -330,6 +347,77 @@ def convolve_lines(taps: np.ndarray, rows: np.ndarray) -> np.ndarray:
     rows = np.broadcast_to(np.asarray(rows, dtype=np.complex128), (m, np.shape(rows)[-1]))
     return np.array([[np.convolve(taps[i, j].astype(np.complex128), rows[j])
                       for j in range(m)] for i in range(n)])
+
+
+def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
+    """Whole-cube oracle with the support rule, (N, M, L + P - 1)
+    complex128, zero outside the support's window [S[0], S[-1] + P - 1]:
+    a channel whose support S satisfies |S| P <= nfft, nfft the whole
+    window's transform length, is summed directly, tap by tap in
+    ascending order, into zeros; any other channel's window S[0] ..
+    S[-1] goes through one batched FFT of length next_fast_len(S[-1] -
+    S[0] + P)."""
+    wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
+    rows = np.stack([w.samples for w in wfs])
+    p = rows.shape[1]
+    n_out = ir.num_taps + p - 1
+    out = np.zeros((ir.num_channels, ir.num_pulses, n_out), dtype=np.complex128)
+    dense = ir.dense()
+    if ir.support.size * p <= next_fast_len(n_out):
+        for s in ir.support:
+            out[:, :, s:s + p] += dense[:, :, s, None] * rows
+        return out
+    lo, hi = ir.support[0], ir.support[-1]
+    width = hi - lo + p
+    size = next_fast_len(width)
+    taps_f = np.fft.fft(dense[:, :, lo:hi + 1].astype(np.complex128), size, axis=2)
+    window = np.fft.ifft(taps_f * np.fft.fft(rows, size, axis=1)[None], axis=2)
+    out[:, :, lo:lo + width] = window[:, :, :width]
+    return out
+
+
+def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
+                  num_range_samples: int, noise_power: float, seed: int) -> np.ndarray:
+    """Whole-cube noise oracle, (1, N, M, R) complex128: channel n draws
+    M R float64 uniforms u, then M R float32 uniforms v, from
+    derive_rng(seed, STREAM_NOISE, 0, cpi_index, n); in float32 the
+    radius is sqrt(-2 ln(1 - u)) and the angle 2 pi v, their complex64
+    Box-Muller pair is scaled in complex128 by sqrt(noise_power / 2),
+    and zero noise power gives a zero cube."""
+    shape = (num_channels, num_pulses, num_range_samples)
+    if noise_power == 0.0:
+        return np.zeros((1,) + shape, dtype=np.complex128)
+    rngs = [derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(num_channels)]
+    u = np.stack([g.random(shape[1:]) for g in rngs])
+    v = np.stack([g.random(shape[1:], dtype=np.float32) for g in rngs])
+    radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u).astype(np.float32)))
+    angle = np.float32(2.0 * np.pi) * v
+    z = np.empty(shape, dtype=np.complex64)
+    z.real = radius * np.cos(angle)
+    z.imag = radius * np.sin(angle)
+    return (z * np.sqrt(noise_power / 2.0))[None]
+
+
+def oracle_lines(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
+    """Whole-cube oracle of the receiver's lines, (1, N, M, R)
+    complex128: the noise, then each (channel, waveforms) term
+    convolved under the support rule and added in order over its window
+    [S[0], S[-1] + P - 1] (the rest of the range window receives
+    nothing from it)."""
+    signals = [support_rule_samples(ir, wfs) for ir, wfs in terms]
+    n, m, r = signals[0].shape
+    cube = noise_samples(cpi_index, n, m, r, noise_power, seed)[0]
+    for (ir, _), signal in zip(terms, signals):
+        if ir.support.size:
+            lo, hi = ir.support[0], ir.support[-1] + r - ir.num_taps    # r - L = P - 1
+            cube[:, :, lo:hi + 1] += signal[:, :, lo:hi + 1]
+    return cube[None]
+
+
+def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
+    """The receiver's cube, (1, N, M, R) complex64: `oracle_lines`
+    rounded once, as a cube file rounds them."""
+    return oracle_lines(terms, noise_power, seed, cpi_index).astype(np.complex64)
 
 
 def doppler_bin_for(doppler_hz: float, prf: float, num_pulses: int) -> int:

@@ -4,6 +4,7 @@ import builtins
 import hashlib
 import struct
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +13,11 @@ import pytest
 from rfclutter import binfile, challenge
 from rfclutter.challenge import export_challenge, read_challenge
 from rfclutter.channel import ChannelImpulseResponse, read_ir, write_ir
+from rfclutter.dsp import range_doppler_map
 from rfclutter.errors import ConfigurationError
 from rfclutter.pipeline import simulate_scenario
 from rfclutter.rxsim import simulate_cube
-from rfclutter.scenario import Scenario, TargetSpec
+from rfclutter.scenario import DESK_SCALE, Scenario, TargetSpec, generate_scenario1
 from rfclutter.terrain import ElevationGrid
 from rfclutter.waveform import Waveform, read_waveform, write_waveform
 
@@ -63,6 +65,21 @@ def test_export_then_read_round_trip(tmp_path):
     # waveform samples are float32 I/Q on disk
     np.testing.assert_array_equal(
         data.waveform.samples, run.waveform.samples.astype(np.complex64))
+
+
+def test_a_fresh_cube_and_its_exported_file_map_to_the_same_bytes(tmp_path):
+    """The cube in memory is the cube on disk: compressed with the same
+    waveform, a fresh desk-scale CPI and its exported cube file give the
+    same range-Doppler map and peak list, bit for bit."""
+    scn = replace(generate_scenario1(scale=DESK_SCALE, seed=1), num_cpis=1)
+    run = simulate_scenario(scn)
+    export_challenge(run, tmp_path / "ds")
+    stored = read_challenge(tmp_path / "ds").cubes[0]
+    weights = np.ones(scn.num_channels)
+    fresh_map, fresh_peaks = range_doppler_map(run.results[0].cube, run.waveform, weights)
+    stored_map, stored_peaks = range_doppler_map(stored, run.waveform, weights)
+    assert fresh_map.tobytes() == stored_map.tobytes()
+    assert fresh_peaks and fresh_peaks == stored_peaks
 
 
 def test_reexport_is_byte_identical(tmp_path):

@@ -1,6 +1,7 @@
 """Range-Doppler chain: compression placement, Doppler binning, peak maps."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,6 +74,38 @@ def test_beamform_is_weighted_sum():
         beamform(x, np.ones(2))
     with pytest.raises(ConfigurationError):
         beamform(x[0], np.ones(3))
+
+
+def test_complex64_cube_is_beamformed_without_a_complex128_copy():
+    """A complex64 cube is combined at its own precision: a complex64
+    result close to the complex128 sum, and no working copy of the
+    cube in complex128."""
+    rng = derive_rng(3, 0)
+    x = (rng.standard_normal((4, 16, 400)) + 1j * rng.standard_normal((4, 16, 400))).astype(
+        np.complex64)
+    w = np.array([1.0, 0.5j, -1.0, 2.0])
+    tracemalloc.start()
+    try:
+        y = beamform(x, w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert y.dtype == np.complex64
+    assert peak < x.nbytes
+    want = np.tensordot(w.conj(), x.astype(np.complex128), axes=([0], [0]))
+    np.testing.assert_allclose(y, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
+
+
+def test_a_cube_of_several_cpis_is_rejected_not_read_at_cpi_0():
+    """beamform and range_doppler_map name the CPI count of a cube of
+    two CPIs instead of processing its CPI 0."""
+    wf = phase_code(8, FS, seed=3)
+    one = embedded_echo_cube(wf, tap=5, doppler_hz=0.0)
+    two = DataCube(samples=np.stack([one, 2 * one]), sample_rate=FS, prf=PRF, noise_power=0.0)
+    with pytest.raises(ConfigurationError, match="2 CPIs"):
+        beamform(two, np.ones(2))
+    with pytest.raises(ConfigurationError, match="2 CPIs"):
+        range_doppler_map(two, wf, np.ones(2))
 
 
 def test_doppler_bins_and_axis():

@@ -11,6 +11,8 @@ from rfclutter.rxsim import DataCube, simulate_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
 
+from oracles import oracle_lines, support_rule_samples
+
 FS = 10e6
 PRF = 2000.0
 
@@ -49,22 +51,27 @@ def test_single_pair_matches_plain_simulator_exactly():
 
 
 def test_multi_tx_cube_is_superposition():
+    """Each transmitter's cube is its complex128 lines rounded once, and
+    the two-transmitter cube is the sum of those lines rounded once."""
     ir_a, ir_b = random_ir(2), random_ir(3)
     wf_a = lfm(bandwidth=2e6, duration=1.6e-6, sample_rate=FS)
     wf_b = phase_code(16, FS, seed=4)
     both = simulate_mimo_cube([[ir_a], [ir_b]], [wf_a, wf_b], noise_power=0.0, seed=1)
     only_a = simulate_mimo_cube([[ir_a]], [wf_a], noise_power=0.0, seed=1)
     only_b = simulate_mimo_cube([[ir_b]], [wf_b], noise_power=0.0, seed=1)
-    np.testing.assert_allclose(
-        both.samples, only_a.samples + only_b.samples,
-        atol=1e-10 * np.abs(both.samples).max())
+    lines_a = oracle_lines([(ir_a, wf_a)], 0.0, 1)
+    lines_b = oracle_lines([(ir_b, wf_b)], 0.0, 1)
+    assert only_a.samples.tobytes() == lines_a.astype(np.complex64).tobytes()
+    assert only_b.samples.tobytes() == lines_b.astype(np.complex64).tobytes()
+    assert both.samples.tobytes() == (lines_a + lines_b).astype(np.complex64).tobytes()
 
 
 def test_receiver_noise_streams_are_independent():
     """Two receive channels with the same taps get different noise,
     channel n's noise is the Box-Muller pair of the (seed, STREAM_NOISE,
     0, cpi, n) stream's float64 radius and float32 angle uniforms, and
-    the same seed repeats it."""
+    the same seed repeats it.  The channel's lines are added to it in
+    complex128 and the sum is rounded once."""
     one = random_ir(4, n=1)
     ir = ChannelImpulseResponse(taps=np.repeat(one.taps, 2, axis=0), sample_rate=FS, prf=PRF)
     wf = phase_code(12, FS, seed=9)
@@ -73,6 +80,7 @@ def test_receiver_noise_streams_are_independent():
     noise = cube.samples[0] - quiet.samples[0]
     assert np.abs(noise[0] - noise[1]).max() > 0.0   # same signal, different noise
     shape = cube.samples.shape[2:]
+    signal = support_rule_samples(ir, wf)
     for n in range(2):
         rng = derive_rng(5, STREAM_NOISE, 0, 3, n)
         u = rng.random(shape)
@@ -83,7 +91,7 @@ def test_receiver_noise_streams_are_independent():
         unit.real = radius * np.cos(angle)
         unit.imag = radius * np.sin(angle)
         # the noise comes first and the channel's samples are added to it
-        want = unit * np.sqrt(0.5) + quiet.samples[0, n]
+        want = (unit * np.sqrt(0.5) + signal[n]).astype(np.complex64)
         assert cube.samples[0, n].tobytes() == want.tobytes()
     again = simulate_mimo_cube([[ir]], [wf], noise_power=1.0, seed=5, cpi_index=3)
     assert again.samples.tobytes() == cube.samples.tobytes()
@@ -165,3 +173,13 @@ def test_leakage_validation():
     zcube = simulate_mimo_cube([[zero]], [wf], noise_power=0.0, seed=1)
     with pytest.raises(ValueError):
         cross_channel_leakage([zcube], [wf])
+
+
+def test_leakage_rejects_a_cube_of_several_cpis():
+    """A cube of two CPIs is named, not measured at its CPI 0."""
+    wf = phase_code(8, FS, seed=2)
+    one = simulate_mimo_cube([[delta_ir(0, 20)]], [wf], noise_power=0.0, seed=1)
+    two = DataCube(samples=np.concatenate([one.samples, one.samples]), sample_rate=FS, prf=PRF,
+                   noise_power=0.0)
+    with pytest.raises(ConfigurationError, match="2 CPIs"):
+        cross_channel_leakage([two], [wf])

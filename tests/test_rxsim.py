@@ -2,6 +2,7 @@
 
 import multiprocessing
 import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -19,7 +20,8 @@ from rfclutter.rxsim import DataCube, read_cube, simulate_cube, write_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
 
-from oracles import convolve_lines, convolve_pulse
+from oracles import (convolve_lines, convolve_pulse, noise_samples, oracle_cube, oracle_lines,
+                     support_rule_samples)
 
 FS = 5e6
 
@@ -37,70 +39,6 @@ def noiseless_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
     wf_f = np.fft.fft(np.stack([w.samples for w in wfs]), nfft, axis=1)
     out = np.fft.ifft(taps_f * wf_f[None, :, :], axis=2)
     return np.ascontiguousarray(out[:, :, :n_out])
-
-
-def support_rule_samples(ir: ChannelImpulseResponse, waveforms) -> np.ndarray:
-    """Whole-cube oracle with the support rule, (N, M, L + P - 1)
-    complex128, zero outside the support's window [S[0], S[-1] + P - 1]:
-    a channel whose support S satisfies |S| P <= nfft, nfft the whole
-    window's transform length, is summed directly, tap by tap in
-    ascending order, into zeros; any other channel's window S[0] ..
-    S[-1] goes through one batched FFT of length next_fast_len(S[-1] -
-    S[0] + P)."""
-    wfs = [waveforms] if isinstance(waveforms, Waveform) else list(waveforms)
-    rows = np.stack([w.samples for w in wfs])
-    p = rows.shape[1]
-    n_out = ir.num_taps + p - 1
-    out = np.zeros((ir.num_channels, ir.num_pulses, n_out), dtype=np.complex128)
-    dense = ir.dense()
-    if ir.support.size * p <= next_fast_len(n_out):
-        for s in ir.support:
-            out[:, :, s:s + p] += dense[:, :, s, None] * rows
-        return out
-    lo, hi = ir.support[0], ir.support[-1]
-    width = hi - lo + p
-    size = next_fast_len(width)
-    taps_f = np.fft.fft(dense[:, :, lo:hi + 1].astype(np.complex128), size, axis=2)
-    window = np.fft.ifft(taps_f * np.fft.fft(rows, size, axis=1)[None], axis=2)
-    out[:, :, lo:lo + width] = window[:, :, :width]
-    return out
-
-
-def noise_samples(cpi_index: int, num_channels: int, num_pulses: int,
-                  num_range_samples: int, noise_power: float, seed: int) -> np.ndarray:
-    """Whole-cube noise oracle, (1, N, M, R) complex128: channel n draws
-    M R float64 uniforms u, then M R float32 uniforms v, from
-    derive_rng(seed, STREAM_NOISE, 0, cpi_index, n); in float32 the
-    radius is sqrt(-2 ln(1 - u)) and the angle 2 pi v, their complex64
-    Box-Muller pair is scaled in complex128 by sqrt(noise_power / 2),
-    and zero noise power gives a zero cube."""
-    shape = (num_channels, num_pulses, num_range_samples)
-    if noise_power == 0.0:
-        return np.zeros((1,) + shape, dtype=np.complex128)
-    rngs = [derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(num_channels)]
-    u = np.stack([g.random(shape[1:]) for g in rngs])
-    v = np.stack([g.random(shape[1:], dtype=np.float32) for g in rngs])
-    radius = np.sqrt(np.float32(-2.0) * np.log((1.0 - u).astype(np.float32)))
-    angle = np.float32(2.0 * np.pi) * v
-    z = np.empty(shape, dtype=np.complex64)
-    z.real = radius * np.cos(angle)
-    z.imag = radius * np.sin(angle)
-    return (z * np.sqrt(noise_power / 2.0))[None]
-
-
-def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
-    """Whole-cube oracle of the receiver's samples: the noise, then each
-    (channel, waveforms) term convolved under the support rule and
-    added in order over its window [S[0], S[-1] + P - 1] (the rest of
-    the range window receives nothing from it)."""
-    signals = [support_rule_samples(ir, wfs) for ir, wfs in terms]
-    n, m, r = signals[0].shape
-    cube = noise_samples(cpi_index, n, m, r, noise_power, seed)[0]
-    for (ir, _), signal in zip(terms, signals):
-        if ir.support.size:
-            lo, hi = ir.support[0], ir.support[-1] + r - ir.num_taps    # r - L = P - 1
-            cube[:, :, lo:hi + 1] += signal[:, :, lo:hi + 1]
-    return cube[None]
 
 
 def random_ir(rng, n=2, m=3, l=16):
@@ -160,35 +98,46 @@ def test_noiseless_samples_distinct_pulse_waveforms():
         np.testing.assert_allclose(out[0, m], want, atol=1e-12 * np.abs(want).max())
 
 
+def assert_superposition_is_exact(clutter, target, wf):
+    """The combined cube is the parts' complex128 lines, each convolved
+    separately, summed and rounded once; each part's cube is its own
+    lines rounded."""
+    parts = [oracle_lines([(ir, wf)], 0.0, 5) for ir in (clutter, target)]
+    only_c = simulate_cube(clutter, None, wf, 0.0, seed=5)
+    only_t = simulate_cube(None, target, wf, 0.0, seed=5)
+    assert only_c.samples.tobytes() == parts[0].astype(np.complex64).tobytes()
+    assert only_t.samples.tobytes() == parts[1].astype(np.complex64).tobytes()
+    both = simulate_cube(clutter, target, wf, 0.0, seed=5)
+    assert both.samples.tobytes() == (parts[0] + parts[1]).astype(np.complex64).tobytes()
+
+
 def test_clutter_target_superposition_is_exact():
     """Separate convolutions summed: combined cube == sum of parts."""
     rng = np.random.default_rng(2)
     clutter = random_ir(rng)
     target = random_ir(rng)
-    wf = random_waveform(rng)
-    both = simulate_cube(clutter, target, wf, 0.0, seed=5)
-    only_c = simulate_cube(clutter, None, wf, 0.0, seed=5)
-    only_t = simulate_cube(None, target, wf, 0.0, seed=5)
-    np.testing.assert_array_equal(both.samples, only_c.samples + only_t.samples)
+    assert_superposition_is_exact(clutter, target, random_waveform(rng))
 
 
 def test_waveform_linearity_under_shared_seed():
-    """cube(s1 + s2) - noise == (cube(s1) - noise) + (cube(s2) - noise)."""
+    """cube(s1 + s2) - noise == (cube(s1) - noise) + (cube(s2) - noise),
+    before the cube's one rounding: every waveform's cube is one noise
+    plus its own signal, rounded once, and the signals add."""
     rng = np.random.default_rng(3)
     ir = random_ir(rng)
     w1 = random_waveform(rng)
     w2 = random_waveform(rng)
     w_sum = Waveform(samples=w1.samples + w2.samples, sample_rate=FS)
     noise_power = 0.5
-    cube1 = simulate_cube(ir, None, w1, noise_power, seed=9)
-    cube2 = simulate_cube(ir, None, w2, noise_power, seed=9)
-    cube_sum = simulate_cube(ir, None, w_sum, noise_power, seed=9)
-    noise = simulate_cube(ir, None, w1, noise_power, seed=9).samples \
-        - simulate_cube(ir, None, w1, 0.0, seed=9).samples
-    lhs = cube_sum.samples - noise
-    rhs = (cube1.samples - noise) + (cube2.samples - noise)
-    scale = np.abs(rhs).max()
-    np.testing.assert_allclose(lhs, rhs, atol=1e-10 * scale)
+    noise = noise_samples(0, ir.num_channels, ir.num_pulses, ir.num_taps + w1.num_samples - 1,
+                          noise_power, 9)
+    signals = []
+    for wf in (w1, w2, w_sum):
+        signals.append(support_rule_samples(ir, wf))
+        cube = simulate_cube(ir, None, wf, noise_power, seed=9)
+        assert cube.samples.tobytes() == (noise + signals[-1]).astype(np.complex64).tobytes()
+    rhs = signals[0] + signals[1]
+    np.testing.assert_allclose(signals[2], rhs, atol=1e-10 * np.abs(rhs).max())
 
 
 def test_noise_variance_and_independence():
@@ -240,13 +189,18 @@ def test_receiver_noise_is_circular_gaussian_of_the_noise_power():
 
 
 def test_receiver_noise_is_scaled_in_double_precision():
-    """Noise powers far outside float32's range keep the variance of a
-    unit noise power: a float32 scale would flush 1e-80 to zero and
-    overflow 1e80."""
-    unit = np.mean(np.abs(silent_cube_noise(1.0)) ** 2)
-    for sigma2 in (1e-80, 1e80):
-        assert np.mean(np.abs(silent_cube_noise(sigma2)) ** 2) / sigma2 == pytest.approx(
-            unit, rel=1e-12), sigma2
+    """Noise powers outside float32's range give the unit noise scaled
+    by sqrt(noise_power / 2) in complex128 and rounded once: as a
+    float32, 1e-60 flushes to zero and 1e60 overflows, so a scale taken
+    from them would zero or overflow every sample.  (The cube holds
+    complex64, so its noise power must itself be a float32 magnitude.)"""
+    for sigma2 in (1e-60, 1e60):
+        with np.errstate(over="ignore"):
+            assert not 0.0 < np.float32(sigma2) < np.inf
+        z = silent_cube_noise(sigma2)
+        want = noise_samples(1, 4, 64, 4096, sigma2, seed=17).astype(np.complex64)
+        assert z.tobytes() == want.tobytes(), sigma2
+        assert np.all(np.isfinite(z)) and np.any(z != 0), sigma2
 
 
 def test_cube_noise_matches_absolute_cpi_stream():
@@ -414,6 +368,123 @@ def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
     assert keys == [(8, STREAM_NOISE, 0, 1, n) for n in range(2)]
 
 
+# --- the unit noise kept for a replayed CPI ------------------------------------
+
+def kept_noise_case(rng, r_extra=0):
+    """Three receive channels of clutter and a waveform of 8 + r_extra
+    samples: a cube key (seed 4, CPI 2, 3, 5, 23 + r_extra)."""
+    return random_ir(rng, n=3, m=5), random_waveform(rng, p=8 + r_extra)
+
+
+def assert_request(monkeypatch, ir, wf, noise_power, streams, cpi_index=2):
+    """One cube request gives the oracle's bytes and derives `streams`
+    noise generators."""
+    keys = count_noise_streams(monkeypatch)
+    cube = simulate_cube(ir, None, wf, noise_power, seed=4, cpi_index=cpi_index)
+    assert cube.samples.tobytes() == oracle_cube([(ir, wf)], noise_power, 4,
+                                                 cpi_index=cpi_index).tobytes()
+    assert len(keys) == streams
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_first_request_repeat_and_kept_noise_give_the_same_bytes(set_worker_count,
+                                                                 monkeypatch, workers):
+    """A key's first request draws in scratch, its repeat draws into the
+    kept array, and the next request builds no generator; all three give
+    the oracle's bytes, and the kept array is the read-only unit noise."""
+    set_worker_count(workers)
+    ir, wf = kept_noise_case(np.random.default_rng(30))
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    assert rxsim._noise == ((4, 2, 3, 5, 23), None)
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    kept = rxsim._noise[1]
+    assert kept.dtype == np.complex64 and not kept.flags.writeable
+    # noise power 2 scales the unit noise by 1
+    assert kept.tobytes() == noise_samples(2, 3, 5, 23, 2.0, 4)[0].astype(np.complex64).tobytes()
+    assert_request(monkeypatch, ir, wf, 0.7, streams=0)
+    assert rxsim._noise[1] is kept
+
+
+def test_interleaved_keys_keep_nothing(monkeypatch):
+    """Keys A, B, A: no key repeats the one before it, so every request
+    draws and nothing is kept."""
+    ir, wf = kept_noise_case(np.random.default_rng(31))
+    for cpi in (2, 3, 2):
+        assert_request(monkeypatch, ir, wf, 0.7, streams=3, cpi_index=cpi)
+        assert rxsim._noise == ((4, cpi, 3, 5, 23), None)
+
+
+def test_kept_noise_serves_any_noise_power_and_another_length_drops_it(monkeypatch):
+    """The kept unit noise serves the key at another noise power; a
+    request with another range length R is another key, draws afresh
+    and drops the kept array."""
+    rng = np.random.default_rng(32)
+    ir, wf = kept_noise_case(rng)
+    longer = random_waveform(rng, p=11)
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    assert_request(monkeypatch, ir, wf, 3e-5, streams=0)
+    assert_request(monkeypatch, ir, longer, 0.7, streams=3)
+    assert rxsim._noise == ((4, 2, 3, 5, 26), None)
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+
+
+def test_zero_noise_power_leaves_the_kept_noise_alone(monkeypatch):
+    """A noiseless request neither reads nor changes the state, even
+    between two requests of one key."""
+    ir, wf = kept_noise_case(np.random.default_rng(33))
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    state = rxsim._noise
+    assert_request(monkeypatch, ir, wf, 0.0, streams=0)
+    assert rxsim._noise is state
+    assert_request(monkeypatch, ir, wf, 0.7, streams=3)
+    state = rxsim._noise
+    assert state[1] is not None
+    assert_request(monkeypatch, ir, wf, 0.0, streams=0)
+    assert rxsim._noise is state
+
+
+def test_failed_fill_keeps_nothing(monkeypatch):
+    """The kept array is published only once every block has finished."""
+    ir, wf = kept_noise_case(np.random.default_rng(34))
+    simulate_cube(ir, None, wf, 0.7, seed=4, cpi_index=2)
+    run_blocks = rxsim.run_blocks
+
+    def failing(task, count):
+        run_blocks(task, count)
+        raise RuntimeError("a block failed")
+
+    monkeypatch.setattr(rxsim, "run_blocks", failing)
+    with pytest.raises(RuntimeError):
+        simulate_cube(ir, None, wf, 0.7, seed=4, cpi_index=2)
+    assert rxsim._noise == ((4, 2, 3, 5, 23), None)
+
+
+def test_threads_requesting_one_key_at_once_get_its_bytes(set_worker_count):
+    """Stress: four callers request one key at once, round after round,
+    with a short switch interval, through the first request, the fill
+    and the kept noise; every cube has the oracle's bytes, and the key's
+    noise ends up kept."""
+    set_worker_count(2)
+    ir, wf = kept_noise_case(np.random.default_rng(35))
+    want = oracle_cube([(ir, wf)], 0.7, 4, cpi_index=2).tobytes()
+    start = threading.Barrier(4)
+
+    def request(_):
+        start.wait(timeout=60)
+        return simulate_cube(ir, None, wf, 0.7, seed=4, cpi_index=2).samples.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            for _ in range(4):
+                assert list(callers.map(request, range(4), timeout=120)) == [want] * 4
+    finally:
+        sys.setswitchinterval(interval)
+    assert rxsim._noise[0] == (4, 2, 3, 5, 23) and rxsim._noise[1] is not None
+
+
 # --- the direct route over a sparse channel's tap support -------------------
 
 SPARSE_TAPS = 40      # with an 8-sample waveform: nfft 48, so |S| <= 6 goes direct
@@ -495,17 +566,20 @@ def test_direct_route_bytes_match_the_support_rule_oracle(parts, per_pulse, nois
 
 @pytest.mark.parametrize("per_pulse", [False, True])
 def test_direct_route_matches_direct_convolution(per_pulse):
-    """Every line of a direct-route cube is within 1e-12 of the O(LP)
+    """Every line of a direct-route cube is the support rule's direct
+    sum rounded once, and that sum is within 1e-12 of the O(LP)
     reference convolution."""
     rng = np.random.default_rng(22)
     target = sparse_ir(rng, [0, 2, 17, SPARSE_TAPS - 1])
     wfs = [random_waveform(rng) for _ in range(4)] if per_pulse else random_waveform(rng)
     cube = simulate_cube(None, target, wfs, 0.0, seed=1)
+    lines = support_rule_samples(target, wfs)
+    assert cube.samples[0].tobytes() == lines.astype(np.complex64).tobytes()
     for n in range(3):
         for m in range(4):
             wf = wfs[m] if per_pulse else wfs
             want = direct_convolve(target.dense()[n, m].astype(complex), wf.samples)
-            np.testing.assert_allclose(cube.samples[0, n, m], want,
+            np.testing.assert_allclose(lines[n, m], want,
                                        rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
@@ -522,10 +596,11 @@ WINDOW_CASES = {
 @pytest.mark.parametrize("per_pulse", [False, True])
 @pytest.mark.parametrize("case", sorted(WINDOW_CASES))
 def test_window_route_matches_np_convolve(monkeypatch, case, per_pulse):
-    """Each line of the cube is within 1e-12 of `np.convolve` of the
-    dense taps, and exactly zero outside the support's window.  A
-    window-FFT channel is transformed at next_fast_len(span + P - 1);
-    one tap, or none (an all-shadowed channel), is summed directly."""
+    """Each line of the cube is the support rule's lines rounded once,
+    which are within 1e-12 of `np.convolve` of the dense taps, and
+    exactly zero outside the support's window.  A window-FFT channel is
+    transformed at next_fast_len(span + P - 1); one tap, or none (an
+    all-shadowed channel), is summed directly."""
     rng = np.random.default_rng(28)
     support = WINDOW_CASES[case]
     k = len(support)
@@ -541,7 +616,8 @@ def test_window_route_matches_np_convolve(monkeypatch, case, per_pulse):
     else:
         assert calls == []
     want = convolve_lines(ir.dense(), rows)
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * (np.abs(want).max() or 1.0))
+    lines = support_rule_samples(ir, wfs)
+    np.testing.assert_allclose(lines, want, rtol=0.0, atol=1e-12 * (np.abs(want).max() or 1.0))
     inside = np.zeros(got.shape[-1], dtype=bool)
     if k:
         inside[support[0]:support[-1] + 8] = True
@@ -556,11 +632,7 @@ def test_dense_clutter_plus_close_sparse_target_superposes_exactly():
     rng = np.random.default_rng(23)
     clutter = random_ir(rng, n=3, m=4, l=SPARSE_TAPS)
     target = sparse_ir(rng, [11, 12, 14, 18])
-    wf = random_waveform(rng)
-    both = simulate_cube(clutter, target, wf, 0.0, seed=5)
-    only_c = simulate_cube(clutter, None, wf, 0.0, seed=5)
-    only_t = simulate_cube(None, target, wf, 0.0, seed=5)
-    np.testing.assert_array_equal(both.samples, only_c.samples + only_t.samples)
+    assert_superposition_is_exact(clutter, target, random_waveform(rng))
 
 
 def test_shadowed_target_adds_nothing():
@@ -620,31 +692,41 @@ def test_zero_noise_still_clears_negative_zeros():
     assert np.signbit(noiseless_samples(ir, silent).view(np.float64)).any()
     cube = simulate_cube(ir, None, silent, 0.0, seed=1)
     assert cube.samples.tobytes() == oracle_cube([(ir, silent)], 0.0, 1).tobytes()
-    assert not np.signbit(cube.samples.view(np.float64)).any()
+    assert not np.signbit(cube.samples.view(np.float32)).any()
 
 
 def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
-    """Working memory is the cube and one channel FFT buffer per worker,
-    which also holds the channel's noise, not whole-cube
-    intermediates."""
+    """Working memory is the cube and one line buffer and one channel
+    FFT buffer per worker, which also holds the channel's noise draw,
+    not whole-cube intermediates.  A key's first request and a request
+    for the kept noise peak within the bound of a complex128 cube and
+    one FFT buffer per worker; the request that fills the kept noise
+    adds that (N, M, R) complex64 array and keeps the bound of the
+    buffers it needs."""
     n, m, l, p = 8, 64, 1000, 32
     rng = np.random.default_rng(13)
     clutter = random_ir(rng, n=n, m=m, l=l)
     target = random_ir(rng, n=n, m=m, l=l)
     wf = random_waveform(rng, p=p)
     n_out = l + p - 1
-    cube_bytes = n * m * n_out * 16
+    samples = n * m * n_out
     channel_bytes = m * next_fast_len(n_out) * 16
     for workers in (1, 2, 4):
         set_worker_count(workers)
-        tracemalloc.start()
-        try:
-            cube = simulate_cube(clutter, target, wf, 0.5, seed=3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert cube.samples.nbytes == cube_bytes
-        assert peak <= 1.1 * (cube_bytes + workers * channel_bytes), workers
+        rxsim._noise = (None, None)
+        bounds = {"first": 16 * samples + workers * channel_bytes,
+                  "fill": 8 * samples + 8 * samples + 2 * workers * channel_bytes,
+                  "hit": 16 * samples + workers * channel_bytes}
+        for kind, bound in bounds.items():
+            tracemalloc.start()
+            try:
+                cube = simulate_cube(clutter, target, wf, 0.5, seed=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert cube.samples.nbytes == 8 * samples
+            assert (rxsim._noise[1] is not None) == (kind != "first"), kind
+            assert peak <= 1.1 * bound, (workers, kind)
 
 
 @pytest.mark.parametrize("noise_power", [float("nan"), float("inf"), -1.0])

@@ -12,6 +12,12 @@ outside `__post_init__` and `__setattr__` (which only check or normalize
 what was stored), or a string constant equal to its name, as
 `scenario._KEYS` names the fields that `scenario_text` reads.  A field
 that only the tests read is write-only for the program.
+
+State that lives as long as the process is named: every module-level
+name in src/rfclutter that a function rebinds (`global`) or mutates (a
+subscript or attribute store or delete on it) is listed in
+PROCESS_STATE with why it lives that long and what bounds its memory,
+so that no cache can hide from the determinism contract.
 """
 
 import ast
@@ -129,3 +135,119 @@ def test_every_dataclass_field_has_a_reader():
     assert "ChannelImpulseResponse.taps" in fields
     names = read_names()
     assert sorted(q for q, name in fields.items() if name not in names) == []
+
+
+# module-level name -> (why it lives as long as the process, what bounds its memory)
+PROCESS_STATE = {
+    "workers._pool": ("the one worker-thread pool, built on first use",
+                      "one thread per CPU"),
+    "workers._pool_lock": ("builds the pool once; a forked child replaces it",
+                           "one lock"),
+    "workers._local": ("marks a thread running a block, so its own blocks run inline",
+                       "one flag per thread"),
+    "rxsim._noise": ("the unit receiver noise of the last cube key, kept once the key "
+                     "repeats, so a replayed CPI draws its noise once",
+                     "one key and at most one CPI's noise, 8 N M R bytes"),
+    "rxsim._noise_lock": ("orders the updates of rxsim._noise; a forked child replaces it",
+                          "one lock"),
+}
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of a function's own body, not of the functions or
+    classes nested in it (their names are yielded, their bodies not)."""
+    for child in ast.iter_child_nodes(scope):
+        yield child
+        if not isinstance(child, _SCOPES + (ast.ClassDef,)):
+            yield from _own_nodes(child)
+
+
+def _local_names(fn) -> set[str]:
+    """The names a function binds itself: its parameters and every name
+    it stores, imports or defines, less those it declares global."""
+    args = fn.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    names |= {a.arg for a in (args.vararg, args.kwarg) if a is not None}
+    declared = set()
+    for node in _own_nodes(fn):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            names.add(node.id)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, _SCOPES[:2] + (ast.ClassDef,)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            declared.update(node.names)
+    return names - declared
+
+
+def _module_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            for target in getattr(node, "targets", [getattr(node, "target", None)]):
+                names |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+        elif isinstance(node, _SCOPES[:2] + (ast.ClassDef,)):
+            names.add(node.name)
+    return names
+
+
+def process_state(package: Path = PACKAGE) -> set[str]:
+    """"module.name" of every module-level name a function in the
+    package rebinds or mutates."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = _module_names(tree)
+
+        def visit(node, enclosing: frozenset):
+            for child in ast.iter_child_nodes(node):
+                scope = enclosing
+                if isinstance(child, _SCOPES):
+                    scope = enclosing | _local_names(child)
+                    for inner in _own_nodes(child):
+                        if isinstance(inner, ast.Global):
+                            found.update(f"{path.stem}.{name}" for name in inner.names)
+                        elif (isinstance(inner, (ast.Attribute, ast.Subscript))
+                              and isinstance(inner.ctx, (ast.Store, ast.Del))):
+                            base = inner.value
+                            while isinstance(base, (ast.Attribute, ast.Subscript)):
+                                base = base.value
+                            if (isinstance(base, ast.Name) and base.id in module
+                                    and base.id not in scope):
+                                found.add(f"{path.stem}.{base.id}")
+                visit(child, scope)
+
+        visit(tree, frozenset())
+    return found
+
+
+def test_every_piece_of_process_state_is_named_with_its_bound():
+    assert all(why and bound for why, bound in PROCESS_STATE.values())
+    assert sorted(process_state()) == sorted(PROCESS_STATE)
+
+
+def test_the_process_state_rule_sees_rebinding_and_mutation(tmp_path):
+    """The rule flags a `global` rebinding and subscript and attribute
+    stores on a module-level name, and not the same stores on a
+    parameter, a local or a closure's own variable."""
+    (tmp_path / "probe.py").write_text(
+        "import threading\n"
+        "_cache = {}\n_hits = 0\n_flag = threading.local()\n_kept = {}\n"
+        "def remember(key, value, box):\n"
+        "    global _hits\n"
+        "    _hits += 1\n"
+        "    _cache[key] = value\n"
+        "    box[key] = value\n"
+        "    _kept = {}\n"
+        "    _kept[key] = value\n"
+        "    def inner(self):\n"
+        "        _flag.on = True\n"
+        "        self.value = value\n"
+        "        _kept[key] = value\n"
+        "    return inner\n", encoding="utf-8")
+    assert sorted(process_state(tmp_path)) == ["probe._cache", "probe._flag", "probe._hits"]

@@ -19,7 +19,7 @@ from rfclutter.scattering import GRASS, WATER
 from rfclutter.workers import run_blocks
 
 from conftest import ridge_heights
-from oracles import grazing_angle, line_of_sight, write_dem, write_landcover
+from oracles import grazing_angle, line_of_sight, reshape_block_bound, write_dem, write_landcover
 
 
 def planar_dem(nx=16, ny=16, cell=10.0, gx=0.0, gy=0.0, z0=0.0):
@@ -378,6 +378,18 @@ def test_lines_of_sight_validation(ridge_dem):
         lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], clearance=float("nan"))
     with pytest.raises(ConfigurationError):
         lines_of_sight(ridge_dem, obs, [(100.0, float("inf"), 5.0)])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (667, 667)])
+def test_block_bound_keeps_the_reshape_maximum_bytes(shape):
+    """The strided-phase block maximum gives the reshape reduction's
+    bytes, on sides that are not multiples of LOS_BLOCK (the padding's
+    -inf never wins) and on the full-scale raster's size."""
+    assert all(side % terrain.LOS_BLOCK for side in shape)
+    # heights of both signs, rounded so that ties occur
+    heights = np.round(np.random.default_rng(sum(shape)).normal(0.0, 50.0, size=shape), 1)
+    dem = ElevationGrid(heights=heights, cell_size=30.0)
+    assert terrain._block_bound(dem).tobytes() == reshape_block_bound(dem).tobytes()
 
 
 @pytest.fixture
