@@ -41,7 +41,7 @@ def sea_scenario(wind: float, seed: int) -> Scenario:
 def spread_hz(wind: float, seed: int) -> float:
     scn = sea_scenario(wind, seed)
     scene = pipeline.build_scene(scn)
-    ir = pipeline.synthesize_clutter(scn, scene, 0)
+    ir = pipeline.synthesize_clutter(scn, scene, 0, scn.timing())
     power = np.abs(doppler_process(ir.dense()[0].astype(np.complex128))) ** 2
     return wind_doppler_spread(power, doppler_axis(scn.num_pulses, scn.prf_hz))
 

@@ -58,21 +58,15 @@ _HEADER = struct.Struct("<8sIIIdddI")
 _TAP_BATCH = 4096  # responses per accumulation batch of whole taps; bounds scratch memory
 
 
-def _check_delay_origin(delay_origin: float) -> None:
-    if not (np.isfinite(delay_origin) and delay_origin >= 0):
-        raise ConfigurationError(
-            f"delay_origin must be non-negative and finite, got {delay_origin}")
-
-
 @dataclass
 class RadarTiming:
-    """Fast/slow time bookkeeping for one CPI."""
+    """Fast/slow time bookkeeping for one CPI.  The receive window
+    starts at delay 0: tap t holds delay t / sample_rate."""
 
     prf: float                   # Hz
     sample_rate: float           # Hz
     num_pulses: int
     num_taps: int                # receive window length, fast-time samples
-    delay_origin: float = 0.0    # s, absolute delay of tap 0
 
     def __post_init__(self):
         if not (np.isfinite(self.prf) and self.prf > 0):
@@ -84,11 +78,10 @@ class RadarTiming:
             raise ConfigurationError(f"num_pulses must be >= 1, got {self.num_pulses}")
         if self.num_taps < 1:
             raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
-        _check_delay_origin(self.delay_origin)
 
     @classmethod
     def for_swath(cls, prf: float, sample_rate: float, num_pulses: int,
-                  swath: float, delay_origin: float = 0.0) -> "RadarTiming":
+                  swath: float) -> "RadarTiming":
         """Receive window sized to a monostatic ground swath of `swath` meters.
 
         num_taps = ceil(two-way swath delay * sample_rate), with a small
@@ -102,7 +95,7 @@ class RadarTiming:
             raise ConfigurationError(f"a swath of {swath} m spans too many samples")
         num_taps = max(1, math.ceil(delay_extent * sample_rate - 1e-9))
         return cls(prf=prf, sample_rate=sample_rate, num_pulses=num_pulses,
-                   num_taps=num_taps, delay_origin=delay_origin)
+                   num_taps=num_taps)
 
 
 @dataclass
@@ -156,13 +149,14 @@ class ChannelImpulseResponse:
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
-        _check_delay_origin(self.delay_origin)
+        if not (np.isfinite(self.delay_origin) and self.delay_origin >= 0):
+            raise ConfigurationError(
+                f"delay_origin must be non-negative and finite, got {self.delay_origin}")
         self.taps.setflags(write=False)
         self.support.setflags(write=False)
 
     @classmethod
-    def from_dense(cls, taps, sample_rate: float, prf: float,
-                   delay_origin: float = 0.0) -> "ChannelImpulseResponse":
+    def from_dense(cls, taps, sample_rate: float, prf: float) -> "ChannelImpulseResponse":
         """The channel of an (N, M, L) tap array: its support is the taps
         that are non-zero in some channel and pulse."""
         taps = np.asarray(taps, dtype=np.complex64)
@@ -170,8 +164,7 @@ class ChannelImpulseResponse:
             raise ConfigurationError("impulse response taps must have shape (N, M, L)")
         support = np.flatnonzero(taps.any(axis=(0, 1)))
         return cls(taps=taps[:, :, support], sample_rate=sample_rate, prf=prf,
-                   delay_origin=delay_origin, support=support,
-                   num_taps=taps.shape[2])
+                   support=support, num_taps=taps.shape[2])
 
     def dense(self) -> np.ndarray:
         """The (N, M, L) complex64 taps, zero off the support."""
@@ -288,7 +281,7 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                   ) -> ChannelImpulseResponse:
     """Accumulate scatterer responses into per-channel, per-pulse taps.
 
-    tap[n, m, round((delay - origin) * fs)] += amp * exp(j 2 pi fd m / prf) * s_n(d)
+    tap[n, m, round(delay * fs)] += amp * exp(j 2 pi fd m / prf) * s_n(d)
 
     `responses` has the columns of `scatterer_responses`; `directions`
     holds the unit receive direction (array -> scatterer) per response.
@@ -304,7 +297,8 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
     its own responses; its bytes depend on the BLAS build but not on its
     thread count.  Zero-amplitude (shadowed) responses are skipped, which
     leaves the sum unchanged.  Responses whose tap falls outside the
-    receive window are dropped and counted in a warning.
+    receive window are dropped and counted in a warning.  A tap beyond
+    the complex64 range is a ConfigurationError, not an inf.
 
     The occupied taps are cut into batches of whole taps, about
     _TAP_BATCH responses each, and the batches run on every core
@@ -343,8 +337,7 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
         mod_of[rows] = np.arange(rows.size)
 
     amps = responses.amplitude
-    taps_idx = np.round((responses.delay - timing.delay_origin)
-                        * timing.sample_rate).astype(np.int64)
+    taps_idx = np.round(responses.delay * timing.sample_rate).astype(np.int64)
     live = amps != 0
     in_window = (taps_idx >= 0) & (taps_idx < n_tap)
     dropped = int(np.count_nonzero(live & ~in_window))
@@ -377,15 +370,20 @@ def synthesize_ir(responses: np.recarray, directions: np.ndarray,
                 hit = np.flatnonzero(mod_of[idx] >= 0)
                 row = mod_of[idx[hit]]
                 slow[hit] = slow[hit] * np.exp(1j * mod_phase[row]) * mod_amp[row]
-            for k, (a, b) in enumerate(zip((bounds[g:h] - lo).tolist(),
-                                           (bounds[g + 1:h + 1] - lo).tolist()), start=g):
-                out[:, :, k] = coef[a:b].T @ slow[a:b]
+            # errstate is per thread, so each block sets its own
+            with np.errstate(over="raise"):
+                for k, (a, b) in enumerate(zip((bounds[g:h] - lo).tolist(),
+                                               (bounds[g + 1:h + 1] - lo).tolist()), start=g):
+                    out[:, :, k] = coef[a:b].T @ slow[a:b]
 
-    run_blocks(accumulate, len(edges) - 1)
+    try:
+        run_blocks(accumulate, len(edges) - 1)
+    except FloatingPointError as exc:
+        raise ConfigurationError("a channel tap exceeds the complex64 range; "
+                                 "a scatterer or target gain is too large") from exc
 
     return ChannelImpulseResponse(taps=out, sample_rate=timing.sample_rate, prf=timing.prf,
-                                  delay_origin=timing.delay_origin, support=support,
-                                  num_taps=n_tap)
+                                  support=support, num_taps=n_tap)
 
 
 def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 64) -> np.ndarray:

@@ -139,7 +139,10 @@ def cmd_range_doppler(args) -> int:
     else:
         scn = _load(args)
         run = pipeline.simulate_scenario(scn)
-        wf = run.waveform
+        # compress with the waveform as its file stores it, complex64, so
+        # the maps equal those of --cube with the exported waveform file
+        wf = Waveform(samples=run.waveform.samples.astype(np.complex64),
+                      sample_rate=run.waveform.sample_rate)
         cubes = [(r.cpi, r.cube) for r in run.results]
         weights = np.ones(scn.num_channels)
 

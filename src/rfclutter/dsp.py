@@ -23,23 +23,19 @@ DEFAULT_CLIP_DB = 60.0        # dynamic range below the map peak
 DEFAULT_PEAK_OFFSET_DB = 20.0  # peak threshold above the map median
 
 
-def beamform(cube, weights: np.ndarray) -> np.ndarray:
-    """Spatial combining y[m, r] = w^H x[:, m, r].
+def beamform(cube: DataCube, weights: np.ndarray) -> np.ndarray:
+    """Spatial combining y[m, r] = w^H x[:, m, r] of a one-CPI DataCube.
 
-    `cube` may be a one-CPI DataCube or a bare (N, M, R) array.  A
-    complex64 input is combined at its own precision, the weights
-    rounded to complex64, so no complex128 copy of the cube is made;
-    any other input is combined in complex128.
+    The complex64 samples are combined at their own precision, the
+    weights rounded to complex64, so no complex128 copy of the cube is
+    made.
     """
-    x = cube.one_cpi() if isinstance(cube, DataCube) else np.asarray(cube)
-    if x.ndim != 3:
-        raise ConfigurationError("beamform input must have shape (N, M, R)")
+    x = cube.one_cpi()
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
     if weights.shape[0] != x.shape[0]:
         raise ConfigurationError(
             f"weights length {weights.shape[0]} != channel count {x.shape[0]}")
-    w = weights.conj().astype(np.complex64 if x.dtype == np.complex64 else np.complex128)
-    return np.tensordot(w, x, axes=([0], [0]))
+    return np.tensordot(weights.conj().astype(np.complex64), x, axes=([0], [0]))
 
 
 def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
@@ -88,24 +84,23 @@ def doppler_axis(num_pulses: int, prf: float) -> np.ndarray:
     return np.where(f >= prf / 2.0, f - prf, f)
 
 
-def range_doppler_map(cube, wf: Waveform, weights: np.ndarray,
+def range_doppler_map(cube: DataCube, wf: Waveform, weights: np.ndarray,
                       window: str | None = None, clip_db: float = DEFAULT_CLIP_DB,
                       peak_offset_db: float = DEFAULT_PEAK_OFFSET_DB,
                       ) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
-    """Full chain to a normalized dB map plus its peak list.
+    """Full chain from a one-CPI DataCube to a normalized dB map plus
+    its peak list.
 
     The map is 20 log10 |.| normalized so the strongest bin sits at
     0 dB, floored `clip_db` below that.  Peaks are local maxima (wrapped
     in Doppler) above median + peak_offset_db, returned as (range bin,
     Doppler bin, dB) sorted strongest first.  An all-zero cube yields a
-    floor-valued map and no peaks.  A DataCube must hold one CPI and
-    share the waveform's sample rate, as a channel must in cube
-    assembly.
+    floor-valued map and no peaks.  The cube must share the waveform's
+    sample rate, as a channel must in cube assembly.
     """
     if clip_db <= 0:
         raise ConfigurationError(f"clip_db must be positive, got {clip_db}")
-    if isinstance(cube, DataCube):
-        check_waveform_rate(wf, cube.sample_rate, "cube")
+    check_waveform_rate(wf, cube.sample_rate, "cube")
     bf = beamform(cube, weights)
     pc = pulse_compress(bf, wf)
     dp = doppler_process(pc, window=window)

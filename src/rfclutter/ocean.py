@@ -22,8 +22,9 @@ from .errors import ConfigurationError
 from .seeding import STREAM_OCEAN, normal_pair, philox_key, philox_words
 from .workers import run_blocks
 
-DEFAULT_VELOCITY_PER_WIND = 0.1      # stationary velocity sigma per m/s of wind
-DEFAULT_LOG_AMP_PER_WIND = 0.02      # lognormal sigma per m/s of wind
+VELOCITY_PER_WIND = 0.1              # stationary velocity sigma per m/s of wind
+LOG_AMP_PER_WIND = 0.02              # lognormal sigma per m/s of wind
+CORRELATION_TIME = 0.05              # s, OU velocity decorrelation
 
 _CHUNK_BLOCKS = 1 << 16              # Philox blocks per row chunk; bounds scratch memory
 
@@ -31,31 +32,26 @@ _CHUNK_BLOCKS = 1 << 16              # Philox blocks per row chunk; bounds scrat
 @dataclass
 class OceanState:
     """Sea-surface configuration for a set of water patches, named by
-    the patch ids that key their draws."""
+    the patch ids that key their draws.  The spreads scale with the
+    wind speed by VELOCITY_PER_WIND and LOG_AMP_PER_WIND, and the
+    velocity decorrelates over CORRELATION_TIME."""
 
     ids: np.ndarray                      # (n,) int patch ids
     wind_speed: float                    # m/s
-    velocity_per_wind: float = DEFAULT_VELOCITY_PER_WIND
-    log_amp_per_wind: float = DEFAULT_LOG_AMP_PER_WIND
-    correlation_time: float = 0.05       # s, OU velocity decorrelation
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
         if self.wind_speed < 0:
             raise ConfigurationError(f"wind_speed must be non-negative, got {self.wind_speed}")
-        if self.correlation_time <= 0:
-            raise ConfigurationError("correlation_time must be positive")
-        if self.velocity_per_wind < 0 or self.log_amp_per_wind < 0:
-            raise ConfigurationError("wind scaling coefficients must be non-negative")
 
     @property
     def velocity_std(self) -> float:
         """Stationary radial-velocity sigma, m/s."""
-        return self.velocity_per_wind * self.wind_speed
+        return VELOCITY_PER_WIND * self.wind_speed
 
     @property
     def log_amp_std(self) -> float:
-        return self.log_amp_per_wind * self.wind_speed
+        return LOG_AMP_PER_WIND * self.wind_speed
 
 
 def surface_series(state: OceanState, num_pulses: int, prf: float,
@@ -85,7 +81,7 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     step = max(1, _CHUNK_BLOCKS // blocks)
     sigma_v = state.velocity_std
     log_amp_std = state.log_amp_std
-    rho = float(np.exp(-1.0 / (state.correlation_time * prf)))
+    rho = float(np.exp(-1.0 / (CORRELATION_TIME * prf)))
     drive = sigma_v * np.sqrt(1.0 - rho * rho)
     vel = np.empty((n, num_pulses))
     amp = np.empty((n, num_pulses))
@@ -123,13 +119,11 @@ def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
     return phase, amp
 
 
-def wind_doppler_spread(power_map: np.ndarray, doppler_freqs: np.ndarray,
-                        mask: np.ndarray | None = None) -> float:
+def wind_doppler_spread(power_map: np.ndarray, doppler_freqs: np.ndarray) -> float:
     """Power-weighted Doppler standard deviation of a range-Doppler map.
 
     `power_map` is linear power, shape (doppler bins, range bins);
-    `doppler_freqs` gives the Hz value of each Doppler bin.  `mask`
-    restricts the estimate to the clutter ridge when given.
+    `doppler_freqs` gives the Hz value of each Doppler bin.
     """
     p = np.asarray(power_map, dtype=np.float64)
     f = np.asarray(doppler_freqs, dtype=np.float64).reshape(-1)
@@ -138,15 +132,10 @@ def wind_doppler_spread(power_map: np.ndarray, doppler_freqs: np.ndarray,
             f"power_map rows {p.shape} must match doppler_freqs length {f.shape[0]}")
     if np.any(p < 0):
         raise ValueError("power_map must be non-negative (linear power)")
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != p.shape:
-            raise ConfigurationError("mask shape must match power_map")
-        p = np.where(mask, p, 0.0)
     weights = p.sum(axis=1)
     total = weights.sum()
     if total == 0.0:
-        raise ValueError("power map is all zero over the selected bins")
+        raise ValueError("power map is all zero")
     mean = float(np.dot(weights, f) / total)
     var = float(np.dot(weights, (f - mean) ** 2) / total)
     return float(np.sqrt(var))

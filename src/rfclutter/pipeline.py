@@ -40,10 +40,6 @@ from .waveform import Waveform, lfm
 
 logger = logging.getLogger(__name__)
 
-# Rays are lifted this much (m) before the terrain comparison so patch
-# centers sitting exactly on the surface don't self-occlude.
-LOS_CLEARANCE_M = 1.0
-
 # Realization indices >= this belong to moment estimation, so training
 # draws never reuse the phases of the exported CPIs.
 MOMENT_REALIZATION_BASE = 1_000_000
@@ -133,7 +129,7 @@ def build_scene(scn: Scenario) -> SceneModel | None:
         n_roof = len(xy)
         centers.append(np.column_stack([xy, ground.heights_at(xy[:, 0], xy[:, 1]) + b.height]))
         areas.append(np.full(n_roof, b.footprint ** 2))
-        classes.append(np.full(n_roof, b.landcover_class))
+        classes.append(np.full(n_roof, scattering.BUILDING))
     n_disc = len(scn.discretes)
     centers.append(np.reshape([d.position for d in scn.discretes], (n_disc, 3)))
     areas.append(np.ones(n_disc))
@@ -174,18 +170,17 @@ def receive_array(scn: Scenario) -> ArrayGeometry:
 def _visibility(dem: ElevationGrid, tx_position: np.ndarray,
                 rx_position: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Both-path LOS mask from a transmitter and a receiver to many
-    points, with the standard clearance.  One `lines_of_sight` call
-    covers the transmit rays; a second covers the receive rays of the
-    points whose transmit ray is clear, and is skipped when the two
-    platforms coincide.  Points outside the raster extent count as
-    visible (the terrain can't block what it doesn't cover)."""
+    points.  One `lines_of_sight` call covers the transmit rays; a
+    second covers the receive rays of the points whose transmit ray is
+    clear, and is skipped when the two platforms coincide.  Points
+    outside the raster extent count as visible (the terrain can't block
+    what it doesn't cover)."""
     out = ~dem.within_extent(points[:, 0], points[:, 1])
     on = np.flatnonzero(~out)
-    clear = lines_of_sight(dem, tx_position, points[on], clearance=LOS_CLEARANCE_M)
+    clear = lines_of_sight(dem, tx_position, points[on])
     if not np.array_equal(tx_position, rx_position):
         tx_clear = np.flatnonzero(clear)
-        clear[tx_clear] = lines_of_sight(dem, rx_position, points[on[tx_clear]],
-                                         clearance=LOS_CLEARANCE_M)
+        clear[tx_clear] = lines_of_sight(dem, rx_position, points[on[tx_clear]])
     out[on] = clear
     return out
 
@@ -261,8 +256,7 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
                                                    scene.patches.areas)
     in_window = np.ones(len(centers), dtype=bool)
     if timing is not None:
-        tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
-                       * timing.sample_rate)
+        tap = np.round((r_tx + r_rx) / SPEED_OF_LIGHT * timing.sample_rate)
         in_window = (tap >= 0) & (tap < timing.num_taps)
     tested = in_window & (unshadowed != 0.0)
     visible = np.zeros(len(centers), dtype=bool)
@@ -310,17 +304,14 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
     return rows, phase, amp
 
 
-def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
-                       timing: RadarTiming | None = None,
-                       budget: PatchBudget | None = None,
+def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int, timing: RadarTiming,
                        tx: PlatformState | None = None,
                        seed: int | None = None) -> ChannelImpulseResponse:
     """Clutter impulse response for one CPI (terrain + buildings +
     discretes, with sea-surface modulation when the wind blows).
 
-    The link budget is pure geometry; a caller that has it can pass it
-    in.  Only the scatterers with a non-zero gain are drawn and
-    accumulated.
+    Only the scatterers with a non-zero gain in the link budget are
+    drawn and accumulated.
 
     `tx` and `seed` default to the scenario's own transmitter and seed;
     the MIMO path passes its extra transmitters and their clutter seeds.
@@ -331,10 +322,7 @@ def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int,
     if tx is None:
         tx = scn_tx
     array = receive_array(scn)
-    if timing is None:
-        timing = scn.timing()
-    if budget is None:
-        budget = patch_budget(scn, scene, tx, rx, array, timing)
+    budget = patch_budget(scn, scene, tx, rx, array, timing)
     live = np.flatnonzero(budget.gains)
     responses = _clutter_responses(scn, scene, budget, live, tx, rx, cpi,
                                    scn.seed if seed is None else seed)
@@ -350,7 +338,7 @@ def target_states(scn: Scenario, cpi: int) -> list[tuple[np.ndarray, np.ndarray,
 
 
 def synthesize_targets(scn: Scenario, scene: SceneModel | None, cpi: int,
-                       timing: RadarTiming | None = None,
+                       timing: RadarTiming,
                        tx: PlatformState | None = None) -> ChannelImpulseResponse | None:
     """Deterministic target impulse response for one CPI; None when the
     scenario declares no targets.
@@ -366,8 +354,6 @@ def synthesize_targets(scn: Scenario, scene: SceneModel | None, cpi: int,
     if tx is None:
         tx = scn_tx
     array = receive_array(scn)
-    if timing is None:
-        timing = scn.timing()
     states = target_states(scn, cpi)
     points = np.array([pos for pos, _, _ in states])
     gains, directions, _, _ = _link_budget(
@@ -410,10 +396,6 @@ class ScenarioRun:
     scene: SceneModel | None
     waveform: Waveform
     results: list[CPIResult]
-
-    @property
-    def cubes(self) -> list[DataCube]:
-        return [r.cube for r in self.results]
 
 
 def simulate_cpi(scn: Scenario, scene: SceneModel | None, cpi: int,
@@ -475,7 +457,7 @@ def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
     live = np.flatnonzero(budget.gains)
     delays, dopplers = bistatic_delays_dopplers(scene.patches.centers[live], np.zeros(3),
                                                 tx, rx, scn.wavelength)
-    tap = np.round((delays - timing.delay_origin) * timing.sample_rate).astype(np.int64)
+    tap = np.round(delays * timing.sample_rate).astype(np.int64)
     in_window = (tap >= 0) & (tap < timing.num_taps)
     if not in_window.all():
         logger.warning("%d patch responses fall outside the receive window and were dropped",

@@ -183,7 +183,8 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     The samples are circular Gaussian noise of variance `noise_power`
     per sample plus every channel convolved with its pulses, added to
     the noise in complex128 in the order given and rounded once to
-    complex64, the rounding a cube file applies.  Each receive channel
+    complex64, the rounding a cube file applies; a sample beyond the
+    complex64 range is a ConfigurationError, not an inf.  Each receive channel
     n draws its noise from `derive_rng(seed, STREAM_NOISE, 0, cpi_index,
     n)`, where 0 fills the key's receiver slot (there is one receiver):
     M R float64 uniforms u, then M R float32 uniforms v, for R = L + P
@@ -346,9 +347,16 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                     for j, s in enumerate((ir.support - lo).tolist()):
                         out[:, s:s + p] += taps[:, j, None] * waveform_rows
                 lines[:, lo:lo + width] += out[:, :width]
-            cube[0, n] = lines
+            # errstate is per thread, so each block sets its own
+            with np.errstate(over="raise"):
+                cube[0, n] = lines
 
-    run_blocks(assemble, n_ch)
+    try:
+        run_blocks(assemble, n_ch)
+    except FloatingPointError as exc:
+        raise ConfigurationError(
+            f"the cube samples exceed the complex64 range (noise power {noise_power:g}, "
+            "or the channels convolved with the waveforms)") from exc
     if fill is not None:
         fill.setflags(write=False)
         with _noise_lock:

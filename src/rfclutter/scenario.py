@@ -81,7 +81,8 @@ class BuildingGrid:
     """Rectangular block of identical buildings.
 
     Buildings raise the local terrain by `height` and scatter as
-    strongly reflective patches of `footprint` x `footprint` m.
+    strongly reflective patches (land-cover class
+    `scattering.BUILDING`) of `footprint` x `footprint` m.
     """
 
     origin: np.ndarray           # (2,) m, SW corner of the block
@@ -89,7 +90,6 @@ class BuildingGrid:
     cols: int                    # count along east
     footprint: float = 30.0      # m
     height: float = 6.0          # m
-    landcover_class: int = scattering.BUILDING
 
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
@@ -99,10 +99,6 @@ class BuildingGrid:
             raise ConfigurationError("building origin must be finite")
         if not (0 < self.footprint < math.inf and 0 < self.height < math.inf):
             raise ConfigurationError("building footprint and height must be positive and finite")
-
-    @property
-    def count(self) -> int:
-        return self.rows * self.cols
 
     def centers(self) -> np.ndarray:
         """(rows * cols, 2) building centers, row-major from the SW corner."""
@@ -489,10 +485,11 @@ _SCENE_CELLS = 667          # 30 m cells -> 20.01 km extent
 _SCENE_CELL_SIZE = 30.0
 
 
-def littoral_dem(cells: int = _SCENE_CELLS, cell_size: float = _SCENE_CELL_SIZE,
-                 ) -> tuple[ElevationGrid, ClassGrid]:
-    """Synthetic coastal scene: water to the west, rolling terrain with
-    one dominant hill inland, forest and urban pockets on land."""
+def littoral_dem() -> tuple[ElevationGrid, ClassGrid]:
+    """Synthetic coastal scene of _SCENE_CELLS x _SCENE_CELLS cells of
+    _SCENE_CELL_SIZE m: water to the west, rolling terrain with one
+    dominant hill inland, forest and urban pockets on land."""
+    cells, cell_size = _SCENE_CELLS, _SCENE_CELL_SIZE
     # each term depends on x alone or y alone until the products, sums
     # and the hill's exponential combine them, so the terms are evaluated
     # on 1-D axes and broadcast: x varies along a row, y down a column

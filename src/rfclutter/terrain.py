@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -37,58 +37,52 @@ def _check_georeference(cell_size: float, origin_lat: float, origin_lon: float) 
             f"grid origin must be finite, got ({origin_lat}, {origin_lon})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ElevationGrid:
-    """Regular height raster.
+    """Regular height raster, fixed at construction.
 
     heights[r, c] is the terrain height (m) at the center of cell
     (r, c); row 0 is the northernmost row.  The grid origin (south-west
-    corner of the raster) sits at ENU (0, 0).
+    corner of the raster) sits at ENU (0, 0).  The heights are checked
+    and held read-only: a read-only array that owns its memory is
+    adopted as is, anything else is copied, so no caller-held array can
+    change them (or leave `los_bounds` stale) afterwards.
     """
 
     heights: np.ndarray          # (nrows, ncols) m, row 0 = north
     cell_size: float             # m
     origin_lat: float = 0.0      # deg, geodetic anchor of the SW corner
     origin_lon: float = 0.0      # deg
-    # (heights array, LosBounds) of the last los_bounds build
-    _los_cache: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        heights = np.asarray(self.heights, dtype=np.float64)
+        if heights.flags.writeable or not heights.flags.owndata:
+            heights = heights.copy()
+        if heights.ndim != 2 or heights.size == 0:
+            raise ConfigurationError("elevation grid must be a non-empty 2-D array")
+        if not np.all(np.isfinite(heights)):
+            raise ConfigurationError("elevation grid contains non-finite heights")
+        heights.setflags(write=False)
+        object.__setattr__(self, "heights", heights)
         _check_georeference(self.cell_size, self.origin_lat, self.origin_lon)
-
-    def __setattr__(self, name, value):
-        # every `heights` assignment, the constructor's included, is
-        # checked and stored read-only.  A read-only array that owns its
-        # memory is adopted as is; anything else is copied, so no
-        # caller-held array can change the heights (or leave
-        # `los_bounds` stale) afterwards.
-        if name == "heights":
-            value = np.asarray(value, dtype=np.float64)
-            if value.flags.writeable or not value.flags.owndata:
-                value = value.copy()
-            if value.ndim != 2 or value.size == 0:
-                raise ConfigurationError("elevation grid must be a non-empty 2-D array")
-            if not np.all(np.isfinite(value)):
-                raise ConfigurationError("elevation grid contains non-finite heights")
-            value.setflags(write=False)
-        object.__setattr__(self, name, value)
 
     @property
     def los_bounds(self) -> "LosBounds":
         """The block height bounds `lines_of_sight` culls with, built
-        on first use and kept for this `heights` array; assigning
-        `heights` stores a new array and so rebuilds them."""
-        with _LOS_BOUNDS_LOCK:   # callers on several threads may share one grid
-            cache = self._los_cache
-            if cache is None or cache[0] is not self.heights:
-                fine = _block_bound(self)
-                coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
-                fine.setflags(write=False)
-                coarse.setflags(write=False)
-                cache = (self.heights, LosBounds(fine, coarse, float(fine.max()),
-                                                 float(np.abs(fine).max())))
-                self._los_cache = cache
-            return cache[1]
+        once per grid, on first use."""
+        bounds = self.__dict__.get("_los_bounds")
+        if bounds is None:
+            with _LOS_BOUNDS_LOCK:   # callers on several threads may share one grid
+                bounds = self.__dict__.get("_los_bounds")
+                if bounds is None:
+                    fine = _block_bound(self)
+                    coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
+                    fine.setflags(write=False)
+                    coarse.setflags(write=False)
+                    bounds = LosBounds(fine, coarse, float(fine.max()),
+                                       float(np.abs(fine).max()))
+                    object.__setattr__(self, "_los_bounds", bounds)
+        return bounds
 
     @property
     def nrows(self) -> int:
@@ -298,18 +292,6 @@ def grazing_angles(patches: PatchArrays, observer: np.ndarray) -> np.ndarray:
     return np.arcsin(np.clip(s, -1.0, 1.0))
 
 
-def _los_step(dem: ElevationGrid, clearance: float, step: float | None) -> float:
-    """The sample spacing of a line-of-sight query, after checking the
-    query's clearance and spacing."""
-    if step is None:
-        step = dem.cell_size / 2.0
-    if not step > 0:
-        raise ConfigurationError(f"line-of-sight step must be positive, got {step}")
-    if not math.isfinite(clearance):
-        raise ConfigurationError(f"line-of-sight clearance must be finite, got {clearance}")
-    return step
-
-
 # lines_of_sight bounds the terrain under a sample by the highest node of
 # its LOS_BLOCK-square block of DEM nodes and of the blocks east, south
 # and south-east of it, which hold the c0 + 1 and r0 + 1 nodes of the
@@ -318,6 +300,12 @@ def _los_step(dem: ElevationGrid, clearance: float, step: float | None) -> float
 # LOS_REACH blocks of that sample's block.
 LOS_BLOCK = 4
 LOS_REACH = 4
+# Rays are lifted this much (m) before the terrain comparison so patch
+# centers sitting exactly on the surface don't self-occlude.
+LOS_CLEARANCE_M = 1.0
+# Samples per run: they are at most half a cell apart, so a run moves at
+# most LOS_REACH * LOS_BLOCK - 2 nodes from its first sample.
+LOS_RUN = 1 + 2 * (LOS_REACH * LOS_BLOCK - 2)
 # Samples per chunk of lines_of_sight; with LOS_SPAN it fixes the
 # working memory of each of its tasks.
 LOS_CHUNK = 1 << 16
@@ -381,18 +369,17 @@ def _t_window(a, d, lo: float, hi: float, tol: float) -> tuple[np.ndarray, np.nd
     return t0, t1
 
 
-def lines_of_sight(dem: ElevationGrid, observer, points,
-                   clearance: float = 0.0, step: float | None = None) -> np.ndarray:
+def lines_of_sight(dem: ElevationGrid, observer, points) -> np.ndarray:
     """Boolean line of sight from one observer to each of `points`
     ((m, 3) ENU): True when the straight ray clears the terrain.
 
     The terrain is sampled between the endpoints on a uniform grid no
-    coarser than `step` (default cell_size / 2): the n = max(0,
-    ceil(horizontal distance / step) - 1) interior points of
-    np.linspace(0, 1, n + 2), symmetric in the two endpoints.  The
-    endpoints themselves are excluded, since both usually sit on or
-    near the surface.  The ray is raised by `clearance` meters before
-    the comparison with `heights_at`.  Either endpoint may lie outside
+    coarser than half a cell: the n = max(0, ceil(horizontal distance
+    / step) - 1) interior points of np.linspace(0, 1, n + 2), for step
+    = cell_size / 2, symmetric in the two endpoints.  The endpoints
+    themselves are excluded, since both usually sit on or near the
+    surface.  The ray is raised by LOS_CLEARANCE_M meters before the
+    comparison with `heights_at`.  Either endpoint may lie outside
     the raster extent; samples off the raster see no terrain, so they
     cannot occlude.  The oracle in tests/oracles.py marches every
     sample, and each answer equals its answer.
@@ -415,7 +402,7 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    step = _los_step(dem, clearance, step)
+    step = dem.cell_size / 2.0
     if not (np.all(np.isfinite(obs)) and np.all(np.isfinite(pts))):
         raise ConfigurationError("line-of-sight endpoints must be finite")
     if len(pts) == 0:
@@ -429,18 +416,15 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
     def sample(ray, i):
         t = i * s[ray]
         return (obs[0] + t * d[ray, 0], obs[1] + t * d[ray, 1],
-                obs[2] + t * d[ray, 2] + clearance)
+                obs[2] + t * d[ray, 2] + LOS_CLEARANCE_M)
 
     fine, coarse, top, magnitude = dem.los_bounds
-    # samples are at most `step` apart, so a run of this many moves less
-    # than LOS_REACH * LOS_BLOCK - 2 nodes from its first sample
-    run = 1 + int(min(LOS_CHUNK - 1, (LOS_REACH * LOS_BLOCK - 2) * dem.cell_size / step))
 
     # the window: on the raster and at or below the highest bound
-    tol = _WINDOW_TOL * (1.0 + abs(clearance) + magnitude
+    tol = _WINDOW_TOL * (1.0 + LOS_CLEARANCE_M + magnitude
                          + float(np.abs(obs).max()) + float(np.abs(pts).max())
                          + dem.extent_east + dem.extent_north)
-    t0, t1 = _t_window(obs[2] + clearance, d[:, 2], -np.inf, top, tol)
+    t0, t1 = _t_window(obs[2] + LOS_CLEARANCE_M, d[:, 2], -np.inf, top, tol)
     for axis, extent in ((0, dem.extent_east), (1, dem.extent_north)):
         u0, u1 = _t_window(obs[axis], d[:, axis], 0.0, extent, tol)
         t0 = np.maximum(t0, u0)
@@ -450,13 +434,13 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
         last = np.minimum(np.floor(t1 / s) + 2.0, n)
         count = np.where(last >= first, last - first + 1.0, 0.0).astype(np.int64)
     first = np.where(count > 0, first, 0.0).astype(np.int64)
-    runs = -(-count // run)
+    runs = -(-count // LOS_RUN)
     ends = np.cumsum(runs)
     total = int(ends[-1])
 
     # between two on-raster endpoints every sample is on the raster
     masked = ~(dem.within_extent(obs[0], obs[1]) & dem.within_extent(pts[:, 0], pts[:, 1]))
-    per_chunk = LOS_CHUNK // run
+    per_chunk = LOS_CHUNK // LOS_RUN
 
     def blocked_rays(spans: range) -> np.ndarray:
         # allocated before the chunks, so it pins none of their memory
@@ -470,8 +454,8 @@ def lines_of_sight(dem: ElevationGrid, observer, points,
             ray = np.repeat(np.arange(r0, r1 + 1), np.minimum(span_ends, j1)
                             - np.maximum(span_ends - runs[r0:r1 + 1], j0))
             j = np.arange(j0, j1)
-            a = first[ray] + (j - (ends[ray] - runs[ray])) * run
-            m = np.minimum(run, first[ray] + count[ray] - a)
+            a = first[ray] + (j - (ends[ray] - runs[ray])) * LOS_RUN
+            m = np.minimum(LOS_RUN, first[ray] + count[ray] - a)
             xa, ya, za = sample(ray, a)
             zb = sample(ray, a + m - 1)[2]
             fr, fc = dem.node_coords(xa, ya)

@@ -44,10 +44,6 @@ class Waveform:
         return self.samples.shape[0]
 
     @property
-    def duration(self) -> float:
-        return self.num_samples / self.sample_rate
-
-    @property
     def energy(self) -> float:
         return float(np.sum(np.abs(self.samples) ** 2))
 

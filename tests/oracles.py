@@ -29,7 +29,7 @@ from rfclutter.scattering import FOUR_PI_CUBED, ScatteringTable
 from rfclutter.seeding import (STREAM_CLUTTER, STREAM_NOISE, derive_rng, normal_pair, philox_key,
                                uniforms)
 from rfclutter.terrain import (LOS_BLOCK, _BLEND_MARGIN_EPS, ClassGrid, ElevationGrid,
-                               PlatformState, _los_step)
+                               PlatformState)
 from rfclutter.waveform import Waveform
 
 # The stream id of the covariance snapshots, distinct from the ids in
@@ -192,7 +192,12 @@ def line_of_sight(dem: ElevationGrid, observer, point,
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pt = np.asarray(point, dtype=np.float64).reshape(3)
-    step = _los_step(dem, clearance, step)
+    if step is None:
+        step = dem.cell_size / 2.0
+    if not step > 0:
+        raise ConfigurationError(f"line-of-sight step must be positive, got {step}")
+    if not math.isfinite(clearance):
+        raise ConfigurationError(f"line-of-sight clearance must be finite, got {clearance}")
     dist = float(np.hypot(pt[0] - obs[0], pt[1] - obs[1]))
     n_interior = max(0, math.ceil(dist / step) - 1)
     if n_interior == 0:

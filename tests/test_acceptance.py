@@ -308,7 +308,7 @@ def test_08_wind_widens_the_sea_doppler_ridge():
             wind_speed_mps=wind, seed=seed,
         )
         scene = pipeline.build_scene(scn)
-        ir = pipeline.synthesize_clutter(scn, scene, 0)
+        ir = pipeline.synthesize_clutter(scn, scene, 0, scn.timing())
         spec = doppler_process(ir.taps[0].astype(np.complex128))
         power = np.abs(spec) ** 2
         return wind_doppler_spread(power, doppler_axis(64, 2000.0))

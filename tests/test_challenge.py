@@ -52,7 +52,7 @@ def test_export_then_read_round_trip(tmp_path):
     assert data.seed == 5
     assert data.manifest["scenario"] == "export-check"
     assert int(data.manifest["channels"]) == 2
-    assert int(data.manifest["range_samples"]) == run.cubes[0].num_range_samples
+    assert int(data.manifest["range_samples"]) == run.results[0].cube.num_range_samples
     for cpi, r in enumerate(run.results):
         # cube payloads are complex64 on disk
         np.testing.assert_array_equal(
@@ -325,7 +325,7 @@ def relist(root, name, blob):
 def rewritten_ir(ir, taps=None, sample_rate=None, prf=None):
     return ChannelImpulseResponse.from_dense(ir.dense() if taps is None else taps,
                                              sample_rate=sample_rate or ir.sample_rate,
-                                             prf=prf or ir.prf, delay_origin=ir.delay_origin)
+                                             prf=prf or ir.prf)
 
 
 @pytest.mark.parametrize("name", ["clutter_cpi000.rfgir", "target_cpi000.rfgir"])

@@ -246,11 +246,6 @@ def test_rates_must_be_finite(bad):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
 def test_delay_origin_must_be_finite_and_non_negative(bad):
     with pytest.raises(ConfigurationError):
-        RadarTiming(prf=1e3, sample_rate=5e6, num_pulses=4, num_taps=10, delay_origin=bad)
-    with pytest.raises(ConfigurationError):
-        RadarTiming.for_swath(prf=1e3, sample_rate=5e6, num_pulses=4, swath=300.0,
-                              delay_origin=bad)
-    with pytest.raises(ConfigurationError):
         ChannelImpulseResponse(taps=np.zeros((1, 2, 3), dtype=np.complex64),
                                sample_rate=5e6, prf=1e3, delay_origin=bad)
 
@@ -343,18 +338,17 @@ def test_zero_amplitude_responses_leave_ir_bit_identical():
 
 def test_out_of_window_responses_dropped_with_warning(caplog):
     fs = 5e6
-    timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=2, num_taps=8,
-                         delay_origin=1 / fs)
+    timing = RadarTiming(prf=1500.0, sample_rate=fs, num_pulses=2, num_taps=8)
     arr = rx_array(1)
-    inside = (3 / fs, 400.0, 0.5 + 0.1j, 0)
-    outside = (20 / fs, 400.0, 0.5 + 0.1j, 0)
-    early = (0.0, 0.0, 1.0, 2)
+    inside = (2 / fs, 400.0, 0.5 + 0.1j, 0)
+    outside = (19 / fs, 400.0, 0.5 + 0.1j, 0)
+    early = (-1 / fs, 0.0, 1.0, 2)
     with caplog.at_level(logging.WARNING, logger="rfclutter.channel"):
         ir = synthesize_ir(responses(inside, outside, early),
                            np.array([[1, 0, 0], [1, 0, 0], [1, 0, 0]], float),
                            arr, timing)
-    # with the shifted origin: inside -> tap 2 (kept), early -> tap -1 and
-    # outside -> tap 19 (both dropped and counted)
+    # inside -> tap 2 (kept), early -> tap -1 and outside -> tap 19 (both
+    # dropped and counted)
     assert "2 patch responses" in caplog.text
     assert ir.taps.shape == (1, 2, 1) and ir.num_taps == 8
     assert ir.support.tolist() == [2]
@@ -399,8 +393,7 @@ def add_at_taps(responses, directions, array, timing, pulse_phase=None, pulse_am
     response."""
     order = np.argsort(responses.patch_id, kind="stable")
     idx = order[responses.amplitude[order] != 0]
-    tap = np.round((responses.delay[idx] - timing.delay_origin)
-                   * timing.sample_rate).astype(np.int64)
+    tap = np.round(responses.delay[idx] * timing.sample_rate).astype(np.int64)
     inside = (tap >= 0) & (tap < timing.num_taps)
     idx, tap = idx[inside], tap[inside]
     out = np.zeros((timing.num_taps, array.num_elements, timing.num_pulses), complex)
@@ -444,7 +437,7 @@ def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
         return synthesize_ir(*args, **kw)
 
     monkeypatch.setattr(pipeline, "synthesize_ir", capture)
-    ir = pipeline.synthesize_clutter(scn, pipeline.build_scene(scn), 1)
+    ir = pipeline.synthesize_clutter(scn, pipeline.build_scene(scn), 1, scn.timing())
     ((resp, directions, array, timing), kw), = calls
     phase = amp = None
     if scn.wind_speed_mps > 0:
@@ -456,7 +449,7 @@ def test_synthesize_ir_within_one_ulp_of_scatter_add(make, monkeypatch):
         amp[rows] = mod_amp
     want = add_at_taps(resp, directions, array, timing, phase, amp)
     live = resp.amplitude != 0
-    tap = np.round((resp.delay[live] - timing.delay_origin) * timing.sample_rate)
+    tap = np.round(resp.delay[live] * timing.sample_rate)
     assert np.unique(tap, return_counts=True)[1].max() > 1   # real sums, not copies
     assert np.count_nonzero(want) > 0
     assert ulp_distance(ir.dense(), want).max() <= 1
@@ -572,8 +565,9 @@ def test_ir_round_trip(tmp_path):
     taps = (rng.normal(size=(2, 4, 16)) + 1j * rng.normal(size=(2, 4, 16)))
     taps[:, :, [0, 3, 4, 9, 15]] = 0.0
     taps[0, 1, 3] = -0.0 + 0.5j       # zero in all but one (channel, pulse)
-    ir = ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1800.0,
-                                           delay_origin=3.2e-5)
+    ir = dataclasses.replace(ChannelImpulseResponse.from_dense(taps, sample_rate=5e6,
+                                                               prf=1800.0),
+                             delay_origin=3.2e-5)
     assert ir.support.tolist() == [1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14]
     path = tmp_path / "ch.rfgir"
     digest = write_ir(path, ir)

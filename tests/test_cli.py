@@ -97,6 +97,41 @@ def test_range_doppler_from_dataset_cube(scenario_file, tmp_path):
     assert (out / "rd_cpi001_peaks.csv").exists()
 
 
+def test_range_doppler_of_a_scenario_equals_that_of_its_exported_cubes(scenario_file,
+                                                                       tmp_path):
+    """The scenario path compresses with the waveform as its file stores
+    it, so every CPI's map, peak list and image equal those of its
+    exported cube with the exported waveform file, byte for byte."""
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main(["range-doppler", "--scenario", str(scenario_file), "--out", str(fresh)]) == 0
+    for cpi in range(2):
+        stored = tmp_path / f"stored{cpi}"
+        assert main(["range-doppler", "--cube", str(ds / f"cube_cpi{cpi:03d}.rfcube"),
+                     "--waveform", str(ds / "waveform.rfwav"), "--cpi", str(cpi),
+                     "--out", str(stored)]) == 0
+        for name in (f"rd_cpi{cpi:03d}.csv", f"rd_cpi{cpi:03d}_peaks.csv",
+                     f"rd_cpi{cpi:03d}.pgm"):
+            assert (stored / name).read_bytes() == (fresh / name).read_bytes()
+
+
+@pytest.mark.parametrize("line, value", [("radar.noise_power", "1e80"),
+                                         ("target.1.rcs", "1e120")])
+def test_samples_beyond_complex64_exit_with_code_2_and_no_manifest(
+        line, value, scenario_file, tmp_path, capsys):
+    text = "".join(f"{line} = {value}\n" if row.startswith(line) else row + "\n"
+                   for row in scenario_file.read_text().splitlines())
+    assert f"{line} = {value}" in text
+    bad = tmp_path / "overflow.txt"
+    bad.write_text(text)
+    out = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "complex64" in err and "Traceback" not in err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_range_doppler_rejects_a_cube_file_of_several_cpis(scenario_file, tmp_path, capsys):
     """`--cube` maps one CPI; a file of two exits 2 instead of mapping
     its CPI 0 under the name that `--cpi` gives."""

@@ -32,6 +32,11 @@ def embedded_echo_cube(wf, tap, doppler_hz, num_pulses=32, num_taps=48,
     return cube
 
 
+def as_cube(samples):
+    """The one-CPI DataCube of (N, M, R) samples."""
+    return DataCube(samples=samples[None], sample_rate=FS, prf=PRF, noise_power=0.0)
+
+
 def test_pulse_compress_places_echo_at_its_tap():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
     x = np.zeros(80, dtype=np.complex128)
@@ -65,15 +70,14 @@ def test_pulse_compress_shape_guard():
 
 def test_beamform_is_weighted_sum():
     rng = derive_rng(2, 0)
-    x = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    cube = as_cube(rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5)))
+    x = cube.one_cpi().astype(np.complex128)
     w = np.array([1.0, 1j, -0.5])
-    y = beamform(x, w)
-    np.testing.assert_allclose(
-        y, x[0] - 1j * x[1] - 0.5 * x[2], atol=1e-14)
+    y = beamform(cube, w)
+    want = x[0] - 1j * x[1] - 0.5 * x[2]
+    np.testing.assert_allclose(y, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
     with pytest.raises(ConfigurationError):
-        beamform(x, np.ones(2))
-    with pytest.raises(ConfigurationError):
-        beamform(x[0], np.ones(3))
+        beamform(cube, np.ones(2))
 
 
 def test_complex64_cube_is_beamformed_without_a_complex128_copy():
@@ -83,10 +87,11 @@ def test_complex64_cube_is_beamformed_without_a_complex128_copy():
     rng = derive_rng(3, 0)
     x = (rng.standard_normal((4, 16, 400)) + 1j * rng.standard_normal((4, 16, 400))).astype(
         np.complex64)
+    cube = as_cube(x)
     w = np.array([1.0, 0.5j, -1.0, 2.0])
     tracemalloc.start()
     try:
-        y = beamform(x, w)
+        y = beamform(cube, w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -137,7 +142,7 @@ def test_map_peak_lands_on_configured_bins():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
     tap, fd = 11, 625.0
     cube = embedded_echo_cube(wf, tap, fd)
-    m, peaks = range_doppler_map(cube, wf, np.ones(2))
+    m, peaks = range_doppler_map(as_cube(cube), wf, np.ones(2))
     assert peaks, "echo should produce at least one peak"
     r_bin, d_bin, db = peaks[0]
     assert r_bin == tap
@@ -149,7 +154,7 @@ def test_two_targets_ranked_by_strength():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
     cube = embedded_echo_cube(wf, 7, 250.0, amp=1.0)
     cube += embedded_echo_cube(wf, 29, -437.5, amp=0.25)
-    _, peaks = range_doppler_map(cube, wf, np.ones(2))
+    _, peaks = range_doppler_map(as_cube(cube), wf, np.ones(2))
     assert len(peaks) >= 2
     assert (peaks[0][0], peaks[0][1]) == (7, doppler_bin_for(250.0, PRF, 32))
     assert (peaks[1][0], peaks[1][1]) == (29, doppler_bin_for(-437.5, PRF, 32))
@@ -160,15 +165,15 @@ def test_two_targets_ranked_by_strength():
 def test_map_invariant_to_global_scaling():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
     cube = embedded_echo_cube(wf, 11, 625.0)
-    m1, p1 = range_doppler_map(cube, wf, np.ones(2))
-    m2, p2 = range_doppler_map(1e6 * cube, wf, np.ones(2))
+    m1, p1 = range_doppler_map(as_cube(cube), wf, np.ones(2))
+    m2, p2 = range_doppler_map(as_cube(1e6 * cube), wf, np.ones(2))
     np.testing.assert_allclose(m1, m2, atol=1e-9)
     assert [(r, d) for r, d, _ in p1] == [(r, d) for r, d, _ in p2]
 
 
 def test_zero_cube_floors_with_no_peaks():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
-    cube = np.zeros((2, 8, 64), dtype=np.complex128)
+    cube = as_cube(np.zeros((2, 8, 64)))
     m, peaks = range_doppler_map(cube, wf, np.ones(2), clip_db=50.0)
     assert peaks == []
     np.testing.assert_array_equal(m, -50.0)
@@ -194,7 +199,7 @@ def test_cube_waveform_rate_mismatch_is_a_configuration_error():
 def test_map_floor_respects_clip():
     wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
     cube = embedded_echo_cube(wf, 11, 625.0)
-    m, _ = range_doppler_map(cube, wf, np.ones(2), clip_db=40.0)
+    m, _ = range_doppler_map(as_cube(cube), wf, np.ones(2), clip_db=40.0)
     assert m.max() == pytest.approx(0.0, abs=1e-12)
     assert m.min() >= -40.0 - 1e-12
 

@@ -29,7 +29,8 @@ from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 generate_scenario2)
 from rfclutter.scattering import URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
-from rfclutter.terrain import ClassGrid, ElevationGrid, grazing_angles, lines_of_sight
+from rfclutter.terrain import (LOS_CLEARANCE_M, ClassGrid, ElevationGrid, grazing_angles,
+                               lines_of_sight)
 
 from conftest import ridge_heights
 from oracles import bistatic_delay_doppler, doppler_bin_for, line_of_sight, range_bin_for
@@ -355,14 +356,13 @@ def all_patch_budget(scn, scene, tx, rx, array, timing):
 
     def los_from(observer):
         return np.array([not inside or line_of_sight(dem, observer, c,
-                                                     clearance=pipeline.LOS_CLEARANCE_M)
+                                                     clearance=LOS_CLEARANCE_M)
                          for c, inside in zip(centers, on_raster)])
 
     vis_tx = los_from(tx.position)
     monostatic = np.array_equal(tx.position, rx.position)
     both_clear = vis_tx & (vis_tx if monostatic else los_from(rx.position))
-    tap = np.round(((r_tx + r_rx) / SPEED_OF_LIGHT - timing.delay_origin)
-                   * timing.sample_rate)
+    tap = np.round((r_tx + r_rx) / SPEED_OF_LIGHT * timing.sample_rate)
     in_window = (tap >= 0) & (tap < timing.num_taps)
     visible = both_clear & in_window
 
@@ -429,6 +429,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
     array = pipeline.receive_array(scn)
     want = all_patch_budget(scn, scene, tx, rx, array, timing)
     want_ir = all_patch_clutter(scn, scene, 0, timing, want)
+    got = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
 
     rays = collections.Counter()
     drawn = []
@@ -455,8 +456,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
     monkeypatch.setattr(pipeline, "patch_responses", counting_responses)
     monkeypatch.setattr(pipeline, "pulse_modulation", counting_modulation)
     monkeypatch.setattr(pipeline, "synthesize_ir", capturing_ir)
-    got = pipeline.patch_budget(scn, scene, tx, rx, array, timing)
-    ir = pipeline.synthesize_clutter(scn, scene, 0, timing, budget=got)
+    ir = pipeline.synthesize_clutter(scn, scene, 0, timing)
 
     assert got.gains.tobytes() == want.gains.tobytes()
     assert ir.taps.tobytes() == want_ir.taps.tobytes()
@@ -633,8 +633,8 @@ def test_lines_of_sight_matches_reference_on_every_patch(make):
     points = scene.patches.centers
     tx, rx = pipeline.platform_states(scn, 0)
     for observer in {tuple(tx.position), tuple(rx.position)}:
-        got = lines_of_sight(scene.dem, observer, points, clearance=pipeline.LOS_CLEARANCE_M)
-        want = [line_of_sight(scene.dem, observer, p, clearance=pipeline.LOS_CLEARANCE_M)
+        got = lines_of_sight(scene.dem, observer, points)
+        want = [line_of_sight(scene.dem, observer, p, clearance=LOS_CLEARANCE_M)
                 for p in points]
         assert np.count_nonzero(got != want) == 0
         assert 0 < np.count_nonzero(~got) < len(points)
@@ -702,7 +702,7 @@ def test_clutter_draws_build_no_per_scatterer_generator(monkeypatch):
     scn = dataclasses.replace(generate_scenario2(scale=DESK_SCALE, seed=1),
                               wind_speed_mps=12.0, clutter_doppler_std_hz=2.0)
     scene = pipeline.build_scene(scn)
-    ir = pipeline.synthesize_clutter(scn, scene, 0)
+    ir = pipeline.synthesize_clutter(scn, scene, 0, scn.timing())
     assert np.count_nonzero(ir.taps) > 0
     with pytest.raises(AssertionError, match="derive_rng"):
         pipeline.simulate_cpi(scn, scene, 0, pipeline.default_waveform(scn))
@@ -737,7 +737,7 @@ def point_target_scenario(tx_position, tx_velocity, target_position, rcs, **over
 
 def test_target_ir_closed_form_tap():
     scn = point_target_scenario((0, 0, 1000), (0, 60, 0), [2997.0, 0.0, 0.0], 10.0)
-    ir = pipeline.synthesize_targets(scn, None, 0)
+    ir = pipeline.synthesize_targets(scn, None, 0, scn.timing())
     r = float(np.linalg.norm(scn.targets[0].position - scn.tx_position))
     tap = round(2.0 * r / SPEED_OF_LIGHT * scn.sample_rate)
     profile = np.abs(ir.dense()[0, 0, :])
@@ -753,7 +753,7 @@ def test_target_ir_doppler_ramp():
     scn = point_target_scenario((0, 0, 0), (0, 80, 0), [0.0, 6000.0, 0.0], 5.0,
                                 num_pulses=16, boresight=np.array([0.0, 1.0, 0.0]),
                                 array_axis=np.array([1.0, 0.0, 0.0]))
-    ir = pipeline.synthesize_targets(scn, None, 0)
+    ir = pipeline.synthesize_targets(scn, None, 0, scn.timing())
     tap = round(2.0 * 6000.0 / SPEED_OF_LIGHT * scn.sample_rate)
     series = ir.dense()[0, :, tap].astype(np.complex128)
     assert np.all(series != 0)
@@ -767,7 +767,15 @@ def test_target_ir_rejects_negative_rcs():
     scn = point_target_scenario((0, 0, 100), (0, 0, 0), [100.0, 0.0, 0.0], 1.0)
     scn.targets[0].rcs = -1.0           # past TargetSpec's own check
     with pytest.raises(ConfigurationError):
-        pipeline.synthesize_targets(scn, None, 0)
+        pipeline.synthesize_targets(scn, None, 0, scn.timing())
+
+
+def test_target_taps_beyond_complex64_are_a_configuration_error():
+    """An rcs whose tap does not fit in complex64 is refused, not
+    stored as an inf tap."""
+    scn = point_target_scenario((0, 0, 1000), (0, 60, 0), [2997.0, 0.0, 0.0], 1e120)
+    with pytest.raises(ConfigurationError, match="complex64"):
+        pipeline.synthesize_targets(scn, None, 0, scn.timing())
 
 
 def test_target_on_the_platform_is_a_configuration_error():
@@ -785,8 +793,7 @@ def expected_bins(scn, target_index, cpi):
     tx, rx = pipeline.platform_states(scn, cpi)
     pos, vel, _ = pipeline.target_states(scn, cpi)[target_index]
     delay, doppler = bistatic_delay_doppler(pos, vel, tx, rx, scn.wavelength)
-    timing = scn.timing()
-    r_bin = range_bin_for(delay, scn.sample_rate, timing.delay_origin)
+    r_bin = range_bin_for(delay, scn.sample_rate)
     d_bin = doppler_bin_for(doppler, scn.prf_hz, scn.num_pulses)
     return r_bin, d_bin
 

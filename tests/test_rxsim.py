@@ -158,6 +158,14 @@ def test_zero_noise_power_is_exactly_zero():
     assert np.all(noise == 0)
 
 
+def test_noise_beyond_complex64_is_a_configuration_error():
+    """A noise power whose samples do not fit in complex64 is refused,
+    not rounded to inf samples."""
+    rng = np.random.default_rng(4)
+    with pytest.raises(ConfigurationError, match="complex64"):
+        simulate_cube(random_ir(rng), None, random_waveform(rng), noise_power=1e80, seed=1)
+
+
 def silent_cube_noise(noise_power: float) -> np.ndarray:
     """The 2**20 samples of a cube whose one channel has no taps, so
     every sample is receiver noise."""

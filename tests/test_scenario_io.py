@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfclutter.errors import ConfigurationError
+from rfclutter.pipeline import build_scene
 from rfclutter.scenario import (_BUILDING_KEYS, _GROUP_KEYS, _KEYS, DESK_SCALE,
                                 Scenario, TargetSpec,
                                 generate_scenario1, generate_scenario2,
@@ -89,7 +90,7 @@ buildings.height = 8
     assert len(scn.targets) == 1 and scn.targets[0].rcs == 12.0
     assert len(scn.discretes) == 1 and scn.discretes[0].rcs == 500.0
     assert len(scn.mimo_tx) == 1
-    assert scn.buildings.count == 6
+    assert len(scn.buildings.centers()) == 6
 
     # canonical echo reparses to an identical scenario (hash equality)
     echoed = parse_scenario(scenario_text(scn))
@@ -185,9 +186,10 @@ def test_target_spec_validation():
 # --- built-in scenes ---------------------------------------------------------
 
 def test_littoral_dem_structure():
-    dem, cover = littoral_dem(cells=500, cell_size=30.0)   # 15 km, coast at 6 km
-    assert dem.heights.shape == (500, 500) and cover.classes.shape == (500, 500)
-    x = (np.arange(500) + 0.5) * 30.0
+    dem, cover = littoral_dem()   # 20.01 km, coast at 6 km
+    assert dem.heights.shape == (667, 667) and cover.classes.shape == (667, 667)
+    assert dem.cell_size == cover.cell_size == 30.0
+    x = (np.arange(667) + 0.5) * 30.0
     water_cols = x < 6000.0
     # water is flat at z = 0 and classed WATER; land rises somewhere inland
     assert np.all(dem.heights[:, water_cols] == 0.0)
@@ -196,8 +198,9 @@ def test_littoral_dem_structure():
     assert not np.any(cover.classes[:, ~water_cols] == WATER)
 
 
-def meshgrid_littoral_dem(cells=667, cell_size=30.0):
+def meshgrid_littoral_dem():
     """Oracle: the built-in coastal scene evaluated on full meshgrids."""
+    cells, cell_size = 667, 30.0
     c = np.arange(cells)
     x = (c + 0.5) * cell_size
     y = ((cells - 1 - c) + 0.5) * cell_size   # row 0 = north
@@ -219,10 +222,9 @@ def meshgrid_littoral_dem(cells=667, cell_size=30.0):
     return heights, classes
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"cells": 500}])
-def test_littoral_dem_matches_the_meshgrid_oracle(kwargs):
-    dem, cover = littoral_dem(**kwargs)
-    heights, classes = meshgrid_littoral_dem(**kwargs)
+def test_littoral_dem_matches_the_meshgrid_oracle():
+    dem, cover = littoral_dem()
+    heights, classes = meshgrid_littoral_dem()
     assert np.array_equal(dem.heights, heights)
     assert np.array_equal(cover.classes, classes)
     assert dem.heights.tobytes() == heights.tobytes()
@@ -242,8 +244,11 @@ def test_scenario1_scales():
 def test_scenario2_adds_coastal_content():
     scn = generate_scenario2(scale=DESK_SCALE, seed=3)
     assert scn.buildings is not None
-    assert scn.buildings.count == 150
-    assert scn.buildings.landcover_class == BUILDING
+    assert len(scn.buildings.centers()) == 150
+    # every roof scatters as a building
+    scene = build_scene(scn)
+    roofs = scene.patches.classes[scene.num_terrain_patches:][:150]
+    assert roofs.tolist() == [BUILDING] * 150
     # the two presets share the radar but not the scene content
     s1 = generate_scenario1(scale=DESK_SCALE, seed=3)
     assert scenario_hash(scn) != scenario_hash(s1)

@@ -1,17 +1,30 @@
 """The public surface of the package: every module-level function and
-class in src/rfclutter has a caller in the program, and every dataclass
-field a reader.
+class in src/rfclutter, and every public method and property of its
+classes, has a caller in the program; every dataclass field has a
+reader; and every option has a setter.
 
 A caller is a reference, outside the definition's own body, somewhere
 in the code under src/, scripts/ or bench/: a name, an attribute or an
-import alias.  Docstrings, comments and strings do not count.  A
-routine that only the tests call belongs in tests/oracles.py.
+import alias, or for a method or property an attribute.  Docstrings,
+comments and strings do not count.  A routine that only the tests call
+belongs in tests/oracles.py.
 
 A reader of a field is an attribute load of its name in that code,
 outside `__post_init__` and `__setattr__` (which only check or normalize
 what was stored), or a string constant equal to its name, as
 `scenario._KEYS` names the fields that `scenario_text` reads.  A field
 that only the tests read is write-only for the program.
+
+An option is a parameter or a dataclass field with a default.  A
+parameter's setter is a call in the program that passes it, by keyword
+or by position, to a function or method of its name.  A field's setter
+passes it to its class, or to `cls(...)` in one of the class's
+classmethods, or to `dataclasses.replace`; or stores it through an
+attribute (`x.name = ...`, or `append`, `extend` or `insert` on
+`x.name`) outside `__post_init__`; or names it in a string constant, as
+`scenario._KEYS` names the fields that `parse_scenario` sets.  A
+`**mapping` passes nothing by name.  An option with no setter is a
+setting no run can reach: it becomes a constant, or goes.
 
 State that lives as long as the process is named: every module-level
 name in src/rfclutter that a function rebinds (`global`) or mutates (a
@@ -72,12 +85,46 @@ def referenced(definitions) -> set[tuple[Path, str]]:
     return hits
 
 
+def public_members() -> dict[tuple[Path, str, str], ast.AST]:
+    """(module path, class, name) -> node of each public method or
+    property of a class in the package."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_"):
+                        found[(path, node.name, stmt.name)] = stmt
+    return found
+
+
+def referenced_members(members) -> set[tuple[Path, str, str]]:
+    """The members whose name some program code loads as an attribute,
+    outside the member's own body."""
+    hits = set()
+    for directory in PROGRAM_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            loads = [ref for ref in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                     if isinstance(ref, ast.Attribute) and isinstance(ref.ctx, ast.Load)]
+            for key, node in members.items():
+                home, _, name = key
+                if any(ref.attr == name and not (path == home and node.lineno <= ref.lineno
+                                                 <= node.end_lineno) for ref in loads):
+                    hits.add(key)
+    return hits
+
+
 def test_every_public_definition_has_a_caller():
     definitions = public_definitions()
     hits = referenced(definitions)
     uncalled = sorted(f"{path.stem}.{name}" for path, name in definitions
                       if (path, name) not in hits and name not in ALLOWED)
     assert uncalled == []
+    members = public_members()
+    assert (PACKAGE / "rxsim.py", "DataCube", "one_cpi") in members
+    hits = referenced_members(members)
+    assert sorted(f"{path.stem}.{cls}.{name}" for path, cls, name in members
+                  if (path, cls, name) not in hits) == []
 
 
 def test_the_allowed_names_are_public_and_uncalled():
@@ -135,6 +182,179 @@ def test_every_dataclass_field_has_a_reader():
     assert "ChannelImpulseResponse.taps" in fields
     names = read_names()
     assert sorted(q for q, name in fields.items() if name not in names) == []
+
+
+# option -> why it keeps a default that no program call passes
+UNSET_OPTIONS = {
+    "pipeline.simulate_scenario.waveform":
+        "acceptance test 07 simulates a scenario with another waveform through it, "
+        "the oracle of the split between channel and waveform",
+    "rxsim.read_cube.sha256": "challenge._verify_files passes it through its table of readers",
+    "channel.read_ir.sha256": "challenge._verify_files passes it through its table of readers",
+    "waveform.read_waveform.sha256":
+        "challenge._verify_files passes it through its table of readers",
+}
+
+
+def _program_trees(root: Path = ROOT):
+    for directory in PROGRAM_DIRS:
+        for path in sorted((root / directory).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+
+
+def _passes(call: ast.Call, name: str, position: int | None) -> bool:
+    """Whether `call` passes the parameter or field `name`, which sits
+    at `position` among the positional ones (None: keyword only)."""
+    if any(k.arg == name for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(arg, ast.Starred) or i == position
+               for i, arg in enumerate(call.args))
+
+
+def defaulted_parameters(package: Path = PACKAGE) -> dict[str, tuple[str, int | None]]:
+    """"module[.Class].function.parameter" -> (function name, position
+    among the arguments a call passes) of every parameter with a
+    default of a function or method in the package."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owners = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            owner = owners.get(fn)
+            method = isinstance(owner, ast.ClassDef)
+            bound = method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                       for d in fn.decorator_list)
+            prefix = f"{path.stem}.{owner.name}" if method else path.stem
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                found[f"{prefix}.{fn.name}.{arg.arg}"] = (fn.name, i - bound)
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    found[f"{prefix}.{fn.name}.{arg.arg}"] = (fn.name, None)
+    return found
+
+
+def unset_parameters(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
+    """The defaulted parameters that no call in the program passes."""
+    calls: dict[str, list[ast.Call]] = {}
+    for tree in _program_trees(root):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+    return {key for key, (fn, position) in defaulted_parameters(package).items()
+            if not any(_passes(c, key.rsplit(".", 1)[1], position) for c in calls.get(fn, ()))}
+
+
+def defaulted_fields(package: Path = PACKAGE) -> dict[str, tuple[str, str, int, list]]:
+    """"module.Class.field" -> (class, field, position, the `cls(...)`
+    calls of the class's classmethods) of every dataclass field with a
+    default in the package."""
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            own = [call for stmt in node.body if isinstance(stmt, ast.FunctionDef)
+                   and any(isinstance(d, ast.Name) and d.id == "classmethod"
+                           for d in stmt.decorator_list)
+                   for call in ast.walk(stmt)
+                   if isinstance(call, ast.Call) and _callee(call) == "cls"]
+            fields = [stmt for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+            for i, stmt in enumerate(fields):
+                if stmt.value is not None:
+                    found[f"{path.stem}.{node.name}.{stmt.target.id}"] = (
+                        node.name, stmt.target.id, i, own)
+    return found
+
+
+_MUTATORS = ("append", "extend", "insert")
+
+
+def unset_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
+    """The defaulted dataclass fields that nothing in the program sets."""
+    calls: dict[str, list[ast.Call]] = {}
+    named = set()
+    for tree in _program_trees(root):
+        skipped = {id(inner) for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                   for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                calls.setdefault(_callee(node), []).append(node)
+                f = node.func
+                if (isinstance(f, ast.Attribute) and f.attr in _MUTATORS
+                        and isinstance(f.value, ast.Attribute)):
+                    named.add(f.value.attr)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                  and id(node) not in skipped):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                named.add(node.value)
+    named |= {k.arg for c in calls.get("replace", ()) for k in c.keywords}
+    return {key for key, (cls, name, position, own) in defaulted_fields(package).items()
+            if name not in named
+            and not any(_passes(c, name, position) for c in calls.get(cls, []) + own)}
+
+
+def test_every_option_has_a_setter():
+    assert "terrain.ElevationGrid.origin_lat" in defaulted_fields()
+    assert "channel.ensemble_second_moment.num_realizations" in defaulted_parameters()
+    assert sorted(unset_parameters() | unset_fields()) == sorted(UNSET_OPTIONS)
+    assert all(UNSET_OPTIONS.values())
+
+
+def test_the_option_rule_sees_unpassed_parameters_and_unset_fields(tmp_path):
+    """A default passed by keyword, by position or through `*args`, or
+    a field passed to `cls(...)` or `replace`, stored or named, has a
+    setter; one passed only through `**kwargs`, or by a test, has none."""
+    package = tmp_path / "src" / "probe"
+    package.mkdir(parents=True)
+    (package / "probe.py").write_text(
+        "from dataclasses import dataclass, replace\n"
+        "def f(a, b=1, c=2, *, d=3, e=4): ...\n"
+        "def g(a, b=1, c=2): ...\n"
+        "class K:\n"
+        "    def m(self, a, b=1): ...\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    x: int\n"
+        "    y: int = 0\n"
+        "    z: int = 0\n"
+        "    w: int = 0\n"
+        "    v: list = None\n"
+        "    u: int = 0\n"
+        "    t: int = 0\n"
+        "    s: str = 'kept'\n"
+        "    @classmethod\n"
+        "    def make(cls): return cls(1, t=2)\n"
+        "    def __post_init__(self): self.u = 0\n"
+        "def run(k, d, kw):\n"
+        "    f(0, 1, e=2)\n"
+        "    g(0, *kw)\n"
+        "    k.m(0, **kw)\n"
+        "    D(0, 1)\n"
+        "    D(0, **kw)\n"
+        "    replace(d, z=1)\n"
+        "    d.w = 2\n"
+        "    d.v.append(3)\n"
+        "    return getattr(d, 's')\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "from probe.probe import D, f\nf(0, c=1)\nD(0, u=1)\n", encoding="utf-8")
+    assert sorted(unset_parameters(package, tmp_path)) == ["probe.K.m.b", "probe.f.c",
+                                                            "probe.f.d"]
+    assert sorted(unset_fields(package, tmp_path)) == ["probe.D.u"]
 
 
 # module-level name -> (why it lives as long as the process, what bounds its memory)

@@ -1,5 +1,6 @@
 """Terrain geometry: sampling, normals, grazing, line of sight, rasters."""
 
+import dataclasses
 import math
 import sys
 import time
@@ -12,9 +13,9 @@ from hypothesis import strategies as st
 
 from rfclutter import terrain
 from rfclutter.errors import ConfigurationError
-from rfclutter.terrain import (ClassGrid, ElevationGrid, PatchArrays, build_patch_grid,
-                               grazing_angles, lines_of_sight, patch_grid_shape, read_dem,
-                               read_landcover)
+from rfclutter.terrain import (LOS_CLEARANCE_M, ClassGrid, ElevationGrid, PatchArrays,
+                               build_patch_grid, grazing_angles, lines_of_sight,
+                               patch_grid_shape, read_dem, read_landcover)
 from rfclutter.scattering import GRASS, WATER
 from rfclutter.workers import run_blocks
 
@@ -255,14 +256,15 @@ def test_los_mask_matches_scalar_calls(ridge_dem):
     mask = lines_of_sight(ridge_dem, obs, patches.centers)
     assert mask.shape == (len(patches),)
     for k in (0, 17, len(patches) - 1):
-        assert mask[k] == line_of_sight(ridge_dem, obs, patches.centers[k])
+        assert mask[k] == line_of_sight(ridge_dem, obs, patches.centers[k],
+                                        clearance=LOS_CLEARANCE_M)
     assert mask.any() and not mask.all()   # the ridge must shadow something
 
 
-# Heights and ray altitudes share these levels, so with clearances from
-# CLEARANCES a raised ray often equals the terrain exactly at a sample.
+# Heights and ray altitudes share these levels, many of them
+# LOS_CLEARANCE_M apart, so a raised ray often equals the terrain exactly
+# at a sample.
 LEVELS = [-6.0, -1.0, 0.0, 1.0, 2.0, 3.5, 4.5, 9.0]
-CLEARANCES = [0.0, 1.0, 2.5, -1.0]
 
 
 @st.composite
@@ -285,17 +287,15 @@ def los_queries(draw):
     if draw(st.booleans()):
         for p in points:             # horizontal rays
             p[2] = observer[2]
-    clearance = draw(st.sampled_from(CLEARANCES))
-    step = draw(st.one_of(st.none(), st.floats(0.2 * cell, 3.0 * cell)))
-    return dem, observer, points, clearance, step
+    return dem, observer, points
 
 
 @settings(max_examples=300, deadline=None)
 @given(los_queries())
 def test_lines_of_sight_matches_scalar_reference(query):
-    dem, observer, points, clearance, step = query
-    got = lines_of_sight(dem, observer, np.reshape(points, (-1, 3)), clearance, step)
-    want = [line_of_sight(dem, observer, p, clearance, step) for p in points]
+    dem, observer, points = query
+    got = lines_of_sight(dem, observer, np.reshape(points, (-1, 3)))
+    want = [line_of_sight(dem, observer, p, clearance=LOS_CLEARANCE_M) for p in points]
     assert got.dtype == bool and got.tolist() == want
 
 
@@ -305,16 +305,19 @@ def test_lines_of_sight_plateau_at_ray_height():
     interpolation can block them.  The block bound's margin must keep
     those samples."""
     xs = np.linspace(-10.0, 40.0, 41)
-    for plateau, ray_z, clearance in ((4.5, 3.5, 1.0), (7.3, np.nextafter(7.3, 8.0), 0.0)):
+    for plateau, raised in ((4.5, 4.5), (7.3, np.nextafter(7.3, 8.0))):
+        ray_z = raised - LOS_CLEARANCE_M
+        assert ray_z + LOS_CLEARANCE_M == raised
         dem = ElevationGrid(heights=np.full((12, 12), plateau), cell_size=2.5)
         points = np.column_stack([xs, xs[::-1], np.full(xs.size, ray_z)])
-        want = []
+        answers = []
         for observer in ((0.3, 29.7, ray_z), (15.0, 15.0, ray_z), (-7.0, 2.0, ray_z)):
-            got = lines_of_sight(dem, observer, points, clearance=clearance, step=0.1)
-            want = [line_of_sight(dem, observer, p, clearance=clearance, step=0.1)
+            got = lines_of_sight(dem, observer, points)
+            want = [line_of_sight(dem, observer, p, clearance=LOS_CLEARANCE_M)
                     for p in points]
             assert got.tolist() == want
-        assert not all(want) and any(want)
+            answers += want
+        assert not all(answers) and any(answers)
 
 
 def test_lines_of_sight_thin_wall_far_along_the_ray():
@@ -328,15 +331,17 @@ def test_lines_of_sight_thin_wall_far_along_the_ray():
         assert got.tolist() == [False, True]
 
 
-def test_lines_of_sight_long_rays_cross_chunks(ridge_dem):
-    """Rays longer than one chunk, from an observer below the ridge
-    crest, agree with the reference."""
-    obs = (320.0, 40.0, 30.0)
-    points = np.array([(x, 600.0, z) for x in (5.0, 320.0, 630.0) for z in (2.0, 300.0)])
-    step = 0.004
-    assert 560.0 / step > terrain.LOS_CHUNK
-    got = lines_of_sight(ridge_dem, obs, points, step=step)
-    want = [line_of_sight(ridge_dem, obs, p, step=step) for p in points]
+def test_lines_of_sight_long_rays_cross_chunks():
+    """Rays longer than one chunk, from an observer below the crest of a
+    wall across a long raster, agree with the reference."""
+    heights = np.zeros((8, 34000))
+    heights[:, 20000] = 50.0
+    dem = ElevationGrid(heights=heights, cell_size=1.0)
+    obs = (5.0, 4.0, 30.0)
+    points = np.array([(33995.0, y, z) for y in (1.0, 4.0, 7.5) for z in (2.0, 300.0)])
+    assert 33990.0 / (dem.cell_size / 2.0) > terrain.LOS_CHUNK
+    got = lines_of_sight(dem, obs, points)
+    want = [line_of_sight(dem, obs, p, clearance=LOS_CLEARANCE_M) for p in points]
     assert got.tolist() == want
     assert not all(want) and any(want)
 
@@ -359,8 +364,8 @@ def test_lines_of_sight_do_not_depend_on_the_worker_count(set_worker_count, monk
     cover = ClassGrid(classes=np.full((64, 64), GRASS, dtype=np.int64), cell_size=10.0)
     points = build_patch_grid(ridge_dem, cover, patch_size=40.0).centers
     for obs in ((320.0, 40.0, 30.0), (-50.0, 700.0, 120.0)):
-        got = lines_of_sight(ridge_dem, obs, points, clearance=1.0)
-        want = [line_of_sight(ridge_dem, obs, p, clearance=1.0) for p in points]
+        got = lines_of_sight(ridge_dem, obs, points)
+        want = [line_of_sight(ridge_dem, obs, p, clearance=LOS_CLEARANCE_M) for p in points]
         assert got.tolist() == want
         assert not all(want) and any(want)
     assert min(spans) > 8
@@ -371,11 +376,7 @@ def test_lines_of_sight_validation(ridge_dem):
     assert lines_of_sight(ridge_dem, obs, np.zeros((0, 3))).shape == (0,)
     for step in (0.0, -1.0, float("nan")):
         with pytest.raises(ConfigurationError):
-            lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], step=step)
-        with pytest.raises(ConfigurationError):
             line_of_sight(ridge_dem, obs, (100.0, 100.0, 5.0), step=step)
-    with pytest.raises(ConfigurationError):
-        lines_of_sight(ridge_dem, obs, [(100.0, 100.0, 5.0)], clearance=float("nan"))
     with pytest.raises(ConfigurationError):
         lines_of_sight(ridge_dem, obs, [(100.0, float("inf"), 5.0)])
 
@@ -413,14 +414,13 @@ def test_lines_of_sight_builds_each_grid_bound_once(bound_builds, ridge_dem):
     obs = (320.0, 40.0, 30.0)
     points = np.array([(x, 600.0, z) for x in (5.0, 320.0, 630.0) for z in (2.0, 300.0)])
     first = lines_of_sight(ridge_dem, obs, points)
-    second = lines_of_sight(ridge_dem, obs, points[::-1], clearance=1.0, step=3.0)
+    second = lines_of_sight(ridge_dem, obs, points[::-1])
     third = lines_of_sight(other, obs, points)
     assert bound_builds == [ridge_dem, other]
-    for dem, args, got in ((ridge_dem, (points,), first),
-                           (ridge_dem, (points[::-1], 1.0, 3.0), second),
-                           (other, (points,), third)):
+    for dem, query, got in ((ridge_dem, points, first), (ridge_dem, points[::-1], second),
+                            (other, points, third)):
         fresh = ElevationGrid(heights=dem.heights.copy(), cell_size=dem.cell_size)
-        assert lines_of_sight(fresh, obs, *args).tolist() == got.tolist()
+        assert lines_of_sight(fresh, obs, query).tolist() == got.tolist()
     assert not all(first) and any(first)
 
 
@@ -441,55 +441,44 @@ def test_threads_share_one_los_bound_build(bound_builds, ridge_dem):
     assert len(bound_builds) == 2   # `want`'s fresh grid, then ridge_dem once
 
 
-def test_reassigned_heights_rebuild_the_los_bound():
-    """A bound is tied to the heights array it was built from: the flat
-    grid's bound would cull every sample of a ray over the new ridge."""
-    dem = ElevationGrid(heights=np.zeros((64, 64)), cell_size=10.0)
-    obs = (320.0, 40.0, 30.0)
-    behind = [(320.0, 600.0, 2.0)]
-    assert lines_of_sight(dem, obs, behind)[0]
-    dem.heights = ridge_heights(64, 10.0)
-    assert not lines_of_sight(dem, obs, behind)[0]
-
-
 def test_assigned_heights_are_checked_like_constructed_ones():
+    """The heights are fixed at construction: every assignment, of bad
+    heights or good ones, is refused and leaves the grid as it was."""
     dem = ElevationGrid(heights=np.zeros((8, 8)), cell_size=10.0)
     bad = np.zeros((8, 8))
     bad[3, 4] = np.nan
-    for value in (bad, np.zeros(8), np.zeros((0, 8))):
-        with pytest.raises(ConfigurationError):
+    for value in (bad, np.zeros(8), np.zeros((0, 8)), np.ones((8, 8))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
             dem.heights = value
     assert np.all(dem.heights == 0.0) and not dem.heights.flags.writeable
 
 
 def test_editing_an_assigned_array_in_place_changes_nothing():
     """`heights` holds its own read-only copy of a writable array: a
-    ridge raised in the caller's array after the assignment leaves the
+    ridge raised in the caller's array after construction leaves the
     grid flat, and the batched LOS still agrees with the scalar one."""
-    dem = ElevationGrid(heights=np.ones((64, 64)), cell_size=10.0)
     arr = np.zeros((64, 64))
-    dem.heights = arr
+    dem = ElevationGrid(heights=arr, cell_size=10.0)
     obs = (320.0, 40.0, 30.0)
     points = np.array([(x, 600.0, 2.0) for x in (100.0, 320.0, 500.0)])
     assert lines_of_sight(dem, obs, points).all()
     arr[:] = ridge_heights(64, 10.0)
     assert np.all(dem.heights == 0.0) and not dem.heights.flags.writeable
     got = lines_of_sight(dem, obs, points)
-    assert got.tolist() == [line_of_sight(dem, obs, p) for p in points] == [True] * 3
-    # the same ridge assigned (not edited in) does block every ray
-    dem.heights = arr
-    assert not lines_of_sight(dem, obs, points).any()
+    assert got.tolist() == [line_of_sight(dem, obs, p, clearance=LOS_CLEARANCE_M)
+                            for p in points] == [True] * 3
+    # a grid of the same ridge (not edited in) does block every ray
+    assert not lines_of_sight(ElevationGrid(heights=arr, cell_size=10.0), obs, points).any()
     # a read-only view is copied too (its base may still be written);
     # only a read-only array that owns its memory is adopted as is
     view = np.zeros((64, 64))[:]
     view.setflags(write=False)
-    dem.heights = view
+    dem = ElevationGrid(heights=view, cell_size=10.0)
     view.base[:] = 500.0
     assert np.all(dem.heights == 0.0)
     frozen = np.zeros((64, 64))
     frozen.setflags(write=False)
-    dem.heights = frozen
-    assert dem.heights is frozen
+    assert ElevationGrid(heights=frozen, cell_size=10.0).heights is frozen
 
 
 # --- raster file format ------------------------------------------------------
