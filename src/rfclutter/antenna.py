@@ -1,15 +1,15 @@
 """Receive array geometry, steering phase ramps and pattern gains.
 
 The receive array is a uniform linear array: element m sits at
-p_0 + m (p_1 - p_0).  Directions are unit vectors in the scene ENU
-frame pointing from the array toward the source.  Spatial steering is
-phase-referenced to element 0 and slow-time phasors to pulse 0; both
-are phase ramps exp(j theta k), built by `phase_ramps`.
+m * element_step from element 0.  Directions are unit vectors in the
+scene ENU frame pointing from the array toward the source.  Spatial
+steering is phase-referenced to element 0 and slow-time phasors to
+pulse 0; both are phase ramps exp(j theta k), built by `phase_ramps`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,74 +18,41 @@ from .errors import ConfigurationError
 
 @dataclass
 class ArrayGeometry:
-    """Element positions of a uniform linear array and the common
-    element pattern.
-
-    The positions must satisfy p_m - p_0 = m (p_1 - p_0) to within 1e-9
-    of the aperture |p_{n-1} - p_0|, with distinct elements; any other
-    layout is a `ConfigurationError`.  The element pattern is
+    """A uniform linear array of `num_elements` elements, element m at
+    m * element_step from element 0, and the common element pattern:
     cos(theta)^cosine_exponent of the angle off boresight, zero in the
-    back hemisphere.
-    """
+    back hemisphere.  `ula` builds and checks it."""
 
-    element_positions: np.ndarray        # (n, 3) m, array frame == ENU frame
+    num_elements: int
+    element_step: np.ndarray             # (3,) m, ENU; zero for one element
     wavelength: float                    # m
-    boresight: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
-    cosine_exponent: float = 1.0
-
-    def __post_init__(self):
-        self.element_positions = np.atleast_2d(
-            np.asarray(self.element_positions, dtype=np.float64))
-        if self.element_positions.ndim != 2 or self.element_positions.shape[1] != 3:
-            raise ConfigurationError("element_positions must have shape (n, 3)")
-        if self.num_elements == 0:
-            raise ConfigurationError("array needs at least one element")
-        if not np.all(np.isfinite(self.element_positions)):
-            raise ConfigurationError("element positions must be finite")
-        rel = self.element_positions - self.element_positions[0]
-        off_grid = rel - np.outer(np.arange(self.num_elements), self.element_step)
-        aperture = np.linalg.norm(rel[-1])
-        if self.num_elements > 1 and (
-                aperture == 0.0 or np.linalg.norm(off_grid, axis=1).max() > 1e-9 * aperture):
-            raise ConfigurationError(
-                "element positions must form a uniform linear array, p_m - p_0 = m (p_1 - p_0)")
-        if not (np.isfinite(self.wavelength) and self.wavelength > 0):
-            raise ConfigurationError(
-                f"wavelength must be positive and finite, got {self.wavelength}")
-        self.boresight = np.asarray(self.boresight, dtype=np.float64).reshape(3)
-        n = np.linalg.norm(self.boresight)
-        if n == 0:
-            raise ConfigurationError("boresight must be a non-zero vector")
-        self.boresight = self.boresight / n
-        if self.cosine_exponent < 0:
-            raise ConfigurationError("cosine_exponent must be non-negative")
-
-    @property
-    def num_elements(self) -> int:
-        return self.element_positions.shape[0]
-
-    @property
-    def element_step(self) -> np.ndarray:
-        """p_1 - p_0, the element spacing vector; zero for one element."""
-        p = self.element_positions
-        return p[min(1, len(p) - 1)] - p[0]
+    boresight: np.ndarray                # (3,) unit vector
+    cosine_exponent: float
 
     @classmethod
     def ula(cls, num_elements: int, spacing: float, wavelength: float,
             axis=(1.0, 0.0, 0.0), boresight=(0.0, 1.0, 0.0),
             cosine_exponent: float = 1.0) -> "ArrayGeometry":
-        """Uniform linear array along `axis`, element 0 at the origin."""
-        if spacing <= 0:
-            raise ConfigurationError(f"element spacing must be positive, got {spacing}")
+        """Uniform linear array of elements `spacing` apart along `axis`."""
+        if num_elements < 1:
+            raise ConfigurationError("array needs at least one element")
+        for name, value in (("element spacing", spacing), ("wavelength", wavelength)):
+            if not (np.isfinite(value) and value > 0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         axis = np.asarray(axis, dtype=np.float64).reshape(3)
         n = np.linalg.norm(axis)
-        if n == 0:
-            raise ConfigurationError("array axis must be a non-zero vector")
-        axis = axis / n
-        positions = np.outer(np.arange(num_elements) * spacing, axis)
-        return cls(element_positions=positions, wavelength=wavelength,
-                   boresight=np.asarray(boresight, dtype=np.float64),
-                   cosine_exponent=cosine_exponent)
+        if not (np.isfinite(n) and n > 0):
+            raise ConfigurationError("array axis must be a finite non-zero vector")
+        boresight = np.asarray(boresight, dtype=np.float64).reshape(3)
+        b = np.linalg.norm(boresight)
+        if b == 0:
+            raise ConfigurationError("boresight must be a non-zero vector")
+        if cosine_exponent < 0:
+            raise ConfigurationError("cosine_exponent must be non-negative")
+        # + 0.0 stores a zero component as +0.0 whatever the axis's sign
+        step = spacing * (axis / n) + 0.0 if num_elements > 1 else np.zeros(3)
+        return cls(num_elements=num_elements, element_step=step, wavelength=wavelength,
+                   boresight=boresight / b, cosine_exponent=cosine_exponent)
 
 
 def phase_ramps(theta, count: int) -> np.ndarray:
@@ -127,7 +94,7 @@ def phase_ramp_column(theta, k: int) -> np.ndarray:
 
 
 def _steering_phases(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
-    """theta_i = 2 pi / lambda <p_1 - p_0, d_i>, the ramp step of each direction."""
+    """theta_i = 2 pi / lambda <element_step, d_i>, the ramp step of each direction."""
     directions = np.atleast_2d(np.asarray(directions, dtype=np.float64))
     return (2.0 * np.pi / array.wavelength) * (directions @ array.element_step)
 
@@ -135,10 +102,9 @@ def _steering_phases(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray
 def spatial_steering_many(array: ArrayGeometry, directions: np.ndarray) -> np.ndarray:
     """Ideal spatial steering entries for many directions, shape (k, n).
 
-    Entry (i, m) = exp(j 2 pi / lambda <p_m - p_0, d_i>); element 0 is
-    the phase reference, so column 0 is identically 1.  On a uniform
-    linear array row i is the phase ramp of
-    theta_i = 2 pi / lambda <p_1 - p_0, d_i>.
+    Entry (i, m) = exp(j 2 pi / lambda <m element_step, d_i>); element 0
+    is the phase reference, so column 0 is identically 1.  Row i is the
+    phase ramp of theta_i = 2 pi / lambda <element_step, d_i>.
     """
     return phase_ramps(_steering_phases(array, directions), array.num_elements)
 

@@ -4,10 +4,10 @@ The clutter and target channels are represented as per-channel,
 per-pulse tapped delay lines over the taps where scatterers lie: a
 channel holds the ascending occupied tap indices support[k] of its L
 taps and taps[n, m, k], the complex gain of receive channel n, pulse m
-at fast-time delay delay_origin + support[k] / fs.  Every other tap is
-zero.  A receiver data cube is then just each pulse's waveform
-convolved with these taps plus noise, which is what makes the channel
-description waveform independent.
+at fast-time delay support[k] / fs.  Every other tap is zero.  A
+receiver data cube is then just each pulse's waveform convolved with
+these taps plus noise, which is what makes the channel description
+waveform independent.
 
 Taps are stored as complex64; that is the precision of the interchange
 file format, and keeping the in-memory array identical to the on-disk
@@ -23,7 +23,7 @@ little-endian:
     12      u32     M pulses
     16      u32     L delay taps
     20      f64     sample rate, Hz
-    28      f64     delay origin, s
+    28      f64     delay origin, s, always 0
     36      f64     PRF, Hz
     44      u32     K occupied taps, K <= L
     48      u32*K   the occupied tap indices, strictly ascending, < L
@@ -123,7 +123,6 @@ class ChannelImpulseResponse:
     taps: np.ndarray             # (N, M, K) complex64
     sample_rate: float           # Hz
     prf: float                   # Hz
-    delay_origin: float = 0.0    # s
     support: np.ndarray | None = None   # (K,) ascending tap indices
     num_taps: int | None = None  # L, the receive window in taps
 
@@ -149,9 +148,6 @@ class ChannelImpulseResponse:
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
-        if not (np.isfinite(self.delay_origin) and self.delay_origin >= 0):
-            raise ConfigurationError(
-                f"delay_origin must be non-negative and finite, got {self.delay_origin}")
         self.taps.setflags(write=False)
         self.support.setflags(write=False)
 
@@ -415,17 +411,20 @@ def ensemble_second_moment(realize, waveform_len: int, num_realizations: int = 6
 def write_ir(path, ir: ChannelImpulseResponse) -> str:
     """Write an impulse-response file; returns its SHA-256 hex digest."""
     return write_framed(path, _HEADER.pack(_MAGIC, ir.num_channels, ir.num_pulses,
-                                           ir.num_taps, ir.sample_rate, ir.delay_origin,
-                                           ir.prf, ir.support.size),
+                                           ir.num_taps, ir.sample_rate, 0.0, ir.prf,
+                                           ir.support.size),
                         np.ascontiguousarray(ir.support, dtype="<u4"),
                         np.ascontiguousarray(ir.taps, dtype="<c8"))
 
 
 def read_ir(path, sha256: str | None = None) -> ChannelImpulseResponse:
     """Read an impulse-response file; `sha256`, when given, is the hex
-    digest the whole file must have."""
+    digest the whole file must have.  A delay origin other than 0 is a
+    ConfigurationError."""
     (n, m, l, fs, origin, prf, k), support, taps = read_framed(
         path, _HEADER, _MAGIC, "impulse-response", lambda n, m, l, *_: (n, m, l),
         sha256=sha256, occupied=lambda *fields: fields[-1])
-    return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf, delay_origin=origin,
-                                  support=support, num_taps=l)
+    if origin != 0.0:
+        raise ConfigurationError(f"{path}: delay_origin must be 0, got {origin}")
+    return ChannelImpulseResponse(taps=taps, sample_rate=fs, prf=prf, support=support,
+                                  num_taps=l)

@@ -11,8 +11,9 @@ Verbs:
   inspect         check and describe any data file or dataset manifest
 
 Scenarios come from a file (--scenario) or a preset (--preset, sized by
---scale).  CPIs run one after another; the stages inside a CPI use every
-available core, and the output bytes do not depend on the core count.
+--scale); a flag that the chosen input does not read is an error.  CPIs
+run one after another; the stages inside a CPI use every available
+core, and the output bytes do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -42,22 +43,22 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--scenario", help="scenario file path")
     p.add_argument("--preset", choices=sorted(_PRESETS),
                    help="built-in scene instead of --scenario")
-    p.add_argument("--scale", type=float, default=DESK_SCALE,
-                   help="preset size factor in (0, 1] (default %(default)s)")
+    p.add_argument("--scale", type=float, default=None,
+                   help=f"preset size factor in (0, 1] (default {DESK_SCALE})")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
     p.add_argument("--out", default=".", help="output directory")
 
 
 def _load(args) -> Scenario:
-    if args.scenario and args.preset:
-        raise ConfigurationError("give either --scenario or --preset, not both")
+    if bool(args.scenario) == bool(args.preset):
+        raise ConfigurationError("give one of --scenario and --preset")
+    if args.scale is not None and not args.preset:
+        raise ConfigurationError("--scale sizes a --preset, not a --scenario file")
     if args.scenario:
         scn = load_scenario(args.scenario)
-    elif args.preset:
-        scn = _PRESETS[args.preset](scale=args.scale)
     else:
-        raise ConfigurationError("need --scenario or --preset")
+        scn = _PRESETS[args.preset](scale=DESK_SCALE if args.scale is None else args.scale)
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
     return scn
@@ -128,27 +129,34 @@ def cmd_los_map(args) -> int:
 
 
 def cmd_range_doppler(args) -> int:
-    out = _out_dir(args)
     if args.cube:
-        cube = rxsim.read_cube(args.cube)
-        wf = read_waveform(args.waveform) if args.waveform else None
-        if wf is None:
+        given = [f"--{name}" for name in ("scenario", "preset", "scale", "seed")
+                 if getattr(args, name) is not None]
+        if given:
+            raise ConfigurationError(f"--cube reads no scenario; drop {', '.join(given)}")
+        if args.waveform is None:
             raise ConfigurationError("--cube needs --waveform for compression")
-        cubes = [(args.cpi, cube)]
-        weights = np.ones(cube.num_channels)
+        cpi = 0 if args.cpi is None else args.cpi
+        if cpi < 0:
+            raise ConfigurationError(f"--cpi must be non-negative, got {cpi}")
+        out = _out_dir(args)
+        cubes = [(cpi, rxsim.read_cube(args.cube))]
+        wf = read_waveform(args.waveform)
     else:
+        if args.waveform is not None or args.cpi is not None:
+            raise ConfigurationError("--waveform and --cpi go with --cube only")
         scn = _load(args)
+        out = _out_dir(args)
         run = pipeline.simulate_scenario(scn)
         # compress with the waveform as its file stores it, complex64, so
         # the maps equal those of --cube with the exported waveform file
         wf = Waveform(samples=run.waveform.samples.astype(np.complex64),
                       sample_rate=run.waveform.sample_rate)
         cubes = [(r.cpi, r.cube) for r in run.results]
-        weights = np.ones(scn.num_channels)
 
     for cpi, cube in cubes:
         map_db, peaks = dsp.range_doppler_map(
-            cube, wf, weights, window=args.window,
+            cube, wf, np.ones(cube.num_channels), window=args.window,
             clip_db=args.clip_db, peak_offset_db=args.peak_offset_db)
         stem = f"rd_cpi{cpi:03d}"
         _write_raster_outputs(out, stem, map_db, args.clip_db)
@@ -220,8 +228,7 @@ _FORMATS = {
     channel._MAGIC: ("impulse response", channel.read_ir,
                      lambda ir: f"  {ir.num_channels} channels x {ir.num_pulses} pulses x "
                                 f"{ir.num_taps} taps, {ir.support.size} occupied, "
-                                f"fs {ir.sample_rate:.0f} Hz, PRF {ir.prf:.1f} Hz, "
-                                f"delay origin {ir.delay_origin:.3e} s"),
+                                f"fs {ir.sample_rate:.0f} Hz, PRF {ir.prf:.1f} Hz"),
     rxsim._MAGIC: ("data cube", rxsim.read_cube,
                    lambda cube: "  {} CPIs x {} channels x {} pulses x {} range samples\n"
                                 .format(*cube.dims)
@@ -277,8 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p)
     p.add_argument("--cube", help="process an existing cube file instead")
     p.add_argument("--waveform", help="waveform file for --cube")
-    p.add_argument("--cpi", type=int, default=0,
-                   help="the CPI number that names the outputs of --cube")
+    p.add_argument("--cpi", type=int, default=None,
+                   help="the CPI number that names the outputs of --cube (default 0)")
     p.add_argument("--window", choices=["hann"], default=None)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
     p.add_argument("--peak-offset-db", type=float, default=dsp.DEFAULT_PEAK_OFFSET_DB)

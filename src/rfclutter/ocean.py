@@ -14,8 +14,6 @@ case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigurationError
@@ -29,36 +27,12 @@ CORRELATION_TIME = 0.05              # s, OU velocity decorrelation
 _CHUNK_BLOCKS = 1 << 16              # Philox blocks per row chunk; bounds scratch memory
 
 
-@dataclass
-class OceanState:
-    """Sea-surface configuration for a set of water patches, named by
-    the patch ids that key their draws.  The spreads scale with the
-    wind speed by VELOCITY_PER_WIND and LOG_AMP_PER_WIND, and the
-    velocity decorrelates over CORRELATION_TIME."""
-
-    ids: np.ndarray                      # (n,) int patch ids
-    wind_speed: float                    # m/s
-
-    def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64).reshape(-1)
-        if self.wind_speed < 0:
-            raise ConfigurationError(f"wind_speed must be non-negative, got {self.wind_speed}")
-
-    @property
-    def velocity_std(self) -> float:
-        """Stationary radial-velocity sigma, m/s."""
-        return VELOCITY_PER_WIND * self.wind_speed
-
-    @property
-    def log_amp_std(self) -> float:
-        return LOG_AMP_PER_WIND * self.wind_speed
-
-
-def surface_series(state: OceanState, num_pulses: int, prf: float,
+def surface_series(ids, wind_speed: float, num_pulses: int, prf: float,
                    seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-patch radial velocities and amplitude factors over a CPI.
+    """Radial velocities and amplitude factors over a CPI of the water
+    patches `ids` under a wind of `wind_speed` m/s.
 
-    Returns (velocities, amplitudes), each (num_patches, num_pulses).
+    Returns (velocities, amplitudes), each (len(ids), num_pulses).
     Each patch draws from its own Philox counters keyed by patch_id
     (see `seeding`): pulse m takes words 2m and 2m + 1 of the patch's
     stream, whose Box-Muller pair is the velocity innovation and the
@@ -71,16 +45,19 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     amplitudes of its own rows only, with the arithmetic of one pass
     over every row, so the bytes are the same at any core count.
     """
+    if wind_speed < 0:
+        raise ConfigurationError(f"wind_speed must be non-negative, got {wind_speed}")
     if num_pulses < 1:
         raise ConfigurationError(f"num_pulses must be >= 1, got {num_pulses}")
     if not (np.isfinite(prf) and prf > 0):
         raise ConfigurationError(f"prf must be positive and finite, got {prf}")
-    n = len(state.ids)
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    n = len(ids)
     key = philox_key(seed, STREAM_OCEAN)
     blocks = -(-2 * num_pulses // 4)
     step = max(1, _CHUNK_BLOCKS // blocks)
-    sigma_v = state.velocity_std
-    log_amp_std = state.log_amp_std
+    sigma_v = VELOCITY_PER_WIND * wind_speed
+    log_amp_std = LOG_AMP_PER_WIND * wind_speed
     rho = float(np.exp(-1.0 / (CORRELATION_TIME * prf)))
     drive = sigma_v * np.sqrt(1.0 - rho * rho)
     vel = np.empty((n, num_pulses))
@@ -89,7 +66,7 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     def series(chunks: range) -> None:
         for chunk in chunks:
             rows = slice(chunk * step, (chunk + 1) * step)
-            words = philox_words(key, state.ids[rows], 0, blocks)
+            words = philox_words(key, ids[rows], 0, blocks)
             xi, za = normal_pair(words[:, 0:2 * num_pulses:2], words[:, 1:2 * num_pulses:2])
             v = vel[rows]
             v[:, 0] = sigma_v * xi[:, 0]
@@ -101,7 +78,7 @@ def surface_series(state: OceanState, num_pulses: int, prf: float,
     return vel, amp
 
 
-def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
+def pulse_modulation(ids, wind_speed: float, num_pulses: int, prf: float,
                      wavelength: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-patch, per-pulse extra phase (rad) and amplitude factor.
 
@@ -111,7 +88,7 @@ def pulse_modulation(state: OceanState, num_pulses: int, prf: float,
     """
     if not (np.isfinite(wavelength) and wavelength > 0):
         raise ConfigurationError(f"wavelength must be positive and finite, got {wavelength}")
-    vel, amp = surface_series(state, num_pulses, prf, seed)
+    vel, amp = surface_series(ids, wind_speed, num_pulses, prf, seed)
     doppler = 2.0 * vel / wavelength
     phase = np.zeros_like(doppler)
     if num_pulses > 1:

@@ -27,7 +27,7 @@ from .channel import (ChannelImpulseResponse, RadarTiming, SPEED_OF_LIGHT,
                       synthesize_ir)
 from .cofar import ChannelMoments
 from .errors import ConfigurationError
-from .ocean import OceanState, pulse_modulation
+from .ocean import pulse_modulation
 from .rxsim import DataCube, simulate_cube
 from .scattering import patch_power_scales
 from .scenario import Scenario
@@ -191,15 +191,12 @@ class PatchBudget:
 
     Only scatterers that could contribute are LOS-tested: those with a
     non-zero unshadowed gain and, when a timing is given, a tap inside
-    the receive window.  `visible` is True where that test found both
-    paths clear, so it marks exactly the scatterers with non-zero
-    `gains`; an untested scatterer reads False whatever the terrain.
-    `gain_map` completes the mask for its full-raster view.
+    the receive window.  `gains` is non-zero exactly where that test
+    found both paths clear.
     """
 
     gains: np.ndarray           # (n,) two-way power scale G
     directions: np.ndarray      # (n, 3) unit rx -> scatterer
-    visible: np.ndarray         # (n,) bool, LOS-tested and both paths clear
     los_tested: np.ndarray      # (n,) bool, the contribution candidates
     grazing: np.ndarray         # (n,) rad, tx side; discretes carry pi/2
 
@@ -266,8 +263,7 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     logger.debug("link budget: %d patches, %d in window, %d LOS-tested, %d visible",
                  len(centers), int(np.count_nonzero(in_window)), idx.size,
                  int(np.count_nonzero(visible)))
-    return PatchBudget(gains=gains, directions=dirs_rx, visible=visible,
-                       los_tested=tested, grazing=graz)
+    return PatchBudget(gains=gains, directions=dirs_rx, los_tested=tested, grazing=graz)
 
 
 def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
@@ -298,9 +294,9 @@ def _ocean_modulation(scn: Scenario, scene: SceneModel, cpi: int, live: np.ndarr
     rows = np.flatnonzero(scene.water[live])
     if rows.size == 0:
         return None
-    state = OceanState(ids=scene.patches.ids[live[rows]], wind_speed=scn.wind_speed_mps)
     seed = derive_seed(scn.seed, STREAM_OCEAN, cpi)
-    phase, amp = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength, seed)
+    phase, amp = pulse_modulation(scene.patches.ids[live[rows]], scn.wind_speed_mps,
+                                  scn.num_pulses, scn.prf_hz, scn.wavelength, seed)
     return rows, phase, amp
 
 
@@ -440,8 +436,9 @@ def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
     modulation at `pulse`.  Per batch of realizations: one Philox call,
     then each realization's phases, Doppler jitter and slow-time
     entries at `pulse` (`phase_ramp_column`), summed per tap by
-    `np.bincount` in (tap, patch id) order and cast to complex64.  A
-    batch holds at most MOMENT_BATCH counters or taps (or one
+    `np.bincount` in (tap, patch id) order and cast to complex64; a
+    tap beyond the complex64 range is a ConfigurationError, not an inf.
+    A batch holds at most MOMENT_BATCH counters or taps (or one
     realization, if that is larger), so the working memory does not
     grow with `realizations`.
 
@@ -502,9 +499,14 @@ def clutter_tap_rows(scn: Scenario, scene: SceneModel, cpi: int, pulse: int = 0,
         terms = np.broadcast_to((amps * steer) * slow, (ks.size, ids.size))
         bins = (np.arange(ks.size)[:, None] * num_taps + tap).reshape(-1)
         out = np.empty((ks.size, num_taps), dtype=np.complex64)
-        for part, values in ((out.real, terms.real), (out.imag, terms.imag)):
-            part[...] = np.bincount(bins, weights=values.reshape(-1),
-                                    minlength=ks.size * num_taps).reshape(ks.size, num_taps)
+        try:
+            with np.errstate(over="raise"):
+                for part, values in ((out.real, terms.real), (out.imag, terms.imag)):
+                    part[...] = np.bincount(bins, weights=values.reshape(-1),
+                                            minlength=out.size).reshape(out.shape)
+        except FloatingPointError as exc:
+            raise ConfigurationError("a clutter tap exceeds the complex64 range; "
+                                     "a scatterer gain is too large") from exc
         return out
 
     batch = max(1, MOMENT_BATCH // max(ids.size, num_taps))
@@ -628,7 +630,7 @@ def gain_map(scn: Scenario, cpi: int = 0) -> GainMap:
     n = scene.num_terrain_patches
     n_y, n_x = scene.grid_shape
     # the budget marches only the candidates; the map shows every patch
-    visible = budget.visible[:n].copy()
+    visible = budget.gains[:n] != 0.0
     rest = np.flatnonzero(~budget.los_tested[:n])
     visible[rest] = _visibility(scene.dem, tx.position, rx.position,
                                 scene.patches.centers[rest])

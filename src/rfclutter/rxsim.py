@@ -49,9 +49,6 @@ The binary cube file format (magic RFCUBE01) is little-endian:
     40      f64     noise power (complex variance per sample)
     48      f64     carrier, Hz
     56      f32*2CNMR interleaved I/Q, cpi-major (c, n, m, r) C order
-
-The header has no delay-origin field, so only cubes whose range
-sample 0 sits at delay 0 can be written.
 """
 
 from __future__ import annotations
@@ -103,7 +100,6 @@ class DataCube:
     prf: float                   # Hz
     noise_power: float           # complex variance per sample
     carrier_hz: float = 0.0
-    delay_origin: float = 0.0    # s, absolute delay of range sample 0
 
     def __post_init__(self):
         self.samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
@@ -175,10 +171,10 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     `groups` pairs channels with the waveforms (one Waveform or a
     per-pulse sequence) they carry.  Every group needs at least one
     channel, and every channel and waveform must agree with the first
-    channel: dimensions (N, M, L), sample rate (to 1e-6 relative), PRF
-    (to 1e-6 relative) and delay origin (to 1e-15 s); every waveform
-    must have one length P.  Anything else is a ConfigurationError.  The
-    cube carries the first channel's rate, PRF and delay origin.
+    channel: dimensions (N, M, L), sample rate (to 1e-6 relative) and
+    PRF (to 1e-6 relative); every waveform must have one length P.
+    Anything else is a ConfigurationError.  The cube carries the first
+    channel's rate and PRF.
 
     The samples are circular Gaussian noise of variance `noise_power`
     per sample plus every channel convolved with its pulses, added to
@@ -263,9 +259,6 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                     f"channel sample rates {ir.sample_rate} and {ref.sample_rate} differ")
             if abs(ir.prf - ref.prf) > 1e-6 * ref.prf:
                 raise ConfigurationError(f"channel PRFs {ir.prf} and {ref.prf} differ")
-            if abs(ir.delay_origin - ref.delay_origin) > 1e-15:
-                raise ConfigurationError(
-                    f"channel delay origins {ir.delay_origin} and {ref.delay_origin} differ")
     rows = [_waveform_rows(waveforms, ref) for _, waveforms in groups]
     p = rows[0].shape[1]
     if any(r.shape[1] != p for r in rows):
@@ -363,8 +356,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             if _noise[0] == key:
                 _noise = (key, fill)
     return DataCube(samples=cube, sample_rate=ref.sample_rate, prf=ref.prf,
-                    noise_power=noise_power, carrier_hz=carrier_hz,
-                    delay_origin=ref.delay_origin)
+                    noise_power=noise_power, carrier_hz=carrier_hz)
 
 
 def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
@@ -387,9 +379,6 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
 def write_cube(path, cube: DataCube) -> str:
     """Write a cube file; returns its SHA-256 hex digest.  The cube's
     complex64 samples are written as they are held, with no copy."""
-    if cube.delay_origin != 0.0:
-        raise ConfigurationError(
-            f"the cube format stores no delay origin; got {cube.delay_origin} s, not 0")
     return write_framed(path, _HEADER.pack(_MAGIC, cube.num_cpis, cube.num_channels,
                                            cube.num_pulses, cube.num_range_samples,
                                            cube.sample_rate, cube.prf, cube.noise_power,

@@ -114,17 +114,6 @@ def test_steering_many_matches_scalar():
                                    atol=1e-15)
 
 
-def test_element_translation_leaves_steering_identical():
-    """Reference-element normalization removes any common offset."""
-    arr = ula(6)
-    shifted = ArrayGeometry(element_positions=arr.element_positions + np.array([3.0, -2.0, 7.0]),
-                            wavelength=arr.wavelength, boresight=arr.boresight,
-                            cosine_exponent=arr.cosine_exponent)
-    d = direction_at(0.41)
-    np.testing.assert_allclose(spatial_steering(arr, d),
-                               spatial_steering(shifted, d), atol=1e-12)
-
-
 def test_steering_many_matches_direct_exponentials():
     """The ramp against one np.exp per (direction, element) entry; the
     direct form's phases up to ~100 rad carry its own rounding."""
@@ -133,32 +122,22 @@ def test_steering_many_matches_direct_exponentials():
     rng = np.random.default_rng(9)
     dirs = rng.normal(size=(200, 3))
     dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-    rel = arr.element_positions - arr.element_positions[0]
+    rel = np.outer(np.arange(32), arr.element_step)       # element m at m * element_step
     direct = np.exp(1j * (2.0 * np.pi / WAVELENGTH) * (dirs @ rel.T))
     np.testing.assert_allclose(spatial_steering_many(arr, dirs), direct, rtol=0, atol=1e-13)
 
 
 def test_array_geometry_requires_a_uniform_linear_array():
-    base = ula(5).element_positions
-    bent = base.copy()
-    bent[3] += [0.0, 0.0, 1e-6]                   # off the line by 1.7e-5 of the aperture
-    uneven = base.copy()
-    uneven[4] *= 1.01                             # on the line, unevenly spaced
-    stacked = np.zeros((3, 3))                    # every element at one point
-    corner = np.array([[0.0, 0.0, 0.0], [0.015, 0.0, 0.0], [0.015, 0.015, 0.0]])
-    nan = base.copy()
-    nan[2, 0] = np.nan
-    for positions in (bent, uneven, stacked, corner, nan, np.zeros((0, 3))):
-        with pytest.raises(ConfigurationError):
-            ArrayGeometry(element_positions=positions, wavelength=WAVELENGTH)
-    single = ArrayGeometry(element_positions=[[4.0, -2.0, 9.0]], wavelength=WAVELENGTH)
+    """The array is a ULA by construction: N elements and one step,
+    spacing times the unit axis, which is zero for a single element."""
+    arr = ArrayGeometry.ula(5, 0.02, WAVELENGTH, axis=(0.0, 3.0, -4.0))
+    np.testing.assert_array_equal(arr.element_step, [0.0, 0.02 * 0.6, 0.02 * -0.8])
+    # a zero component is +0.0 whatever the axis's sign
+    assert not np.signbit(ArrayGeometry.ula(2, 0.02, WAVELENGTH,
+                                            axis=(-0.0, -1.0, 0.0)).element_step[0])
+    single = ArrayGeometry.ula(1, 0.02, WAVELENGTH, axis=(0.0, 3.0, -4.0))
     assert single.num_elements == 1 and np.all(single.element_step == 0.0)
     np.testing.assert_array_equal(spatial_steering_many(single, direction_at(0.3)), [[1.0]])
-    # a translated or slightly perturbed ULA is still one
-    ArrayGeometry(element_positions=base + [3.0, -2.0, 7.0], wavelength=WAVELENGTH)
-    close = base.copy()
-    close[3, 2] += 1e-13
-    ArrayGeometry(element_positions=close, wavelength=WAVELENGTH)
 
 
 # --- temporal / space-time steering --------------------------------------------
@@ -316,7 +295,18 @@ def test_array_validation():
         with pytest.raises(ConfigurationError):
             ArrayGeometry.ula(4, 0.015, bad)
         with pytest.raises(ConfigurationError):
-            ArrayGeometry(element_positions=ula(4).element_positions, wavelength=bad)
+            ArrayGeometry.ula(4, bad, WAVELENGTH)
+        with pytest.raises(ConfigurationError):
+            ArrayGeometry.ula(4, 0.015, WAVELENGTH, axis=(bad, 1.0, 0.0))
+    for bad_spacing in (0.0, -0.015):
+        with pytest.raises(ConfigurationError):
+            ArrayGeometry.ula(4, bad_spacing, WAVELENGTH)
+    with pytest.raises(ConfigurationError):
+        ArrayGeometry.ula(4, 0.015, WAVELENGTH, axis=(0.0, 0.0, 0.0))
+    with pytest.raises(ConfigurationError):
+        ArrayGeometry.ula(4, 0.015, WAVELENGTH, boresight=(0.0, 0.0, 0.0))
+    with pytest.raises(ConfigurationError):
+        ArrayGeometry.ula(4, 0.015, WAVELENGTH, cosine_exponent=-1.0)
     arr = ula(4)
     with pytest.raises(ConfigurationError):
         pattern_gain(arr, np.ones(3), direction_at(0.0))  # weight length

@@ -3,7 +3,6 @@ raises ConfigurationError (no MemoryError, OverflowError or bare
 ValueError from a header that lies)."""
 
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,8 +26,7 @@ def _write_ir(path):
     """Taps 1 and 4 of 6 are zero, so K = 4 occupied taps are stored."""
     taps = (np.arange(36).reshape(2, 3, 6) * (1.0 - 0.5j)).astype(np.complex64)
     taps[:, :, [1, 4]] = 0.0
-    write_ir(path, replace(ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1e3),
-                           delay_origin=2e-5))
+    write_ir(path, ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1e3))
 
 
 def _write_cube(path):

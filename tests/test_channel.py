@@ -243,24 +243,19 @@ def test_rates_must_be_finite(bad):
         ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=bad)
 
 
-@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
-def test_delay_origin_must_be_finite_and_non_negative(bad):
-    with pytest.raises(ConfigurationError):
-        ChannelImpulseResponse(taps=np.zeros((1, 2, 3), dtype=np.complex64),
-                               sample_rate=5e6, prf=1e3, delay_origin=bad)
-
-
 def write_ir_with_delay_origin(path, delay_origin):
     """An IR file whose header's delay origin (offset 28) is edited."""
     write_ir(path, ChannelImpulseResponse(taps=np.ones((1, 2, 4), dtype=np.complex64),
-                                          sample_rate=5e6, prf=1e3, delay_origin=1e-5))
+                                          sample_rate=5e6, prf=1e3))
     blob = bytearray(path.read_bytes())
+    assert struct.unpack_from("<d", blob, 28) == (0.0,)
     struct.pack_into("<d", blob, 28, delay_origin)
     path.write_bytes(bytes(blob))
 
 
-@pytest.mark.parametrize("bad", [float("nan"), -1.0])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0, 1e-5])
 def test_ir_reader_rejects_a_bad_delay_origin(tmp_path, bad):
+    """A channel starts at delay 0; the header field holds nothing else."""
     path = tmp_path / "edited.rfgir"
     write_ir_with_delay_origin(path, bad)
     with pytest.raises(ConfigurationError, match="delay_origin"):
@@ -378,9 +373,9 @@ def test_ir_bit_reproducible_across_runs():
 
 def direct_steering(array, directions):
     """Spatial steering by one np.exp per (direction, element) entry of
-    the phases 2 pi / lambda <p_m - p_0, d>, independent of
+    the phases 2 pi / lambda <m element_step, d>, independent of
     `phase_ramps`."""
-    rel = array.element_positions - array.element_positions[0]
+    rel = np.outer(np.arange(array.num_elements), array.element_step)
     return np.exp(1j * (2.0 * np.pi / array.wavelength) * (directions @ rel.T))
 
 
@@ -565,9 +560,7 @@ def test_ir_round_trip(tmp_path):
     taps = (rng.normal(size=(2, 4, 16)) + 1j * rng.normal(size=(2, 4, 16)))
     taps[:, :, [0, 3, 4, 9, 15]] = 0.0
     taps[0, 1, 3] = -0.0 + 0.5j       # zero in all but one (channel, pulse)
-    ir = dataclasses.replace(ChannelImpulseResponse.from_dense(taps, sample_rate=5e6,
-                                                               prf=1800.0),
-                             delay_origin=3.2e-5)
+    ir = ChannelImpulseResponse.from_dense(taps, sample_rate=5e6, prf=1800.0)
     assert ir.support.tolist() == [1, 2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14]
     path = tmp_path / "ch.rfgir"
     digest = write_ir(path, ir)
@@ -581,7 +574,7 @@ def test_ir_round_trip(tmp_path):
     assert back.dense().tobytes() == taps.astype(np.complex64).tobytes()
     assert back.sample_rate == ir.sample_rate
     assert back.prf == ir.prf
-    assert back.delay_origin == ir.delay_origin
+    assert struct.unpack_from("<d", path.read_bytes(), 28) == (0.0,)    # the delay origin
 
 
 @pytest.mark.parametrize("support", [[], [0], [0, 15], [2, 3, 7]])

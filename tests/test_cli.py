@@ -14,7 +14,7 @@ import rfclutter
 from rfclutter import pipeline
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
-from rfclutter.rxsim import read_cube, write_cube
+from rfclutter.rxsim import DataCube, read_cube, write_cube
 from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
                                 scenario_text)
 from rfclutter.terrain import ElevationGrid
@@ -204,6 +204,19 @@ def test_inspect_prints_the_occupied_tap_count(tmp_path, capsys):
     assert "impulse response" in out and "2 channels x 3 pulses x 6 taps, 4 occupied" in out
 
 
+@pytest.mark.parametrize("origin", [1e-5, -1.0, float("nan"), float("inf")])
+def test_inspect_rejects_a_delay_origin_with_code_2(origin, tmp_path, capsys):
+    """A channel starts at delay 0, so an RFGIR002 header that gives
+    its delay origin as anything else is rejected."""
+    path = tmp_path / "origin.rfgir"
+    blob = bytearray(ir_blob(2, 3, 6, [0, 2, 3, 5]))
+    struct.pack_into("<d", blob, 28, origin)
+    path.write_bytes(bytes(blob))
+    assert main(["inspect", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "delay_origin" in err and "Traceback" not in err
+
+
 def test_inspect_rejects_the_removed_covariance_format_with_code_2(tmp_path, capsys):
     """The covariance matrix format is gone, so its magic is unknown."""
     path = tmp_path / "r.rfcov"
@@ -359,6 +372,47 @@ def test_out_of_range_index_exits_with_code_2(argv, scenario_file, tmp_path, cap
     assert list(out.iterdir()) == []
 
 
+# (argv, what the error names); S is the scenario file, C a cube file and
+# W a waveform file
+UNREAD_FLAGS = [
+    ("los-map --scenario S --scale 0.5", "--scale"),
+    ("simulate --scenario S --scale 0.5", "--scale"),
+    ("range-doppler --cube C --waveform W --preset scenario2", "--preset"),
+    ("range-doppler --cube C --waveform W --scenario S", "--scenario"),
+    ("range-doppler --cube C --waveform W --seed 9", "--seed"),
+    ("range-doppler --cube C --waveform W --scale 0.5", "--scale"),
+    ("range-doppler --cube C --waveform W --cpi -1", "--cpi"),
+    ("range-doppler --scenario S --waveform W", "--cube"),
+    ("range-doppler --scenario S --cpi 1", "--cube"),
+]
+
+
+@pytest.mark.parametrize("argv, message",
+                         [pytest.param(a, m, id=a) for a, m in UNREAD_FLAGS])
+def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
+        argv, message, scenario_file, tmp_path, capsys, monkeypatch):
+    """--scale sizes a preset only; --waveform and --cpi go with --cube,
+    which reads no scenario.  Any other use exits 2 before any
+    simulation, and writes nothing."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("simulated before checking the flags")
+
+    for name in ("simulate_scenario", "gain_map", "build_scene"):
+        monkeypatch.setattr(pipeline, name, no_work)
+    cube, waveform = tmp_path / "c.rfcube", tmp_path / "w.rfwav"
+    rng = np.random.default_rng(3)
+    write_cube(cube, DataCube(samples=rng.normal(size=(1, 2, 8, 20)).astype(np.complex64),
+                              sample_rate=5e6, prf=2000.0, noise_power=0.0))
+    write_waveform(waveform, lfm(bandwidth=5e6, duration=1e-6, sample_rate=5e6))
+    paths = {"S": str(scenario_file), "C": str(cube), "W": str(waveform)}
+    out = tmp_path / "out"
+    argv = [paths.get(arg, arg) for arg in argv.split()] + ["--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_zero_realizations_exit_with_code_2_before_any_budget(scenario_file, tmp_path,
                                                               capsys, monkeypatch):
     def forbidden(*args, **kwargs):
@@ -371,6 +425,19 @@ def test_zero_realizations_exit_with_code_2_before_any_budget(scenario_file, tmp
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "realizations" in err and "Traceback" not in err
+
+
+def test_clutter_taps_beyond_complex64_exit_cofar_optimize_with_code_2(scenario_file,
+                                                                       tmp_path, capsys):
+    bad = tmp_path / "loud_discrete.txt"
+    bad.write_text(scenario_file.read_text()
+                   + "discrete.1.position = 700 600 5\ndiscrete.1.rcs = 1e120\n")
+    out = tmp_path / "out"
+    assert main(["cofar-optimize", "--realizations", "4", "--scenario", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "clutter tap" in err and "Traceback" not in err
+    assert not (out / "optimal_waveform.rfwav").exists()
 
 
 def test_last_valid_indices_run(scenario_file, tmp_path):

@@ -17,11 +17,10 @@ FS = 10e6
 PRF = 2000.0
 
 
-def random_ir(seed, n=2, m=8, taps=24, prf=PRF, delay_origin=0.0):
+def random_ir(seed, n=2, m=8, taps=24, prf=PRF):
     rng = derive_rng(seed, 555)
     t = rng.standard_normal((n, m, taps)) + 1j * rng.standard_normal((n, m, taps))
-    return ChannelImpulseResponse(taps=t.astype(np.complex64),
-                                  sample_rate=FS, prf=prf, delay_origin=delay_origin)
+    return ChannelImpulseResponse(taps=t.astype(np.complex64), sample_rate=FS, prf=prf)
 
 
 def delta_ir(tap, total_taps, n=1, m=4, amp=1.0):
@@ -44,10 +43,8 @@ def test_single_pair_matches_plain_simulator_exactly():
                               carrier_hz=9e9, cpi_index=2)
         assert isinstance(mimo, DataCube)
         assert mimo.samples.tobytes() == plain.samples.tobytes()
-        assert ((mimo.sample_rate, mimo.prf, mimo.noise_power, mimo.carrier_hz,
-                 mimo.delay_origin)
-                == (plain.sample_rate, plain.prf, plain.noise_power, plain.carrier_hz,
-                    plain.delay_origin))
+        assert ((mimo.sample_rate, mimo.prf, mimo.noise_power, mimo.carrier_hz)
+                == (plain.sample_rate, plain.prf, plain.noise_power, plain.carrier_hz))
 
 
 def test_multi_tx_cube_is_superposition():
@@ -98,10 +95,10 @@ def test_receiver_noise_streams_are_independent():
 
 
 def test_pair_dimension_guards():
-    """Transmitters whose channels disagree in dimensions, PRF or delay
-    origin, a transmitter with no channel, waveforms of two lengths and
-    a waveform count that is not the transmitter count are rejected, not
-    labelled with transmitter 0's values."""
+    """Transmitters whose channels disagree in dimensions or PRF, a
+    transmitter with no channel, waveforms of two lengths and a waveform
+    count that is not the transmitter count are rejected, not labelled
+    with transmitter 0's values."""
     ir = random_ir(6)
     wf = phase_code(12, FS, seed=9)
     cases = [
@@ -112,7 +109,6 @@ def test_pair_dimension_guards():
         ([], [], "at least one"),
         ([[ir], [random_ir(6, prf=3000.0)]], [wf, wf], "PRFs"),
         ([[ir, random_ir(6, prf=3000.0)]], [wf], "PRFs"),
-        ([[ir], [random_ir(6, delay_origin=1e-3)]], [wf, wf], "delay origins"),
         ([[ir], []], [wf, wf], "at least one channel"),
     ]
     for tx_channels, waveforms, match in cases:

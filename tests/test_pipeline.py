@@ -23,7 +23,7 @@ from rfclutter.cli import main
 from rfclutter.dsp import range_doppler_map
 from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
-from rfclutter.ocean import OceanState, pulse_modulation
+from rfclutter.ocean import pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 Scenario, TargetSpec, generate_scenario1,
                                 generate_scenario2)
@@ -133,8 +133,7 @@ def test_patch_budget_zeroes_shadowed_patches():
     centers = scene.patches.centers
     behind = (centers[:, 0] > 700.0) & (np.abs(centers[:, 1] - 600.0) < 200.0)
     assert behind.any()
-    assert not budget.visible[behind].any()
-    np.testing.assert_array_equal(budget.gains[~budget.visible], 0.0)
+    assert not budget.gains[behind].any()
     # patches on the lit side stay nonzero
     lit = (centers[:, 0] > 150.0) & (centers[:, 0] < 450.0)
     assert (budget.gains[lit] > 0.0).all()
@@ -186,6 +185,17 @@ def test_channel_moments_shape_and_floor():
     assert np.diag(m.clutter_plus_noise).real.min() >= 0.5 - 1e-12
     with pytest.raises(ConfigurationError):
         pipeline.channel_moments(tiny_scenario())   # no targets
+
+
+def test_clutter_taps_beyond_complex64_are_a_configuration_error():
+    """A discrete whose tap overflows complex64 in the moment rows is
+    rejected, as in `synthesize_ir`, not summed into an inf moment."""
+    scn = tiny_scenario(
+        targets=[TargetSpec(position=[900.0, 600.0, 0.0], velocity=[10.0, 0.0, 0.0],
+                            rcs=100.0)],
+        discretes=[DiscreteSpec(position=[700.0, 600.0, 5.0], rcs=1e120)])
+    with pytest.raises(ConfigurationError, match="clutter tap"):
+        pipeline.channel_moments(scn, realizations=4)
 
 
 def half_water_cover():
@@ -389,9 +399,8 @@ def all_patch_clutter(scn, scene, cpi, timing, budget):
     modulation = None
     water = np.flatnonzero(scene.water)
     if scn.wind_speed_mps > 0.0 and water.size:
-        state = OceanState(ids=scene.patches.ids[water], wind_speed=scn.wind_speed_mps)
-        modulation = (water, *pulse_modulation(state, scn.num_pulses, scn.prf_hz,
-                                               scn.wavelength,
+        modulation = (water, *pulse_modulation(scene.patches.ids[water], scn.wind_speed_mps,
+                                               scn.num_pulses, scn.prf_hz, scn.wavelength,
                                                derive_seed(scn.seed, STREAM_OCEAN, cpi)))
     return synthesize_ir(responses, budget.directions, pipeline.receive_array(scn),
                          timing, modulation=modulation)
@@ -443,9 +452,9 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
         drawn.append(len(patches))
         return patch_responses(patches, *args, **kw)
 
-    def counting_modulation(state, *args, **kw):
-        sea_rows.append(len(state.ids))
-        return pulse_modulation(state, *args, **kw)
+    def counting_modulation(ids, *args, **kw):
+        sea_rows.append(len(ids))
+        return pulse_modulation(ids, *args, **kw)
 
     def capturing_ir(*args, **kw):
         modulations.append(kw["modulation"])
@@ -460,7 +469,7 @@ def test_gated_budget_matches_all_patch_oracle(case, monkeypatch):
 
     assert got.gains.tobytes() == want.gains.tobytes()
     assert ir.taps.tobytes() == want_ir.taps.tobytes()
-    np.testing.assert_array_equal(got.visible, got.gains != 0.0)
+    assert not got.gains[~got.los_tested].any()
 
     # rays are marched for exactly the in-window candidates with a
     # non-zero unshadowed gain; the rx ray only where the tx ray is clear
@@ -503,8 +512,8 @@ def moment_row_oracle(scn, scene, cpi, pulse, channel, k):
     modulation = None
     water = np.flatnonzero(scene.water[live])
     if scn.wind_speed_mps > 0.0 and water.size:
-        state = OceanState(ids=scene.patches.ids[live[water]], wind_speed=scn.wind_speed_mps)
-        phase, amp = pulse_modulation(state, scn.num_pulses, scn.prf_hz, scn.wavelength,
+        phase, amp = pulse_modulation(scene.patches.ids[live[water]], scn.wind_speed_mps,
+                                      scn.num_pulses, scn.prf_hz, scn.wavelength,
                                       derive_seed(scn.seed, STREAM_OCEAN, cpi))
         modulation = (water, phase, amp)
     ir = synthesize_ir(responses, budget.directions[live], array, timing,
@@ -605,7 +614,7 @@ def test_patch_budget_logs_per_cpi_counts(caplog):
     n = len(got.gains)
     in_window = np.count_nonzero(want.in_window)
     tested = np.count_nonzero(got.los_tested)
-    visible = np.count_nonzero(got.visible)
+    visible = np.count_nonzero(got.gains)
     assert n > in_window > tested > visible > 0
     assert msg == (f"link budget: {n} patches, {in_window} in window, "
                    f"{tested} LOS-tested, {visible} visible")

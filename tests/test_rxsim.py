@@ -798,17 +798,6 @@ def test_cube_round_trip(tmp_path):
     np.testing.assert_array_equal(back.samples, cube.samples.astype(np.complex64))
 
 
-def test_cube_writer_rejects_a_delay_origin(tmp_path):
-    """The cube header has no delay-origin field; writing one would
-    silently read back as 0."""
-    cube = DataCube(samples=np.ones((1, 1, 2, 4), dtype=np.complex64), sample_rate=5e6,
-                    prf=1e3, noise_power=0.0, delay_origin=3e-5)
-    path = tmp_path / "origin.rfcube"
-    with pytest.raises(ConfigurationError, match="delay origin"):
-        write_cube(path, cube)
-    assert not path.exists()
-
-
 def test_cube_reader_rejects_corruption(tmp_path):
     path = tmp_path / "bad.rfcube"
     path.write_bytes(b"XXCUBE99" + b"\x00" * 56)

@@ -1,12 +1,14 @@
 """The study scripts, each run end to end through its main() with small
-arguments."""
+arguments, and the README's Python example as written."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+README = SCRIPTS.parent / "README.md"
 
 # script name -> (argv for an output directory, files it must write
 # there, text its report must contain)
@@ -61,3 +63,15 @@ def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path,
     assert sum(int(c[1]) for c in classes) == lit
     assert sum(int(c[3]) for c in classes) == patches
     assert [r[1:4] for r in table if r[0] == "discretes:"] == [["2", "/", "2"]]
+
+
+def test_readme_python_example_runs(tmp_path, monkeypatch):
+    """The README's one Python block runs from a scratch working
+    directory: it exports desk scenario1 and replays CPI 0's channels
+    with a 64-chip code, which gives 64 + 280 - 1 range samples."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    assert namespace["cube"].dims == (1, 4, 64, 343)
+    assert (tmp_path / "out" / "ds" / "manifest.txt").is_file()
