@@ -94,6 +94,7 @@ def _write_raster_outputs(out: Path, stem: str, values: np.ndarray,
 
 
 def cmd_clutter_map(args) -> int:
+    dsp.check_levels(args.clip_db)
     scn = _load(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
@@ -110,6 +111,7 @@ def cmd_clutter_map(args) -> int:
 
 
 def cmd_los_map(args) -> int:
+    dsp.check_levels(args.clip_db)
     scn = _load(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
@@ -129,6 +131,7 @@ def cmd_los_map(args) -> int:
 
 
 def cmd_range_doppler(args) -> int:
+    dsp.check_levels(args.clip_db, args.peak_offset_db)
     if args.cube:
         given = [f"--{name}" for name in ("scenario", "preset", "scale", "seed")
                  if getattr(args, name) is not None]

@@ -5,11 +5,22 @@ a peak list.  Pulse compression is correlation against the conjugate
 time-reversed waveform over the fully-overlapped lags, so an echo at
 channel tap d lands at compressed sample d.  Doppler bin b corresponds
 to b * PRF / M, wrapping at the PRF.
+
+Beamforming and pulse compression split their M pulse rows over the
+process's worker pool (`workers.run_blocks`): block b of W takes the
+contiguous rows [b M / W, (b + 1) M / W).  Beamforming sums the
+channels in channel order at complex64 precision, and compression
+transforms each row on its own, so every row sees the same arithmetic
+in any blocking and the maps do not depend on the worker count.  The
+chain makes no BLAS call: a matrix-vector product would sum the
+channels in an order of the BLAS build's choosing, and the BLAS
+library's own worker threads would spin against the pool's.
 """
 
 from __future__ import annotations
 
 import csv as _csv
+import math
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -18,34 +29,74 @@ from scipy.ndimage import maximum_filter
 from .errors import ConfigurationError
 from .rxsim import DataCube, check_waveform_rate
 from .waveform import Waveform
+from .workers import run_blocks
 
 DEFAULT_CLIP_DB = 60.0        # dynamic range below the map peak
 DEFAULT_PEAK_OFFSET_DB = 20.0  # peak threshold above the map median
 
 
-def beamform(cube: DataCube, weights: np.ndarray) -> np.ndarray:
-    """Spatial combining y[m, r] = w^H x[:, m, r] of a one-CPI DataCube.
+def check_levels(clip_db: float, peak_offset_db: float = DEFAULT_PEAK_OFFSET_DB) -> None:
+    """A map's dynamic range `clip_db` must be positive and finite, and
+    its peak threshold offset finite."""
+    if not (math.isfinite(clip_db) and clip_db > 0):
+        raise ConfigurationError(f"clip_db must be positive and finite, got {clip_db}")
+    if not math.isfinite(peak_offset_db):
+        raise ConfigurationError(f"peak_offset_db must be finite, got {peak_offset_db}")
 
-    The complex64 samples are combined at their own precision, the
-    weights rounded to complex64, so no complex128 copy of the cube is
-    made.
+
+def _rows(block: range) -> slice:
+    """Block b of W's contiguous share of n rows, [b n / W, (b + 1) n / W),
+    for the `run_blocks` block range(b, n, W).
+
+    Strided rows b, b + W, ... would make numpy's ufuncs copy each
+    operand through a buffer of up to its block's size.
+    """
+    b, rows, w = block.start, block.stop, block.step
+    return slice(b * rows // w, (b + 1) * rows // w)
+
+
+def beamform(cube: DataCube, weights: np.ndarray) -> np.ndarray:
+    """Spatial combining y[m, r] = sum_n conj(w_n) x[n, m, r] of a
+    one-CPI DataCube.
+
+    The weights are rounded to complex64 and the channels summed in
+    channel order at complex64 precision: y starts at zero and
+    y += x_n conj(w_n) for n = 0, 1, ...  The pulse rows are split into
+    blocks on the worker pool, each with one product buffer of its own
+    rows, so no complex128 or cube-sized copy is made and the result
+    is the same at any worker count.  No BLAS call is made, so the sum
+    order does not depend on the BLAS build.
     """
     x = cube.one_cpi()
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
     if weights.shape[0] != x.shape[0]:
         raise ConfigurationError(
             f"weights length {weights.shape[0]} != channel count {x.shape[0]}")
-    return np.tensordot(weights.conj().astype(np.complex64), x, axes=([0], [0]))
+    cw = weights.conj().astype(np.complex64)
+    y = np.zeros(x.shape[1:], dtype=np.complex64)
+
+    def combine(block: range) -> None:
+        rows = _rows(block)
+        out = y[rows]
+        product = np.empty_like(out)
+        for n in range(x.shape[0]):
+            np.multiply(x[n, rows], cw[n], out=product)
+            out += product
+
+    run_blocks(combine, y.shape[0])
+    return y
 
 
 def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
     """Matched filter along the last axis, fully-overlapped lags only.
 
     out[..., l] = sum_p samples[..., l + p] * conj(s[p]); output length
-    R - P + 1.  A unit-energy waveform fed to itself gives a single
-    sample equal to 1.
+    R - P + 1, complex128.  A unit-energy waveform fed to itself gives
+    a single sample equal to 1.  Each row along the last axis goes
+    through its own complex128 FFT pair, over blocks of rows on the
+    worker pool; a 1-D input is one row.
     """
-    x = np.asarray(samples, dtype=np.complex128)
+    x = np.asarray(samples)
     s = wf.samples
     p = s.shape[0]
     if wf.energy == 0.0:
@@ -56,10 +107,18 @@ def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
             f"input length {r} is shorter than the waveform ({p} samples)")
     n_out = r - p + 1
     nfft = next_fast_len(r)
-    xf = np.fft.fft(x, nfft, axis=-1)
-    sf = np.fft.fft(s, nfft)
-    out = np.fft.ifft(xf * sf.conj(), axis=-1)
-    return np.ascontiguousarray(out[..., :n_out])
+    sf = np.fft.fft(s, nfft).conj()
+    lines = x.reshape(-1, r)
+    out = np.empty((lines.shape[0], n_out), dtype=np.complex128)
+
+    def compress(block: range) -> None:
+        rows = _rows(block)
+        xf = np.fft.fft(lines[rows].astype(np.complex128), nfft, axis=-1)
+        xf *= sf
+        out[rows] = np.fft.ifft(xf, axis=-1)[:, :n_out]
+
+    run_blocks(compress, lines.shape[0])
+    return out.reshape(x.shape[:-1] + (n_out,))
 
 
 def doppler_process(pulses: np.ndarray, window: str | None = None) -> np.ndarray:
@@ -98,8 +157,7 @@ def range_doppler_map(cube: DataCube, wf: Waveform, weights: np.ndarray,
     floor-valued map and no peaks.  The cube must share the waveform's
     sample rate, as a channel must in cube assembly.
     """
-    if clip_db <= 0:
-        raise ConfigurationError(f"clip_db must be positive, got {clip_db}")
+    check_levels(clip_db, peak_offset_db)
     check_waveform_rate(wf, cube.sample_rate, "cube")
     bf = beamform(cube, weights)
     pc = pulse_compress(bf, wf)
@@ -141,6 +199,7 @@ def write_peaks_csv(path, peaks: list[tuple[int, int, float]]) -> None:
 
 def write_pgm(path, map_db: np.ndarray, clip_db: float = DEFAULT_CLIP_DB) -> None:
     """8-bit grayscale raster of a dB map: -clip_db -> 0, 0 dB -> 255."""
+    check_levels(clip_db)
     m = np.asarray(map_db, dtype=np.float64)
     if m.ndim != 2:
         raise ConfigurationError("pgm export needs a 2-D map")

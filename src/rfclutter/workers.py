@@ -2,11 +2,12 @@
 
 Cube assembly (`rxsim`), line of sight (`terrain.lines_of_sight`),
 the counter-based draws (`seeding.philox_words`), the sea surface
-(`ocean.surface_series`), tap accumulation (`channel.synthesize_ir`)
-and the dataset file hashes (`challenge`) split their work into blocks
-that run on every CPU this process may use.  Each block writes only
-its own part of the output, and every sample, word, sea row, tap and
-digest keeps the arithmetic it has in a serial evaluation, so the
+(`ocean.surface_series`), tap accumulation (`channel.synthesize_ir`),
+the dataset file hashes (`challenge`) and range-Doppler beamforming
+and pulse compression (`dsp`) split their work into blocks that run
+on every CPU this process may use.  Each block writes only its own
+part of the output, and every sample, word, sea row, tap, digest and
+map row keeps the arithmetic it has in a serial evaluation, so the
 bytes are the same at any core count.
 
 The caller runs the first block itself, so one CPU runs everything

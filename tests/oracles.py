@@ -425,6 +425,17 @@ def oracle_cube(terms, noise_power, seed, cpi_index=0) -> np.ndarray:
     return oracle_lines(terms, noise_power, seed, cpi_index).astype(np.complex64)
 
 
+def channel_ordered_sum(samples: np.ndarray, weights) -> np.ndarray:
+    """Beamformed (M, R) complex64 pulses of (N, M, R) complex64 samples:
+    y = 0, then y = y + x_n conj(w_n) for n = 0, 1, ... over whole
+    arrays, with the weights rounded to complex64."""
+    cw = np.conj(np.asarray(weights, dtype=np.complex128)).astype(np.complex64)
+    y = np.zeros(samples.shape[1:], dtype=np.complex64)
+    for n in range(samples.shape[0]):
+        y = y + samples[n] * cw[n]
+    return y
+
+
 def doppler_bin_for(doppler_hz: float, prf: float, num_pulses: int) -> int:
     """Doppler bin index nearest a Doppler frequency (wrapped)."""
     return int(round(num_pulses * doppler_hz / prf)) % num_pulses

@@ -387,13 +387,11 @@ UNREAD_FLAGS = [
 ]
 
 
-@pytest.mark.parametrize("argv, message",
-                         [pytest.param(a, m, id=a) for a, m in UNREAD_FLAGS])
-def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
-        argv, message, scenario_file, tmp_path, capsys, monkeypatch):
-    """--scale sizes a preset only; --waveform and --cpi go with --cube,
-    which reads no scenario.  Any other use exits 2 before any
-    simulation, and writes nothing."""
+def assert_exits_2_before_simulating(argv, message, scenario_file, tmp_path, capsys,
+                                     monkeypatch):
+    """`argv`, with S for the scenario file, C for a cube file and W for
+    a waveform file, exits 2 naming `message` before any simulation,
+    and writes nothing."""
     def no_work(*args, **kwargs):
         raise AssertionError("simulated before checking the flags")
 
@@ -411,6 +409,41 @@ def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
     err = capsys.readouterr().err
     assert "error:" in err and message in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message",
+                         [pytest.param(a, m, id=a) for a, m in UNREAD_FLAGS])
+def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
+        argv, message, scenario_file, tmp_path, capsys, monkeypatch):
+    """--scale sizes a preset only; --waveform and --cpi go with --cube,
+    which reads no scenario.  Any other use exits 2 before any
+    simulation, and writes nothing."""
+    assert_exits_2_before_simulating(argv, message, scenario_file, tmp_path, capsys,
+                                     monkeypatch)
+
+
+BAD_LEVELS = [
+    ("clutter-map --scenario S --clip-db nan", "clip_db"),
+    ("clutter-map --scenario S --clip-db 0", "clip_db"),
+    ("los-map --scenario S --clip-db inf", "clip_db"),
+    ("los-map --scenario S --clip-db=-3", "clip_db"),
+    ("range-doppler --scenario S --clip-db nan", "clip_db"),
+    ("range-doppler --scenario S --peak-offset-db nan", "peak_offset_db"),
+    ("range-doppler --cube C --waveform W --clip-db 0", "clip_db"),
+    ("range-doppler --cube C --waveform W --clip-db inf", "clip_db"),
+    ("range-doppler --cube C --waveform W --peak-offset-db=-inf", "peak_offset_db"),
+]
+
+
+@pytest.mark.parametrize("argv, message",
+                         [pytest.param(a, m, id=a) for a, m in BAD_LEVELS])
+def test_a_non_finite_or_non_positive_level_exits_with_code_2_before_simulating(
+        argv, message, scenario_file, tmp_path, capsys, monkeypatch):
+    """A map's --clip-db must be positive and finite and its
+    --peak-offset-db finite; otherwise the verb exits 2 before any
+    simulation, and writes nothing."""
+    assert_exits_2_before_simulating(argv, message, scenario_file, tmp_path, capsys,
+                                     monkeypatch)
 
 
 def test_zero_realizations_exit_with_code_2_before_any_budget(scenario_file, tmp_path,
@@ -465,22 +498,36 @@ def windy_scenario(root: Path) -> list[str]:
     return ["--scenario", str(root / "windy.txt")]
 
 
-def simulated_manifests(tmp_path, env, **run) -> dict[str, bytes]:
-    """Manifest bytes of `simulate` on the scenario1 preset and on the
-    windy scenario, run in a child process with `env`."""
-    manifests = {}
+RANGE_DOPPLER_PRODUCTS = ("rd_cpi000.csv", "rd_cpi000_peaks.csv", "rd_cpi000.pgm")
+
+
+def simulated_products(tmp_path, env, **run) -> dict[str, bytes]:
+    """Bytes of the manifest of `simulate` on the scenario1 preset and on
+    the windy scenario, and of the map CSV, peaks CSV and PGM of
+    `range-doppler --cube` on each one's CPI 0, keyed "<scenario>/<file>";
+    every verb runs in a child process with `env`."""
+    def cli(*argv):
+        subprocess.run([sys.executable, "-m", "rfclutter.cli", *argv], env=env, check=True,
+                       capture_output=True, **run)
+
+    products = {}
     for name, argv in (("scenario1", ["--preset", "scenario1"]),
                        ("windy", windy_scenario(tmp_path / "windy-input"))):
-        out = tmp_path / name
-        subprocess.run([sys.executable, "-m", "rfclutter.cli", "simulate", *argv,
-                        "--out", str(out)], env=env, check=True, capture_output=True, **run)
-        manifests[name] = (out / "manifest.txt").read_bytes()
-    return manifests
+        out, maps = tmp_path / name, tmp_path / f"{name}-rd"
+        cli("simulate", *argv, "--out", str(out))
+        cli("range-doppler", "--cube", str(out / "cube_cpi000.rfcube"),
+            "--waveform", str(out / "waveform.rfwav"), "--out", str(maps))
+        products[f"{name}/manifest.txt"] = (out / "manifest.txt").read_bytes()
+        for product in RANGE_DOPPLER_PRODUCTS:
+            products[f"{name}/{product}"] = (maps / product).read_bytes()
+    return products
 
 
 def child_env(**extra) -> dict[str, str]:
+    """The environment of a CLI child process: this checkout's package,
+    and a numpy RuntimeWarning raised as an error, as in the suite."""
     src = str(Path(rfclutter.__file__).resolve().parents[1])
-    return dict(os.environ, **extra,
+    return dict(os.environ, **extra, PYTHONWARNINGS="error::RuntimeWarning",
                 PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
 
 
@@ -497,25 +544,28 @@ def test_windy_scenario_reaches_the_sea_surface(tmp_path):
 
 def test_blas_thread_count_does_not_change_the_dataset(tmp_path):
     """The per-tap GEMM sums each tap in one order whatever the OpenBLAS
-    thread count: the manifests of desk scenario1 and of the windy
-    scenario, which hash every file, are byte-identical under one and
-    two BLAS threads."""
-    one = simulated_manifests(tmp_path / "blas1", child_env(OPENBLAS_NUM_THREADS="1"))
-    two = simulated_manifests(tmp_path / "blas2", child_env(OPENBLAS_NUM_THREADS="2"))
+    thread count, and the range-Doppler chain makes no BLAS call: the
+    manifests of desk scenario1 and of the windy scenario, which hash
+    every file, and the range-Doppler products of their CPI 0 cubes are
+    byte-identical under one and two BLAS threads."""
+    one = simulated_products(tmp_path / "blas1", child_env(OPENBLAS_NUM_THREADS="1"))
+    two = simulated_products(tmp_path / "blas2", child_env(OPENBLAS_NUM_THREADS="2"))
     assert one == two
-    assert b"\nrng = philox4x64-10\n" in one["scenario1"]
+    assert b"\nrng = philox4x64-10\n" in one["scenario1/manifest.txt"]
+    assert one["windy/rd_cpi000_peaks.csv"].count(b"\n") > 1
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs CPU affinity and at least two CPUs")
 def test_core_count_does_not_change_the_dataset(tmp_path):
-    """Line of sight, the draws, the sea surface, tap accumulation and
-    cube assembly spread their work over the CPUs the process may run
-    on: the manifests of desk scenario1 and of the windy scenario are
-    byte-identical when the run is pinned to one CPU."""
+    """Line of sight, the draws, the sea surface, tap accumulation, cube
+    assembly and range-Doppler processing spread their work over the
+    CPUs the process may run on: the manifests of desk scenario1 and of
+    the windy scenario, and the range-Doppler products of their CPI 0
+    cubes, are byte-identical when the runs are pinned to one CPU."""
     cpu = min(os.sched_getaffinity(0))
-    pinned = simulated_manifests(tmp_path / "pinned", child_env(),
-                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
-    free = simulated_manifests(tmp_path / "free", child_env())
+    pinned = simulated_products(tmp_path / "pinned", child_env(),
+                                preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
+    free = simulated_products(tmp_path / "free", child_env())
     assert pinned == free

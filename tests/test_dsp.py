@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 
 from rfclutter.dsp import (beamform, doppler_axis, doppler_process, pulse_compress,
                            range_doppler_map, write_map_csv, write_peaks_csv, write_pgm)
@@ -13,7 +14,7 @@ from rfclutter.rxsim import DataCube
 from rfclutter.seeding import derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
 
-from oracles import doppler_bin_for, range_bin_for
+from oracles import channel_ordered_sum, doppler_bin_for, range_bin_for
 
 FS = 10e6
 PRF = 2000.0
@@ -78,6 +79,62 @@ def test_beamform_is_weighted_sum():
     np.testing.assert_allclose(y, want, rtol=0.0, atol=1e-6 * np.abs(want).max())
     with pytest.raises(ConfigurationError):
         beamform(cube, np.ones(2))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("shape", [(4, 16, 400), (3, 7, 13), (5, 9, 1), (32, 5, 2334),
+                                   (0, 4, 6)])
+def test_beamform_is_the_channel_ordered_sum_at_any_worker_count(shape, workers,
+                                                                 set_worker_count):
+    """Pulse rows spread over any number of workers give the channel-
+    ordered complex64 sum bit for bit, an empty channel axis included."""
+    rng = derive_rng(4, 0)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    w = rng.standard_normal(shape[0]) + 1j * rng.standard_normal(shape[0])
+    set_worker_count(workers)
+    y = beamform(as_cube(x), w)
+    assert y.dtype == np.complex64 and y.shape == shape[1:]
+    assert y.tobytes() == channel_ordered_sum(x, w).tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+@pytest.mark.parametrize("shape", [(64, 300), (7, 50), (50,), (3, 4, 40), (1, 17), (0, 30)])
+def test_pulse_compress_is_one_fft_pair_per_row_at_any_worker_count(shape, workers,
+                                                                    set_worker_count):
+    """Rows spread over any number of workers give the bytes of one
+    complex128 FFT pair over the whole array, for any leading shape, a
+    1-D input and a complex64 input included."""
+    rng = derive_rng(5, 0)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).astype(np.complex64)
+    wf = Waveform(samples=phase_code(16, FS, seed=6).samples.astype(np.complex64),
+                  sample_rate=FS)
+    nfft = next_fast_len(shape[-1])
+    spectrum = np.fft.fft(x.astype(np.complex128), nfft, axis=-1)
+    want = np.fft.ifft(spectrum * np.fft.fft(wf.samples, nfft).conj(),
+                       axis=-1)[..., :shape[-1] - 15]
+    set_worker_count(workers)
+    out = pulse_compress(x, wf)
+    assert out.dtype == np.complex128 and out.shape == want.shape
+    assert out.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def test_range_doppler_map_is_the_same_at_any_worker_count(set_worker_count):
+    """The map and the peak list of a noisy two-echo cube do not depend
+    on the worker count."""
+    wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
+    echoes = embedded_echo_cube(wf, 7, 250.0, num_chan=5)
+    echoes += embedded_echo_cube(wf, 29, -437.5, amp=0.25, num_chan=5)
+    rng = derive_rng(6, 0)
+    cube = as_cube(echoes + 0.1 * (rng.standard_normal(echoes.shape)
+                                   + 1j * rng.standard_normal(echoes.shape)))
+    weights = np.exp(0.3j * np.arange(5))
+    results = []
+    for workers in (1, 2, 3, 8):
+        set_worker_count(workers)
+        map_db, peaks = range_doppler_map(cube, wf, weights, window="hann")
+        results.append((map_db.tobytes(), peaks))
+    assert len(results[0][1]) >= 2
+    assert all(r == results[0] for r in results[1:])
 
 
 def test_complex64_cube_is_beamformed_without_a_complex128_copy():
@@ -179,6 +236,25 @@ def test_zero_cube_floors_with_no_peaks():
     np.testing.assert_array_equal(m, -50.0)
     with pytest.raises(ConfigurationError):
         range_doppler_map(cube, wf, np.ones(2), clip_db=0.0)
+
+
+@pytest.mark.parametrize("levels", [
+    {"clip_db": 0.0}, {"clip_db": -1.0}, {"clip_db": float("nan")},
+    {"clip_db": float("inf")}, {"clip_db": float("-inf")},
+    {"peak_offset_db": float("nan")}, {"peak_offset_db": float("inf")},
+    {"peak_offset_db": float("-inf")}], ids=repr)
+def test_a_non_finite_or_non_positive_level_is_a_configuration_error(levels, tmp_path):
+    """A map's dynamic range must be positive and finite and its peak
+    offset finite: no all-NaN map, NaN-cast image or silently empty
+    peak list."""
+    wf = lfm(bandwidth=2e6, duration=3.2e-6, sample_rate=FS)
+    cube = as_cube(embedded_echo_cube(wf, 11, 625.0))
+    with pytest.raises(ConfigurationError, match=next(iter(levels))):
+        range_doppler_map(cube, wf, np.ones(2), **levels)
+    if "clip_db" in levels:
+        with pytest.raises(ConfigurationError, match="clip_db"):
+            write_pgm(tmp_path / "bad.pgm", np.zeros((2, 2)), clip_db=levels["clip_db"])
+        assert not (tmp_path / "bad.pgm").exists()
 
 
 def test_cube_waveform_rate_mismatch_is_a_configuration_error():
