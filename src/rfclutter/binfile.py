@@ -20,6 +20,10 @@ import numpy as np
 
 from .errors import ConfigurationError
 
+# payload bytes per read: each chunk is hashed and checked while it is
+# still in cache, and a read never holds a second copy of the payload
+_CHUNK = 1 << 20
+
 
 def read_header(f, header: struct.Struct, magic: bytes, what: str) -> tuple[bytes, tuple]:
     """Read and unpack the header at the start of the open binary file
@@ -59,11 +63,15 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
     The declared size is compared with the file size before any index
     or payload byte is read, and the indices are checked before the
     payload is read, so a header or an index section that lies raises
-    ConfigurationError instead of allocating.  With `sha256` (hex)
-    given, the bytes read must hash to it, so the bytes returned are
-    the bytes verified and the file is read once.  A NaN or infinite I
-    or Q value raises ConfigurationError.  Returns (fields, the
-    read-only index array or None, the read-only payload array).
+    ConfigurationError instead of allocating.  The payload is read in
+    one pass of `_CHUNK`-byte reads straight into the array returned,
+    and each chunk is hashed and checked for non-finite values as it
+    arrives.  With `sha256` (hex) given, the bytes read must hash to
+    it, so the bytes returned are the bytes verified and the file is
+    read once; a mismatch is raised before any non-finite value.  A
+    NaN or infinite I or Q value raises ConfigurationError.  Returns
+    (fields, the read-only index array or None, the read-only payload
+    array).
     """
     with open(path, "rb") as f:
         head, fields = read_header(f, header, magic, what)
@@ -95,20 +103,31 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
             if index.size and (index[-1] >= limit or np.any(index[1:] <= index[:-1])):
                 raise ConfigurationError(
                     f"{path}: {what} indices must ascend strictly below {limit}")
-        payload = _read_exact(f, nbytes, path, what)
-    if sha256 is not None:
-        digest = hashlib.sha256(head)
-        if index is not None:
-            digest.update(index)
-        digest.update(payload)
+        digest = None
+        if sha256 is not None:
+            digest = hashlib.sha256(head)
+            if index is not None:
+                digest.update(index)
+        iq = np.empty(nbytes // 4, dtype="<f4")
+        raw = memoryview(iq.view(np.uint8))
+        finite = True
+        for start in range(0, nbytes, _CHUNK):
+            chunk = raw[start:start + _CHUNK]
+            if f.readinto(chunk) < len(chunk):
+                raise ConfigurationError(f"{path}: truncated {what} payload")
+            if digest is not None:
+                digest.update(chunk)
+            # min and max both propagate NaN, and an infinity is one of them
+            values = iq[start // 4:(start + len(chunk)) // 4]
+            finite = finite and bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+    if digest is not None:
         actual = digest.hexdigest()
         if actual != sha256:
             raise ConfigurationError(
                 f"{path}: checksum mismatch: expected {sha256[:12]}..., file {actual[:12]}...")
-    iq = np.frombuffer(payload, dtype="<f4")
-    # min and max both propagate NaN, and an infinity is one of them
-    if iq.size and not (np.isfinite(iq.min()) and np.isfinite(iq.max())):
+    if not finite:
         raise ConfigurationError(f"{path}: {what} payload holds a non-finite sample")
+    iq.setflags(write=False)
     return fields, index, iq.view("<c8").reshape(dims)
 
 

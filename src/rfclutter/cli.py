@@ -61,6 +61,7 @@ def _load(args) -> Scenario:
         scn = _PRESETS[args.preset](scale=DESK_SCALE if args.scale is None else args.scale)
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
+        scn.validate()
     return scn
 
 

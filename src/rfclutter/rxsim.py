@@ -22,7 +22,12 @@ The receiver noise of a CPI does not depend on the waveform, so
 replaying a CPI with several waveforms draws it once: the process
 keeps the unit noise of at most one CPI, 8 bytes per sample, from the
 second request for its key on (`_assemble_cube`).  A simulation, whose
-CPIs never repeat, keeps nothing.
+CPIs never repeat, keeps nothing.  A channel's window transforms do
+not depend on the waveform either, so the process keeps those of the
+last channel it convolved through the FFT route, 16 bytes per
+transformed sample, keyed by that channel and the transform length and
+freed with the channel: a stored channel replayed under several
+waveforms is transformed once.
 
 A channel carries its tap support S, the occupied taps, ascending, and
 only its window [S[0], S[-1]] is convolved: the rest of the range
@@ -56,6 +61,7 @@ from __future__ import annotations
 import os
 import struct
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -81,14 +87,45 @@ _HEADER = struct.Struct("<8sIIIIdddd")
 _noise: tuple[tuple | None, np.ndarray | None] = (None, None)
 _noise_lock = threading.Lock()
 
+# The window transforms kept for replay: (key, transforms), where key is
+# (channel, taps, support, nfft), weak references to the last channel
+# convolved through the FFT route and to its taps and support arrays,
+# and the transform length, and transforms its read-only (N, M, nfft)
+# complex128 FFTs of the zero-padded taps (16 N M nfft bytes, one
+# channel at most), freed with the channel; see `_assemble_cube`.  The
+# lock is reentrant because the channel's weak-reference callback may
+# run on a thread that holds it.
+_transforms: tuple[tuple | None, np.ndarray | None] = (None, None)
+_transforms_lock = threading.RLock()
 
-def _new_noise_lock() -> None:
-    global _noise_lock
+
+def _new_locks() -> None:
+    global _noise_lock, _transforms_lock
     _noise_lock = threading.Lock()
+    _transforms_lock = threading.RLock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_noise_lock)
+    os.register_at_fork(after_in_child=_new_locks)
+
+
+def _drop_transforms(channel_ref: weakref.ref) -> None:
+    """Free the kept window transforms with their channel."""
+    global _transforms
+    with _transforms_lock:
+        key = _transforms[0]
+        if key is not None and key[0] is channel_ref:
+            _transforms = (None, None)
+
+
+def _keyed_to(key: tuple | None, ir: ChannelImpulseResponse, nfft: int) -> bool:
+    """Whether `key` names `ir`, with the taps and support it holds now,
+    at transform length `nfft`."""
+    if key is None:
+        return False
+    channel, taps, support, length = key
+    return (channel() is ir and taps() is ir.taps and support() is ir.support
+            and length == nfft)
 
 
 @dataclass
@@ -213,6 +250,27 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     Zero noise power reads and changes none of this.  A simulation,
     whose keys never repeat, keeps nothing; replay keeps 8 N M R bytes.
 
+    The window transforms of a channel do not depend on the waveform
+    either, so the process keeps those of one channel (module state
+    `_transforms`): the (N, M, nfft) complex128 FFTs of the windows of
+    the last FFT-routed channel of the last request that had one.  They
+    are keyed by weak references to that channel and to its read-only
+    `taps` and `support` arrays, as they were when transformed, and by
+    nfft:
+      - the last FFT-routed channel of a request, if it has the kept
+        key, multiplies the kept transforms by the waveform spectrum
+        and runs no forward FFT of its own;
+      - otherwise the kept transforms are dropped, each block transforms
+        its receive channels of that channel into a new array, which is
+        kept, read-only, once every block has finished, and multiplies
+        them by the spectrum from there;
+    other channels, and a request with no FFT-routed channel, neither
+    read nor change it.  The product is the one the in-place path forms,
+    so all give the same bytes.  The kept transforms are freed with
+    their channel, and at most one channel's, 16 N M nfft bytes, are
+    kept; a reassigned `taps` or `support` field, another channel or
+    another nfft transforms afresh.
+
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
     runs on the calling thread and each other block as one task of the
@@ -225,8 +283,9 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     the lines; then the channel's tap lines are convolved through the
     buffer and added to the lines, which are rounded into the cube.  So
     the working set is the cube (8 N M R bytes) plus the two buffers
-    per worker, and the kept z while it is drawn.  Every tap line goes
-    through the same arithmetic, and the noise and the channels are
+    per worker, the kept z while it is drawn and the kept transforms
+    while they are filled.  Every tap line goes through the same
+    arithmetic, and the noise and the channels are
     added in the same order, as in a whole-cube evaluation, so the
     bytes do not depend on the blocking or the worker count.
 
@@ -276,7 +335,22 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             spectrum = (np.fft.fft(r, next_fast_len(width), axis=1)
                         if ir.support.size > direct_limit else None)
             terms.append((ir, r, lo, width, spectrum))
-    global _noise
+    # the last FFT-routed term reads its window transforms from the kept
+    # ones of its channel, or fills them for the process to keep
+    global _noise, _transforms
+    slot = max((i for i, term in enumerate(terms) if term[4] is not None), default=None)
+    transforms = filling = None
+    if slot is not None:
+        slot_ir, size = terms[slot][0], terms[slot][4].shape[1]
+        with _transforms_lock:
+            key, held = _transforms
+            if _keyed_to(key, slot_ir, size):
+                transforms = held
+            else:
+                _transforms = (None, None)
+        filling = transforms is None
+        if filling:
+            transforms = np.empty((n_ch, n_pulses, size), dtype=np.complex128)
     kept = fill = None
     if noise_power > 0.0:
         key = (seed, cpi_index, n_ch, n_pulses, n_out)
@@ -324,15 +398,17 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                 np.sin(v, out=v)
                 np.multiply(v, r, out=z.imag)
                 np.multiply(z, scale, out=lines)
-            for ir, waveform_rows, lo, width, spectrum in terms:
+            for i, (ir, waveform_rows, lo, width, spectrum) in enumerate(terms):
                 taps = ir.taps[n]
                 if spectrum is not None:
                     size = spectrum.shape[1]
                     out = buf.reshape(-1)[:n_pulses * size].reshape(n_pulses, size)
-                    out[...] = 0.0
-                    out[:, ir.support - lo] = taps
-                    np.fft.fft(out, axis=1, out=out)
-                    out *= spectrum
+                    windows = transforms[n] if i == slot else out
+                    if windows is out or filling:
+                        out[...] = 0.0
+                        out[:, ir.support - lo] = taps
+                        np.fft.fft(out, axis=1, out=windows)
+                    np.multiply(windows, spectrum, out=out)
                     np.fft.ifft(out, axis=1, out=out)
                 else:
                     out = buf
@@ -355,6 +431,11 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
         with _noise_lock:
             if _noise[0] == key:
                 _noise = (key, fill)
+    if filling:
+        transforms.setflags(write=False)
+        with _transforms_lock:
+            _transforms = ((weakref.ref(slot_ir, _drop_transforms), weakref.ref(slot_ir.taps),
+                            weakref.ref(slot_ir.support), size), transforms)
     return DataCube(samples=cube, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz)
 

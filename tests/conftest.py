@@ -43,8 +43,9 @@ def set_worker_count(monkeypatch):
 
 
 @pytest.fixture(autouse=True)
-def no_kept_noise(monkeypatch):
-    """Every test starts with no receiver noise kept from an earlier
-    test's requests, so whether a request draws does not depend on the
-    test order."""
+def nothing_kept_for_replay(monkeypatch):
+    """Every test starts with no receiver noise or window transforms
+    kept from an earlier test's requests, so whether a request draws or
+    transforms does not depend on the test order."""
     monkeypatch.setattr(rxsim, "_noise", (None, None))
+    monkeypatch.setattr(rxsim, "_transforms", (None, None))

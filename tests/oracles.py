@@ -23,7 +23,6 @@ from scipy.fft import next_fast_len
 from rfclutter.antenna import (ArrayGeometry, element_gains, phase_ramps,
                                spatial_steering_many)
 from rfclutter.channel import SPEED_OF_LIGHT, StochasticModel
-from rfclutter.covariance import _check_patch_model, sample_covariance
 from rfclutter.errors import ConfigurationError
 from rfclutter.scattering import FOUR_PI_CUBED, ScatteringTable
 from rfclutter.seeding import (STREAM_CLUTTER, STREAM_NOISE, derive_rng, normal_pair, philox_key,
@@ -447,6 +446,50 @@ def range_bin_for(delay: float, sample_rate: float, delay_origin: float = 0.0) -
 
 
 # --- covariance ---------------------------------------------------------------
+#
+# The statistical, waveform-free clutter model of classical adaptive
+# processing: a clutter snapshot is x = sum_i gamma_i v_i with gamma_i
+# independent circular complex Gaussians of variance G_i and v_i the
+# patch steering vectors, so the ensemble covariance is
+# R = sum_i G_i v_i v_i^H.
+
+def _check_patch_model(gains: np.ndarray, steerings: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    gains = np.asarray(gains, dtype=np.float64).reshape(-1)
+    steerings = np.atleast_2d(np.asarray(steerings, dtype=np.complex128))
+    if steerings.shape[0] != gains.shape[0]:
+        raise ConfigurationError(
+            f"{gains.shape[0]} gains vs {steerings.shape[0]} steering vectors")
+    if np.any(gains < 0):
+        raise ValueError("patch power scales must be non-negative")
+    return gains, steerings
+
+
+def clutter_covariance(gains: np.ndarray, steerings: np.ndarray) -> np.ndarray:
+    """Ensemble covariance R = sum_i G_i v_i v_i^H, exactly Hermitian.
+
+    Zero-gain (shadowed) patches are skipped before the accumulation,
+    so adding or removing them cannot perturb the result.
+    """
+    gains, steerings = _check_patch_model(gains, steerings)
+    dim = steerings.shape[1]
+    keep = gains > 0
+    v = steerings[keep]
+    g = gains[keep]
+    if v.shape[0] == 0:
+        return np.zeros((dim, dim), dtype=np.complex128)
+    r = (v.T * g) @ v.conj()
+    return 0.5 * (r + r.conj().T)
+
+
+def sample_covariance(snapshots: np.ndarray) -> np.ndarray:
+    """Unweighted sample covariance (1/K) sum_k x_k x_k^H over rows."""
+    x = np.atleast_2d(np.asarray(snapshots, dtype=np.complex128))
+    k = x.shape[0]
+    if k == 0 or x.size == 0:
+        raise ValueError("sample_covariance needs at least one snapshot")
+    r = (x.T @ x.conj()) / k
+    return 0.5 * (r + r.conj().T)
+
 
 def draw_snapshots(gains: np.ndarray, steerings: np.ndarray, count: int,
                    seed: int) -> np.ndarray:

@@ -20,7 +20,6 @@ from rfclutter.channel import (ChannelImpulseResponse, ensemble_second_moment,
 from rfclutter.cli import main as cli_main
 from rfclutter.cofar import (ChannelMoments, generalized_eigenvalues,
                              max_gain_db, optimal_waveform, scnr)
-from rfclutter.covariance import clutter_covariance, sample_covariance
 from rfclutter.dsp import doppler_axis, doppler_process, pulse_compress, range_doppler_map
 from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
                             simulate_mimo_cube)
@@ -34,8 +33,9 @@ from rfclutter.seeding import derive_rng
 from rfclutter.terrain import ClassGrid, ElevationGrid, build_patch_grid, lines_of_sight
 from rfclutter.waveform import Waveform, lfm, phase_code
 
-from oracles import (convolve_pulse, draw_snapshots, line_of_sight, space_time_steering,
-                     spatial_steering, temporal_steering)
+from oracles import (clutter_covariance, convolve_pulse, draw_snapshots, line_of_sight,
+                     sample_covariance, space_time_steering, spatial_steering,
+                     temporal_steering)
 
 C = 299792458.0
 
@@ -430,3 +430,73 @@ def test_12_dataset_round_trip_and_full_size_dims(tmp_path):
     assert dims == (30, 32, 64, 2334)
     print(f"ACCEPTANCE 12: PASS - {len(a)} files byte-stable through "
           f"read/re-export; full-size dims {dims}")
+
+
+def test_13_monostatic_ring_clutter_power_matches_the_closed_form():
+    """Constant-gamma clutter under an isotropic monostatic radar over
+    flat ground: the patch gains summed over whole taps equal the ring
+    integral of the range equation.
+
+    With sigma0 = gamma h / R, one isotropic channel and ground element
+    dA = 2 pi rho d rho = 2 pi R dR, the expected power of the taps with
+    slant range in [R1, R2) is
+
+        gamma lambda^2 2 pi h (R1^-3 - R2^-3) / (3 (4 pi)^3),
+
+    for random-phase scatterers the sum of their gains.  The patches
+    sample this integral once per cell of side a, at its center, so the
+    bound comes from the discretization alone:
+      - a cell straddling a ring edge counts wholly on its center's side,
+        and each point of it lies within a / sqrt(2) of its center, so
+        the misplaced area lies within a / sqrt(2) of an edge in ground
+        range; its power is at most that of those two bands;
+      - a cell inside the ring is summed at its center, the midpoint
+        rule, whose error is at most a^2 / 24 times the largest
+        |f_xx| + |f_yy|, which is 60 f / R^2 for f = R^-5, relative to
+        f at the center; f varies across the cell by at most
+        ((R + a / sqrt(2)) / (R - a / sqrt(2)))^5.
+    The bound is the sum of the two, about cell size / ring width.
+    """
+    cell, n, h = 10.0, 410, 500.0
+    scn = Scenario(
+        name="rings", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
+        num_pulses=1, num_channels=1, num_cpis=1, pulse_duration_s=1e-6,
+        noise_power=0.0, swath_m=1980.0,
+        tx_position=np.array([n * cell / 2.0, n * cell / 2.0, h]), tx_velocity=np.zeros(3),
+        boresight=np.array([0.0, 0.0, -1.0]), cosine_exponent=0.0,
+        dem=ElevationGrid(heights=np.zeros((n, n)), cell_size=cell), patch_size_m=cell,
+    )
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 0)
+    timing = scn.timing()
+    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn), timing)
+    slant = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
+    taps = np.round(2.0 * slant / C * timing.sample_rate)
+    gamma = 10.0 ** (scn.table().lookup(GRASS, scn.band).gamma_db / 10.0)
+    scale = gamma * scn.wavelength ** 2 * 2.0 * math.pi * h / (3.0 * (4.0 * math.pi) ** 3)
+    tap_range = C / (2.0 * timing.sample_rate)
+    half_diagonal = cell / math.sqrt(2.0)
+
+    def power(r1, r2):
+        return scale * (r1 ** -3 - r2 ** -3)
+
+    def slant_of(ground):
+        return math.hypot(ground, h)
+
+    worst = 0.0
+    edges = range(18, 67, 8)       # slant ranges 525 m to 1.96 km
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        r1, r2 = (lo - 0.5) * tap_range, (hi - 0.5) * tap_range
+        rho1, rho2 = math.sqrt(r1 ** 2 - h ** 2), math.sqrt(r2 ** 2 - h ** 2)
+        assert rho2 + half_diagonal < n * cell / 2.0 and hi <= timing.num_taps
+        want = power(r1, r2)
+        got = float(budget.gains[(taps >= lo) & (taps < hi)].sum())
+        bands = sum(power(slant_of(rho - half_diagonal), slant_of(rho + half_diagonal))
+                    for rho in (rho1, rho2))
+        near = slant_of(rho1 - half_diagonal)
+        midpoint = (cell ** 2 / 24.0 * 60.0 / near ** 2
+                    * ((near + half_diagonal) / (near - half_diagonal)) ** 5)
+        bound = bands / want + midpoint
+        assert abs(got / want - 1.0) <= bound, (lo, hi, got / want, bound)
+        worst = max(worst, abs(got / want - 1.0))
+    print(f"ACCEPTANCE 13: PASS - ring clutter power within {worst:.2e} of the closed form")

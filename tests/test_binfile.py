@@ -2,6 +2,7 @@
 raises ConfigurationError (no MemoryError, OverflowError or bare
 ValueError from a header that lies)."""
 
+import hashlib
 import struct
 
 import numpy as np
@@ -184,6 +185,50 @@ def test_non_finite_payload_is_rejected(fmt, value, valid):
         path.write_bytes(bytes(blob))
         with pytest.raises(ConfigurationError, match="non-finite"):
             reader(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(FORMATS))
+def test_a_payload_read_in_many_chunks_reads_back_read_only(fmt, valid, monkeypatch):
+    """A payload read 16 bytes at a time gives the bytes of one read,
+    and a non-finite value in any chunk is rejected."""
+    _, reader, header, _, dims = FORMATS[fmt]
+    path, good = valid[fmt]
+    path.write_bytes(good)
+    whole = reader(path)
+    monkeypatch.setattr(binfile, "_CHUNK", 16)
+    chunked = reader(path)
+    assert dims(chunked) == dims(whole)
+    name = "taps" if fmt == "impulse-response" else "samples"
+    assert getattr(chunked, name).tobytes() == getattr(whole, name).tobytes()
+    blob = bytearray(good)
+    struct.pack_into("<f", blob, len(good) - 4, float("nan"))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        reader(path)
+
+
+def test_the_payload_array_is_read_only(valid):
+    path, good = valid["cube"]
+    path.write_bytes(good)
+    header = FORMATS["cube"][2]
+    _, index, payload = binfile.read_framed(path, header, b"RFCUBE01", "data-cube",
+                                            lambda c, n, m, r, *_: (c, n, m, r))
+    assert index is None and payload.shape == (1, 2, 3, 4)
+    assert not payload.flags.writeable and not payload.base.flags.writeable
+
+
+def test_a_checksum_mismatch_is_raised_before_a_non_finite_sample(valid, tmp_path):
+    """The digest covers the whole payload, so a file whose payload holds
+    a NaN and that does not match its digest reports the mismatch."""
+    _, good = valid["cube"]
+    blob = bytearray(good)
+    struct.pack_into("<f", blob, len(good) - 4, float("nan"))
+    path = tmp_path / "nan.rfcube"
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ConfigurationError, match="checksum mismatch"):
+        read_cube(path, sha256=hashlib.sha256(good).hexdigest())
+    with pytest.raises(ConfigurationError, match="non-finite"):
+        read_cube(path, sha256=hashlib.sha256(bytes(blob)).hexdigest())
 
 
 def test_the_valid_impulse_response_stores_its_occupied_taps_only(valid):

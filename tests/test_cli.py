@@ -422,6 +422,17 @@ def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
                                      monkeypatch)
 
 
+@pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
+                                  "cofar-optimize", "mimo-sim"])
+def test_a_negative_seed_override_exits_with_code_2_before_simulating(
+        verb, scenario_file, tmp_path, capsys, monkeypatch):
+    """--seed replaces the scenario's seed, and the scenario is checked
+    again: a negative seed exits 2 before any simulation, from every
+    verb that reads a scenario."""
+    assert_exits_2_before_simulating(f"{verb} --scenario S --seed -1", "sim.seed",
+                                     scenario_file, tmp_path, capsys, monkeypatch)
+
+
 BAD_LEVELS = [
     ("clutter-map --scenario S --clip-db nan", "clip_db"),
     ("clutter-map --scenario S --clip-db 0", "clip_db"),

@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from rfclutter.covariance import clutter_covariance, sample_covariance
 from rfclutter.errors import ConfigurationError
 from rfclutter.seeding import derive_rng
 
-from oracles import draw_snapshots, homogeneity_distance
+from oracles import (clutter_covariance, draw_snapshots, homogeneity_distance,
+                     sample_covariance)
 
 
 def random_patch_model(n_patches, dim, seed):

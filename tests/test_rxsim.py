@@ -493,6 +493,171 @@ def test_threads_requesting_one_key_at_once_get_its_bytes(set_worker_count):
     assert rxsim._noise[0] == (4, 2, 3, 5, 23) and rxsim._noise[1] is not None
 
 
+# --- the window transforms kept for a replayed channel ------------------------
+
+def window_ir(rng, n=3, m=4):
+    """A channel over taps 5..34 of 40: with an 8-sample waveform it
+    takes the window FFT, of length next_fast_len(30 + 8 - 1) = 40."""
+    support = np.arange(5, 35)
+    taps = rng.normal(size=(n, m, support.size)) + 1j * rng.normal(size=(n, m, support.size))
+    return ChannelImpulseResponse(taps=taps, sample_rate=FS, prf=2000.0, support=support,
+                                  num_taps=40)
+
+
+def count_forward_ffts(monkeypatch):
+    """Record the input shape of each forward FFT: one per cube for the
+    waveform spectrum, and one per receive channel the cube transforms."""
+    calls = []
+    fft = np.fft.fft
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return fft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting)
+    return calls
+
+
+def window_transforms(ir, size):
+    """The transforms a channel's windows have: its tap lines placed from
+    the first support tap, zero-padded to `size` and transformed."""
+    lines = np.zeros(ir.taps.shape[:2] + (size,), dtype=np.complex128)
+    lines[:, :, ir.support - ir.support[0]] = ir.taps
+    return np.fft.fft(lines, axis=2)
+
+
+def assert_transformed(calls, ir, wf, noise_power, ffts, target=None):
+    """One request for `ir` (and `target`) gives the whole-cube oracle's
+    bytes and runs `ffts` forward FFTs."""
+    calls.clear()
+    cube = simulate_cube(ir, target, wf, noise_power, seed=4, cpi_index=2)
+    assert len(calls) == ffts
+    want = oracle_cube([(c, wf) for c in (ir, target) if c is not None], noise_power, 4,
+                       cpi_index=2)
+    assert cube.samples.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_cold_and_warm_requests_give_the_oracles_bytes(set_worker_count, monkeypatch,
+                                                       workers):
+    """The first request for a channel transforms its windows, one FFT
+    per receive channel, and keeps them, read-only; later requests with
+    other waveforms transform only the waveform.  Both give the whole-cube oracle's bytes, with and
+    without noise and beside a direct-route target."""
+    set_worker_count(workers)
+    rng = np.random.default_rng(40)
+    clutter = window_ir(rng)
+    target = sparse_ir(rng, [3, 9], n=3)
+    calls = count_forward_ffts(monkeypatch)
+    assert_transformed(calls, clutter, random_waveform(rng), 0.7, 4, target=target)
+    key, kept = rxsim._transforms
+    assert rxsim._keyed_to(key, clutter, 40)
+    assert kept.shape == (3, 4, 40) and not kept.flags.writeable
+    assert kept.tobytes() == window_transforms(clutter, 40).tobytes()
+    for noise_power in (0.7, 0.0, 0.7):
+        assert_transformed(calls, clutter, random_waveform(rng), noise_power, 1,
+                           target=target)
+    assert rxsim._transforms[1] is kept
+
+
+def test_another_channel_taps_or_length_is_never_served_stale_transforms(monkeypatch):
+    """The kept transforms serve their channel, with the taps and support
+    it held, at their transform length only: another channel of the same
+    shape, reassigned taps or support and a waveform that needs another
+    transform length are transformed afresh and replace them.  A
+    waveform of another length with the same transform length reads
+    them, and a request with no FFT-routed channel leaves them alone."""
+    rng = np.random.default_rng(41)
+    a, b = window_ir(rng), window_ir(rng)
+    wf = random_waveform(rng)
+    calls = count_forward_ffts(monkeypatch)
+    assert_transformed(calls, a, wf, 0.0, 4)
+    assert_transformed(calls, a, random_waveform(rng, p=11), 0.0, 1)   # 40 taps again
+    assert_transformed(calls, b, wf, 0.0, 4)
+    assert_transformed(calls, a, wf, 0.0, 4)
+    assert_transformed(calls, a, random_waveform(rng, p=16), 0.0, 4)   # 45 taps
+    assert rxsim._keyed_to(rxsim._transforms[0], a, 45)
+    assert_transformed(calls, a, wf, 0.0, 4)
+    a.taps = np.ascontiguousarray(b.taps[:, ::-1])
+    assert_transformed(calls, a, wf, 0.0, 4)
+    a.support = np.concatenate([np.arange(5, 20), np.arange(21, 36)])   # 40 taps again
+    assert_transformed(calls, a, wf, 0.0, 4)
+    state = rxsim._transforms
+    assert_transformed(calls, sparse_ir(rng, [3, 9], n=3), wf, 0.0, 0)
+    assert rxsim._transforms is state
+
+
+def test_the_transforms_are_freed_with_their_channel():
+    """The process keeps one channel's transforms, 16 N M nfft bytes,
+    while the channel lives: a new channel's replace them, and dropping
+    the channel frees them."""
+    n, m, l, p = 4, 16, 1000, 32
+    rng = np.random.default_rng(42)
+    wf = random_waveform(rng, p=p)
+    kept_bytes = n * m * next_fast_len(l + p - 1) * 16
+    first = random_ir(rng, n=n, m=m, l=l)
+    tracemalloc.start()
+    try:
+        simulate_cube(first, None, wf, 0.0, seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+        assert kept_bytes <= held <= 1.1 * kept_bytes
+        second = random_ir(rng, n=n, m=m, l=l)
+        simulate_cube(second, None, wf, 0.0, seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+        assert held <= 1.1 * (kept_bytes + second.taps.nbytes + second.support.nbytes)
+        assert rxsim._keyed_to(rxsim._transforms[0], second, kept_bytes // (16 * n * m))
+        del first, second
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rxsim._transforms == (None, None)
+    assert held <= 0.01 * kept_bytes
+
+
+def test_a_failed_fill_keeps_no_transforms(monkeypatch):
+    """The transforms are kept only once every block has finished."""
+    rng = np.random.default_rng(43)
+    a, b = window_ir(rng), window_ir(rng)
+    wf = random_waveform(rng)
+    simulate_cube(a, None, wf, 0.0, seed=1)
+    run_blocks = rxsim.run_blocks
+
+    def failing(task, count):
+        run_blocks(task, count)
+        raise RuntimeError("a block failed")
+
+    monkeypatch.setattr(rxsim, "run_blocks", failing)
+    with pytest.raises(RuntimeError):
+        simulate_cube(b, None, wf, 0.0, seed=1)
+    assert rxsim._transforms == (None, None)
+
+
+def test_threads_alternating_two_channels_get_their_bytes(set_worker_count):
+    """Stress: four callers request two channels of one shape at once,
+    round after round, with a short switch interval, so the kept
+    transforms change hands under them; every cube has its own
+    channel's oracle bytes."""
+    set_worker_count(2)
+    rng = np.random.default_rng(44)
+    channels = [window_ir(rng, n=4), window_ir(rng, n=4)]
+    wf = random_waveform(rng)
+    want = [oracle_cube([(ir, wf)], 0.0, 1).tobytes() for ir in channels]
+    start = threading.Barrier(4)
+
+    def request(k):
+        start.wait(timeout=60)
+        return simulate_cube(channels[k % 2], None, wf, 0.0, seed=1).samples.tobytes()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            for _ in range(8):
+                assert list(callers.map(request, range(4), timeout=120)) == want * 2
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # --- the direct route over a sparse channel's tap support -------------------
 
 SPARSE_TAPS = 40      # with an 8-sample waveform: nfft 48, so |S| <= 6 goes direct
@@ -710,7 +875,9 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
     for the kept noise peak within the bound of a complex128 cube and
     one FFT buffer per worker; the request that fills the kept noise
     adds that (N, M, R) complex64 array and keeps the bound of the
-    buffers it needs."""
+    buffers it needs.  The first request also fills the window
+    transforms of the target, the last FFT-routed channel, one FFT
+    buffer per receive channel; the later ones read them."""
     n, m, l, p = 8, 64, 1000, 32
     rng = np.random.default_rng(13)
     clutter = random_ir(rng, n=n, m=m, l=l)
@@ -722,7 +889,8 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
     for workers in (1, 2, 4):
         set_worker_count(workers)
         rxsim._noise = (None, None)
-        bounds = {"first": 16 * samples + workers * channel_bytes,
+        rxsim._transforms = (None, None)
+        bounds = {"first": 16 * samples + workers * channel_bytes + n * channel_bytes,
                   "fill": 8 * samples + 8 * samples + 2 * workers * channel_bytes,
                   "hit": 16 * samples + workers * channel_bytes}
         for kind, bound in bounds.items():

@@ -41,12 +41,7 @@ PACKAGE = ROOT / "src" / "rfclutter"
 PROGRAM_DIRS = ("src", "scripts", "bench")
 
 # name -> why it stays public without a caller
-ALLOWED = {
-    "clutter_covariance": "the paper's statistical clutter model, which the roadmap keeps; "
-                          "acceptance test 04 checks it",
-    "sample_covariance": "the paper's statistical clutter model, which the roadmap keeps; "
-                         "acceptance test 04 checks it",
-}
+ALLOWED: dict[str, str] = {}
 
 
 def public_definitions() -> dict[tuple[Path, str], ast.AST]:
@@ -370,6 +365,12 @@ PROCESS_STATE = {
                      "one key and at most one CPI's noise, 8 N M R bytes"),
     "rxsim._noise_lock": ("orders the updates of rxsim._noise; a forked child replaces it",
                           "one lock"),
+    "rxsim._transforms": ("the window transforms of the last FFT-routed channel, so a "
+                          "channel replayed with several waveforms is transformed once",
+                          "one channel's transforms, 16 N M nfft bytes, freed with the "
+                          "channel"),
+    "rxsim._transforms_lock": ("orders the updates of rxsim._transforms; a forked child "
+                               "replaces it", "one lock"),
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
