@@ -23,11 +23,11 @@ replaying a CPI with several waveforms draws it once: the process
 keeps the unit noise of at most one CPI, 8 bytes per sample, from the
 second request for its key on (`_assemble_cube`).  A simulation, whose
 CPIs never repeat, keeps nothing.  A channel's window transforms do
-not depend on the waveform either, so the process keeps those of the
-last channel it convolved through the FFT route, 16 bytes per
-transformed sample, keyed by that channel and the transform length and
-freed with the channel: a stored channel replayed under several
-waveforms is transformed once.
+not depend on the waveform either, so, by the same protocol, the
+process keeps those of at most one channel, 16 bytes per transformed
+sample, from the second request for that channel and transform length
+on, freed with the channel: a stored channel replayed under several
+waveforms is transformed twice, and a simulation keeps none.
 
 A channel carries its tap support S, the occupied taps, ascending, and
 only its window [S[0], S[-1]] is convolved: the rest of the range
@@ -78,54 +78,73 @@ from .workers import run_blocks
 _MAGIC = b"RFCUBE01"
 _HEADER = struct.Struct("<8sIIIIdddd")
 
-# The receiver noise kept for replay: (key, unit noise), where key is
-# the (seed, cpi_index, N, M, R) of the last noisy cube request and the
-# unit noise is None until that key repeats, then its read-only
-# (N, M, R) complex64 draw (8 N M R bytes, one CPI at most); see
-# `_assemble_cube`.  The lock orders its updates; a forked child, which
-# has none of its parent's threads, makes its own.
+# The values kept for replay, two slots of one protocol, each (key,
+# value): key names the last request for the slot and value is None
+# until that key repeats, then the read-only array built for it (see
+# `_claim`, `_commit` and `_assemble_cube`).
+#   - `_noise`: key (seed, cpi_index, N, M, R) of the last noisy cube
+#     request, value its (N, M, R) complex64 unit noise (8 N M R bytes);
+#   - `_transforms`: key (channel, taps, support, F), weak references
+#     to the last channel that held a request's largest window transform
+#     and to its taps and support arrays, and that transform length F;
+#     value its (N, M, F) complex128 window FFTs (16 N M F bytes),
+#     freed with the channel.
+# One lock orders the updates of both; it is reentrant because the
+# channel's weak-reference callback may run on a thread that holds it,
+# and a forked child, which has none of its parent's threads, makes its
+# own.
 _noise: tuple[tuple | None, np.ndarray | None] = (None, None)
-_noise_lock = threading.Lock()
-
-# The window transforms kept for replay: (key, transforms), where key is
-# (channel, taps, support, nfft), weak references to the last channel
-# convolved through the FFT route and to its taps and support arrays,
-# and the transform length, and transforms its read-only (N, M, nfft)
-# complex128 FFTs of the zero-padded taps (16 N M nfft bytes, one
-# channel at most), freed with the channel; see `_assemble_cube`.  The
-# lock is reentrant because the channel's weak-reference callback may
-# run on a thread that holds it.
 _transforms: tuple[tuple | None, np.ndarray | None] = (None, None)
-_transforms_lock = threading.RLock()
+_kept_lock = threading.RLock()
 
 
-def _new_locks() -> None:
-    global _noise_lock, _transforms_lock
-    _noise_lock = threading.Lock()
-    _transforms_lock = threading.RLock()
+def _new_kept_lock() -> None:
+    global _kept_lock
+    _kept_lock = threading.RLock()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_new_locks)
+    os.register_at_fork(after_in_child=_new_kept_lock)
+
+
+def _claim(slot: tuple, key: tuple, same) -> tuple:
+    """One request against a replay slot (key, value), made under
+    `_kept_lock`: the slot after it, the kept value to read (None if
+    there is none) and whether the request fills a new one.  `same(last)`
+    says whether the request has the slot's key: if not, `key` is
+    recorded and nothing is kept; if so, a kept value is read, and with
+    none kept yet the request fills one."""
+    last, held = slot
+    if not same(last):
+        return (key, None), None, False
+    return slot, held, held is None
+
+
+def _commit(slot: tuple, key: tuple, value: np.ndarray) -> tuple:
+    """The slot once every block has filled `value` for `key`, the key
+    its request claimed: `value` kept, read-only, unless another key has
+    taken the slot since.  Made under `_kept_lock`."""
+    value.setflags(write=False)
+    return (key, value) if slot[0] is key else slot
 
 
 def _drop_transforms(channel_ref: weakref.ref) -> None:
     """Free the kept window transforms with their channel."""
     global _transforms
-    with _transforms_lock:
+    with _kept_lock:
         key = _transforms[0]
         if key is not None and key[0] is channel_ref:
             _transforms = (None, None)
 
 
-def _keyed_to(key: tuple | None, ir: ChannelImpulseResponse, nfft: int) -> bool:
+def _keyed_to(key: tuple | None, ir: ChannelImpulseResponse, size: int) -> bool:
     """Whether `key` names `ir`, with the taps and support it holds now,
-    at transform length `nfft`."""
+    at window transform length `size`."""
     if key is None:
         return False
     channel, taps, support, length = key
     return (channel() is ir and taps() is ir.taps and support() is ir.support
-            and length == nfft)
+            and length == size)
 
 
 @dataclass
@@ -235,41 +254,40 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     normals, and added them after the channels, made other noisy
     cubes.
 
-    The unit noise z depends on (seed, cpi_index, N, M, R) only, so a
-    CPI replayed with several waveforms draws it once.  The process
-    keeps the key of the last request with noise and, once that key
-    repeats, its z (module state `_noise`):
-      - a key other than the last one draws z in each worker's
-        scratch, records the key and drops any kept z;
-      - the last key repeated, with no z kept, draws z into a new
-        (N, M, R) complex64 array, which is kept, read-only, once every
-        block has finished;
-      - the kept key builds no generators, and each line starts as
-        kept z times the scale in complex128, the multiply a fresh draw
-        makes, so all three give the same bytes.
-    Zero noise power reads and changes none of this.  A simulation,
-    whose keys never repeat, keeps nothing; replay keeps 8 N M R bytes.
+    The unit noise z depends on (seed, cpi_index, N, M, R) only, and a
+    channel's window transforms on the channel and the window's
+    transform length F = next_fast_len(W) (below) only, so a CPI
+    replayed with several waveforms draws and transforms them at most
+    twice.  The process keeps each in a slot of one protocol (module
+    state `_noise` and `_transforms`, `_claim` and `_commit`): the key
+    of the last request for the slot and, once that key repeats, its
+    value:
+      - a key other than the last one computes in each worker's
+        scratch, records the key and drops any kept value;
+      - the last key repeated, with no value kept, computes into a new
+        array, which is kept, read-only, once every block has finished;
+      - the kept key reads the kept value, so all three give the same
+        bytes.
+    A simulation, whose keys never repeat, keeps nothing.
 
-    The window transforms of a channel do not depend on the waveform
-    either, so the process keeps those of one channel (module state
-    `_transforms`): the (N, M, nfft) complex128 FFTs of the windows of
-    the last FFT-routed channel of the last request that had one.  They
-    are keyed by weak references to that channel and to its read-only
-    `taps` and `support` arrays, as they were when transformed, and by
-    nfft:
-      - the last FFT-routed channel of a request, if it has the kept
-        key, multiplies the kept transforms by the waveform spectrum
-        and runs no forward FFT of its own;
-      - otherwise the kept transforms are dropped, each block transforms
-        its receive channels of that channel into a new array, which is
-        kept, read-only, once every block has finished, and multiplies
-        them by the spectrum from there;
-    other channels, and a request with no FFT-routed channel, neither
-    read nor change it.  The product is the one the in-place path forms,
-    so all give the same bytes.  The kept transforms are freed with
-    their channel, and at most one channel's, 16 N M nfft bytes, are
-    kept; a reassigned `taps` or `support` field, another channel or
-    another nfft transforms afresh.
+    The noise slot's key is (seed, cpi_index, N, M, R) and its value the
+    (N, M, R) complex64 z, 8 N M R bytes; the kept key builds no
+    generators, and each line starts as kept z times the scale in
+    complex128, the multiply a fresh draw makes.  Zero noise power
+    reads and changes none of it.
+
+    The transforms slot is claimed by the FFT-routed channel with the
+    largest transform of the request (the first of equals), the one
+    whose forward FFTs cost the most.  Its key is weak references to
+    that channel and to its read-only `taps` and `support` arrays, as
+    they were when recorded, and F; its value is the channel's
+    (N, M, F) complex128 window FFTs, 16 N M F bytes, which the
+    kept key multiplies by the waveform spectrum without a forward FFT
+    of its own, the product the in-place path forms.  A reassigned
+    `taps` or `support` field, another channel or another F is
+    another key.  The slot is emptied when its channel is freed, so it
+    never outlives the channel.  Other channels, and a request with no
+    FFT-routed channel, neither read nor change it.
 
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
@@ -283,11 +301,11 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     the lines; then the channel's tap lines are convolved through the
     buffer and added to the lines, which are rounded into the cube.  So
     the working set is the cube (8 N M R bytes) plus the two buffers
-    per worker, the kept z while it is drawn and the kept transforms
-    while they are filled.  Every tap line goes through the same
-    arithmetic, and the noise and the channels are
-    added in the same order, as in a whole-cube evaluation, so the
-    bytes do not depend on the blocking or the worker count.
+    per worker, and the kept z and transforms while they are filled.
+    Every tap line goes through the same arithmetic, and the noise and
+    the channels are added in the same order, as in a whole-cube
+    evaluation, so the bytes do not depend on the blocking or the
+    worker count.
 
     A channel with support S yields the W = S[-1] - S[0] + P output
     samples from offset S[0].  If |S| P <= nfft, the buffer's first W
@@ -335,33 +353,30 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
             spectrum = (np.fft.fft(r, next_fast_len(width), axis=1)
                         if ir.support.size > direct_limit else None)
             terms.append((ir, r, lo, width, spectrum))
-    # the last FFT-routed term reads its window transforms from the kept
-    # ones of its channel, or fills them for the process to keep
+    # the FFT-routed term with the largest transform (the first of equals)
+    # claims the transforms slot, and any noise the noise slot
     global _noise, _transforms
-    slot = max((i for i, term in enumerate(terms) if term[4] is not None), default=None)
-    transforms = filling = None
+    slot = max((i for i, term in enumerate(terms) if term[4] is not None),
+               key=lambda i: terms[i][4].shape[1], default=None)
+    windows = fill_windows = None
     if slot is not None:
         slot_ir, size = terms[slot][0], terms[slot][4].shape[1]
-        with _transforms_lock:
-            key, held = _transforms
-            if _keyed_to(key, slot_ir, size):
-                transforms = held
-            else:
-                _transforms = (None, None)
-        filling = transforms is None
+        channel_key = (weakref.ref(slot_ir, _drop_transforms), weakref.ref(slot_ir.taps),
+                       weakref.ref(slot_ir.support), size)
+        with _kept_lock:
+            _transforms, windows, filling = _claim(
+                _transforms, channel_key, lambda last: _keyed_to(last, slot_ir, size))
+            channel_key = _transforms[0]
         if filling:
-            transforms = np.empty((n_ch, n_pulses, size), dtype=np.complex128)
+            windows = fill_windows = np.empty((n_ch, n_pulses, size), dtype=np.complex128)
     kept = fill = None
     if noise_power > 0.0:
         key = (seed, cpi_index, n_ch, n_pulses, n_out)
-        with _noise_lock:
-            last, held = _noise
-            if last != key:
-                _noise = (key, None)
-        if last == key and held is None:
+        with _kept_lock:
+            _noise, kept, filling = _claim(_noise, key, lambda last: last == key)
+            key = _noise[0]
+        if filling:
             fill = np.empty((n_ch, n_pulses, n_out), dtype=np.complex64)
-        elif last == key:
-            kept = held
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
             if noise_power > 0.0 and kept is None else None)
     scale = np.sqrt(noise_power / 2.0)    # float64, so the scaling is complex128
@@ -403,12 +418,12 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
                 if spectrum is not None:
                     size = spectrum.shape[1]
                     out = buf.reshape(-1)[:n_pulses * size].reshape(n_pulses, size)
-                    windows = transforms[n] if i == slot else out
-                    if windows is out or filling:
+                    transformed = windows[n] if i == slot and windows is not None else out
+                    if transformed is out or fill_windows is not None:
                         out[...] = 0.0
                         out[:, ir.support - lo] = taps
-                        np.fft.fft(out, axis=1, out=windows)
-                    np.multiply(windows, spectrum, out=out)
+                        np.fft.fft(out, axis=1, out=transformed)
+                    np.multiply(transformed, spectrum, out=out)
                     np.fft.ifft(out, axis=1, out=out)
                 else:
                     out = buf
@@ -426,16 +441,11 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
         raise ConfigurationError(
             f"the cube samples exceed the complex64 range (noise power {noise_power:g}, "
             "or the channels convolved with the waveforms)") from exc
-    if fill is not None:
-        fill.setflags(write=False)
-        with _noise_lock:
-            if _noise[0] == key:
-                _noise = (key, fill)
-    if filling:
-        transforms.setflags(write=False)
-        with _transforms_lock:
-            _transforms = ((weakref.ref(slot_ir, _drop_transforms), weakref.ref(slot_ir.taps),
-                            weakref.ref(slot_ir.support), size), transforms)
+    with _kept_lock:
+        if fill is not None:
+            _noise = _commit(_noise, key, fill)
+        if fill_windows is not None:
+            _transforms = _commit(_transforms, channel_key, fill_windows)
     return DataCube(samples=cube, sample_rate=ref.sample_rate, prf=ref.prf,
                     noise_power=noise_power, carrier_hz=carrier_hz)
 

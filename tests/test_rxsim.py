@@ -540,15 +540,19 @@ def assert_transformed(calls, ir, wf, noise_power, ffts, target=None):
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_cold_and_warm_requests_give_the_oracles_bytes(set_worker_count, monkeypatch,
                                                        workers):
-    """The first request for a channel transforms its windows, one FFT
-    per receive channel, and keeps them, read-only; later requests with
-    other waveforms transform only the waveform.  Both give the whole-cube oracle's bytes, with and
-    without noise and beside a direct-route target."""
+    """A channel's first request transforms its windows, one FFT per
+    receive channel, and records its key; its repeat transforms them
+    into the kept array, read-only; later requests with other waveforms
+    transform only the waveform.  All give the whole-cube oracle's
+    bytes, with and without noise and beside a direct-route target."""
     set_worker_count(workers)
     rng = np.random.default_rng(40)
     clutter = window_ir(rng)
     target = sparse_ir(rng, [3, 9], n=3)
     calls = count_forward_ffts(monkeypatch)
+    assert_transformed(calls, clutter, random_waveform(rng), 0.7, 4, target=target)
+    key, kept = rxsim._transforms
+    assert rxsim._keyed_to(key, clutter, 40) and kept is None
     assert_transformed(calls, clutter, random_waveform(rng), 0.7, 4, target=target)
     key, kept = rxsim._transforms
     assert rxsim._keyed_to(key, clutter, 40)
@@ -564,33 +568,58 @@ def test_another_channel_taps_or_length_is_never_served_stale_transforms(monkeyp
     """The kept transforms serve their channel, with the taps and support
     it held, at their transform length only: another channel of the same
     shape, reassigned taps or support and a waveform that needs another
-    transform length are transformed afresh and replace them.  A
-    waveform of another length with the same transform length reads
-    them, and a request with no FFT-routed channel leaves them alone."""
+    transform length are transformed afresh and record their own key.
+    A waveform of another length with the same transform length is the
+    same key, and a request with no FFT-routed channel leaves the slot
+    alone."""
     rng = np.random.default_rng(41)
     a, b = window_ir(rng), window_ir(rng)
     wf = random_waveform(rng)
     calls = count_forward_ffts(monkeypatch)
     assert_transformed(calls, a, wf, 0.0, 4)
-    assert_transformed(calls, a, random_waveform(rng, p=11), 0.0, 1)   # 40 taps again
+    assert_transformed(calls, a, random_waveform(rng, p=11), 0.0, 4)   # 40 taps again: fill
+    assert_transformed(calls, a, wf, 0.0, 1)
     assert_transformed(calls, b, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
+    assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, random_waveform(rng, p=16), 0.0, 4)   # 45 taps
-    assert rxsim._keyed_to(rxsim._transforms[0], a, 45)
+    assert rxsim._keyed_to(rxsim._transforms[0], a, 45) and rxsim._transforms[1] is None
+    assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
     a.taps = np.ascontiguousarray(b.taps[:, ::-1])
+    assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
     a.support = np.concatenate([np.arange(5, 20), np.arange(21, 36)])   # 40 taps again
     assert_transformed(calls, a, wf, 0.0, 4)
     state = rxsim._transforms
     assert_transformed(calls, sparse_ir(rng, [3, 9], n=3), wf, 0.0, 0)
     assert rxsim._transforms is state
+    assert_transformed(calls, a, wf, 0.0, 4)
+    assert_transformed(calls, a, wf, 0.0, 1)
+
+
+def test_the_largest_transform_claims_the_slot(monkeypatch):
+    """Beside an FFT-routed target with a smaller window, the clutter's
+    transforms are the ones kept, whichever channel comes last, and the
+    target's are transformed on every request."""
+    rng = np.random.default_rng(45)
+    clutter = window_ir(rng)                         # transform length 40
+    target = sparse_ir(rng, range(12, 22), n=3)      # 10 taps > 6: length 18
+    wf = random_waveform(rng)
+    calls = count_forward_ffts(monkeypatch)
+    assert_transformed(calls, clutter, wf, 0.7, 8, target=target)
+    assert_transformed(calls, clutter, wf, 0.7, 8, target=target)
+    assert rxsim._keyed_to(rxsim._transforms[0], clutter, 40)
+    assert rxsim._transforms[1] is not None
+    assert_transformed(calls, clutter, random_waveform(rng), 0.7, 5, target=target)
+    assert_transformed(calls, target, random_waveform(rng), 0.7, 5, target=clutter)
 
 
 def test_the_transforms_are_freed_with_their_channel():
-    """The process keeps one channel's transforms, 16 N M nfft bytes,
-    while the channel lives: a new channel's replace them, and dropping
-    the channel frees them."""
+    """A channel's first request keeps nothing; from its repeat the
+    process keeps its transforms, 16 N M nfft bytes, while the channel
+    lives: a new channel's request drops them, and dropping the channel
+    frees them."""
     n, m, l, p = 4, 16, 1000, 32
     rng = np.random.default_rng(42)
     wf = random_waveform(rng, p=p)
@@ -600,8 +629,14 @@ def test_the_transforms_are_freed_with_their_channel():
     try:
         simulate_cube(first, None, wf, 0.0, seed=1)
         held, _ = tracemalloc.get_traced_memory()
+        assert held <= 0.01 * kept_bytes
+        simulate_cube(first, None, wf, 0.0, seed=1)
+        held, _ = tracemalloc.get_traced_memory()
         assert kept_bytes <= held <= 1.1 * kept_bytes
         second = random_ir(rng, n=n, m=m, l=l)
+        simulate_cube(second, None, wf, 0.0, seed=1)
+        held, _ = tracemalloc.get_traced_memory()
+        assert held <= 0.01 * kept_bytes + second.taps.nbytes + second.support.nbytes
         simulate_cube(second, None, wf, 0.0, seed=1)
         held, _ = tracemalloc.get_traced_memory()
         assert held <= 1.1 * (kept_bytes + second.taps.nbytes + second.support.nbytes)
@@ -617,7 +652,7 @@ def test_the_transforms_are_freed_with_their_channel():
 def test_a_failed_fill_keeps_no_transforms(monkeypatch):
     """The transforms are kept only once every block has finished."""
     rng = np.random.default_rng(43)
-    a, b = window_ir(rng), window_ir(rng)
+    a = window_ir(rng)
     wf = random_waveform(rng)
     simulate_cube(a, None, wf, 0.0, seed=1)
     run_blocks = rxsim.run_blocks
@@ -628,15 +663,17 @@ def test_a_failed_fill_keeps_no_transforms(monkeypatch):
 
     monkeypatch.setattr(rxsim, "run_blocks", failing)
     with pytest.raises(RuntimeError):
-        simulate_cube(b, None, wf, 0.0, seed=1)
-    assert rxsim._transforms == (None, None)
+        simulate_cube(a, None, wf, 0.0, seed=1)
+    key, kept = rxsim._transforms
+    assert rxsim._keyed_to(key, a, 40) and kept is None
 
 
-def test_threads_alternating_two_channels_get_their_bytes(set_worker_count):
+def test_threads_sharing_two_channels_get_their_bytes(set_worker_count):
     """Stress: four callers request two channels of one shape at once,
-    round after round, with a short switch interval, so the kept
-    transforms change hands under them; every cube has its own
-    channel's oracle bytes."""
+    alternating between them or all on one, round after round, with a
+    short switch interval, so the slot is recorded, filled, read and
+    taken over under them; every cube has its own channel's oracle
+    bytes."""
     set_worker_count(2)
     rng = np.random.default_rng(44)
     channels = [window_ir(rng, n=4), window_ir(rng, n=4)]
@@ -646,14 +683,14 @@ def test_threads_alternating_two_channels_get_their_bytes(set_worker_count):
 
     def request(k):
         start.wait(timeout=60)
-        return simulate_cube(channels[k % 2], None, wf, 0.0, seed=1).samples.tobytes()
+        return simulate_cube(channels[k], None, wf, 0.0, seed=1).samples.tobytes()
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(4) as callers:
-            for _ in range(8):
-                assert list(callers.map(request, range(4), timeout=120)) == want * 2
+            for ks in ([0, 1, 0, 1], [0, 0, 0, 0], [1, 1, 1, 1]) * 3:
+                assert list(callers.map(request, ks, timeout=120)) == [want[k] for k in ks]
     finally:
         sys.setswitchinterval(interval)
 
@@ -875,9 +912,9 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
     for the kept noise peak within the bound of a complex128 cube and
     one FFT buffer per worker; the request that fills the kept noise
     adds that (N, M, R) complex64 array and keeps the bound of the
-    buffers it needs.  The first request also fills the window
-    transforms of the target, the last FFT-routed channel, one FFT
-    buffer per receive channel; the later ones read them."""
+    buffers it needs.  That request also fills the kept window
+    transforms of the clutter, one FFT buffer per receive channel,
+    which the request after it reads."""
     n, m, l, p = 8, 64, 1000, 32
     rng = np.random.default_rng(13)
     clutter = random_ir(rng, n=n, m=m, l=l)
@@ -890,8 +927,9 @@ def test_cube_assembly_peaks_at_one_cube_plus_channel_scratch(set_worker_count):
         set_worker_count(workers)
         rxsim._noise = (None, None)
         rxsim._transforms = (None, None)
-        bounds = {"first": 16 * samples + workers * channel_bytes + n * channel_bytes,
-                  "fill": 8 * samples + 8 * samples + 2 * workers * channel_bytes,
+        bounds = {"first": 16 * samples + workers * channel_bytes,
+                  "fill": 8 * samples + 8 * samples + 2 * workers * channel_bytes
+                          + n * channel_bytes,
                   "hit": 16 * samples + workers * channel_bytes}
         for kind, bound in bounds.items():
             tracemalloc.start()

@@ -363,14 +363,13 @@ PROCESS_STATE = {
     "rxsim._noise": ("the unit receiver noise of the last cube key, kept once the key "
                      "repeats, so a replayed CPI draws its noise once",
                      "one key and at most one CPI's noise, 8 N M R bytes"),
-    "rxsim._noise_lock": ("orders the updates of rxsim._noise; a forked child replaces it",
-                          "one lock"),
-    "rxsim._transforms": ("the window transforms of the last FFT-routed channel, so a "
-                          "channel replayed with several waveforms is transformed once",
-                          "one channel's transforms, 16 N M nfft bytes, freed with the "
-                          "channel"),
-    "rxsim._transforms_lock": ("orders the updates of rxsim._transforms; a forked child "
-                               "replaces it", "one lock"),
+    "rxsim._transforms": ("the window transforms of the last channel with a request's "
+                          "largest window FFT, kept once its key repeats, so a channel "
+                          "replayed with several waveforms is transformed twice",
+                          "one key and at most one channel's transforms, 16 N M nfft "
+                          "bytes, freed with the channel"),
+    "rxsim._kept_lock": ("orders the updates of rxsim._noise and rxsim._transforms; a "
+                         "forked child replaces it", "one lock"),
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
