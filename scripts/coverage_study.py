@@ -5,6 +5,9 @@ split by landcover class, with the stationary discretes on their own
 line), and writes the north-up clutter gain map as
 CSV plus an 8-bit PGM quicklook.
 
+The scenario flags (--scenario, or --preset sized by --scale, and
+--seed) are read as `rfclutter` reads them.
+
 Usage:
     python3 scripts/coverage_study.py --preset scenario1 --out out/coverage
     python3 scripts/coverage_study.py --scenario my_scene.txt --cpi 2
@@ -17,34 +20,22 @@ from pathlib import Path
 import numpy as np
 
 from rfclutter import pipeline
+from rfclutter.cli import add_scenario_args, load_scenario_args
 from rfclutter.dsp import write_map_csv, write_pgm
 from rfclutter.scattering import BUILDING, FOREST, GRASS, URBAN, WATER
-from rfclutter.scenario import (DESK_SCALE, generate_scenario1,
-                                generate_scenario2, load_scenario)
 
-PRESETS = {"scenario1": generate_scenario1, "scenario2": generate_scenario2}
 CLASS_NAMES = {WATER: "water", GRASS: "grass", FOREST: "forest",
                URBAN: "urban", BUILDING: "building"}
 
 
-def load(args):
-    if args.scenario:
-        return load_scenario(args.scenario)
-    return PRESETS[args.preset](scale=args.scale, seed=args.seed)
-
-
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--scenario", help="scenario text file")
-    src.add_argument("--preset", choices=sorted(PRESETS))
-    ap.add_argument("--scale", type=float, default=DESK_SCALE)
-    ap.add_argument("--seed", type=int, default=1)
+    add_scenario_args(ap)
     ap.add_argument("--cpi", type=int, default=0)
     ap.add_argument("--out", default="out/coverage")
     args = ap.parse_args(argv)
 
-    scn = load(args)
+    scn = load_scenario_args(args)
     scene = pipeline.build_scene(scn)
     if scene is None:
         ap.error("scenario has no terrain; nothing to map")

@@ -6,6 +6,9 @@ compares it against an LFM of the same length.  The headroom column is
 the eigenvalue ratio bound: what a perfectly adapted waveform buys over
 the worst one.
 
+The scenario flags (--scenario, or --preset sized by --scale, and
+--seed) are read as `rfclutter` reads them.
+
 Usage:
     python3 scripts/waveform_design_study.py --preset scenario1 --lengths 8 16 32
 """
@@ -18,12 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from rfclutter import pipeline
+from rfclutter.cli import add_scenario_args, load_scenario_args
 from rfclutter.cofar import max_gain_db, optimal_waveform, scnr
-from rfclutter.scenario import (DESK_SCALE, generate_scenario1,
-                                generate_scenario2, load_scenario)
 from rfclutter.waveform import lfm
-
-PRESETS = {"scenario1": generate_scenario1, "scenario2": generate_scenario2}
 
 
 def design_row(scn, scene, length: int, cpi: int, realizations: int):
@@ -46,11 +46,7 @@ def design_row(scn, scene, length: int, cpi: int, realizations: int):
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    src = ap.add_mutually_exclusive_group(required=True)
-    src.add_argument("--scenario", help="scenario text file")
-    src.add_argument("--preset", choices=sorted(PRESETS))
-    ap.add_argument("--scale", type=float, default=DESK_SCALE)
-    ap.add_argument("--seed", type=int, default=1)
+    add_scenario_args(ap)
     ap.add_argument("--cpi", type=int, default=0)
     ap.add_argument("--lengths", type=int, nargs="+", default=[8, 16, 32])
     ap.add_argument("--realizations", type=int, default=64,
@@ -58,10 +54,7 @@ def main(argv=None):
     ap.add_argument("--out", default="out/waveform_design.csv")
     args = ap.parse_args(argv)
 
-    if args.scenario:
-        scn = load_scenario(args.scenario)
-    else:
-        scn = PRESETS[args.preset](scale=args.scale, seed=args.seed)
+    scn = load_scenario_args(args)
     scene = pipeline.build_scene(scn)
 
     rows = [design_row(scn, scene, n, args.cpi, args.realizations)

@@ -47,7 +47,7 @@ def _read_exact(f, nbytes: int, path, what: str) -> bytes:
 
 
 def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
-                sha256: str | None = None, occupied=None,
+                sha256: str | None = None, occupied=None, check=None,
                 ) -> tuple[tuple, np.ndarray | None, np.ndarray]:
     """Read and check one header-then-payload file.
 
@@ -58,7 +58,8 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
     returns the count K of occupied positions along that axis, the file
     holds their K u32 indices after the header, strictly ascending and
     below the declared length, and the payload holds those K positions
-    only (K may be 0).
+    only (K may be 0).  `check(*fields)`, when given, rejects a header
+    once its size agrees with the file's, before any index or payload.
 
     The declared size is compared with the file size before any index
     or payload byte is read, and the indices are checked before the
@@ -97,6 +98,8 @@ def read_framed(path, header: struct.Struct, magic: bytes, what: str, shape,
         if 8 * math.prod(d for d in dims if d) > np.iinfo(np.intp).max:
             raise ConfigurationError(
                 f"{path}: {what} header declares {dims}, too many elements to address")
+        if check is not None:
+            check(*fields)
         index = None
         if count is not None:
             index = np.frombuffer(_read_exact(f, nindex, path, what), dtype="<u4")

@@ -111,13 +111,15 @@ class StochasticModel:
             raise ConfigurationError("doppler_std_hz must be non-negative")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ChannelImpulseResponse:
     """Tapped-delay-line channel over its occupied taps: taps[n, m, k],
     complex64, is the gain at tap support[k] of num_taps.
 
     `support` defaults to every tap 0 .. K - 1 and `num_taps` to K; an
-    (N, M, L) array with zero taps comes in through `from_dense`.
+    (N, M, L) array with zero taps comes in through `from_dense`.  A
+    channel is fixed at construction, with read-only taps (adopted
+    without a copy) and support, and equality is identity.
     """
 
     taps: np.ndarray             # (N, M, K) complex64
@@ -127,29 +129,29 @@ class ChannelImpulseResponse:
     num_taps: int | None = None  # L, the receive window in taps
 
     def __post_init__(self):
-        self.taps = np.ascontiguousarray(self.taps, dtype=np.complex64)
-        if self.taps.ndim != 3:
+        taps = np.ascontiguousarray(self.taps, dtype=np.complex64)
+        if taps.ndim != 3:
             raise ConfigurationError("impulse response taps must have shape (N, M, K)")
-        k = self.taps.shape[2]
-        if self.support is None:
-            self.support = np.arange(k)
-        self.support = np.asarray(self.support, dtype=np.int64).reshape(-1)
-        if self.num_taps is None:
-            self.num_taps = k
-        self.num_taps = int(self.num_taps)
-        if self.num_taps < 1:
-            raise ConfigurationError(f"num_taps must be >= 1, got {self.num_taps}")
-        if self.support.size != k:
-            raise ConfigurationError(f"{self.support.size} support taps for {k} tap columns")
-        if k and (self.support[0] < 0 or self.support[-1] >= self.num_taps
-                  or np.any(np.diff(self.support) <= 0)):
+        k = taps.shape[2]
+        support = np.asarray(np.arange(k) if self.support is None else self.support,
+                             dtype=np.int64).reshape(-1)
+        num_taps = k if self.num_taps is None else int(self.num_taps)
+        if num_taps < 1:
+            raise ConfigurationError(f"num_taps must be >= 1, got {num_taps}")
+        if support.size != k:
+            raise ConfigurationError(f"{support.size} support taps for {k} tap columns")
+        if k and (support[0] < 0 or support[-1] >= num_taps
+                  or np.any(np.diff(support) <= 0)):
             raise ConfigurationError(
-                f"the support must ascend strictly within 0..{self.num_taps - 1}")
+                f"the support must ascend strictly within 0..{num_taps - 1}")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
-        self.taps.setflags(write=False)
-        self.support.setflags(write=False)
+        taps.setflags(write=False)
+        support.setflags(write=False)
+        object.__setattr__(self, "taps", taps)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "num_taps", num_taps)
 
     @classmethod
     def from_dense(cls, taps, sample_rate: float, prf: float) -> "ChannelImpulseResponse":

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import challenge, channel, cofar, dsp, mimo, pipeline, rxsim, waveform
-from .errors import ConfigurationError
+from .errors import ConditioningError, ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
                        generate_scenario2, load_scenario)
 from .seeding import STREAM_MIMO_CODE, derive_seed
@@ -39,7 +39,9 @@ _PRESETS = {
 }
 
 
-def _add_scenario_args(p: argparse.ArgumentParser) -> None:
+def add_scenario_args(p: argparse.ArgumentParser) -> None:
+    """The flags that choose a scenario: --scenario, or --preset sized by
+    --scale, and --seed; `load_scenario_args` reads them."""
     p.add_argument("--scenario", help="scenario file path")
     p.add_argument("--preset", choices=sorted(_PRESETS),
                    help="built-in scene instead of --scenario")
@@ -47,10 +49,11 @@ def _add_scenario_args(p: argparse.ArgumentParser) -> None:
                    help=f"preset size factor in (0, 1] (default {DESK_SCALE})")
     p.add_argument("--seed", type=int, default=None,
                    help="override the scenario seed")
-    p.add_argument("--out", default=".", help="output directory")
 
 
-def _load(args) -> Scenario:
+def load_scenario_args(args) -> Scenario:
+    """The scenario that `add_scenario_args`' flags name; a combination
+    they do not allow, or a seed the scenario rejects, is a ConfigurationError."""
     if bool(args.scenario) == bool(args.preset):
         raise ConfigurationError("give one of --scenario and --preset")
     if args.scale is not None and not args.preset:
@@ -77,7 +80,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_simulate(args) -> int:
-    scn = _load(args)
+    scn = load_scenario_args(args)
     out = _out_dir(args)
     run = pipeline.simulate_scenario(scn)
     manifest = challenge.export_challenge(run, out)
@@ -96,7 +99,7 @@ def _write_raster_outputs(out: Path, stem: str, values: np.ndarray,
 
 def cmd_clutter_map(args) -> int:
     dsp.check_levels(args.clip_db)
-    scn = _load(args)
+    scn = load_scenario_args(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
     # normalize to the strongest patch for the image; CSV keeps raw dB
@@ -113,7 +116,7 @@ def cmd_clutter_map(args) -> int:
 
 def cmd_los_map(args) -> int:
     dsp.check_levels(args.clip_db)
-    scn = _load(args)
+    scn = load_scenario_args(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
     vis = gm.visible.astype(np.float64)
@@ -149,7 +152,7 @@ def cmd_range_doppler(args) -> int:
     else:
         if args.waveform is not None or args.cpi is not None:
             raise ConfigurationError("--waveform and --cpi go with --cube only")
-        scn = _load(args)
+        scn = load_scenario_args(args)
         out = _out_dir(args)
         run = pipeline.simulate_scenario(scn)
         # compress with the waveform as its file stores it, complex64, so
@@ -172,31 +175,31 @@ def cmd_range_doppler(args) -> int:
 
 
 def cmd_cofar_optimize(args) -> int:
-    scn = _load(args)
+    scn = load_scenario_args(args)
     out = _out_dir(args)
     moments = pipeline.channel_moments(scn, cpi=args.cpi, pulse=args.pulse,
                                        channel=args.channel,
                                        realizations=args.realizations)
     probe = pipeline.default_waveform(scn)
+    # every number first, so a failure writes no file
     base = cofar.scnr(probe.samples, moments)
     s_opt, gain = cofar.optimal_waveform(moments)
+    improvement_db = 10.0 * np.log10(gain / base)
+    report = [("lfm_scnr", base), ("optimal_scnr", gain), ("improvement_db", improvement_db),
+              ("max_gain_db", cofar.max_gain_db(moments))]
     wf_path = out / "optimal_waveform.rfwav"
     write_waveform(wf_path, Waveform(samples=s_opt, sample_rate=scn.sample_rate))
     with open(out / "cofar_report.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["quantity", "value"])
-        w.writerow(["lfm_scnr", repr(base)])
-        w.writerow(["optimal_scnr", repr(gain)])
-        w.writerow(["improvement_db", repr(10.0 * np.log10(gain / base))])
-        w.writerow(["max_gain_db", repr(cofar.max_gain_db(moments))])
-    print(f"LFM SCNR {base:.4e}, optimal {gain:.4e} "
-          f"(+{10.0 * np.log10(gain / base):.2f} dB)")
+        w.writerows([name, repr(value)] for name, value in report)
+    print(f"LFM SCNR {base:.4e}, optimal {gain:.4e} (+{improvement_db:.2f} dB)")
     print(f"wrote {wf_path} and cofar_report.csv")
     return 0
 
 
 def cmd_mimo_sim(args) -> int:
-    scn = _load(args)
+    scn = load_scenario_args(args)
     out = _out_dir(args)
     scene = pipeline.build_scene(scn)
     tx_channels = pipeline.mimo_irs(scn, scene, cpi=args.cpi)
@@ -207,12 +210,12 @@ def cmd_mimo_sim(args) -> int:
              for t in range(num_tx)]
     cube = mimo.simulate_mimo_cube(tx_channels, codes, scn.noise_power, scn.seed,
                                    carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-    rxsim.write_cube(out / "mimo_rx0.rfcube", cube)
-
     singles = [mimo.simulate_mimo_cube([channels], [code], 0.0, scn.seed,
                                        carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
                for channels, code in zip(tx_channels, codes)]
+    # the leakage before any file, so a transmitter that reaches nothing writes none
     leak = mimo.cross_channel_leakage(singles, codes)
+    rxsim.write_cube(out / "mimo_rx0.rfcube", cube)
     with open(out / "mimo_leakage.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["probe_tx", "reference_tx", "leakage_db"])
@@ -268,24 +271,24 @@ def build_parser() -> argparse.ArgumentParser:
                                              "target channel simulator")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="run a scenario and export a dataset")
-    _add_scenario_args(p)
-    p.set_defaults(func=cmd_simulate)
+    def scenario_verb(name: str, help: str, func) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        add_scenario_args(p)
+        p.add_argument("--out", default=".", help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("clutter-map", help="per-patch gain raster")
-    _add_scenario_args(p)
+    scenario_verb("simulate", "run a scenario and export a dataset", cmd_simulate)
+
+    p = scenario_verb("clutter-map", "per-patch gain raster", cmd_clutter_map)
     p.add_argument("--cpi", type=int, default=0)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
-    p.set_defaults(func=cmd_clutter_map)
 
-    p = sub.add_parser("los-map", help="per-patch visibility raster")
-    _add_scenario_args(p)
+    p = scenario_verb("los-map", "per-patch visibility raster", cmd_los_map)
     p.add_argument("--cpi", type=int, default=0)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
-    p.set_defaults(func=cmd_los_map)
 
-    p = sub.add_parser("range-doppler", help="beamformed range-Doppler maps")
-    _add_scenario_args(p)
+    p = scenario_verb("range-doppler", "beamformed range-Doppler maps", cmd_range_doppler)
     p.add_argument("--cube", help="process an existing cube file instead")
     p.add_argument("--waveform", help="waveform file for --cube")
     p.add_argument("--cpi", type=int, default=None,
@@ -293,21 +296,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", choices=["hann"], default=None)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
     p.add_argument("--peak-offset-db", type=float, default=dsp.DEFAULT_PEAK_OFFSET_DB)
-    p.set_defaults(func=cmd_range_doppler)
 
-    p = sub.add_parser("cofar-optimize", help="SCNR-optimal waveform design")
-    _add_scenario_args(p)
+    p = scenario_verb("cofar-optimize", "SCNR-optimal waveform design", cmd_cofar_optimize)
     p.add_argument("--cpi", type=int, default=0)
     p.add_argument("--pulse", type=int, default=0)
     p.add_argument("--channel", type=int, default=0)
     p.add_argument("--realizations", type=int, default=64,
                    help="clutter draws of the chosen tap row (default 64)")
-    p.set_defaults(func=cmd_cofar_optimize)
 
-    p = sub.add_parser("mimo-sim", help="multi-transmitter simulation")
-    _add_scenario_args(p)
+    p = scenario_verb("mimo-sim", "multi-transmitter simulation", cmd_mimo_sim)
     p.add_argument("--cpi", type=int, default=0)
-    p.set_defaults(func=cmd_mimo_sim)
 
     p = sub.add_parser("inspect", help="describe a data file or dataset")
     p.add_argument("path")
@@ -321,7 +319,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, FileNotFoundError) as exc:
+    except (ConfigurationError, ConditioningError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

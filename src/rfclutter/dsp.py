@@ -57,7 +57,7 @@ def _rows(block: range) -> slice:
 
 def beamform(cube: DataCube, weights: np.ndarray) -> np.ndarray:
     """Spatial combining y[m, r] = sum_n conj(w_n) x[n, m, r] of a
-    one-CPI DataCube.
+    DataCube's one CPI.
 
     The weights are rounded to complex64 and the channels summed in
     channel order at complex64 precision: y starts at zero and
@@ -67,7 +67,7 @@ def beamform(cube: DataCube, weights: np.ndarray) -> np.ndarray:
     is the same at any worker count.  No BLAS call is made, so the sum
     order does not depend on the BLAS build.
     """
-    x = cube.one_cpi()
+    x = cube.samples[0]
     weights = np.asarray(weights, dtype=np.complex128).reshape(-1)
     if weights.shape[0] != x.shape[0]:
         raise ConfigurationError(
@@ -147,7 +147,7 @@ def range_doppler_map(cube: DataCube, wf: Waveform, weights: np.ndarray,
                       window: str | None = None, clip_db: float = DEFAULT_CLIP_DB,
                       peak_offset_db: float = DEFAULT_PEAK_OFFSET_DB,
                       ) -> tuple[np.ndarray, list[tuple[int, int, float]]]:
-    """Full chain from a one-CPI DataCube to a normalized dB map plus
+    """Full chain from a DataCube to a normalized dB map plus
     its peak list.
 
     The map is 20 log10 |.| normalized so the strongest bin sits at

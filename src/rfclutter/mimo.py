@@ -52,12 +52,13 @@ def cross_channel_leakage(single_tx_cubes: Sequence[DataCube],
     """Matched-filter cross-talk matrix in dB.
 
     single_tx_cubes[b] must be generated with only transmitter b
-    radiating and hold one CPI.  Entry (a, b) is the peak magnitude of
-    waveform a's matched filter applied to cube b, relative to the
-    matched peak (a, a), as 20 log10 of the amplitude ratio.  Peaks are
-    taken over all pulses and fully-overlapped range lags of receive
-    channel 0.  An exactly zero cross response reports the floor
-    value LEAKAGE_FLOOR_DB.
+    radiating.  Entry (a, b) is the peak magnitude of waveform a's
+    matched filter applied to cube b, relative to the matched peak
+    (a, a), as 20 log10 of the amplitude ratio.  Peaks are taken over
+    all pulses and fully-overlapped range lags of receive channel 0.
+    An exactly zero cross response reports the floor value
+    LEAKAGE_FLOOR_DB; an exactly zero matched peak (a, a) is a
+    ConfigurationError that names transmitter a.
     """
     from .dsp import pulse_compress  # local import; dsp depends on rxsim
 
@@ -68,13 +69,14 @@ def cross_channel_leakage(single_tx_cubes: Sequence[DataCube],
     peaks = np.empty((num_tx, num_tx))
     for a in range(num_tx):
         for b in range(num_tx):
-            x = single_tx_cubes[b].one_cpi()[0]
+            x = single_tx_cubes[b].samples[0, 0]
             mf = pulse_compress(x, waveforms[a])
             peaks[a, b] = float(np.abs(mf).max())
     out = np.empty((num_tx, num_tx))
     for a in range(num_tx):
         if peaks[a, a] == 0.0:
-            raise ValueError(f"matched response ({a}, {a}) is identically zero")
+            raise ConfigurationError(
+                f"transmitter {a} reaches nothing: matched response ({a}, {a}) is zero")
         for b in range(num_tx):
             if peaks[a, b] == 0.0:
                 out[a, b] = LEAKAGE_FLOOR_DB

@@ -532,7 +532,8 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
     of the one tap row (`clutter_tap_rows`); the target moment is the
     deterministic target row's H^H H.  The indices, the realization
     count and the presence of targets are checked before the scene or
-    the budget is built."""
+    the budget is built, and a target row with no power, built before
+    any clutter draw, is a ConfigurationError."""
     _check_indices(scn, cpi, pulse, channel)
     if realizations < 1:
         raise ConfigurationError(f"realizations must be >= 1, got {realizations}")
@@ -543,13 +544,15 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
     if scene is None:
         raise ConfigurationError("waveform design needs a terrain scene")
     p = scn.num_waveform_samples
-    clutter = ensemble_second_moment(
-        clutter_tap_rows(scn, scene, cpi, pulse, channel, realizations), p, realizations)
-    timing = scn.timing()
-    target_ir = synthesize_targets(scn, scene, cpi, timing)
+    target_ir = synthesize_targets(scn, scene, cpi, scn.timing())
     t_taps = np.zeros(target_ir.num_taps, dtype=np.complex64)
     t_taps[target_ir.support] = target_ir.taps[channel, pulse]
+    if not t_taps.any():
+        raise ConfigurationError(
+            f"no target power reaches cpi {cpi}, pulse {pulse}, channel {channel}")
     target = ensemble_second_moment(lambda k: t_taps, p, 1)
+    clutter = ensemble_second_moment(
+        clutter_tap_rows(scn, scene, cpi, pulse, channel, realizations), p, realizations)
     return ChannelMoments.from_second_moments(clutter, target, scn.noise_power)
 
 

@@ -1,7 +1,7 @@
 """Receiver IQ simulation: waveform convolution plus thermal noise.
 
-A data cube holds samples[cpi, channel, pulse, range] as complex64, the
-values its cube file stores, with one CPI; each pulse's raw return is
+A data cube holds samples[0, channel, pulse, range] as complex64, the
+values its cube file stores, for its one CPI; each pulse's raw return is
 the linear convolution of that pulse's channel taps with the
 transmitted waveform, so a cube built from exported channel files and
 any waveform is exactly what a fresh simulation would produce, in
@@ -45,7 +45,7 @@ The binary cube file format (magic RFCUBE01) is little-endian:
 
     offset  type    field
     0       8s      magic "RFCUBE01"
-    8       u32     C CPIs
+    8       u32     C CPIs, always 1
     12      u32     N receive channels
     16      u32     M pulses
     20      u32     R range samples
@@ -53,7 +53,7 @@ The binary cube file format (magic RFCUBE01) is little-endian:
     32      f64     PRF, Hz
     40      f64     noise power (complex variance per sample)
     48      f64     carrier, Hz
-    56      f32*2CNMR interleaved I/Q, cpi-major (c, n, m, r) C order
+    56      f32*2NMR interleaved I/Q, channel-major (n, m, r) C order
 """
 
 from __future__ import annotations
@@ -84,11 +84,12 @@ _HEADER = struct.Struct("<8sIIIIdddd")
 # `_claim`, `_commit` and `_assemble_cube`).
 #   - `_noise`: key (seed, cpi_index, N, M, R) of the last noisy cube
 #     request, value its (N, M, R) complex64 unit noise (8 N M R bytes);
-#   - `_transforms`: key (channel, taps, support, F), weak references
-#     to the last channel that held a request's largest window transform
-#     and to its taps and support arrays, and that transform length F;
-#     value its (N, M, F) complex128 window FFTs (16 N M F bytes),
-#     freed with the channel.
+#   - `_transforms`: key (channel, F), a weak reference to the last
+#     channel that held a request's largest window transform and that
+#     transform length F; value its (N, M, F) complex128 window FFTs
+#     (16 N M F bytes), freed with the channel.
+# Keys are compared with `==`: a weak reference to a live channel
+# compares by the channel's identity, and equal keys have equal values.
 # One lock orders the updates of both; it is reentrant because the
 # channel's weak-reference callback may run on a thread that holds it,
 # and a forked child, which has none of its parent's threads, makes its
@@ -107,25 +108,25 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_kept_lock)
 
 
-def _claim(slot: tuple, key: tuple, same) -> tuple:
-    """One request against a replay slot (key, value), made under
-    `_kept_lock`: the slot after it, the kept value to read (None if
-    there is none) and whether the request fills a new one.  `same(last)`
-    says whether the request has the slot's key: if not, `key` is
-    recorded and nothing is kept; if so, a kept value is read, and with
-    none kept yet the request fills one."""
+def _claim(slot: tuple, key: tuple) -> tuple:
+    """One request for `key` against a replay slot (key, value), made
+    under `_kept_lock`: the slot after it, the kept value to read (None
+    if there is none) and whether the request fills a new one.  A key
+    unequal to the slot's is recorded and nothing is kept; the slot's
+    key reads a kept value, and with none kept yet the request fills
+    one."""
     last, held = slot
-    if not same(last):
+    if last != key:
         return (key, None), None, False
     return slot, held, held is None
 
 
 def _commit(slot: tuple, key: tuple, value: np.ndarray) -> tuple:
     """The slot once every block has filled `value` for `key`, the key
-    its request claimed: `value` kept, read-only, unless another key has
-    taken the slot since.  Made under `_kept_lock`."""
+    its request claimed: `value` kept, read-only, unless an unequal key
+    has taken the slot since.  Made under `_kept_lock`."""
     value.setflags(write=False)
-    return (key, value) if slot[0] is key else slot
+    return (key, value) if slot[0] == key else slot
 
 
 def _drop_transforms(channel_ref: weakref.ref) -> None:
@@ -137,47 +138,31 @@ def _drop_transforms(channel_ref: weakref.ref) -> None:
             _transforms = (None, None)
 
 
-def _keyed_to(key: tuple | None, ir: ChannelImpulseResponse, size: int) -> bool:
-    """Whether `key` names `ir`, with the taps and support it holds now,
-    at window transform length `size`."""
-    if key is None:
-        return False
-    channel, taps, support, length = key
-    return (channel() is ir and taps() is ir.taps and support() is ir.support
-            and length == size)
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DataCube:
-    # (C, N, M, R) complex64, the values a cube file stores; C is 1 for
-    # every cube the simulator builds (a file may hold more)
-    samples: np.ndarray
+    """One CPI of receiver samples, fixed at construction: the samples
+    are adopted without a copy and made read-only, and a leading axis
+    other than 1 is a ConfigurationError."""
+
+    samples: np.ndarray          # (1, N, M, R) complex64, the values a cube file stores
     sample_rate: float           # Hz
     prf: float                   # Hz
     noise_power: float           # complex variance per sample
     carrier_hz: float = 0.0
 
     def __post_init__(self):
-        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
-        if self.samples.ndim != 4:
-            raise ConfigurationError("cube samples must have shape (C, N, M, R)")
+        samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
+        if samples.ndim != 4:
+            raise ConfigurationError("cube samples must have shape (1, N, M, R)")
+        if samples.shape[0] != 1:
+            raise ConfigurationError(f"the cube holds {len(samples)} CPIs, not one")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0
                 and np.isfinite(self.prf) and self.prf > 0):
             raise ConfigurationError("sample_rate and prf must be positive and finite")
         if not (np.isfinite(self.noise_power) and self.noise_power >= 0):
             raise ConfigurationError("noise_power must be non-negative and finite")
-
-    @property
-    def num_cpis(self) -> int:
-        return self.samples.shape[0]
-
-    def one_cpi(self) -> np.ndarray:
-        """The (N, M, R) samples of a one-CPI cube.  A cube of several
-        CPIs is a ConfigurationError, not its CPI 0."""
-        if self.num_cpis != 1:
-            raise ConfigurationError(
-                f"the cube holds {self.num_cpis} CPIs where one CPI is processed")
-        return self.samples[0]
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def num_channels(self) -> int:
@@ -278,16 +263,15 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
 
     The transforms slot is claimed by the FFT-routed channel with the
     largest transform of the request (the first of equals), the one
-    whose forward FFTs cost the most.  Its key is weak references to
-    that channel and to its read-only `taps` and `support` arrays, as
-    they were when recorded, and F; its value is the channel's
-    (N, M, F) complex128 window FFTs, 16 N M F bytes, which the
-    kept key multiplies by the waveform spectrum without a forward FFT
-    of its own, the product the in-place path forms.  A reassigned
-    `taps` or `support` field, another channel or another F is
-    another key.  The slot is emptied when its channel is freed, so it
-    never outlives the channel.  Other channels, and a request with no
-    FFT-routed channel, neither read nor change it.
+    whose forward FFTs cost the most.  Its key is a weak reference to
+    that channel, which cannot change after construction, and F; its
+    value is the channel's (N, M, F) complex128 window FFTs,
+    16 N M F bytes, which the kept key multiplies by the waveform
+    spectrum without a forward FFT of its own, the product the
+    in-place path forms.  Another channel, even one with equal taps,
+    or another F is another key.  The slot is emptied when its channel
+    is freed, so it never outlives the channel.  Other channels, and a
+    request with no FFT-routed channel, neither read nor change it.
 
     Receive channel n goes to block n % W', where W' is the smaller of
     the channel count and the CPUs this process may run on; block 0
@@ -361,20 +345,16 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     windows = fill_windows = None
     if slot is not None:
         slot_ir, size = terms[slot][0], terms[slot][4].shape[1]
-        channel_key = (weakref.ref(slot_ir, _drop_transforms), weakref.ref(slot_ir.taps),
-                       weakref.ref(slot_ir.support), size)
+        channel_key = (weakref.ref(slot_ir, _drop_transforms), size)
         with _kept_lock:
-            _transforms, windows, filling = _claim(
-                _transforms, channel_key, lambda last: _keyed_to(last, slot_ir, size))
-            channel_key = _transforms[0]
+            _transforms, windows, filling = _claim(_transforms, channel_key)
         if filling:
             windows = fill_windows = np.empty((n_ch, n_pulses, size), dtype=np.complex128)
     kept = fill = None
     if noise_power > 0.0:
         key = (seed, cpi_index, n_ch, n_pulses, n_out)
         with _kept_lock:
-            _noise, kept, filling = _claim(_noise, key, lambda last: last == key)
-            key = _noise[0]
+            _noise, kept, filling = _claim(_noise, key)
         if filling:
             fill = np.empty((n_ch, n_pulses, n_out), dtype=np.complex64)
     rngs = ([derive_rng(seed, STREAM_NOISE, 0, cpi_index, n) for n in range(n_ch)]
@@ -468,9 +448,10 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
 
 
 def write_cube(path, cube: DataCube) -> str:
-    """Write a cube file; returns its SHA-256 hex digest.  The cube's
-    complex64 samples are written as they are held, with no copy."""
-    return write_framed(path, _HEADER.pack(_MAGIC, cube.num_cpis, cube.num_channels,
+    """Write a cube file, C = 1; returns its SHA-256 hex digest.  The
+    cube's complex64 samples are written as they are held, with no
+    copy."""
+    return write_framed(path, _HEADER.pack(_MAGIC, 1, cube.num_channels,
                                            cube.num_pulses, cube.num_range_samples,
                                            cube.sample_rate, cube.prf, cube.noise_power,
                                            cube.carrier_hz),
@@ -479,9 +460,14 @@ def write_cube(path, cube: DataCube) -> str:
 
 def read_cube(path, sha256: str | None = None) -> DataCube:
     """Read a cube file; `sha256`, when given, is the hex digest the
-    whole file must have."""
-    (c, n, m, r, fs, prf, sigma2, carrier), _, samples = read_framed(
+    whole file must have.  A header whose CPI count C is not 1 is a
+    ConfigurationError, raised before any payload byte is read."""
+    def one_cpi(c, *_):
+        if c != 1:
+            raise ConfigurationError(f"{path}: the cube file holds {c} CPIs, not one")
+
+    (_, _, _, _, fs, prf, sigma2, carrier), _, samples = read_framed(
         path, _HEADER, _MAGIC, "data-cube", lambda c, n, m, r, *_: (c, n, m, r),
-        sha256=sha256)
+        sha256=sha256, check=one_cpi)
     return DataCube(samples=samples, sample_rate=fs, prf=prf, noise_power=sigma2,
                     carrier_hz=carrier)

@@ -1,7 +1,8 @@
 """Transmit waveforms: LFM chirps and random phase codes.
 
-All generators return unit-energy complex baseband samples.  The
-binary waveform file format (magic RFWAV001) is little-endian:
+All generators return unit-energy complex baseband samples.  A
+Waveform is fixed at construction, with a read-only copy of the samples
+it was given.  The binary waveform file format (magic RFWAV001) is little-endian:
 
     offset  type   field
     0       8s     magic "RFWAV001"
@@ -24,20 +25,22 @@ _MAGIC = b"RFWAV001"
 _HEADER = struct.Struct("<8sId")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Waveform:
-    samples: np.ndarray          # complex128 (P,)
+    samples: np.ndarray          # complex128 (P,), a read-only copy
     sample_rate: float           # Hz
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.complex128).reshape(-1)
-        if self.samples.size == 0:
+        samples = np.array(self.samples, dtype=np.complex128).reshape(-1)
+        if samples.size == 0:
             raise ConfigurationError("waveform must have at least one sample")
-        if not np.all(np.isfinite(self.samples)):
+        if not np.all(np.isfinite(samples)):
             raise ConfigurationError("waveform samples must be finite")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise ConfigurationError(
                 f"sample_rate must be positive and finite, got {self.sample_rate}")
+        samples.setflags(write=False)
+        object.__setattr__(self, "samples", samples)
 
     @property
     def num_samples(self) -> int:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rfclutter import pipeline
+from rfclutter import pipeline, terrain
 from rfclutter.antenna import ArrayGeometry
 from rfclutter.challenge import export_challenge, read_challenge
 from rfclutter.channel import (ChannelImpulseResponse, ensemble_second_moment,
@@ -500,3 +500,80 @@ def test_13_monostatic_ring_clutter_power_matches_the_closed_form():
         assert abs(got / want - 1.0) <= bound, (lo, hi, got / want, bound)
         worst = max(worst, abs(got / want - 1.0))
     print(f"ACCEPTANCE 13: PASS - ring clutter power within {worst:.2e} of the closed form")
+
+
+def test_14_a_wall_shadows_the_ground_out_to_its_geometric_shadow_edge():
+    """A straight wall of height H across flat ground, a distance rho0
+    in front of an isotropic monostatic radar at height h > H, hides the
+    ground behind it only out to the geometric shadow edge, and leaves
+    every other patch's gain as it is without the wall.
+
+    A patch at ground distance rho from the radar (measured across the
+    wall) is seen along a ray that both clearance lifts raise by c
+    (`terrain.LOS_CLEARANCE_M`): from height h + c to height c.  Over the
+    wall that ray is at z_w = h + c - h rho0 / rho, so it clears a wall
+    of height H exactly when rho >= rho_s = h rho0 / (h + c - H).
+
+    The wall is one column of DEM nodes at height H, so the bilinear
+    terrain is a tent H (1 - |x - x_w| / cell) one cell either side of
+    it; the ray is sampled every half cell at most.  The margins follow
+    from those two and from the patches alone:
+      - before the wall: a patch center at least two cells in front of
+        the wall has the height and the normals (central differences one
+        cell either side) of flat ground, and its rays never reach the
+        tent, so its gain is the wall-free gain bit for bit;
+      - in the shadow: a patch center more than one cell behind the
+        wall sits on flat ground, and some ray sample lies within a
+        quarter cell of the wall crossing, where the tent is at least
+        3H/4 and the ray at most z_w + h cell / (4 rho); so the ray is
+        blocked and the gain is exactly zero wherever
+        rho < rho_sure = h (rho0 - cell / 4) / (h + c - 3H/4);
+      - beyond rho_s: z_w >= H, and the ray descends more gently than
+        the tent (h / rho <= H / cell), so it is above the terrain
+        everywhere and the gain is again the wall-free gain bit for bit,
+        once the patch center is two cells behind the wall.
+    Patches between rho_sure and rho_s may go either way and are not
+    checked.  Patch centers lie one patch apart, so each zone is checked
+    on at least one column of patches.
+    """
+    cell, rows, cols, wall_col = 10.0, 40, 160, 80
+    h, wall_height = 300.0, 100.0
+    c = terrain.LOS_CLEARANCE_M
+    platform = np.array([50.0, rows * cell / 2.0, h])
+    x_wall = (wall_col + 0.5) * cell
+    rho0 = x_wall - platform[0]
+    rho_s = h * rho0 / (h + c - wall_height)
+    rho_sure = h * (rho0 - cell / 4.0) / (h + c - 0.75 * wall_height)
+    assert h / rho_s <= wall_height / cell
+
+    def gains(heights):
+        scn = Scenario(
+            name="wall", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
+            num_pulses=1, num_channels=1, num_cpis=1, pulse_duration_s=1e-6,
+            noise_power=0.0, swath_m=1700.0, tx_position=platform, tx_velocity=np.zeros(3),
+            boresight=np.array([0.0, 0.0, -1.0]), cosine_exponent=0.0,
+            dem=ElevationGrid(heights=heights, cell_size=cell), patch_size_m=cell,
+        )
+        scene = pipeline.build_scene(scn)
+        tx, rx = pipeline.platform_states(scn, 0)
+        budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn),
+                                       scn.timing())
+        return scene.patches.centers[:, 0], budget.gains
+
+    flat = np.zeros((rows, cols))
+    walled = flat.copy()
+    walled[:, wall_col] = wall_height
+    x, open_gains = gains(flat)
+    x_walled, wall_gains = gains(walled)
+    assert np.array_equal(x, x_walled) and np.all(open_gains > 0.0)
+    rho = x - platform[0]
+    before = x <= x_wall - 2.0 * cell
+    shadow = (x > x_wall + cell) & (rho < rho_sure)
+    beyond = (x >= x_wall + 2.0 * cell) & (rho >= rho_s)
+    assert all(np.count_nonzero(zone) >= rows for zone in (before, shadow, beyond))
+    assert wall_gains[before].tobytes() == open_gains[before].tobytes()
+    assert np.all(wall_gains[shadow] == 0.0)
+    assert wall_gains[beyond].tobytes() == open_gains[beyond].tobytes()
+    print(f"ACCEPTANCE 14: PASS - {np.count_nonzero(shadow)} patches dark from "
+          f"{rho0 + cell:.0f} to {rho_sure:.0f} m, the {np.count_nonzero(before)} before the "
+          f"wall and the {np.count_nonzero(beyond)} beyond {rho_s:.0f} m unchanged")

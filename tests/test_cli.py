@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import rfclutter
-from rfclutter import pipeline
+from rfclutter import pipeline, rxsim
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
-from rfclutter.rxsim import DataCube, read_cube, write_cube
+from rfclutter.rxsim import DataCube, write_cube
 from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
                                 scenario_text)
 from rfclutter.terrain import ElevationGrid
@@ -137,9 +137,10 @@ def test_range_doppler_rejects_a_cube_file_of_several_cpis(scenario_file, tmp_pa
     its CPI 0 under the name that `--cpi` gives."""
     ds = tmp_path / "ds"
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
-    c0, c1 = (read_cube(ds / f"cube_cpi00{c}.rfcube") for c in (0, 1))
+    c0, c1 = ((ds / f"cube_cpi00{c}.rfcube").read_bytes() for c in (0, 1))
     two = tmp_path / "two.rfcube"
-    write_cube(two, replace(c0, samples=np.concatenate([c0.samples, c1.samples])))
+    # the header's CPI count is the u32 after the 8-byte magic
+    two.write_bytes(c0[:8] + struct.pack("<I", 2) + c0[12:] + c1[rxsim._HEADER.size:])
     out = tmp_path / "rd"
     capsys.readouterr()
     assert main(["range-doppler", "--cube", str(two), "--waveform", str(ds / "waveform.rfwav"),
@@ -482,6 +483,52 @@ def test_clutter_taps_beyond_complex64_exit_cofar_optimize_with_code_2(scenario_
     err = capsys.readouterr().err
     assert "error:" in err and "clutter tap" in err and "Traceback" not in err
     assert not (out / "optimal_waveform.rfwav").exists()
+
+
+@pytest.mark.parametrize("edits, message", [
+    # the target beyond the swath
+    ({"target.1.position = 900 600 0": "target.1.position = 5000 600 0"}, "no target power"),
+    # the target behind the elements
+    ({"target.1.position = 900 600 0": "target.1.position = -900 600 0"}, "no target power"),
+    # no noise, and a platform so high that all ground lies beyond the swath
+    ({"radar.noise_power = 1e-18": "radar.noise_power = 0",
+      "platform.tx_position = 100 600 300": "platform.tx_position = 100 600 2000",
+      "target.1.position = 900 600 0": "target.1.position = 600 600 2000"},
+     "not positive"),
+])
+def test_cofar_optimize_with_nothing_to_design_for_exits_2_and_writes_nothing(
+        scenario_file, tmp_path, capsys, edits, message):
+    """A chosen row with no target power, or a clutter-plus-noise moment
+    that is singular, exits 2 with a one-line error before any file is
+    written."""
+    text = scenario_file.read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    out = tmp_path / "out"
+    assert main(["cofar-optimize", "--realizations", "2", "--scenario", str(bad),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
+
+
+def test_mimo_sim_with_a_transmitter_that_reaches_nothing_exits_2_and_writes_nothing(
+        scenario_file, tmp_path, capsys):
+    """Without the target, a transmitter far outside the swath leaves
+    its own cube empty; the command names it and writes no file."""
+    text = scenario_file.read_text()
+    target = "target.1.position = 900 600 0\ntarget.1.velocity = 10 0 0\ntarget.1.rcs = 100\n"
+    assert target in text
+    bad = tmp_path / "far_tx.txt"
+    bad.write_text(text.replace(target, "") + "mimo.1.position = -3000 600 5\n")
+    out = tmp_path / "out"
+    assert main(["mimo-sim", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "transmitter 1" in err and "Traceback" not in err
+    assert list(out.iterdir()) == []
 
 
 def test_last_valid_indices_run(scenario_file, tmp_path):

@@ -72,7 +72,7 @@ def test_pulse_compress_shape_guard():
 def test_beamform_is_weighted_sum():
     rng = derive_rng(2, 0)
     cube = as_cube(rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5)))
-    x = cube.one_cpi().astype(np.complex128)
+    x = cube.samples[0].astype(np.complex128)
     w = np.array([1.0, 1j, -0.5])
     y = beamform(cube, w)
     want = x[0] - 1j * x[1] - 0.5 * x[2]
@@ -159,15 +159,13 @@ def test_complex64_cube_is_beamformed_without_a_complex128_copy():
 
 
 def test_a_cube_of_several_cpis_is_rejected_not_read_at_cpi_0():
-    """beamform and range_doppler_map name the CPI count of a cube of
-    two CPIs instead of processing its CPI 0."""
+    """A cube of two CPIs is rejected at construction, naming its CPI
+    count, so beamform and range_doppler_map never see one to process
+    at its CPI 0."""
     wf = phase_code(8, FS, seed=3)
     one = embedded_echo_cube(wf, tap=5, doppler_hz=0.0)
-    two = DataCube(samples=np.stack([one, 2 * one]), sample_rate=FS, prf=PRF, noise_power=0.0)
     with pytest.raises(ConfigurationError, match="2 CPIs"):
-        beamform(two, np.ones(2))
-    with pytest.raises(ConfigurationError, match="2 CPIs"):
-        range_doppler_map(two, wf, np.ones(2))
+        DataCube(samples=np.stack([one, 2 * one]), sample_rate=FS, prf=PRF, noise_power=0.0)
 
 
 def test_doppler_bins_and_axis():

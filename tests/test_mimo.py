@@ -172,10 +172,10 @@ def test_leakage_validation():
 
 
 def test_leakage_rejects_a_cube_of_several_cpis():
-    """A cube of two CPIs is named, not measured at its CPI 0."""
+    """A cube of two CPIs is named at construction, so leakage is never
+    measured at its CPI 0."""
     wf = phase_code(8, FS, seed=2)
     one = simulate_mimo_cube([[delta_ir(0, 20)]], [wf], noise_power=0.0, seed=1)
-    two = DataCube(samples=np.concatenate([one.samples, one.samples]), sample_rate=FS, prf=PRF,
-                   noise_power=0.0)
     with pytest.raises(ConfigurationError, match="2 CPIs"):
-        cross_channel_leakage([two], [wf])
+        DataCube(samples=np.concatenate([one.samples, one.samples]), sample_rate=FS, prf=PRF,
+                 noise_power=0.0)

@@ -1,9 +1,11 @@
 """Receiver simulation: pulse convolution, superposition, noise, cube files."""
 
+import dataclasses
 import multiprocessing
 import sys
 import threading
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -552,10 +554,10 @@ def test_cold_and_warm_requests_give_the_oracles_bytes(set_worker_count, monkeyp
     calls = count_forward_ffts(monkeypatch)
     assert_transformed(calls, clutter, random_waveform(rng), 0.7, 4, target=target)
     key, kept = rxsim._transforms
-    assert rxsim._keyed_to(key, clutter, 40) and kept is None
+    assert key == (weakref.ref(clutter), 40) and kept is None
     assert_transformed(calls, clutter, random_waveform(rng), 0.7, 4, target=target)
     key, kept = rxsim._transforms
-    assert rxsim._keyed_to(key, clutter, 40)
+    assert key == (weakref.ref(clutter), 40)
     assert kept.shape == (3, 4, 40) and not kept.flags.writeable
     assert kept.tobytes() == window_transforms(clutter, 40).tobytes()
     for noise_power in (0.7, 0.0, 0.7):
@@ -565,13 +567,13 @@ def test_cold_and_warm_requests_give_the_oracles_bytes(set_worker_count, monkeyp
 
 
 def test_another_channel_taps_or_length_is_never_served_stale_transforms(monkeypatch):
-    """The kept transforms serve their channel, with the taps and support
-    it held, at their transform length only: another channel of the same
-    shape, reassigned taps or support and a waveform that needs another
-    transform length are transformed afresh and record their own key.
-    A waveform of another length with the same transform length is the
-    same key, and a request with no FFT-routed channel leaves the slot
-    alone."""
+    """The kept transforms serve their channel at their transform length
+    only: another channel of the same shape, a channel's copy with other
+    taps or support (its fields cannot be reassigned) and a waveform
+    that needs another transform length are transformed afresh and
+    record their own key.  A waveform of another length with the same
+    transform length is the same key, and a request with no FFT-routed
+    channel leaves the slot alone."""
     rng = np.random.default_rng(41)
     a, b = window_ir(rng), window_ir(rng)
     wf = random_waveform(rng)
@@ -583,13 +585,21 @@ def test_another_channel_taps_or_length_is_never_served_stale_transforms(monkeyp
     assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, random_waveform(rng, p=16), 0.0, 4)   # 45 taps
-    assert rxsim._keyed_to(rxsim._transforms[0], a, 45) and rxsim._transforms[1] is None
+    assert rxsim._transforms[0] == (weakref.ref(a), 45) and rxsim._transforms[1] is None
     assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
-    a.taps = np.ascontiguousarray(b.taps[:, ::-1])
+    taps = np.ascontiguousarray(b.taps[:, ::-1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.taps = taps
+    with pytest.raises(ValueError, match="read-only"):
+        a.taps[0, 0, 0] = 1.0
+    a = dataclasses.replace(a, taps=taps)
     assert_transformed(calls, a, wf, 0.0, 4)
     assert_transformed(calls, a, wf, 0.0, 4)
-    a.support = np.concatenate([np.arange(5, 20), np.arange(21, 36)])   # 40 taps again
+    support = np.concatenate([np.arange(5, 20), np.arange(21, 36)])   # 40 taps again
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.support = support
+    a = dataclasses.replace(a, support=support)
     assert_transformed(calls, a, wf, 0.0, 4)
     state = rxsim._transforms
     assert_transformed(calls, sparse_ir(rng, [3, 9], n=3), wf, 0.0, 0)
@@ -609,7 +619,7 @@ def test_the_largest_transform_claims_the_slot(monkeypatch):
     calls = count_forward_ffts(monkeypatch)
     assert_transformed(calls, clutter, wf, 0.7, 8, target=target)
     assert_transformed(calls, clutter, wf, 0.7, 8, target=target)
-    assert rxsim._keyed_to(rxsim._transforms[0], clutter, 40)
+    assert rxsim._transforms[0] == (weakref.ref(clutter), 40)
     assert rxsim._transforms[1] is not None
     assert_transformed(calls, clutter, random_waveform(rng), 0.7, 5, target=target)
     assert_transformed(calls, target, random_waveform(rng), 0.7, 5, target=clutter)
@@ -640,7 +650,7 @@ def test_the_transforms_are_freed_with_their_channel():
         simulate_cube(second, None, wf, 0.0, seed=1)
         held, _ = tracemalloc.get_traced_memory()
         assert held <= 1.1 * (kept_bytes + second.taps.nbytes + second.support.nbytes)
-        assert rxsim._keyed_to(rxsim._transforms[0], second, kept_bytes // (16 * n * m))
+        assert rxsim._transforms[0] == (weakref.ref(second), kept_bytes // (16 * n * m))
         del first, second
         held, _ = tracemalloc.get_traced_memory()
     finally:
@@ -665,7 +675,7 @@ def test_a_failed_fill_keeps_no_transforms(monkeypatch):
     with pytest.raises(RuntimeError):
         simulate_cube(a, None, wf, 0.0, seed=1)
     key, kept = rxsim._transforms
-    assert rxsim._keyed_to(key, a, 40) and kept is None
+    assert key == (weakref.ref(a), 40) and kept is None
 
 
 def test_threads_sharing_two_channels_get_their_bytes(set_worker_count):
@@ -1009,3 +1019,45 @@ def test_cube_reader_rejects_corruption(tmp_path):
     path.write_bytes(b"XXCUBE99" + b"\x00" * 56)
     with pytest.raises(ConfigurationError):
         read_cube(path)
+
+
+def test_a_cube_file_of_several_cpis_is_rejected_from_its_header(tmp_path):
+    """`write_cube` writes C = 1, and `read_cube` rejects any other C
+    before it reads the payload: a file of C CPIs whose payload holds a
+    NaN names the CPI count, not the NaN."""
+    rng = np.random.default_rng(9)
+    path = tmp_path / "cube.rfcube"
+    write_cube(path, simulate_cube(random_ir(rng), None, random_waveform(rng), 0.2, seed=4))
+    blob = path.read_bytes()
+    assert blob[8:12] == (1).to_bytes(4, "little")
+    head, payload = blob[:rxsim._HEADER.size], blob[rxsim._HEADER.size:]
+    nan = np.full(2, np.nan, dtype="<f4").tobytes()
+    for c in (2, 3):
+        path.write_bytes(head[:8] + c.to_bytes(4, "little") + head[12:] + nan
+                         + payload[len(nan):] + payload * (c - 1))
+        with pytest.raises(ConfigurationError, match=f"holds {c} CPIs"):
+            read_cube(path)
+
+
+def test_channels_waveforms_and_cubes_are_fixed_at_construction():
+    """No field of a channel, waveform or cube can be reassigned, and
+    their arrays are read-only, so a value checked at construction (a
+    finite rate, finite samples, a valid support, a non-negative noise
+    power) stays checked.  A waveform holds its own copy of the samples
+    it was given."""
+    rng = np.random.default_rng(10)
+    ir = random_ir(rng)
+    given = np.ones(4, dtype=np.complex128)
+    wf = Waveform(given, sample_rate=FS)
+    cube = simulate_cube(ir, None, random_waveform(rng), 0.2, seed=4)
+    for value, arrays in ((ir, ("taps", "support")), (wf, ("samples",)),
+                          (cube, ("samples",))):
+        for field in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, getattr(value, field.name))
+        for name in arrays:
+            array = getattr(value, name)
+            with pytest.raises(ValueError, match="read-only"):
+                array.flat[0] = array.flat[0]
+    given[0] = np.nan
+    assert np.all(wf.samples == 1.0)

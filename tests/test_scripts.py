@@ -5,7 +5,13 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from rfclutter.errors import ConfigurationError
+from rfclutter.terrain import ElevationGrid
+
+from oracles import write_dem
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 README = SCRIPTS.parent / "README.md"
@@ -63,6 +69,46 @@ def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path,
     assert sum(int(c[1]) for c in classes) == lit
     assert sum(int(c[3]) for c in classes) == patches
     assert [r[1:4] for r in table if r[0] == "discretes:"] == [["2", "/", "2"]]
+
+
+SMALL_SCENARIO = """
+radar.carrier = 10e9
+radar.bandwidth = 5e6
+radar.prf = 2000
+radar.pulses = 8
+radar.channels = 2
+radar.pulse_duration = 1e-6
+radar.noise_power = 1e-18
+radar.swath = 1200
+platform.tx_position = 100 600 300
+terrain.dem = ground.dem
+terrain.patch_size = 60
+target.1.position = 900 600 0
+target.1.rcs = 100
+sim.seed = 5
+"""
+
+
+def test_the_scripts_read_the_scenario_flags_as_the_cli_does(tmp_path):
+    """The study scripts take rfclutter's scenario flags: --seed reaches a
+    --scenario file, and --scale with a --scenario file or a seed the
+    scenario rejects is a ConfigurationError."""
+    write_dem(tmp_path / "ground.dem", ElevationGrid(heights=np.zeros((40, 40)), cell_size=30.0))
+    scenario = tmp_path / "scene.txt"
+    scenario.write_text(SMALL_SCENARIO)
+    design = load_script("waveform_design_study")
+    common = ["--scenario", str(scenario), "--lengths", "8", "--realizations", "4"]
+    for seed in (5, 7):
+        assert design.main(common + ["--seed", str(seed),
+                                     "--out", str(tmp_path / f"seed{seed}.csv")]) == 0
+    assert (tmp_path / "seed5.csv").read_bytes() != (tmp_path / "seed7.csv").read_bytes()
+    with pytest.raises(ConfigurationError, match="--scale"):
+        design.main(common + ["--scale", "0.5", "--out", str(tmp_path / "scaled.csv")])
+    with pytest.raises(ConfigurationError, match="sim.seed"):
+        load_script("coverage_study").main(["--preset", "scenario1", "--seed", "-1",
+                                            "--out", str(tmp_path / "coverage")])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.dem", "scene.txt",
+                                                          "seed5.csv", "seed7.csv"]
 
 
 def test_readme_python_example_runs(tmp_path, monkeypatch):
