@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from rfclutter import pipeline
-from rfclutter.cli import add_scenario_args, load_scenario_args
+from rfclutter.cli import add_scenario_args, exit_status, load_scenario_args
 from rfclutter.dsp import write_map_csv, write_pgm
 from rfclutter.scattering import BUILDING, FOREST, GRASS, URBAN, WATER
 
@@ -72,4 +72,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from rfclutter.cli import exit_status
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.mimo import cross_channel_leakage, simulate_mimo_cube
 from rfclutter.waveform import Waveform, lfm, phase_code
@@ -70,4 +71,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from rfclutter import pipeline
-from rfclutter.cli import add_scenario_args, load_scenario_args
+from rfclutter.cli import add_scenario_args, exit_status, load_scenario_args
 from rfclutter.cofar import max_gain_db, optimal_waveform, scnr
 from rfclutter.waveform import lfm
 
@@ -77,4 +77,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(exit_status(main))

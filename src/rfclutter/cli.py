@@ -23,6 +23,7 @@ import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -314,14 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+def exit_status(run: Callable[[], int]) -> int:
+    """run()'s exit status; a bad input gives one `error:` line on
+    stderr and status 2 instead of a traceback.  The verbs and the
+    study scripts all exit through it."""
     try:
-        return args.func(args)
+        return run()
     except (ConfigurationError, ConditioningError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    return exit_status(lambda: args.func(args))
 
 
 if __name__ == "__main__":

@@ -92,9 +92,10 @@ def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
 
     out[..., l] = sum_p samples[..., l + p] * conj(s[p]); output length
     R - P + 1, complex128.  A unit-energy waveform fed to itself gives
-    a single sample equal to 1.  Each row along the last axis goes
-    through its own complex128 FFT pair, over blocks of rows on the
-    worker pool; a 1-D input is one row.
+    a single sample equal to 1.  Each row along the last axis is
+    zero-padded into its block's complex128 buffer and goes through its
+    own FFT pair in place, over blocks of rows on the worker pool; a 1-D
+    input is one row.
     """
     x = np.asarray(samples)
     s = wf.samples
@@ -113,9 +114,12 @@ def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
 
     def compress(block: range) -> None:
         rows = _rows(block)
-        xf = np.fft.fft(lines[rows].astype(np.complex128), nfft, axis=-1)
+        # the block's rows, zero-padded to nfft, transformed in place
+        xf = np.zeros((rows.stop - rows.start, nfft), dtype=np.complex128)
+        xf[:, :r] = lines[rows]
+        np.fft.fft(xf, axis=-1, out=xf)
         xf *= sf
-        out[rows] = np.fft.ifft(xf, axis=-1)[:, :n_out]
+        out[rows] = np.fft.ifft(xf, axis=-1, out=xf)[:, :n_out]
 
     run_blocks(compress, lines.shape[0])
     return out.reshape(x.shape[:-1] + (n_out,))

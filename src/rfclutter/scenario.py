@@ -510,7 +510,8 @@ def littoral_dem() -> tuple[ElevationGrid, ClassGrid]:
     classes[forest] = scattering.FOREST
     urban = land & (x > 8000.0) & (x < 9500.0) & (y > 8000.0) & (y < 12000.0)
     classes[urban] = scattering.URBAN
-    heights.setflags(write=False)            # the grid adopts it without a copy
+    for raster in (heights, classes):
+        raster.setflags(write=False)         # the grids adopt them without a copy
     dem = ElevationGrid(heights=heights, cell_size=cell_size)
     lc = ClassGrid(classes=classes, cell_size=cell_size)
     return dem, lc

@@ -9,6 +9,7 @@ northernmost row, matching the on-disk layout.
 
 from __future__ import annotations
 
+import logging
 import math
 import threading
 from dataclasses import dataclass
@@ -20,6 +21,8 @@ from scipy.ndimage import maximum_filter
 from .errors import ConfigurationError
 from .workers import run_blocks
 
+logger = logging.getLogger(__name__)
+
 _LOS_BOUNDS_LOCK = threading.Lock()
 
 
@@ -27,6 +30,19 @@ def _count_cells(extent: float, size: float) -> int:
     # ceil with a small guard so exact divisions do not round up by one
     # float ulp (e.g. 20010 / 30 must give 667, not 668).
     return max(1, math.ceil(extent / size - 1e-9))
+
+
+def _fixed_raster(values, dtype, what: str) -> np.ndarray:
+    """`values` as a read-only, C-ordered, non-empty 2-D array that no
+    caller can write: a read-only C-ordered array that owns its memory
+    is adopted as is, anything else is copied."""
+    raster = np.asarray(values, dtype=dtype)
+    if raster.flags.writeable or not raster.flags.owndata or not raster.flags.c_contiguous:
+        raster = raster.copy()
+    if raster.ndim != 2 or raster.size == 0:
+        raise ConfigurationError(f"{what} must be a non-empty 2-D array")
+    raster.setflags(write=False)
+    return raster
 
 
 def _check_georeference(cell_size: float, origin_lat: float, origin_lon: float) -> None:
@@ -44,9 +60,8 @@ class ElevationGrid:
     heights[r, c] is the terrain height (m) at the center of cell
     (r, c); row 0 is the northernmost row.  The grid origin (south-west
     corner of the raster) sits at ENU (0, 0).  The heights are checked
-    and held read-only: a read-only array that owns its memory is
-    adopted as is, anything else is copied, so no caller-held array can
-    change them (or leave `los_bounds` stale) afterwards.
+    and held read-only (see `_fixed_raster`), so no caller-held array
+    can change them (or leave `los_bounds` stale) afterwards.
     """
 
     heights: np.ndarray          # (nrows, ncols) m, row 0 = north
@@ -55,14 +70,9 @@ class ElevationGrid:
     origin_lon: float = 0.0      # deg
 
     def __post_init__(self):
-        heights = np.asarray(self.heights, dtype=np.float64)
-        if heights.flags.writeable or not heights.flags.owndata:
-            heights = heights.copy()
-        if heights.ndim != 2 or heights.size == 0:
-            raise ConfigurationError("elevation grid must be a non-empty 2-D array")
+        heights = _fixed_raster(self.heights, np.float64, "elevation grid")
         if not np.all(np.isfinite(heights)):
             raise ConfigurationError("elevation grid contains non-finite heights")
-        heights.setflags(write=False)
         object.__setattr__(self, "heights", heights)
         _check_georeference(self.cell_size, self.origin_lat, self.origin_lon)
 
@@ -76,10 +86,11 @@ class ElevationGrid:
                 bounds = self.__dict__.get("_los_bounds")
                 if bounds is None:
                     fine = _block_bound(self)
-                    coarse = maximum_filter(fine, size=2 * LOS_REACH + 1, mode="nearest")
-                    fine.setflags(write=False)
+                    near, coarse = (maximum_filter(fine, size=2 * reach + 1, mode="nearest")
+                                    for reach in (1, LOS_REACH))
+                    near.setflags(write=False)
                     coarse.setflags(write=False)
-                    bounds = LosBounds(fine, coarse, float(fine.max()),
+                    bounds = LosBounds(near, coarse, float(fine.max()),
                                        float(np.abs(fine).max()))
                     object.__setattr__(self, "_los_bounds", bounds)
         return bounds
@@ -124,23 +135,26 @@ class ElevationGrid:
         the border values.  Callers are expected to stay within the
         raster extent (see within_extent).
         """
-        h = self.heights
+        h = self.heights.reshape(-1)   # node (r, c) is h[r * ncols + c]
         fr, fc = self.node_coords(x, y)
-        c0 = np.floor(fc).astype(np.intp)
-        r0 = np.floor(fr).astype(np.intp)
+        c0 = fc.astype(np.intp)        # fr, fc >= 0: truncation is floor
+        r0 = fr.astype(np.intp)
         c1 = np.minimum(c0 + 1, self.ncols - 1)
-        r1 = np.minimum(r0 + 1, self.nrows - 1)
+        i0 = r0 * self.ncols
+        i1 = np.minimum(r0 + 1, self.nrows - 1) * self.ncols
         wc = fc - c0
         wr = fr - r0
-        return ((1.0 - wr) * (1.0 - wc) * h[r0, c0]
-                + (1.0 - wr) * wc * h[r0, c1]
-                + wr * (1.0 - wc) * h[r1, c0]
-                + wr * wc * h[r1, c1])
+        vc = 1.0 - wc
+        vr = 1.0 - wr
+        return (vr * vc * h.take(i0 + c0) + vr * wc * h.take(i0 + c1)
+                + wr * vc * h.take(i1 + c0) + wr * wc * h.take(i1 + c1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassGrid:
-    """Integer land-cover raster co-registered with an ElevationGrid."""
+    """Integer land-cover raster co-registered with an ElevationGrid,
+    fixed at construction as that grid is: the classes are held
+    read-only (see `_fixed_raster`)."""
 
     classes: np.ndarray          # (nrows, ncols) int codes, row 0 = north
     cell_size: float             # m
@@ -148,11 +162,8 @@ class ClassGrid:
     origin_lon: float = 0.0
 
     def __post_init__(self):
-        self.classes = np.asarray(self.classes, dtype=np.int64)
-        if self.classes.ndim != 2 or self.classes.size == 0:
-            raise ConfigurationError("class grid must be a non-empty 2-D array")
+        object.__setattr__(self, "classes", _fixed_raster(self.classes, np.int64, "class grid"))
         _check_georeference(self.cell_size, self.origin_lat, self.origin_lon)
-        self.classes.setflags(write=False)
 
     @property
     def nrows(self) -> int:
@@ -295,17 +306,20 @@ def grazing_angles(patches: PatchArrays, observer: np.ndarray) -> np.ndarray:
 # lines_of_sight bounds the terrain under a sample by the highest node of
 # its LOS_BLOCK-square block of DEM nodes and of the blocks east, south
 # and south-east of it, which hold the c0 + 1 and r0 + 1 nodes of the
-# bilinear stencil.  A run of samples that stays within LOS_REACH blocks
-# of its first sample is bounded by the highest block bound within
-# LOS_REACH blocks of that sample's block.
+# bilinear stencil.  A run of samples that stays within `reach` blocks of
+# its first sample is bounded by the highest block bound within `reach`
+# blocks of that sample's block.  The cull has two reaches: LOS_REACH
+# blocks for runs, and one block for the sub-runs of a kept run.
 LOS_BLOCK = 4
 LOS_REACH = 4
 # Rays are lifted this much (m) before the terrain comparison so patch
 # centers sitting exactly on the surface don't self-occlude.
 LOS_CLEARANCE_M = 1.0
-# Samples per run: they are at most half a cell apart, so a run moves at
-# most LOS_REACH * LOS_BLOCK - 2 nodes from its first sample.
+# Samples per run and per sub-run: they are at most half a cell apart,
+# so a run of 1 + 2 * (reach * LOS_BLOCK - 2) samples moves at most
+# reach * LOS_BLOCK - 2 nodes from its first sample.
 LOS_RUN = 1 + 2 * (LOS_REACH * LOS_BLOCK - 2)
+LOS_SUB = 1 + 2 * (LOS_BLOCK - 2)
 # Samples per chunk of lines_of_sight; with LOS_SPAN it fixes the
 # working memory of each of its tasks.
 LOS_CHUNK = 1 << 16
@@ -328,10 +342,10 @@ _MAX_RAY_SAMPLES = 2 ** 52
 class LosBounds(NamedTuple):
     """Per-DEM height bounds of `lines_of_sight`."""
 
-    fine: np.ndarray       # _block_bound, per LOS_BLOCK-square node block
-    coarse: np.ndarray     # highest `fine` within LOS_REACH blocks
-    top: float             # fine.max()
-    magnitude: float       # abs(fine).max()
+    near: np.ndarray       # highest _block_bound within one block
+    coarse: np.ndarray     # highest _block_bound within LOS_REACH blocks
+    top: float             # _block_bound's max()
+    magnitude: float       # _block_bound's abs().max()
 
 
 def _block_bound(dem: ElevationGrid) -> np.ndarray:
@@ -387,18 +401,20 @@ def lines_of_sight(dem: ElevationGrid, observer, points) -> np.ndarray:
     Only the samples that could be blocked are interpolated.  A ray is
     first narrowed to the contiguous window of samples near the raster
     and at or below the highest terrain.  The window is cut into runs
-    of samples; a run goes on only if its lowest sample is at or below
-    the bound of the blocks it can cross, and a sample of such a run is
-    interpolated only if it is at or below the bound of the DEM nodes
-    its interpolation reads.  The bounds are the
-    grid's `los_bounds`, built once per grid.
+    of LOS_RUN samples, and each kept run into sub-runs of LOS_SUB
+    samples.  A run or sub-run goes on only if its lower end is at or
+    below the highest block bound within its reach (LOS_REACH blocks
+    for a run, one for a sub-run) of its first sample's block; the
+    bounds are the grid's `los_bounds`, built once per grid.  Every
+    sample of a kept sub-run is interpolated; one off the raster is
+    then dropped.
 
-    The runs are culled first, in spans of LOS_SPAN runs, and only the
-    kept runs are expanded into samples, at most LOS_CHUNK at a time.
+    The runs are culled in spans of LOS_SPAN runs, and only the kept
+    sub-runs are expanded into samples, at most LOS_CHUNK at a time.
     A ray is blocked if any of its samples is, so the spans are
     independent: they run on every CPU through the shared worker pool
     (`workers.run_blocks`), and the answers are the same at any core
-    count.
+    count.  Each call logs its funnel at DEBUG, summed over the spans.
     """
     obs = np.asarray(observer, dtype=np.float64).reshape(3)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
@@ -407,26 +423,21 @@ def lines_of_sight(dem: ElevationGrid, observer, points) -> np.ndarray:
         raise ConfigurationError("line-of-sight endpoints must be finite")
     if len(pts) == 0:
         return np.ones(0, dtype=bool)
-    d = pts - obs
-    n = np.maximum(np.ceil(np.hypot(d[:, 0], d[:, 1]) / step) - 1.0, 0.0)
+    d = np.ascontiguousarray((pts - obs).T)   # one contiguous row per axis
+    n = np.maximum(np.ceil(np.hypot(d[0], d[1]) / step) - 1.0, 0.0)
     if n.max() > _MAX_RAY_SAMPLES:
         raise ConfigurationError(f"a line-of-sight ray of {n.max():.3g} samples is too long")
     s = 1.0 / (n + 1.0)          # i * s is np.linspace(0, 1, n + 2)[i], bit for bit
 
-    def sample(ray, i):
-        t = i * s[ray]
-        return (obs[0] + t * d[ray, 0], obs[1] + t * d[ray, 1],
-                obs[2] + t * d[ray, 2] + LOS_CLEARANCE_M)
-
-    fine, coarse, top, magnitude = dem.los_bounds
+    near, coarse, top, magnitude = dem.los_bounds
 
     # the window: on the raster and at or below the highest bound
     tol = _WINDOW_TOL * (1.0 + LOS_CLEARANCE_M + magnitude
                          + float(np.abs(obs).max()) + float(np.abs(pts).max())
                          + dem.extent_east + dem.extent_north)
-    t0, t1 = _t_window(obs[2] + LOS_CLEARANCE_M, d[:, 2], -np.inf, top, tol)
+    t0, t1 = _t_window(obs[2] + LOS_CLEARANCE_M, d[2], -np.inf, top, tol)
     for axis, extent in ((0, dem.extent_east), (1, dem.extent_north)):
-        u0, u1 = _t_window(obs[axis], d[:, axis], 0.0, extent, tol)
+        u0, u1 = _t_window(obs[axis], d[axis], 0.0, extent, tol)
         t0 = np.maximum(t0, u0)
         t1 = np.minimum(t1, u1)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -437,48 +448,74 @@ def lines_of_sight(dem: ElevationGrid, observer, points) -> np.ndarray:
     runs = -(-count // LOS_RUN)
     ends = np.cumsum(runs)
     total = int(ends[-1])
+    # per ray: where run j of the call would start, where its window
+    # stops, its s and its d
+    rays = (first - (ends - runs) * LOS_RUN, first + count, s, *d)
 
     # between two on-raster endpoints every sample is on the raster
     masked = ~(dem.within_extent(obs[0], obs[1]) & dem.within_extent(pts[:, 0], pts[:, 1]))
-    per_chunk = LOS_CHUNK // LOS_RUN
+    leaves_raster = bool(masked.any())
+    per_chunk = LOS_CHUNK // LOS_SUB
 
-    def blocked_rays(spans: range) -> np.ndarray:
+    def cull(cols, per, index, length, bound):
+        # row k of cols (ray, a, b, s, d) stands for per[k] runs of
+        # `length` samples: run `index` starts at a + index * length and
+        # stops at b at the latest.  The runs kept are those whose lower
+        # end is at or below `bound` at their first sample's block.
+        ray, a, b, rs, rx, ry, rz = (np.repeat(c, per) for c in cols)
+        a += index * length
+        b = np.minimum(a + length, b)
+        t = a * rs
+        fr, fc = dem.node_coords(obs[0] + t * rx, obs[1] + t * ry)
+        low = np.minimum(obs[2] + t * rz + LOS_CLEARANCE_M,
+                         obs[2] + ((b - 1) * rs) * rz + LOS_CLEARANCE_M)
+        block = fr.astype(np.intp) // LOS_BLOCK * bound.shape[1] + fc.astype(np.intp) // LOS_BLOCK
+        keep = low <= bound.reshape(-1).take(block)
+        return [c[keep] for c in (ray, a, b, rs, rx, ry, rz)]
+
+    def blocked_rays(spans: range) -> tuple[np.ndarray, np.ndarray]:
         # allocated before the chunks, so it pins none of their memory
         blocked = np.zeros(len(pts), dtype=bool)
+        funnel = np.zeros(4, dtype=np.int64)   # runs kept, sub-runs tested and kept, samples
         for span in spans:
             # cull the span's runs against the coarse bound ...
             j0, j1 = span * LOS_SPAN, min(span * LOS_SPAN + LOS_SPAN, total)
             r0, r1 = np.searchsorted(ends, [j0, j1 - 1], side="right")
             # rays r0..r1 hold the span's runs, consecutive in ray order
             span_ends = ends[r0:r1 + 1]
-            ray = np.repeat(np.arange(r0, r1 + 1), np.minimum(span_ends, j1)
-                            - np.maximum(span_ends - runs[r0:r1 + 1], j0))
-            j = np.arange(j0, j1)
-            a = first[ray] + (j - (ends[ray] - runs[ray])) * LOS_RUN
-            m = np.minimum(LOS_RUN, first[ray] + count[ray] - a)
-            xa, ya, za = sample(ray, a)
-            zb = sample(ray, a + m - 1)[2]
-            fr, fc = dem.node_coords(xa, ya)
-            near = np.minimum(za, zb) <= coarse[fr.astype(np.intp) // LOS_BLOCK,
-                                                fc.astype(np.intp) // LOS_BLOCK]
-            ray, a, m = ray[near], a[near], m[near]
-            # ... then expand the kept runs, at most LOS_CHUNK samples at a time
+            per = np.minimum(span_ends, j1) - np.maximum(span_ends - runs[r0:r1 + 1], j0)
+            cols = cull([np.arange(r0, r1 + 1)] + [c[r0:r1 + 1] for c in rays], per,
+                        np.arange(j0, j1), LOS_RUN, coarse)
+            # ... cut the kept runs into sub-runs and cull those against the near bound ...
+            per = -(-(cols[2] - cols[1]) // LOS_SUB)
+            index = np.arange(per.sum()) - np.repeat(np.cumsum(per) - per, per)
+            ray, a, b, rs, rx, ry, rz = cull(cols, per, index, LOS_SUB, near)
+            funnel += (len(per), index.size, len(ray), 0)
+            m = b - a
+            # ... then interpolate the kept sub-runs' samples, at most
+            # LOS_CHUNK at a time
             for lo in range(0, len(ray), per_chunk):
                 part = slice(lo, lo + per_chunk)
                 mp = m[part]
                 r = np.repeat(ray[part], mp)
-                xs, ys, ray_z = sample(r, np.repeat(a[part] - (np.cumsum(mp) - mp), mp)
-                                       + np.arange(mp.sum()))
-                fr, fc = dem.node_coords(xs, ys)
-                near = ray_z <= fine[fr.astype(np.intp) // LOS_BLOCK,
-                                     fc.astype(np.intp) // LOS_BLOCK]
-                near &= ~masked[r] | dem.within_extent(xs, ys)
-                k = np.flatnonzero(near)
-                hit = dem.heights_at(xs[k], ys[k]) > ray_z[k]
-                blocked[r[k[hit]]] = True
-        return blocked
+                t = (np.repeat(a[part] - (np.cumsum(mp) - mp), mp) + np.arange(r.size)) \
+                    * np.repeat(rs[part], mp)
+                xs = obs[0] + t * np.repeat(rx[part], mp)
+                ys = obs[1] + t * np.repeat(ry[part], mp)
+                hit = dem.heights_at(xs, ys) > obs[2] + t * np.repeat(rz[part], mp) \
+                    + LOS_CLEARANCE_M
+                if leaves_raster:
+                    hit &= ~masked[r] | dem.within_extent(xs, ys)
+                blocked[r[hit]] = True
+                funnel[3] += r.size
+        return blocked, funnel
 
-    return ~np.logical_or.reduce(run_blocks(blocked_rays, -(-total // LOS_SPAN)))
+    results = run_blocks(blocked_rays, -(-total // LOS_SPAN))
+    funnel = sum(f for _, f in results)
+    logger.debug("line of sight: %d rays, %d window samples, %d runs tested, %d kept, "
+                 "%d sub-runs tested, %d kept, %d samples interpolated",
+                 len(pts), int(count.sum()), total, *funnel.tolist())
+    return ~np.logical_or.reduce([b for b, _ in results])
 
 
 # --- file formats -----------------------------------------------------------

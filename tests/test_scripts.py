@@ -2,12 +2,16 @@
 arguments, and the README's Python example as written."""
 
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rfclutter
 from rfclutter.errors import ConfigurationError
 from rfclutter.terrain import ElevationGrid
 
@@ -109,6 +113,37 @@ def test_the_scripts_read_the_scenario_flags_as_the_cli_does(tmp_path):
                                             "--out", str(tmp_path / "coverage")])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ground.dem", "scene.txt",
                                                           "seed5.csv", "seed7.csv"]
+
+
+# script name -> flags that rfclutter's scenario checks reject
+BAD_FLAGS = {
+    "coverage_study": ["--preset", "scenario1", "--seed", "-1"],
+    "waveform_design_study": ["--preset", "scenario1", "--scale", "0"],
+    "wind_doppler_study": ["--winds", "-1", "--trials", "1"],
+    "mimo_leakage_study": ["--taps", "0"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_rejected_flag_exits_2_with_one_error_line(name, tmp_path):
+    """Run as a program, each script reports a rejected input as
+    `rfclutter` does: exit status 2, stderr starting with `error:`, no
+    traceback, and nothing written."""
+    src = str(Path(rfclutter.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *BAD_FLAGS[name]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_wind_doppler_study_checks_its_scenarios(tmp_path):
+    """A negative wind speed is rejected, not simulated as a calm sea."""
+    with pytest.raises(ConfigurationError, match="ocean.wind_speed"):
+        load_script("wind_doppler_study").main(["--winds", "-1", "--trials", "1",
+                                                "--out", str(tmp_path / "wind.csv")])
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_readme_python_example_runs(tmp_path, monkeypatch):

@@ -1,7 +1,9 @@
 """Terrain geometry: sampling, normals, grazing, line of sight, rasters."""
 
 import dataclasses
+import logging
 import math
+import re
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -299,6 +301,119 @@ def test_lines_of_sight_matches_scalar_reference(query):
     assert got.dtype == bool and got.tolist() == want
 
 
+@st.composite
+def block_scale_queries(draw):
+    """A DEM of 9 to 40 cells a side, so that runs and sub-runs cross
+    the edges of LOS blocks: a plateau with one-cell spikes, on a field
+    of LEVELS or not, and one observer with its points, each on or off
+    the raster, so that most rays are several runs long."""
+    rows, cols = draw(st.integers(9, 40)), draw(st.integers(9, 40))
+    cell = draw(st.sampled_from([1.0, 2.5, 10.0]))
+    level = st.one_of(st.sampled_from(LEVELS), st.floats(-20.0, 20.0))
+    heights = np.full((rows, cols), draw(level))
+    if draw(st.booleans()):
+        field = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        heights += field.choice(LEVELS, size=(rows, cols))
+    for _ in range(draw(st.integers(0, 12))):
+        heights[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = draw(level)
+    dem = ElevationGrid(heights=heights, cell_size=cell)
+
+    def endpoint():
+        xy = [draw(st.one_of(st.floats(0.0, extent), st.floats(-extent, 2.0 * extent)))
+              for extent in (dem.extent_east, dem.extent_north)]
+        return xy + [draw(level)]
+
+    observer = endpoint()
+    points = [endpoint() for _ in range(draw(st.integers(1, 10)))]
+    if draw(st.booleans()):
+        for p in points:             # horizontal rays
+            p[2] = observer[2]
+    return dem, observer, points
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_scale_queries())
+def test_lines_of_sight_at_block_scale_match_scalar_reference(query):
+    dem, observer, points = query
+    got = lines_of_sight(dem, observer, np.reshape(points, (-1, 3)))
+    want = [line_of_sight(dem, observer, p, clearance=LOS_CLEARANCE_M) for p in points]
+    assert got.tolist() == want
+
+
+def blocking_samples(dem, observer, point):
+    """The 1-based indices of the samples of a ray that its terrain
+    blocks, marched in full."""
+    obs, d = np.asarray(observer, float), np.subtract(point, observer)
+    n = max(0, math.ceil(math.hypot(d[0], d[1]) / (dem.cell_size / 2.0)) - 1)
+    i = np.arange(1, n + 1)
+    xs, ys, zs = (obs[:, None] + (i / (n + 1.0)) * d[:, None])
+    return (np.flatnonzero(dem.heights_at(xs, ys) > zs + LOS_CLEARANCE_M) + 1).tolist()
+
+
+@pytest.mark.parametrize("observer, point, spike, start_block, blocked_at", [
+    ((275.0, 35.0, 20.0), (5.0, 35.0, 20.0), (44, 23), (11, 6), [7, 8, 9]),     # west
+    ((35.0, 200.0, 20.0), (35.0, 470.0, 20.0), (23, 3), (6, 0), [8, 9, 10]),    # north
+])
+def test_a_sub_run_that_crosses_a_block_edge_sees_a_spike_past_it(observer, point, spike,
+                                                                  start_block, blocked_at):
+    """Samples 5 m apart with the window from sample 1: the sub-run of
+    samples 6..10 starts on stencil node 24 (block 6) and moves down to
+    node 22 (block 5), next to a one-cell spike on node 23, which only
+    its samples see.  The block bound at sample 6 misses the spike; the
+    sub-run's bound, one block wider, holds it."""
+    heights = np.zeros((48, 48))
+    heights[spike] = 50.0
+    dem = ElevationGrid(heights=heights, cell_size=10.0)
+    assert blocking_samples(dem, observer, point) == blocked_at
+    assert terrain.LOS_SUB == 5 and blocked_at[-1] <= 10
+    ray_z = observer[2] + LOS_CLEARANCE_M
+    assert terrain._block_bound(dem)[start_block] < ray_z <= dem.los_bounds.near[start_block]
+    got = lines_of_sight(dem, observer, [point])
+    assert got.tolist() == [line_of_sight(dem, observer, point, clearance=LOS_CLEARANCE_M)]
+    assert got.tolist() == [False]
+
+
+@pytest.mark.parametrize("x1, spike_col, blocked_at", [
+    (190.0, 18, [36]),   # the window's last sub-run is samples 35..36
+    (185.0, 18, []),     # ... samples 35..35; the spike is at the endpoint
+    (190.0, 14, [28]),   # the first run's last sub-run is samples 26..29
+])
+def test_a_short_last_sub_run_is_tested_to_its_end_and_no_further(x1, spike_col, blocked_at):
+    """A level ray from x = 5 m, samples 5 m apart: runs of 29 samples
+    end in a sub-run of 4, and the window's last run in a shorter one.
+    A 30 m spike blocks only the sample over its node, which lies in
+    such a sub-run, or at the excluded endpoint, past the window."""
+    heights = np.zeros((8, 48))
+    heights[4, spike_col] = 30.0
+    dem = ElevationGrid(heights=heights, cell_size=10.0)
+    observer, point = (5.0, 35.0, 20.0), (x1, 35.0, 20.0)
+    assert blocking_samples(dem, observer, point) == blocked_at
+    got = lines_of_sight(dem, observer, [point])
+    assert got.tolist() == [line_of_sight(dem, observer, point, clearance=LOS_CLEARANCE_M)]
+    assert got.tolist() == [not blocked_at]
+
+
+@pytest.mark.parametrize("z0, slope, clear", [(25.0, 2.0, True), (30.0, 1.0, False)])
+def test_a_kept_sub_run_partly_off_the_raster_drops_only_its_off_raster_samples(z0, slope,
+                                                                                  clear):
+    """From 12 m west of the raster, samples 5 m apart: the first
+    sub-run is samples 1..5 at x = -7, -2, 3, 8 and 13 m.  Its first two
+    are off the raster, where the clamped border would repeat a 50 m
+    spike on the west edge.  A steep ray is below the spike only there,
+    so it is clear; a shallow one is also below it at x = 3 m."""
+    heights = np.zeros((8, 48))
+    heights[4, 0] = 50.0
+    dem = ElevationGrid(heights=heights, cell_size=10.0)
+    observer = (-12.0, 35.0, z0)
+    point = (238.0, 35.0, z0 + slope * 250.0)
+    clamped = dem.heights_at([-7.0, -2.0, 3.0], [35.0] * 3)
+    rays = z0 + slope * np.array([5.0, 10.0, 15.0]) + LOS_CLEARANCE_M
+    assert (clamped[:2] > rays[:2]).all() and (clamped[2] > rays[2]) != clear
+    got = lines_of_sight(dem, observer, [point])
+    assert got.tolist() == [line_of_sight(dem, observer, point, clearance=LOS_CLEARANCE_M)]
+    assert got.tolist() == [clear]
+
+
 def test_lines_of_sight_plateau_at_ray_height():
     """Rays level with a plateau: raised by the clearance onto it
     exactly, or one ulp above it, where only the rounding of the
@@ -369,6 +484,61 @@ def test_lines_of_sight_do_not_depend_on_the_worker_count(set_worker_count, monk
         assert got.tolist() == want
         assert not all(want) and any(want)
     assert min(spans) > 8
+
+
+def funnel(caplog) -> list[list[int]]:
+    """The counts of each DEBUG funnel line that lines_of_sight logged."""
+    return [[int(v) for v in re.findall(r"\d+", r.getMessage())] for r in caplog.records
+            if r.name == "rfclutter.terrain" and r.levelno == logging.DEBUG]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_lines_of_sight_split_sub_runs_across_chunks(set_worker_count, monkeypatch, caplog,
+                                                     ridge_dem, workers):
+    """Spans of three runs and chunks of two sub-runs, so that the kept
+    sub-runs of one run land in several chunks, split 1, 2, 3 and 8
+    ways, give the scalar reference's answers."""
+    monkeypatch.setattr(terrain, "LOS_SPAN", 3)
+    monkeypatch.setattr(terrain, "LOS_CHUNK", 2 * terrain.LOS_SUB)
+    set_worker_count(workers)
+    cover = ClassGrid(classes=np.full((64, 64), GRASS, dtype=np.int64), cell_size=10.0)
+    points = build_patch_grid(ridge_dem, cover, patch_size=40.0).centers
+    for obs in ((320.0, 40.0, 30.0), (-50.0, 700.0, 120.0)):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="rfclutter.terrain"):
+            got = lines_of_sight(ridge_dem, obs, points)
+        want = [line_of_sight(ridge_dem, obs, p, clearance=LOS_CLEARANCE_M) for p in points]
+        assert got.tolist() == want
+        assert not all(want) and any(want)
+        ((_, _, _, runs_kept, _, subs_kept, _),) = funnel(caplog)
+        assert subs_kept > 2 * runs_kept   # so some run keeps sub-runs in two chunks
+
+
+def test_lines_of_sight_log_the_same_funnel_at_any_worker_count(set_worker_count, monkeypatch,
+                                                                caplog, ridge_dem):
+    """Each call logs one DEBUG line: rays, window samples, runs tested
+    and kept, sub-runs tested and kept, and samples interpolated, summed
+    over its spans.  The counts repeat on the same input at 1, 2, 3 and
+    8 workers, in one span or in spans of five runs, and each stage
+    keeps no more than the one before it passes on."""
+    cover = ClassGrid(classes=np.full((64, 64), GRASS, dtype=np.int64), cell_size=10.0)
+    points = build_patch_grid(ridge_dem, cover, patch_size=40.0).centers
+    logged = []
+    for span in (terrain.LOS_SPAN, 5):
+        monkeypatch.setattr(terrain, "LOS_SPAN", span)
+        for workers in (1, 2, 3, 8):
+            set_worker_count(workers)
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="rfclutter.terrain"):
+                lines_of_sight(ridge_dem, (320.0, 40.0, 30.0), points)
+            logged += funnel(caplog)
+    assert len(logged) == 8 and logged == [logged[0]] * 8
+    rays, window, runs, runs_kept, subs, subs_kept, samples = logged[0]
+    assert rays == len(points)
+    assert 0 < runs_kept < runs <= window
+    assert runs_kept <= subs <= -(-terrain.LOS_RUN // terrain.LOS_SUB) * runs_kept
+    assert 0 < subs_kept < subs
+    assert subs_kept <= samples <= min(terrain.LOS_SUB * subs_kept, window)
 
 
 def test_lines_of_sight_validation(ridge_dem):
@@ -479,6 +649,28 @@ def test_editing_an_assigned_array_in_place_changes_nothing():
     frozen = np.zeros((64, 64))
     frozen.setflags(write=False)
     assert ElevationGrid(heights=frozen, cell_size=10.0).heights is frozen
+
+
+def test_class_grid_is_fixed_at_construction():
+    """A ClassGrid holds its own read-only classes, as an ElevationGrid
+    holds its heights: the caller's array stays writable and editing it
+    changes nothing, and no field can be assigned."""
+    arr = np.full((4, 4), GRASS, dtype=np.int64)
+    cover = ClassGrid(classes=arr, cell_size=10.0)
+    assert arr.flags.writeable and not cover.classes.flags.writeable
+    arr[:] = WATER
+    assert np.all(cover.classes == GRASS)
+    for field, value in (("classes", np.ones((2, 2))), ("cell_size", -1.0),
+                         ("origin_lat", float("nan"))):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cover, field, value)
+    assert cover.classes.shape == (4, 4) and (cover.cell_size, cover.origin_lat) == (10.0, 0.0)
+    frozen = np.full((4, 4), GRASS, dtype=np.int64)
+    frozen.setflags(write=False)
+    assert ClassGrid(classes=frozen, cell_size=10.0).classes is frozen
+    for bad in (np.zeros(4, dtype=np.int64), np.zeros((0, 4), dtype=np.int64)):
+        with pytest.raises(ConfigurationError, match="class grid"):
+            ClassGrid(classes=bad, cell_size=10.0)
 
 
 # --- raster file format ------------------------------------------------------
