@@ -17,6 +17,7 @@ import numpy as np
 
 from rfclutter.cli import exit_status
 from rfclutter.channel import ChannelImpulseResponse
+from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import cross_channel_leakage, simulate_mimo_cube
 from rfclutter.waveform import Waveform, lfm, phase_code
 
@@ -55,6 +56,10 @@ def main(argv=None):
     ap.add_argument("--frame", type=int, default=64, help="waveform samples")
     ap.add_argument("--seed", type=int, default=7)
     args = ap.parse_args(argv)
+    for flag, value, least in (("--taps", args.taps, 1), ("--pulses", args.pulses, 1),
+                               ("--frame", args.frame, 2), ("--seed", args.seed, 0)):
+        if value < least:
+            raise ConfigurationError(f"{flag} must be at least {least}, got {value}")
 
     rng = np.random.default_rng(args.seed)
     taps = (rng.standard_normal((1, args.pulses, args.taps))

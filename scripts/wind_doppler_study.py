@@ -18,6 +18,7 @@ import numpy as np
 from rfclutter import pipeline
 from rfclutter.cli import exit_status
 from rfclutter.dsp import doppler_axis, doppler_process
+from rfclutter.errors import ConfigurationError
 from rfclutter.ocean import wind_doppler_spread
 from rfclutter.scenario import Scenario
 from rfclutter.scattering import WATER
@@ -29,7 +30,7 @@ def sea_scenario(wind: float, seed: int) -> Scenario:
     dem = ElevationGrid(heights=np.zeros((cells, cells)), cell_size=30.0)
     cover = ClassGrid(classes=np.full((cells, cells), WATER, dtype=np.int64),
                       cell_size=30.0)
-    scn = Scenario(
+    return Scenario(
         name="sea-sweep", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
         num_pulses=64, num_channels=1, num_cpis=1, pulse_duration_s=1e-6,
         noise_power=0.0, swath_m=4000.0,
@@ -37,8 +38,6 @@ def sea_scenario(wind: float, seed: int) -> Scenario:
         tx_velocity=np.array([25.0, 0.0, 0.0]),
         dem=dem, landcover=cover, patch_size_m=60.0,
         wind_speed_mps=wind, seed=seed)
-    scn.validate()
-    return scn
 
 
 def spread_hz(wind: float, seed: int) -> float:
@@ -57,6 +56,8 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=100)
     ap.add_argument("--out", default="out/wind_doppler.csv")
     args = ap.parse_args(argv)
+    if args.trials < 1:
+        raise ConfigurationError(f"--trials must be at least 1, got {args.trials}")
 
     rows = []
     print(f"{'wind m/s':>9} {'mean Hz':>9} {'std Hz':>8}   ({args.trials} trials)")

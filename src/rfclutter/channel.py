@@ -130,8 +130,9 @@ class ChannelImpulseResponse:
 
     def __post_init__(self):
         taps = np.ascontiguousarray(self.taps, dtype=np.complex64)
-        if taps.ndim != 3:
-            raise ConfigurationError("impulse response taps must have shape (N, M, K)")
+        if taps.ndim != 3 or not (taps.shape[0] and taps.shape[1]):
+            raise ConfigurationError(
+                f"impulse response taps must have shape (N, M, K), N, M >= 1, got {taps.shape}")
         k = taps.shape[2]
         support = np.asarray(np.arange(k) if self.support is None else self.support,
                              dtype=np.int64).reshape(-1)

@@ -65,7 +65,6 @@ def load_scenario_args(args) -> Scenario:
         scn = _PRESETS[args.preset](scale=DESK_SCALE if args.scale is None else args.scale)
     if args.seed is not None:
         scn = replace(scn, seed=args.seed)
-        scn.validate()
     return scn
 
 

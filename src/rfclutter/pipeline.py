@@ -218,8 +218,8 @@ def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
     r_rx = np.linalg.norm(d_rx, axis=1)
     if np.any(r_tx <= 0) or np.any(r_rx <= 0):
         raise ConfigurationError("a platform coincides with a scatterer or target")
-    if np.any(sigma0 < 0):
-        raise ConfigurationError("scatterer cross sections must be non-negative")
+    if not np.all(np.isfinite(sigma0) & (sigma0 >= 0)):
+        raise ConfigurationError("scatterer cross sections must be finite and non-negative")
     dirs_tx = d_tx / r_tx[:, None]
     dirs_rx = d_rx / r_rx[:, None]
     tx_gain = uniform_pattern_gains(array, dirs_tx)
@@ -409,7 +409,6 @@ def simulate_cpi(scn: Scenario, scene: SceneModel | None, cpi: int,
 def simulate_scenario(scn: Scenario, waveform: Waveform | None = None,
                       scene: SceneModel | None = None) -> ScenarioRun:
     """Simulate every CPI of a scenario, in CPI order."""
-    scn.validate()
     if scene is None:
         scene = build_scene(scn)
     if waveform is None:
@@ -564,12 +563,8 @@ def mimo_transmitters(scn: Scenario, cpi: int) -> list[PlatformState]:
     transmitter first, then every declared extra."""
     t = cpi * scn.cpi_interval
     tx0, _ = platform_states(scn, cpi)
-    states = [tx0]
-    for pos, vel in scn.mimo_tx:
-        vel = np.asarray(vel, dtype=np.float64)
-        states.append(PlatformState(position=np.asarray(pos, dtype=np.float64) + vel * t,
-                                    velocity=vel))
-    return states
+    return [tx0] + [PlatformState(position=spec.position + spec.velocity * t,
+                                  velocity=spec.velocity) for spec in scn.mimo_tx]
 
 
 def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,

@@ -152,8 +152,9 @@ class DataCube:
 
     def __post_init__(self):
         samples = np.ascontiguousarray(self.samples, dtype=np.complex64)
-        if samples.ndim != 4:
-            raise ConfigurationError("cube samples must have shape (1, N, M, R)")
+        if samples.ndim != 4 or not all(samples.shape[1:]):
+            raise ConfigurationError(
+                f"cube samples must have shape (1, N, M, R), N, M, R >= 1, got {samples.shape}")
         if samples.shape[0] != 1:
             raise ConfigurationError(f"the cube holds {len(samples)} CPIs, not one")
         if not (np.isfinite(self.sample_rate) and self.sample_rate > 0

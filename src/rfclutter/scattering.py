@@ -25,6 +25,10 @@ class Reflectivity:
     gamma_db: float                       # constant-gamma coefficient, dB
     poly_db: tuple[float, ...] = ()       # optional sigma0(psi) polynomial, dB, psi in rad
 
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.gamma_db, *self.poly_db)):
+            raise ConfigurationError("reflectivity gamma_db and coefficients must be finite")
+
 
 @dataclass
 class ScatteringTable:
@@ -42,7 +46,9 @@ class ScatteringTable:
     def sigma0_many(self, classes: np.ndarray, band: str, grazing: np.ndarray) -> np.ndarray:
         """Normalized radar cross-section (m^2/m^2) of each patch, from its
         land-cover class and grazing angle (rad): the entry's polynomial
-        in dB when it has one, else max(0, gamma sin(grazing))."""
+        in dB when it has one, else max(0, gamma sin(grazing)).  A
+        polynomial that overflows gives inf or NaN, which the link
+        budget rejects."""
         classes = np.asarray(classes)
         grazing = np.asarray(grazing, dtype=np.float64)
         out = np.empty(grazing.shape, dtype=np.float64)
@@ -52,9 +58,10 @@ class ScatteringTable:
             g = grazing[sel]
             if entry.poly_db:
                 db = np.zeros_like(g)
-                for k, p in enumerate(entry.poly_db):
-                    db += p * g ** k
-                out[sel] = 10.0 ** (db / 10.0)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for k, p in enumerate(entry.poly_db):
+                        db += p * g ** k
+                    out[sel] = 10.0 ** (db / 10.0)
             else:
                 gamma = 10.0 ** (entry.gamma_db / 10.0)
                 out[sel] = np.maximum(0.0, gamma * np.sin(g))
@@ -136,9 +143,10 @@ def read_scattering_table(path) -> ScatteringTable:
                 cls = int(parts[0])
                 gamma_db = float(parts[2])
                 poly = tuple(float(p) for p in parts[3:])
+                entries[(cls, parts[1])] = Reflectivity(gamma_db=gamma_db, poly_db=poly)
             except ValueError as exc:
-                raise ConfigurationError(f"{path}: line {lineno}: bad numeric field") from exc
-            entries[(cls, parts[1])] = Reflectivity(gamma_db=gamma_db, poly_db=poly)
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: bad numeric field ({exc})") from exc
     if not entries:
         raise ConfigurationError(f"{path}: empty scattering table")
     return ScatteringTable(entries=entries)

@@ -3,8 +3,18 @@
 Scenario files are line oriented, one `section.key = value` assignment
 per line; `#` starts a comment.  Values are scalars, whitespace
 separated vectors, or strings, fixed per key.  Unknown keys are
-rejected with their line number.  Numbered groups (`target.1.position`)
-declare targets, clutter discretes, and extra MIMO transmitters.
+rejected with their line number.  Groups declare numbered targets
+(`target.1.position`), clutter discretes and extra MIMO transmitters,
+and one block of buildings (`buildings.rows`).
+
+The schema is two tables: `_KEYS` gives each key its value kind, its
+`Scenario` field and its bound, and `_GROUPS` gives each group its
+`Scenario` field, its spec class and its members' kinds and bounds, in
+canonical order.  The parser, the canonical writer and the checks all
+read them.  `Scenario` and the group specs are frozen and check
+themselves at construction, so a scenario that is built, parsed or
+`dataclasses.replace`d holds every number finite and within its bound,
+and every `mimo.N` transmitter at or above the ground.
 
 Two generated scenarios ship with the package: a littoral scene with
 four moving targets (one deliberately weak) and two strong stationary
@@ -19,7 +29,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+import os
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,39 +56,73 @@ def scaled_count(full: int, scale: float) -> int:
     return max(1, math.ceil(full * scale - 1e-9))
 
 
-@dataclass
-class TargetSpec:
-    position: np.ndarray         # (3,) m ENU
-    velocity: np.ndarray         # (3,) m/s
-    rcs: float                   # m^2
+# --- value kinds and bounds --------------------------------------------------
+
+_FLOAT = "float"
+_INT = "int"
+_VEC3 = "vec3"
+_VEC2 = "vec2"
+_STR = "str"
+_BOOL = "bool"
+
+_BOUNDS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, ">= 1": lambda v: v >= 1}
+
+
+def _checked(value, kind: str, bound: str | None, name: str):
+    """`value` of its kind: a vector as a read-only float64 copy, every
+    number finite and within `bound`, else a ConfigurationError naming
+    `name`."""
+    if kind in (_VEC3, _VEC2):
+        value = np.array(value, dtype=np.float64).reshape(3 if kind == _VEC3 else 2)
+        value.setflags(write=False)
+    if kind in (_FLOAT, _VEC3, _VEC2) and not np.all(np.isfinite(value)):
+        raise ConfigurationError(f"{name} must be finite")
+    if bound is not None and not _BOUNDS[bound](value):
+        raise ConfigurationError(f"{name} must be {bound}, got {value}")
+    return value
+
+
+class _Spec:
+    """A group's value, its members checked against `_GROUPS` at construction."""
 
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        self.velocity = np.asarray(self.velocity, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(self.position)) and np.all(np.isfinite(self.velocity))
-                and math.isfinite(self.rcs)):
-            raise ConfigurationError("target position, velocity and rcs must be finite")
-        if self.rcs < 0:
-            raise ConfigurationError(f"target rcs must be non-negative, got {self.rcs}")
+        group = next(g for g, (_, spec, _) in _GROUPS.items() if spec is type(self))
+        for name, (kind, bound) in _GROUPS[group][2].items():
+            object.__setattr__(self, name, _checked(getattr(self, name), kind, bound,
+                                                    f"{group}.{name}"))
 
 
-@dataclass
-class DiscreteSpec:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class TargetSpec(_Spec):
+    position: np.ndarray         # (3,) m ENU
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m/s
+    rcs: float                   # m^2
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class DiscreteSpec(_Spec):
     """A strong stationary point scatterer that belongs to the clutter."""
 
     position: np.ndarray         # (3,) m ENU
     rcs: float                   # m^2
 
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class TransmitterSpec(_Spec):
+    """An extra MIMO transmitter: its position at time 0 and its constant
+    velocity, checked as `terrain.PlatformState` checks a platform."""
+
+    position: np.ndarray         # (3,) m ENU
+    velocity: np.ndarray = field(default_factory=lambda: np.zeros(3))   # (3,) m/s
+
     def __post_init__(self):
-        self.position = np.asarray(self.position, dtype=np.float64).reshape(3)
-        if not (np.all(np.isfinite(self.position)) and math.isfinite(self.rcs)):
-            raise ConfigurationError("discrete position and rcs must be finite")
-        if self.rcs < 0:
-            raise ConfigurationError(f"discrete rcs must be non-negative, got {self.rcs}")
+        super().__post_init__()
+        if self.position[2] < 0:
+            raise ConfigurationError("mimo.N.position altitude must be non-negative")
 
 
-@dataclass
-class BuildingGrid:
+@dataclass(frozen=True, eq=False, kw_only=True)
+class BuildingGrid(_Spec):
     """Rectangular block of identical buildings.
 
     Buildings raise the local terrain by `height` and scatter as
@@ -91,15 +136,6 @@ class BuildingGrid:
     footprint: float = 30.0      # m
     height: float = 6.0          # m
 
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=np.float64).reshape(2)
-        if self.rows < 1 or self.cols < 1:
-            raise ConfigurationError("building grid needs at least one row and column")
-        if not np.all(np.isfinite(self.origin)):
-            raise ConfigurationError("building origin must be finite")
-        if not (0 < self.footprint < math.inf and 0 < self.height < math.inf):
-            raise ConfigurationError("building footprint and height must be positive and finite")
-
     def centers(self) -> np.ndarray:
         """(rows * cols, 2) building centers, row-major from the SW corner."""
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))
@@ -108,9 +144,10 @@ class BuildingGrid:
         return np.column_stack([cx, cy])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Complete description of one simulation run."""
+    """Complete description of one simulation run, checked at
+    construction against `_KEYS` and `_GROUPS`."""
 
     name: str = "scenario"
     # radar
@@ -150,12 +187,31 @@ class Scenario:
     clutter_doppler_std_hz: float = 0.0
     deterministic_clutter_phase: bool = False
     # content
-    targets: list[TargetSpec] = field(default_factory=list)
-    discretes: list[DiscreteSpec] = field(default_factory=list)
+    targets: tuple[TargetSpec, ...] = ()
+    discretes: tuple[DiscreteSpec, ...] = ()
     buildings: BuildingGrid | None = None
-    mimo_tx: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    mimo_tx: tuple[TransmitterSpec, ...] = ()
     # run
     seed: int = 1
+
+    def __post_init__(self):
+        for key, (kind, attr, bound) in _KEYS.items():
+            value = getattr(self, attr)
+            if value is not None:
+                object.__setattr__(self, attr, _checked(value, kind, bound, key))
+        for group, (attr, spec, _) in _GROUPS.items():
+            if group.endswith(".N"):
+                object.__setattr__(self, attr, tuple(getattr(self, attr)))
+            if not all(isinstance(s, spec) for s in _specs(self, group)):
+                raise ConfigurationError(f"{attr} must hold {spec.__name__}s")
+        if self.rx_velocity is not None and self.rx_position is None:
+            raise ConfigurationError("platform.rx_velocity needs platform.rx_position; "
+                                     "a monostatic receiver moves with the transmitter")
+        if self.sample_rate < self.bandwidth_hz:
+            raise ConfigurationError(
+                "radar.sample_rate must be at least radar.bandwidth")
+        if not math.isfinite(self.pulse_duration_s * self.sample_rate):
+            raise ConfigurationError("radar.pulse_duration spans too many samples")
 
     @property
     def wavelength(self) -> float:
@@ -188,129 +244,94 @@ class Scenario:
             return self.scattering_table
         return scattering.default_table()
 
-    def validate(self) -> None:
-        for key, (kind, attr) in _KEYS.items():
-            value = getattr(self, attr)
-            if kind in (_FLOAT, _VEC3) and value is not None and not np.all(np.isfinite(value)):
-                raise ConfigurationError(f"{key} must be finite")
-        checks = [
-            ("radar.carrier", self.carrier_hz > 0),
-            ("radar.bandwidth", self.bandwidth_hz > 0),
-            ("radar.prf", self.prf_hz > 0),
-            ("radar.pulses", self.num_pulses >= 1),
-            ("radar.channels", self.num_channels >= 1),
-            ("radar.cpis", self.num_cpis >= 1),
-            ("radar.sample_rate", self.sample_rate_hz >= 0),
-            ("radar.pulse_duration", self.pulse_duration_s > 0),
-            ("radar.noise_power", self.noise_power >= 0),
-            ("radar.swath", self.swath_m > 0),
-            ("radar.cpi_interval", self.cpi_interval_s >= 0),
-            ("array.spacing", self.array_spacing_m >= 0),
-            ("array.cosine_exponent", self.cosine_exponent >= 0),
-            ("terrain.patch_size", self.patch_size_m > 0),
-            ("ocean.wind_speed", self.wind_speed_mps >= 0),
-            ("clutter.doppler_std", self.clutter_doppler_std_hz >= 0),
-            ("sim.seed", self.seed >= 0),
-        ]
-        for key, ok in checks:
-            if not ok:
-                raise ConfigurationError(f"invalid value for {key}")
-        if self.sample_rate < self.bandwidth_hz:
-            raise ConfigurationError(
-                "radar.sample_rate must be at least radar.bandwidth")
-        if not math.isfinite(self.pulse_duration_s * self.sample_rate):
-            raise ConfigurationError("radar.pulse_duration spans too many samples")
 
+# --- the schema --------------------------------------------------------------
 
-# --- text format -------------------------------------------------------------
-
-_FLOAT = "float"
-_INT = "int"
-_VEC3 = "vec3"
-_VEC2 = "vec2"
-_STR = "str"
-_BOOL = "bool"
-
-# key -> (value type, Scenario attribute)
-_KEYS: dict[str, tuple[str, str]] = {
-    "scenario.name": (_STR, "name"),
-    "radar.carrier": (_FLOAT, "carrier_hz"),
-    "radar.bandwidth": (_FLOAT, "bandwidth_hz"),
-    "radar.prf": (_FLOAT, "prf_hz"),
-    "radar.pulses": (_INT, "num_pulses"),
-    "radar.channels": (_INT, "num_channels"),
-    "radar.cpis": (_INT, "num_cpis"),
-    "radar.sample_rate": (_FLOAT, "sample_rate_hz"),
-    "radar.pulse_duration": (_FLOAT, "pulse_duration_s"),
-    "radar.noise_power": (_FLOAT, "noise_power"),
-    "radar.swath": (_FLOAT, "swath_m"),
-    "radar.cpi_interval": (_FLOAT, "cpi_interval_s"),
-    "platform.tx_position": (_VEC3, "tx_position"),
-    "platform.tx_velocity": (_VEC3, "tx_velocity"),
-    "platform.rx_position": (_VEC3, "rx_position"),
-    "platform.rx_velocity": (_VEC3, "rx_velocity"),
-    "array.spacing": (_FLOAT, "array_spacing_m"),
-    "array.axis": (_VEC3, "array_axis"),
-    "array.boresight": (_VEC3, "boresight"),
-    "array.cosine_exponent": (_FLOAT, "cosine_exponent"),
-    "terrain.dem": (_STR, "dem_path"),
-    "terrain.landcover": (_STR, "landcover_path"),
-    "terrain.patch_size": (_FLOAT, "patch_size_m"),
-    "scattering.table": (_STR, "scattering_path"),
-    "scattering.band": (_STR, "band"),
-    "ocean.wind_speed": (_FLOAT, "wind_speed_mps"),
-    "ocean.wind_direction": (_FLOAT, "wind_direction_rad"),
-    "clutter.doppler_std": (_FLOAT, "clutter_doppler_std_hz"),
-    "clutter.deterministic_phase": (_BOOL, "deterministic_clutter_phase"),
-    "sim.seed": (_INT, "seed"),
-}
-
-_GROUP_KEYS = {
-    "target": {"position": _VEC3, "velocity": _VEC3, "rcs": _FLOAT},
-    "discrete": {"position": _VEC3, "rcs": _FLOAT},
-    "mimo": {"position": _VEC3, "velocity": _VEC3},
-}
-
-_BUILDING_KEYS = {
-    "buildings.origin": (_VEC2, "origin"),
-    "buildings.rows": (_INT, "rows"),
-    "buildings.cols": (_INT, "cols"),
-    "buildings.footprint": (_FLOAT, "footprint"),
-    "buildings.height": (_FLOAT, "height"),
+# key -> (value kind, Scenario field, bound)
+_KEYS: dict[str, tuple[str, str, str | None]] = {
+    "scenario.name": (_STR, "name", None),
+    "radar.carrier": (_FLOAT, "carrier_hz", "> 0"),
+    "radar.bandwidth": (_FLOAT, "bandwidth_hz", "> 0"),
+    "radar.prf": (_FLOAT, "prf_hz", "> 0"),
+    "radar.pulses": (_INT, "num_pulses", ">= 1"),
+    "radar.channels": (_INT, "num_channels", ">= 1"),
+    "radar.cpis": (_INT, "num_cpis", ">= 1"),
+    "radar.sample_rate": (_FLOAT, "sample_rate_hz", ">= 0"),
+    "radar.pulse_duration": (_FLOAT, "pulse_duration_s", "> 0"),
+    "radar.noise_power": (_FLOAT, "noise_power", ">= 0"),
+    "radar.swath": (_FLOAT, "swath_m", "> 0"),
+    "radar.cpi_interval": (_FLOAT, "cpi_interval_s", ">= 0"),
+    "platform.tx_position": (_VEC3, "tx_position", None),
+    "platform.tx_velocity": (_VEC3, "tx_velocity", None),
+    "platform.rx_position": (_VEC3, "rx_position", None),
+    "platform.rx_velocity": (_VEC3, "rx_velocity", None),
+    "array.spacing": (_FLOAT, "array_spacing_m", ">= 0"),
+    "array.axis": (_VEC3, "array_axis", None),
+    "array.boresight": (_VEC3, "boresight", None),
+    "array.cosine_exponent": (_FLOAT, "cosine_exponent", ">= 0"),
+    "terrain.dem": (_STR, "dem_path", None),
+    "terrain.landcover": (_STR, "landcover_path", None),
+    "terrain.patch_size": (_FLOAT, "patch_size_m", "> 0"),
+    "scattering.table": (_STR, "scattering_path", None),
+    "scattering.band": (_STR, "band", None),
+    "ocean.wind_speed": (_FLOAT, "wind_speed_mps", ">= 0"),
+    "ocean.wind_direction": (_FLOAT, "wind_direction_rad", None),
+    "clutter.doppler_std": (_FLOAT, "clutter_doppler_std_hz", ">= 0"),
+    "clutter.deterministic_phase": (_BOOL, "deterministic_clutter_phase", None),
+    "sim.seed": (_INT, "seed", ">= 0"),
 }
 
 _REQUIRED = ("radar.carrier", "radar.prf")
 
+# group -> (Scenario field, spec class, member -> (value kind, bound)), in
+# canonical order; a group ending in ".N" is numbered (`target.1.rcs`) and
+# its field holds a tuple of specs, the others hold one spec or None.
+# A member with a default in its spec class is optional.
+_GROUPS: dict[str, tuple[str, type, dict[str, tuple[str, str | None]]]] = {
+    "target.N": ("targets", TargetSpec, {"position": (_VEC3, None),
+                                         "velocity": (_VEC3, None),
+                                         "rcs": (_FLOAT, ">= 0")}),
+    "discrete.N": ("discretes", DiscreteSpec, {"position": (_VEC3, None),
+                                               "rcs": (_FLOAT, ">= 0")}),
+    "mimo.N": ("mimo_tx", TransmitterSpec, {"position": (_VEC3, None),
+                                            "velocity": (_VEC3, None)}),
+    "buildings": ("buildings", BuildingGrid, {"origin": (_VEC2, None),
+                                              "rows": (_INT, ">= 1"),
+                                              "cols": (_INT, ">= 1"),
+                                              "footprint": (_FLOAT, "> 0"),
+                                              "height": (_FLOAT, "> 0")}),
+}
+
+
+def _specs(scn: Scenario, group: str) -> tuple:
+    """The specs that `scn` holds for `group`, in order."""
+    value = getattr(scn, _GROUPS[group][0])
+    if group.endswith(".N"):
+        return value
+    return () if value is None else (value,)
+
+
+# --- text format -------------------------------------------------------------
+
+_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
 
 def _parse_value(kind: str, raw: str, key: str, lineno: int):
+    if kind == _STR:
+        return raw.strip()
     parts = raw.split()
     try:
-        if kind == _FLOAT:
-            (v,) = parts
-            return float(v)
+        if len(parts) != {_VEC3: 3, _VEC2: 2}.get(kind, 1):
+            raise ValueError(f"{len(parts)} fields")
         if kind == _INT:
-            (v,) = parts
-            return int(v)
-        if kind == _VEC3:
-            x, y, z = parts
-            return np.array([float(x), float(y), float(z)])
-        if kind == _VEC2:
-            x, y = parts
-            return np.array([float(x), float(y)])
+            return int(parts[0])
         if kind == _BOOL:
-            (v,) = parts
-            lv = v.lower()
-            if lv in ("1", "true", "yes"):
-                return True
-            if lv in ("0", "false", "no"):
-                return False
-            raise ValueError(v)
-        if kind == _STR:
-            return raw.strip()
-    except ValueError as exc:
+            return _BOOLS[parts[0].lower()]
+        numbers = [float(p) for p in parts]
+    except (ValueError, KeyError) as exc:
         raise ConfigurationError(
             f"line {lineno}: bad value for {key}: {raw!r}") from exc
-    raise ConfigurationError(f"line {lineno}: unhandled value kind {kind}")
+    return numbers[0] if kind == _FLOAT else np.array(numbers)
 
 
 def parse_scenario(text: str, base_dir=None) -> Scenario:
@@ -319,12 +340,8 @@ def parse_scenario(text: str, base_dir=None) -> Scenario:
     `base_dir` resolves relative file references (defaults to the
     working directory).
     """
-    import os
-
-    scn = Scenario()
-    seen: set[str] = set()
-    groups: dict[tuple[str, int], dict[str, object]] = {}
-    building_fields: dict[str, object] = {}
+    values: dict[str, object] = {}      # Scenario field -> value
+    members: dict[tuple[str, int], dict[str, object]] = {}   # (group, index) -> values
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -332,61 +349,37 @@ def parse_scenario(text: str, base_dir=None) -> Scenario:
             continue
         if "=" not in stripped:
             raise ConfigurationError(f"line {lineno}: expected 'key = value', got {stripped!r}")
-        key, raw = stripped.split("=", 1)
-        key = key.strip()
-        raw = raw.strip()
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        prefix, _, name = key.rpartition(".")
+        head, _, index = prefix.partition(".")
+        group = head if not index else f"{head}.N" if index.isdecimal() else None
         if key in _KEYS:
-            kind, attr = _KEYS[key]
-            if key in seen:
-                raise ConfigurationError(f"line {lineno}: duplicate key {key}")
-            seen.add(key)
-            setattr(scn, attr, _parse_value(kind, raw, key, lineno))
-            continue
-        if key in _BUILDING_KEYS:
-            kind, attr = _BUILDING_KEYS[key]
-            if attr in building_fields:
-                raise ConfigurationError(f"line {lineno}: duplicate key {key}")
-            building_fields[attr] = _parse_value(kind, raw, key, lineno)
-            continue
-        parts = key.split(".")
-        if len(parts) == 3 and parts[0] in _GROUP_KEYS and parts[1].isdigit():
-            group, idx, fieldname = parts[0], int(parts[1]), parts[2]
-            fields = _GROUP_KEYS[group]
-            if fieldname not in fields:
-                raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
-            slot = groups.setdefault((group, idx), {})
-            if fieldname in slot:
-                raise ConfigurationError(f"line {lineno}: duplicate key {key}")
-            slot[fieldname] = _parse_value(fields[fieldname], raw, key, lineno)
-            continue
-        raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+            kind, name, _ = _KEYS[key]
+            slot = values
+        elif group in _GROUPS and name in _GROUPS[group][2]:
+            kind, _ = _GROUPS[group][2][name]
+            slot = members.setdefault((group, int(index or 0)), {})
+        else:
+            raise ConfigurationError(f"line {lineno}: unknown key {key!r}")
+        if name in slot:
+            raise ConfigurationError(f"line {lineno}: duplicate key {key}")
+        slot[name] = _parse_value(kind, raw, key, lineno)
 
     for req in _REQUIRED:
-        if req not in seen:
+        if _KEYS[req][1] not in values:
             raise ConfigurationError(f"missing required key {req}")
 
-    for (group, idx) in sorted(groups):
-        slot = groups[(group, idx)]
-        if group == "target":
-            if "position" not in slot or "rcs" not in slot:
-                raise ConfigurationError(f"target.{idx} needs position and rcs")
-            scn.targets.append(TargetSpec(position=slot["position"],
-                                          velocity=slot.get("velocity", np.zeros(3)),
-                                          rcs=slot["rcs"]))
-        elif group == "discrete":
-            if "position" not in slot or "rcs" not in slot:
-                raise ConfigurationError(f"discrete.{idx} needs position and rcs")
-            scn.discretes.append(DiscreteSpec(position=slot["position"], rcs=slot["rcs"]))
-        elif group == "mimo":
-            if "position" not in slot:
-                raise ConfigurationError(f"mimo.{idx} needs position")
-            scn.mimo_tx.append((slot["position"], slot.get("velocity", np.zeros(3))))
-
-    if building_fields:
-        for needed in ("origin", "rows", "cols"):
-            if needed not in building_fields:
-                raise ConfigurationError(f"buildings group needs buildings.{needed}")
-        scn.buildings = BuildingGrid(**building_fields)
+    for (group, index), slot in sorted(members.items()):
+        attr, spec, _ = _GROUPS[group]
+        prefix = group.replace(".N", f".{index}")
+        missing = [f"{prefix}.{f.name}" for f in fields(spec) if f.name not in slot
+                   and f.default is MISSING and f.default_factory is MISSING]
+        if missing:
+            raise ConfigurationError(f"{prefix} needs {' and '.join(missing)}")
+        if group.endswith(".N"):
+            values.setdefault(attr, []).append(spec(**slot))
+        else:
+            values[attr] = spec(**slot)
 
     def _resolve(p: str) -> str:
         if base_dir is not None and not os.path.isabs(p):
@@ -394,24 +387,22 @@ def parse_scenario(text: str, base_dir=None) -> Scenario:
         return p
 
     try:
-        if scn.dem_path:
-            scn.dem = read_dem(_resolve(scn.dem_path))
-        if scn.landcover_path:
-            scn.landcover = read_landcover(_resolve(scn.landcover_path))
-        if scn.scattering_path:
-            scn.scattering_table = scattering.read_scattering_table(_resolve(scn.scattering_path))
+        for path_field, attr, read in (("dem_path", "dem", read_dem),
+                                       ("landcover_path", "landcover", read_landcover),
+                                       ("scattering_path", "scattering_table",
+                                        scattering.read_scattering_table)):
+            if values.get(path_field):
+                values[attr] = read(_resolve(values[path_field]))
     except FileNotFoundError as exc:
         raise ConfigurationError(f"referenced file not found: {exc.filename}") from exc
     except OSError as exc:
         raise ConfigurationError(
             f"cannot read referenced file {exc.filename}: {exc.strerror}") from exc
 
-    scn.validate()
-    return scn
+    return Scenario(**values)
 
 
 def load_scenario(path) -> Scenario:
-    import os
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
     return parse_scenario(text, base_dir=os.path.dirname(os.fspath(path)) or ".")
@@ -435,29 +426,12 @@ def scenario_text(scn: Scenario) -> str:
     parse_scenario(scenario_text(s)) reproduces s (raster payloads are
     carried by the referenced files, not the text).
     """
-    lines = []
-    for key, (kind, attr) in _KEYS.items():
-        v = getattr(scn, attr)
-        if v is None:
-            continue
-        lines.append(f"{key} = {_fmt(v)}")
-    for i, t in enumerate(scn.targets, start=1):
-        lines.append(f"target.{i}.position = {_fmt(t.position)}")
-        lines.append(f"target.{i}.velocity = {_fmt(t.velocity)}")
-        lines.append(f"target.{i}.rcs = {_fmt(t.rcs)}")
-    for i, d in enumerate(scn.discretes, start=1):
-        lines.append(f"discrete.{i}.position = {_fmt(d.position)}")
-        lines.append(f"discrete.{i}.rcs = {_fmt(d.rcs)}")
-    for i, (pos, vel) in enumerate(scn.mimo_tx, start=1):
-        lines.append(f"mimo.{i}.position = {_fmt(pos)}")
-        lines.append(f"mimo.{i}.velocity = {_fmt(vel)}")
-    if scn.buildings is not None:
-        b = scn.buildings
-        lines.append(f"buildings.origin = {_fmt(b.origin)}")
-        lines.append(f"buildings.rows = {_fmt(b.rows)}")
-        lines.append(f"buildings.cols = {_fmt(b.cols)}")
-        lines.append(f"buildings.footprint = {_fmt(b.footprint)}")
-        lines.append(f"buildings.height = {_fmt(b.height)}")
+    lines = [f"{key} = {_fmt(getattr(scn, attr))}" for key, (_, attr, _) in _KEYS.items()
+             if getattr(scn, attr) is not None]
+    for group, (_, _, kinds) in _GROUPS.items():
+        for i, spec in enumerate(_specs(scn, group), start=1):
+            prefix = group.replace(".N", f".{i}")
+            lines.extend(f"{prefix}.{name} = {_fmt(getattr(spec, name))}" for name in kinds)
     return "\n".join(lines) + "\n"
 
 
@@ -565,7 +539,7 @@ def generate_scenario1(scale: float = DESK_SCALE, seed: int = 1) -> Scenario:
         wind_speed_mps=0.0,
         # Boats sit offshore (west of the 6 km coastline) with radial
         # speeds that put them past the mainlobe clutter ridge.
-        targets=[
+        targets=(
             # 1: fast boat the beam sweeps onto mid-run
             TargetSpec(position=np.array([4700.0, 2850.0, 0.0]),
                        velocity=np.array([16.0, 0.0, 0.0]), rcs=200.0),
@@ -579,11 +553,11 @@ def generate_scenario1(scale: float = DESK_SCALE, seed: int = 1) -> Scenario:
             #    CPI; the advancing beam reaches it in the later CPIs
             TargetSpec(position=np.array([3900.0, 2700.0, 0.0]),
                        velocity=np.array([16.0, 0.0, 0.0]), rcs=8.0),
-        ],
-        discretes=[
+        ),
+        discretes=(
             DiscreteSpec(position=np.array([8600.0, 2600.0, 40.0]), rcs=3000.0),
             DiscreteSpec(position=np.array([9800.0, 5200.0, 55.0]), rcs=2500.0),
-        ],
+        ),
         seed=seed,
     )
     return scn

@@ -11,6 +11,8 @@ import time
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.special import j0
 
 from rfclutter import pipeline, terrain
 from rfclutter.antenna import ArrayGeometry
@@ -432,6 +434,35 @@ def test_12_dataset_round_trip_and_full_size_dims(tmp_path):
           f"read/re-export; full-size dims {dims}")
 
 
+RING_CELL, RING_CELLS, RING_HEIGHT = 10.0, 410, 500.0
+RING_EDGES = range(18, 67, 8)       # taps: slant ranges 525 m to 1.96 km
+
+
+def ring_budget(**overrides):
+    """An isotropic monostatic radar (cosine exponent 0, boresight down)
+    RING_HEIGHT over the center of flat grass, RING_CELLS square cells
+    of RING_CELL a side, one patch per cell.  Returns the scenario, the
+    CPI 0 patch gains, each patch's tap and the range of one tap."""
+    cell, n, h = RING_CELL, RING_CELLS, RING_HEIGHT
+    base = dict(
+        name="rings", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
+        num_pulses=1, num_channels=1, num_cpis=1, pulse_duration_s=1e-6,
+        noise_power=0.0, swath_m=1980.0,
+        tx_position=np.array([n * cell / 2.0, n * cell / 2.0, h]), tx_velocity=np.zeros(3),
+        boresight=np.array([0.0, 0.0, -1.0]), cosine_exponent=0.0,
+        dem=ElevationGrid(heights=np.zeros((n, n)), cell_size=cell), patch_size_m=cell,
+    )
+    scn = Scenario(**{**base, **overrides})
+    scene = pipeline.build_scene(scn)
+    tx, rx = pipeline.platform_states(scn, 0)
+    timing = scn.timing()
+    assert RING_EDGES[-1] <= timing.num_taps
+    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn), timing)
+    slant = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
+    taps = np.round(2.0 * slant / C * timing.sample_rate)
+    return scn, budget.gains, taps, C / (2.0 * timing.sample_rate)
+
+
 def test_13_monostatic_ring_clutter_power_matches_the_closed_form():
     """Constant-gamma clutter under an isotropic monostatic radar over
     flat ground: the patch gains summed over whole taps equal the ring
@@ -457,24 +488,10 @@ def test_13_monostatic_ring_clutter_power_matches_the_closed_form():
         ((R + a / sqrt(2)) / (R - a / sqrt(2)))^5.
     The bound is the sum of the two, about cell size / ring width.
     """
-    cell, n, h = 10.0, 410, 500.0
-    scn = Scenario(
-        name="rings", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
-        num_pulses=1, num_channels=1, num_cpis=1, pulse_duration_s=1e-6,
-        noise_power=0.0, swath_m=1980.0,
-        tx_position=np.array([n * cell / 2.0, n * cell / 2.0, h]), tx_velocity=np.zeros(3),
-        boresight=np.array([0.0, 0.0, -1.0]), cosine_exponent=0.0,
-        dem=ElevationGrid(heights=np.zeros((n, n)), cell_size=cell), patch_size_m=cell,
-    )
-    scene = pipeline.build_scene(scn)
-    tx, rx = pipeline.platform_states(scn, 0)
-    timing = scn.timing()
-    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn), timing)
-    slant = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
-    taps = np.round(2.0 * slant / C * timing.sample_rate)
+    cell, n, h = RING_CELL, RING_CELLS, RING_HEIGHT
+    scn, gains, taps, tap_range = ring_budget()
     gamma = 10.0 ** (scn.table().lookup(GRASS, scn.band).gamma_db / 10.0)
     scale = gamma * scn.wavelength ** 2 * 2.0 * math.pi * h / (3.0 * (4.0 * math.pi) ** 3)
-    tap_range = C / (2.0 * timing.sample_rate)
     half_diagonal = cell / math.sqrt(2.0)
 
     def power(r1, r2):
@@ -484,13 +501,12 @@ def test_13_monostatic_ring_clutter_power_matches_the_closed_form():
         return math.hypot(ground, h)
 
     worst = 0.0
-    edges = range(18, 67, 8)       # slant ranges 525 m to 1.96 km
-    for lo, hi in zip(edges[:-1], edges[1:]):
+    for lo, hi in zip(RING_EDGES[:-1], RING_EDGES[1:]):
         r1, r2 = (lo - 0.5) * tap_range, (hi - 0.5) * tap_range
         rho1, rho2 = math.sqrt(r1 ** 2 - h ** 2), math.sqrt(r2 ** 2 - h ** 2)
-        assert rho2 + half_diagonal < n * cell / 2.0 and hi <= timing.num_taps
+        assert rho2 + half_diagonal < n * cell / 2.0
         want = power(r1, r2)
-        got = float(budget.gains[(taps >= lo) & (taps < hi)].sum())
+        got = float(gains[(taps >= lo) & (taps < hi)].sum())
         bands = sum(power(slant_of(rho - half_diagonal), slant_of(rho + half_diagonal))
                     for rho in (rho1, rho2))
         near = slant_of(rho1 - half_diagonal)
@@ -577,3 +593,92 @@ def test_14_a_wall_shadows_the_ground_out_to_its_geometric_shadow_edge():
     print(f"ACCEPTANCE 14: PASS - {np.count_nonzero(shadow)} patches dark from "
           f"{rho0 + cell:.0f} to {rho_sure:.0f} m, the {np.count_nonzero(before)} before the "
           f"wall and the {np.count_nonzero(beyond)} beyond {rho_s:.0f} m unchanged")
+
+
+def test_15_transmit_array_pattern_ring_power_matches_the_bessel_closed_form():
+    """Test 13's rings under a transmit array: N uniform elements spaced
+    d along a horizontal axis, weighted alike, multiply each patch gain
+    by A = |AF|^2 = sum_{m,n} exp(j (m - n) psi), psi = kappa <axis, r>
+    for the unit vector r from the array to the patch and kappa =
+    2 pi d / lambda.  At grazing angle psi_g and azimuth phi from the
+    axis, psi = kappa cos(psi_g) cos(phi), and the azimuthal mean of
+    exp(j k psi) is J0(k kappa cos psi_g), so
+
+        <A>(R) = N + 2 sum_{k=1}^{N-1} (N - k) J0(k kappa cos psi_g(R)),
+
+    and the taps with slant range in [R1, R2) hold
+
+        gamma lambda^2 h / (4 pi)^3  int_R1^R2 2 pi <A> R^-4 dR,
+
+    integrated by `quad`.  The bound is test 13's, with f = A R^-5 (up
+    to the constant factor) in place of R^-5:
+      - the misplaced area lies within a / sqrt(2) of an edge in ground
+        range; its power is at most that of the two bands, which the
+        same integral gives;
+      - a cell inside the ring is summed at its center, the midpoint
+        rule, whose error is at most a^4 / 12 times the largest second
+        derivative of f along any ground direction e.  Along e the unit
+        vector r turns at most 1 / R and bends at most (2 / sqrt 3) / R^2,
+        and R changes at most 1 and bends at most 1 / R, so
+        |d_e psi| <= kappa / R, |d_ee psi| <= (2 / sqrt 3) kappa / R^2,
+        |d_e R^-5| <= 5 R^-6 and |d_ee R^-5| <= 30 R^-7.  A's cosine
+        series has |A| <= N^2, |A'| <= A1 = N (N^2 - 1) / 3 and
+        |A''| <= A2 = N^2 (N^2 - 1) / 6, so
+        |d_ee f| <= (A2 kappa^2 + (10 + 2 / sqrt 3) A1 kappa + 30 N^2) R^-7;
+        R^-7 varies across a cell by at most ((R + a / sqrt 2) /
+        (R - a / sqrt 2))^7, and a^2 R^-5 at a center is at most the
+        cell's integral of R^-5 times the same ratio to the fifth, so the
+        cells sum to at most a^2 / 12 times that bracket over the nearest
+        R^2, times the ratio to the twelfth, times test 13's R^-5 ring
+        power over the ring widened by a / sqrt 2.
+    The bound is the sum of the two over the ring's power.
+    """
+    cell, h = RING_CELL, RING_HEIGHT
+    elements, spacing_in_wavelengths = 4, 0.6
+    wavelength = C / 10e9
+    scn, gains, taps, tap_range = ring_budget(
+        num_channels=elements, array_axis=np.array([1.0, 0.0, 0.0]),
+        array_spacing_m=spacing_in_wavelengths * wavelength)
+    assert scn.wavelength == wavelength
+    kappa = 2.0 * math.pi * spacing_in_wavelengths
+    gamma = 10.0 ** (scn.table().lookup(GRASS, scn.band).gamma_db / 10.0)
+    constant = gamma * wavelength ** 2 * h / (4.0 * math.pi) ** 3
+    half_diagonal = cell / math.sqrt(2.0)
+    a1 = elements * (elements ** 2 - 1) / 3.0
+    a2 = elements ** 2 * (elements ** 2 - 1) / 6.0
+    bracket = (a2 * kappa ** 2 + (10.0 + 2.0 / math.sqrt(3.0)) * a1 * kappa
+               + 30.0 * elements ** 2)
+
+    def mean_af(r):
+        u = kappa * math.sqrt(r * r - h * h) / r
+        return elements + 2.0 * sum((elements - k) * j0(k * u) for k in range(1, elements))
+
+    def power(r1, r2):
+        integral, _ = quad(lambda r: 2.0 * math.pi * mean_af(r) * r ** -4, r1, r2,
+                           epsabs=0.0, epsrel=1e-10)
+        return constant * integral
+
+    def isotropic_power(r1, r2):
+        return constant * 2.0 * math.pi * (r1 ** -3 - r2 ** -3) / 3.0
+
+    def slant_of(ground):
+        return math.hypot(ground, h)
+
+    worst = 0.0
+    for lo, hi in zip(RING_EDGES[:-1], RING_EDGES[1:]):
+        r1, r2 = (lo - 0.5) * tap_range, (hi - 0.5) * tap_range
+        rho1, rho2 = math.sqrt(r1 ** 2 - h ** 2), math.sqrt(r2 ** 2 - h ** 2)
+        assert rho2 + half_diagonal < RING_CELLS * cell / 2.0
+        want = power(r1, r2)
+        got = float(gains[(taps >= lo) & (taps < hi)].sum())
+        bands = sum(power(slant_of(rho - half_diagonal), slant_of(rho + half_diagonal))
+                    for rho in (rho1, rho2))
+        near = slant_of(rho1 - half_diagonal)
+        midpoint = (cell ** 2 / 12.0 * bracket / near ** 2
+                    * ((near + half_diagonal) / (near - half_diagonal)) ** 12
+                    * isotropic_power(near, slant_of(rho2 + half_diagonal)))
+        bound = (bands + midpoint) / want
+        assert abs(got / want - 1.0) <= bound, (lo, hi, got / want, bound)
+        worst = max(worst, abs(got / want - 1.0))
+    print(f"ACCEPTANCE 15: PASS - {elements}-element transmit pattern ring power within "
+          f"{worst:.2e} of the Bessel closed form")

@@ -23,7 +23,7 @@ from rfclutter.scattering import GRASS
 from rfclutter.scenario import DESK_SCALE, generate_scenario1, generate_scenario2
 from rfclutter.terrain import PatchArrays, PlatformState
 
-from oracles import bistatic_delay_doppler, patch_response
+from oracles import bistatic_delay_doppler, ir_blob, patch_response
 
 WAVELENGTH = 0.03
 
@@ -241,6 +241,27 @@ def test_rates_must_be_finite(bad):
         ChannelImpulseResponse(taps=taps, sample_rate=bad, prf=1e3)
     with pytest.raises(ConfigurationError):
         ChannelImpulseResponse(taps=taps, sample_rate=5e6, prf=bad)
+
+
+@pytest.mark.parametrize("n, m", [(0, 2), (1, 0), (0, 0)])
+def test_a_channel_with_no_channels_or_pulses_is_rejected_as_its_file_is(tmp_path, n, m):
+    """Construction refuses N = 0 or M = 0 as `read_ir` refuses a file
+    that declares them, so no channel is written that cannot be read;
+    K = 0 occupied taps is a channel in memory and on disk alike."""
+    with pytest.raises(ConfigurationError, match="N, M >= 1"):
+        ChannelImpulseResponse(taps=np.zeros((n, m, 3), dtype=np.complex64),
+                               sample_rate=5e6, prf=1e3)
+    with pytest.raises(ConfigurationError, match="N, M >= 1"):
+        ChannelImpulseResponse.from_dense(np.ones((n, m, 3)), sample_rate=5e6, prf=1e3)
+    path = tmp_path / "empty.rfgir"
+    path.write_bytes(ir_blob(n, m, 3, [0, 1, 2]))
+    with pytest.raises(ConfigurationError, match="empty array"):
+        read_ir(path)
+    quiet = ChannelImpulseResponse(taps=np.zeros((1, 2, 0), dtype=np.complex64),
+                                   sample_rate=5e6, prf=1e3, support=[], num_taps=4)
+    write_ir(path, quiet)
+    back = read_ir(path)
+    assert back.taps.shape == (1, 2, 0) and back.num_taps == 4
 
 
 def write_ir_with_delay_origin(path, delay_origin):

@@ -531,6 +531,29 @@ def test_mimo_sim_with_a_transmitter_that_reaches_nothing_exits_2_and_writes_not
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("extra, table, message", [
+    ("mimo.1.position = 0 nan 0\n", None, "mimo.N.position"),
+    ("mimo.1.position = 0 0 -5\n", None, "altitude"),
+    ("scattering.table = sigma.txt\n", "1 X nan\n", "sigma.txt: line 1"),
+    ("scattering.table = sigma.txt\n", "1 X -15 1e5\n", "cross sections"),
+], ids=["mimo-nan", "mimo-below-ground", "table-nan", "table-overflow"])
+def test_simulate_with_a_bad_transmitter_or_reflectivity_exits_2_and_writes_no_manifest(
+        scenario_file, tmp_path, capsys, extra, table, message):
+    """A non-finite or below-ground `mimo.N.position`, a non-finite
+    reflectivity entry and a polynomial whose sigma0 overflows each
+    make `simulate` exit 2 with one error line, and no dataset is
+    written that `inspect` could not read."""
+    if table is not None:
+        (scenario_file.parent / "sigma.txt").write_text(table)
+    bad = scenario_file.parent / "bad.txt"
+    bad.write_text(scenario_file.read_text() + extra)
+    out = tmp_path / "out"
+    assert main(["simulate", "--scenario", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and message in err and "Traceback" not in err
+    assert not (out / "manifest.txt").exists()
+
+
 def test_last_valid_indices_run(scenario_file, tmp_path):
     out = tmp_path / "out"
     assert main(["cofar-optimize", "--cpi", "1", "--pulse", "7", "--channel", "1",

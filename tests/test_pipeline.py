@@ -25,8 +25,8 @@ from rfclutter.errors import ConfigurationError
 from rfclutter.mimo import simulate_mimo_cube
 from rfclutter.ocean import pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
-                                Scenario, TargetSpec, generate_scenario1,
-                                generate_scenario2)
+                                Scenario, TargetSpec, TransmitterSpec,
+                                generate_scenario1, generate_scenario2)
 from rfclutter.scattering import URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
 from rfclutter.terrain import (LOS_CLEARANCE_M, ClassGrid, ElevationGrid, grazing_angles,
@@ -204,7 +204,7 @@ def half_water_cover():
     return ClassGrid(classes=classes, cell_size=30.0)
 
 
-EXTRA_TX = (np.array([300.0, 100.0, 400.0]), np.array([15.0, 0.0, 0.0]))
+EXTRA_TX = TransmitterSpec(position=[300.0, 100.0, 400.0], velocity=[15.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("cpi, options", [
@@ -226,7 +226,7 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
     not only at the defaults; the other transmitters see other
     channels."""
     options = dict(options)
-    mimo_tx = [(np.array([100.0, 900.0, 300.0]), np.array([0.0, 25.0, 0.0]))]
+    mimo_tx = [TransmitterSpec(position=[100.0, 900.0, 300.0], velocity=[0.0, 25.0, 0.0])]
     if options.pop("extra_tx", False):
         mimo_tx.append(EXTRA_TX)
     scn = tiny_scenario(
@@ -774,7 +774,7 @@ def test_target_ir_doppler_ramp():
 
 def test_target_ir_rejects_negative_rcs():
     scn = point_target_scenario((0, 0, 100), (0, 0, 0), [100.0, 0.0, 0.0], 1.0)
-    scn.targets[0].rcs = -1.0           # past TargetSpec's own check
+    object.__setattr__(scn.targets[0], "rcs", -1.0)    # past TargetSpec's own check
     with pytest.raises(ConfigurationError):
         pipeline.synthesize_targets(scn, None, 0, scn.timing())
 

@@ -989,6 +989,23 @@ def test_cube_rates_and_noise_power_must_be_finite(bad):
             DataCube(samples=samples, **{**good, field: bad})
 
 
+@pytest.mark.parametrize("shape", [(1, 0, 2, 3), (1, 1, 0, 3), (1, 1, 2, 0)])
+def test_a_cube_with_an_empty_axis_is_rejected_as_its_file_is(tmp_path, shape):
+    """Construction refuses N, M or R = 0 as `read_cube` refuses a file
+    that declares them, so no cube is written that cannot be read."""
+    with pytest.raises(ConfigurationError, match="N, M, R >= 1"):
+        DataCube(samples=np.zeros(shape, dtype=np.complex64), sample_rate=5e6, prf=1e3,
+                 noise_power=0.0)
+    path = tmp_path / "empty.rfcube"
+    path.write_bytes(rxsim._HEADER.pack(rxsim._MAGIC, *shape, 5e6, 1e3, 0.0, 0.0))
+    with pytest.raises(ConfigurationError, match="empty array"):
+        read_cube(path)
+    one = DataCube(samples=np.ones((1, 1, 1, 1), dtype=np.complex64), sample_rate=5e6,
+                   prf=1e3, noise_power=0.0)
+    write_cube(path, one)
+    assert read_cube(path).samples.tobytes() == one.samples.tobytes()
+
+
 def test_nan_rate_waveform_never_reaches_the_convolution():
     """A NaN waveform rate used to pass the rate-match check against
     any channel."""

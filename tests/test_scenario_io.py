@@ -1,5 +1,6 @@
 """Scenario text format: parsing, canonical echo, hashing, built-in scenes."""
 
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from rfclutter.errors import ConfigurationError
 from rfclutter.pipeline import build_scene
-from rfclutter.scenario import (_BUILDING_KEYS, _GROUP_KEYS, _KEYS, DESK_SCALE,
+from rfclutter.scenario import (_GROUPS, _KEYS, DESK_SCALE,
                                 Scenario, TargetSpec,
                                 generate_scenario1, generate_scenario2,
                                 littoral_dem, load_scenario, parse_scenario,
@@ -42,7 +43,7 @@ def test_minimal_scenario_parses_with_defaults():
     assert scn.prf_hz == 2000.0
     assert scn.sample_rate == scn.bandwidth_hz   # 0 -> bandwidth fallback
     assert scn.rx_position is None               # monostatic by default
-    assert scn.targets == [] and scn.buildings is None
+    assert scn.targets == () and scn.buildings is None
 
 
 def test_full_key_set_round_trips():
@@ -108,6 +109,9 @@ def test_parse_error_reports_line_numbers():
         parse_scenario("radar.carrier = 10e9\nno equals sign here\n")
     with pytest.raises(ConfigurationError, match="line 2"):
         parse_scenario("radar.carrier = 10e9\nplatform.tx_position = 1 2\n")
+    # a superscript digit is a digit to str.isdigit, but no group index
+    with pytest.raises(ConfigurationError, match="line 3: unknown key"):
+        parse_scenario(MINIMAL + "target.\u00b2.rcs = 1\n")
 
 
 def test_missing_required_keys():
@@ -126,6 +130,32 @@ def test_group_validation():
         parse_scenario(MINIMAL + "buildings.origin = 0 0\nbuildings.cols = 2\n")
 
 
+def test_a_scenario_is_fixed_at_construction():
+    """Neither a field, a group nor a vector inside them can change
+    after the checks have run."""
+    scn = parse_scenario(MINIMAL + "target.1.position = 1 2 0\ntarget.1.rcs = 1\n")
+    with pytest.raises(FrozenInstanceError):
+        scn.num_pulses = 0
+    with pytest.raises(FrozenInstanceError):
+        scn.targets[0].rcs = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        scn.tx_position[2] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        scn.targets[0].position[0] = np.inf
+    assert isinstance(scn.targets, tuple)
+
+
+def test_a_receiver_velocity_needs_a_receiver_position():
+    """Without `platform.rx_position` the receiver is the transmitter,
+    so a receiver velocity would be hashed into the dataset but never
+    simulated."""
+    with pytest.raises(ConfigurationError, match="platform.rx_position"):
+        parse_scenario(MINIMAL + "platform.rx_velocity = 0 90 0\n")
+    scn = parse_scenario(MINIMAL + "platform.rx_position = 0 0 900\n"
+                         "platform.rx_velocity = 0 90 0\n")
+    np.testing.assert_array_equal(scn.rx_velocity, [0.0, 90.0, 0.0])
+
+
 def test_comments_and_whitespace_do_not_matter():
     decorated = "# header comment\n\nradar.carrier = 10e9   # inline\n\n  radar.prf = 2000\n"
     assert scenario_hash(parse_scenario(decorated)) == scenario_hash(parse_scenario(MINIMAL))
@@ -137,11 +167,8 @@ def test_hash_tracks_semantic_changes():
     assert scenario_hash(parse_scenario(MINIMAL + "sim.seed = 2\n")) != h0
     assert scenario_hash(parse_scenario(MINIMAL + "radar.pulses = 32\n")) != h0
     # hash covers raster contents, not just the path string
-    a = parse_scenario(MINIMAL)
-    b = parse_scenario(MINIMAL)
-    from rfclutter.terrain import ElevationGrid
-    a.dem = ElevationGrid(heights=np.zeros((4, 4)), cell_size=30.0)
-    b.dem = ElevationGrid(heights=np.ones((4, 4)), cell_size=30.0)
+    a = replace(base, dem=ElevationGrid(heights=np.zeros((4, 4)), cell_size=30.0))
+    b = replace(base, dem=ElevationGrid(heights=np.ones((4, 4)), cell_size=30.0))
     assert scenario_hash(a) != scenario_hash(b)
 
 
@@ -181,6 +208,9 @@ def test_target_spec_validation():
         parse_scenario(MINIMAL + "radar.pulses = 0\n")
     with pytest.raises(ConfigurationError):
         parse_scenario(MINIMAL + "radar.bandwidth = 5e6\nradar.sample_rate = 1e6\n")
+    # a replaced scenario is checked as a built one is
+    with pytest.raises(ConfigurationError, match="radar.pulses"):
+        replace(parse_scenario(MINIMAL), num_pulses=0)
 
 
 # --- built-in scenes ---------------------------------------------------------
@@ -276,9 +306,10 @@ def test_readme_scenario_example_parses(tmp_path):
 
 EDGE_TOKENS = ["0", "-1", "-0.5", "2.5", "7", "3000", "1e9", "1e300", "nan", "-nan", "inf",
                "-inf", "1e400", "-1e400", "1e-400", "junk", ".", "0x10", "true", "no"]
-KEYS = (sorted(_KEYS) + sorted(_BUILDING_KEYS)
-        + [f"{group}.{idx}.{name}" for group, fields in sorted(_GROUP_KEYS.items())
-           for idx in (1, 2) for name in sorted(fields)])
+KEYS = sorted(_KEYS) + [f"{group.replace('.N', f'.{idx}')}.{name}"
+                        for group, (_, _, members) in sorted(_GROUPS.items())
+                        for idx in ((1, 2) if group.endswith(".N") else (0,))
+                        for name in sorted(members)]
 
 
 @st.composite
@@ -305,13 +336,20 @@ def scenario_texts(draw):
 @example(text=MINIMAL + "radar.sample_rate = 1e400\n")
 @example(text=MINIMAL + "radar.pulse_duration = inf\n")
 def test_parse_scenario_returns_a_usable_scenario_or_rejects(text, tmp_path_factory):
-    """The oracle: a parsed scenario validates, times and sizes its
-    export; anything else is a ConfigurationError."""
+    """The oracle: a parsed scenario passes its checks again when
+    rebuilt, times and sizes its export, and its canonical text is a
+    fixed point of parsing with a hash that repeats; anything else is
+    a ConfigurationError."""
+    base_dir = tmp_path_factory.getbasetemp()
     try:
-        scn = parse_scenario(text, base_dir=tmp_path_factory.getbasetemp())
+        scn = parse_scenario(text, base_dir=base_dir)
     except ConfigurationError:
         return
-    scn.validate()
+    replace(scn)
+    canonical = scenario_text(scn)
+    again = parse_scenario(canonical, base_dir=base_dir)
+    assert scenario_text(again) == canonical
+    assert scenario_hash(again) == scenario_hash(scn)
     scn.timing()
     assert all(isinstance(n, int) and n >= 1 for n in scn.export_dims)
 
@@ -322,7 +360,9 @@ def test_parse_scenario_returns_a_usable_scenario_or_rejects(text, tmp_path_fact
                                   "target.1.position = 1 2 3\ntarget.1.rcs = inf",
                                   "discrete.1.position = 1 inf 3\ndiscrete.1.rcs = 5",
                                   "buildings.origin = 0 0\nbuildings.rows = 1\n"
-                                  "buildings.cols = 1\nbuildings.height = inf"])
+                                  "buildings.cols = 1\nbuildings.height = inf",
+                                  "mimo.1.position = 0 nan 0",
+                                  "mimo.1.position = 0 0 -5"])
 def test_non_finite_values_are_rejected(line):
     with pytest.raises(ConfigurationError):
         parse_scenario("radar.carrier = 10e9\nradar.prf = 2000\n" + line + "\n")

@@ -124,18 +124,37 @@ BAD_FLAGS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_a_rejected_flag_exits_2_with_one_error_line(name, tmp_path):
-    """Run as a program, each script reports a rejected input as
-    `rfclutter` does: exit status 2, stderr starting with `error:`, no
-    traceback, and nothing written."""
+def assert_exits_2_with_one_error_line(name, flags, cwd):
+    """Run as a program from `cwd`, the script reports a rejected input
+    as `rfclutter` does: exit status 2, stderr starting with `error:`,
+    no traceback, and nothing written."""
     src = str(Path(rfclutter.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *BAD_FLAGS[name]],
-                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    done = subprocess.run([sys.executable, str(SCRIPTS / f"{name}.py"), *flags],
+                          cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 2, done.stderr
     assert done.stderr.startswith("error:") and "Traceback" not in done.stderr
-    assert list(tmp_path.iterdir()) == []
+    assert list(cwd.iterdir()) == []
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_rejected_flag_exits_2_with_one_error_line(name, tmp_path):
+    assert_exits_2_with_one_error_line(name, BAD_FLAGS[name], tmp_path)
+
+
+@pytest.mark.parametrize("name, flags", [
+    ("mimo_leakage_study", ["--pulses", "-1"]),
+    ("mimo_leakage_study", ["--pulses", "0"]),
+    ("mimo_leakage_study", ["--taps", "-2"]),
+    ("mimo_leakage_study", ["--frame", "1"]),
+    ("mimo_leakage_study", ["--seed", "-1"]),
+    ("wind_doppler_study", ["--trials", "0"]),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_a_study_flag_out_of_range_exits_2_before_any_work(name, flags, tmp_path):
+    """A study's own flags are checked before it simulates: a count
+    below one, a frame too short to split into two pulses or a negative
+    seed is a ConfigurationError, not a numpy traceback or NaN rows."""
+    assert_exits_2_with_one_error_line(name, flags, tmp_path)
 
 
 def test_wind_doppler_study_checks_its_scenarios(tmp_path):

@@ -26,6 +26,9 @@ attribute (`x.name = ...`, or `append`, `extend` or `insert` on
 `**mapping` passes nothing by name.  An option with no setter is a
 setting no run can reach: it becomes a constant, or goes.
 
+Every dataclass in scenario.py is frozen: a scenario and its group
+specs are checked once, at construction.
+
 State that lives as long as the process is named: every module-level
 name in src/rfclutter that a function rebinds (`global`) or mutates (a
 subscript or attribute store or delete on it) is listed in
@@ -170,6 +173,22 @@ def read_names() -> set[str]:
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                     names.add(node.value)
     return names
+
+
+def _frozen(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Call) and any(
+        k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+        for k in d.keywords) for d in node.decorator_list)
+
+
+def test_every_scenario_dataclass_is_frozen():
+    """A scenario and its group specs are checked once, at construction,
+    so none of them may change afterwards."""
+    tree = ast.parse((PACKAGE / "scenario.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and _is_dataclass(node)}
+    assert {"Scenario", "TargetSpec", "TransmitterSpec"} <= set(classes)
+    assert sorted(name for name, node in classes.items() if not _frozen(node)) == []
 
 
 def test_every_dataclass_field_has_a_reader():
