@@ -125,11 +125,15 @@ def patch_power_scales(sigma0: np.ndarray, area: np.ndarray, tx_gain: np.ndarray
 # Trailing floats, when present, are polynomial coefficients for
 # sigma0 in dB as a function of grazing angle in radians (ascending
 # powers); they override the constant-gamma model for that entry.
-# Blank lines and '#' comments are skipped.
+# Blank lines and '#' comments are skipped.  Each (class, band) pair
+# has one line.
 
 
 def read_scattering_table(path) -> ScatteringTable:
+    """The table a file holds; a second line for one (class, band) is a
+    ConfigurationError naming both lines."""
     entries: dict[tuple[int, str], Reflectivity] = {}
+    first_line: dict[tuple[int, str], int] = {}
     with open(path, "r", encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             stripped = line.split("#", 1)[0].strip()
@@ -143,10 +147,17 @@ def read_scattering_table(path) -> ScatteringTable:
                 cls = int(parts[0])
                 gamma_db = float(parts[2])
                 poly = tuple(float(p) for p in parts[3:])
-                entries[(cls, parts[1])] = Reflectivity(gamma_db=gamma_db, poly_db=poly)
+                entry = Reflectivity(gamma_db=gamma_db, poly_db=poly)
             except ValueError as exc:
                 raise ConfigurationError(
                     f"{path}: line {lineno}: bad numeric field ({exc})") from exc
+            key = (cls, parts[1])
+            if key in first_line:
+                raise ConfigurationError(
+                    f"{path}: line {lineno}: class {cls} in band {parts[1]} repeats "
+                    f"line {first_line[key]}")
+            first_line[key] = lineno
+            entries[key] = entry
     if not entries:
         raise ConfigurationError(f"{path}: empty scattering table")
     return ScatteringTable(entries=entries)

@@ -27,6 +27,7 @@ runs (pulse count stays fixed), each count rounding up.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import os
@@ -436,10 +437,12 @@ def scenario_text(scn: Scenario) -> str:
 
 
 def scenario_hash(scn: Scenario) -> str:
-    """SHA-256 of the canonical text plus any inline rasters.
+    """SHA-256 of the canonical text plus any inline rasters and any
+    reflectivity table's entries.
 
-    Whitespace and comments never affect the hash; any semantic field
-    change does.
+    Whitespace and comments never affect the hash, nor does the order
+    of a table's lines; any semantic field change does, and so does
+    any change to a table entry.
     """
     h = hashlib.sha256()
     h.update(scenario_text(scn).encode("utf-8"))
@@ -449,6 +452,11 @@ def scenario_hash(scn: Scenario) -> str:
         h.update(np.float64(scn.dem.cell_size).tobytes())
     if scn.landcover is not None:
         h.update(memoryview(np.ascontiguousarray(scn.landcover.classes, dtype="<i8")).cast("B"))
+    if scn.scattering_table is not None:
+        # one line per entry in (class, band) order, every number in repr form
+        for (cls, band), e in sorted(scn.scattering_table.entries.items()):
+            numbers = " ".join(repr(float(v)) for v in (e.gamma_db, *e.poly_db))
+            h.update(f"{cls} {band} {numbers}\n".encode("utf-8"))
     return h.hexdigest()
 
 
@@ -459,10 +467,19 @@ _SCENE_CELLS = 667          # 30 m cells -> 20.01 km extent
 _SCENE_CELL_SIZE = 30.0
 
 
+@functools.cache
 def littoral_dem() -> tuple[ElevationGrid, ClassGrid]:
     """Synthetic coastal scene of _SCENE_CELLS x _SCENE_CELLS cells of
     _SCENE_CELL_SIZE m: water to the west, rolling terrain with one
-    dominant hill inland, forest and urban pockets on land."""
+    dominant hill inland, forest and urban pockets on land.
+
+    No seed or scale changes the site, so it is built once per process,
+    on first use, and every preset shares the same two grids.  Their
+    rasters are read-only and the grids frozen, so no caller can change
+    the site under another; the elevation grid builds its `los_bounds`
+    once, for all of them.  The cache holds one site: 7.1 MB of rasters
+    plus 0.45 MB of those bounds.
+    """
     cells, cell_size = _SCENE_CELLS, _SCENE_CELL_SIZE
     # each term depends on x alone or y alone until the products, sums
     # and the hill's exponential combine them, so the terms are evaluated

@@ -650,3 +650,21 @@ def test_core_count_does_not_change_the_dataset(tmp_path):
                                 preexec_fn=lambda: os.sched_setaffinity(0, {cpu}))
     free = simulated_products(tmp_path / "free", child_env())
     assert pinned == free
+
+
+def test_a_preset_simulates_the_same_bytes_with_the_site_built_or_shared(tmp_path):
+    """The littoral site is built once per process: two in-process runs
+    of `simulate --preset scenario1`, which share the site and its LOS
+    bounds, write the manifest, which hashes every file of the dataset,
+    that a child process writes on a site it builds anew."""
+    def manifest(out: Path) -> bytes:
+        return (out / "manifest.txt").read_bytes()
+
+    argv = ["simulate", "--preset", "scenario1", "--seed", "3"]
+    for run in ("first", "second"):
+        assert main([*argv, "--out", str(tmp_path / run)]) == 0
+    subprocess.run([sys.executable, "-m", "rfclutter.cli", *argv, "--out",
+                    str(tmp_path / "child")], env=child_env(), check=True, capture_output=True)
+    assert manifest(tmp_path / "first") == manifest(tmp_path / "second")
+    assert manifest(tmp_path / "first") == manifest(tmp_path / "child")
+    assert b"cube_cpi003.rfcube" in manifest(tmp_path / "child")

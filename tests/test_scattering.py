@@ -138,3 +138,15 @@ def test_table_reader_rejects_garbage(tmp_path):
     path.write_text("1 X not-a-number\n")
     with pytest.raises(ConfigurationError):
         read_scattering_table(path)
+
+
+def test_table_reader_rejects_a_repeated_class_and_band(tmp_path):
+    """A second line for one (class, band) is an error naming the file
+    and both lines, not a silent override of the first."""
+    path = tmp_path / "twice.txt"
+    path.write_text("1 X -15\n# corrected\n3 X -5\n1 X -10\n")
+    with pytest.raises(ConfigurationError,
+                       match=r"twice\.txt: line 4: class 1 in band X repeats line 1"):
+        read_scattering_table(path)
+    path.write_text("1 X -15\n1 L -10\n")
+    assert sorted(read_scattering_table(path).entries) == [(1, "L"), (1, "X")]

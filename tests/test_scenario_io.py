@@ -161,7 +161,7 @@ def test_comments_and_whitespace_do_not_matter():
     assert scenario_hash(parse_scenario(decorated)) == scenario_hash(parse_scenario(MINIMAL))
 
 
-def test_hash_tracks_semantic_changes():
+def test_hash_tracks_semantic_changes(tmp_path):
     base = parse_scenario(MINIMAL)
     h0 = scenario_hash(base)
     assert scenario_hash(parse_scenario(MINIMAL + "sim.seed = 2\n")) != h0
@@ -170,6 +170,20 @@ def test_hash_tracks_semantic_changes():
     a = replace(base, dem=ElevationGrid(heights=np.zeros((4, 4)), cell_size=30.0))
     b = replace(base, dem=ElevationGrid(heights=np.ones((4, 4)), cell_size=30.0))
     assert scenario_hash(a) != scenario_hash(b)
+
+    # and a reflectivity table's entries, not just its path: one gamma
+    # moves the hash, comments, whitespace and line order do not
+    def table_hash(name: str, table: str) -> str:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "t.tbl").write_text(table)
+        return scenario_hash(parse_scenario(MINIMAL + "scattering.table = t.tbl\n",
+                                            base_dir=tmp_path / name))
+
+    grass = table_hash("grass", "1 X -15\n3 X -5 -18.0 6.0\n")
+    assert table_hash("louder", "1 X -5\n3 X -5 -18.0 6.0\n") != grass
+    assert table_hash("slope", "1 X -15\n3 X -5 -18.0 6.5\n") != grass
+    assert table_hash("reordered",
+                      "# urban first\n  3   X -5.0 -18 6\n\n1\tX  -15.0  # grass\n") == grass
 
 
 PRESET_HASHES = {
@@ -258,6 +272,24 @@ def test_littoral_dem_matches_the_meshgrid_oracle():
     assert np.array_equal(dem.heights, heights)
     assert np.array_equal(cover.classes, classes)
     assert dem.heights.tobytes() == heights.tobytes()
+
+
+def test_the_littoral_site_is_built_once_and_shared():
+    """Every call returns the same two read-only grids, so every preset,
+    at any scale or seed, holds them and one set of LOS bounds."""
+    dem, cover = littoral_dem()
+    again = littoral_dem()
+    assert again[0] is dem and again[1] is cover
+    for raster in (dem.heights, cover.classes):
+        with pytest.raises(ValueError, match="read-only"):
+            raster[0, 0] = 1
+    with pytest.raises(FrozenInstanceError):
+        dem.heights = np.zeros((4, 4))
+    scenes = [generate_scenario1(scale=DESK_SCALE, seed=1),
+              generate_scenario1(scale=0.25, seed=7),
+              generate_scenario2(scale=DESK_SCALE, seed=2)]
+    assert all(scn.dem is dem and scn.landcover is cover for scn in scenes)
+    assert all(scn.dem.los_bounds is dem.los_bounds for scn in scenes)
 
 
 def test_scenario1_scales():

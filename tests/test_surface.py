@@ -31,7 +31,8 @@ specs are checked once, at construction.
 
 State that lives as long as the process is named: every module-level
 name in src/rfclutter that a function rebinds (`global`) or mutates (a
-subscript or attribute store or delete on it) is listed in
+subscript or attribute store or delete on it), and every module-level
+function that `functools.cache` or `lru_cache` memoizes, is listed in
 PROCESS_STATE with why it lives that long and what bounds its memory,
 so that no cache can hide from the determinism contract.
 """
@@ -134,12 +135,18 @@ def test_the_allowed_names_are_public_and_uncalled():
     assert allowed.isdisjoint(hits)
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
+def _decorated(node, *names: str) -> bool:
+    """Whether a decorator of one of `names` decorates `node`, bare or
+    called, with or without a module prefix."""
     for decorator in node.decorator_list:
         f = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "dataclass":
+        if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) in names:
             return True
     return False
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return _decorated(node, "dataclass")
 
 
 def dataclass_fields() -> dict[str, str]:
@@ -389,6 +396,10 @@ PROCESS_STATE = {
                           "bytes, freed with the channel"),
     "rxsim._kept_lock": ("orders the updates of rxsim._noise and rxsim._transforms; a "
                          "forked child replaces it", "one lock"),
+    "scenario.littoral_dem": ("the built-in littoral site, which no seed or scale changes, "
+                              "built on first use and shared by every preset",
+                              "one site: two 667 x 667 rasters of 8-byte cells (7.1 MB) "
+                              "plus the elevation grid's LOS bounds (0.45 MB)"),
 }
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
@@ -437,11 +448,15 @@ def _module_names(tree: ast.Module) -> set[str]:
 
 def process_state(package: Path = PACKAGE) -> set[str]:
     """"module.name" of every module-level name a function in the
-    package rebinds or mutates."""
+    package rebinds or mutates, and of every memoized module-level
+    function."""
     found = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         module = _module_names(tree)
+        found.update(f"{path.stem}.{node.name}" for node in tree.body
+                     if isinstance(node, _SCOPES[:2])
+                     and _decorated(node, "cache", "lru_cache"))
 
         def visit(node, enclosing: frozenset):
             for child in ast.iter_child_nodes(node):
@@ -490,3 +505,23 @@ def test_the_process_state_rule_sees_rebinding_and_mutation(tmp_path):
         "        _kept[key] = value\n"
         "    return inner\n", encoding="utf-8")
     assert sorted(process_state(tmp_path)) == ["probe._cache", "probe._flag", "probe._hits"]
+
+
+def test_the_process_state_rule_sees_a_memoized_function(tmp_path):
+    """The rule flags a module-level function that `functools.cache` or
+    `lru_cache` decorates, bare or called, with or without the prefix,
+    and not another decorator or a memoized function nested in another."""
+    (tmp_path / "probe.py").write_text(
+        "import contextlib\nimport functools\nfrom functools import cache, lru_cache\n"
+        "@functools.cache\ndef a(): ...\n"
+        "@cache\ndef b(): ...\n"
+        "@functools.lru_cache\ndef c(): ...\n"
+        "@functools.lru_cache(maxsize=4)\ndef d(x): ...\n"
+        "@lru_cache()\ndef e(x): ...\n"
+        "@contextlib.contextmanager\ndef plain(): yield\n"
+        "def outer():\n"
+        "    @cache\n"
+        "    def inner(): ...\n"
+        "    return inner\n", encoding="utf-8")
+    assert sorted(process_state(tmp_path)) == ["probe.a", "probe.b", "probe.c", "probe.d",
+                                               "probe.e"]
