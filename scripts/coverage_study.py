@@ -21,7 +21,7 @@ import numpy as np
 
 from rfclutter import pipeline
 from rfclutter.cli import add_scenario_args, exit_status, load_scenario_args
-from rfclutter.dsp import write_map_csv, write_pgm
+from rfclutter.dsp import write_grid_csv, write_pgm
 from rfclutter.scattering import BUILDING, FOREST, GRASS, URBAN, WATER
 
 CLASS_NAMES = {WATER: "water", GRASS: "grass", FOREST: "forest",
@@ -62,7 +62,7 @@ def main(argv=None):
     gmap = pipeline.gain_map(scn, cpi=args.cpi)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_map_csv(out / "gain_map.csv", gmap.gains_db)
+    write_grid_csv(out / "gain_map.csv", gmap.gains_db, "db")
     write_pgm(out / "gain_map.pgm", gmap.gains_db - gmap.gains_db.max(),
               clip_db=80.0)
     span = float(gmap.gains_db.max() - gmap.gains_db[gmap.gains_db > -320.0].min())

@@ -91,21 +91,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _write_raster_outputs(out: Path, stem: str, values: np.ndarray,
-                          clip_db: float) -> None:
-    dsp.write_map_csv(out / f"{stem}.csv", values)
-    dsp.write_pgm(out / f"{stem}.pgm", values, clip_db=clip_db)
-
-
 def cmd_clutter_map(args) -> int:
     dsp.check_levels(args.clip_db)
     scn = load_scenario_args(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
     # normalize to the strongest patch for the image; CSV keeps raw dB
-    dsp.write_map_csv(out / "clutter_map.csv", gm.gains_db)
-    rel = gm.gains_db - gm.gains_db.max()
-    dsp.write_pgm(out / "clutter_map.pgm", np.maximum(rel, -args.clip_db),
+    dsp.write_grid_csv(out / "clutter_map.csv", gm.gains_db, "db")
+    dsp.write_pgm(out / "clutter_map.pgm", gm.gains_db - gm.gains_db.max(),
                   clip_db=args.clip_db)
     vis_pct = 100.0 * float(np.count_nonzero(gm.visible)) / gm.visible.size
     print(f"clutter map {gm.gains_db.shape[1]}x{gm.gains_db.shape[0]} patches "
@@ -115,19 +108,12 @@ def cmd_clutter_map(args) -> int:
 
 
 def cmd_los_map(args) -> int:
-    dsp.check_levels(args.clip_db)
     scn = load_scenario_args(args)
     out = _out_dir(args)
     gm = pipeline.gain_map(scn, cpi=args.cpi)
-    vis = gm.visible.astype(np.float64)
-    with open(out / "los_map.csv", "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(["row", "col", "visible"])
-        for r in range(vis.shape[0]):
-            for c in range(vis.shape[1]):
-                w.writerow([r, c, int(vis[r, c])])
-    dsp.write_pgm(out / "los_map.pgm", np.where(gm.visible, 0.0, -args.clip_db),
-                  clip_db=args.clip_db)
+    vis = gm.visible
+    dsp.write_grid_csv(out / "los_map.csv", vis.astype(np.int64), "visible")
+    dsp.write_pgm(out / "los_map.pgm", np.where(vis, 0.0, -dsp.DEFAULT_CLIP_DB))
     vis_pct = 100.0 * float(vis.mean())
     print(f"visibility {vis_pct:.1f}% over {vis.shape[1]}x{vis.shape[0]} patches")
     print(f"wrote {out / 'los_map.csv'} and .pgm")
@@ -166,7 +152,8 @@ def cmd_range_doppler(args) -> int:
             cube, wf, np.ones(cube.num_channels), window=args.window,
             clip_db=args.clip_db, peak_offset_db=args.peak_offset_db)
         stem = f"rd_cpi{cpi:03d}"
-        _write_raster_outputs(out, stem, map_db, args.clip_db)
+        dsp.write_map_csv(out / f"{stem}.csv", map_db)
+        dsp.write_pgm(out / f"{stem}.pgm", map_db, clip_db=args.clip_db)
         dsp.write_peaks_csv(out / f"{stem}_peaks.csv", peaks)
         print(f"cpi {cpi}: map {map_db.shape[1]} range x {map_db.shape[0]} "
               f"doppler bins, {len(peaks)} peaks")
@@ -286,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = scenario_verb("los-map", "per-patch visibility raster", cmd_los_map)
     p.add_argument("--cpi", type=int, default=0)
-    p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
 
     p = scenario_verb("range-doppler", "beamformed range-Doppler maps", cmd_range_doppler)
     p.add_argument("--cube", help="process an existing cube file instead")

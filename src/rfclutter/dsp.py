@@ -182,15 +182,23 @@ def range_doppler_map(cube: DataCube, wf: Waveform, weights: np.ndarray,
     return map_db, peaks
 
 
-def write_map_csv(path, map_db: np.ndarray) -> None:
-    """Map export: one row per bin, columns doppler_bin, range_bin, db."""
-    m = np.asarray(map_db, dtype=np.float64)
+def _write_cells(path, columns: tuple[str, str, str], values: np.ndarray) -> None:
+    """One CSV line per cell of a 2-D array: row index, column index, value."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         w = _csv.writer(f)
-        w.writerow(["doppler_bin", "range_bin", "db"])
-        for d in range(m.shape[0]):
-            for r in range(m.shape[1]):
-                w.writerow([d, r, repr(float(m[d, r]))])
+        w.writerow(columns)
+        w.writerows([i, j, repr(v.item())] for (i, j), v in np.ndenumerate(values))
+
+
+def write_map_csv(path, map_db: np.ndarray) -> None:
+    """Range-Doppler map export: one line per bin, columns doppler_bin, range_bin, db."""
+    _write_cells(path, ("doppler_bin", "range_bin", "db"), np.asarray(map_db, dtype=np.float64))
+
+
+def write_grid_csv(path, values: np.ndarray, column: str) -> None:
+    """Terrain map export: one line per patch of a north-up patch
+    raster, columns row (0 = north), col (0 = west) and `column`."""
+    _write_cells(path, ("row", "col", column), np.asarray(values))
 
 
 def write_peaks_csv(path, peaks: list[tuple[int, int, float]]) -> None:

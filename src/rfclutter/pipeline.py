@@ -62,7 +62,6 @@ class SceneModel:
     """
 
     dem: ElevationGrid
-    landcover: ClassGrid
     patches: PatchArrays
     grid_shape: tuple[int, int]
     discrete_rcs: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -114,7 +113,8 @@ def build_scene(scn: Scenario) -> SceneModel | None:
     if landcover is None:
         landcover = ClassGrid(classes=np.full(dem.heights.shape, scattering.GRASS,
                                               dtype=np.int64),
-                              cell_size=dem.cell_size)
+                              cell_size=dem.cell_size, origin_lat=dem.origin_lat,
+                              origin_lon=dem.origin_lon)
 
     ground = dem
     if scn.buildings is not None:
@@ -141,7 +141,7 @@ def build_scene(scn: Scenario) -> SceneModel | None:
     patches = PatchArrays(centers=centers, normals=np.vstack([grid.normals, up]),
                           areas=np.concatenate(areas), classes=np.concatenate(classes),
                           ids=np.arange(len(centers)))
-    return SceneModel(dem=dem, landcover=landcover, patches=patches,
+    return SceneModel(dem=dem, patches=patches,
                       grid_shape=patch_grid_shape(dem, scn.patch_size_m),
                       discrete_rcs=np.array([d.rcs for d in scn.discretes]))
 
@@ -198,7 +198,6 @@ class PatchBudget:
     gains: np.ndarray           # (n,) two-way power scale G
     directions: np.ndarray      # (n, 3) unit rx -> scatterer
     los_tested: np.ndarray      # (n,) bool, the contribution candidates
-    grazing: np.ndarray         # (n,) rad, tx side; discretes carry pi/2
 
 
 def _link_budget(array: ArrayGeometry, tx: PlatformState, rx: PlatformState,
@@ -247,7 +246,6 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     graz = grazing_angles(facets, tx.position)
     sigma0 = scn.table().sigma0_many(facets.classes, scn.band, np.clip(graz, 0.0, np.pi / 2))
     sigma0 = np.concatenate([np.where(graz > 0.0, sigma0, 0.0), scene.discrete_rcs])
-    graz = np.concatenate([graz, np.full(scene.num_discretes, np.pi / 2)])
     centers = scene.patches.centers
     unshadowed, dirs_rx, r_tx, r_rx = _link_budget(array, tx, rx, centers, sigma0,
                                                    scene.patches.areas)
@@ -263,7 +261,7 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     logger.debug("link budget: %d patches, %d in window, %d LOS-tested, %d visible",
                  len(centers), int(np.count_nonzero(in_window)), idx.size,
                  int(np.count_nonzero(visible)))
-    return PatchBudget(gains=gains, directions=dirs_rx, los_tested=tested, grazing=graz)
+    return PatchBudget(gains=gains, directions=dirs_rx, los_tested=tested)
 
 
 def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
@@ -601,7 +599,6 @@ class GainMap:
 
     gains_db: np.ndarray
     visible: np.ndarray
-    grazing: np.ndarray
     patch_size: float
 
 
@@ -614,8 +611,8 @@ def gain_map(scn: Scenario, cpi: int = 0) -> GainMap:
 
     Each cell's gain is the linear-power sum of its terrain patch and of
     the roofs and discretes inside it; a scatterer off the patch grid
-    has no cell and is left out.  `visible` and `grazing` describe the
-    terrain patches.
+    has no cell and is left out.  `visible` describes the terrain
+    patches.
     """
     _check_indices(scn, cpi)
     scene = build_scene(scn)
@@ -639,8 +636,7 @@ def gain_map(scn: Scenario, cpi: int = 0) -> GainMap:
     np.add.at(gains, cells[:, 1] * n_x + cells[:, 0], budget.gains[n:][on_grid])
     g = gains.reshape(n_y, n_x)[::-1]                       # south-up -> north-up
     vis = visible.reshape(n_y, n_x)[::-1]
-    graz = budget.grazing[:n].reshape(n_y, n_x)[::-1]
     with np.errstate(divide="ignore"):
         gdb = 10.0 * np.log10(g)
     gdb = np.where(np.isfinite(gdb), np.maximum(gdb, GAIN_MAP_FLOOR_DB), GAIN_MAP_FLOOR_DB)
-    return GainMap(gains_db=gdb, visible=vis, grazing=graz, patch_size=scn.patch_size_m)
+    return GainMap(gains_db=gdb, visible=vis, patch_size=scn.patch_size_m)

@@ -213,6 +213,18 @@ class Scenario:
                 "radar.sample_rate must be at least radar.bandwidth")
         if not math.isfinite(self.pulse_duration_s * self.sample_rate):
             raise ConfigurationError("radar.pulse_duration spans too many samples")
+        # one CPI's dimensions fit the files' u32 header fields, and its
+        # cube fits numpy's address space, as `binfile` reads it
+        taps, width = self.timing().num_taps, self.num_waveform_samples
+        samples = taps + width - 1
+        for key, size in (("radar.channels", self.num_channels), ("radar.pulses", self.num_pulses),
+                          ("radar.swath", taps), ("radar.pulse_duration", width),
+                          ("radar.swath and radar.pulse_duration", samples)):
+            if size > np.iinfo(np.uint32).max:
+                raise ConfigurationError(f"{key} gives a dimension of {size}, beyond a u32 field")
+        if 8 * self.num_channels * self.num_pulses * samples > np.iinfo(np.intp).max:
+            raise ConfigurationError("radar.channels x radar.pulses x range samples: "
+                                     "one CPI's cube is too large to address")
 
     @property
     def wavelength(self) -> float:

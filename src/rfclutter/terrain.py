@@ -256,6 +256,9 @@ def build_patch_grid(dem: ElevationGrid, landcover: ClassGrid,
             f"landcover {landcover.classes.shape}")
     if abs(landcover.cell_size - dem.cell_size) > 1e-9:
         raise ConfigurationError("dem and landcover cell sizes differ")
+    if (landcover.origin_lat, landcover.origin_lon) != (dem.origin_lat, dem.origin_lon):
+        raise ConfigurationError(f"dem origin ({dem.origin_lat}, {dem.origin_lon}) and landcover "
+                                 f"origin ({landcover.origin_lat}, {landcover.origin_lon}) differ")
     if patch_size < dem.cell_size - 1e-9:
         raise ConfigurationError(
             f"patch_size {patch_size} must be at least the cell size {dem.cell_size}")
@@ -531,13 +534,15 @@ def lines_of_sight(dem: ElevationGrid, observer, points) -> np.ndarray:
 # Values are whitespace-separated; blank lines and '#' comments are skipped.
 
 
-def _read_raster_text(path) -> tuple[dict, list[str]]:
+def _read_raster(path, parse, dtype, what: str) -> tuple[np.ndarray, float, float, float]:
+    """A raster file's values, each read by `parse` into a (nrows, ncols)
+    array of `dtype` (a value that does not fit is an error naming
+    `what`); its cell size; its origin."""
     header = {}
     values: list[str] = []
     expected = ("nrows", "ncols", "cellsize", "origin")
     with open(path, "r", encoding="utf-8") as f:
         lines = f.readlines()
-    idx = 0
     seen = 0
     for idx, line in enumerate(lines):
         stripped = line.split("#", 1)[0].strip()
@@ -570,28 +575,20 @@ def _read_raster_text(path) -> tuple[dict, list[str]]:
     if len(values) != n_expected:
         raise ConfigurationError(
             f"{path}: expected {n_expected} grid values, found {len(values)}")
-    return header, values
+    try:
+        raster = np.array([parse(v) for v in values], dtype=dtype)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{path}: {what}") from exc
+    return raster.reshape(header["nrows"], header["ncols"]), header["cellsize"], *header["origin"]
 
 
 def read_dem(path) -> ElevationGrid:
-    header, values = _read_raster_text(path)
-    try:
-        heights = np.array([float(v) for v in values], dtype=np.float64)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: non-numeric height value") from exc
-    heights = heights.reshape(header["nrows"], header["ncols"])
-    lat, lon = header["origin"]
-    return ElevationGrid(heights=heights, cell_size=header["cellsize"],
-                         origin_lat=lat, origin_lon=lon)
+    heights, cell_size, lat, lon = _read_raster(path, float, np.float64,
+                                                "non-numeric height value")
+    return ElevationGrid(heights=heights, cell_size=cell_size, origin_lat=lat, origin_lon=lon)
 
 
 def read_landcover(path) -> ClassGrid:
-    header, values = _read_raster_text(path)
-    try:
-        classes = np.array([int(v) for v in values], dtype=np.int64)
-    except ValueError as exc:
-        raise ConfigurationError(f"{path}: non-integer land-cover code") from exc
-    classes = classes.reshape(header["nrows"], header["ncols"])
-    lat, lon = header["origin"]
-    return ClassGrid(classes=classes, cell_size=header["cellsize"],
-                     origin_lat=lat, origin_lon=lon)
+    classes, cell_size, lat, lon = _read_raster(path, int, np.int64,
+                                                "land-cover codes must be int64 integers")
+    return ClassGrid(classes=classes, cell_size=cell_size, origin_lat=lat, origin_lon=lon)

@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import j0
 
 from rfclutter import pipeline, terrain
@@ -442,7 +443,8 @@ def ring_budget(**overrides):
     """An isotropic monostatic radar (cosine exponent 0, boresight down)
     RING_HEIGHT over the center of flat grass, RING_CELLS square cells
     of RING_CELL a side, one patch per cell.  Returns the scenario, the
-    CPI 0 patch gains, each patch's tap and the range of one tap."""
+    CPI 0 patch gains, each patch's tap (of its range sum, transmitter
+    to patch to receiver) and the one-way range of one tap."""
     cell, n, h = RING_CELL, RING_CELLS, RING_HEIGHT
     base = dict(
         name="rings", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=2000.0,
@@ -458,8 +460,9 @@ def ring_budget(**overrides):
     timing = scn.timing()
     assert RING_EDGES[-1] <= timing.num_taps
     budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn), timing)
-    slant = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
-    taps = np.round(2.0 * slant / C * timing.sample_rate)
+    range_sum = (np.linalg.norm(scene.patches.centers - tx.position, axis=1)
+                 + np.linalg.norm(scene.patches.centers - rx.position, axis=1))
+    taps = np.round(range_sum / C * timing.sample_rate)
     return scn, budget.gains, taps, C / (2.0 * timing.sample_rate)
 
 
@@ -682,3 +685,252 @@ def test_15_transmit_array_pattern_ring_power_matches_the_bessel_closed_form():
         worst = max(worst, abs(got / want - 1.0))
     print(f"ACCEPTANCE 15: PASS - {elements}-element transmit pattern ring power within "
           f"{worst:.2e} of the Bessel closed form")
+
+
+def side_looking_channel(beta: float, **overrides):
+    """A monostatic 8-channel, 8-pulse radar 300 m over flat 30 m grass
+    cells, looking east with its array along north and flying north at
+    beta d PRF / 2 for element spacing d = lambda / 2.  Returns the
+    scenario, its scene, the CPI 0 clutter channel and, per occupied tap,
+    the sum of its scatterers' amplitude moduli, sqrt(gain) each."""
+    wavelength, prf = C / 10e9, 2000.0
+    base = dict(
+        name="side-looking", carrier_hz=10e9, bandwidth_hz=5e6, prf_hz=prf,
+        num_pulses=8, num_channels=8, num_cpis=1, pulse_duration_s=1e-6,
+        noise_power=0.0, swath_m=1200.0,
+        tx_position=np.array([100.0, 600.0, 300.0]),
+        tx_velocity=np.array([0.0, beta * wavelength * prf / 4.0, 0.0]),
+        array_axis=np.array([0.0, 1.0, 0.0]), boresight=np.array([1.0, 0.0, 0.0]),
+        dem=ElevationGrid(heights=np.zeros((40, 40)), cell_size=30.0), patch_size_m=30.0)
+    scn = Scenario(**{**base, **overrides})
+    assert scn.array_spacing_m == 0.0 and scn.wavelength == wavelength   # d = lambda / 2
+    scene = pipeline.build_scene(scn)
+    timing = scn.timing()
+    tx, rx = pipeline.platform_states(scn, 0)
+    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn), timing)
+    slant = np.linalg.norm(scene.patches.centers - tx.position, axis=1)
+    taps = np.round((slant + slant) / C * timing.sample_rate).astype(np.int64)
+    moduli = np.bincount(taps, weights=np.sqrt(budget.gains), minlength=timing.num_taps)
+    ir = pipeline.synthesize_clutter(scn, scene, 0, timing)
+    assert np.array_equal(ir.support, np.flatnonzero(moduli))
+    responses = np.bincount(taps, weights=budget.gains > 0.0)[ir.support]
+    return scn, scene, ir, moduli[ir.support], int(responses.max())
+
+
+def shift_residual(taps: np.ndarray, moduli: np.ndarray, p: int, q: int) -> float:
+    """The largest |H[n, m] - H[n + p, m - q]| over every tap's (N, M)
+    matrix H and every pair inside it, relative to the tap's sum of
+    amplitude moduli."""
+    n, m = taps.shape[:2]
+    a = taps[:n - p, max(q, 0):m + min(q, 0)].astype(np.complex128)
+    b = taps[p:, max(-q, 0):m - max(q, 0)].astype(np.complex128)
+    return float(np.max(np.abs(a - b) / moduli))
+
+
+def test_16_the_side_looking_clutter_ridge_is_a_shift_invariance():
+    """A scatterer in unit direction u from a side-looking array whose
+    platform flies along the array axis e contributes
+
+        a exp(j theta (n + beta m)),  theta = pi <e, u>,
+
+    to channel n and pulse m of its tap: the steering entry is
+    exp(j 2 pi d <e, u> n / lambda) and the Doppler 2 v <e, u> / lambda
+    gives the pulse-to-pulse phase 4 pi v <e, u> / (lambda PRF), which is
+    beta theta at v = beta d PRF / 2.  With the spatial and Doppler phases
+    of one sign, every tap's (N, M) matrix is therefore unchanged by
+    (n, m) -> (n + p, m - q) for beta = p / q, Hankel at beta = 1: the
+    clutter ridge of Ward (MIT LL TR-1015, 1994) and Klemm (Principles
+    of Space-Time Adaptive Processing, 2002), of slope beta.  Opposite
+    signs would make it Toeplitz, a ridge of slope -beta, which the
+    (1, 1) shift checks is far from the case.
+
+    The bound is the arithmetic's.  Each entry is a complex128 sum of r
+    terms cast to complex64; the cast rounds the real and imaginary parts
+    to nearest, so it moves an entry by at most 2^-24 |H| <= 2^-24 S, for S
+    the tap's sum of amplitude moduli, and two entries differ by at most
+    2^-23 S more than they would exactly.  In complex128, the phase
+    arguments carry a relative rounding of a few 2^-53 each, times at
+    most 7 pulses or channels and |theta| <= 2 pi, the `phase_ramps`
+    products at most three correctly rounded exponentials and two
+    multiplies each, and the sum of r terms at most 2 r 2^-53 S; all
+    together below (4 r + 1200) 2^-53 S for the pair.  There is no
+    Doppler jitter, which would break the invariance by design.
+    """
+    worst = 0.0
+    for beta, (p, q) in ((1.0, (1, 1)), (2.0, (2, 1)), (0.5, (1, 2))):
+        scn, _, ir, moduli, r = side_looking_channel(beta)
+        assert scn.clutter_doppler_std_hz == 0.0 and ir.support.size >= 20
+        bound = 2.0 ** -23 + (4 * r + 1200) * 2.0 ** -53
+        residual = shift_residual(ir.taps, moduli, p, q)
+        assert residual <= bound, (beta, residual, bound)
+        worst = max(worst, residual)
+        if beta == 1.0:
+            toeplitz = shift_residual(ir.taps, moduli, 1, -1)
+            assert toeplitz > 1e3 * bound, toeplitz
+    print(f"ACCEPTANCE 16: PASS - side-looking ridge invariant to {worst:.1e} of each tap's "
+          f"amplitude sum at beta = 1, 2 and 1/2; Toeplitz shift off by {toeplitz:.2f}")
+
+
+def test_17_bistatic_band_power_matches_independent_quadrature():
+    """Test 13's flat grass under the same isotropic transmitter, now
+    received by a stationary isotropic receiver h_r high, b east of it.
+    A tap holds the patches whose range sum S = R_t + R_r rounds to it,
+    and with sigma0 = gamma h_t / R_t (constant gamma on the transmit
+    grazing angle, the package's convention) the taps with S in
+    [S1, S2) hold the bistatic range equation over that ground band,
+
+        gamma lambda^2 / (4 pi)^3  iint_{S1 <= S < S2} h_t / (R_t^3 R_r^2) dA.
+
+    The integral is taken in polar coordinates about the transmitter's
+    foot, on one half plane (the geometry is symmetric about the
+    baseline), with `quad` along each ray and across the rays.  S is
+    convex along a ray, so {S < s} is one interval of it; its ends come
+    from `brentq` on either side of the ray's minimum.
+
+    The bound is test 13's and test 15's, with S in place of the slant
+    range:
+      - a cell counts wholly on its center's side of a band edge S_e, and
+        each of its points lies within a / sqrt 2 of its center on the
+        ground.  Along a ground direction |grad S| <= rho_t / R_t
+        + rho_r / R_r, and since R_r >= h_r and R_t >= h_t, a point with
+        S <= s has R_t <= s - h_r and R_r <= s - h_t, so
+        |grad S| <= G(s) = sqrt(1 - h_t^2 / (s - h_r)^2)
+        + sqrt(1 - h_r^2 / (s - h_t)^2) < 2.  A cell that straddles the
+        edge so lies within m = G(S_e + sqrt 2 a) a / sqrt 2 of it in S.
+        The cells counted in the band add power from outside it, in the
+        strip of width m on the outer side of the edge, and the cells
+        left out take away power from inside it, in the strip on the
+        inner side; the two have opposite signs, so the edge moves the
+        sum by at most the larger strip power, which the same
+        quadrature gives;
+      - a cell is summed at its center, which misses the cell's
+        integral by at most a^4 / 12 times the largest second derivative
+        of f = h_t R_t^-3 R_r^-2 along any ground direction.  Along a
+        ground direction |R'| <= 1 and 0 <= R'' <= 1 / R, so
+        |(R^-p)''| <= p (p + 2) R^-p-2 and |(R^-p)'| <= p R^-p-1, and
+        |f''| <= f (15 / R_t^2 + 12 / (R_t R_r) + 8 / R_r^2), at most f
+        times that bracket at R_t = h_t and R_r = h_r.  Across a cell f
+        is at most its center value times
+        (h_t / (h_t - a / sqrt 2))^3 (h_r / (h_r - a / sqrt 2))^2, so the
+        cells' sum is within delta = a^2 / 12 times the bracket times
+        that ratio of their own integral.
+    With the band power P and the two edges' strip bounds E, the sum G
+    obeys |G - P| <= E + delta G, so
+    |G / P - 1| <= E / P + delta (1 + E / P) / (1 - delta).
+    """
+    cell, n, h_t = RING_CELL, RING_CELLS, RING_HEIGHT
+    h_r, b = 300.0, 400.0
+    center = n * cell / 2.0
+    scn, gains, taps, tap_range = ring_budget(
+        rx_position=np.array([center + b, center, h_r]))
+    gamma = 10.0 ** (scn.table().lookup(GRASS, scn.band).gamma_db / 10.0)
+    constant = gamma * scn.wavelength ** 2 / (4.0 * math.pi) ** 3
+    half_diagonal = cell / math.sqrt(2.0)
+    edges = range(17, 38, 4)           # taps: range sums 989 m to 2.19 km
+    assert edges[-1] <= scn.timing().num_taps
+
+    def range_sum(rho, phi):
+        return (math.hypot(rho, h_t)
+                + math.sqrt((rho * math.cos(phi) - b) ** 2 + (rho * math.sin(phi)) ** 2
+                            + h_r ** 2))
+
+    def density(rho, phi):
+        """f rho, the integrand in polar coordinates."""
+        r_t2 = rho * rho + h_t * h_t
+        r_r2 = (rho * math.cos(phi) - b) ** 2 + (rho * math.sin(phi)) ** 2 + h_r * h_r
+        return rho * h_t / (r_t2 * math.sqrt(r_t2) * r_r2)
+
+    def below(s):
+        """The power of the ground where S < s."""
+        def ray(phi):
+            lowest = minimize_scalar(lambda rho: range_sum(rho, phi), bounds=(0.0, b),
+                                     method="bounded", options={"xatol": 1e-9}).x
+            if range_sum(lowest, phi) >= s:
+                return 0.0
+            near = (0.0 if range_sum(0.0, phi) < s else
+                    brentq(lambda rho: range_sum(rho, phi) - s, 0.0, lowest, xtol=1e-12))
+            # S >= R_t > rho, so S exceeds s at rho = s
+            far = brentq(lambda rho: range_sum(rho, phi) - s, lowest, s, xtol=1e-12)
+            return quad(density, near, far, args=(phi,), epsabs=0.0, epsrel=1e-11)[0]
+
+        return 2.0 * constant * quad(ray, 0.0, math.pi, epsabs=0.0, epsrel=1e-9, limit=200)[0]
+
+    def power(s1, s2):
+        return below(s2) - below(s1)
+
+    def strip(edge):
+        """Test 17's bound on how far the cells at a band edge move its sum."""
+        def slope(s):
+            return (math.sqrt(1.0 - (h_t / (s - h_r)) ** 2)
+                    + math.sqrt(1.0 - (h_r / (s - h_t)) ** 2))
+
+        m = slope(edge + 2.0 * half_diagonal) * half_diagonal
+        return max(power(edge - m, edge), power(edge, edge + m))
+
+    bracket = 15.0 / h_t ** 2 + 12.0 / (h_t * h_r) + 8.0 / h_r ** 2
+    ratio = (h_t / (h_t - half_diagonal)) ** 3 * (h_r / (h_r - half_diagonal)) ** 2
+    delta = cell ** 2 / 12.0 * bracket * ratio
+    # every band and its edge bands lie on the raster: S >= 2 R_t - |tx - rx|
+    reach = ((edges[-1] - 0.5) * 2.0 * tap_range + 2.0 * half_diagonal + math.hypot(b, h_t - h_r))
+    assert math.sqrt((reach / 2.0) ** 2 - h_t ** 2) + half_diagonal < center
+    ratios, tightest = [], math.inf
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        s1, s2 = (lo - 0.5) * 2.0 * tap_range, (hi - 0.5) * 2.0 * tap_range
+        want = power(s1, s2)
+        got = float(gains[(taps >= lo) & (taps < hi)].sum())
+        edge = (strip(s1) + strip(s2)) / want
+        bound = edge + delta * (1.0 + edge) / (1.0 - delta)
+        assert abs(got / want - 1.0) <= bound, (lo, hi, got / want, bound)
+        ratios.append(got / want)
+        tightest = min(tightest, bound)
+    print(f"ACCEPTANCE 17: PASS - bistatic band power over quadrature "
+          f"{', '.join(f'{r:.5f}' for r in ratios)}, bounds from {tightest:.3f}")
+
+
+def test_18_doppler_jitter_decorrelates_pulses_by_the_gaussian_factor():
+    """With intrinsic-motion Doppler jitter of standard deviation sigma,
+    each scatterer's Doppler is its geometric one plus sigma z, z a
+    standard normal drawn apart from its uniform phase.  Over a
+    stationary platform the geometric Doppler is zero, so a tap
+    h_m = sum_s a_s exp(j 2 pi sigma z_s m / PRF) has
+
+        E[h_m conj(h_{m+k})] / E|h_m|^2 = exp(-(2 pi sigma k / PRF)^2 / 2),
+
+    the characteristic function of the normal at 2 pi k / PRF.  The
+    channel is that of test 16's scene with one channel and the
+    platform at rest, drawn with independent seeds.
+
+    The estimate is the ratio of sums over every (seed, tap) unit of
+    X = mean_m Re h_m conj(h_{m+k}) and Y = mean_m |h_m|^2.  Distinct
+    taps hold distinct scatterers and distinct seeds independent draws,
+    so the units are independent and the ratio's standard error is, by
+    the delta method, sqrt(sum (X - rho Y)^2) / sum Y.  The bound is
+    five standard errors, which a normal estimate exceeds with
+    probability below 1e-6; the estimate's own bias is of order 1 / K for
+    K units, far below it.
+    """
+    prf, seeds = 2000.0, 120
+    worst = 0.0
+    for sigma, lags in ((100.0, (1, 2, 3, 4)), (200.0, (1, 2, 3))):
+        scn, scene, _, _, _ = side_looking_channel(0.0, num_channels=1,
+                                                   clutter_doppler_std_hz=sigma)
+        assert scn.prf_hz == prf and not np.any(scn.tx_velocity)
+        timing = scn.timing()
+        m = scn.num_pulses
+        units = []
+        for seed in range(seeds):
+            h = pipeline.synthesize_clutter(scn, scene, 0, timing, seed=seed).taps[0]
+            h = h.astype(np.complex128)                 # (pulses, occupied taps)
+            power = np.mean(np.abs(h) ** 2, axis=0)
+            lagged = [np.mean((h[:m - k] * h[k:].conj()).real, axis=0) for k in lags]
+            units.append(np.vstack([power] + lagged))
+        x = np.hstack(units)
+        assert x.shape[1] >= 20 * seeds
+        for row, k in enumerate(lags, start=1):
+            estimate = x[row].sum() / x[0].sum()
+            error = math.sqrt(np.sum((x[row] - estimate * x[0]) ** 2)) / x[0].sum()
+            want = math.exp(-0.5 * (2.0 * math.pi * sigma * k / prf) ** 2)
+            assert abs(estimate - want) <= 5.0 * error, (sigma, k, estimate, want, error)
+            worst = max(worst, abs(estimate - want) / error)
+    print(f"ACCEPTANCE 18: PASS - pulse correlation under Doppler jitter within "
+          f"{worst:.2f} standard errors of the Gaussian factor")

@@ -1,5 +1,6 @@
 """Command line wiring, exercised through main() with a small scenario file."""
 
+import csv
 import os
 import struct
 import subprocess
@@ -17,7 +18,8 @@ from rfclutter.challenge import read_challenge
 from rfclutter.rxsim import DataCube, write_cube
 from rfclutter.scenario import (DESK_SCALE, generate_scenario2, load_scenario,
                                 scenario_text)
-from rfclutter.terrain import ElevationGrid
+from rfclutter.scattering import GRASS
+from rfclutter.terrain import ClassGrid, ElevationGrid
 from rfclutter.waveform import Waveform, lfm, read_waveform, write_waveform
 
 from oracles import HOSTILE_IR_FILES, ir_blob, write_dem, write_landcover
@@ -75,14 +77,26 @@ def test_seed_override_changes_export(scenario_file, tmp_path):
 
 
 def test_clutter_and_los_maps(scenario_file, tmp_path):
+    """Both terrain maps are north-up patch rasters, written as row, col
+    and value per patch; the visibility image is binary."""
     out = tmp_path / "maps"
     assert main(["clutter-map", "--scenario", str(scenario_file),
                  "--out", str(out)]) == 0
-    assert (out / "clutter_map.csv").exists()
     assert (out / "clutter_map.pgm").read_bytes().startswith(b"P5\n")
     assert main(["los-map", "--scenario", str(scenario_file),
                  "--out", str(out)]) == 0
-    assert (out / "los_map.csv").exists()
+    gm = pipeline.gain_map(load_scenario(scenario_file))
+    for name, header, values in (("clutter_map.csv", "row,col,db", gm.gains_db),
+                                 ("los_map.csv", "row,col,visible", gm.visible)):
+        with open(out / name, newline="") as f:
+            rows = list(csv.reader(f))
+        assert ",".join(rows[0]) == header
+        got = np.zeros(values.shape)
+        for r, c, value in rows[1:]:
+            got[int(r), int(c)] = float(value)
+        assert len(rows) == values.size + 1 and np.array_equal(got, values)
+    pixels = (out / "los_map.pgm").read_bytes()[-gm.visible.size:]
+    assert np.array_equal(np.frombuffer(pixels, dtype=np.uint8), 255 * gm.visible.ravel())
 
 
 def test_range_doppler_from_dataset_cube(scenario_file, tmp_path):
@@ -323,6 +337,66 @@ def test_off_raster_platform_simulates(scenario_file, tmp_path, capsys):
     assert read_challenge(out).num_cpis == 2
 
 
+def test_a_landcover_anchored_off_its_dem_exits_2_and_writes_nothing(tmp_path, capsys):
+    """A land-cover file whose origin is not its DEM's exits 2 with one
+    error line that names both origins, though its shape and cell size
+    agree, and writes no file; the same raster at the DEM's origin
+    simulates."""
+    write_dem(tmp_path / "site.dem", ElevationGrid(heights=np.zeros((40, 40)), cell_size=30.0,
+                                                   origin_lat=10.0, origin_lon=20.0))
+    classes = np.full((40, 40), GRASS, dtype=np.int64)
+    for name, lat, lon in (("elsewhere.lc", 55.0, -3.0), ("here.lc", 10.0, 20.0)):
+        write_landcover(tmp_path / name, ClassGrid(classes=classes, cell_size=30.0,
+                                                   origin_lat=lat, origin_lon=lon))
+        (tmp_path / f"{name}.txt").write_text(
+            SCENARIO.replace("terrain.dem = ground.dem",
+                             f"terrain.dem = site.dem\nterrain.landcover = {name}"))
+    out = tmp_path / "elsewhere"
+    assert main(["simulate", "--scenario", str(tmp_path / "elsewhere.lc.txt"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "(10.0, 20.0)" in err and "(55.0, -3.0)" in err
+    assert list(out.iterdir()) == []
+    assert main(["simulate", "--scenario", str(tmp_path / "here.lc.txt"),
+                 "--out", str(tmp_path / "here")]) == 0
+
+
+# a scenario of targets only; each probe replaces or adds its keys, and
+# the key that the error must name follows it
+TARGETS_ONLY = "".join(f"{row}\n" for row in SCENARIO.splitlines()
+                       if not row.startswith("terrain."))
+SIZE_PROBES = [
+    ("radar.swath = 1e12", "radar.swath"),
+    ("radar.pulses = 100000000000", "radar.pulses"),
+    ("radar.channels = 100000000000", "radar.channels"),
+    ("radar.pulse_duration = 1e6", "radar.pulse_duration"),
+    ("radar.sample_rate = 1e300; radar.pulse_duration = 1e-300", "radar.swath"),
+    ("radar.channels = 4000000000; radar.pulses = 4000000000", "radar.channels"),
+]
+
+
+@pytest.mark.parametrize("probe, key", SIZE_PROBES, ids=[p for p, _ in SIZE_PROBES])
+def test_a_size_the_file_formats_cannot_hold_exits_2_and_writes_nothing(
+        probe, key, tmp_path, capsys):
+    """Each of a CPI's dimensions, the N channels, M pulses, L window
+    taps, P waveform samples and R = L + P - 1 range samples, must fit
+    the u32 header fields of the cube, channel and waveform files, and
+    its 8 N M R cube bytes numpy's address space.  Beyond either, the
+    scenario exits 2 with one error line naming the key, and writes no
+    file."""
+    given = dict(item.split(" = ") for item in probe.split("; "))
+    text = "".join(f"{row}\n" for row in TARGETS_ONLY.splitlines()
+                   if row.split(" = ")[0] not in given)
+    path = tmp_path / "huge.txt"
+    path.write_text(text + "".join(f"{k} = {v}\n" for k, v in given.items()))
+    out = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and key in err
+    assert not out.exists()
+
+
 def test_target_on_the_platform_exits_with_code_2(scenario_file, tmp_path, capsys):
     text = scenario_file.read_text() + "target.2.position = 100 600 300\ntarget.2.rcs = 10\n"
     bad = tmp_path / "target_on_platform.txt"
@@ -437,8 +511,6 @@ def test_a_negative_seed_override_exits_with_code_2_before_simulating(
 BAD_LEVELS = [
     ("clutter-map --scenario S --clip-db nan", "clip_db"),
     ("clutter-map --scenario S --clip-db 0", "clip_db"),
-    ("los-map --scenario S --clip-db inf", "clip_db"),
-    ("los-map --scenario S --clip-db=-3", "clip_db"),
     ("range-doppler --scenario S --clip-db nan", "clip_db"),
     ("range-doppler --scenario S --peak-offset-db nan", "peak_offset_db"),
     ("range-doppler --cube C --waveform W --clip-db 0", "clip_db"),

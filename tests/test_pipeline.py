@@ -27,7 +27,7 @@ from rfclutter.ocean import pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 Scenario, TargetSpec, TransmitterSpec,
                                 generate_scenario1, generate_scenario2)
-from rfclutter.scattering import URBAN, WATER, patch_power_scales
+from rfclutter.scattering import GRASS, URBAN, WATER, patch_power_scales
 from rfclutter.seeding import STREAM_OCEAN, derive_seed
 from rfclutter.terrain import (LOS_CLEARANCE_M, ClassGrid, ElevationGrid, grazing_angles,
                                lines_of_sight)
@@ -157,6 +157,20 @@ def test_patch_budget_window_filter():
     near = windowed.gains > 0
     assert near.any()
     np.testing.assert_array_equal(windowed.gains[near], full.gains[near])
+
+
+def test_the_default_grass_cover_sits_on_the_dem_origin():
+    """Without a land-cover raster the scene is grass on the DEM's own
+    grid, wherever the DEM is anchored; a raster anchored elsewhere is
+    a configuration error."""
+    dem = ElevationGrid(heights=np.zeros((40, 40)), cell_size=30.0, origin_lat=10.0,
+                        origin_lon=20.0)
+    anchored = pipeline.build_scene(tiny_scenario(dem=dem))
+    assert np.all(anchored.patches.classes == GRASS)
+    assert anchored.patches.centers.tobytes() == (
+        pipeline.build_scene(tiny_scenario()).patches.centers.tobytes())
+    with pytest.raises(ConfigurationError, match="origin"):
+        pipeline.build_scene(tiny_scenario(dem=dem, landcover=half_water_cover()))
 
 
 def test_gain_map_is_north_up():

@@ -62,7 +62,8 @@ def test_script_runs(name, tmp_path, capsys):
 @pytest.mark.parametrize("preset", ["scenario1", "scenario2"])
 def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path, capsys):
     """The header counts the facets that the class rows list; the
-    presets' two discretes get a line of their own."""
+    presets' two discretes get a line of their own.  The gain map is a
+    patch raster, its CSV columns row, col and db."""
     argv = ["--preset", preset, "--scale", "0.125", "--out", str(tmp_path)]
     assert load_script("coverage_study").main(argv) == 0
     header, *rows = capsys.readouterr().out.splitlines()
@@ -73,6 +74,7 @@ def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path,
     assert sum(int(c[1]) for c in classes) == lit
     assert sum(int(c[3]) for c in classes) == patches
     assert [r[1:4] for r in table if r[0] == "discretes:"] == [["2", "/", "2"]]
+    assert (tmp_path / "gain_map.csv").read_text().splitlines()[0] == "row,col,db"
 
 
 SMALL_SCENARIO = """

@@ -11,9 +11,15 @@ belongs in tests/oracles.py.
 
 A reader of a field is an attribute load of its name in that code,
 outside `__post_init__` and `__setattr__` (which only check or normalize
-what was stored), or a string constant equal to its name, as
-`scenario._KEYS` names the fields that `scenario_text` reads.  A field
-that only the tests read is write-only for the program.
+what was stored), on a receiver of the field's class or of unknown
+class; or a string constant equal to its name, as `scenario._KEYS`
+names the fields that `scenario_text` reads.  A receiver's class is
+known where it is `self` in a method, a parameter annotated with a
+package class (alone or `| None`), or a local that every binding
+assigns a call of the class or of a package function annotated to
+return it; so `budget.grazing`, with `budget = patch_budget(...)`, reads
+`PatchBudget.grazing` and no other class's `grazing`.  A field that
+only the tests read is write-only for the program.
 
 An option is a parameter or a dataclass field with a default.  A
 parameter's setter is a call in the program that passes it, by keyword
@@ -149,37 +155,116 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return _decorated(node, "dataclass")
 
 
-def dataclass_fields() -> dict[str, str]:
-    """"Class.field" -> field name of every dataclass field in the package."""
+def dataclass_fields(package: Path = PACKAGE) -> dict[str, tuple[str, str]]:
+    """"Class.field" -> (class, field) of every dataclass field in the package."""
     found = {}
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        found[f"{node.name}.{stmt.target.id}"] = stmt.target.id
+                        found[f"{node.name}.{stmt.target.id}"] = (node.name, stmt.target.id)
     return found
 
 
-def read_names() -> set[str]:
-    """Attribute names the program loads outside `__post_init__` and
-    `__setattr__`, and its string constants."""
-    names = set()
-    for directory in PROGRAM_DIRS:
-        for path in sorted((ROOT / directory).rglob("*.py")):
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            skipped = {id(inner) for node in ast.walk(tree)
-                       if isinstance(node, ast.FunctionDef)
-                       and node.name in ("__post_init__", "__setattr__")
-                       for inner in ast.walk(node)}
-            for node in ast.walk(tree):
-                if id(node) in skipped:
-                    continue
-                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    names.add(node.attr)
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    names.add(node.value)
-    return names
+def _named_class(annotation, classes) -> str | None:
+    """The package class that an annotation names, alone or as
+    `C | None`, written bare, with a module prefix or as a string."""
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        annotation = ast.parse(annotation.value, mode="eval").body
+    if isinstance(annotation, ast.BinOp) and isinstance(annotation.op, ast.BitOr):
+        sides = [side for side in (annotation.left, annotation.right)
+                 if not (isinstance(side, ast.Constant) and side.value is None)]
+        annotation = sides[0] if len(sides) == 1 else None
+    name = (annotation.id if isinstance(annotation, ast.Name)
+            else annotation.attr if isinstance(annotation, ast.Attribute) else None)
+    return name if name in classes else None
+
+
+def _package_types(package: Path) -> tuple[set[str], dict[str, str | None]]:
+    """The package's class names, and function name -> the package
+    class its return annotation names (None where two functions of that
+    name disagree)."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.glob("*.py"))]
+    classes = {node.name for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef)}
+    returns: dict[str, str | None] = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, _SCOPES[:2]):
+                cls = _named_class(node.returns, classes)
+                returns[node.name] = cls if returns.get(node.name, cls) == cls else None
+    return classes, returns
+
+
+def _scope_types(scope, owner, enclosing: dict, classes, returns) -> dict[str, str | None]:
+    """Name -> the package class it holds throughout `scope`, or None
+    where that is unknown.  A name's class is known where it is `self`
+    in a method of the class (`owner`), a parameter annotated with the
+    class, or a name every binding of which assigns a call of the class
+    or of a function annotated to return it.  Names the scope does not
+    bind keep their class from the enclosing scope."""
+    found: dict[str, set] = {name: set() for name in (
+        _module_names(scope) if isinstance(scope, ast.Module) else _local_names(scope))}
+    if not isinstance(scope, ast.Module):
+        args = scope.args
+        positional = args.posonlyargs + args.args
+        for arg in positional + args.kwonlyargs:
+            found[arg.arg].add(_named_class(arg.annotation, classes))
+        if (isinstance(owner, ast.ClassDef) and positional and positional[0].annotation is None
+                and not _decorated(scope, "staticmethod", "classmethod")):
+            found[positional[0].arg] = {owner.name}
+    nodes = list(_own_nodes(scope))
+    assigned = {}
+    for node in nodes:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and isinstance(node.value, ast.Call)):
+            callee = _callee(node.value)
+            assigned[id(node.targets[0])] = callee if callee in classes else returns.get(callee)
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            found.setdefault(node.id, set()).add(assigned.get(id(node)))
+    return enclosing | {name: kinds.pop() if len(kinds) == 1 else None
+                        for name, kinds in found.items()}
+
+
+def read_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[tuple[str | None, str]]:
+    """(receiver class, attribute name) of every attribute load in the
+    program outside `__post_init__` and `__setattr__`, with class None
+    where the receiver's class is unknown; and (None, value) of every
+    string constant."""
+    classes, returns = _package_types(package)
+    reads = set()
+
+    def walk(node, types: dict, skipped: bool):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, _SCOPES):
+                owner = node if isinstance(node, ast.ClassDef) else None
+                walk(child, _scope_types(child, owner, types, classes, returns),
+                     skipped or getattr(child, "name", "") in ("__post_init__", "__setattr__"))
+                continue
+            if skipped:
+                pass
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                reads.add((None, child.value))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                receiver = child.value
+                reads.add((types.get(receiver.id) if isinstance(receiver, ast.Name) else None,
+                           child.attr))
+            walk(child, types, skipped)
+
+    for tree in _program_trees(root):
+        walk(tree, _scope_types(tree, None, {}, classes, returns), False)
+    return reads
+
+
+def unread_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
+    """The dataclass fields that no program code reads: no load of the
+    field's name on a receiver of its class or of unknown class, and no
+    string constant equal to it."""
+    reads = read_fields(package, root)
+    return {key for key, (cls, name) in dataclass_fields(package).items()
+            if (cls, name) not in reads and (None, name) not in reads}
 
 
 def _frozen(node: ast.ClassDef) -> bool:
@@ -199,10 +284,8 @@ def test_every_scenario_dataclass_is_frozen():
 
 
 def test_every_dataclass_field_has_a_reader():
-    fields = dataclass_fields()
-    assert "ChannelImpulseResponse.taps" in fields
-    names = read_names()
-    assert sorted(q for q, name in fields.items() if name not in names) == []
+    assert "ChannelImpulseResponse.taps" in dataclass_fields()
+    assert sorted(unread_fields()) == []
 
 
 # option -> why it keeps a default that no program call passes
@@ -376,6 +459,38 @@ def test_the_option_rule_sees_unpassed_parameters_and_unset_fields(tmp_path):
     assert sorted(unset_parameters(package, tmp_path)) == ["probe.K.m.b", "probe.f.c",
                                                             "probe.f.d"]
     assert sorted(unset_fields(package, tmp_path)) == ["probe.D.u"]
+
+
+def test_the_field_rule_sees_past_a_shared_field_name(tmp_path):
+    """A load of a shared field name reads only its receiver's class
+    where that class is known: `self` in a method, an annotated
+    parameter, or a local that every binding assigns a call of the
+    class or of a function annotated to return it.  A receiver of
+    unknown class, or a string constant, reads the name on every class;
+    a test reads nothing."""
+    package = tmp_path / "src" / "probe"
+    package.mkdir(parents=True)
+    (package / "probe.py").write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class A:\n"
+        "    x: int\n    y: int\n    z: int\n    w: int\n    v: int\n    u: int\n    t: int\n"
+        "    def total(self): return self.w\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    x: int\n    y: int\n    z: int\n    w: int\n    v: int\n    u: int\n    t: int\n"
+        "def make() -> 'B | None': return B(*range(7))\n"
+        "def read(a: A, b, flag):\n"
+        "    fresh = A(*range(7))\n"
+        "    made = make()\n"
+        "    either = fresh if flag else made\n"
+        "    def inner(): return made.z\n"
+        "    return a.x + fresh.y + inner() + b.v + either.u + getattr(b, 't')\n",
+        encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_probe.py").write_text(
+        "from probe.probe import B\nB(*range(7)).x\n", encoding="utf-8")
+    assert sorted(unread_fields(package, tmp_path)) == ["A.z", "B.w", "B.x", "B.y"]
 
 
 # module-level name -> (why it lives as long as the process, what bounds its memory)

@@ -673,6 +673,24 @@ def test_class_grid_is_fixed_at_construction():
             ClassGrid(classes=bad, cell_size=10.0)
 
 
+def test_patch_grid_rejects_a_landcover_anchored_elsewhere(tmp_path):
+    """A land-cover raster must sit on its DEM's grid: one anchored at
+    another origin, in memory or read from files, is a configuration
+    error that names both origins, though its shape and cell size agree."""
+    dem = ElevationGrid(heights=np.zeros((8, 8)), cell_size=10.0, origin_lat=10.0,
+                        origin_lon=20.0)
+    cover = ClassGrid(classes=np.full((8, 8), GRASS, dtype=np.int64), cell_size=10.0,
+                      origin_lat=55.0, origin_lon=-3.0)
+    write_dem(tmp_path / "site.dem", dem)
+    write_landcover(tmp_path / "site.lc", cover)
+    for pair in ((dem, cover), (read_dem(tmp_path / "site.dem"),
+                                read_landcover(tmp_path / "site.lc"))):
+        with pytest.raises(ConfigurationError, match=r"\(10\.0, 20\.0\).*\(55\.0, -3\.0\)"):
+            build_patch_grid(*pair, patch_size=20.0)
+    anchored = dataclasses.replace(cover, origin_lat=10.0, origin_lon=20.0)
+    assert len(build_patch_grid(dem, anchored, patch_size=20.0)) == 16
+
+
 # --- raster file format ------------------------------------------------------
 
 def test_dem_round_trip(tmp_path, ridge_dem):
@@ -701,6 +719,11 @@ def test_raster_reader_rejects_malformed(tmp_path):
     worse.write_text("ncols 2\ncellsize 10\norigin 0 0\n1 2\n")
     with pytest.raises(ConfigurationError):
         read_dem(worse)
+    for code in ("2.5", "x", str(2 ** 63)):
+        cover = tmp_path / "bad.lc"
+        cover.write_text(f"nrows 1\nncols 2\ncellsize 10\norigin 0 0\n1 {code}\n")
+        with pytest.raises(ConfigurationError, match="int64"):
+            read_landcover(cover)
 
 
 @pytest.mark.parametrize("reader", [read_dem, read_landcover])
