@@ -63,11 +63,13 @@ def main(argv=None):
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     write_grid_csv(out / "gain_map.csv", gmap.gains_db, "db")
-    write_pgm(out / "gain_map.pgm", gmap.gains_db - gmap.gains_db.max(),
-              clip_db=80.0)
-    span = float(gmap.gains_db.max() - gmap.gains_db[gmap.gains_db > -320.0].min())
-    print(f"gain map {gmap.gains_db.shape}, dynamic range {span:.1f} dB "
-          f"-> {out}/gain_map.csv, gain_map.pgm")
+    write_pgm(out / "gain_map.pgm", gmap.relative_db(), clip_db=80.0)
+    gained = gmap.gains_db[gmap.gains_db > pipeline.GAIN_MAP_FLOOR_DB]
+    if gained.size:
+        summary = f"dynamic range {float(gmap.gains_db.max() - gained.min()):.1f} dB"
+    else:
+        summary = "no patch has gain"
+    print(f"gain map {gmap.gains_db.shape}, {summary} -> {out}/gain_map.csv, gain_map.pgm")
     return 0
 
 

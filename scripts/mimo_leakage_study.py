@@ -17,8 +17,9 @@ import numpy as np
 
 from rfclutter.cli import exit_status
 from rfclutter.channel import ChannelImpulseResponse
+from rfclutter.dsp import cross_channel_leakage
 from rfclutter.errors import ConfigurationError
-from rfclutter.mimo import cross_channel_leakage, simulate_mimo_cube
+from rfclutter.rxsim import assemble_cube
 from rfclutter.waveform import Waveform, lfm, phase_code
 
 FS = 10e6   # Hz
@@ -43,8 +44,7 @@ def families(frame: int, seed: int):
 
 
 def leakage_matrix(pair, ir) -> np.ndarray:
-    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)
-             for w in pair]
+    cubes = [assemble_cube([([ir], w)], noise_power=0.0, seed=1) for w in pair]
     return cross_channel_leakage(cubes, list(pair))
 
 

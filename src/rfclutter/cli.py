@@ -27,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import challenge, channel, cofar, dsp, mimo, pipeline, rxsim, waveform
+from . import challenge, channel, cofar, dsp, pipeline, rxsim, waveform
 from .errors import ConditioningError, ConfigurationError
 from .scenario import (DESK_SCALE, Scenario, generate_scenario1,
                        generate_scenario2, load_scenario)
@@ -98,8 +98,7 @@ def cmd_clutter_map(args) -> int:
     gm = pipeline.gain_map(scn, cpi=args.cpi)
     # normalize to the strongest patch for the image; CSV keeps raw dB
     dsp.write_grid_csv(out / "clutter_map.csv", gm.gains_db, "db")
-    dsp.write_pgm(out / "clutter_map.pgm", gm.gains_db - gm.gains_db.max(),
-                  clip_db=args.clip_db)
+    dsp.write_pgm(out / "clutter_map.pgm", gm.relative_db(), clip_db=args.clip_db)
     vis_pct = 100.0 * float(np.count_nonzero(gm.visible)) / gm.visible.size
     print(f"clutter map {gm.gains_db.shape[1]}x{gm.gains_db.shape[0]} patches "
           f"({gm.patch_size:.0f} m), {vis_pct:.1f}% visible")
@@ -195,13 +194,14 @@ def cmd_mimo_sim(args) -> int:
     codes = [phase_code(chips, scn.sample_rate,
                         seed=derive_seed(scn.seed, STREAM_MIMO_CODE, t))
              for t in range(num_tx)]
-    cube = mimo.simulate_mimo_cube(tx_channels, codes, scn.noise_power, scn.seed,
+    groups = list(zip(tx_channels, codes))
+    cube = rxsim.assemble_cube(groups, scn.noise_power, scn.seed,
+                               carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
+    singles = [rxsim.assemble_cube([group], 0.0, scn.seed,
                                    carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-    singles = [mimo.simulate_mimo_cube([channels], [code], 0.0, scn.seed,
-                                       carrier_hz=scn.carrier_hz, cpi_index=args.cpi)
-               for channels, code in zip(tx_channels, codes)]
+               for group in groups]
     # the leakage before any file, so a transmitter that reaches nothing writes none
-    leak = mimo.cross_channel_leakage(singles, codes)
+    leak = dsp.cross_channel_leakage(singles, codes)
     rxsim.write_cube(out / "mimo_rx0.rfcube", cube)
     with open(out / "mimo_leakage.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)

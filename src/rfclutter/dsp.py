@@ -4,7 +4,9 @@ beamform -> pulse_compress -> doppler_process -> normalized dB map with
 a peak list.  Pulse compression is correlation against the conjugate
 time-reversed waveform over the fully-overlapped lags, so an echo at
 channel tap d lands at compressed sample d.  Doppler bin b corresponds
-to b * PRF / M, wrapping at the PRF.
+to b * PRF / M, wrapping at the PRF.  The same matched filter measures
+how well several transmitters' waveforms separate
+(`cross_channel_leakage`).
 
 Beamforming and pulse compression split their M pulse rows over the
 process's worker pool (`workers.run_blocks`): block b of W takes the
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import csv as _csv
 import math
+from typing import Sequence
 
 import numpy as np
 from scipy.fft import next_fast_len
@@ -33,6 +36,7 @@ from .workers import run_blocks
 
 DEFAULT_CLIP_DB = 60.0        # dynamic range below the map peak
 DEFAULT_PEAK_OFFSET_DB = 20.0  # peak threshold above the map median
+LEAKAGE_FLOOR_DB = -300.0     # leakage of an exactly zero cross response
 
 
 def check_levels(clip_db: float, peak_offset_db: float = DEFAULT_PEAK_OFFSET_DB) -> None:
@@ -123,6 +127,43 @@ def pulse_compress(samples: np.ndarray, wf: Waveform) -> np.ndarray:
 
     run_blocks(compress, lines.shape[0])
     return out.reshape(x.shape[:-1] + (n_out,))
+
+
+def cross_channel_leakage(single_tx_cubes: Sequence[DataCube],
+                          waveforms: Sequence[Waveform]) -> np.ndarray:
+    """Matched-filter cross-talk matrix in dB.
+
+    single_tx_cubes[b] must be generated with only transmitter b
+    radiating.  Entry (a, b) is the peak magnitude of waveform a's
+    matched filter applied to cube b, relative to the matched peak
+    (a, a), as 20 log10 of the amplitude ratio.  Peaks are taken over
+    all pulses and fully-overlapped range lags of receive channel 0.
+    An exactly zero cross response reports the floor value
+    LEAKAGE_FLOOR_DB; an exactly zero matched peak (a, a) is a
+    ConfigurationError that names transmitter a.
+    """
+    num_tx = len(waveforms)
+    if len(single_tx_cubes) != num_tx:
+        raise ConfigurationError(
+            f"{num_tx} waveforms but {len(single_tx_cubes)} single-tx cubes")
+    peaks = np.empty((num_tx, num_tx))
+    for a in range(num_tx):
+        for b in range(num_tx):
+            x = single_tx_cubes[b].samples[0, 0]
+            mf = pulse_compress(x, waveforms[a])
+            peaks[a, b] = float(np.abs(mf).max())
+    out = np.empty((num_tx, num_tx))
+    for a in range(num_tx):
+        if peaks[a, a] == 0.0:
+            raise ConfigurationError(
+                f"transmitter {a} reaches nothing: matched response ({a}, {a}) is zero")
+        for b in range(num_tx):
+            if peaks[a, b] == 0.0:
+                out[a, b] = LEAKAGE_FLOOR_DB
+            else:
+                out[a, b] = max(LEAKAGE_FLOOR_DB,
+                                20.0 * np.log10(peaks[a, b] / peaks[a, a]))
+    return out
 
 
 def doppler_process(pulses: np.ndarray, window: str | None = None) -> np.ndarray:

@@ -264,16 +264,6 @@ def patch_budget(scn: Scenario, scene: SceneModel, tx: PlatformState,
     return PatchBudget(gains=gains, directions=dirs_rx, los_tested=tested)
 
 
-def _clutter_responses(scn: Scenario, scene: SceneModel, budget: PatchBudget,
-                       live: np.ndarray, tx: PlatformState, rx: PlatformState,
-                       realization: int, seed: int) -> np.recarray:
-    """Responses of the scatterers at indices `live`.  Every draw is
-    keyed by patch id, so skipping the zero-gain scatterers leaves the
-    others' draws unchanged."""
-    return patch_responses(scene.patches[live], budget.gains[live], tx, rx, scn.wavelength,
-                           _clutter_model(scn, seed), realization=realization)
-
-
 def _clutter_model(scn: Scenario, seed: int) -> StochasticModel:
     return StochasticModel(seed=seed, doppler_std_hz=scn.clutter_doppler_std_hz,
                            deterministic_phase=scn.deterministic_clutter_phase)
@@ -318,8 +308,10 @@ def synthesize_clutter(scn: Scenario, scene: SceneModel, cpi: int, timing: Radar
     array = receive_array(scn)
     budget = patch_budget(scn, scene, tx, rx, array, timing)
     live = np.flatnonzero(budget.gains)
-    responses = _clutter_responses(scn, scene, budget, live, tx, rx, cpi,
-                                   scn.seed if seed is None else seed)
+    # every draw is keyed by patch id, so skipping zero gains leaves the others' draws unchanged
+    responses = patch_responses(scene.patches[live], budget.gains[live], tx, rx, scn.wavelength,
+                                _clutter_model(scn, scn.seed if seed is None else seed),
+                                realization=cpi)
     return synthesize_ir(responses, budget.directions[live], array, timing,
                          modulation=_ocean_modulation(scn, scene, cpi, live))
 
@@ -404,13 +396,12 @@ def simulate_cpi(scn: Scenario, scene: SceneModel | None, cpi: int,
     return CPIResult(cpi=cpi, clutter_ir=clutter_ir, target_ir=target_ir, cube=cube)
 
 
-def simulate_scenario(scn: Scenario, waveform: Waveform | None = None,
-                      scene: SceneModel | None = None) -> ScenarioRun:
-    """Simulate every CPI of a scenario, in CPI order."""
+def simulate_scenario(scn: Scenario, scene: SceneModel | None = None) -> ScenarioRun:
+    """Simulate every CPI of a scenario with its default waveform, in
+    CPI order."""
     if scene is None:
         scene = build_scene(scn)
-    if waveform is None:
-        waveform = default_waveform(scn)
+    waveform = default_waveform(scn)
     results = [simulate_cpi(scn, scene, c, waveform) for c in range(scn.num_cpis)]
     logger.info("simulated %d CPIs of scenario %s", scn.num_cpis, scn.name)
     return ScenarioRun(scenario=scn, scene=scene, waveform=waveform, results=results)
@@ -556,15 +547,6 @@ def channel_moments(scn: Scenario, scene: SceneModel | None = None, cpi: int = 0
 # --- multi-transmitter geometry ----------------------------------------------
 
 
-def mimo_transmitters(scn: Scenario, cpi: int) -> list[PlatformState]:
-    """Transmitter platform states at one CPI: the scenario's own
-    transmitter first, then every declared extra."""
-    t = cpi * scn.cpi_interval
-    tx0, _ = platform_states(scn, cpi)
-    return [tx0] + [PlatformState(position=spec.position + spec.velocity * t,
-                                  velocity=spec.velocity) for spec in scn.mimo_tx]
-
-
 def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
              ) -> list[list[ChannelImpulseResponse]]:
     """Each transmitter's channels to the scenario's one receive array,
@@ -575,8 +557,13 @@ def mimo_irs(scn: Scenario, scene: SceneModel | None, cpi: int,
     if scene is None and not scn.targets:
         raise ConfigurationError("scenario has neither terrain nor targets")
     timing = scn.timing()
+    t = cpi * scn.cpi_interval
+    # the scenario's own transmitter first, then every declared extra
+    transmitters = [platform_states(scn, cpi)[0]] + [
+        PlatformState(position=spec.position + spec.velocity * t, velocity=spec.velocity)
+        for spec in scn.mimo_tx]
     tx_channels = []
-    for t_idx, tx in enumerate(mimo_transmitters(scn, cpi)):
+    for t_idx, tx in enumerate(transmitters):
         channels = []
         if scene is not None:
             # transmitter 0 is the scenario's own: same streams as the
@@ -600,6 +587,16 @@ class GainMap:
     gains_db: np.ndarray
     visible: np.ndarray
     patch_size: float
+
+    def relative_db(self) -> np.ndarray:
+        """The gains in dB relative to the strongest cell, the scale of a
+        quicklook image.  A map with no cell above GAIN_MAP_FLOOR_DB has
+        no gain to show: every cell is -inf, which an image renders at
+        its floor, as `dsp.range_doppler_map` renders an all-zero cube."""
+        peak = self.gains_db.max()
+        if peak <= GAIN_MAP_FLOOR_DB:
+            return np.full(self.gains_db.shape, -np.inf)
+        return self.gains_db - peak
 
 
 # gain_map's value, in dB, for cells with no gain

@@ -21,7 +21,7 @@ the same bytes at any core count.
 The receiver noise of a CPI does not depend on the waveform, so
 replaying a CPI with several waveforms draws it once: the process
 keeps the unit noise of at most one CPI, 8 bytes per sample, from the
-second request for its key on (`_assemble_cube`).  A simulation, whose
+second request for its key on (`assemble_cube`).  A simulation, whose
 CPIs never repeat, keeps nothing.  A channel's window transforms do
 not depend on the waveform either, so, by the same protocol, the
 process keeps those of at most one channel, 16 bytes per transformed
@@ -81,7 +81,7 @@ _HEADER = struct.Struct("<8sIIIIdddd")
 # The values kept for replay, two slots of one protocol, each (key,
 # value): key names the last request for the slot and value is None
 # until that key repeats, then the read-only array built for it (see
-# `_claim`, `_commit` and `_assemble_cube`).
+# `_claim`, `_commit` and `assemble_cube`).
 #   - `_noise`: key (seed, cpi_index, N, M, R) of the last noisy cube
 #     request, value its (N, M, R) complex64 unit noise (8 N M R bytes);
 #   - `_transforms`: key (channel, F), a weak reference to the last
@@ -205,18 +205,21 @@ def _waveform_rows(waveforms, ir: ChannelImpulseResponse) -> np.ndarray:
     return np.stack([w.samples for w in wfs])
 
 
-def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
-                   noise_power: float, seed: int, cpi_index: int,
-                   carrier_hz: float) -> DataCube:
-    """The receiver's one-CPI cube, samples (1, N, M, L + P - 1) complex64.
+def assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], object]],
+                  noise_power: float, seed: int, carrier_hz: float = 0.0,
+                  cpi_index: int = 0) -> DataCube:
+    """The receiver's one-CPI cube, samples (1, N, M, L + P - 1) complex64,
+    for one transmitter or several.
 
-    `groups` pairs channels with the waveforms (one Waveform or a
-    per-pulse sequence) they carry.  Every group needs at least one
-    channel, and every channel and waveform must agree with the first
-    channel: dimensions (N, M, L), sample rate (to 1e-6 relative) and
-    PRF (to 1e-6 relative); every waveform must have one length P.
-    Anything else is a ConfigurationError.  The cube carries the first
-    channel's rate and PRF.
+    Each group is one transmitter: its channels to the receive array,
+    such as its clutter and its target channel, and the waveform it
+    radiates (one Waveform or a per-pulse sequence).  Every group needs
+    at least one channel, and every channel and waveform must agree
+    with the first channel: dimensions (N, M, L), sample rate (to 1e-6
+    relative) and PRF (to 1e-6 relative); every waveform must have one
+    length P.  Anything else is a ConfigurationError.  The cube carries
+    the first channel's rate and PRF.  One transmitter with [clutter,
+    target] gives `simulate_cube`'s bytes.
 
     The samples are circular Gaussian noise of variance `noise_power`
     per sample plus every channel convolved with its pulses, added to
@@ -236,9 +239,7 @@ def _assemble_cube(groups: Sequence[tuple[Sequence[ChannelImpulseResponse], obje
     noise power draws nothing and starts the lines at +0.0, so they
     hold no -0.0.  The noise is keyed by index alone, so it does not
     depend on evaluation order, worker count, channel blocking, or
-    which CPIs are simulated.  Builds that drew numpy's ziggurat
-    normals, and added them after the channels, made other noisy
-    cubes.
+    which CPIs are simulated.
 
     The unit noise z depends on (seed, cpi_index, N, M, R) only, and a
     channel's window transforms on the channel and the window's
@@ -441,11 +442,11 @@ def simulate_cube(clutter_ir: ChannelImpulseResponse | None,
     the combined scene equals the sum of the single-channel cubes
     exactly.  The range window is the full convolution length L + P - 1.
     `waveforms` is one Waveform or one per pulse.  At least one channel
-    is needed, and `_assemble_cube` checks that the channels and the
+    is needed, and `assemble_cube` checks that the channels and the
     waveforms agree.
     """
     irs = [ir for ir in (clutter_ir, target_ir) if ir is not None]
-    return _assemble_cube([(irs, waveforms)], noise_power, seed, cpi_index, carrier_hz)
+    return assemble_cube([(irs, waveforms)], noise_power, seed, carrier_hz, cpi_index)
 
 
 def write_cube(path, cube: DataCube) -> str:

@@ -137,6 +137,13 @@ class BuildingGrid(_Spec):
     footprint: float = 30.0      # m
     height: float = 6.0          # m
 
+    def __post_init__(self):
+        super().__post_init__()
+        # the centers fit numpy's address space, as the cube's samples do
+        if 16 * self.rows * self.cols > np.iinfo(np.intp).max:
+            raise ConfigurationError("buildings.rows x buildings.cols: the block's "
+                                     "building centers are too large to address")
+
     def centers(self) -> np.ndarray:
         """(rows * cols, 2) building centers, row-major from the SW corner."""
         jj, ii = np.meshgrid(np.arange(self.cols), np.arange(self.rows))

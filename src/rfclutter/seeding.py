@@ -10,8 +10,7 @@ noise builds one per receive channel, keyed by (seed, STREAM_NOISE, 0,
 cpi, channel), where the 0 is a receiver slot that stays fixed because
 there is one receiver; it draws (pulses, range) float64 uniforms, then
 (pulses, range) float32 uniforms, the radii and the angles of float32
-Box-Muller pairs (see `rxsim._assemble_cube`).  Builds that drew
-numpy's ziggurat normals from these generators made other noise.
+Box-Muller pairs (see `rxsim.assemble_cube`).
 
 Per-scatterer draws (clutter phase and Doppler jitter, sea-surface
 series) would need one such generator per scatterer, so they use a

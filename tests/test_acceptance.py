@@ -23,12 +23,11 @@ from rfclutter.channel import (ChannelImpulseResponse, ensemble_second_moment,
 from rfclutter.cli import main as cli_main
 from rfclutter.cofar import (ChannelMoments, generalized_eigenvalues,
                              max_gain_db, optimal_waveform, scnr)
-from rfclutter.dsp import doppler_axis, doppler_process, pulse_compress, range_doppler_map
-from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
-                            simulate_mimo_cube)
+from rfclutter.dsp import (LEAKAGE_FLOOR_DB, cross_channel_leakage, doppler_axis,
+                          doppler_process, pulse_compress, range_doppler_map)
 from rfclutter.ocean import wind_doppler_spread
 from rfclutter.pipeline import CPIResult, ScenarioRun, simulate_scenario
-from rfclutter.rxsim import simulate_cube
+from rfclutter.rxsim import assemble_cube, simulate_cube
 from rfclutter.scenario import (DESK_SCALE, Scenario, TargetSpec,
                                 generate_scenario1, parse_scenario)
 from rfclutter.scattering import GRASS, WATER
@@ -285,9 +284,9 @@ def test_07_waveform_swap_without_resynthesis(tmp_path, monkeypatch):
                                 noise_power=0.0, seed=scn.seed, cpi_index=0)
     monkeypatch.undo()
 
-    fresh = simulate_scenario(scn, waveform=new_wf)
-    scale = np.abs(fresh.results[0].cube.samples).max()
-    diff = np.abs(regenerated.samples - fresh.results[0].cube.samples).max()
+    fresh = pipeline.simulate_cpi(scn, pipeline.build_scene(scn), 0, new_wf)
+    scale = np.abs(fresh.cube.samples).max()
+    diff = np.abs(regenerated.samples - fresh.cube.samples).max()
     assert diff <= 1e-10 * scale
     print(f"ACCEPTANCE 07: PASS - regenerated cube within {diff / scale:.1e} "
           f"of a fresh run, synthesis untouched")
@@ -329,7 +328,7 @@ def test_09_waveform_separation_ordering():
         taps=np.ones((1, 4, 1), dtype=np.complex64), sample_rate=fs, prf=2000.0)
 
     def leakage(wf_a, wf_b):
-        cubes = [simulate_mimo_cube([[one_tap]], [w], noise_power=0.0, seed=1)
+        cubes = [assemble_cube([([one_tap], w)], noise_power=0.0, seed=1)
                  for w in (wf_a, wf_b)]
         return cross_channel_leakage(cubes, [wf_a, wf_b])
 

@@ -99,6 +99,31 @@ def test_clutter_and_los_maps(scenario_file, tmp_path):
     assert np.array_equal(np.frombuffer(pixels, dtype=np.uint8), 255 * gm.visible.ravel())
 
 
+@pytest.mark.parametrize("boresight", [None, "0 0 1"])
+def test_clutter_map_image_is_relative_to_the_strongest_patch(boresight, tmp_path):
+    """The clutter-map image shows each patch's gain relative to the
+    strongest patch, from -clip_db (black) to 0 dB (white).  An array
+    that looks straight up lights no patch of a flat site: every CSV
+    cell is at the floor and the image is black, not white."""
+    write_dem(tmp_path / "ground.dem", ElevationGrid(heights=np.zeros((8, 8)), cell_size=30.0))
+    scenario = tmp_path / "scene.txt"
+    scenario.write_text(SCENARIO + ("" if boresight is None
+                                    else f"array.boresight = {boresight}\n"))
+    out = tmp_path / "maps"
+    assert main(["clutter-map", "--scenario", str(scenario), "--clip-db", "40",
+                 "--out", str(out)]) == 0
+    gains_db = pipeline.gain_map(load_scenario(scenario)).gains_db
+    pixels = np.frombuffer((out / "clutter_map.pgm").read_bytes()[-gains_db.size:],
+                           dtype=np.uint8)
+    if boresight is None:
+        scaled = np.clip((gains_db - gains_db.max() + 40.0) / 40.0, 0.0, 1.0)
+        assert np.array_equal(pixels, np.round(scaled * 255.0).ravel())
+        assert pixels.max() == 255 and pixels.min() < 255
+    else:
+        assert np.all(gains_db == pipeline.GAIN_MAP_FLOOR_DB)
+        assert not pixels.any()
+
+
 def test_range_doppler_from_dataset_cube(scenario_file, tmp_path):
     ds = tmp_path / "ds"
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
@@ -394,6 +419,23 @@ def test_a_size_the_file_formats_cannot_hold_exits_2_and_writes_nothing(
     assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1 and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, cols", [(10 ** 20, 1), (2 ** 31, 2 ** 31)])
+def test_a_building_block_numpy_cannot_address_exits_2_and_writes_nothing(
+        rows, cols, scenario_file, tmp_path, capsys):
+    """A building block whose 16 rows cols bytes of centers numpy cannot
+    address exits 2 with one error line naming both counts, and writes
+    no file."""
+    path = tmp_path / "city.txt"
+    path.write_text(scenario_file.read_text() + "buildings.origin = 300 300\n"
+                    f"buildings.rows = {rows}\nbuildings.cols = {cols}\n")
+    out = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "buildings.rows" in err and "buildings.cols" in err
     assert not out.exists()
 
 

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from rfclutter.channel import ChannelImpulseResponse
+from rfclutter.dsp import LEAKAGE_FLOOR_DB, cross_channel_leakage
 from rfclutter.errors import ConfigurationError
-from rfclutter.mimo import (LEAKAGE_FLOOR_DB, cross_channel_leakage,
-                            simulate_mimo_cube)
-from rfclutter.rxsim import DataCube, simulate_cube
+from rfclutter.rxsim import DataCube, assemble_cube, simulate_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm, phase_code
 
@@ -37,8 +36,8 @@ def test_single_pair_matches_plain_simulator_exactly():
     wf = phase_code(12, FS, seed=9)
     for target in (None, delta_ir(5, 24, n=2, m=8, amp=0.25)):
         channels = [clutter] if target is None else [clutter, target]
-        mimo = simulate_mimo_cube([channels], [wf], noise_power=0.5, seed=77,
-                                  carrier_hz=9e9, cpi_index=2)
+        mimo = assemble_cube([(channels, wf)], noise_power=0.5, seed=77,
+                             carrier_hz=9e9, cpi_index=2)
         plain = simulate_cube(clutter, target, wf, noise_power=0.5, seed=77,
                               carrier_hz=9e9, cpi_index=2)
         assert isinstance(mimo, DataCube)
@@ -53,9 +52,9 @@ def test_multi_tx_cube_is_superposition():
     ir_a, ir_b = random_ir(2), random_ir(3)
     wf_a = lfm(bandwidth=2e6, duration=1.6e-6, sample_rate=FS)
     wf_b = phase_code(16, FS, seed=4)
-    both = simulate_mimo_cube([[ir_a], [ir_b]], [wf_a, wf_b], noise_power=0.0, seed=1)
-    only_a = simulate_mimo_cube([[ir_a]], [wf_a], noise_power=0.0, seed=1)
-    only_b = simulate_mimo_cube([[ir_b]], [wf_b], noise_power=0.0, seed=1)
+    both = assemble_cube([([ir_a], wf_a), ([ir_b], wf_b)], noise_power=0.0, seed=1)
+    only_a = assemble_cube([([ir_a], wf_a)], noise_power=0.0, seed=1)
+    only_b = assemble_cube([([ir_b], wf_b)], noise_power=0.0, seed=1)
     lines_a = oracle_lines([(ir_a, wf_a)], 0.0, 1)
     lines_b = oracle_lines([(ir_b, wf_b)], 0.0, 1)
     assert only_a.samples.tobytes() == lines_a.astype(np.complex64).tobytes()
@@ -72,8 +71,8 @@ def test_receiver_noise_streams_are_independent():
     one = random_ir(4, n=1)
     ir = ChannelImpulseResponse(taps=np.repeat(one.taps, 2, axis=0), sample_rate=FS, prf=PRF)
     wf = phase_code(12, FS, seed=9)
-    cube = simulate_mimo_cube([[ir]], [wf], noise_power=1.0, seed=5, cpi_index=3)
-    quiet = simulate_mimo_cube([[ir]], [wf], noise_power=0.0, seed=5, cpi_index=3)
+    cube = assemble_cube([([ir], wf)], noise_power=1.0, seed=5, cpi_index=3)
+    quiet = assemble_cube([([ir], wf)], noise_power=0.0, seed=5, cpi_index=3)
     noise = cube.samples[0] - quiet.samples[0]
     assert np.abs(noise[0] - noise[1]).max() > 0.0   # same signal, different noise
     shape = cube.samples.shape[2:]
@@ -90,36 +89,34 @@ def test_receiver_noise_streams_are_independent():
         # the noise comes first and the channel's samples are added to it
         want = (unit * np.sqrt(0.5) + signal[n]).astype(np.complex64)
         assert cube.samples[0, n].tobytes() == want.tobytes()
-    again = simulate_mimo_cube([[ir]], [wf], noise_power=1.0, seed=5, cpi_index=3)
+    again = assemble_cube([([ir], wf)], noise_power=1.0, seed=5, cpi_index=3)
     assert again.samples.tobytes() == cube.samples.tobytes()
 
 
 def test_pair_dimension_guards():
     """Transmitters whose channels disagree in dimensions or PRF, a
-    transmitter with no channel, waveforms of two lengths and a waveform
-    count that is not the transmitter count are rejected, not labelled
-    with transmitter 0's values."""
+    transmitter with no channel and waveforms of two lengths are
+    rejected, not labelled with transmitter 0's values."""
     ir = random_ir(6)
     wf = phase_code(12, FS, seed=9)
     cases = [
-        ([[ir], [random_ir(7, taps=10)]], [wf, wf], "dimensions"),
-        ([[ir]], [wf, wf], "waveforms"),
-        ([[ir], [random_ir(8, n=3)]], [wf, wf], "dimensions"),
-        ([[ir], [ir]], [wf, phase_code(13, FS, seed=9)], "one length"),
-        ([], [], "at least one"),
-        ([[ir], [random_ir(6, prf=3000.0)]], [wf, wf], "PRFs"),
-        ([[ir, random_ir(6, prf=3000.0)]], [wf], "PRFs"),
-        ([[ir], []], [wf, wf], "at least one channel"),
+        ([([ir], wf), ([random_ir(7, taps=10)], wf)], "dimensions"),
+        ([([ir], wf), ([random_ir(8, n=3)], wf)], "dimensions"),
+        ([([ir], wf), ([ir], phase_code(13, FS, seed=9))], "one length"),
+        ([], "at least one"),
+        ([([ir], wf), ([random_ir(6, prf=3000.0)], wf)], "PRFs"),
+        ([([ir, random_ir(6, prf=3000.0)], wf)], "PRFs"),
+        ([([ir], wf), ([], wf)], "at least one channel"),
     ]
-    for tx_channels, waveforms, match in cases:
+    for groups, match in cases:
         with pytest.raises(ConfigurationError, match=match):
-            simulate_mimo_cube(tx_channels, waveforms, noise_power=0.0, seed=1)
+            assemble_cube(groups, noise_power=0.0, seed=1)
 
 
 def test_identical_waveforms_leak_at_zero_db():
     wf = phase_code(16, FS, seed=11)
     irs = [delta_ir(3, 40), delta_ir(3, 40)]
-    cubes = [simulate_mimo_cube([[ir]], [wf], noise_power=0.0, seed=1)
+    cubes = [assemble_cube([([ir], wf)], noise_power=0.0, seed=1)
              for ir in irs]
     leak = cross_channel_leakage(cubes, [wf, wf])
     np.testing.assert_allclose(leak, 0.0, atol=1e-9)
@@ -137,7 +134,7 @@ def test_disjoint_support_waveforms_hit_the_floor():
     # matched filter evaluates only the zero lag, where the disjoint halves
     # give an exact zero cross product
     ir = delta_ir(0, 1)
-    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)
+    cubes = [assemble_cube([([ir], w)], noise_power=0.0, seed=1)
              for w in (wf_a, wf_b)]
     leak = cross_channel_leakage(cubes, [wf_a, wf_b])
     assert leak[0, 0] == pytest.approx(0.0, abs=1e-9)
@@ -150,7 +147,7 @@ def test_chirp_pair_sits_between_floor_and_unity():
     wf_up = lfm(bandwidth=4e6, duration=6.4e-6, sample_rate=FS)
     wf_dn = lfm(bandwidth=4e6, duration=6.4e-6, sample_rate=FS, direction="down")
     ir = delta_ir(0, wf_up.samples.shape[0] + 20)
-    cubes = [simulate_mimo_cube([[ir]], [w], noise_power=0.0, seed=1)
+    cubes = [assemble_cube([([ir], w)], noise_power=0.0, seed=1)
              for w in (wf_up, wf_dn)]
     leak = cross_channel_leakage(cubes, [wf_up, wf_dn])
     off = leak[0, 1]
@@ -161,12 +158,12 @@ def test_chirp_pair_sits_between_floor_and_unity():
 def test_leakage_validation():
     wf = phase_code(8, FS, seed=2)
     ir = delta_ir(0, 20)
-    cube = simulate_mimo_cube([[ir]], [wf], noise_power=0.0, seed=1)
+    cube = assemble_cube([([ir], wf)], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError):
         cross_channel_leakage([cube], [wf, wf])
     zero = ChannelImpulseResponse.from_dense(
         np.zeros((1, 4, 20), dtype=np.complex64), sample_rate=FS, prf=PRF)
-    zcube = simulate_mimo_cube([[zero]], [wf], noise_power=0.0, seed=1)
+    zcube = assemble_cube([([zero], wf)], noise_power=0.0, seed=1)
     with pytest.raises(ValueError):
         cross_channel_leakage([zcube], [wf])
 
@@ -175,7 +172,7 @@ def test_leakage_rejects_a_cube_of_several_cpis():
     """A cube of two CPIs is named at construction, so leakage is never
     measured at its CPI 0."""
     wf = phase_code(8, FS, seed=2)
-    one = simulate_mimo_cube([[delta_ir(0, 20)]], [wf], noise_power=0.0, seed=1)
+    one = assemble_cube([([delta_ir(0, 20)], wf)], noise_power=0.0, seed=1)
     with pytest.raises(ConfigurationError, match="2 CPIs"):
         DataCube(samples=np.concatenate([one.samples, one.samples]), sample_rate=FS, prf=PRF,
                  noise_power=0.0)

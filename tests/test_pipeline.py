@@ -22,7 +22,6 @@ from rfclutter.channel import (SPEED_OF_LIGHT, RadarTiming, StochasticModel,
 from rfclutter.cli import main
 from rfclutter.dsp import range_doppler_map
 from rfclutter.errors import ConfigurationError
-from rfclutter.mimo import simulate_mimo_cube
 from rfclutter.ocean import pulse_modulation
 from rfclutter.scenario import (DESK_SCALE, BuildingGrid, DiscreteSpec,
                                 Scenario, TargetSpec, TransmitterSpec,
@@ -257,8 +256,8 @@ def test_mimo_transmitter_zero_matches_simulate_cpi(cpi, options):
     for got, want in zip(irs[0], (result.clutter_ir, result.target_ir)):
         assert got.support.tobytes() == want.support.tobytes()
         assert got.taps.tobytes() == want.taps.tobytes()
-    cube = simulate_mimo_cube([irs[0]], [wf], scn.noise_power, scn.seed,
-                              carrier_hz=scn.carrier_hz, cpi_index=cpi)
+    cube = rxsim.assemble_cube([(irs[0], wf)], scn.noise_power, scn.seed,
+                               carrier_hz=scn.carrier_hz, cpi_index=cpi)
     assert cube.samples.tobytes() == result.cube.samples.tobytes()
     assert not np.array_equal(irs[1][0].dense(), irs[0][0].dense())
     if scn.wind_speed_mps > 0.0:

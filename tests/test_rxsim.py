@@ -17,8 +17,7 @@ from scipy.fft import next_fast_len
 from rfclutter import rxsim, workers
 from rfclutter.channel import ChannelImpulseResponse
 from rfclutter.errors import ConfigurationError
-from rfclutter.mimo import simulate_mimo_cube
-from rfclutter.rxsim import DataCube, read_cube, simulate_cube, write_cube
+from rfclutter.rxsim import DataCube, assemble_cube, read_cube, simulate_cube, write_cube
 from rfclutter.seeding import STREAM_NOISE, derive_rng
 from rfclutter.waveform import Waveform, lfm
 
@@ -264,7 +263,7 @@ def assert_mimo_cube_bytes_match_the_oracle(noise_power, n):
     tx_channels = [[random_ir(rng, n=n)], [random_ir(rng, n=n), random_ir(rng, n=n)],
                    [random_ir(rng, n=n)]]
     wfs = [random_waveform(rng) for _ in range(3)]
-    cube = simulate_mimo_cube(tx_channels, wfs, noise_power, seed=21, cpi_index=2)
+    cube = assemble_cube(list(zip(tx_channels, wfs)), noise_power, seed=21, cpi_index=2)
     want = oracle_cube([(ir, wf) for channels, wf in zip(tx_channels, wfs) for ir in channels],
                        noise_power, 21, cpi_index=2)
     assert cube.samples.tobytes() == want.tobytes()
@@ -374,7 +373,7 @@ def test_mimo_cube_derives_one_noise_stream_per_receiver_channel(monkeypatch):
     tx_channels = [[random_ir(rng, n=2)] for _ in range(3)]
     wfs = [random_waveform(rng) for _ in range(3)]
     keys = count_noise_streams(monkeypatch)
-    simulate_mimo_cube(tx_channels, wfs, 0.4, seed=8, cpi_index=1)
+    assemble_cube(list(zip(tx_channels, wfs)), 0.4, seed=8, cpi_index=1)
     assert keys == [(8, STREAM_NOISE, 0, 1, n) for n in range(2)]
 
 
@@ -897,7 +896,8 @@ def test_mimo_direct_route_bytes_match_the_oracle(set_worker_count, workers):
               sparse_ir(rng, [2, 3], n=5, m=3, dense_channels=[4]),
               random_ir(rng, n=5, l=SPARSE_TAPS)]
     wfs = [random_waveform(rng) for _ in range(4)]
-    cube = simulate_mimo_cube([[ir] for ir in tx_irs], wfs, 0.7, seed=21, cpi_index=2)
+    cube = assemble_cube([([ir], wf) for ir, wf in zip(tx_irs, wfs)], 0.7, seed=21,
+                         cpi_index=2)
     want = oracle_cube(list(zip(tx_irs, wfs)), 0.7, 21, cpi_index=2)
     assert cube.samples.tobytes() == want.tobytes()
 

@@ -95,6 +95,22 @@ sim.seed = 5
 """
 
 
+def test_coverage_study_of_a_scene_with_no_lit_patch(tmp_path, capsys):
+    """An array that looks straight up lights no patch of a flat site:
+    the study says that no patch has gain, exits 0, and its gain map
+    image is black."""
+    write_dem(tmp_path / "ground.dem", ElevationGrid(heights=np.zeros((8, 8)), cell_size=30.0))
+    scenario = tmp_path / "scene.txt"
+    scenario.write_text(SMALL_SCENARIO + "array.boresight = 0 0 1\n")
+    out = tmp_path / "coverage"
+    assert load_script("coverage_study").main(["--scenario", str(scenario),
+                                               "--out", str(out)]) == 0
+    assert "no patch has gain" in capsys.readouterr().out
+    header = b"P5\n4 4\n255\n"
+    pgm = (out / "gain_map.pgm").read_bytes()
+    assert pgm.startswith(header) and pgm[len(header):] == bytes(16)
+
+
 def test_the_scripts_read_the_scenario_flags_as_the_cli_does(tmp_path):
     """The study scripts take rfclutter's scenario flags: --seed reaches a
     --scenario file, and --scale with a --scenario file or a seed the

@@ -12,8 +12,9 @@ belongs in tests/oracles.py.
 A reader of a field is an attribute load of its name in that code,
 outside `__post_init__` and `__setattr__` (which only check or normalize
 what was stored), on a receiver of the field's class or of unknown
-class; or a string constant equal to its name, as `scenario._KEYS`
-names the fields that `scenario_text` reads.  A receiver's class is
+class; or a string constant equal to its name in the module that
+defines the class, as `scenario._KEYS` names the fields that
+`scenario_text` reads.  A receiver's class is
 known where it is `self` in a method, a parameter annotated with a
 package class (alone or `| None`), or a local that every binding
 assigns a call of the class or of a package function annotated to
@@ -27,8 +28,9 @@ or by position, to a function or method of its name.  A field's setter
 passes it to its class, or to `cls(...)` in one of the class's
 classmethods, or to `dataclasses.replace`; or stores it through an
 attribute (`x.name = ...`, or `append`, `extend` or `insert` on
-`x.name`) outside `__post_init__`; or names it in a string constant, as
-`scenario._KEYS` names the fields that `parse_scenario` sets.  A
+`x.name`) outside `__post_init__`; or names it in a string constant of
+the module that defines the class, as `scenario._KEYS` names the fields
+that `parse_scenario` sets.  A
 `**mapping` passes nothing by name.  An option with no setter is a
 setting no run can reach: it becomes a constant, or goes.
 
@@ -155,15 +157,17 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return _decorated(node, "dataclass")
 
 
-def dataclass_fields(package: Path = PACKAGE) -> dict[str, tuple[str, str]]:
-    """"Class.field" -> (class, field) of every dataclass field in the package."""
+def dataclass_fields(package: Path = PACKAGE) -> dict[str, tuple[Path, str, str]]:
+    """"Class.field" -> (module path, class, field) of every dataclass
+    field in the package."""
     found = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef) and _is_dataclass(node):
                 for stmt in node.body:
                     if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-                        found[f"{node.name}.{stmt.target.id}"] = (node.name, stmt.target.id)
+                        found[f"{node.name}.{stmt.target.id}"] = (path, node.name,
+                                                                  stmt.target.id)
     return found
 
 
@@ -228,11 +232,12 @@ def _scope_types(scope, owner, enclosing: dict, classes, returns) -> dict[str, s
                         for name, kinds in found.items()}
 
 
-def read_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[tuple[str | None, str]]:
+def read_fields(package: Path = PACKAGE,
+                root: Path = ROOT) -> set[tuple[str | Path | None, str]]:
     """(receiver class, attribute name) of every attribute load in the
     program outside `__post_init__` and `__setattr__`, with class None
-    where the receiver's class is unknown; and (None, value) of every
-    string constant."""
+    where the receiver's class is unknown; and (module path, value) of
+    every string constant there."""
     classes, returns = _package_types(package)
     reads = set()
 
@@ -246,14 +251,14 @@ def read_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[tuple[str | N
             if skipped:
                 pass
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                reads.add((None, child.value))
+                reads.add((path, child.value))
             elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
                 receiver = child.value
                 reads.add((types.get(receiver.id) if isinstance(receiver, ast.Name) else None,
                            child.attr))
             walk(child, types, skipped)
 
-    for tree in _program_trees(root):
+    for path, tree in _program_trees(root):
         walk(tree, _scope_types(tree, None, {}, classes, returns), False)
     return reads
 
@@ -261,10 +266,10 @@ def read_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[tuple[str | N
 def unread_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
     """The dataclass fields that no program code reads: no load of the
     field's name on a receiver of its class or of unknown class, and no
-    string constant equal to it."""
+    string constant equal to it in the class's module."""
     reads = read_fields(package, root)
-    return {key for key, (cls, name) in dataclass_fields(package).items()
-            if (cls, name) not in reads and (None, name) not in reads}
+    return {key for key, (path, cls, name) in dataclass_fields(package).items()
+            if not reads & {(cls, name), (None, name), (path, name)}}
 
 
 def _frozen(node: ast.ClassDef) -> bool:
@@ -290,9 +295,6 @@ def test_every_dataclass_field_has_a_reader():
 
 # option -> why it keeps a default that no program call passes
 UNSET_OPTIONS = {
-    "pipeline.simulate_scenario.waveform":
-        "acceptance test 07 simulates a scenario with another waveform through it, "
-        "the oracle of the split between channel and waveform",
     "rxsim.read_cube.sha256": "challenge._verify_files passes it through its table of readers",
     "channel.read_ir.sha256": "challenge._verify_files passes it through its table of readers",
     "waveform.read_waveform.sha256":
@@ -301,9 +303,10 @@ UNSET_OPTIONS = {
 
 
 def _program_trees(root: Path = ROOT):
+    """(path, syntax tree) of every program file."""
     for directory in PROGRAM_DIRS:
         for path in sorted((root / directory).rglob("*.py")):
-            yield ast.parse(path.read_text(encoding="utf-8"))
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _callee(call: ast.Call) -> str | None:
@@ -351,7 +354,7 @@ def defaulted_parameters(package: Path = PACKAGE) -> dict[str, tuple[str, int | 
 def unset_parameters(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
     """The defaulted parameters that no call in the program passes."""
     calls: dict[str, list[ast.Call]] = {}
-    for tree in _program_trees(root):
+    for _, tree in _program_trees(root):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 calls.setdefault(_callee(node), []).append(node)
@@ -359,10 +362,10 @@ def unset_parameters(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
             if not any(_passes(c, key.rsplit(".", 1)[1], position) for c in calls.get(fn, ()))}
 
 
-def defaulted_fields(package: Path = PACKAGE) -> dict[str, tuple[str, str, int, list]]:
-    """"module.Class.field" -> (class, field, position, the `cls(...)`
-    calls of the class's classmethods) of every dataclass field with a
-    default in the package."""
+def defaulted_fields(package: Path = PACKAGE) -> dict[str, tuple[Path, str, str, int, list]]:
+    """"module.Class.field" -> (module path, class, field, position, the
+    `cls(...)` calls of the class's classmethods) of every dataclass
+    field with a default in the package."""
     found = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -378,7 +381,7 @@ def defaulted_fields(package: Path = PACKAGE) -> dict[str, tuple[str, str, int, 
             for i, stmt in enumerate(fields):
                 if stmt.value is not None:
                     found[f"{path.stem}.{node.name}.{stmt.target.id}"] = (
-                        node.name, stmt.target.id, i, own)
+                        path, node.name, stmt.target.id, i, own)
     return found
 
 
@@ -386,10 +389,12 @@ _MUTATORS = ("append", "extend", "insert")
 
 
 def unset_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
-    """The defaulted dataclass fields that nothing in the program sets."""
+    """The defaulted dataclass fields that nothing in the program sets.
+    `named` holds the attribute names stored or mutated, and (module
+    path, value) of every string constant."""
     calls: dict[str, list[ast.Call]] = {}
     named = set()
-    for tree in _program_trees(root):
+    for path, tree in _program_trees(root):
         skipped = {id(inner) for node in ast.walk(tree)
                    if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
                    for inner in ast.walk(node)}
@@ -404,10 +409,10 @@ def unset_fields(package: Path = PACKAGE, root: Path = ROOT) -> set[str]:
                   and id(node) not in skipped):
                 named.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                named.add(node.value)
+                named.add((path, node.value))
     named |= {k.arg for c in calls.get("replace", ()) for k in c.keywords}
-    return {key for key, (cls, name, position, own) in defaulted_fields(package).items()
-            if name not in named
+    return {key for key, (path, cls, name, position, own) in defaulted_fields(package).items()
+            if name not in named and (path, name) not in named
             and not any(_passes(c, name, position) for c in calls.get(cls, []) + own)}
 
 
@@ -491,6 +496,28 @@ def test_the_field_rule_sees_past_a_shared_field_name(tmp_path):
     (tmp_path / "tests" / "test_probe.py").write_text(
         "from probe.probe import B\nB(*range(7)).x\n", encoding="utf-8")
     assert sorted(unread_fields(package, tmp_path)) == ["A.z", "B.w", "B.x", "B.y"]
+
+
+def test_a_string_names_only_the_fields_of_its_own_module(tmp_path):
+    """A string constant reads and sets a field only of the dataclasses
+    defined in the module that holds the string, as `scenario._KEYS`
+    names the fields of `Scenario`: the same string in another module,
+    or in a script, hides no unread or unset field."""
+    package = tmp_path / "src" / "probe"
+    package.mkdir(parents=True)
+    fields = "    x: int\n    y: int = 0\n"
+    (package / "a.py").write_text(
+        "from dataclasses import dataclass\n"
+        "KEYS = ('x', 'y')\n"
+        f"@dataclass\nclass A:\n{fields}", encoding="utf-8")
+    (package / "b.py").write_text(
+        "from dataclasses import dataclass\n"
+        f"@dataclass\nclass B:\n{fields}"
+        "def make(): return B(1)\n", encoding="utf-8")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "study.py").write_text("NAMES = ['x', 'y']\n", encoding="utf-8")
+    assert sorted(unread_fields(package, tmp_path)) == ["B.x", "B.y"]
+    assert sorted(unset_fields(package, tmp_path)) == ["b.B.y"]
 
 
 # module-level name -> (why it lives as long as the process, what bounds its memory)
