@@ -1,9 +1,11 @@
 """Terrain coverage study for a stored or preset scenario.
 
-Builds the scene, reports the patch budget (lit vs terrain-shadowed,
-split by landcover class, with the stationary discretes on their own
-line), and writes the north-up clutter gain map as
-CSV plus an 8-bit PGM quicklook.
+Builds the scene, reports the patch budget (lit vs unlit, split by
+landcover class, with the stationary discretes on their own line), and
+writes the north-up clutter gain map as CSV plus an 8-bit PGM
+quicklook.  A patch is lit when its two-way gain is non-zero, wherever
+its bistatic delay falls, so the table counts the patches that the map
+shows with gain.
 
 The scenario flags (--scenario, or --preset sized by --scale, and
 --seed) are read as `rfclutter` reads them.
@@ -40,8 +42,8 @@ def main(argv=None):
     if scene is None:
         ap.error("scenario has no terrain; nothing to map")
     tx, rx = pipeline.platform_states(scn, args.cpi)
-    budget = pipeline.patch_budget(scn, scene, tx, rx,
-                                   pipeline.receive_array(scn), scn.timing())
+    # no receive window, as in the gain map
+    budget = pipeline.patch_budget(scn, scene, tx, rx, pipeline.receive_array(scn))
 
     lit = budget.gains > 0.0
     # the class table covers the terrain and roof patches, not the discretes

@@ -165,8 +165,9 @@ def _manifest_int(fields: dict[str, str], key: str, minimum: int) -> int:
     return value
 
 
-def _manifest_rate(fields: dict[str, str], key: str) -> float:
-    """The value of a required manifest rate key, positive and finite."""
+def _manifest_float(fields: dict[str, str], key: str, zero_ok: bool = False) -> float:
+    """The value of a required manifest key, finite and positive (or
+    non-negative, with `zero_ok`)."""
     if key not in fields:
         raise ConfigurationError(f"manifest missing required key {key}")
     try:
@@ -174,8 +175,9 @@ def _manifest_rate(fields: dict[str, str], key: str) -> float:
     except ValueError:
         raise ConfigurationError(
             f"manifest {key} must be a number, got {fields[key]!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigurationError(f"manifest {key} must be positive and finite, got {value}")
+    if not (math.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ConfigurationError(f"manifest {key} must be {sign} and finite, got {value}")
     return value
 
 
@@ -221,12 +223,15 @@ def _verify_files(root: Path, files: dict[str, str],
 def read_challenge(path) -> ChallengeData:
     """Load and verify a challenge directory (or its manifest path).
 
-    Every listed file must exist and match its recorded SHA-256, and
-    every cube, channel and waveform file must have the manifest's
-    dimensions, sample rate and PRF (a waveform has no PRF; a channel
-    of L taps spans L + P - 1 range samples for the waveform's P);
-    anything else raises ConfigurationError.  The files are read and
-    verified on the shared worker pool, each once (`_verify_files`).
+    The manifest must give a positive, finite carrier and a finite,
+    non-negative noise power, which a replay needs.  Every listed file
+    must exist and match its recorded SHA-256, and every cube, channel
+    and waveform file must have the manifest's dimensions, sample rate
+    and PRF (a waveform has no PRF; a channel of L taps spans L + P - 1
+    range samples for the waveform's P), and every cube its carrier and
+    noise power, each value to 1e-6 relative; anything else raises
+    ConfigurationError.  The files are read and verified on the shared
+    worker pool, each once (`_verify_files`).
     """
     p = Path(path)
     root = p.parent if p.is_file() else p
@@ -241,8 +246,10 @@ def read_challenge(path) -> ChallengeData:
     _manifest_int(fields, "seed", 0)
     num_cpis = _manifest_int(fields, "cpis", 1)
     want = tuple(_manifest_int(fields, key, 1) for key in ("channels", "pulses", "range_samples"))
-    rate = _manifest_rate(fields, "sample_rate")
-    prf = _manifest_rate(fields, "prf")
+    rate = _manifest_float(fields, "sample_rate")
+    prf = _manifest_float(fields, "prf")
+    carrier = _manifest_float(fields, "carrier")
+    noise_power = _manifest_float(fields, "noise_power", zero_ok=True)
 
     for name in files:
         if os.path.basename(name) != name:
@@ -279,8 +286,11 @@ def read_challenge(path) -> ChallengeData:
         if got != want:
             raise ConfigurationError(
                 f"{name} dimensions {got} disagree with the manifest {want}")
-        for key, value, expected in (("sample_rate", item.sample_rate, rate),
-                                     ("prf", item.prf, prf)):
+        checks = [("sample_rate", item.sample_rate, rate), ("prf", item.prf, prf)]
+        if isinstance(item, DataCube):
+            checks += [("carrier", item.carrier_hz, carrier),
+                       ("noise_power", item.noise_power, noise_power)]
+        for key, value, expected in checks:
             if abs(value - expected) > 1e-6 * expected:
                 raise ConfigurationError(
                     f"{name} {key} {value} disagrees with the manifest {expected}")

@@ -5,15 +5,16 @@ Verbs:
   simulate        run a scenario, export cubes + truth channels + manifest
   clutter-map     per-patch link-budget raster (CSV + PGM)
   los-map         per-patch visibility raster (CSV + PGM)
-  range-doppler   beamformed range-Doppler maps and peak lists
+  range-doppler   beamformed range-Doppler map and peak list of one cube file
   cofar-optimize  moment-based waveform optimization for one CPI
   mimo-sim        multi-transmitter run with per-code leakage report
   inspect         check and describe any data file or dataset manifest
 
-Scenarios come from a file (--scenario) or a preset (--preset, sized by
---scale); a flag that the chosen input does not read is an error.  CPIs
-run one after another; the stages inside a CPI use every available
-core, and the output bytes do not depend on the core count.
+Every verb but range-doppler and inspect reads a scenario, from a file
+(--scenario) or a preset (--preset, sized by --scale); a flag that the
+verb or the chosen input does not read is an error.  CPIs run one
+after another; the stages inside a CPI use every available core, and
+the output bytes do not depend on the core count.
 """
 
 from __future__ import annotations
@@ -121,42 +122,20 @@ def cmd_los_map(args) -> int:
 
 def cmd_range_doppler(args) -> int:
     dsp.check_levels(args.clip_db, args.peak_offset_db)
-    if args.cube:
-        given = [f"--{name}" for name in ("scenario", "preset", "scale", "seed")
-                 if getattr(args, name) is not None]
-        if given:
-            raise ConfigurationError(f"--cube reads no scenario; drop {', '.join(given)}")
-        if args.waveform is None:
-            raise ConfigurationError("--cube needs --waveform for compression")
-        cpi = 0 if args.cpi is None else args.cpi
-        if cpi < 0:
-            raise ConfigurationError(f"--cpi must be non-negative, got {cpi}")
-        out = _out_dir(args)
-        cubes = [(cpi, rxsim.read_cube(args.cube))]
-        wf = read_waveform(args.waveform)
-    else:
-        if args.waveform is not None or args.cpi is not None:
-            raise ConfigurationError("--waveform and --cpi go with --cube only")
-        scn = load_scenario_args(args)
-        out = _out_dir(args)
-        run = pipeline.simulate_scenario(scn)
-        # compress with the waveform as its file stores it, complex64, so
-        # the maps equal those of --cube with the exported waveform file
-        wf = Waveform(samples=run.waveform.samples.astype(np.complex64),
-                      sample_rate=run.waveform.sample_rate)
-        cubes = [(r.cpi, r.cube) for r in run.results]
-
-    for cpi, cube in cubes:
-        map_db, peaks = dsp.range_doppler_map(
-            cube, wf, np.ones(cube.num_channels), window=args.window,
-            clip_db=args.clip_db, peak_offset_db=args.peak_offset_db)
-        stem = f"rd_cpi{cpi:03d}"
-        dsp.write_map_csv(out / f"{stem}.csv", map_db)
-        dsp.write_pgm(out / f"{stem}.pgm", map_db, clip_db=args.clip_db)
-        dsp.write_peaks_csv(out / f"{stem}_peaks.csv", peaks)
-        print(f"cpi {cpi}: map {map_db.shape[1]} range x {map_db.shape[0]} "
-              f"doppler bins, {len(peaks)} peaks")
-    print(f"wrote range-Doppler products under {out}")
+    out = _out_dir(args)
+    cube = rxsim.read_cube(args.cube)
+    wf = read_waveform(args.waveform)
+    map_db, peaks = dsp.range_doppler_map(
+        cube, wf, np.ones(cube.num_channels), window=args.window,
+        clip_db=args.clip_db, peak_offset_db=args.peak_offset_db)
+    # named after the cube file: cube_cpi003.rfcube gives rd_cpi003.*
+    stem = "rd_" + Path(args.cube).stem.removeprefix("cube_")
+    dsp.write_map_csv(out / f"{stem}.csv", map_db)
+    dsp.write_pgm(out / f"{stem}.pgm", map_db, clip_db=args.clip_db)
+    dsp.write_peaks_csv(out / f"{stem}_peaks.csv", peaks)
+    print(f"map {map_db.shape[1]} range x {map_db.shape[0]} doppler bins, "
+          f"{len(peaks)} peaks")
+    print(f"wrote {stem}.csv, {stem}_peaks.csv and {stem}.pgm under {out}")
     return 0
 
 
@@ -274,14 +253,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = scenario_verb("los-map", "per-patch visibility raster", cmd_los_map)
     p.add_argument("--cpi", type=int, default=0)
 
-    p = scenario_verb("range-doppler", "beamformed range-Doppler maps", cmd_range_doppler)
-    p.add_argument("--cube", help="process an existing cube file instead")
-    p.add_argument("--waveform", help="waveform file for --cube")
-    p.add_argument("--cpi", type=int, default=None,
-                   help="the CPI number that names the outputs of --cube (default 0)")
+    p = sub.add_parser("range-doppler", help="range-Doppler map of one cube file")
+    p.add_argument("--cube", required=True,
+                   help="cube file of one CPI; the outputs are rd_ plus its name "
+                        "without .rfcube and a leading cube_")
+    p.add_argument("--waveform", required=True, help="waveform file for pulse compression")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--window", choices=["hann"], default=None)
     p.add_argument("--clip-db", type=float, default=dsp.DEFAULT_CLIP_DB)
     p.add_argument("--peak-offset-db", type=float, default=dsp.DEFAULT_PEAK_OFFSET_DB)
+    p.set_defaults(func=cmd_range_doppler)
 
     p = scenario_verb("cofar-optimize", "SCNR-optimal waveform design", cmd_cofar_optimize)
     p.add_argument("--cpi", type=int, default=0)

@@ -357,8 +357,11 @@ def test_a_relisted_waveform_must_match_the_manifest_rate(tmp_path):
         read_challenge(tmp_path / "ds")
 
 
-@pytest.mark.parametrize("field, message", [(5, "sample_rate"), (6, "prf")])
+@pytest.mark.parametrize("field, message", [(5, "sample_rate"), (6, "prf"),
+                                            (7, "noise_power"), (8, "carrier")])
 def test_a_relisted_cube_must_match_the_manifest_rates(tmp_path, field, message):
+    """A cube header whose rate, noise power or carrier disagrees with
+    the manifest's, its digest relisted, fails to load."""
     export_challenge(small_run(num_cpis=1), tmp_path / "ds")
     blob = bytearray((tmp_path / "ds" / "cube_cpi000.rfcube").read_bytes())
     header = struct.Struct("<8sIIIIdddd")
@@ -379,3 +382,35 @@ def test_a_bad_manifest_rate_is_rejected(tmp_path, key, value):
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConfigurationError, match=f"manifest {key}"):
         read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("key", ["carrier", "noise_power"])
+def test_a_manifest_without_the_carrier_or_the_noise_power_is_rejected(tmp_path, key):
+    """A replay needs both, so a manifest that lacks either fails to load."""
+    manifest = export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    lines = [line for line in manifest.read_text().splitlines()
+             if not line.startswith(f"{key} =")]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"manifest missing required key {key}"):
+        read_challenge(tmp_path / "ds")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("carrier", "x-band"), ("carrier", "0"), ("carrier", "-10e9"), ("carrier", "nan"),
+    ("carrier", "inf"), ("noise_power", "quiet"), ("noise_power", "-1"),
+    ("noise_power", "nan"), ("noise_power", "inf")])
+def test_a_bad_manifest_carrier_or_noise_power_is_rejected(tmp_path, key, value):
+    manifest = export_challenge(small_run(num_cpis=1), tmp_path / "ds")
+    lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line
+             for line in manifest.read_text().splitlines()]
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match=f"manifest {key}"):
+        read_challenge(tmp_path / "ds")
+
+
+def test_a_noiseless_dataset_loads(tmp_path):
+    """A noise power of zero is a valid manifest value."""
+    run = small_run(num_cpis=1)
+    export_challenge(simulate_scenario(replace(run.scenario, noise_power=0.0)), tmp_path / "ds")
+    data = read_challenge(tmp_path / "ds")
+    assert data.manifest["noise_power"] == "0.0" and data.cubes[0].noise_power == 0.0

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import rfclutter
-from rfclutter import pipeline, rxsim
+from rfclutter import dsp, pipeline, rxsim
 from rfclutter.cli import main
 from rfclutter.challenge import read_challenge
 from rfclutter.rxsim import DataCube, write_cube
@@ -129,30 +129,65 @@ def test_range_doppler_from_dataset_cube(scenario_file, tmp_path):
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
     out = tmp_path / "rd"
     rc = main(["range-doppler", "--cube", str(ds / "cube_cpi001.rfcube"),
-               "--waveform", str(ds / "waveform.rfwav"), "--cpi", "1",
-               "--out", str(out)])
+               "--waveform", str(ds / "waveform.rfwav"), "--out", str(out)])
     assert rc == 0
     assert (out / "rd_cpi001.csv").exists()
     assert (out / "rd_cpi001_peaks.csv").exists()
 
 
-def test_range_doppler_of_a_scenario_equals_that_of_its_exported_cubes(scenario_file,
-                                                                       tmp_path):
-    """The scenario path compresses with the waveform as its file stores
-    it, so every CPI's map, peak list and image equal those of its
-    exported cube with the exported waveform file, byte for byte."""
+def test_range_doppler_names_its_outputs_after_the_cube_file(scenario_file, tmp_path,
+                                                             capsys):
+    """Each cube's map, peak list and image are named rd_ plus the cube
+    file's stem without a leading cube_, so two CPIs mapped into one
+    --out keep both sets; each set is the chain's output for its cube
+    and the stored waveform."""
     ds = tmp_path / "ds"
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
-    fresh = tmp_path / "fresh"
-    assert main(["range-doppler", "--scenario", str(scenario_file), "--out", str(fresh)]) == 0
-    for cpi in range(2):
-        stored = tmp_path / f"stored{cpi}"
-        assert main(["range-doppler", "--cube", str(ds / f"cube_cpi{cpi:03d}.rfcube"),
-                     "--waveform", str(ds / "waveform.rfwav"), "--cpi", str(cpi),
-                     "--out", str(stored)]) == 0
-        for name in (f"rd_cpi{cpi:03d}.csv", f"rd_cpi{cpi:03d}_peaks.csv",
-                     f"rd_cpi{cpi:03d}.pgm"):
-            assert (stored / name).read_bytes() == (fresh / name).read_bytes()
+    (ds / "mimo_rx0.rfcube").write_bytes((ds / "cube_cpi000.rfcube").read_bytes())
+    out, expected = tmp_path / "rd", tmp_path / "expected"
+    expected.mkdir()
+    wf = read_waveform(ds / "waveform.rfwav")
+    for name, stem in (("cube_cpi000", "rd_cpi000"), ("cube_cpi001", "rd_cpi001"),
+                       ("mimo_rx0", "rd_mimo_rx0")):
+        assert main(["range-doppler", "--cube", str(ds / f"{name}.rfcube"),
+                     "--waveform", str(ds / "waveform.rfwav"), "--out", str(out)]) == 0
+        cube = rxsim.read_cube(ds / f"{name}.rfcube")
+        map_db, peaks = dsp.range_doppler_map(cube, wf, np.ones(cube.num_channels))
+        dsp.write_map_csv(expected / f"{stem}.csv", map_db)
+        dsp.write_pgm(expected / f"{stem}.pgm", map_db)
+        dsp.write_peaks_csv(expected / f"{stem}_peaks.csv", peaks)
+    names = sorted(p.name for p in expected.iterdir())
+    assert sorted(p.name for p in out.iterdir()) == names and len(names) == 9
+    for name in names:
+        assert (out / name).read_bytes() == (expected / name).read_bytes()
+    assert (out / "rd_cpi000.csv").read_bytes() != (out / "rd_cpi001.csv").read_bytes()
+    assert "rd_cpi001.csv" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [("--scenario", "scene.txt"), ("--preset", "scenario1"),
+                                         ("--scale", "0.5"), ("--seed", "1"), ("--cpi", "1")])
+def test_range_doppler_takes_no_scenario_flag_and_no_cpi(flag, value, tmp_path, capsys):
+    """range-doppler maps a stored cube and reads no scenario: a scenario
+    flag or --cpi is a usage error that names it, exit 2, and nothing is
+    written."""
+    out = tmp_path / "rd"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["range-doppler", "--cube", "c.rfcube", "--waveform", "w.rfwav", flag, value,
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("given, missing", [(["--cube", "c.rfcube"], "--waveform"),
+                                            (["--waveform", "w.rfwav"], "--cube")])
+def test_range_doppler_needs_a_cube_and_a_waveform(given, missing, tmp_path, capsys):
+    out = tmp_path / "rd"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["range-doppler", *given, "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert f"required: {missing}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line, value", [("radar.noise_power", "1e80"),
@@ -173,7 +208,7 @@ def test_samples_beyond_complex64_exit_with_code_2_and_no_manifest(
 
 def test_range_doppler_rejects_a_cube_file_of_several_cpis(scenario_file, tmp_path, capsys):
     """`--cube` maps one CPI; a file of two exits 2 instead of mapping
-    its CPI 0 under the name that `--cpi` gives."""
+    its CPI 0."""
     ds = tmp_path / "ds"
     assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
     c0, c1 = ((ds / f"cube_cpi00{c}.rfcube").read_bytes() for c in (0, 1))
@@ -183,7 +218,7 @@ def test_range_doppler_rejects_a_cube_file_of_several_cpis(scenario_file, tmp_pa
     out = tmp_path / "rd"
     capsys.readouterr()
     assert main(["range-doppler", "--cube", str(two), "--waveform", str(ds / "waveform.rfwav"),
-                 "--cpi", "1", "--out", str(out)]) == 2
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "2 CPIs" in err and "Traceback" not in err
     assert list(out.iterdir()) == []
@@ -315,12 +350,21 @@ def test_inspect_rejects_a_repeated_file_entry_with_code_2(scenario_file, tmp_pa
     assert f"line {first + 2}" in err and "duplicate file cube_cpi000.rfcube" in err
 
 
+def verb_input(verb, scenario_file, tmp_path) -> list[str]:
+    """The flags that give `verb` its input: a cube and a waveform file
+    (which need not exist) for range-doppler, the scenario file for
+    every other verb."""
+    if verb == "range-doppler":
+        return ["--cube", str(tmp_path / "c.rfcube"), "--waveform", str(tmp_path / "w.rfwav")]
+    return ["--scenario", str(scenario_file)]
+
+
 @pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
                                   "cofar-optimize", "mimo-sim"])
 def test_no_verb_accepts_threads(verb, scenario_file, tmp_path, capsys):
     with pytest.raises(SystemExit) as exit_info:
-        main([verb, "--scenario", str(scenario_file), "--out", str(tmp_path / "out"),
-              "--threads", "2"])
+        main([verb, *verb_input(verb, scenario_file, tmp_path),
+              "--out", str(tmp_path / "out"), "--threads", "2"])
     assert exit_info.value.code == 2
     assert "--threads" in capsys.readouterr().err
 
@@ -346,6 +390,34 @@ def test_inspect_rejects_a_bad_manifest_count_with_code_2(
     capsys.readouterr()
     assert main(["inspect", str(ds)]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"noise_power": None, "carrier": None}, "carrier"),
+    ({"noise_power": None}, "noise_power"),
+    ({"noise_power": "-1"}, "noise_power"),
+    ({"carrier": "nan"}, "carrier"),
+], ids=["both-deleted", "noise-deleted", "negative-noise", "nan-carrier"])
+def test_inspect_rejects_a_manifest_a_replay_cannot_use_with_code_2(
+        edit, message, scenario_file, tmp_path, capsys):
+    """A replay needs the manifest's noise power and carrier: a dataset
+    that lacks either, or gives a negative noise power or a NaN carrier,
+    does not verify."""
+    ds = tmp_path / "ds"
+    assert main(["simulate", "--scenario", str(scenario_file), "--out", str(ds)]) == 0
+    manifest = ds / "manifest.txt"
+    lines = []
+    for line in manifest.read_text().splitlines():
+        key = line.split(" = ")[0]
+        if key not in edit:
+            lines.append(line)
+        elif edit[key] is not None:
+            lines.append(f"{key} = {edit[key]}")
+    manifest.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["inspect", str(ds)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
 
 
 def test_off_raster_platform_simulates(scenario_file, tmp_path, capsys):
@@ -460,7 +532,7 @@ def test_out_that_is_a_file_exits_with_code_2_before_simulating(
     taken = tmp_path / "taken"
     taken.write_text("a file, not a directory")
     for out in (taken, taken / "sub"):
-        assert main([verb, "--scenario", str(scenario_file), "--out", str(out)]) == 2
+        assert main([verb, *verb_input(verb, scenario_file, tmp_path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "--out" in err and "Traceback" not in err
     assert taken.read_text() == "a file, not a directory"
@@ -494,13 +566,6 @@ def test_out_of_range_index_exits_with_code_2(argv, scenario_file, tmp_path, cap
 UNREAD_FLAGS = [
     ("los-map --scenario S --scale 0.5", "--scale"),
     ("simulate --scenario S --scale 0.5", "--scale"),
-    ("range-doppler --cube C --waveform W --preset scenario2", "--preset"),
-    ("range-doppler --cube C --waveform W --scenario S", "--scenario"),
-    ("range-doppler --cube C --waveform W --seed 9", "--seed"),
-    ("range-doppler --cube C --waveform W --scale 0.5", "--scale"),
-    ("range-doppler --cube C --waveform W --cpi -1", "--cpi"),
-    ("range-doppler --scenario S --waveform W", "--cube"),
-    ("range-doppler --scenario S --cpi 1", "--cube"),
 ]
 
 
@@ -532,15 +597,14 @@ def assert_exits_2_before_simulating(argv, message, scenario_file, tmp_path, cap
                          [pytest.param(a, m, id=a) for a, m in UNREAD_FLAGS])
 def test_a_flag_the_input_does_not_read_exits_with_code_2_before_simulating(
         argv, message, scenario_file, tmp_path, capsys, monkeypatch):
-    """--scale sizes a preset only; --waveform and --cpi go with --cube,
-    which reads no scenario.  Any other use exits 2 before any
-    simulation, and writes nothing."""
+    """--scale sizes a preset only; with a scenario file it exits 2
+    before any simulation, and writes nothing."""
     assert_exits_2_before_simulating(argv, message, scenario_file, tmp_path, capsys,
                                      monkeypatch)
 
 
-@pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "range-doppler",
-                                  "cofar-optimize", "mimo-sim"])
+@pytest.mark.parametrize("verb", ["simulate", "clutter-map", "los-map", "cofar-optimize",
+                                  "mimo-sim"])
 def test_a_negative_seed_override_exits_with_code_2_before_simulating(
         verb, scenario_file, tmp_path, capsys, monkeypatch):
     """--seed replaces the scenario's seed, and the scenario is checked
@@ -553,8 +617,6 @@ def test_a_negative_seed_override_exits_with_code_2_before_simulating(
 BAD_LEVELS = [
     ("clutter-map --scenario S --clip-db nan", "clip_db"),
     ("clutter-map --scenario S --clip-db 0", "clip_db"),
-    ("range-doppler --scenario S --clip-db nan", "clip_db"),
-    ("range-doppler --scenario S --peak-offset-db nan", "peak_offset_db"),
     ("range-doppler --cube C --waveform W --clip-db 0", "clip_db"),
     ("range-doppler --cube C --waveform W --clip-db inf", "clip_db"),
     ("range-doppler --cube C --waveform W --peak-offset-db=-inf", "peak_offset_db"),

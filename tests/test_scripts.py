@@ -1,9 +1,11 @@
 """The study scripts, each run end to end through its main() with small
-arguments, and the README's Python example as written."""
+arguments, and the README's Python example and Quick start commands as
+written."""
 
 import importlib.util
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,10 @@ import numpy as np
 import pytest
 
 import rfclutter
+from rfclutter import pipeline
+from rfclutter.cli import main as rfclutter_main
 from rfclutter.errors import ConfigurationError
+from rfclutter.scenario import DESK_SCALE, generate_scenario1
 from rfclutter.terrain import ElevationGrid
 
 from oracles import write_dem
@@ -75,6 +80,24 @@ def test_coverage_study_lit_total_is_the_sum_of_its_class_rows(preset, tmp_path,
     assert sum(int(c[3]) for c in classes) == patches
     assert [r[1:4] for r in table if r[0] == "discretes:"] == [["2", "/", "2"]]
     assert (tmp_path / "gain_map.csv").read_text().splitlines()[0] == "row,col,db"
+
+
+def test_coverage_study_counts_every_patch_with_gain_as_lit(tmp_path, capsys):
+    """"Lit" is non-zero two-way gain with no receive window, as in the
+    gain map that the study writes: the printed total is the count of
+    facets with gain in the windowless budget, which on desk scenario1
+    exceeds the count inside the receive window."""
+    argv = ["--preset", "scenario1", "--scale", str(DESK_SCALE), "--out", str(tmp_path)]
+    assert load_script("coverage_study").main(argv) == 0
+    words = capsys.readouterr().out.splitlines()[0].split()
+    lit = int(words[words.index("lit") - 1])
+    scn = generate_scenario1(scale=DESK_SCALE)
+    scene = pipeline.build_scene(scn)
+    link = (scn, scene, *pipeline.platform_states(scn, 0), pipeline.receive_array(scn))
+    facets = len(scene.patches) - scene.num_discretes
+    gained = np.count_nonzero(pipeline.patch_budget(*link).gains[:facets])
+    in_window = np.count_nonzero(pipeline.patch_budget(*link, scn.timing()).gains[:facets])
+    assert lit == gained > in_window
 
 
 SMALL_SCENARIO = """
@@ -193,3 +216,32 @@ def test_readme_python_example_runs(tmp_path, monkeypatch):
     exec(compile(block, str(README), "exec"), namespace)
     assert namespace["cube"].dims == (1, 4, 64, 343)
     assert (tmp_path / "out" / "ds" / "manifest.txt").is_file()
+
+
+def readme_commands() -> list[list[str]]:
+    """The `rfclutter` command lines of the README's Quick start shell
+    blocks, in order, backslash continuations joined, split as a shell
+    splits them, without the program name."""
+    text = README.read_text(encoding="utf-8")
+    quick_start = text.split("## Quick start", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```\n(.*?)```", quick_start, re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("rfclutter ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """Every Quick start command runs from a scratch working directory,
+    in order, exits 0, and leaves each path it names; each range-Doppler
+    map is named after its cube, so the two share one directory."""
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [
+        "simulate", "inspect", "range-doppler", "range-doppler", "clutter-map", "los-map",
+        "cofar-optimize", "mimo-sim"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert rfclutter_main(argv) == 0, capsys.readouterr().err
+        for path in (arg for arg in argv[1:] if "/" in arg):
+            assert (tmp_path / path).exists(), (argv, path)
+    maps = tmp_path / "out" / "maps"
+    assert sorted(p.name for p in maps.iterdir()) == [
+        f"rd_cpi00{c}{suffix}" for c in (0, 3) for suffix in (".csv", ".pgm", "_peaks.csv")]
